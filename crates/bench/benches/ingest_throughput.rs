@@ -1,14 +1,22 @@
 //! Streaming-ingest throughput: pcapng blocks off a `Read` source,
 //! through the zero-copy `EthernetView` parse, into a standalone
-//! passive detector — the `reproduce ingest` hot path end to end.
+//! detector — the `reproduce ingest` hot path end to end.
 //!
-//! The workload is a synthetic in-memory capture of gratuitous ARP
-//! traffic (every fourth frame 802.1Q-tagged, a handful of binding
-//! flips so the detector raises a realistic trickle of alerts). The
-//! acceptance floor for this path is one million frames per second
-//! sustained; alongside the timing this bench counts heap allocations
-//! per ingested frame with a counting global allocator and writes them
-//! to `results/bench/ingest_throughput_allocs.json`, pinning the
+//! Three cases:
+//!
+//! * `passive/synthetic16k`: gratuitous ARP from 64 stations (every
+//!   fourth frame 802.1Q-tagged, a handful of binding flips so the
+//!   detector raises a realistic trickle of alerts). The acceptance
+//!   floor for this path is one million frames per second sustained.
+//! * `rate-monitor/lan8k` and `stateful/lan8k`: request/reply pairs
+//!   across 8,192 stations, so every detector window holds more than
+//!   4,096 distinct sources and outstanding requests. They pin the
+//!   window detectors' constant per-frame cost at a size where a
+//!   per-frame window scan would dominate.
+//!
+//! Alongside the timing this bench counts heap allocations per ingested
+//! frame with a counting global allocator and writes them to
+//! `results/bench/ingest_throughput_allocs.json`, pinning the
 //! near-zero-allocation claim the borrowed-view parse makes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -43,6 +51,26 @@ const FRAMES: u64 = 16_384;
 const HOSTS: u32 = 64;
 const FLIPS: u64 = 8;
 
+/// Stations on the large-LAN capture: every window holds more than
+/// 4,096 distinct sources and outstanding requests.
+const LAN_STATIONS: u32 = 8_192;
+/// Request/reply pairs on it, one every 250 µs: 4,000 per second, so
+/// the rate monitor's 1 s window holds 8,000 sources and a request
+/// goes stale (2 s) just before its pair is asked again.
+const LAN_PAIRS: u32 = 16_384;
+const LAN_PAIR_GAP_NS: u64 = 250_000;
+/// Every this many pairs, the reply is forged from a foreign MAC.
+const LAN_FORGE_EVERY: u32 = 2_048;
+
+/// One detector over one capture.
+struct Case {
+    id: &'static str,
+    kind: SchemeKind,
+    capture: Vec<u8>,
+    frames: u64,
+    tagged: u64,
+}
+
 /// A capture of `FRAMES` gratuitous ARP announcements from `HOSTS`
 /// stable bindings, with `FLIPS` frames claiming a foreign MAC (the
 /// poisonings the detector should flag) and every fourth frame tagged.
@@ -64,54 +92,112 @@ fn synthetic_capture() -> Vec<u8> {
     writer.finish()
 }
 
-/// Streams the capture through a fresh passive detector; returns frames
-/// ingested (checked against `FRAMES` so the workload can't silently
+/// A large LAN resolving its neighbours: pair `p` is a request from
+/// station `p mod 8,192` for the station half the LAN away, then its
+/// reply. Sources and requests stay above 4,096 per window, the load
+/// that made a per-frame window scan the detectors' dominant cost.
+fn lan_capture() -> Vec<u8> {
+    let station = |index: u32| {
+        let index = index % LAN_STATIONS;
+        (MacAddr::from_index(index + 1), Ipv4Addr::from_u32(0x0A00_0000 + index + 1))
+    };
+    let mut writer = PcapngWriter::new("arpshield-bench");
+    let interface = writer.add_interface("lan");
+    for pair in 0..LAN_PAIRS {
+        let (asker_mac, asker_ip) = station(pair);
+        let (target_mac, target_ip) = station(pair + LAN_STATIONS / 2);
+        let request = ArpPacket::request(asker_mac, asker_ip, target_ip);
+        let answer_mac = if pair % LAN_FORGE_EVERY == LAN_FORGE_EVERY - 1 {
+            MacAddr::from_index(0xBAD)
+        } else {
+            target_mac
+        };
+        let reply = ArpPacket::reply_to(&request, answer_mac);
+        let at = u64::from(pair) * LAN_PAIR_GAP_NS;
+        let asked =
+            EthernetFrame::new(MacAddr::BROADCAST, asker_mac, EtherType::ARP, request.encode());
+        let answered = EthernetFrame::new(asker_mac, answer_mac, EtherType::ARP, reply.encode());
+        writer.add_packet(interface, at, &asked.encode(), "");
+        writer.add_packet(interface, at + 1_000, &answered.encode(), "");
+    }
+    writer.finish()
+}
+
+fn cases() -> Vec<Case> {
+    let lan = lan_capture();
+    let lan_case = |id, kind| Case {
+        id,
+        kind,
+        capture: lan.clone(),
+        frames: 2 * u64::from(LAN_PAIRS),
+        tagged: 0,
+    };
+    vec![
+        Case {
+            id: "passive/synthetic16k",
+            kind: SchemeKind::Passive,
+            capture: synthetic_capture(),
+            frames: FRAMES,
+            tagged: FRAMES.div_ceil(4),
+        },
+        lan_case("rate-monitor/lan8k", SchemeKind::RateMonitor),
+        lan_case("stateful/lan8k", SchemeKind::Stateful),
+    ]
+}
+
+/// Streams the case's capture through a fresh detector; returns frames
+/// ingested (checked against the case so the workload can't silently
 /// shrink).
-fn ingest(capture: &[u8]) -> u64 {
-    let mut stream = PcapngStream::new(capture);
-    let mut detector = Detector::new(SchemeKind::Passive).expect("passive is supported");
+fn ingest(case: &Case) -> u64 {
+    let mut stream = PcapngStream::new(&case.capture[..]);
+    let mut detector = Detector::new(case.kind).expect("the case's scheme is supported");
     while let Some(pkt) = stream.next_packet().expect("synthetic capture is well-formed") {
         detector.observe(SimTime::from_nanos(pkt.ts_ns), pkt.bytes);
     }
     detector.finish();
     let stats = detector.stats();
-    assert_eq!(stats.frames, FRAMES, "every frame must reach the detector");
+    assert_eq!(stats.frames, case.frames, "every frame must reach the detector");
     assert_eq!(stats.unparseable, 0);
-    assert_eq!(stats.vlan_tagged, FRAMES.div_ceil(4));
-    assert!(!detector.alerts().is_empty(), "the flips must be flagged");
+    assert_eq!(stats.vlan_tagged, case.tagged);
+    assert!(!detector.alerts().is_empty(), "{}: the anomalies must be flagged", case.id);
     stats.frames
 }
 
-fn bench_ingest(c: &mut Criterion) {
-    let capture = synthetic_capture();
+fn bench_ingest(c: &mut Criterion, cases: &[Case]) {
     let mut group = c.benchmark_group("ingest_throughput");
     group.sample_size(15);
-    group.throughput(Throughput::Elements(FRAMES));
-    group.bench_function("passive/synthetic16k", |b| b.iter(|| ingest(&capture)));
+    for case in cases {
+        group.throughput(Throughput::Elements(case.frames));
+        group.bench_function(case.id, |b| b.iter(|| ingest(case)));
+    }
     group.finish();
 }
 
-fn write_alloc_report() {
-    let capture = synthetic_capture();
-    // Warm once so lazy one-time allocations don't pollute the count.
-    let frames = ingest(&capture);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let again = ingest(&capture);
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(frames, again, "workload must be deterministic");
-    let per_frame = allocs as f64 / frames as f64;
-    println!(
-        "ingest_throughput/passive  {allocs} allocations / {frames} frames = {per_frame:.4} \
-         allocs/frame"
-    );
-    let mut obj = BTreeMap::new();
-    obj.insert("id".to_string(), json::Value::Str("passive/synthetic16k".to_string()));
-    obj.insert("allocations".to_string(), json::Value::Num(allocs as f64));
-    obj.insert("frames_ingested".to_string(), json::Value::Num(frames as f64));
-    obj.insert("allocs_per_frame".to_string(), json::Value::Num(per_frame));
+fn write_alloc_report(cases: &[Case]) {
+    let mut results = Vec::new();
+    for case in cases {
+        // Warm once so lazy one-time allocations don't pollute the count.
+        let frames = ingest(case);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let again = ingest(case);
+        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(frames, again, "workload must be deterministic");
+        let per_frame = allocs as f64 / frames as f64;
+        println!(
+            "ingest_throughput/{}  {allocs} allocations / {frames} frames = {per_frame:.4} \
+             allocs/frame",
+            case.id
+        );
+        let mut obj = BTreeMap::new();
+        obj.insert("id".to_string(), json::Value::Str(case.id.to_string()));
+        obj.insert("allocations".to_string(), json::Value::Num(allocs as f64));
+        obj.insert("frames_ingested".to_string(), json::Value::Num(frames as f64));
+        obj.insert("allocs_per_frame".to_string(), json::Value::Num(per_frame));
+        results.push(json::Value::Obj(obj));
+    }
     let mut doc = BTreeMap::new();
     doc.insert("schema".to_string(), json::Value::Str("arpshield-allocs-v1".to_string()));
-    doc.insert("results".to_string(), json::Value::Arr(vec![json::Value::Obj(obj)]));
+    doc.insert("results".to_string(), json::Value::Arr(results));
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
     let dir = root.join("results").join("bench");
     std::fs::create_dir_all(&dir).ok();
@@ -125,8 +211,9 @@ fn write_alloc_report() {
 }
 
 fn main() {
+    let cases = cases();
     let mut criterion = Criterion::default();
-    bench_ingest(&mut criterion);
+    bench_ingest(&mut criterion, &cases);
     criterion.final_summary();
-    write_alloc_report();
+    write_alloc_report(&cases);
 }

@@ -1,6 +1,6 @@
 //! XArp/ArpON-style active verification: probe suspicious claims.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Duration;
 
 use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId, SimTime};
@@ -46,10 +46,29 @@ impl ActiveProbeConfig {
     }
 }
 
+/// The distinct MACs that answered a probe, as far as judging needs:
+/// none, exactly one, or several.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Answers {
+    Silent,
+    One(MacAddr),
+    Several,
+}
+
+impl Answers {
+    fn record(&mut self, mac: MacAddr) {
+        *self = match *self {
+            Answers::Silent => Answers::One(mac),
+            Answers::One(first) if first == mac => Answers::One(first),
+            _ => Answers::Several,
+        };
+    }
+}
+
 #[derive(Debug)]
 struct ProbeState {
     claimed: MacAddr,
-    answers: HashSet<MacAddr>,
+    answers: Answers,
     previous: Option<MacAddr>,
     /// Silent-window re-probes still allowed for this verification.
     retries_left: u32,
@@ -125,7 +144,7 @@ impl ActiveProbeMonitor {
             ip,
             ProbeState {
                 claimed,
-                answers: HashSet::new(),
+                answers: Answers::Silent,
                 previous,
                 retries_left: self.config.probe_retries,
             },
@@ -146,15 +165,14 @@ impl ActiveProbeMonitor {
             return;
         };
         self.last_verified.insert(ip, now);
-        match state.answers.len() {
-            0 => {
+        match state.answers {
+            Answers::Silent => {
                 // Nobody defends the IP. The claim might be a station that
                 // is simply quiet, or a forged binding for a live-but-mute
                 // host. Record it provisionally (XArp behaves likewise).
                 self.db.insert(ip, state.claimed);
             }
-            1 => {
-                let answer = *state.answers.iter().next().unwrap();
+            Answers::One(answer) => {
                 self.db.insert(ip, answer);
                 if answer != state.claimed {
                     self.log.raise(Alert {
@@ -167,7 +185,7 @@ impl ActiveProbeMonitor {
                     });
                 }
             }
-            _ => {
+            Answers::Several => {
                 self.log.raise(Alert {
                     at: now,
                     scheme: SCHEME,
@@ -211,7 +229,7 @@ impl Device for ActiveProbeMonitor {
         // Answers to an in-flight probe: replies for the probed IP.
         if arp.op == ArpOp::Reply {
             if let Some(state) = self.pending.get_mut(&arp.sender_ip) {
-                state.answers.insert(arp.sender_mac);
+                state.answers.record(arp.sender_mac);
                 return; // judged when the window closes
             }
         }
@@ -228,7 +246,7 @@ impl Device for ActiveProbeMonitor {
         // probe (or every reply) was lost on an impaired link; burn a
         // retry before concluding anything.
         if let Some(state) = self.pending.get_mut(&ip) {
-            if state.answers.is_empty() && state.retries_left > 0 {
+            if state.answers == Answers::Silent && state.retries_left > 0 {
                 state.retries_left -= 1;
                 self.emit_probe(ctx, ip);
                 return;
@@ -252,18 +270,28 @@ mod tests {
 
     const IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 
-    #[test]
-    fn contradicted_claim_alerts() {
-        let (mut m, log) = prober();
+    /// Opens a verification of `claimed` for [`IP`] that collected
+    /// replies from `answers`, in order.
+    fn pending(m: &mut ActiveProbeMonitor, claimed: u32, answers: &[u32], previous: Option<u32>) {
+        let mut record = Answers::Silent;
+        for &answer in answers {
+            record.record(MacAddr::from_index(answer));
+        }
         m.pending.insert(
             IP,
             ProbeState {
-                claimed: MacAddr::from_index(66),
-                answers: HashSet::from([MacAddr::from_index(1)]),
-                previous: None,
+                claimed: MacAddr::from_index(claimed),
+                answers: record,
+                previous: previous.map(MacAddr::from_index),
                 retries_left: 0,
             },
         );
+    }
+
+    #[test]
+    fn contradicted_claim_alerts() {
+        let (mut m, log) = prober();
+        pending(&mut m, 66, &[1], None);
         m.judge(SimTime::from_secs(1), IP);
         assert_eq!(log.alerts()[0].kind, AlertKind::ProbeContradiction);
         assert_eq!(m.binding(IP), Some(MacAddr::from_index(1)), "probe answer wins");
@@ -272,48 +300,46 @@ mod tests {
     #[test]
     fn confirmed_claim_is_silent() {
         let (mut m, log) = prober();
-        m.pending.insert(
-            IP,
-            ProbeState {
-                claimed: MacAddr::from_index(1),
-                answers: HashSet::from([MacAddr::from_index(1)]),
-                previous: None,
-                retries_left: 0,
-            },
-        );
+        pending(&mut m, 1, &[1], None);
         m.judge(SimTime::from_secs(1), IP);
         assert!(log.is_empty());
         assert_eq!(m.binding(IP), Some(MacAddr::from_index(1)));
     }
 
     #[test]
+    fn repeated_answers_from_one_station_are_one_responder() {
+        let (mut m, log) = prober();
+        pending(&mut m, 1, &[1, 1, 1], None);
+        m.judge(SimTime::from_secs(1), IP);
+        assert!(log.is_empty(), "alerts: {:?}", log.alerts());
+        assert_eq!(m.binding(IP), Some(MacAddr::from_index(1)));
+    }
+
+    #[test]
     fn duplicate_responders_alert() {
         let (mut m, log) = prober();
-        m.pending.insert(
-            IP,
-            ProbeState {
-                claimed: MacAddr::from_index(66),
-                answers: HashSet::from([MacAddr::from_index(1), MacAddr::from_index(66)]),
-                previous: Some(MacAddr::from_index(1)),
-                retries_left: 0,
-            },
-        );
+        pending(&mut m, 66, &[1, 66], Some(1));
         m.judge(SimTime::from_secs(1), IP);
         assert_eq!(log.alerts()[0].kind, AlertKind::DuplicateResponders);
     }
 
     #[test]
+    fn three_responders_alert_once_and_keep_the_binding() {
+        let (mut m, log) = prober();
+        pending(&mut m, 66, &[1, 66, 1, 2], Some(1));
+        m.judge(SimTime::from_secs(1), IP);
+        let alerts = log.alerts();
+        assert_eq!(alerts.len(), 1);
+        assert_eq!(alerts[0].kind, AlertKind::DuplicateResponders);
+        assert_eq!(alerts[0].observed_mac, Some(MacAddr::from_index(66)));
+        assert_eq!(alerts[0].expected_mac, Some(MacAddr::from_index(1)));
+        assert_eq!(m.binding(IP), None, "a contested IP is not learned");
+    }
+
+    #[test]
     fn silent_ip_recorded_provisionally() {
         let (mut m, log) = prober();
-        m.pending.insert(
-            IP,
-            ProbeState {
-                claimed: MacAddr::from_index(7),
-                answers: HashSet::new(),
-                previous: None,
-                retries_left: 0,
-            },
-        );
+        pending(&mut m, 7, &[], None);
         m.judge(SimTime::from_secs(1), IP);
         assert!(log.is_empty());
         assert_eq!(m.binding(IP), Some(MacAddr::from_index(7)));

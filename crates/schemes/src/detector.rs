@@ -230,18 +230,16 @@ impl Detector {
         }
         let now = self.monitor_now(at);
         if let Some(inspector) = &mut self.inspector {
-            // Borrowed lenient parse straight over the capture bytes —
-            // the same zero-copy view contract the in-switch fast path
-            // hands its inspector.
-            if let Ok(eth) = EthernetView::parse(bytes) {
-                let port =
-                    if eth.ethertype() == EtherType::ARP { UNTRUSTED_PORT } else { TRUSTED_PORT };
-                // Captures carry the wire tag (if any); untagged traffic
-                // lands in the VID-0 domain, matching the switch contract.
-                let vlan = eth.vlan().unwrap_or(0);
-                if let InspectVerdict::Deny { .. } = inspector.inspect(now, port, vlan, &eth) {
-                    self.stats.denied += 1;
-                }
+            // The borrowed view over the capture bytes is the same
+            // zero-copy contract the in-switch fast path hands its
+            // inspector.
+            let port =
+                if view.ethertype() == EtherType::ARP { UNTRUSTED_PORT } else { TRUSTED_PORT };
+            // Captures carry the wire tag (if any); untagged traffic
+            // lands in the VID-0 domain, matching the switch contract.
+            let vlan = view.vlan().unwrap_or(0);
+            if let InspectVerdict::Deny { .. } = inspector.inspect(now, port, vlan, &view) {
+                self.stats.denied += 1;
             }
         }
         self.tracer.set_current_frame(None);

@@ -9,8 +9,20 @@
 //! logic is deliberately simple — and so are its limits: thresholds must
 //! be sized to the LAN, and a slow attacker ducks under them (measured
 //! in experiment T6).
+//!
+//! # Cost
+//!
+//! Each frame costs amortised O(1), however full the window is. The
+//! event queues hold what the window holds and expire from the front.
+//! The distinct-source count is the size of a per-MAC count map kept
+//! beside the source queue, not a set rebuilt per frame. Consecutive
+//! frames from one source share one queue entry stamped with the run's
+//! latest time. The run leaves the window exactly when its last frame
+//! would have, so the count is unchanged. A DHCP server's ACK burst
+//! thus costs one entry, not one per ACK.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use arpshield_netsim::{Device, DeviceCtx, PortId, SimTime};
@@ -59,7 +71,12 @@ impl Default for RateConfig {
 pub struct RateMonitor {
     config: RateConfig,
     log: AlertLog,
-    mac_events: VecDeque<(SimTime, arpshield_packet::MacAddr)>,
+    /// Unicast sources in arrival order, a run of frames from one source
+    /// coalesced into one entry carrying the run's latest time.
+    mac_events: VecDeque<(SimTime, MacAddr)>,
+    /// Entries per source in `mac_events`; its size is the window's
+    /// distinct-source count.
+    mac_counts: HashMap<MacAddr, u32>,
     discover_events: VecDeque<SimTime>,
     arp_request_events: VecDeque<SimTime>,
     last_alert: [Option<SimTime>; 3],
@@ -74,6 +91,7 @@ impl RateMonitor {
             config,
             log,
             mac_events: VecDeque::new(),
+            mac_counts: HashMap::new(),
             discover_events: VecDeque::new(),
             arp_request_events: VecDeque::new(),
             last_alert: [None; 3],
@@ -81,17 +99,33 @@ impl RateMonitor {
         }
     }
 
+    /// Pops events that fell out of the window, oldest first. A queue
+    /// stops at its first live entry, as a plain FIFO would.
     fn expire(&mut self, now: SimTime) {
         let w = self.config.window;
-        while self.mac_events.front().map(|(t, _)| now.saturating_since(*t) > w).unwrap_or(false) {
-            self.mac_events.pop_front();
+        let expired = |t: SimTime| now.saturating_since(t) > w;
+        while let Some((_, mac)) = self.mac_events.pop_front_if(|(t, _)| expired(*t)) {
+            if let Entry::Occupied(mut count) = self.mac_counts.entry(mac) {
+                *count.get_mut() -= 1;
+                if *count.get() == 0 {
+                    count.remove();
+                }
+            }
         }
-        while self.discover_events.front().map(|t| now.saturating_since(*t) > w).unwrap_or(false) {
-            self.discover_events.pop_front();
-        }
-        while self.arp_request_events.front().map(|t| now.saturating_since(*t) > w).unwrap_or(false)
-        {
-            self.arp_request_events.pop_front();
+        while self.discover_events.pop_front_if(|t| expired(*t)).is_some() {}
+        while self.arp_request_events.pop_front_if(|t| expired(*t)).is_some() {}
+    }
+
+    /// Queues a source, extending the newest entry when it is the same
+    /// source. The entry keeps the run's latest time: the run stays in
+    /// the window until that frame expires, as it would entry by entry.
+    fn record_source(&mut self, now: SimTime, src: MacAddr) {
+        match self.mac_events.back_mut() {
+            Some((latest, mac)) if *mac == src => *latest = (*latest).max(now),
+            _ => {
+                self.mac_events.push_back((now, src));
+                *self.mac_counts.entry(src).or_insert(0) += 1;
+            }
         }
     }
 
@@ -113,8 +147,7 @@ impl RateMonitor {
     }
 
     fn check_thresholds(&mut self, now: SimTime) {
-        let distinct: HashSet<_> = self.mac_events.iter().map(|(_, m)| *m).collect();
-        if distinct.len() > self.config.max_new_macs {
+        if self.mac_counts.len() > self.config.max_new_macs {
             self.maybe_alert(now, 0, AlertKind::RateAnomaly);
         }
         if self.discover_events.len() > self.config.max_dhcp_discovers {
@@ -144,7 +177,7 @@ impl RateMonitor {
         self.log.add_work(SCHEME, work::INSPECT);
         self.expire(now);
         if src.is_unicast() && !src.is_zero() {
-            self.mac_events.push_back((now, src));
+            self.record_source(now, src);
         }
         match ethertype {
             EtherType::ARP => {
@@ -238,6 +271,26 @@ mod tests {
         for i in 0..50u32 {
             m.observe(SimTime::from_millis(u64::from(i) * 250), &frame_from(i));
         }
+        assert!(log.is_empty());
+    }
+
+    #[test]
+    fn a_single_source_burst_is_one_window_entry() {
+        let log = AlertLog::new();
+        let mut m = RateMonitor::new(RateConfig::default(), log.clone());
+        let server = frame_from(7);
+        for i in 0..8_192u64 {
+            m.observe(SimTime::from_micros(i * 25), &server);
+        }
+        assert_eq!((m.mac_events.len(), m.mac_counts.len()), (1, 1));
+        // The run leaves the window with its last frame, not its first.
+        let last = SimTime::from_micros(8_191 * 25);
+        let window = m.config.window;
+        m.observe(last + window, &frame_from(8));
+        assert_eq!(m.mac_counts.len(), 2, "the burst's last frame is still in the window");
+        m.observe(last + window + Duration::from_nanos(1), &frame_from(8));
+        assert_eq!(m.mac_counts.len(), 1, "the burst expired with its last frame");
+        assert_eq!(m.mac_events.len(), 1);
         assert!(log.is_empty());
     }
 

@@ -1,4 +1,20 @@
 //! Snort-style stateful ARP inspection: match replies to requests.
+//!
+//! # Cost
+//!
+//! Each ARP frame costs amortised O(1). Requests sit in a table keyed
+//! by (requester IP, target IP) that holds only when each was asked.
+//! Once the table holds more than 4,096 entries, stale requests are
+//! swept at most once per `request_window / 8` of sim time, not on
+//! every frame, so the frames of one sweep period share one sweep's
+//! cost. The table then holds the live requests plus at most one sweep
+//! period of inserts.
+//!
+//! Deferring the sweep cannot change a verdict. A reply counts only a
+//! request asked at most `request_window` ago, so a stale entry already
+//! fails that check. The device clock never runs backwards, so a stale
+//! entry never turns live again. A new request for the same pair
+//! overwrites it whether or not it was swept.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -10,6 +26,11 @@ use crate::alert::{Alert, AlertKind, AlertLog};
 use crate::work;
 
 const SCHEME: &str = "stateful";
+
+/// Outstanding requests the table may hold before stale ones are swept.
+const SWEEP_ABOVE: usize = 4096;
+/// Sweeps run at most this many times per `request_window` of sim time.
+const SWEEPS_PER_WINDOW: u32 = 8;
 
 /// Stateful monitor knobs.
 #[derive(Debug, Clone, Copy)]
@@ -46,8 +67,10 @@ impl Default for StatefulConfig {
 pub struct StatefulMonitor {
     config: StatefulConfig,
     log: AlertLog,
-    /// Requests seen: (requester ip, target ip) -> (time, requester mac).
-    outstanding: HashMap<(Ipv4Addr, Ipv4Addr), (SimTime, MacAddr)>,
+    /// Requests seen: (requester ip, target ip) -> when last asked.
+    outstanding: HashMap<(Ipv4Addr, Ipv4Addr), SimTime>,
+    /// Earliest time the next sweep of stale requests may run.
+    next_sweep: SimTime,
     bindings: HashMap<Ipv4Addr, MacAddr>,
     /// ARP packets inspected.
     pub inspected: u64,
@@ -60,6 +83,7 @@ impl StatefulMonitor {
             config,
             log,
             outstanding: HashMap::new(),
+            next_sweep: SimTime::ZERO,
             bindings: HashMap::new(),
             inspected: 0,
         }
@@ -106,18 +130,15 @@ impl StatefulMonitor {
             ArpOp::Request => {
                 // Probes (unspecified sender) are tracked too: their
                 // answers must not read as unsolicited.
-                self.outstanding.insert((arp.sender_ip, arp.target_ip), (now, arp.sender_mac));
+                self.outstanding.insert((arp.sender_ip, arp.target_ip), now);
                 self.track_binding(now, arp.sender_ip, arp.sender_mac);
             }
             ArpOp::Reply => {
                 // A reply from X to Y answers a request (Y -> X).
                 let key = (arp.target_ip, arp.sender_ip);
-                let solicited = match self.outstanding.get(&key) {
-                    Some((asked_at, _)) => {
-                        now.saturating_since(*asked_at) <= self.config.request_window
-                    }
-                    None => false,
-                };
+                let solicited = self.outstanding.get(&key).is_some_and(|asked_at| {
+                    now.saturating_since(*asked_at) <= self.config.request_window
+                });
                 // The request is deliberately NOT consumed on match: a
                 // mirrored or retransmitted duplicate of a legitimate
                 // reply must stay solicited. Entries lapse by window.
@@ -127,10 +148,11 @@ impl StatefulMonitor {
                 self.track_binding(now, arp.sender_ip, arp.sender_mac);
             }
         }
-        // Bound state: drop stale outstanding requests opportunistically.
-        if self.outstanding.len() > 4096 {
+        // Bound state: sweep stale requests, at most once per period.
+        if self.outstanding.len() > SWEEP_ABOVE && now >= self.next_sweep {
             let window = self.config.request_window;
-            self.outstanding.retain(|_, (t, _)| now.saturating_since(*t) <= window);
+            self.outstanding.retain(|_, asked_at| now.saturating_since(*asked_at) <= window);
+            self.next_sweep = now.checked_add(window / SWEEPS_PER_WINDOW).unwrap_or(SimTime::MAX);
         }
     }
 }
@@ -249,6 +271,32 @@ mod tests {
                                         // ...but the frame is sourced from 99.
         m.inspect(SimTime::from_secs(1), MacAddr::from_index(99), &forged);
         assert!(log.alerts().iter().any(|a| a.kind == AlertKind::ReplyMismatch));
+    }
+
+    #[test]
+    fn a_steady_stream_keeps_the_table_within_one_sweep_period() {
+        let (mut m, log) = monitor();
+        let window = m.config.request_window;
+        // 4,000 new requests per simulated second: 8,001 live in the
+        // 2 s window, well above the sweep threshold.
+        let gap = Duration::from_micros(250);
+        let live_max = window.as_nanos() / gap.as_nanos() + 1;
+        let per_period = (window / SWEEPS_PER_WINDOW).as_nanos() / gap.as_nanos();
+        let mut now = SimTime::from_secs(1);
+        let mut largest = 0;
+        for i in 0..40_000u32 {
+            let asker = Ipv4Addr::from_u32(0x0A00_0000 + i);
+            let req =
+                ArpPacket::request(MacAddr::from_index(i), asker, Ipv4Addr::new(10, 255, 0, 1));
+            m.inspect(now, req.sender_mac, &req);
+            let live = (u128::from(i) + 1).min(live_max);
+            let held = m.outstanding.len() as u128;
+            assert!(held <= live + per_period, "{held} entries for {live} live at request {i}");
+            largest = largest.max(held);
+            now += gap;
+        }
+        assert!(largest > SWEEP_ABOVE as u128, "the stream must reach the sweeping regime");
+        assert!(log.is_empty(), "alerts: {:?}", log.alerts());
     }
 
     #[test]
