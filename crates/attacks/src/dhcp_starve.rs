@@ -4,8 +4,8 @@ use std::time::Duration;
 
 use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId};
 use arpshield_packet::{
-    DhcpMessage, DhcpMessageType, EtherType, EthernetFrame, IpProtocol, Ipv4Addr, Ipv4Emit,
-    Ipv4Packet, MacAddr, UdpDatagram, UdpEmit, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
+    DhcpMessage, DhcpMessageType, EtherType, EthernetView, IpProtocol, Ipv4Addr, Ipv4Packet,
+    MacAddr, UdpDatagram, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
 };
 
 use crate::ground_truth::{AttackEvent, AttackKind, GroundTruth};
@@ -70,7 +70,7 @@ impl DhcpStarver {
     }
 
     fn send_dhcp(&mut self, ctx: &mut DeviceCtx<'_>, src_mac: MacAddr, msg: &DhcpMessage) {
-        let dgram = UdpEmit::new(
+        let dgram = UdpDatagram::new(
             DHCP_CLIENT_PORT,
             DHCP_SERVER_PORT,
             Ipv4Addr::UNSPECIFIED,
@@ -78,7 +78,7 @@ impl DhcpStarver {
             msg,
         );
         let pkt =
-            Ipv4Emit::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST, IpProtocol::Udp, &dgram);
+            Ipv4Packet::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST, IpProtocol::Udp, &dgram);
         ctx.send(PortId(0), eth_frame(MacAddr::BROADCAST, src_mac, EtherType::Ipv4, &pkt));
     }
 }
@@ -129,25 +129,25 @@ impl Device for DhcpStarver {
         }
         // Capture OFFERs addressed to any of our forged clients and pin
         // them with a REQUEST.
-        let Ok(eth) = EthernetFrame::parse(frame) else {
+        let Ok(eth) = EthernetView::parse_strict(frame) else {
             return;
         };
-        if eth.ethertype != EtherType::Ipv4 {
+        if eth.ethertype() != EtherType::Ipv4 {
             return;
         }
-        let Ok(pkt) = Ipv4Packet::parse(&eth.payload) else {
+        let Ok(pkt) = Ipv4Packet::parse(eth.payload()) else {
             return;
         };
         if pkt.protocol != IpProtocol::Udp {
             return;
         }
-        let Ok(dgram) = UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst) else {
+        let Ok(dgram) = UdpDatagram::parse(pkt.payload, pkt.src, pkt.dst) else {
             return;
         };
         if dgram.dst_port != DHCP_CLIENT_PORT {
             return;
         }
-        let Ok(msg) = DhcpMessage::parse(&dgram.payload) else {
+        let Ok(msg) = DhcpMessage::parse(dgram.payload) else {
             return;
         };
         let forged = msg.chaddr.octets()[0] == 0x06 && msg.chaddr.octets()[1] == 0x66;

@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId};
-use arpshield_packet::{EtherType, IpProtocol, Ipv4Addr, Ipv4Emit, MacAddr};
+use arpshield_packet::{EtherType, IpProtocol, Ipv4Addr, Ipv4Packet, MacAddr};
 
 use crate::ground_truth::{AttackEvent, AttackKind, GroundTruth};
 
@@ -100,7 +100,7 @@ impl Device for MacFlooder {
             // macof sends small bogus IPv4/TCP packets; the payload content
             // is irrelevant, the random *source MAC* does the damage.
             let r = ctx.rng().next_u64();
-            let pkt = Ipv4Emit::new(
+            let pkt = Ipv4Packet::new(
                 Ipv4Addr::from_u32((r >> 32) as u32),
                 Ipv4Addr::from_u32(r as u32),
                 IpProtocol::Tcp,
@@ -133,7 +133,7 @@ impl Device for MacFlooder {
 mod tests {
     use super::*;
     use arpshield_netsim::{SimTime, Simulator, Switch, SwitchConfig};
-    use arpshield_packet::EthernetFrame;
+    use arpshield_packet::EthernetView;
 
     #[test]
     fn flood_fills_cam_and_respects_total() {
@@ -197,9 +197,9 @@ mod tests {
         let trace = sim.trace().unwrap();
         assert!(!trace.is_empty());
         for frame in trace.frames() {
-            let eth = EthernetFrame::parse(&frame.bytes).unwrap();
-            assert!(eth.src.is_unicast());
-            assert!(eth.src.is_locally_administered());
+            let eth = EthernetView::parse_strict(&frame.bytes).unwrap();
+            assert!(eth.src().is_unicast());
+            assert!(eth.src().is_locally_administered());
         }
     }
 }

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId};
 use arpshield_packet::{
-    ArpOp, ArpPacket, EtherType, EthernetFrame, IpProtocol, Ipv4Addr, Ipv4Packet, MacAddr,
+    ArpOp, ArpPacket, EtherType, EthernetView, IpProtocol, Ipv4Addr, Ipv4Packet, MacAddr,
 };
 
 use crate::ground_truth::{AttackEvent, AttackKind, GroundTruth};
@@ -109,14 +109,14 @@ impl Device for MitmRelay {
     }
 
     fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, _port: PortId, frame: &[u8]) {
-        let Ok(eth) = EthernetFrame::parse(frame) else {
+        let Ok(eth) = EthernetView::parse_strict(frame) else {
             return;
         };
         // Only traffic steered to us by the poisoned caches is relayed.
-        if eth.dst != self.config.attacker_mac || eth.ethertype != EtherType::Ipv4 {
+        if eth.dst() != self.config.attacker_mac || eth.ethertype() != EtherType::Ipv4 {
             return;
         }
-        let Ok(pkt) = Ipv4Packet::parse(&eth.payload) else {
+        let Ok(pkt) = Ipv4Packet::parse(eth.payload()) else {
             return;
         };
         // Work out which real station this packet was meant for.
@@ -133,7 +133,7 @@ impl Device for MitmRelay {
         let _ = IpProtocol::Udp; // (payload protocols pass through untouched)
         ctx.send(
             PortId(0),
-            eth_frame(real_dst, self.config.attacker_mac, EtherType::Ipv4, &eth.payload[..]),
+            eth_frame(real_dst, self.config.attacker_mac, EtherType::Ipv4, eth.payload()),
         );
     }
 }

@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId};
 use arpshield_packet::{
-    DhcpMessage, DhcpMessageType, EtherType, EthernetFrame, IpProtocol, Ipv4Addr, Ipv4Emit,
-    Ipv4Packet, MacAddr, UdpDatagram, UdpEmit, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
+    DhcpMessage, DhcpMessageType, EtherType, EthernetView, IpProtocol, Ipv4Addr, Ipv4Packet,
+    MacAddr, UdpDatagram, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
 };
 
 use crate::ground_truth::{AttackEvent, AttackKind, GroundTruth};
@@ -78,7 +78,7 @@ impl RogueDhcpServer {
             Ipv4Addr::new(255, 255, 255, 0),
             self.config.evil_gateway,
         );
-        let dgram = UdpEmit::new(
+        let dgram = UdpDatagram::new(
             DHCP_SERVER_PORT,
             DHCP_CLIENT_PORT,
             self.config.server_ip,
@@ -86,7 +86,7 @@ impl RogueDhcpServer {
             &msg,
         );
         let pkt =
-            Ipv4Emit::new(self.config.server_ip, Ipv4Addr::BROADCAST, IpProtocol::Udp, &dgram);
+            Ipv4Packet::new(self.config.server_ip, Ipv4Addr::BROADCAST, IpProtocol::Udp, &dgram);
         ctx.send(
             PortId(0),
             eth_frame(client.chaddr, self.config.attacker_mac, EtherType::Ipv4, &pkt),
@@ -124,25 +124,25 @@ impl Device for RogueDhcpServer {
         if !self.active {
             return;
         }
-        let Ok(eth) = EthernetFrame::parse(frame) else {
+        let Ok(eth) = EthernetView::parse_strict(frame) else {
             return;
         };
-        if eth.ethertype != EtherType::Ipv4 {
+        if eth.ethertype() != EtherType::Ipv4 {
             return;
         }
-        let Ok(pkt) = Ipv4Packet::parse(&eth.payload) else {
+        let Ok(pkt) = Ipv4Packet::parse(eth.payload()) else {
             return;
         };
         if pkt.protocol != IpProtocol::Udp {
             return;
         }
-        let Ok(dgram) = UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst) else {
+        let Ok(dgram) = UdpDatagram::parse(pkt.payload, pkt.src, pkt.dst) else {
             return;
         };
         if dgram.dst_port != DHCP_SERVER_PORT {
             return; // only client->server traffic interests us
         }
-        let Ok(msg) = DhcpMessage::parse(&dgram.payload) else {
+        let Ok(msg) = DhcpMessage::parse(dgram.payload) else {
             return;
         };
         // Ignore our own accomplice's forged clients (starver tag 06:66).

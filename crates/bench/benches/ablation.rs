@@ -7,10 +7,10 @@ use std::time::Duration;
 use arpshield_testkit::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use arpshield_netsim::SimTime;
-use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetFrame, Ipv4Addr, MacAddr};
+use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetEmit, Ipv4Addr, MacAddr, WireEmit};
 use arpshield_schemes::{AlertLog, StatefulConfig, StatefulMonitor};
 
-fn traffic(n: usize) -> Vec<(SimTime, EthernetFrame)> {
+fn traffic(n: usize) -> Vec<(SimTime, Vec<u8>)> {
     // A deterministic mixed stream: requests, matched replies, and the
     // occasional unsolicited forgery.
     let mut out = Vec::with_capacity(n);
@@ -24,7 +24,7 @@ fn traffic(n: usize) -> Vec<(SimTime, EthernetFrame)> {
                 Ipv4Addr::new(10, 0, 0, a as u8),
                 Ipv4Addr::new(10, 0, 0, b as u8),
             );
-            EthernetFrame::new(MacAddr::BROADCAST, req.sender_mac, EtherType::ARP, req.encode())
+            EthernetEmit::new(MacAddr::BROADCAST, req.sender_mac, EtherType::ARP, &req).encode()
         } else {
             let rep = ArpPacket {
                 op: ArpOp::Reply,
@@ -33,7 +33,7 @@ fn traffic(n: usize) -> Vec<(SimTime, EthernetFrame)> {
                 target_mac: MacAddr::from_index(a),
                 target_ip: Ipv4Addr::new(10, 0, 0, a as u8),
             };
-            EthernetFrame::new(rep.target_mac, rep.sender_mac, EtherType::ARP, rep.encode())
+            EthernetEmit::new(rep.target_mac, rep.sender_mac, EtherType::ARP, &rep).encode()
         };
         out.push((t, frame));
     }
@@ -65,7 +65,7 @@ fn bench_stateful_ablation(c: &mut Criterion) {
 }
 
 /// Replays the stream through a minimal one-device simulation.
-fn replay(config: StatefulConfig, stream: &[(SimTime, EthernetFrame)]) -> usize {
+fn replay(config: StatefulConfig, stream: &[(SimTime, Vec<u8>)]) -> usize {
     use arpshield_netsim::{Device, DeviceCtx, PortId, Simulator};
     // Drive the monitor through a replayer device that forwards the
     // pre-encoded frames at their timestamps.
@@ -98,10 +98,7 @@ fn replay(config: StatefulConfig, stream: &[(SimTime, EthernetFrame)]) -> usize 
     }
     let log = AlertLog::new();
     let mut sim = Simulator::new(1);
-    let player = sim.add_device(Box::new(Player {
-        frames: stream.iter().map(|(t, f)| (*t, f.encode())).collect(),
-        idx: 0,
-    }));
+    let player = sim.add_device(Box::new(Player { frames: stream.to_vec(), idx: 0 }));
     let monitor = sim.add_device(Box::new(StatefulMonitor::new(config, log.clone())));
     sim.connect(player, PortId(0), monitor, PortId(0), Duration::from_micros(1)).unwrap();
     sim.run_until(SimTime::from_secs(5));

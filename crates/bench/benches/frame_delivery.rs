@@ -1,12 +1,13 @@
 //! Per-frame delivery cost on broadcast-heavy topologies — the hot path
 //! the shared-`Frame` substrate work targets.
 //!
-//! Three workloads: a 16-port hub repeating every ingress frame to 15
-//! egress ports, a 16-port switch flooding broadcasts, and a VLAN-aware
-//! switch flooding across mixed access/trunk ports (each ingress frame
-//! is re-tagged at most once, then shared). Alongside the timed records
-//! this bench counts heap allocations per delivered frame (via a
-//! counting global allocator) and writes them to
+//! Four workloads: a 16-port hub repeating every ingress frame to 15
+//! egress ports, the same hub in front of 15 full host stacks that parse
+//! every frame up to UDP, a 16-port switch flooding broadcasts, and a
+//! VLAN-aware switch flooding across mixed access/trunk ports (each
+//! ingress frame is re-tagged at most once, then shared). Alongside the
+//! timed records this bench counts heap allocations per delivered frame
+//! (via a counting global allocator) and writes them to
 //! `results/bench/frame_delivery_allocs.json`, so the allocation
 //! trajectory is tracked the same way the latency trajectory is.
 
@@ -16,11 +17,14 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use arpshield_host::{Host, HostConfig};
 use arpshield_netsim::{
     eth_frame, Device, DeviceCtx, Hub, PortId, PortVlan, SimTime, Simulator, Switch, SwitchConfig,
     VlanSet,
 };
-use arpshield_packet::{EtherType, MacAddr};
+use arpshield_packet::{
+    EtherType, IpProtocol, Ipv4Addr, Ipv4Cidr, Ipv4Packet, MacAddr, UdpDatagram,
+};
 use arpshield_testkit::{json, Criterion, Throughput};
 
 struct CountingAlloc;
@@ -43,16 +47,22 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const PORTS: usize = 16;
 const FRAMES: u64 = 64;
 
-/// Emits `FRAMES` broadcast frames, one per microsecond, encoding each
-/// in place into a recycled pool buffer: at steady state transmission
-/// allocates nothing per frame.
+/// Emits `FRAMES` broadcast frames of 256 bytes, one per microsecond,
+/// encoding each in place into a recycled pool buffer: at steady state
+/// transmission allocates nothing per frame.
 struct Blaster {
     remaining: u64,
+    /// Send UDP datagrams to an unbound port instead of opaque frames.
+    udp: bool,
 }
 
 impl Blaster {
     fn new() -> Self {
-        Blaster { remaining: FRAMES }
+        Blaster { remaining: FRAMES, udp: false }
+    }
+
+    fn udp() -> Self {
+        Blaster { remaining: FRAMES, udp: true }
     }
 }
 
@@ -67,15 +77,16 @@ impl Device for Blaster {
         ctx.schedule_in(Duration::from_micros(1), 0);
     }
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, _token: u64) {
-        ctx.send(
-            PortId(0),
-            eth_frame(
-                MacAddr::BROADCAST,
-                MacAddr::from_index(1),
-                EtherType::Other(0x1234),
-                [0xAB; 242].as_slice(),
-            ),
-        );
+        let src = MacAddr::from_index(1);
+        let frame = if self.udp {
+            let (from, to) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::BROADCAST);
+            let dgram = UdpDatagram::new(40_000, 9, from, to, [0xAB; 214].as_slice());
+            let pkt = Ipv4Packet::new(from, to, IpProtocol::Udp, &dgram);
+            eth_frame(MacAddr::BROADCAST, src, EtherType::Ipv4, &pkt)
+        } else {
+            eth_frame(MacAddr::BROADCAST, src, EtherType::Other(0x1234), [0xAB; 242].as_slice())
+        };
+        ctx.send(PortId(0), frame);
         self.remaining -= 1;
         if self.remaining > 0 {
             ctx.schedule_in(Duration::from_micros(1), 0);
@@ -103,10 +114,17 @@ fn delivered_frames() -> u64 {
     FRAMES * PORTS as u64
 }
 
-/// Runs the workload and returns (allocations during delivery, frames
+/// Runs a built fabric and returns (allocations during delivery, frames
 /// delivered). Fabric construction is excluded from the count: the gate
 /// tracks the steady-state per-frame path, and setup costs would
 /// otherwise drown it at this frame count.
+fn deliver(mut sim: Simulator) -> (u64, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    sim.run_until(SimTime::from_secs(1));
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    (allocs, sim.wire_stats().frames)
+}
+
 fn run_hub_broadcast() -> (u64, u64) {
     let mut sim = Simulator::new(1);
     let hub = sim.add_device(Box::new(Hub::new("hub", PORTS)));
@@ -116,10 +134,26 @@ fn run_hub_broadcast() -> (u64, u64) {
         let s = sim.add_device(Box::new(Sink));
         sim.connect(s, PortId(0), hub, PortId(p), Duration::from_micros(1)).unwrap();
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    sim.run_until(SimTime::from_secs(1));
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    (allocs, sim.wire_stats().frames)
+    deliver(sim)
+}
+
+/// Host receive path: every hub port holds a full host stack that takes
+/// each broadcast datagram through Ethernet, IPv4 and UDP parsing to a
+/// port nobody listens on, so the count covers that path alone.
+fn run_hub_host_rx() -> (u64, u64) {
+    let mut sim = Simulator::new(1);
+    let hub = sim.add_device(Box::new(Hub::new("hub", PORTS)));
+    let src = sim.add_device(Box::new(Blaster::udp()));
+    sim.connect(src, PortId(0), hub, PortId(0), Duration::from_micros(1)).unwrap();
+    let subnet = Ipv4Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 24);
+    for p in 1..PORTS as u16 {
+        let ip = Ipv4Addr::new(10, 0, 0, p as u8 + 1);
+        let mac = MacAddr::from_index(u32::from(p) + 1);
+        let (host, _) = Host::new(HostConfig::static_ip(format!("h{p}"), mac, ip, subnet));
+        let h = sim.add_device(Box::new(host));
+        sim.connect(h, PortId(0), hub, PortId(p), Duration::from_micros(1)).unwrap();
+    }
+    deliver(sim)
 }
 
 fn run_switch_flood() -> (u64, u64) {
@@ -132,10 +166,7 @@ fn run_switch_flood() -> (u64, u64) {
         let s = sim.add_device(Box::new(Sink));
         sim.connect(s, PortId(0), sw, PortId(p), Duration::from_micros(1)).unwrap();
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    sim.run_until(SimTime::from_secs(1));
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    (allocs, sim.wire_stats().frames)
+    deliver(sim)
 }
 
 /// VLAN flood: untagged ingress on an access port fans out to 7 more
@@ -158,10 +189,7 @@ fn run_switch_vlan_flood() -> (u64, u64) {
         let s = sim.add_device(Box::new(Sink));
         sim.connect(s, PortId(0), sw, PortId(p), Duration::from_micros(1)).unwrap();
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    sim.run_until(SimTime::from_secs(1));
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    (allocs, sim.wire_stats().frames)
+    deliver(sim)
 }
 
 fn bench_delivery(c: &mut Criterion) {
@@ -169,6 +197,7 @@ fn bench_delivery(c: &mut Criterion) {
     group.sample_size(15);
     group.throughput(Throughput::Elements(delivered_frames()));
     group.bench_function("hub16/broadcast", |b| b.iter(run_hub_broadcast));
+    group.bench_function("hub16/host_rx", |b| b.iter(run_hub_host_rx));
     group.bench_function("switch16/flood", |b| b.iter(run_switch_flood));
     group.bench_function("switch16/vlan_flood", |b| b.iter(run_switch_vlan_flood));
     group.finish();
@@ -188,6 +217,7 @@ fn write_alloc_report() {
     let mut results = Vec::new();
     for (id, workload) in [
         ("hub16/broadcast", run_hub_broadcast as fn() -> (u64, u64)),
+        ("hub16/host_rx", run_hub_host_rx),
         ("switch16/flood", run_switch_flood),
         ("switch16/vlan_flood", run_switch_vlan_flood),
     ] {

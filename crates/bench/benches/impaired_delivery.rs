@@ -13,7 +13,7 @@ use std::time::Duration;
 use arpshield_netsim::{
     Device, DeviceCtx, FlapSchedule, Hub, LinkProfile, PortId, SimTime, Simulator,
 };
-use arpshield_packet::{EtherType, EthernetFrame, MacAddr};
+use arpshield_packet::{EtherType, EthernetEmit, MacAddr, WireEmit};
 use arpshield_testkit::{Criterion, Throughput};
 
 const PORTS: usize = 16;
@@ -27,11 +27,11 @@ struct Blaster {
 
 impl Blaster {
     fn new() -> Self {
-        let payload = EthernetFrame::new(
+        let payload = EthernetEmit::new(
             MacAddr::BROADCAST,
             MacAddr::from_index(1),
             EtherType::Other(0x1234),
-            vec![0xAB; 242],
+            &[0xAB; 242][..],
         )
         .encode();
         Blaster { remaining: FRAMES, payload }

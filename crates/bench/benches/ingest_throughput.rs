@@ -25,7 +25,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use arpshield_netsim::SimTime;
-use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetFrame, Ipv4Addr, MacAddr};
+use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetEmit, Ipv4Addr, MacAddr, WireEmit};
 use arpshield_schemes::{Detector, SchemeKind};
 use arpshield_testkit::{json, Criterion, Throughput};
 use arpshield_trace::pcapng::{PcapngStream, PcapngWriter};
@@ -83,7 +83,7 @@ fn synthetic_capture() -> Vec<u8> {
         let flip = i % (FRAMES / FLIPS) == FRAMES / FLIPS - 1;
         let mac = if flip { MacAddr::from_index(0xBAD) } else { MacAddr::from_index(host) };
         let arp = ArpPacket::gratuitous(ArpOp::Reply, mac, ip);
-        let mut eth = EthernetFrame::new(MacAddr::BROADCAST, mac, EtherType::ARP, arp.encode());
+        let mut eth = EthernetEmit::new(MacAddr::BROADCAST, mac, EtherType::ARP, &arp);
         if i % 4 == 0 {
             eth = eth.with_vlan(100);
         }
@@ -114,9 +114,8 @@ fn lan_capture() -> Vec<u8> {
         };
         let reply = ArpPacket::reply_to(&request, answer_mac);
         let at = u64::from(pair) * LAN_PAIR_GAP_NS;
-        let asked =
-            EthernetFrame::new(MacAddr::BROADCAST, asker_mac, EtherType::ARP, request.encode());
-        let answered = EthernetFrame::new(asker_mac, answer_mac, EtherType::ARP, reply.encode());
+        let asked = EthernetEmit::new(MacAddr::BROADCAST, asker_mac, EtherType::ARP, &request);
+        let answered = EthernetEmit::new(asker_mac, answer_mac, EtherType::ARP, &reply);
         writer.add_packet(interface, at, &asked.encode(), "");
         writer.add_packet(interface, at + 1_000, &answered.encode(), "");
     }

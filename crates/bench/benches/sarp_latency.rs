@@ -6,28 +6,28 @@ use arpshield_testkit::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use arpshield_crypto::{hmac_sha256, sha256, Akd, KeyPair};
-use arpshield_packet::{ArpPacket, EthernetFrame, Ipv4Addr, MacAddr};
+use arpshield_packet::{ArpPacket, EthernetEmit, EthernetView, Ipv4Addr, MacAddr, WireEmit};
 
 fn bench_crypto(c: &mut Criterion) {
     let mut group = c.benchmark_group("sarp_crypto");
 
     // The baseline everything is normalized to: parse one ARP frame.
-    let frame = EthernetFrame::new(
+    let arp = ArpPacket::request(
+        MacAddr::from_index(1),
+        Ipv4Addr::new(10, 0, 0, 1),
+        Ipv4Addr::new(10, 0, 0, 2),
+    );
+    let frame = EthernetEmit::new(
         MacAddr::BROADCAST,
         MacAddr::from_index(1),
         arpshield_packet::EtherType::ARP,
-        ArpPacket::request(
-            MacAddr::from_index(1),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-        )
-        .encode(),
+        &arp,
     )
     .encode();
     group.bench_function("baseline_inspect_arp", |b| {
         b.iter(|| {
-            let eth = EthernetFrame::parse(black_box(&frame)).unwrap();
-            ArpPacket::parse(&eth.payload).unwrap()
+            let eth = EthernetView::parse_strict(black_box(&frame)).unwrap();
+            ArpPacket::parse(eth.payload()).unwrap()
         })
     });
 

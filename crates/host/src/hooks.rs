@@ -3,9 +3,10 @@
 
 use std::time::Duration;
 
-use arpshield_netsim::{eth_frame, DeviceCtx, PortId};
+use arpshield_netsim::{eth_frame, DeviceCtx, Frame, PortId};
 use arpshield_packet::{
-    ArpPacket, EtherType, EthernetFrame, IcmpMessage, Ipv4Addr, Ipv4Cidr, MacAddr, UdpDatagram,
+    ArpPacket, EtherType, EthernetView, IcmpMessage, Ipv4Addr, Ipv4Cidr, MacAddr, UdpDatagram,
+    WireEmit,
 };
 
 use crate::arp::EntryOrigin;
@@ -44,19 +45,14 @@ pub trait HostHook {
     }
 
     /// Called for every received ARP packet before normal processing.
-    fn on_arp_rx(
-        &mut self,
-        api: &mut HostApi<'_, '_>,
-        eth: &EthernetFrame,
-        arp: &ArpPacket,
-    ) -> ArpVerdict {
-        let _ = (api, eth, arp);
+    fn on_arp_rx(&mut self, api: &mut HostApi<'_, '_>, arp: &ArpPacket) -> ArpVerdict {
+        let _ = (api, arp);
         ArpVerdict::Continue
     }
 
     /// Called for every received frame of *any* ethertype (before ARP/IP
     /// dispatch). Lets schemes define their own wire formats.
-    fn on_frame_rx(&mut self, api: &mut HostApi<'_, '_>, eth: &EthernetFrame) -> FrameVerdict {
+    fn on_frame_rx(&mut self, api: &mut HostApi<'_, '_>, eth: &EthernetView<'_>) -> FrameVerdict {
         let _ = (api, eth);
         FrameVerdict::Continue
     }
@@ -119,9 +115,9 @@ impl HostApi<'_, '_> {
         self.ctx.rng().next_u64()
     }
 
-    /// Sends a raw Ethernet frame.
-    pub fn send_frame(&mut self, frame: &EthernetFrame) {
-        self.core.send_frame(self.ctx, frame);
+    /// Sends a built Ethernet frame as is.
+    pub fn send_frame(&mut self, frame: Frame) {
+        self.ctx.send(PortId(0), frame);
     }
 
     /// Broadcasts an ARP request for `target_ip` from this host.
@@ -142,14 +138,14 @@ impl HostApi<'_, '_> {
     /// Sends a unicast ICMP echo request to `dst` (resolving it first if
     /// needed).
     pub fn send_ping(&mut self, dst: Ipv4Addr, identifier: u16, sequence: u16) {
-        let msg = IcmpMessage::echo_request(identifier, sequence, vec![0x61; 16]);
+        let msg = IcmpMessage::echo_request(identifier, sequence, &[0x61; 16]);
         self.core.send_ipv4(self.ctx, dst, arpshield_packet::IpProtocol::Icmp, msg.encode());
     }
 
     /// Sends a UDP datagram to `dst` (resolving it first if needed).
     pub fn send_udp(&mut self, dst: Ipv4Addr, src_port: u16, dst_port: u16, payload: Vec<u8>) {
         let src_ip = self.ip().unwrap_or(Ipv4Addr::UNSPECIFIED);
-        let dgram = UdpDatagram::new(src_port, dst_port, payload).encode(src_ip, dst);
+        let dgram = UdpDatagram::new(src_port, dst_port, src_ip, dst, &payload[..]).encode();
         self.core.send_ipv4(self.ctx, dst, arpshield_packet::IpProtocol::Udp, dgram);
     }
 

@@ -4,10 +4,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use arpshield_netsim::{eth_frame, Device, DeviceCtx, Frame, PortId};
+use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId};
 use arpshield_packet::{
-    ArpOp, ArpPacket, EtherType, EthernetFrame, IcmpMessage, IcmpType, IpProtocol, Ipv4Addr,
-    Ipv4Cidr, Ipv4Emit, Ipv4Packet, MacAddr, UdpDatagram, UdpEmit, WireEmit,
+    ArpOp, ArpPacket, EtherType, EthernetView, IcmpMessage, IcmpType, IpProtocol, Ipv4Addr,
+    Ipv4Cidr, Ipv4Packet, MacAddr, UdpDatagram, WireEmit,
 };
 use arpshield_trace::Tracer;
 
@@ -197,12 +197,6 @@ pub struct HostCore {
 }
 
 impl HostCore {
-    pub(crate) fn send_frame(&mut self, ctx: &mut DeviceCtx<'_>, frame: &EthernetFrame) {
-        // The owned header fields and payload are emitted straight into a
-        // recycled pool buffer: one in-place encode, zero intermediate Vecs.
-        ctx.send(PortId(0), Frame::from_wire(frame));
-    }
-
     pub(crate) fn send_arp_request(&mut self, ctx: &mut DeviceCtx<'_>, target_ip: Ipv4Addr) {
         let (mac, ip) = {
             let iface = self.iface.borrow();
@@ -240,7 +234,7 @@ impl HostCore {
             let iface = self.iface.borrow();
             (iface.mac(), iface.ip().unwrap_or(Ipv4Addr::UNSPECIFIED))
         };
-        let pkt = Ipv4Emit::new(src_ip, dst_ip, protocol, payload);
+        let pkt = Ipv4Packet::new(src_ip, dst_ip, protocol, payload);
         self.stats.borrow_mut().ipv4_sent += 1;
         ctx.send(PortId(0), eth_frame(dst_mac, mac, EtherType::Ipv4, &pkt));
     }
@@ -291,7 +285,7 @@ impl HostCore {
         payload: &P,
     ) {
         let src_ip = self.iface.borrow().ip().unwrap_or(Ipv4Addr::UNSPECIFIED);
-        let dgram = UdpEmit::new(src_port, dst_port, src_ip, Ipv4Addr::BROADCAST, payload);
+        let dgram = UdpDatagram::new(src_port, dst_port, src_ip, Ipv4Addr::BROADCAST, payload);
         self.transmit_ipv4(ctx, MacAddr::BROADCAST, Ipv4Addr::BROADCAST, IpProtocol::Udp, &dgram);
     }
 
@@ -305,7 +299,7 @@ impl HostCore {
         payload: &P,
     ) {
         let src_ip = self.iface.borrow().ip().unwrap_or(Ipv4Addr::UNSPECIFIED);
-        let dgram = UdpEmit::new(src_port, dst_port, src_ip, dst_ip, payload);
+        let dgram = UdpDatagram::new(src_port, dst_port, src_ip, dst_ip, payload);
         self.transmit_ipv4(ctx, dst_mac, dst_ip, IpProtocol::Udp, &dgram);
     }
 
@@ -562,9 +556,9 @@ impl Host {
         dhcp_client: &mut Option<DhcpClient>,
         dhcp_server: &mut Option<DhcpServer>,
         ctx: &mut DeviceCtx<'_>,
-        eth: &EthernetFrame,
+        eth: &EthernetView<'_>,
     ) {
-        let Ok(pkt) = Ipv4Packet::parse(&eth.payload) else {
+        let Ok(pkt) = Ipv4Packet::parse(eth.payload()) else {
             return;
         };
         let (my_mac, my_ip, subnet) = {
@@ -580,7 +574,7 @@ impl Host {
         core.stats.borrow_mut().ipv4_received += 1;
         match pkt.protocol {
             IpProtocol::Icmp => {
-                let Ok(icmp) = IcmpMessage::parse(&pkt.payload) else {
+                let Ok(icmp) = IcmpMessage::parse(pkt.payload) else {
                     return;
                 };
                 match icmp.icmp_type {
@@ -588,10 +582,11 @@ impl Host {
                         let reply = IcmpMessage::reply_to(&icmp);
                         // Reply along the reverse L2 path the request took.
                         let ip_reply =
-                            Ipv4Emit::new(my_ip.unwrap(), pkt.src, IpProtocol::Icmp, &reply);
+                            Ipv4Packet::new(my_ip.unwrap(), pkt.src, IpProtocol::Icmp, &reply);
                         core.stats.borrow_mut().icmp_echoes_answered += 1;
                         core.stats.borrow_mut().ipv4_sent += 1;
-                        ctx.send(PortId(0), eth_frame(eth.src, my_mac, EtherType::Ipv4, &ip_reply));
+                        let frame = eth_frame(eth.src(), my_mac, EtherType::Ipv4, &ip_reply);
+                        ctx.send(PortId(0), frame);
                     }
                     IcmpType::EchoReply if for_me => {
                         core.stats.borrow_mut().icmp_replies_received += 1;
@@ -604,21 +599,21 @@ impl Host {
                 }
             }
             IpProtocol::Udp => {
-                let Ok(dgram) = UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst) else {
+                let Ok(dgram) = UdpDatagram::parse(pkt.payload, pkt.src, pkt.dst) else {
                     return;
                 };
                 core.stats.borrow_mut().udp_delivered += 1;
                 if let Some(client) = dhcp_client {
                     let mut api = HostApi { core, ctx, class: TimerClass::DhcpClient };
-                    client.on_udp(&mut api, dgram.dst_port, &dgram.payload);
+                    client.on_udp(&mut api, dgram.dst_port, dgram.payload);
                 }
                 if let Some(server) = dhcp_server {
                     let mut api = HostApi { core, ctx, class: TimerClass::DhcpServer };
-                    server.on_udp(&mut api, dgram.dst_port, &dgram.payload);
+                    server.on_udp(&mut api, dgram.dst_port, dgram.payload);
                 }
                 for (i, app) in apps.iter_mut().enumerate() {
                     let mut api = HostApi { core, ctx, class: TimerClass::App(i as u16) };
-                    app.on_udp(&mut api, pkt.src, dgram.src_port, dgram.dst_port, &dgram.payload);
+                    app.on_udp(&mut api, pkt.src, dgram.src_port, dgram.dst_port, dgram.payload);
                 }
             }
             _ => {}
@@ -725,11 +720,12 @@ impl Device for Host {
 
     fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, _port: PortId, frame: &[u8]) {
         let Host { core, hooks, apps, dhcp_client, dhcp_server } = self;
-        let Ok(eth) = EthernetFrame::parse(frame) else {
+        let Ok(eth) = EthernetView::parse_strict(frame) else {
             return;
         };
         let my_mac = core.iface.borrow().mac();
-        if eth.dst != my_mac && !eth.dst.is_broadcast() && !eth.dst.is_multicast() {
+        let dst = eth.dst();
+        if dst != my_mac && !dst.is_broadcast() && !dst.is_multicast() {
             return; // NIC filter: not for us
         }
         for (i, hook) in hooks.iter_mut().enumerate() {
@@ -738,15 +734,15 @@ impl Device for Host {
                 return;
             }
         }
-        match eth.ethertype {
+        match eth.ethertype() {
             EtherType::ARP => {
-                let Ok(arp) = ArpPacket::parse(&eth.payload) else {
+                let Ok(arp) = ArpPacket::parse(eth.payload()) else {
                     return;
                 };
                 core.stats.borrow_mut().arp_received += 1;
                 for (i, hook) in hooks.iter_mut().enumerate() {
                     let mut api = HostApi { core, ctx, class: TimerClass::Hook(i as u16) };
-                    if hook.on_arp_rx(&mut api, &eth, &arp) == ArpVerdict::Drop {
+                    if hook.on_arp_rx(&mut api, &arp) == ArpVerdict::Drop {
                         core.stats.borrow_mut().hook_drops += 1;
                         return;
                     }
@@ -1130,12 +1126,7 @@ mod tests {
             fn name(&self) -> &str {
                 "drop-all"
             }
-            fn on_arp_rx(
-                &mut self,
-                _api: &mut HostApi<'_, '_>,
-                _eth: &EthernetFrame,
-                _arp: &ArpPacket,
-            ) -> ArpVerdict {
+            fn on_arp_rx(&mut self, _api: &mut HostApi<'_, '_>, _arp: &ArpPacket) -> ArpVerdict {
                 ArpVerdict::Drop
             }
         }

@@ -721,10 +721,10 @@ mod tests {
     use super::*;
     use crate::sim::Simulator;
     use crate::time::SimTime;
-    use arpshield_packet::{EtherType, EthernetFrame};
+    use arpshield_packet::{EtherType, EthernetEmit, WireEmit};
 
     fn frame(src: MacAddr, dst: MacAddr) -> Vec<u8> {
-        EthernetFrame::new(dst, src, EtherType::Other(0x1234), vec![0; 46]).encode()
+        EthernetEmit::new(dst, src, EtherType::Other(0x1234), &[0u8; 46][..]).encode()
     }
 
     /// Sends a list of (delay_ms, frame) pairs; records frames received.
@@ -1067,7 +1067,9 @@ mod tests {
     }
 
     fn tagged_frame(src: MacAddr, dst: MacAddr, vid: VlanId) -> Vec<u8> {
-        EthernetFrame::new(dst, src, EtherType::Other(0x1234), vec![0; 46]).with_vlan(vid).encode()
+        EthernetEmit::new(dst, src, EtherType::Other(0x1234), &[0u8; 46][..])
+            .with_vlan(vid)
+            .encode()
     }
 
     #[test]

@@ -5,9 +5,9 @@
 use std::time::Duration;
 
 use arpshield_netsim::{
-    Device, DeviceCtx, FailMode, PortId, SimTime, Simulator, Switch, SwitchConfig,
+    eth_frame, Device, DeviceCtx, FailMode, PortId, SimTime, Simulator, Switch, SwitchConfig,
 };
-use arpshield_packet::{EtherType, EthernetFrame, MacAddr};
+use arpshield_packet::{EtherType, EthernetView, MacAddr};
 
 /// Sends one unicast frame to a peer every 10 ms.
 struct Talker {
@@ -26,9 +26,8 @@ impl Device for Talker {
         ctx.schedule_in(Duration::from_millis(10), 1);
     }
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, _t: u64) {
-        let frame =
-            EthernetFrame::new(self.peer, self.me, EtherType::Other(0x4242), b"secret".to_vec());
-        ctx.send(PortId(0), frame.encode());
+        let frame = eth_frame(self.peer, self.me, EtherType::Other(0x4242), b"secret".as_slice());
+        ctx.send(PortId(0), frame);
         ctx.schedule_in(Duration::from_millis(10), 1);
     }
     fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, _: &[u8]) {}
@@ -47,8 +46,8 @@ impl Device for Eavesdropper {
         1
     }
     fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, frame: &[u8]) {
-        if let Ok(eth) = EthernetFrame::parse(frame) {
-            if eth.ethertype == EtherType::Other(0x4242) {
+        if let Ok(eth) = EthernetView::parse_strict(frame) {
+            if eth.ethertype() == EtherType::Other(0x4242) {
                 *self.overheard.borrow_mut() += 1;
             }
         }
@@ -77,9 +76,8 @@ impl Device for SourceForger {
         }
         self.sent += 1;
         let src = MacAddr::from_index(10_000 + self.sent);
-        let frame =
-            EthernetFrame::new(MacAddr::BROADCAST, src, EtherType::Other(0x9999), vec![0; 46]);
-        ctx.send(PortId(0), frame.encode());
+        let frame = eth_frame(MacAddr::BROADCAST, src, EtherType::Other(0x9999), &[0u8; 46][..]);
+        ctx.send(PortId(0), frame);
         ctx.schedule_in(Duration::from_millis(1), 1);
     }
     fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, _: &[u8]) {}

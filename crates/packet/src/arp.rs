@@ -128,14 +128,6 @@ impl ArpPacket {
         matches!(self.op, ArpOp::Request) && self.sender_ip.is_unspecified()
     }
 
-    /// Serializes to the 28-byte wire form.
-    ///
-    /// A shim over the in-place [`WireEmit`](crate::WireEmit) writer; TX
-    /// hot paths emit directly into pool buffers instead.
-    pub fn encode(&self) -> Vec<u8> {
-        crate::wire::emit_to_vec(self)
-    }
-
     /// Parses the 28-byte wire form, ignoring Ethernet padding beyond it.
     ///
     /// # Errors
@@ -208,6 +200,7 @@ impl fmt::Display for ArpPacket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WireEmit;
 
     fn macs() -> (MacAddr, MacAddr) {
         (MacAddr::from_index(1), MacAddr::from_index(2))

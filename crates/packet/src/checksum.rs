@@ -1,4 +1,4 @@
-//! The RFC 1071 Internet checksum used by IPv4, ICMP, UDP and TCP.
+//! The RFC 1071 Internet checksum used by IPv4, ICMP and UDP.
 
 /// Incremental Internet-checksum accumulator.
 ///

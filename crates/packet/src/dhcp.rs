@@ -324,14 +324,6 @@ impl DhcpMessage {
         })
     }
 
-    /// Serializes BOOTP fixed fields, magic cookie, options, and end marker.
-    ///
-    /// A shim over the in-place [`WireEmit`](crate::WireEmit) writer; TX
-    /// hot paths emit directly into pool buffers instead.
-    pub fn encode(&self) -> Vec<u8> {
-        crate::wire::emit_to_vec(self)
-    }
-
     /// Parses a DHCP message.
     ///
     /// # Errors
@@ -426,6 +418,7 @@ fn decode_option(code: u8, data: &[u8], offset: usize) -> Result<DhcpOption, Par
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WireEmit;
 
     #[test]
     fn discover_roundtrip() {

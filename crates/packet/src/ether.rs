@@ -105,91 +105,16 @@ impl From<EtherType> for u16 {
     }
 }
 
-/// An Ethernet II frame: header plus owned payload.
+/// A borrowed, zero-copy view of a received Ethernet II frame.
 ///
-/// The preamble and FCS are physical-layer artifacts a host NIC never hands
-/// to software, so they are not modelled; padding of short payloads *is*
-/// applied by [`EthernetFrame::encode`] because receivers genuinely see it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EthernetFrame {
-    /// Destination hardware address.
-    pub dst: MacAddr,
-    /// Source hardware address.
-    pub src: MacAddr,
-    /// Payload protocol (the innermost ethertype when tags are present).
-    pub ethertype: EtherType,
-    /// Outermost 802.1Q/802.1ad VLAN id, when the frame was tagged.
-    pub vlan: Option<u16>,
-    /// Payload bytes (unpadded).
-    pub payload: Vec<u8>,
-}
-
-impl EthernetFrame {
-    /// Creates an untagged frame.
-    pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: Vec<u8>) -> Self {
-        EthernetFrame { dst, src, ethertype, vlan: None, payload }
-    }
-
-    /// Tags the frame with an 802.1Q VLAN id (low 12 bits are kept).
-    #[must_use]
-    pub fn with_vlan(mut self, vid: u16) -> Self {
-        self.vlan = Some(vid & 0x0FFF);
-        self
-    }
-
-    /// Serializes the frame, zero-padding the payload to the 46-byte minimum
-    /// and emitting a single 802.1Q tag when [`vlan`](Self::vlan) is set.
-    ///
-    /// A shim over the in-place [`WireEmit`](crate::WireEmit) writer; TX
-    /// hot paths emit directly into pool buffers instead.
-    pub fn encode(&self) -> Vec<u8> {
-        crate::wire::emit_to_vec(self)
-    }
-
-    /// Parses a frame from raw bytes, unwrapping any 802.1Q/802.1ad tags.
-    /// The payload keeps any padding, since a receiver cannot distinguish
-    /// padding from data without the L3 length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseError::Truncated`] when `buf` is shorter than the
-    /// 14-byte header (or ends inside a VLAN tag), and
-    /// [`ParseError::InvalidField`] when the payload exceeds the standard
-    /// MTU. Use [`EthernetFrame::parse_lenient`] to accept jumbo payloads.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
-        EthernetView::parse_strict(buf).map(|view| view.to_frame())
-    }
-
-    /// Like [`EthernetFrame::parse`] but accepts payloads over the standard
-    /// MTU (jumbo frames), as real captures contain them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseError::Truncated`] when `buf` is shorter than the
-    /// 14-byte header or ends inside a VLAN tag.
-    pub fn parse_lenient(buf: &[u8]) -> Result<Self, ParseError> {
-        EthernetView::parse(buf).map(|view| view.to_frame())
-    }
-
-    /// Total on-wire length after padding.
-    pub fn wire_len(&self) -> usize {
-        let tag_len = if self.vlan.is_some() { ETHERNET_VLAN_TAG_LEN } else { 0 };
-        ETHERNET_HEADER_LEN + tag_len + self.payload.len().max(ETHERNET_MIN_PAYLOAD)
-    }
-
-    /// True when addressed to the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        self.dst.is_broadcast()
-    }
-}
-
-/// A borrowed, zero-copy view of an Ethernet II frame.
-///
-/// [`EthernetFrame::parse`] clones the payload into an owned `Vec` on every
-/// call, which is fine inside the simulator but dominates the ingest hot
-/// path. The view validates the same framing (including 802.1Q/802.1ad tag
+/// The view validates the framing (including 802.1Q/802.1ad tag
 /// unwrapping) while borrowing everything from the input buffer, so a
-/// steady-state detector parses frames without touching the allocator.
+/// receiver parses frames without touching the allocator. The preamble
+/// and FCS are physical-layer artifacts a host NIC never hands to
+/// software, so they are not modelled; min-payload padding is, and the
+/// payload keeps it, since a receiver cannot tell padding from data
+/// without the L3 length. TX builds frames with
+/// [`EthernetEmit`](crate::EthernetEmit).
 #[derive(Debug, Clone, Copy)]
 pub struct EthernetView<'a> {
     buf: &'a [u8],
@@ -235,8 +160,8 @@ impl<'a> EthernetView<'a> {
         Ok(EthernetView { buf, payload_at: at + 2, ethertype: EtherType::from_u16(raw), vlan })
     }
 
-    /// Parses a frame, rejecting payloads over the standard MTU like the
-    /// owned [`EthernetFrame::parse`] does.
+    /// Parses a frame, rejecting payloads over the standard MTU; what a
+    /// host NIC without jumbo-frame support accepts.
     ///
     /// # Errors
     ///
@@ -289,69 +214,58 @@ impl<'a> EthernetView<'a> {
     pub fn is_broadcast(&self) -> bool {
         self.buf[0..6] == [0xFF; 6]
     }
-
-    /// Copies the view into an owned [`EthernetFrame`].
-    pub fn to_frame(&self) -> EthernetFrame {
-        EthernetFrame {
-            dst: self.dst(),
-            src: self.src(),
-            ethertype: self.ethertype,
-            vlan: self.vlan,
-            payload: self.payload().to_vec(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{EthernetEmit, WireEmit};
 
-    fn sample() -> EthernetFrame {
-        EthernetFrame::new(
-            MacAddr::from_index(1),
-            MacAddr::from_index(2),
-            EtherType::Ipv4,
-            vec![0xaa; 64],
-        )
+    fn sample(payload: &[u8]) -> EthernetEmit<'_, [u8]> {
+        EthernetEmit::new(MacAddr::from_index(1), MacAddr::from_index(2), EtherType::Ipv4, payload)
     }
 
     #[test]
     fn encode_parse_roundtrip() {
-        let frame = sample();
-        let parsed = EthernetFrame::parse(&frame.encode()).unwrap();
-        assert_eq!(parsed, frame);
+        let bytes = sample(&[0xaa; 64]).encode();
+        let parsed = EthernetView::parse_strict(&bytes).unwrap();
+        assert_eq!(parsed.dst(), MacAddr::from_index(1));
+        assert_eq!(parsed.src(), MacAddr::from_index(2));
+        assert_eq!(parsed.ethertype(), EtherType::Ipv4);
+        assert_eq!(parsed.vlan(), None);
+        assert_eq!(parsed.header_len(), ETHERNET_HEADER_LEN);
+        assert_eq!(parsed.payload(), &[0xaa; 64]);
     }
 
     #[test]
     fn short_payload_is_padded() {
-        let frame = EthernetFrame::new(
+        let frame = EthernetEmit::new(
             MacAddr::BROADCAST,
             MacAddr::from_index(1),
             EtherType::ARP,
-            vec![1, 2, 3],
+            &[1, 2, 3][..],
         );
         let bytes = frame.encode();
         assert_eq!(bytes.len(), ETHERNET_HEADER_LEN + ETHERNET_MIN_PAYLOAD);
         assert_eq!(&bytes[ETHERNET_HEADER_LEN..ETHERNET_HEADER_LEN + 3], &[1, 2, 3]);
         assert!(bytes[ETHERNET_HEADER_LEN + 3..].iter().all(|&b| b == 0));
         // The parsed payload includes padding, as on a real NIC.
-        let parsed = EthernetFrame::parse(&bytes).unwrap();
-        assert_eq!(parsed.payload.len(), ETHERNET_MIN_PAYLOAD);
+        let parsed = EthernetView::parse_strict(&bytes).unwrap();
+        assert_eq!(parsed.payload().len(), ETHERNET_MIN_PAYLOAD);
     }
 
     #[test]
     fn rejects_truncated_header() {
         assert!(matches!(
-            EthernetFrame::parse(&[0u8; 13]),
+            EthernetView::parse_strict(&[0u8; 13]),
             Err(ParseError::Truncated { what: "ethernet", .. })
         ));
     }
 
     #[test]
     fn rejects_oversized_payload() {
-        let frame =
-            EthernetFrame::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::Ipv4, vec![0; 2000]);
-        assert!(EthernetFrame::parse(&frame.encode()).is_err());
+        let bytes = sample(&[0; 2000]).encode();
+        assert!(EthernetView::parse_strict(&bytes).is_err());
     }
 
     #[test]
@@ -369,11 +283,11 @@ mod tests {
 
     #[test]
     fn vlan_tag_roundtrips_and_matches_golden_bytes() {
-        let frame = EthernetFrame::new(
+        let frame = EthernetEmit::new(
             MacAddr::from_index(1),
             MacAddr::from_index(2),
             EtherType::ARP,
-            vec![0xaa; 46],
+            &[0xaa; 46][..],
         )
         .with_vlan(0x123);
         let bytes = frame.encode();
@@ -383,10 +297,11 @@ mod tests {
         assert_eq!(&bytes[12..14], &[0x81, 0x00]);
         assert_eq!(&bytes[14..16], &[0x01, 0x23]);
         assert_eq!(&bytes[16..18], &[0x08, 0x06]);
-        let parsed = EthernetFrame::parse(&bytes).unwrap();
-        assert_eq!(parsed, frame);
-        assert_eq!(parsed.vlan, Some(0x123));
-        assert_eq!(parsed.ethertype, EtherType::ARP);
+        let parsed = EthernetView::parse_strict(&bytes).unwrap();
+        assert_eq!(parsed.vlan(), Some(0x123));
+        assert_eq!(parsed.ethertype(), EtherType::ARP);
+        assert_eq!(parsed.header_len(), ETHERNET_HEADER_LEN + ETHERNET_VLAN_TAG_LEN);
+        assert_eq!(parsed.payload(), &[0xaa; 46]);
     }
 
     #[test]
@@ -400,10 +315,10 @@ mod tests {
         bytes.extend_from_slice(&[0x81, 0x00, 0x00, 0x02]); // C-tag, VID 2
         bytes.extend_from_slice(&[0x08, 0x06]);
         bytes.extend_from_slice(&[0u8; 46]);
-        let parsed = EthernetFrame::parse(&bytes).unwrap();
-        assert_eq!(parsed.vlan, Some(0xFFE));
-        assert_eq!(parsed.ethertype, EtherType::ARP);
-        assert_eq!(parsed.payload.len(), 46);
+        let parsed = EthernetView::parse_strict(&bytes).unwrap();
+        assert_eq!(parsed.vlan(), Some(0xFFE));
+        assert_eq!(parsed.ethertype(), EtherType::ARP);
+        assert_eq!(parsed.payload().len(), 46);
     }
 
     #[test]
@@ -412,55 +327,33 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 12]);
         bytes.extend_from_slice(&[0x81, 0x00, 0x00]); // tag cut mid-TCI
         assert!(matches!(
-            EthernetFrame::parse(&bytes),
+            EthernetView::parse_strict(&bytes),
             Err(ParseError::Truncated { what: "ethernet.vlan", .. })
         ));
     }
 
     #[test]
     fn lenient_parse_accepts_jumbo_payloads() {
-        let frame =
-            EthernetFrame::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::Ipv4, vec![0x55; 4000]);
-        let bytes = frame.encode();
-        assert!(EthernetFrame::parse(&bytes).is_err(), "strict parse still rejects jumbos");
-        let parsed = EthernetFrame::parse_lenient(&bytes).unwrap();
-        assert_eq!(parsed.payload.len(), 4000);
-    }
-
-    #[test]
-    fn view_agrees_with_owned_parse() {
-        for frame in [
-            sample(),
-            sample().with_vlan(42),
-            EthernetFrame::new(MacAddr::BROADCAST, MacAddr::from_index(3), EtherType::ARP, vec![]),
-        ] {
-            let bytes = frame.encode();
-            let view = EthernetView::parse(&bytes).unwrap();
-            let owned = EthernetFrame::parse(&bytes).unwrap();
-            assert_eq!(view.dst(), owned.dst);
-            assert_eq!(view.src(), owned.src);
-            assert_eq!(view.ethertype(), owned.ethertype);
-            assert_eq!(view.vlan(), owned.vlan);
-            assert_eq!(view.payload(), &owned.payload[..]);
-            assert_eq!(view.is_broadcast(), owned.is_broadcast());
-            assert_eq!(view.header_len(), bytes.len() - owned.payload.len());
-            assert_eq!(view.to_frame(), owned);
-        }
+        let bytes = sample(&[0x55; 4000]).encode();
+        assert!(EthernetView::parse_strict(&bytes).is_err(), "strict parse still rejects jumbos");
+        let parsed = EthernetView::parse(&bytes).unwrap();
+        assert_eq!(parsed.payload().len(), 4000);
     }
 
     #[test]
     fn broadcast_detection() {
-        let mut frame = sample();
-        assert!(!frame.is_broadcast());
+        let bytes = sample(&[]).encode();
+        assert!(!EthernetView::parse(&bytes).unwrap().is_broadcast());
+        let mut frame = sample(&[]);
         frame.dst = MacAddr::BROADCAST;
-        assert!(frame.is_broadcast());
+        assert!(EthernetView::parse(&frame.encode()).unwrap().is_broadcast());
     }
 
     #[test]
     fn wire_len_accounts_for_padding() {
-        let small = EthernetFrame::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::ARP, vec![0; 10]);
+        let small = EthernetEmit::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::ARP, &[0; 10][..]);
         assert_eq!(small.wire_len(), 60);
-        let big = EthernetFrame::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::Ipv4, vec![0; 1000]);
+        let big = EthernetEmit::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::Ipv4, &[0; 1000][..]);
         assert_eq!(big.wire_len(), 1014);
     }
 }

@@ -41,9 +41,9 @@ impl IcmpType {
     }
 }
 
-/// An ICMP echo message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IcmpMessage {
+/// An ICMP echo message with a borrowed payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IcmpMessage<'a> {
     /// Echo request or reply.
     pub icmp_type: IcmpType,
     /// Identifier distinguishing ping sessions.
@@ -51,31 +51,19 @@ pub struct IcmpMessage {
     /// Sequence number within a session.
     pub sequence: u16,
     /// Echo payload.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl IcmpMessage {
+impl<'a> IcmpMessage<'a> {
     /// Creates an echo request.
-    pub fn echo_request(identifier: u16, sequence: u16, payload: Vec<u8>) -> Self {
+    pub fn echo_request(identifier: u16, sequence: u16, payload: &'a [u8]) -> Self {
         IcmpMessage { icmp_type: IcmpType::EchoRequest, identifier, sequence, payload }
     }
 
-    /// Creates the reply answering `request`, echoing its payload.
-    pub fn reply_to(request: &IcmpMessage) -> Self {
-        IcmpMessage {
-            icmp_type: IcmpType::EchoReply,
-            identifier: request.identifier,
-            sequence: request.sequence,
-            payload: request.payload.clone(),
-        }
-    }
-
-    /// Serializes with checksum.
-    ///
-    /// A shim over the in-place [`WireEmit`](crate::WireEmit) writer; TX
-    /// hot paths emit directly into pool buffers instead.
-    pub fn encode(&self) -> Vec<u8> {
-        crate::wire::emit_to_vec(self)
+    /// Creates the reply answering `request`, echoing (and borrowing) its
+    /// payload.
+    pub fn reply_to(request: &IcmpMessage<'a>) -> Self {
+        IcmpMessage { icmp_type: IcmpType::EchoReply, ..*request }
     }
 
     /// Parses and verifies the checksum.
@@ -84,7 +72,7 @@ impl IcmpMessage {
     ///
     /// Returns a [`ParseError`] on truncation, unsupported type/code, or a
     /// checksum mismatch.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
+    pub fn parse(buf: &'a [u8]) -> Result<Self, ParseError> {
         if buf.len() < 8 {
             return Err(ParseError::Truncated { what: "icmp", needed: 8, got: buf.len() });
         }
@@ -103,7 +91,7 @@ impl IcmpMessage {
             icmp_type: IcmpType::from_u8(buf[0])?,
             identifier: u16::from_be_bytes([buf[4], buf[5]]),
             sequence: u16::from_be_bytes([buf[6], buf[7]]),
-            payload: buf[8..].to_vec(),
+            payload: &buf[8..],
         })
     }
 }
@@ -111,24 +99,25 @@ impl IcmpMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WireEmit;
 
     #[test]
     fn request_reply_roundtrip() {
-        let req = IcmpMessage::echo_request(0x1234, 7, b"probe".to_vec());
-        let parsed = IcmpMessage::parse(&req.encode()).unwrap();
-        assert_eq!(parsed, req);
+        let req = IcmpMessage::echo_request(0x1234, 7, b"probe");
+        let bytes = req.encode();
+        assert_eq!(IcmpMessage::parse(&bytes).unwrap(), req);
         let rep = IcmpMessage::reply_to(&req);
         assert_eq!(rep.icmp_type, IcmpType::EchoReply);
         assert_eq!(rep.identifier, req.identifier);
         assert_eq!(rep.sequence, req.sequence);
         assert_eq!(rep.payload, req.payload);
-        assert_eq!(IcmpMessage::parse(&rep.encode()).unwrap(), rep);
+        let bytes = rep.encode();
+        assert_eq!(IcmpMessage::parse(&bytes).unwrap(), rep);
     }
 
     #[test]
     fn corrupt_message_detected() {
-        let req = IcmpMessage::echo_request(1, 1, vec![0; 12]);
-        let mut bytes = req.encode();
+        let mut bytes = IcmpMessage::echo_request(1, 1, &[0; 12]).encode();
         bytes[6] ^= 0x80;
         assert!(matches!(
             IcmpMessage::parse(&bytes),
@@ -138,8 +127,7 @@ mod tests {
 
     #[test]
     fn rejects_unsupported_type() {
-        let req = IcmpMessage::echo_request(1, 1, vec![]);
-        let mut bytes = req.encode();
+        let mut bytes = IcmpMessage::echo_request(1, 1, &[]).encode();
         bytes[0] = 3; // destination unreachable
                       // Fix up checksum so only the type check fires.
         bytes[2] = 0;
@@ -159,7 +147,7 @@ mod tests {
 
     #[test]
     fn empty_payload_ok() {
-        let req = IcmpMessage::echo_request(9, 9, vec![]);
-        assert_eq!(IcmpMessage::parse(&req.encode()).unwrap().payload, Vec::<u8>::new());
+        let bytes = IcmpMessage::echo_request(9, 9, &[]).encode();
+        assert!(IcmpMessage::parse(&bytes).unwrap().payload.is_empty());
     }
 }

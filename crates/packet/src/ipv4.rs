@@ -228,9 +228,14 @@ impl IpProtocol {
     }
 }
 
-/// An IPv4 packet (header without options, plus owned payload).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ipv4Packet {
+/// An IPv4 packet: the header fields (no options) plus a borrowed payload.
+///
+/// [`parse`](Ipv4Packet::parse) returns the `P = [u8]` form, borrowing the
+/// payload from the received buffer. TX builds the same type around any
+/// [`WireEmit`](crate::WireEmit) payload, so a transport message nests
+/// into the header without an intermediate buffer.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Ipv4Packet<'a, P: ?Sized = [u8]> {
     /// Time to live.
     pub ttl: u8,
     /// Payload protocol.
@@ -241,24 +246,18 @@ pub struct Ipv4Packet {
     pub dst: Ipv4Addr,
     /// Datagram identification field.
     pub identification: u16,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
+    /// Payload bytes, or the payload emitter on TX.
+    pub payload: &'a P,
 }
 
-impl Ipv4Packet {
-    /// Creates a packet with the default TTL of 64.
-    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol, payload: Vec<u8>) -> Self {
+impl<'a, P: ?Sized> Ipv4Packet<'a, P> {
+    /// Creates a packet with the default TTL of 64 and identification 0.
+    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol, payload: &'a P) -> Self {
         Ipv4Packet { ttl: 64, protocol, src, dst, identification: 0, payload }
     }
+}
 
-    /// Serializes header plus payload, computing the header checksum.
-    ///
-    /// A shim over the in-place [`WireEmit`](crate::WireEmit) writer; TX
-    /// hot paths emit directly into pool buffers instead.
-    pub fn encode(&self) -> Vec<u8> {
-        crate::wire::emit_to_vec(self)
-    }
-
+impl<'a> Ipv4Packet<'a> {
     /// Parses a packet, verifying version, IHL, length, and header checksum.
     ///
     /// Ethernet padding past the IP total length is trimmed.
@@ -267,7 +266,7 @@ impl Ipv4Packet {
     ///
     /// Returns a [`ParseError`] on truncation, version/IHL mismatch, a total
     /// length inconsistent with the buffer, or a failed header checksum.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
+    pub fn parse(buf: &'a [u8]) -> Result<Self, ParseError> {
         if buf.len() < IPV4_HEADER_LEN {
             return Err(ParseError::Truncated {
                 what: "ipv4",
@@ -311,7 +310,7 @@ impl Ipv4Packet {
             src: Ipv4Addr::parse(&buf[12..16])?,
             dst: Ipv4Addr::parse(&buf[16..20])?,
             identification: u16::from_be_bytes([buf[4], buf[5]]),
-            payload: buf[IPV4_HEADER_LEN..total_len].to_vec(),
+            payload: &buf[IPV4_HEADER_LEN..total_len],
         })
     }
 }
@@ -319,6 +318,7 @@ impl Ipv4Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WireEmit;
 
     #[test]
     fn addr_text_roundtrip() {
@@ -362,9 +362,10 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 1),
             Ipv4Addr::new(10, 0, 0, 2),
             IpProtocol::Udp,
-            vec![9; 33],
+            &[9u8; 33][..],
         );
-        let parsed = Ipv4Packet::parse(&pkt.encode()).unwrap();
+        let bytes = pkt.encode();
+        let parsed = Ipv4Packet::parse(&bytes).unwrap();
         assert_eq!(parsed, pkt);
     }
 
@@ -374,12 +375,12 @@ mod tests {
             Ipv4Addr::new(1, 1, 1, 1),
             Ipv4Addr::new(2, 2, 2, 2),
             IpProtocol::Icmp,
-            vec![7; 4],
+            &[7u8; 4][..],
         );
         let mut bytes = pkt.encode();
         bytes.extend_from_slice(&[0u8; 22]); // simulated L2 padding
         let parsed = Ipv4Packet::parse(&bytes).unwrap();
-        assert_eq!(parsed.payload, vec![7; 4]);
+        assert_eq!(parsed.payload, &[7; 4]);
     }
 
     #[test]
@@ -388,7 +389,7 @@ mod tests {
             Ipv4Addr::new(1, 1, 1, 1),
             Ipv4Addr::new(2, 2, 2, 2),
             IpProtocol::Udp,
-            vec![],
+            &[0u8; 0][..],
         );
         let mut bytes = pkt.encode();
         bytes[8] ^= 0xff; // flip TTL
@@ -400,8 +401,12 @@ mod tests {
 
     #[test]
     fn rejects_wrong_version_and_options() {
-        let pkt =
-            Ipv4Packet::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST, IpProtocol::Udp, vec![]);
+        let pkt = Ipv4Packet::new(
+            Ipv4Addr::UNSPECIFIED,
+            Ipv4Addr::BROADCAST,
+            IpProtocol::Udp,
+            &[0u8; 0][..],
+        );
         let mut v6 = pkt.encode();
         v6[0] = 0x65;
         assert!(Ipv4Packet::parse(&v6).is_err());

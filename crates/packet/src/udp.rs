@@ -7,42 +7,43 @@ use crate::ipv4::Ipv4Addr;
 /// Length of the UDP header.
 pub const UDP_HEADER_LEN: usize = 8;
 
-/// A UDP datagram.
+/// A UDP datagram: ports, the enclosing IPv4 addresses, and a borrowed
+/// payload.
 ///
-/// The checksum covers the IPv4 pseudo-header, so [`UdpDatagram::encode`]
-/// and [`UdpDatagram::parse`] take the enclosing source and destination
-/// addresses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdpDatagram {
+/// The checksum covers the IPv4 pseudo-header, so the datagram carries
+/// the two addresses [`parse`](UdpDatagram::parse) verifies against and
+/// emission checksums over. `parse` returns the `P = [u8]` form, borrowing
+/// the payload from the received buffer; TX builds the same type around
+/// any [`WireEmit`](crate::WireEmit) payload.
+#[derive(Debug, PartialEq, Eq)]
+pub struct UdpDatagram<'a, P: ?Sized = [u8]> {
     /// Source port.
     pub src_port: u16,
     /// Destination port.
     pub dst_port: u16,
-    /// Application payload.
-    pub payload: Vec<u8>,
+    /// Enclosing source address, for the pseudo-header.
+    pub src: Ipv4Addr,
+    /// Enclosing destination address, for the pseudo-header.
+    pub dst: Ipv4Addr,
+    /// Application payload, or the payload emitter on TX.
+    pub payload: &'a P,
 }
 
-impl UdpDatagram {
+impl<'a, P: ?Sized> UdpDatagram<'a, P> {
     /// Creates a datagram.
-    pub fn new(src_port: u16, dst_port: u16, payload: Vec<u8>) -> Self {
-        UdpDatagram { src_port, dst_port, payload }
+    pub fn new(src_port: u16, dst_port: u16, src: Ipv4Addr, dst: Ipv4Addr, payload: &'a P) -> Self {
+        UdpDatagram { src_port, dst_port, src, dst, payload }
     }
+}
 
-    /// Serializes header plus payload, computing the pseudo-header checksum.
-    ///
-    /// A shim over the in-place [`WireEmit`](crate::WireEmit) writer; TX
-    /// hot paths emit directly into pool buffers instead.
-    pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        crate::wire::emit_to_vec(&self.emitter(src, dst))
-    }
-
+impl<'a> UdpDatagram<'a> {
     /// Parses a datagram, verifying length and (when present) the checksum.
     ///
     /// # Errors
     ///
     /// Returns a [`ParseError`] on truncation, an impossible length field,
     /// or a checksum mismatch.
-    pub fn parse(buf: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, ParseError> {
+    pub fn parse(buf: &'a [u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, ParseError> {
         if buf.len() < UDP_HEADER_LEN {
             return Err(ParseError::Truncated {
                 what: "udp",
@@ -70,7 +71,9 @@ impl UdpDatagram {
         Ok(UdpDatagram {
             src_port: u16::from_be_bytes([buf[0], buf[1]]),
             dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            payload: buf[UDP_HEADER_LEN..len].to_vec(),
+            src,
+            dst,
+            payload: &buf[UDP_HEADER_LEN..len],
         })
     }
 }
@@ -87,29 +90,28 @@ pub(crate) fn udp_pseudo_header(src: Ipv4Addr, dst: Ipv4Addr, len: u16) -> Check
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WireEmit;
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
     #[test]
     fn roundtrip() {
-        let dg = UdpDatagram::new(68, 67, b"discover".to_vec());
-        let parsed = UdpDatagram::parse(&dg.encode(SRC, DST), SRC, DST).unwrap();
-        assert_eq!(parsed, dg);
+        let dg = UdpDatagram::new(68, 67, SRC, DST, b"discover".as_slice());
+        let bytes = dg.encode();
+        assert_eq!(UdpDatagram::parse(&bytes, SRC, DST).unwrap(), dg);
     }
 
     #[test]
     fn checksum_binds_addresses() {
-        let dg = UdpDatagram::new(1000, 2000, vec![1, 2, 3]);
-        let bytes = dg.encode(SRC, DST);
+        let bytes = UdpDatagram::new(1000, 2000, SRC, DST, [1u8, 2, 3].as_slice()).encode();
         // Parsing with a different pseudo-header must fail.
         assert!(UdpDatagram::parse(&bytes, SRC, Ipv4Addr::new(10, 0, 0, 3)).is_err());
     }
 
     #[test]
     fn corrupt_payload_detected() {
-        let dg = UdpDatagram::new(5, 6, vec![0xaa; 16]);
-        let mut bytes = dg.encode(SRC, DST);
+        let mut bytes = UdpDatagram::new(5, 6, SRC, DST, [0xaau8; 16].as_slice()).encode();
         bytes[12] ^= 0x01;
         assert!(matches!(
             UdpDatagram::parse(&bytes, SRC, DST),
@@ -119,8 +121,7 @@ mod tests {
 
     #[test]
     fn zero_checksum_skips_verification() {
-        let dg = UdpDatagram::new(5, 6, vec![1]);
-        let mut bytes = dg.encode(SRC, DST);
+        let mut bytes = UdpDatagram::new(5, 6, SRC, DST, [1u8].as_slice()).encode();
         bytes[6] = 0;
         bytes[7] = 0;
         assert!(UdpDatagram::parse(&bytes, SRC, DST).is_ok());
@@ -128,8 +129,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_length_field() {
-        let dg = UdpDatagram::new(5, 6, vec![1, 2]);
-        let mut bytes = dg.encode(SRC, DST);
+        let mut bytes = UdpDatagram::new(5, 6, SRC, DST, [1u8, 2].as_slice()).encode();
         bytes[4] = 0xff;
         bytes[5] = 0xff;
         assert!(UdpDatagram::parse(&bytes, SRC, DST).is_err());
@@ -140,17 +140,16 @@ mod tests {
 
     #[test]
     fn empty_payload_roundtrip() {
-        let dg = UdpDatagram::new(53, 53, vec![]);
-        let parsed = UdpDatagram::parse(&dg.encode(SRC, DST), SRC, DST).unwrap();
+        let bytes = UdpDatagram::new(53, 53, SRC, DST, [0u8; 0].as_slice()).encode();
+        let parsed = UdpDatagram::parse(&bytes, SRC, DST).unwrap();
         assert!(parsed.payload.is_empty());
     }
 
     #[test]
     fn parse_ignores_trailing_padding() {
-        let dg = UdpDatagram::new(68, 67, vec![9; 3]);
-        let mut bytes = dg.encode(SRC, DST);
+        let mut bytes = UdpDatagram::new(68, 67, SRC, DST, [9u8; 3].as_slice()).encode();
         bytes.extend_from_slice(&[0; 10]);
         let parsed = UdpDatagram::parse(&bytes, SRC, DST).unwrap();
-        assert_eq!(parsed.payload, vec![9; 3]);
+        assert_eq!(parsed.payload, &[9; 3]);
     }
 }

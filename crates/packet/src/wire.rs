@@ -1,39 +1,31 @@
-//! In-place wire emission: the TX half of the zero-copy path.
+//! In-place wire emission: the TX half of every codec.
 //!
-//! Decoding already has borrowed views ([`EthernetView`]); this module adds
-//! the mirror image for encoding. A [`WireEmit`] value knows its exact
-//! on-wire length and can serialize itself into a caller-provided
-//! `&mut [u8]` — typically a recycled frame-pool buffer — so a TX site never
-//! materializes an intermediate `Vec<u8>` per packet. The legacy
-//! `encode() -> Vec<u8>` methods remain as thin shims that allocate a fresh
-//! buffer and call [`WireEmit::emit`] into it.
+//! Each wire format has one type that its parser returns and that TX
+//! emits; this module holds the TX half. A [`WireEmit`] value knows its
+//! exact on-wire length and serializes itself into a caller-provided
+//! `&mut [u8]` — typically a recycled frame-pool buffer — so a TX site
+//! never materializes an intermediate `Vec<u8>` per packet. Types that
+//! carry a payload ([`EthernetEmit`], [`Ipv4Packet`], [`UdpDatagram`])
+//! borrow any `WireEmit` payload, so nested encodings (DHCP in UDP in
+//! IPv4 in Ethernet) compose into a single pass over one buffer.
+//! [`WireEmit::encode`] is the allocating form for tests and cold paths.
 //!
-//! Two styles are provided:
+//! Ethernet is the one format with a separate RX type: the switch reads
+//! frames lazily through [`EthernetView`] and re-tags them in place
+//! through [`EthernetViewMut`], while TX builds an [`EthernetEmit`].
 //!
-//! - **Mutable views** ([`EthernetViewMut`], [`ArpViewMut`], [`Ipv4ViewMut`],
-//!   [`UdpViewMut`], [`IcmpViewMut`], [`DhcpViewMut`]) for incremental
-//!   field-by-field writing into a buffer, ethox-style. Checksummed
-//!   protocols expose an explicit `fill_checksum` that must be called last.
-//! - **Bound emitters** ([`EthernetEmit`], [`Ipv4Emit`], [`UdpEmit`],
-//!   [`TcpEmit`]) that pair header fields with a borrowed payload
-//!   implementing [`WireEmit`], so nested encodings (DHCP in UDP in IPv4 in
-//!   Ethernet) compose into a single pass over one buffer.
-//!
-//! All writers produce bytes identical to the legacy owned encoders; the
-//! property suite pins this per protocol.
+//! The property suite pins every emitter against an independent
+//! reference encoder.
 //!
 //! [`EthernetView`]: crate::EthernetView
 
-use crate::arp::{ArpOp, ArpPacket, ARP_WIRE_LEN};
+use crate::arp::{ArpPacket, ARP_WIRE_LEN};
 use crate::checksum::internet_checksum;
-use crate::dhcp::{DhcpMessage, DhcpOp, DhcpOption, DHCP_FIXED_LEN, DHCP_MAGIC_COOKIE};
-use crate::ether::{
-    EtherType, EthernetFrame, ETHERNET_HEADER_LEN, ETHERNET_MIN_PAYLOAD, ETHERNET_VLAN_TAG_LEN,
-};
-use crate::icmp::{IcmpMessage, IcmpType};
-use crate::ipv4::{IpProtocol, Ipv4Addr, Ipv4Packet, IPV4_HEADER_LEN};
+use crate::dhcp::{DhcpMessage, DhcpOption, DHCP_FIXED_LEN, DHCP_MAGIC_COOKIE};
+use crate::ether::{EtherType, ETHERNET_HEADER_LEN, ETHERNET_MIN_PAYLOAD, ETHERNET_VLAN_TAG_LEN};
+use crate::icmp::IcmpMessage;
+use crate::ipv4::{Ipv4Packet, IPV4_HEADER_LEN};
 use crate::mac::MacAddr;
-use crate::tcp::{tcp_pseudo_header, TcpFlags, TcpSegment, TCP_HEADER_LEN};
 use crate::udp::{udp_pseudo_header, UdpDatagram, UDP_HEADER_LEN};
 
 /// A value with an exact on-wire length that can serialize itself into a
@@ -55,6 +47,15 @@ pub trait WireEmit {
     ///
     /// Panics if `buf` is shorter than [`wire_len`](Self::wire_len).
     fn emit(&self, buf: &mut [u8]) -> usize;
+
+    /// Serializes into a freshly allocated, exactly sized buffer. TX hot
+    /// paths emit straight into pool buffers instead.
+    fn encode(&self) -> Vec<u8> {
+        let mut buf = vec![0u8; self.wire_len()];
+        let written = self.emit(&mut buf);
+        debug_assert_eq!(written, buf.len(), "emit must fill its stated wire_len");
+        buf
+    }
 }
 
 /// Raw bytes emit as themselves; this is what lets an already-serialized
@@ -79,15 +80,6 @@ impl<T: WireEmit + ?Sized> WireEmit for &T {
     fn emit(&self, buf: &mut [u8]) -> usize {
         (**self).emit(buf)
     }
-}
-
-/// Shared shim for the legacy `encode() -> Vec<u8>` methods: allocate an
-/// exactly-sized zeroed buffer and emit into it.
-pub(crate) fn emit_to_vec<T: WireEmit + ?Sized>(value: &T) -> Vec<u8> {
-    let mut buf = vec![0u8; value.wire_len()];
-    let written = value.emit(&mut buf);
-    debug_assert_eq!(written, buf.len(), "emit must fill its stated wire_len");
-    buf
 }
 
 // ---------------------------------------------------------------------------
@@ -179,10 +171,10 @@ impl<'a> EthernetViewMut<'a> {
 }
 
 /// Ethernet header fields bound to a borrowed payload: the composable
-/// emitter behind [`EthernetFrame::encode`] and the netsim frame builder.
+/// emitter behind the netsim frame builder.
 ///
 /// Emission zero-pads the payload to the 46-byte minimum and writes a
-/// single 802.1Q tag when `vlan` is set, exactly like the owned encoder.
+/// single 802.1Q tag when `vlan` is set.
 pub struct EthernetEmit<'a, P: WireEmit + ?Sized> {
     /// Destination hardware address.
     pub dst: MacAddr,
@@ -200,6 +192,13 @@ impl<'a, P: WireEmit + ?Sized> EthernetEmit<'a, P> {
     /// Creates an untagged frame emitter.
     pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: &'a P) -> Self {
         EthernetEmit { dst, src, ethertype, vlan: None, payload }
+    }
+
+    /// Tags the frame with an 802.1Q VLAN id (low 12 bits are kept).
+    #[must_use]
+    pub fn with_vlan(mut self, vid: u16) -> Self {
+        self.vlan = Some(vid & 0x0FFF);
+        self
     }
 }
 
@@ -227,71 +226,9 @@ impl<P: WireEmit + ?Sized> WireEmit for EthernetEmit<'_, P> {
     }
 }
 
-impl WireEmit for EthernetFrame {
-    fn wire_len(&self) -> usize {
-        EthernetFrame::wire_len(self)
-    }
-
-    fn emit(&self, buf: &mut [u8]) -> usize {
-        EthernetEmit {
-            dst: self.dst,
-            src: self.src,
-            ethertype: self.ethertype,
-            vlan: self.vlan,
-            payload: &self.payload[..],
-        }
-        .emit(buf)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // ARP
 // ---------------------------------------------------------------------------
-
-/// A mutable view over the 28-byte ARP wire form.
-///
-/// Construction writes the fixed Ethernet/IPv4 type and length fields; the
-/// setters fill in the claim.
-pub struct ArpViewMut<'a> {
-    buf: &'a mut [u8],
-}
-
-impl<'a> ArpViewMut<'a> {
-    /// Wraps `buf` and writes the constant htype/ptype/hlen/plen prefix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is shorter than [`ARP_WIRE_LEN`].
-    pub fn new(buf: &'a mut [u8]) -> Self {
-        assert!(
-            buf.len() >= ARP_WIRE_LEN,
-            "arp view needs {ARP_WIRE_LEN} bytes, got {}",
-            buf.len()
-        );
-        buf[0..2].copy_from_slice(&1u16.to_be_bytes()); // htype: Ethernet
-        buf[2..4].copy_from_slice(&0x0800u16.to_be_bytes()); // ptype: IPv4
-        buf[4] = 6; // hlen
-        buf[5] = 4; // plen
-        ArpViewMut { buf }
-    }
-
-    /// Writes the operation code.
-    pub fn set_op(&mut self, op: ArpOp) {
-        self.buf[6..8].copy_from_slice(&op.to_u16().to_be_bytes());
-    }
-
-    /// Writes the sender hardware and protocol addresses — the claim.
-    pub fn set_sender(&mut self, mac: MacAddr, ip: Ipv4Addr) {
-        self.buf[8..14].copy_from_slice(mac.as_bytes());
-        self.buf[14..18].copy_from_slice(&ip.octets());
-    }
-
-    /// Writes the target hardware and protocol addresses.
-    pub fn set_target(&mut self, mac: MacAddr, ip: Ipv4Addr) {
-        self.buf[18..24].copy_from_slice(mac.as_bytes());
-        self.buf[24..28].copy_from_slice(&ip.octets());
-    }
-}
 
 impl WireEmit for ArpPacket {
     fn wire_len(&self) -> usize {
@@ -299,10 +236,16 @@ impl WireEmit for ArpPacket {
     }
 
     fn emit(&self, buf: &mut [u8]) -> usize {
-        let mut view = ArpViewMut::new(buf);
-        view.set_op(self.op);
-        view.set_sender(self.sender_mac, self.sender_ip);
-        view.set_target(self.target_mac, self.target_ip);
+        let buf = &mut buf[..ARP_WIRE_LEN];
+        buf[0..2].copy_from_slice(&1u16.to_be_bytes()); // htype: Ethernet
+        buf[2..4].copy_from_slice(&0x0800u16.to_be_bytes()); // ptype: IPv4
+        buf[4] = 6; // hlen
+        buf[5] = 4; // plen
+        buf[6..8].copy_from_slice(&self.op.to_u16().to_be_bytes());
+        buf[8..14].copy_from_slice(self.sender_mac.as_bytes());
+        buf[14..18].copy_from_slice(&self.sender_ip.octets());
+        buf[18..24].copy_from_slice(self.target_mac.as_bytes());
+        buf[24..28].copy_from_slice(&self.target_ip.octets());
         ARP_WIRE_LEN
     }
 }
@@ -311,140 +254,29 @@ impl WireEmit for ArpPacket {
 // IPv4
 // ---------------------------------------------------------------------------
 
-/// A mutable view over an IPv4 header (no options) plus payload.
-///
-/// The total length is taken from the wrapped buffer, which must be sized
-/// exactly. Call [`fill_checksum`](Self::fill_checksum) after the last
-/// header field write.
-pub struct Ipv4ViewMut<'a> {
-    buf: &'a mut [u8],
-}
-
-impl<'a> Ipv4ViewMut<'a> {
-    /// Wraps an exactly-sized buffer and writes version/IHL, zeroed
-    /// DSCP/flags/fragment fields, the total length, and the defaults the
-    /// owned builder uses (TTL 64, identification 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is shorter than [`IPV4_HEADER_LEN`] or longer than a
-    /// 16-bit total length can describe.
-    pub fn new(buf: &'a mut [u8]) -> Self {
-        assert!(
-            buf.len() >= IPV4_HEADER_LEN,
-            "ipv4 view needs at least {IPV4_HEADER_LEN} bytes, got {}",
-            buf.len()
-        );
-        assert!(buf.len() <= usize::from(u16::MAX), "ipv4 total length overflows 16 bits");
-        buf[0] = 0x45; // version 4, IHL 5
-        buf[1] = 0; // DSCP/ECN
-        let total_len = buf.len() as u16;
-        buf[2..4].copy_from_slice(&total_len.to_be_bytes());
-        buf[4..6].copy_from_slice(&[0, 0]); // identification default
-        buf[6..8].copy_from_slice(&[0, 0]); // flags + fragment offset
-        buf[8] = 64; // default TTL
-        buf[10..12].copy_from_slice(&[0, 0]); // checksum placeholder
-        Ipv4ViewMut { buf }
-    }
-
-    /// Writes the identification field.
-    pub fn set_identification(&mut self, id: u16) {
-        self.buf[4..6].copy_from_slice(&id.to_be_bytes());
-    }
-
-    /// Writes the time-to-live.
-    pub fn set_ttl(&mut self, ttl: u8) {
-        self.buf[8] = ttl;
-    }
-
-    /// Writes the payload protocol number.
-    pub fn set_protocol(&mut self, protocol: IpProtocol) {
-        self.buf[9] = protocol.to_u8();
-    }
-
-    /// Writes the source address.
-    pub fn set_src(&mut self, src: Ipv4Addr) {
-        self.buf[12..16].copy_from_slice(&src.octets());
-    }
-
-    /// Writes the destination address.
-    pub fn set_dst(&mut self, dst: Ipv4Addr) {
-        self.buf[16..20].copy_from_slice(&dst.octets());
-    }
-
-    /// The payload region after the 20-byte header.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buf[IPV4_HEADER_LEN..]
-    }
-
-    /// Computes and patches the header checksum. Must be the last header
-    /// write.
-    pub fn fill_checksum(&mut self) {
-        self.buf[10..12].copy_from_slice(&[0, 0]);
-        let ck = internet_checksum(&self.buf[..IPV4_HEADER_LEN]);
-        self.buf[10..12].copy_from_slice(&ck.to_be_bytes());
-    }
-}
-
-/// IPv4 header fields bound to a borrowed payload emitter, so transport
-/// payloads nest without intermediate buffers.
-pub struct Ipv4Emit<'a, P: WireEmit + ?Sized> {
-    /// Time to live.
-    pub ttl: u8,
-    /// Payload protocol.
-    pub protocol: IpProtocol,
-    /// Source address.
-    pub src: Ipv4Addr,
-    /// Destination address.
-    pub dst: Ipv4Addr,
-    /// Identification field.
-    pub identification: u16,
-    /// Borrowed payload to emit after the header.
-    pub payload: &'a P,
-}
-
-impl<'a, P: WireEmit + ?Sized> Ipv4Emit<'a, P> {
-    /// Creates an emitter with the same defaults as [`Ipv4Packet::new`]
-    /// (TTL 64, identification 0).
-    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol, payload: &'a P) -> Self {
-        Ipv4Emit { ttl: 64, protocol, src, dst, identification: 0, payload }
-    }
-}
-
-impl<P: WireEmit + ?Sized> WireEmit for Ipv4Emit<'_, P> {
+impl<P: WireEmit + ?Sized> WireEmit for Ipv4Packet<'_, P> {
     fn wire_len(&self) -> usize {
         IPV4_HEADER_LEN + self.payload.wire_len()
     }
 
     fn emit(&self, buf: &mut [u8]) -> usize {
         let total = self.wire_len();
-        let mut view = Ipv4ViewMut::new(&mut buf[..total]);
-        view.set_identification(self.identification);
-        view.set_ttl(self.ttl);
-        view.set_protocol(self.protocol);
-        view.set_src(self.src);
-        view.set_dst(self.dst);
-        view.fill_checksum();
-        self.payload.emit(view.payload_mut());
+        assert!(total <= usize::from(u16::MAX), "ipv4 total length overflows 16 bits");
+        let buf = &mut buf[..total];
+        buf[0] = 0x45; // version 4, IHL 5
+        buf[1] = 0; // DSCP/ECN
+        buf[2..4].copy_from_slice(&(total as u16).to_be_bytes());
+        buf[4..6].copy_from_slice(&self.identification.to_be_bytes());
+        buf[6..8].copy_from_slice(&[0, 0]); // flags + fragment offset
+        buf[8] = self.ttl;
+        buf[9] = self.protocol.to_u8();
+        buf[10..12].copy_from_slice(&[0, 0]); // checksum placeholder
+        buf[12..16].copy_from_slice(&self.src.octets());
+        buf[16..20].copy_from_slice(&self.dst.octets());
+        let ck = internet_checksum(&buf[..IPV4_HEADER_LEN]);
+        buf[10..12].copy_from_slice(&ck.to_be_bytes());
+        self.payload.emit(&mut buf[IPV4_HEADER_LEN..]);
         total
-    }
-}
-
-impl WireEmit for Ipv4Packet {
-    fn wire_len(&self) -> usize {
-        IPV4_HEADER_LEN + self.payload.len()
-    }
-
-    fn emit(&self, buf: &mut [u8]) -> usize {
-        Ipv4Emit {
-            ttl: self.ttl,
-            protocol: self.protocol,
-            src: self.src,
-            dst: self.dst,
-            identification: self.identification,
-            payload: &self.payload[..],
-        }
-        .emit(buf)
     }
 }
 
@@ -452,107 +284,30 @@ impl WireEmit for Ipv4Packet {
 // UDP
 // ---------------------------------------------------------------------------
 
-/// A mutable view over a UDP datagram. The length field is taken from the
-/// wrapped buffer; [`fill_checksum`](Self::fill_checksum) (which needs the
-/// enclosing addresses for the pseudo-header) must come after the last
-/// payload write.
-pub struct UdpViewMut<'a> {
-    buf: &'a mut [u8],
-}
-
-impl<'a> UdpViewMut<'a> {
-    /// Wraps an exactly-sized buffer and writes the length field and a
-    /// zeroed checksum placeholder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is shorter than [`UDP_HEADER_LEN`] or longer than a
-    /// 16-bit length can describe.
-    pub fn new(buf: &'a mut [u8]) -> Self {
-        assert!(
-            buf.len() >= UDP_HEADER_LEN,
-            "udp view needs at least {UDP_HEADER_LEN} bytes, got {}",
-            buf.len()
-        );
-        assert!(buf.len() <= usize::from(u16::MAX), "udp length overflows 16 bits");
-        let len = buf.len() as u16;
-        buf[4..6].copy_from_slice(&len.to_be_bytes());
-        buf[6..8].copy_from_slice(&[0, 0]); // checksum placeholder
-        UdpViewMut { buf }
-    }
-
-    /// Writes the source port.
-    pub fn set_src_port(&mut self, port: u16) {
-        self.buf[0..2].copy_from_slice(&port.to_be_bytes());
-    }
-
-    /// Writes the destination port.
-    pub fn set_dst_port(&mut self, port: u16) {
-        self.buf[2..4].copy_from_slice(&port.to_be_bytes());
-    }
-
-    /// The payload region after the 8-byte header.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buf[UDP_HEADER_LEN..]
-    }
-
-    /// Computes and patches the pseudo-header checksum (RFC 768: an
-    /// all-zero result is transmitted as `0xffff`). Must be the last write.
-    pub fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
-        self.buf[6..8].copy_from_slice(&[0, 0]);
-        let mut ck = udp_pseudo_header(src, dst, self.buf.len() as u16);
-        ck.add_bytes(self.buf);
-        let mut sum = ck.finish();
-        if sum == 0 {
-            sum = 0xffff;
-        }
-        self.buf[6..8].copy_from_slice(&sum.to_be_bytes());
-    }
-}
-
-/// UDP header fields bound to the enclosing addresses (the checksum covers
-/// the IPv4 pseudo-header) and a borrowed payload emitter.
-pub struct UdpEmit<'a, P: WireEmit + ?Sized> {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Enclosing source address, for the pseudo-header.
-    pub src: Ipv4Addr,
-    /// Enclosing destination address, for the pseudo-header.
-    pub dst: Ipv4Addr,
-    /// Borrowed payload to emit after the header.
-    pub payload: &'a P,
-}
-
-impl<'a, P: WireEmit + ?Sized> UdpEmit<'a, P> {
-    /// Creates an emitter.
-    pub fn new(src_port: u16, dst_port: u16, src: Ipv4Addr, dst: Ipv4Addr, payload: &'a P) -> Self {
-        UdpEmit { src_port, dst_port, src, dst, payload }
-    }
-}
-
-impl<P: WireEmit + ?Sized> WireEmit for UdpEmit<'_, P> {
+impl<P: WireEmit + ?Sized> WireEmit for UdpDatagram<'_, P> {
     fn wire_len(&self) -> usize {
         UDP_HEADER_LEN + self.payload.wire_len()
     }
 
     fn emit(&self, buf: &mut [u8]) -> usize {
         let total = self.wire_len();
-        let mut view = UdpViewMut::new(&mut buf[..total]);
-        view.set_src_port(self.src_port);
-        view.set_dst_port(self.dst_port);
-        self.payload.emit(view.payload_mut());
-        view.fill_checksum(self.src, self.dst);
+        assert!(total <= usize::from(u16::MAX), "udp length overflows 16 bits");
+        let buf = &mut buf[..total];
+        buf[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        buf[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        buf[4..6].copy_from_slice(&(total as u16).to_be_bytes());
+        buf[6..8].copy_from_slice(&[0, 0]); // checksum placeholder
+        self.payload.emit(&mut buf[UDP_HEADER_LEN..]);
+        // The checksum covers the payload, so it comes last. RFC 768: an
+        // all-zero result is transmitted as 0xffff.
+        let mut ck = udp_pseudo_header(self.src, self.dst, total as u16);
+        ck.add_bytes(buf);
+        let sum = match ck.finish() {
+            0 => 0xffff,
+            sum => sum,
+        };
+        buf[6..8].copy_from_slice(&sum.to_be_bytes());
         total
-    }
-}
-
-impl UdpDatagram {
-    /// Binds the datagram to its enclosing addresses as a [`WireEmit`]
-    /// value, the in-place counterpart of [`UdpDatagram::encode`].
-    pub fn emitter(&self, src: Ipv4Addr, dst: Ipv4Addr) -> UdpEmit<'_, [u8]> {
-        UdpEmit::new(self.src_port, self.dst_port, src, dst, &self.payload[..])
     }
 }
 
@@ -560,245 +315,29 @@ impl UdpDatagram {
 // ICMP
 // ---------------------------------------------------------------------------
 
-/// A mutable view over an ICMP echo message.
-/// [`fill_checksum`](Self::fill_checksum) must come after the last write.
-pub struct IcmpViewMut<'a> {
-    buf: &'a mut [u8],
-}
-
-impl<'a> IcmpViewMut<'a> {
-    /// Wraps an exactly-sized buffer and writes the zero code byte and a
-    /// zeroed checksum placeholder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is shorter than the 8-byte echo header.
-    pub fn new(buf: &'a mut [u8]) -> Self {
-        assert!(buf.len() >= 8, "icmp view needs at least 8 bytes, got {}", buf.len());
-        buf[1] = 0; // code
-        buf[2..4].copy_from_slice(&[0, 0]); // checksum placeholder
-        IcmpViewMut { buf }
-    }
-
-    /// Writes the message type.
-    pub fn set_type(&mut self, icmp_type: IcmpType) {
-        self.buf[0] = icmp_type.to_u8();
-    }
-
-    /// Writes the session identifier.
-    pub fn set_identifier(&mut self, identifier: u16) {
-        self.buf[4..6].copy_from_slice(&identifier.to_be_bytes());
-    }
-
-    /// Writes the sequence number.
-    pub fn set_sequence(&mut self, sequence: u16) {
-        self.buf[6..8].copy_from_slice(&sequence.to_be_bytes());
-    }
-
-    /// The echo payload region after the 8-byte header.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buf[8..]
-    }
-
-    /// Computes and patches the checksum. Must be the last write.
-    pub fn fill_checksum(&mut self) {
-        self.buf[2..4].copy_from_slice(&[0, 0]);
-        let ck = internet_checksum(self.buf);
-        self.buf[2..4].copy_from_slice(&ck.to_be_bytes());
-    }
-}
-
-impl WireEmit for IcmpMessage {
+impl WireEmit for IcmpMessage<'_> {
     fn wire_len(&self) -> usize {
         8 + self.payload.len()
     }
 
     fn emit(&self, buf: &mut [u8]) -> usize {
         let total = self.wire_len();
-        let mut view = IcmpViewMut::new(&mut buf[..total]);
-        view.set_type(self.icmp_type);
-        view.set_identifier(self.identifier);
-        view.set_sequence(self.sequence);
-        view.payload_mut().copy_from_slice(&self.payload);
-        view.fill_checksum();
-        total
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TCP
-// ---------------------------------------------------------------------------
-
-/// TCP header fields bound to the enclosing addresses and a borrowed
-/// payload emitter. There is no incremental view — nothing in the
-/// simulator builds TCP field-by-field — but the emitter keeps the
-/// probe-TX path allocation-free like the other protocols.
-pub struct TcpEmit<'a, P: WireEmit + ?Sized> {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Sequence number.
-    pub seq: u32,
-    /// Acknowledgement number.
-    pub ack: u32,
-    /// Header flags.
-    pub flags: TcpFlags,
-    /// Advertised receive window.
-    pub window: u16,
-    /// Enclosing source address, for the pseudo-header.
-    pub src: Ipv4Addr,
-    /// Enclosing destination address, for the pseudo-header.
-    pub dst: Ipv4Addr,
-    /// Borrowed payload to emit after the header.
-    pub payload: &'a P,
-}
-
-impl<P: WireEmit + ?Sized> WireEmit for TcpEmit<'_, P> {
-    fn wire_len(&self) -> usize {
-        TCP_HEADER_LEN + self.payload.wire_len()
-    }
-
-    fn emit(&self, buf: &mut [u8]) -> usize {
-        let total = self.wire_len();
         let buf = &mut buf[..total];
-        buf[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        buf[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        buf[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        buf[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        buf[12] = ((TCP_HEADER_LEN / 4) as u8) << 4;
-        buf[13] = self.flags.bits();
-        buf[14..16].copy_from_slice(&self.window.to_be_bytes());
-        buf[16..18].copy_from_slice(&[0, 0]); // checksum placeholder
-        buf[18..20].copy_from_slice(&[0, 0]); // urgent pointer
-        self.payload.emit(&mut buf[TCP_HEADER_LEN..]);
-        let mut ck = tcp_pseudo_header(self.src, self.dst, total as u16);
-        ck.add_bytes(buf);
-        let sum = ck.finish();
-        buf[16..18].copy_from_slice(&sum.to_be_bytes());
+        buf[0] = self.icmp_type.to_u8();
+        buf[1] = 0; // code
+        buf[2..4].copy_from_slice(&[0, 0]); // checksum placeholder
+        buf[4..6].copy_from_slice(&self.identifier.to_be_bytes());
+        buf[6..8].copy_from_slice(&self.sequence.to_be_bytes());
+        buf[8..].copy_from_slice(self.payload);
+        let ck = internet_checksum(buf);
+        buf[2..4].copy_from_slice(&ck.to_be_bytes());
         total
-    }
-}
-
-impl TcpSegment {
-    /// Binds the segment to its enclosing addresses as a [`WireEmit`]
-    /// value, the in-place counterpart of [`TcpSegment::encode`].
-    pub fn emitter(&self, src: Ipv4Addr, dst: Ipv4Addr) -> TcpEmit<'_, [u8]> {
-        TcpEmit {
-            src_port: self.src_port,
-            dst_port: self.dst_port,
-            seq: self.seq,
-            ack: self.ack,
-            flags: self.flags,
-            window: self.window,
-            src,
-            dst,
-            payload: &self.payload[..],
-        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // DHCP
 // ---------------------------------------------------------------------------
-
-/// A mutable view over a DHCP message: fixed BOOTP area setters plus an
-/// append-only options cursor.
-///
-/// Construction writes every constant region (htype/hlen/hops, secs, the
-/// broadcast flag, giaddr, chaddr padding, sname, file, magic cookie), so a
-/// dirty buffer cannot leak through the large zero fields.
-pub struct DhcpViewMut<'a> {
-    buf: &'a mut [u8],
-}
-
-impl<'a> DhcpViewMut<'a> {
-    /// Wraps `buf`, which must hold the fixed BOOTP area, the magic cookie,
-    /// and at least the end-marker byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is shorter than `DHCP_FIXED_LEN + 5`.
-    pub fn new(buf: &'a mut [u8]) -> Self {
-        assert!(
-            buf.len() >= DHCP_FIXED_LEN + 4 + 1,
-            "dhcp view needs at least {} bytes, got {}",
-            DHCP_FIXED_LEN + 5,
-            buf.len()
-        );
-        buf[1] = 1; // htype Ethernet
-        buf[2] = 6; // hlen
-        buf[3] = 0; // hops
-        buf[8..10].copy_from_slice(&[0, 0]); // secs
-        buf[10..12].copy_from_slice(&[0x80, 0]); // flags: broadcast
-        buf[24..28].fill(0); // giaddr
-        buf[34..44].fill(0); // chaddr padding
-        buf[44..108].fill(0); // sname
-        buf[108..DHCP_FIXED_LEN].fill(0); // file
-        buf[DHCP_FIXED_LEN..DHCP_FIXED_LEN + 4].copy_from_slice(&DHCP_MAGIC_COOKIE);
-        DhcpViewMut { buf }
-    }
-
-    /// Writes the BOOTP op.
-    pub fn set_op(&mut self, op: DhcpOp) {
-        self.buf[0] = op.to_u8();
-    }
-
-    /// Writes the transaction identifier.
-    pub fn set_xid(&mut self, xid: u32) {
-        self.buf[4..8].copy_from_slice(&xid.to_be_bytes());
-    }
-
-    /// Writes the client's current address.
-    pub fn set_ciaddr(&mut self, addr: Ipv4Addr) {
-        self.buf[12..16].copy_from_slice(&addr.octets());
-    }
-
-    /// Writes the address the server assigns.
-    pub fn set_yiaddr(&mut self, addr: Ipv4Addr) {
-        self.buf[16..20].copy_from_slice(&addr.octets());
-    }
-
-    /// Writes the next-server address.
-    pub fn set_siaddr(&mut self, addr: Ipv4Addr) {
-        self.buf[20..24].copy_from_slice(&addr.octets());
-    }
-
-    /// Writes the client hardware address.
-    pub fn set_chaddr(&mut self, chaddr: MacAddr) {
-        self.buf[28..34].copy_from_slice(chaddr.as_bytes());
-    }
-
-    /// Starts the options area after the magic cookie. Consumes the view:
-    /// options are the last thing written.
-    pub fn options(self) -> DhcpOptionsWriter<'a> {
-        DhcpOptionsWriter { buf: self.buf, at: DHCP_FIXED_LEN + 4 }
-    }
-}
-
-/// Append-only cursor over a DHCP options area.
-pub struct DhcpOptionsWriter<'a> {
-    buf: &'a mut [u8],
-    at: usize,
-}
-
-impl DhcpOptionsWriter<'_> {
-    /// Appends one option.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer cannot hold the option plus the end marker.
-    pub fn push(&mut self, option: &DhcpOption) {
-        self.at += option.emit_at(self.buf, self.at);
-        assert!(self.at < self.buf.len(), "dhcp options overflow the buffer");
-    }
-
-    /// Writes the end marker and returns the total message length.
-    pub fn finish(self) -> usize {
-        self.buf[self.at] = 255;
-        self.at + 1
-    }
-}
 
 impl WireEmit for DhcpMessage {
     fn wire_len(&self) -> usize {
@@ -807,26 +346,38 @@ impl WireEmit for DhcpMessage {
 
     fn emit(&self, buf: &mut [u8]) -> usize {
         let total = self.wire_len();
-        let mut view = DhcpViewMut::new(&mut buf[..total]);
-        view.set_op(self.op);
-        view.set_xid(self.xid);
-        view.set_ciaddr(self.ciaddr);
-        view.set_yiaddr(self.yiaddr);
-        view.set_siaddr(self.siaddr);
-        view.set_chaddr(self.chaddr);
-        let mut options = view.options();
+        let buf = &mut buf[..total];
+        buf[0] = self.op.to_u8();
+        buf[1] = 1; // htype Ethernet
+        buf[2] = 6; // hlen
+        buf[3] = 0; // hops
+        buf[4..8].copy_from_slice(&self.xid.to_be_bytes());
+        buf[8..10].copy_from_slice(&[0, 0]); // secs
+        buf[10..12].copy_from_slice(&[0x80, 0]); // flags: broadcast
+        buf[12..16].copy_from_slice(&self.ciaddr.octets());
+        buf[16..20].copy_from_slice(&self.yiaddr.octets());
+        buf[20..24].copy_from_slice(&self.siaddr.octets());
+        buf[24..28].fill(0); // giaddr
+        buf[28..34].copy_from_slice(self.chaddr.as_bytes());
+        // chaddr padding, sname and file: written as zeros so a dirty
+        // buffer cannot leak through the large constant regions.
+        buf[34..DHCP_FIXED_LEN].fill(0);
+        buf[DHCP_FIXED_LEN..DHCP_FIXED_LEN + 4].copy_from_slice(&DHCP_MAGIC_COOKIE);
+        let mut at = DHCP_FIXED_LEN + 4;
         for option in &self.options {
-            options.push(option);
+            at += option.emit_at(buf, at);
         }
-        options.finish()
+        buf[at] = 255; // end marker
+        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ether::EthernetView;
 
-    /// The owned builder can only express a single 802.1Q tag; the view
+    /// The emitter can only express a single 802.1Q tag; the view
     /// writer stacks arbitrary tags. Golden bytes mirror the hand-spliced
     /// QinQ fixture the RX parser is tested against: 802.1ad service tag
     /// outermost, 802.1Q customer tag inside, then the real ethertype.
@@ -852,22 +403,23 @@ mod tests {
         assert_eq!(buf, golden);
 
         // And the RX side unwraps the stack to the outermost VID.
-        let parsed = EthernetFrame::parse(&buf).unwrap();
-        assert_eq!(parsed.vlan, Some(0xFFE));
-        assert_eq!(parsed.ethertype, EtherType::ARP);
+        let parsed = EthernetView::parse_strict(&buf).unwrap();
+        assert_eq!(parsed.vlan(), Some(0xFFE));
+        assert_eq!(parsed.ethertype(), EtherType::ARP);
     }
 
-    /// `push_vlan` and the owned single-tag encoder agree byte for byte.
+    /// `push_vlan` and the single-tag emitter's owned `encode` agree byte
+    /// for byte.
     #[test]
     fn single_vlan_tag_matches_owned_encoder() {
-        let owned = EthernetFrame::new(
+        let golden = EthernetEmit::new(
             MacAddr::from_index(1),
             MacAddr::from_index(2),
             EtherType::ARP,
-            vec![0xaa; 46],
+            [0xaa; 46].as_slice(),
         )
-        .with_vlan(0x123);
-        let golden = owned.encode();
+        .with_vlan(0x123)
+        .encode();
 
         let mut buf = vec![0u8; golden.len()];
         let mut view = EthernetViewMut::new(&mut buf);

@@ -128,14 +128,14 @@ impl DaiInspector {
         if pkt.protocol != IpProtocol::Udp {
             return None;
         }
-        let dgram = UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst).ok()?;
+        let dgram = UdpDatagram::parse(pkt.payload, pkt.src, pkt.dst).ok()?;
         let is_server_msg =
             dgram.src_port == DHCP_SERVER_PORT || dgram.dst_port == DHCP_CLIENT_PORT;
         let is_client_msg = dgram.dst_port == DHCP_SERVER_PORT;
         if !is_server_msg && !is_client_msg {
             return None;
         }
-        let msg = DhcpMessage::parse(&dgram.payload).ok()?;
+        let msg = DhcpMessage::parse(dgram.payload).ok()?;
         if is_server_msg && !trusted && self.config.block_untrusted_dhcp_servers {
             return Some(self.deny(
                 now,
@@ -229,13 +229,13 @@ impl FrameInspector for DaiInspector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arpshield_packet::EthernetFrame;
+    use arpshield_packet::{EthernetEmit, WireEmit};
 
     fn arp_frame(src: MacAddr, sender_ip: Ipv4Addr, sender_mac: MacAddr) -> Vec<u8> {
         let arp = ArpPacket::request(sender_mac, sender_ip, Ipv4Addr::new(10, 0, 0, 99));
         let mut arp = arp;
         arp.sender_mac = sender_mac;
-        EthernetFrame::new(MacAddr::BROADCAST, src, EtherType::ARP, arp.encode()).encode()
+        EthernetEmit::new(MacAddr::BROADCAST, src, EtherType::ARP, &arp).encode()
     }
 
     fn view(bytes: &[u8]) -> EthernetView<'_> {

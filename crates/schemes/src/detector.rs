@@ -317,11 +317,11 @@ impl Detector {
 mod tests {
     use super::*;
     use crate::AlertKind;
-    use arpshield_packet::{ArpOp, ArpPacket, EthernetFrame, Ipv4Addr, MacAddr};
+    use arpshield_packet::{ArpOp, ArpPacket, EthernetEmit, Ipv4Addr, MacAddr, WireEmit};
 
     fn arp_frame(sender_mac: MacAddr, sender_ip: Ipv4Addr) -> Vec<u8> {
         let arp = ArpPacket::gratuitous(ArpOp::Reply, sender_mac, sender_ip);
-        EthernetFrame::new(MacAddr::BROADCAST, sender_mac, EtherType::ARP, arp.encode()).encode()
+        EthernetEmit::new(MacAddr::BROADCAST, sender_mac, EtherType::ARP, &arp).encode()
     }
 
     #[test]
@@ -362,9 +362,7 @@ mod tests {
         let ip = Ipv4Addr::new(10, 0, 0, 9);
         let tagged = |mac: MacAddr| {
             let arp = ArpPacket::gratuitous(ArpOp::Reply, mac, ip);
-            EthernetFrame::new(MacAddr::BROADCAST, mac, EtherType::ARP, arp.encode())
-                .with_vlan(100)
-                .encode()
+            EthernetEmit::new(MacAddr::BROADCAST, mac, EtherType::ARP, &arp).with_vlan(100).encode()
         };
         detector.observe(SimTime::from_secs(1), &tagged(MacAddr::from_index(1)));
         detector.observe(SimTime::from_secs(2), &tagged(MacAddr::from_index(66)));
@@ -377,11 +375,11 @@ mod tests {
     fn garbage_and_jumbo_frames_are_counted_not_fatal() {
         let mut detector = Detector::new(SchemeKind::Stateful).unwrap();
         detector.observe(SimTime::from_secs(1), &[0u8; 5]); // runt
-        let jumbo = EthernetFrame::new(
+        let jumbo = EthernetEmit::new(
             MacAddr::ZERO,
             MacAddr::from_index(3),
             EtherType::Ipv4,
-            vec![0; 3000],
+            &[0u8; 3000][..],
         )
         .encode();
         detector.observe(SimTime::from_secs(2), &jumbo);

@@ -27,8 +27,8 @@ use std::time::Duration;
 
 use arpshield_netsim::{Device, DeviceCtx, PortId, SimTime};
 use arpshield_packet::{
-    DhcpMessage, DhcpMessageType, EtherType, EthernetFrame, EthernetView, IpProtocol, Ipv4Packet,
-    MacAddr, UdpDatagram, DHCP_SERVER_PORT,
+    DhcpMessage, DhcpMessageType, EtherType, EthernetView, IpProtocol, Ipv4Packet, MacAddr,
+    UdpDatagram, DHCP_SERVER_PORT,
 };
 
 use crate::alert::{Alert, AlertKind, AlertLog};
@@ -158,14 +158,8 @@ impl RateMonitor {
         }
     }
 
-    /// Feeds one sniffed frame through the counters (also the bench
-    /// entry point).
-    pub fn observe(&mut self, now: SimTime, eth: &EthernetFrame) {
-        self.observe_parts(now, eth.src, eth.ethertype, &eth.payload);
-    }
-
-    /// [`observe`](Self::observe) without the owned frame: the borrowed
-    /// pieces a zero-copy [`EthernetView`] hands out.
+    /// Feeds one sniffed frame through the counters, given the pieces an
+    /// [`EthernetView`] hands out.
     pub fn observe_parts(
         &mut self,
         now: SimTime,
@@ -190,9 +184,9 @@ impl RateMonitor {
             EtherType::Ipv4 => {
                 if let Ok(pkt) = Ipv4Packet::parse(payload) {
                     if pkt.protocol == IpProtocol::Udp {
-                        if let Ok(dgram) = UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst) {
+                        if let Ok(dgram) = UdpDatagram::parse(pkt.payload, pkt.src, pkt.dst) {
                             if dgram.dst_port == DHCP_SERVER_PORT {
-                                if let Ok(msg) = DhcpMessage::parse(&dgram.payload) {
+                                if let Ok(msg) = DhcpMessage::parse(dgram.payload) {
                                     if msg.message_type() == Some(DhcpMessageType::Discover) {
                                         self.discover_events.push_back(now);
                                     }
@@ -229,13 +223,9 @@ mod tests {
     use super::*;
     use arpshield_packet::MacAddr;
 
-    fn frame_from(src: u32) -> EthernetFrame {
-        EthernetFrame::new(
-            MacAddr::BROADCAST,
-            MacAddr::from_index(src),
-            EtherType::Other(0x1234),
-            vec![0; 46],
-        )
+    /// Feeds one opaque frame from `MacAddr::from_index(src)`.
+    fn observe_from(m: &mut RateMonitor, now: SimTime, src: u32) {
+        m.observe_parts(now, MacAddr::from_index(src), EtherType::Other(0x1234), &[0; 46]);
     }
 
     #[test]
@@ -244,7 +234,7 @@ mod tests {
         let mut m =
             RateMonitor::new(RateConfig { max_new_macs: 5, ..Default::default() }, log.clone());
         for i in 0..50u32 {
-            m.observe(SimTime::from_millis(u64::from(i) * 10), &frame_from(i));
+            observe_from(&mut m, SimTime::from_millis(u64::from(i) * 10), i);
         }
         assert_eq!(log.len(), 1, "cooldown must throttle repeats");
         assert_eq!(log.alerts()[0].kind, AlertKind::RateAnomaly);
@@ -256,7 +246,7 @@ mod tests {
         let mut m =
             RateMonitor::new(RateConfig { max_new_macs: 5, ..Default::default() }, log.clone());
         for i in 0..200u32 {
-            m.observe(SimTime::from_millis(u64::from(i) * 10), &frame_from(i % 4));
+            observe_from(&mut m, SimTime::from_millis(u64::from(i) * 10), i % 4);
         }
         assert!(log.is_empty());
     }
@@ -269,7 +259,7 @@ mod tests {
         // Five distinct MACs per second, but spread so no window holds
         // more than five: silent.
         for i in 0..50u32 {
-            m.observe(SimTime::from_millis(u64::from(i) * 250), &frame_from(i));
+            observe_from(&mut m, SimTime::from_millis(u64::from(i) * 250), i);
         }
         assert!(log.is_empty());
     }
@@ -278,17 +268,16 @@ mod tests {
     fn a_single_source_burst_is_one_window_entry() {
         let log = AlertLog::new();
         let mut m = RateMonitor::new(RateConfig::default(), log.clone());
-        let server = frame_from(7);
         for i in 0..8_192u64 {
-            m.observe(SimTime::from_micros(i * 25), &server);
+            observe_from(&mut m, SimTime::from_micros(i * 25), 7);
         }
         assert_eq!((m.mac_events.len(), m.mac_counts.len()), (1, 1));
         // The run leaves the window with its last frame, not its first.
         let last = SimTime::from_micros(8_191 * 25);
         let window = m.config.window;
-        m.observe(last + window, &frame_from(8));
+        observe_from(&mut m, last + window, 8);
         assert_eq!(m.mac_counts.len(), 2, "the burst's last frame is still in the window");
-        m.observe(last + window + Duration::from_nanos(1), &frame_from(8));
+        observe_from(&mut m, last + window + Duration::from_nanos(1), 8);
         assert_eq!(m.mac_counts.len(), 1, "the burst expired with its last frame");
         assert_eq!(m.mac_events.len(), 1);
         assert!(log.is_empty());
@@ -296,7 +285,7 @@ mod tests {
 
     #[test]
     fn discover_burst_fires() {
-        use arpshield_packet::{Ipv4Addr, DHCP_CLIENT_PORT};
+        use arpshield_packet::{Ipv4Addr, WireEmit, DHCP_CLIENT_PORT};
         let log = AlertLog::new();
         let mut m = RateMonitor::new(
             RateConfig { max_dhcp_discovers: 3, ..Default::default() },
@@ -304,17 +293,11 @@ mod tests {
         );
         for i in 0..6u32 {
             let msg = DhcpMessage::discover(i, MacAddr::from_index(i));
-            let dgram = UdpDatagram::new(DHCP_CLIENT_PORT, DHCP_SERVER_PORT, msg.encode())
-                .encode(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST);
-            let pkt =
-                Ipv4Packet::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST, IpProtocol::Udp, dgram);
-            let eth = EthernetFrame::new(
-                MacAddr::BROADCAST,
-                MacAddr::from_index(i),
-                EtherType::Ipv4,
-                pkt.encode(),
-            );
-            m.observe(SimTime::from_millis(u64::from(i) * 50), &eth);
+            let (src, dst) = (Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST);
+            let dgram = UdpDatagram::new(DHCP_CLIENT_PORT, DHCP_SERVER_PORT, src, dst, &msg);
+            let pkt = Ipv4Packet::new(src, dst, IpProtocol::Udp, &dgram).encode();
+            let at = SimTime::from_millis(u64::from(i) * 50);
+            m.observe_parts(at, MacAddr::from_index(i), EtherType::Ipv4, &pkt);
         }
         assert_eq!(log.len(), 1);
     }

@@ -10,7 +10,7 @@ use std::time::Duration;
 use arpshield_netsim::{eth_frame, PortId, SimTime, StandaloneDriver};
 use arpshield_packet::{
     ArpOp, ArpPacket, DhcpMessage, EtherType, IpProtocol, Ipv4Addr, Ipv4Packet, MacAddr,
-    UdpDatagram, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
+    UdpDatagram, WireEmit, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
 };
 use arpshield_schemes::{
     Alert, AlertKind, AlertLog, RateConfig, RateMonitor, StatefulConfig, StatefulMonitor,
@@ -84,11 +84,9 @@ fn rate_payload(carries: Carries, src: MacAddr) -> (EtherType, Vec<u8>) {
         }
         Carries::Discover => {
             let msg = DhcpMessage::discover(7, src);
-            let dgram = UdpDatagram::new(DHCP_CLIENT_PORT, DHCP_SERVER_PORT, msg.encode())
-                .encode(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST);
-            let pkt =
-                Ipv4Packet::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST, IpProtocol::Udp, dgram);
-            (EtherType::Ipv4, pkt.encode())
+            let (from, to) = (Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST);
+            let dgram = UdpDatagram::new(DHCP_CLIENT_PORT, DHCP_SERVER_PORT, from, to, &msg);
+            (EtherType::Ipv4, Ipv4Packet::new(from, to, IpProtocol::Udp, &dgram).encode())
         }
     }
 }

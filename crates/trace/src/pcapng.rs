@@ -5,17 +5,18 @@
 //! after the run label, nanosecond timestamp resolution) keeps
 //! multi-run experiment captures in a single file.
 //!
-//! Two readers share the format logic but differ in contract:
+//! One block decoder, two contracts:
 //!
-//! - [`parse`] loads a whole buffer and is strict — a truncated tail is
-//!   an error, because arpshield's own artifacts are never truncated.
 //! - [`PcapngStream`] pulls blocks from any [`Read`] source in constant
 //!   memory and is lenient where real captures are messy: a file cut
 //!   mid-block (capture process killed) yields every complete block
 //!   plus a warning instead of an error.
+//! - [`parse`] collects that stream over a whole buffer and is strict —
+//!   a truncated tail is an error, because arpshield's own artifacts are
+//!   never truncated.
 //!
 //! Both accept multi-section files (a new Section Header Block restarts
-//! the on-wire interface numbering; readers remap packet interface ids
+//! the on-wire interface numbering; packet interface ids are remapped
 //! onto one global list, so concatenated captures just work).
 
 use std::io::Read;
@@ -143,25 +144,6 @@ pub struct PcapngFile {
     pub packets: Vec<PcapngPacket>,
 }
 
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
-        let end = end.ok_or_else(|| format!("truncated file at offset {}", self.pos))?;
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-}
-
 /// Scans a block's options region for `(code, value)` pairs.
 fn options(mut region: &[u8]) -> Vec<(u16, Vec<u8>)> {
     let mut found = Vec::new();
@@ -200,101 +182,34 @@ fn tsresol_to_ns(tsresol: u8) -> u64 {
     }
 }
 
-/// Parses a little-endian pcapng capture. Unknown block types are
-/// skipped, which is what lets third-party tools' output (or future
-/// writers) still load.
+/// Parses a whole little-endian pcapng capture by collecting a
+/// [`PcapngStream`] over it. Unknown block types are skipped, which is
+/// what lets third-party tools' output (or future writers) still load.
+///
+/// # Errors
+///
+/// Everything the stream rejects, plus a truncated tail, which the
+/// stream only warns about.
 pub fn parse(data: &[u8]) -> Result<PcapngFile, String> {
-    let mut r = Reader { data, pos: 0 };
-    let mut file = PcapngFile::default();
-    let mut tsresols: Vec<u8> = Vec::new();
-    let mut seen_shb = false;
-    // Interface ids restart at every Section Header Block; packets are
-    // remapped onto the global interface list via this base.
-    let mut section_base = 0usize;
-    while r.pos < data.len() {
-        let block_start = r.pos;
-        let block_type = r.u32()?;
-        let total_len = r.u32()? as usize;
-        if total_len < 12 || total_len % 4 != 0 {
-            return Err(format!("bad block length {total_len} at offset {block_start}"));
-        }
-        let body = r.take(total_len - 12)?;
-        let trailer = r.u32()? as usize;
-        if trailer != total_len {
-            return Err(format!("mismatched block trailer at offset {block_start}"));
-        }
-        if !seen_shb && block_type != SHB_TYPE {
-            return Err("file does not start with a section header block".to_string());
-        }
-        match block_type {
-            SHB_TYPE => {
-                if body.len() < 4 {
-                    return Err("truncated section header".to_string());
-                }
-                let magic = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
-                if magic != BYTE_ORDER_MAGIC {
-                    return Err(format!(
-                        "unsupported byte-order magic {magic:#010x} (expected little-endian)"
-                    ));
-                }
-                seen_shb = true;
-                section_base = file.interfaces.len();
-            }
-            IDB_TYPE => {
-                if body.len() < 8 {
-                    return Err("truncated interface description block".to_string());
-                }
-                let opts = options(&body[8..]);
-                let name = opts
-                    .iter()
-                    .find(|(code, _)| *code == OPT_IF_NAME)
-                    .map(|(_, v)| String::from_utf8_lossy(v).into_owned())
-                    .unwrap_or_default();
-                let tsresol = opts
-                    .iter()
-                    .find(|(code, _)| *code == OPT_IF_TSRESOL)
-                    .and_then(|(_, v)| v.first().copied())
-                    .unwrap_or(6); // the spec default: microseconds
-                file.interfaces.push(name);
-                tsresols.push(tsresol);
-            }
-            EPB_TYPE => {
-                if body.len() < 20 {
-                    return Err("truncated enhanced packet block".to_string());
-                }
-                let word =
-                    |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().expect("4 bytes"));
-                let interface = section_base + word(0) as usize;
-                if interface >= file.interfaces.len() {
-                    return Err(format!("packet references unknown interface {}", word(0)));
-                }
-                let ts = (u64::from(word(4)) << 32) | u64::from(word(8));
-                let captured = word(12) as usize;
-                if body.len() < 20 + captured {
-                    return Err("packet data exceeds block".to_string());
-                }
-                let bytes = body[20..20 + captured].to_vec();
-                let opts_at = 20 + captured + pad4(captured);
-                let comment = options(&body[opts_at.min(body.len())..])
-                    .into_iter()
-                    .find(|(code, _)| *code == OPT_COMMENT)
-                    .map(|(_, v)| String::from_utf8_lossy(&v).into_owned())
-                    .unwrap_or_default();
-                let ts_ns = ts.saturating_mul(tsresol_to_ns(tsresols[interface]));
-                file.packets.push(PcapngPacket { interface, ts_ns, bytes, comment });
-            }
-            _ => {} // unknown block: skip
-        }
+    let mut stream = PcapngStream::new(data);
+    let mut packets = Vec::new();
+    while let Some(packet) = stream.next_packet()? {
+        packets.push(PcapngPacket {
+            interface: packet.interface,
+            ts_ns: packet.ts_ns,
+            bytes: packet.bytes.to_vec(),
+            comment: packet.comment.to_string(),
+        });
     }
-    if !seen_shb {
-        return Err("empty capture".to_string());
+    if !stream.warnings.is_empty() {
+        return Err(format!("truncated file at offset {}", stream.offset));
     }
-    Ok(file)
+    Ok(PcapngFile { interfaces: stream.interfaces, packets })
 }
 
-/// Blocks larger than this are treated as corruption by the streaming
-/// reader: the length field arrives before the data, and a flipped bit
-/// must not become a multi-gigabyte allocation.
+/// Blocks larger than this are treated as corruption: the length field
+/// arrives before the data, and a flipped bit must not become a
+/// multi-gigabyte allocation.
 pub const MAX_STREAM_BLOCK: usize = 16 << 20;
 
 /// Counters a [`PcapngStream`] keeps while pulling blocks.
@@ -338,7 +253,8 @@ enum Step {
     End,
 }
 
-/// A pull-based pcapng reader over any [`Read`] source.
+/// A pull-based pcapng reader over any [`Read`] source: the crate's one
+/// block decoder.
 ///
 /// Memory use is bounded by the largest single block, independent of
 /// file length — the ingest path runs arbitrarily large captures (or

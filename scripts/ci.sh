@@ -171,36 +171,52 @@ rm -rf "$ingest_out"
 echo "==> TESTKIT_BENCH_SMOKE=1 cargo bench --workspace --offline"
 TESTKIT_BENCH_SMOKE=1 cargo bench --workspace --offline
 
-echo "==> alloc-floor gate (frame_delivery allocs/frame vs committed baseline)"
-# Allocation counts are deterministic (seeded sim, warmed frame pool), so
-# unlike the timing comparison above this gate is FATAL: the bench smoke
-# just rewrote results/bench/frame_delivery_allocs.json from a live run,
-# and any workload allocating more per delivered frame than the committed
-# baseline — or the hub broadcast path exceeding its 0.02 allocs/frame
-# ceiling — fails CI.
-python3 - results/bench/frame_delivery_allocs.json \
-    results/bench/baseline/frame_delivery_allocs.json <<'PY'
+echo "==> alloc-floor gate (every committed *_allocs.json baseline vs its live run)"
+# Allocation counts are deterministic (seeded sim, warmed frame pool,
+# fixed captures), so unlike the timing comparison above this gate is
+# FATAL: the bench smoke just rewrote every results/bench/*_allocs.json
+# from a live run, and any workload allocating more per frame than its
+# committed baseline under results/bench/baseline/ — or the hub
+# broadcast path exceeding its 0.02 allocs/frame ceiling — fails CI.
+python3 - results/bench results/bench/baseline <<'PY'
 import json
+import pathlib
 import sys
 
-live_path, base_path = sys.argv[1], sys.argv[2]
-live = {e["id"]: e for e in json.load(open(live_path))["results"]}
-base = {e["id"]: e for e in json.load(open(base_path))["results"]}
+live_dir, base_dir = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
 
 HUB_CEILING = 0.02  # absolute allocs/frame bound on the zero-copy TX path
 
+
+def load(path):
+    return {e["id"]: e for e in json.loads(path.read_text())["results"]}
+
+
 failed = False
-for wid, entry in sorted(base.items()):
-    if wid not in live:
-        print(f"alloc gate: FAIL {wid}: missing from live report")
+baselines = sorted(base_dir.glob("*_allocs.json"))
+if not baselines:
+    print(f"alloc gate: FAIL no *_allocs.json baselines under {base_dir}")
+    failed = True
+for base_path in baselines:
+    live_path = live_dir / base_path.name
+    if not live_path.exists():
+        print(f"alloc gate: FAIL {base_path.name}: no live report at {live_path}")
         failed = True
         continue
-    got, want = live[wid]["allocs_per_frame"], entry["allocs_per_frame"]
-    verdict = "ok" if got <= want else "FAIL (regressed)"
-    failed |= got > want
-    print(f"alloc gate: {verdict} {wid}: {got:.4f} allocs/frame (baseline {want:.4f})")
+    live = load(live_path)
+    for wid, entry in sorted(load(base_path).items()):
+        name = f"{base_path.stem}/{wid}"
+        if wid not in live:
+            print(f"alloc gate: FAIL {name}: missing from live report")
+            failed = True
+            continue
+        got, want = live[wid]["allocs_per_frame"], entry["allocs_per_frame"]
+        verdict = "ok" if got <= want else "FAIL (regressed)"
+        failed |= got > want
+        print(f"alloc gate: {verdict} {name}: {got:.4f} allocs/frame (baseline {want:.4f})")
 
-hub = live.get("hub16/broadcast")
+hub_path = live_dir / "frame_delivery_allocs.json"
+hub = load(hub_path).get("hub16/broadcast") if hub_path.exists() else None
 if hub is None or hub["allocs_per_frame"] > HUB_CEILING:
     print(f"alloc gate: FAIL hub16/broadcast exceeds {HUB_CEILING} allocs/frame ceiling")
     failed = True

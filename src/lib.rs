@@ -16,7 +16,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`packet`] | `arpshield-packet` | Ethernet/ARP/IPv4/UDP/TCP/ICMP/DHCP codecs |
+//! | [`packet`] | `arpshield-packet` | Ethernet/ARP/IPv4/UDP/ICMP/DHCP codecs |
 //! | [`netsim`] | `arpshield-netsim` | discrete-event LAN: switch (CAM, mirroring, port security), hub, links |
 //! | [`crypto`] | `arpshield-crypto` | SHA-256, HMAC, Schnorr signatures, the S-ARP key distributor |
 //! | [`host`] | `arpshield-host` | end-host stacks: ARP cache + policies, resolver, DHCP, apps, hooks |

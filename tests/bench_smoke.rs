@@ -2,23 +2,20 @@
 //! in-tree harness must produce a `results/bench/*.json` artifact that
 //! parses and carries the statistics the perf trajectory consumes.
 
-use arpshield::packet::{ArpPacket, EtherType, EthernetFrame, Ipv4Addr, MacAddr};
+use arpshield::packet::{
+    ArpPacket, EtherType, EthernetEmit, EthernetView, Ipv4Addr, MacAddr, WireEmit,
+};
 use arpshield_testkit::{json, BenchConfig, Criterion, Throughput};
 
 #[test]
 fn one_iteration_bench_run_emits_parseable_json() {
-    let frame = EthernetFrame::new(
-        MacAddr::BROADCAST,
+    let arp = ArpPacket::request(
         MacAddr::from_index(1),
-        EtherType::ARP,
-        ArpPacket::request(
-            MacAddr::from_index(1),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-        )
-        .encode(),
-    )
-    .encode();
+        Ipv4Addr::new(10, 0, 0, 1),
+        Ipv4Addr::new(10, 0, 0, 2),
+    );
+    let frame = EthernetEmit::new(MacAddr::BROADCAST, MacAddr::from_index(1), EtherType::ARP, &arp)
+        .encode();
 
     // Exactly what `TESTKIT_BENCH_SMOKE=1 cargo bench` does per bench:
     // 1 iteration, 1 sample, no warmup.
@@ -28,8 +25,8 @@ fn one_iteration_bench_run_emits_parseable_json() {
         group.throughput(Throughput::Bytes(frame.len() as u64));
         group.bench_function("parse_eth_arp", |b| {
             b.iter(|| {
-                let eth = EthernetFrame::parse(&frame).unwrap();
-                ArpPacket::parse(&eth.payload).unwrap()
+                let eth = EthernetView::parse_strict(&frame).unwrap();
+                ArpPacket::parse(eth.payload()).unwrap()
             })
         });
         group.finish();

@@ -16,15 +16,18 @@ use std::sync::Arc;
 use arpshield::analysis::scenario::{AttackScenario, ScenarioConfig};
 use arpshield::attacks::PoisonVariant;
 use arpshield::netsim::SimTime;
-use arpshield::packet::{ArpOp, ArpPacket, EtherType, EthernetFrame, Ipv4Addr, MacAddr};
+use arpshield::packet::{ArpOp, ArpPacket, EtherType, EthernetEmit, Ipv4Addr, MacAddr, WireEmit};
 use arpshield::schemes::{Detector, SchemeKind};
 use arpshield::trace::pcapng::{self, PcapngStream, PcapngWriter};
 use arpshield::trace::{install, TraceCollector, Tracer};
 use arpshield_testkit::prelude::*;
 
-fn gratuitous(mac: MacAddr, ip: Ipv4Addr) -> EthernetFrame {
+/// A broadcast gratuitous ARP reply claiming `ip` for `mac`, optionally
+/// 802.1Q-tagged.
+fn gratuitous(mac: MacAddr, ip: Ipv4Addr, vlan: Option<u16>) -> Vec<u8> {
     let arp = ArpPacket::gratuitous(ArpOp::Reply, mac, ip);
-    EthernetFrame::new(MacAddr::BROADCAST, mac, EtherType::ARP, arp.encode())
+    EthernetEmit { vlan, ..EthernetEmit::new(MacAddr::BROADCAST, mac, EtherType::ARP, &arp) }
+        .encode()
 }
 
 /// Streams `capture` through a fresh detector of `kind`, feeding every
@@ -44,18 +47,8 @@ fn vlan_tagged_capture_detects_a_flip_through_the_tag() {
     let ip = Ipv4Addr::new(10, 0, 0, 7);
     let mut writer = PcapngWriter::new("fixture");
     let wire = writer.add_interface("wire");
-    writer.add_packet(
-        wire,
-        1_000,
-        &gratuitous(MacAddr::from_index(1), ip).with_vlan(42).encode(),
-        "",
-    );
-    writer.add_packet(
-        wire,
-        2_000,
-        &gratuitous(MacAddr::from_index(66), ip).with_vlan(42).encode(),
-        "",
-    );
+    writer.add_packet(wire, 1_000, &gratuitous(MacAddr::from_index(1), ip, Some(42)), "");
+    writer.add_packet(wire, 2_000, &gratuitous(MacAddr::from_index(66), ip, Some(42)), "");
     let (detector, warnings) = ingest_all(&writer.finish(), SchemeKind::Passive);
     assert!(warnings.is_empty());
     let stats = detector.stats();
@@ -75,11 +68,13 @@ fn jumbo_and_runt_frames_are_counted_not_fatal() {
     // A jumbo-payload ARP-carrying frame, a runt, then a normal flip:
     // the detector must survive the weird ones and still judge the
     // normal ones.
-    let mut jumbo = gratuitous(MacAddr::from_index(1), ip);
-    jumbo.payload.resize(4000, 0);
+    let mut body = ArpPacket::gratuitous(ArpOp::Reply, MacAddr::from_index(1), ip).encode();
+    body.resize(4000, 0);
+    let jumbo =
+        EthernetEmit::new(MacAddr::BROADCAST, MacAddr::from_index(1), EtherType::ARP, &body[..]);
     writer.add_packet(wire, 1_000, &jumbo.encode(), "");
     writer.add_packet(wire, 2_000, &[0xDE, 0xAD, 0xBE], "");
-    writer.add_packet(wire, 3_000, &gratuitous(MacAddr::from_index(66), ip).encode(), "");
+    writer.add_packet(wire, 3_000, &gratuitous(MacAddr::from_index(66), ip, None), "");
     let (detector, warnings) = ingest_all(&writer.finish(), SchemeKind::Passive);
     assert!(warnings.is_empty());
     let stats = detector.stats();
@@ -94,8 +89,8 @@ fn truncated_capture_keeps_complete_packets_and_warns() {
     let ip = Ipv4Addr::new(10, 0, 0, 9);
     let mut writer = PcapngWriter::new("fixture");
     let wire = writer.add_interface("wire");
-    writer.add_packet(wire, 1_000, &gratuitous(MacAddr::from_index(1), ip).encode(), "");
-    writer.add_packet(wire, 2_000, &gratuitous(MacAddr::from_index(66), ip).encode(), "");
+    writer.add_packet(wire, 1_000, &gratuitous(MacAddr::from_index(1), ip, None), "");
+    writer.add_packet(wire, 2_000, &gratuitous(MacAddr::from_index(66), ip, None), "");
     let full = writer.finish();
     // Cut mid-way through the final block, as a capture interrupted by
     // a crash or a full disk would be.
@@ -113,12 +108,12 @@ fn multi_section_capture_restarts_interface_numbering() {
     let ip = Ipv4Addr::new(10, 0, 0, 10);
     let mut first = PcapngWriter::new("day-one");
     let a = first.add_interface("alpha");
-    first.add_packet(a, 1_000, &gratuitous(MacAddr::from_index(1), ip).encode(), "");
+    first.add_packet(a, 1_000, &gratuitous(MacAddr::from_index(1), ip, None), "");
     let mut second = PcapngWriter::new("day-two");
     let b = second.add_interface("beta");
     // Local interface 0 again — in section two it must resolve to the
     // global "beta", not back to "alpha".
-    second.add_packet(b, 2_000, &gratuitous(MacAddr::from_index(66), ip).encode(), "");
+    second.add_packet(b, 2_000, &gratuitous(MacAddr::from_index(66), ip, None), "");
     let mut joined = first.finish();
     joined.extend_from_slice(&second.finish());
 
