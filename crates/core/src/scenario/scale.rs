@@ -481,7 +481,42 @@ pub fn build(config: ScaleConfig) -> ScaleLan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arpshield_netsim::hash::FastState;
     use arpshield_netsim::SimTime;
+    use std::hash::BuildHasher;
+
+    /// Distinct values of the low 17 bits (the bucket index of a table
+    /// near 100k entries) and of the top 7 bits (hashbrown's tag).
+    fn spread(hashes: impl Iterator<Item = u64>) -> (usize, usize) {
+        let (mut low, mut tags) = (vec![false; 1 << 17], [false; 128]);
+        for h in hashes {
+            low[(h & ((1 << 17) - 1)) as usize] = true;
+            tags[(h >> 57) as usize] = true;
+        }
+        (low.iter().filter(|&&b| b).count(), tags.iter().filter(|&&b| b).count())
+    }
+
+    /// The per-frame tables key the 100k fabric's sequential station
+    /// addresses by VLAN: the CAM on `(VlanId, MacAddr)`, DAI on
+    /// `(VlanId, Ipv4Addr)`. A random function puts 100,000 keys into
+    /// ~70k of 2^17 buckets; a hash that leaves its top bits unmixed,
+    /// like one returning the key itself, collapses the tags.
+    #[test]
+    fn fast_hash_spreads_the_fabric_keys() {
+        const N: usize = 100_000;
+        let vid = |i: usize| leaf_vid(i / LEAF_CAPACITY);
+        let state = FastState::new();
+        for (name, (low, tags)) in [
+            ("mac", spread((0..N).map(|i| state.hash_one((vid(i), station_mac(i)))))),
+            ("ip", spread((0..N).map(|i| state.hash_one((vid(i), station_ip(i)))))),
+        ] {
+            assert!(low >= 60_000, "{name}: low 17 bits take only {low} values");
+            assert_eq!(tags, 128, "{name}: top 7 bits hit only {tags} tags");
+        }
+        let identity =
+            spread((0..N).map(|i| (u64::from(vid(i)) << 32) | u64::from(station_ip(i).to_u32())));
+        assert!(identity.1 < 128, "the key itself must fail the tag check");
+    }
 
     #[test]
     fn stations_chat_and_the_gateway_answers() {

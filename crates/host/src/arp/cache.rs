@@ -1,8 +1,8 @@
 //! The ARP cache: the data structure the whole paper is about poisoning.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
+use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::SimTime;
 use arpshield_packet::{Ipv4Addr, MacAddr};
 
@@ -50,14 +50,14 @@ impl ArpEntry {
 /// displaced dynamically.
 #[derive(Debug, Clone)]
 pub struct ArpCache {
-    entries: HashMap<Ipv4Addr, ArpEntry>,
+    entries: FastMap<Ipv4Addr, ArpEntry>,
     timeout: Duration,
 }
 
 impl ArpCache {
     /// Creates a cache whose dynamic entries expire after `timeout`.
     pub fn new(timeout: Duration) -> Self {
-        ArpCache { entries: HashMap::new(), timeout }
+        ArpCache { entries: FastMap::default(), timeout }
     }
 
     /// The configured entry timeout.

@@ -1,8 +1,8 @@
 //! The pending-resolution queue: packets waiting for an ARP answer.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
+use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::SimTime;
 use arpshield_packet::{IpProtocol, Ipv4Addr};
 
@@ -37,14 +37,14 @@ pub(crate) enum RetryTick {
 /// Tracks outstanding ARP requests and the packets queued behind them.
 #[derive(Debug)]
 pub(crate) struct Resolver {
-    pending: HashMap<Ipv4Addr, Pending>,
+    pending: FastMap<Ipv4Addr, Pending>,
     pub policy: RetryPolicy,
     pub max_queue_per_ip: usize,
 }
 
 impl Resolver {
     pub fn new(policy: RetryPolicy) -> Self {
-        Resolver { pending: HashMap::new(), policy, max_queue_per_ip: 16 }
+        Resolver { pending: FastMap::default(), policy, max_queue_per_ip: 16 }
     }
 
     /// The delay before the first retransmission, armed alongside the

@@ -2,10 +2,10 @@
 //! exhaustibility DHCP starvation attacks.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
+use arpshield_netsim::hash::{FastMap, FastSet};
 use arpshield_netsim::SimTime;
 use arpshield_packet::{
     DhcpMessage, DhcpMessageType, Ipv4Addr, MacAddr, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
@@ -59,11 +59,11 @@ pub struct Lease {
 #[derive(Debug, Default)]
 pub struct DhcpServerState {
     /// Active leases by client hardware address.
-    pub leases: HashMap<MacAddr, Lease>,
+    pub leases: FastMap<MacAddr, Lease>,
     /// Reverse index of leased addresses.
-    pub by_ip: HashMap<Ipv4Addr, MacAddr>,
+    pub by_ip: FastMap<Ipv4Addr, MacAddr>,
     /// Outstanding offers by client hardware address.
-    pub offers: HashMap<MacAddr, Lease>,
+    pub offers: FastMap<MacAddr, Lease>,
     /// OFFERs sent.
     pub offers_sent: u64,
     /// ACKs sent.
@@ -139,7 +139,7 @@ impl DhcpServer {
                 return Some(offer.ip);
             }
         }
-        let offered: std::collections::HashSet<Ipv4Addr> =
+        let offered: FastSet<Ipv4Addr> =
             st.offers.values().filter(|o| o.expires > now).map(|o| o.ip).collect();
         (0..self.config.pool_size)
             .map(|i| Ipv4Addr::from_u32(self.config.pool_start.to_u32() + i))

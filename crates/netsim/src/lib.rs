@@ -42,6 +42,7 @@
 mod device;
 mod error;
 mod frame;
+pub mod hash;
 mod hub;
 mod impair;
 mod pool;
@@ -63,8 +64,8 @@ pub use rng::SimRng;
 pub use sim::{Simulator, WireStats};
 pub use standalone::StandaloneDriver;
 pub use switch::{
-    CamEntry, CamTable, FailMode, FrameInspector, InspectVerdict, PortSecurityConfig, PortVlan,
-    Switch, SwitchConfig, SwitchHandle, SwitchStats, ViolationAction, VlanId, VlanSet,
+    CamEntry, CamTable, FailMode, FrameInspector, InspectVerdict, LearnOutcome, PortSecurityConfig,
+    PortVlan, Switch, SwitchConfig, SwitchHandle, SwitchStats, ViolationAction, VlanId, VlanSet,
 };
 pub use time::SimTime;
 pub use trace::{Trace, TracedFrame};

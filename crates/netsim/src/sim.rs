@@ -37,11 +37,35 @@ pub struct WireStats {
 /// `Simulator::new(seed)` feeds them unrelated key material.
 const IMPAIR_SEED_SALT: u64 = 0x1A7E_0F1C_5EED_11D0;
 
-#[derive(Debug, Clone)]
-struct Endpoint {
-    peer: DeviceId,
+/// `Slot::peer` of a port with no link attached. [`Simulator::add_device`]
+/// never hands out this id, so it cannot name a real device.
+const NO_PEER: u32 = u32::MAX;
+
+/// `Slot::impaired` of a perfect wire, which keeps no side-table entry.
+const PERFECT_WIRE: u32 = u32::MAX;
+
+/// One direction of a link, holding only what every send reads (24
+/// bytes). Impairment state lives in a side table that a perfect wire
+/// never touches.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// One-way latency in nanoseconds.
+    latency_ns: u64,
+    /// Receiving device, or [`NO_PEER`].
+    peer: u32,
+    /// Index into `Simulator::impaired`, or [`PERFECT_WIRE`].
+    impaired: u32,
     peer_port: PortId,
-    latency: Duration,
+}
+
+impl Slot {
+    const UNLINKED: Slot =
+        Slot { latency_ns: 0, peer: NO_PEER, impaired: PERFECT_WIRE, peer_port: PortId(0) };
+}
+
+/// The state only an impaired link direction needs.
+#[derive(Debug, Clone)]
+struct ImpairedDirection {
     /// Impairment profile for this direction of the link.
     profile: LinkProfile,
     /// Stable identity of this direction, for keyed impairment draws.
@@ -85,7 +109,10 @@ pub struct Simulator {
     /// resolves a send with one add and one array index instead of a
     /// hash lookup per frame, and the single contiguous slab is what
     /// lets per-link state shard cleanly once simulations span threads.
-    links: Vec<Option<Endpoint>>,
+    links: Vec<Slot>,
+    /// Side table of impaired link directions, indexed by
+    /// `Slot::impaired`; perfect wires have no entry.
+    impaired: Vec<ImpairedDirection>,
     /// Cumulative port offsets into `links`, one entry per device plus
     /// a trailing sentinel, so `port_base.len() == devices.len() + 1`.
     port_base: Vec<u32>,
@@ -121,6 +148,7 @@ impl Simulator {
             started: false,
             devices: Vec::new(),
             links: Vec::new(),
+            impaired: Vec::new(),
             port_base: vec![0],
             queue: TimingWheel::new(),
             rng: SimRng::new(seed),
@@ -147,13 +175,20 @@ impl Simulator {
     }
 
     /// Attaches a device and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the 2^32-th device, or when the devices' ports together
+    /// pass 2^32 − 1: link slots address peers and ports in 32 bits.
     pub fn add_device(&mut self, device: Box<dyn Device>) -> DeviceId {
-        let id = DeviceId(self.devices.len());
+        let id = self.devices.len();
+        assert!(id < NO_PEER as usize, "device id space exhausted");
         let next = self.links.len() + device.port_count();
-        self.links.resize_with(next, || None);
-        self.port_base.push(next as u32);
+        let next_base = u32::try_from(next).expect("port slot space exhausted");
+        self.links.resize(next, Slot::UNLINKED);
+        self.port_base.push(next_base);
         self.devices.push(device);
-        id
+        DeviceId(id)
     }
 
     /// Connects two device ports with a full-duplex link of the given
@@ -203,30 +238,26 @@ impl Simulator {
             if usize::from(port.0) >= count {
                 return Err(NetsimError::BadPort { device: dev, port, count });
             }
-            if self.links[base + usize::from(port.0)].is_some() {
+            if self.links[base + usize::from(port.0)].peer != NO_PEER {
                 return Err(NetsimError::PortInUse { device: dev, port });
             }
         }
-        // Each direction gets a stable key derived from its sending
-        // endpoint — topology, not insertion order — so impairment draws
-        // survive any change in how links happen to be wired up.
-        let key = |dev: DeviceId, port: PortId| ((dev.0 as u64) << 16) | u64::from(port.0);
-        self.links[self.port_base[a.0] as usize + usize::from(a_port.0)] = Some(Endpoint {
-            peer: b,
-            peer_port: b_port,
-            latency,
-            profile,
-            key: key(a, a_port),
-            sent: 0,
-        });
-        self.links[self.port_base[b.0] as usize + usize::from(b_port.0)] = Some(Endpoint {
-            peer: a,
-            peer_port: a_port,
-            latency,
-            profile,
-            key: key(b, b_port),
-            sent: 0,
-        });
+        let latency_ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+        for (from, from_port, to, to_port) in [(a, a_port, b, b_port), (b, b_port, a, a_port)] {
+            let impaired = if profile.is_perfect() {
+                PERFECT_WIRE
+            } else {
+                // Each direction gets a stable key derived from its
+                // sending endpoint — topology, not insertion order — so
+                // impairment draws survive any change in how links
+                // happen to be wired up.
+                let key = ((from.0 as u64) << 16) | u64::from(from_port.0);
+                self.impaired.push(ImpairedDirection { profile, key, sent: 0 });
+                (self.impaired.len() - 1) as u32
+            };
+            self.links[self.port_base[from.0] as usize + usize::from(from_port.0)] =
+                Slot { latency_ns, peer: to.0 as u32, impaired, peer_port: to_port };
+        }
         Ok(())
     }
 
@@ -304,78 +335,22 @@ impl Simulator {
     fn apply_actions(&mut self, from: DeviceId, actions: &mut Vec<Action>) {
         for action in actions.drain(..) {
             match action {
-                Action::Send { port, bytes } => match {
+                Action::Send { port, bytes } => {
                     let slot = self.port_base[from.0] as usize + usize::from(port.0);
-                    let limit = self.port_base[from.0 + 1] as usize;
-                    if slot < limit {
-                        self.links[slot].as_mut()
+                    let link = if slot < self.port_base[from.0 + 1] as usize {
+                        self.links[slot]
                     } else {
-                        None
+                        Slot::UNLINKED
+                    };
+                    if link.peer == NO_PEER {
+                        self.stats.dropped_no_link += 1;
+                        continue;
                     }
-                } {
-                    Some(ep) => {
-                        let (peer, peer_port, latency, profile, key) =
-                            (ep.peer, ep.peer_port, ep.latency, ep.profile, ep.key);
-                        let index = ep.sent;
-                        ep.sent += 1;
-                        if profile.is_perfect() {
-                            let at = self.now + latency;
-                            self.push_event(
-                                at,
-                                EventKind::Deliver {
-                                    dst: peer,
-                                    port: peer_port,
-                                    bytes,
-                                    src: from,
-                                    src_port: port,
-                                    sent_at: self.now,
-                                    dup: false,
-                                },
-                            );
-                            continue;
-                        }
-                        let fate = impair::fate(&profile, self.impair_seed, key, index, self.now);
-                        if fate.lost {
-                            let flap_down =
-                                profile.flap.map(|f| f.is_down(self.now)).unwrap_or(false);
-                            let (category, kind) = if flap_down {
-                                self.stats.dropped_link_down += 1;
-                                ("wire.drop.link_down", FrameKind::DroppedLinkDown)
-                            } else {
-                                self.stats.dropped_lost += 1;
-                                ("wire.drop.lost", FrameKind::DroppedLost)
-                            };
-                            self.run_tracer.count(category, 1);
-                            // Capture the doomed octets, and cite both
-                            // them and (when the send happened inside a
-                            // delivery) the frame that caused the send.
-                            let cause = self.run_tracer.current_frame();
-                            let dropped = self.run_tracer.record_frame(
-                                self.now.as_nanos(),
-                                kind,
-                                &bytes,
-                                || {
-                                    (
-                                        format!("{}:{}", self.devices[from.0].name(), port.0),
-                                        format!("{}:{}", self.devices[peer.0].name(), peer_port.0),
-                                    )
-                                },
-                            );
-                            self.run_tracer.event_frames(self.now.as_nanos(), category, || {
-                                (
-                                    self.devices[from.0].name().to_string(),
-                                    format!("port={} frame_index={index}", port.0),
-                                    dropped.into_iter().chain(cause).collect(),
-                                )
-                            });
-                            continue;
-                        }
-                        let at = self.now + latency + fate.extra_delay;
-                        // The duplicate trails the original by one more
-                        // propagation delay, sharing its buffer.
-                        let dup = fate.duplicated.then(|| (at + latency, bytes.clone()));
+                    let (peer, peer_port) = (DeviceId(link.peer as usize), link.peer_port);
+                    if link.impaired == PERFECT_WIRE {
+                        let at = self.now.as_nanos().checked_add(link.latency_ns);
                         self.push_event(
-                            at,
+                            SimTime::from_nanos(at.expect("SimTime overflow")),
                             EventKind::Deliver {
                                 dst: peer,
                                 port: peer_port,
@@ -386,25 +361,76 @@ impl Simulator {
                                 dup: false,
                             },
                         );
-                        if let Some((dup_at, copy)) = dup {
-                            self.stats.duplicated += 1;
-                            self.run_tracer.count("wire.duplicated", 1);
-                            self.push_event(
-                                dup_at,
-                                EventKind::Deliver {
-                                    dst: peer,
-                                    port: peer_port,
-                                    bytes: copy,
-                                    src: from,
-                                    src_port: port,
-                                    sent_at: self.now,
-                                    dup: true,
-                                },
-                            );
-                        }
+                        continue;
                     }
-                    None => self.stats.dropped_no_link += 1,
-                },
+                    let direction = &mut self.impaired[link.impaired as usize];
+                    let (profile, key, index) = (direction.profile, direction.key, direction.sent);
+                    direction.sent += 1;
+                    let latency = Duration::from_nanos(link.latency_ns);
+                    let fate = impair::fate(&profile, self.impair_seed, key, index, self.now);
+                    if fate.lost {
+                        let flap_down = profile.flap.map(|f| f.is_down(self.now)).unwrap_or(false);
+                        let (category, kind) = if flap_down {
+                            self.stats.dropped_link_down += 1;
+                            ("wire.drop.link_down", FrameKind::DroppedLinkDown)
+                        } else {
+                            self.stats.dropped_lost += 1;
+                            ("wire.drop.lost", FrameKind::DroppedLost)
+                        };
+                        self.run_tracer.count(category, 1);
+                        // Capture the doomed octets, and cite both them
+                        // and (when the send happened inside a delivery)
+                        // the frame that caused the send.
+                        let cause = self.run_tracer.current_frame();
+                        let dropped =
+                            self.run_tracer.record_frame(self.now.as_nanos(), kind, &bytes, || {
+                                (
+                                    format!("{}:{}", self.devices[from.0].name(), port.0),
+                                    format!("{}:{}", self.devices[peer.0].name(), peer_port.0),
+                                )
+                            });
+                        self.run_tracer.event_frames(self.now.as_nanos(), category, || {
+                            (
+                                self.devices[from.0].name().to_string(),
+                                format!("port={} frame_index={index}", port.0),
+                                dropped.into_iter().chain(cause).collect(),
+                            )
+                        });
+                        continue;
+                    }
+                    let at = self.now + latency + fate.extra_delay;
+                    // The duplicate trails the original by one more
+                    // propagation delay, sharing its buffer.
+                    let dup = fate.duplicated.then(|| (at + latency, bytes.clone()));
+                    self.push_event(
+                        at,
+                        EventKind::Deliver {
+                            dst: peer,
+                            port: peer_port,
+                            bytes,
+                            src: from,
+                            src_port: port,
+                            sent_at: self.now,
+                            dup: false,
+                        },
+                    );
+                    if let Some((dup_at, copy)) = dup {
+                        self.stats.duplicated += 1;
+                        self.run_tracer.count("wire.duplicated", 1);
+                        self.push_event(
+                            dup_at,
+                            EventKind::Deliver {
+                                dst: peer,
+                                port: peer_port,
+                                bytes: copy,
+                                src: from,
+                                src_port: port,
+                                sent_at: self.now,
+                                dup: true,
+                            },
+                        );
+                    }
+                }
                 Action::Schedule { delay, token } => {
                     let at = self.now + delay;
                     self.push_event(at, EventKind::Timer { dst: from, token });
@@ -501,6 +527,9 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
     use crate::impair::FlapSchedule;
 
@@ -737,6 +766,91 @@ mod tests {
         });
         assert!(!inert.is_perfect(), "must exercise the impaired path");
         assert_eq!(run(None), run(Some(inert)));
+    }
+
+    #[test]
+    fn a_link_slot_fits_in_32_bytes() {
+        assert!(std::mem::size_of::<Slot>() <= 32, "{} bytes", std::mem::size_of::<Slot>());
+    }
+
+    /// Sends `count` numbered frames at start and logs which arrive.
+    struct Burst {
+        count: u8,
+        got: Rc<RefCell<Vec<u8>>>,
+    }
+
+    impl Device for Burst {
+        fn name(&self) -> &str {
+            "burst"
+        }
+        fn port_count(&self) -> usize {
+            1
+        }
+        fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
+            for i in 0..self.count {
+                ctx.send(PortId(0), vec![i; 60]);
+            }
+        }
+        fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, frame: &[u8]) {
+            self.got.borrow_mut().push(frame[0]);
+        }
+    }
+
+    /// Perfect and lossy links wired in alternation, each lossy link
+    /// with its own loss rate: every lossy direction must drop exactly
+    /// what it drops when it is the only link wired, and what its own
+    /// key and counter draw, so the side-table index each slot holds
+    /// names its own direction's profile, key and frame counter.
+    #[test]
+    fn interleaved_lossy_links_drop_as_they_do_alone() {
+        const PAIRS: usize = 8;
+        let profile = |pair: usize| (pair % 2 == 1).then(|| LinkProfile::lossy(pair as f64 / 10.0));
+        // Pair `p` joins devices 2p and 2p+1; `only` wires one pair and
+        // leaves the rest unconnected, so device ids and keys match.
+        let run = |only: Option<usize>| {
+            let mut sim = Simulator::new(5);
+            let logs: Vec<_> = (0..2 * PAIRS)
+                .map(|_| {
+                    let got = Rc::new(RefCell::new(Vec::new()));
+                    sim.add_device(Box::new(Burst { count: 64, got: Rc::clone(&got) }));
+                    got
+                })
+                .collect();
+            for pair in (0..PAIRS).filter(|&p| only.is_none_or(|o| o == p)) {
+                let (a, b) = (DeviceId(2 * pair), DeviceId(2 * pair + 1));
+                let latency = Duration::from_micros(10);
+                match profile(pair) {
+                    Some(p) => sim.connect_impaired(a, PortId(0), b, PortId(0), latency, p),
+                    None => sim.connect(a, PortId(0), b, PortId(0), latency),
+                }
+                .unwrap();
+            }
+            sim.run_until(SimTime::from_secs(1));
+            logs.iter().map(|got| got.borrow().clone()).collect::<Vec<_>>()
+        };
+        let together = run(None);
+        for pair in 0..PAIRS {
+            let ends = [2 * pair, 2 * pair + 1];
+            if profile(pair).is_none() {
+                assert!(ends.iter().all(|&d| together[d].len() == 64), "perfect pair {pair}");
+                continue;
+            }
+            let alone = run(Some(pair));
+            for (sender, d) in [(ends[1], ends[0]), (ends[0], ends[1])] {
+                assert!(together[d].len() < 64, "pair {pair} must lose frames");
+                assert_eq!(together[d], alone[d], "pair {pair}, device {d}");
+                // And what arrives is what the sender's own key and
+                // frame counter decide (all 64 sends happen at t = 0).
+                let (seed, key) = (5 ^ IMPAIR_SEED_SALT, (sender as u64) << 16);
+                let kept: Vec<u8> = (0..64u8)
+                    .filter(|&i| {
+                        !impair::fate(&profile(pair).unwrap(), seed, key, i.into(), SimTime::ZERO)
+                            .lost
+                    })
+                    .collect();
+                assert_eq!(together[d], kept, "pair {pair}, device {d}");
+            }
+        }
     }
 
     #[test]

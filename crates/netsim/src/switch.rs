@@ -3,7 +3,7 @@
 //! inspector (the hook the DAI scheme uses).
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -16,6 +16,7 @@ use arpshield_trace::Tracer;
 
 use crate::device::{Device, DeviceCtx, PortId};
 use crate::frame::Frame;
+use crate::hash::{FastMap, FastSet};
 use crate::time::SimTime;
 
 /// An 802.1Q VLAN identifier (12 significant bits).
@@ -85,9 +86,14 @@ pub struct CamEntry {
 /// VID 0, matching a switch with no VLAN configuration.
 #[derive(Debug, Clone)]
 pub struct CamTable {
-    entries: HashMap<(VlanId, MacAddr), CamEntry>,
+    entries: FastMap<(VlanId, MacAddr), CamEntry>,
     capacity: usize,
     aging: Duration,
+    /// A lower bound on every entry's `last_seen`. While `now` is within
+    /// `aging` of it no entry can be stale, so [`sweep`](CamTable::sweep)
+    /// answers 0 without walking the table — the check every learn into
+    /// a full table makes.
+    floor: SimTime,
 }
 
 /// Result of a learning attempt.
@@ -110,7 +116,7 @@ pub enum LearnOutcome {
 impl CamTable {
     /// Creates a table with the given capacity and aging interval.
     pub fn new(capacity: usize, aging: Duration) -> Self {
-        CamTable { entries: HashMap::new(), capacity, aging }
+        CamTable { entries: FastMap::default(), capacity, aging, floor: SimTime::MAX }
     }
 
     /// Attempts to learn or refresh `mac` on `port` at time `now`, in the
@@ -127,6 +133,7 @@ impl CamTable {
         mac: MacAddr,
         port: PortId,
     ) -> LearnOutcome {
+        self.floor = self.floor.min(now);
         if let Some(entry) = self.entries.get_mut(&(vid, mac)) {
             entry.last_seen = now;
             if entry.port == port {
@@ -162,10 +169,25 @@ impl CamTable {
 
     /// Evicts entries idle longer than the aging interval; returns how many
     /// were removed.
+    ///
+    /// Walks the table only when the floor says an entry may be stale,
+    /// and then tightens the floor to the oldest survivor (or to `now`
+    /// once the table is empty).
     pub fn sweep(&mut self, now: SimTime) -> usize {
         let aging = self.aging;
+        if now.saturating_since(self.floor) < aging {
+            return 0;
+        }
         let before = self.entries.len();
-        self.entries.retain(|_, e| now.saturating_since(e.last_seen) < aging);
+        let mut oldest = now;
+        self.entries.retain(|_, e| {
+            let fresh = now.saturating_since(e.last_seen) < aging;
+            if fresh {
+                oldest = oldest.min(e.last_seen);
+            }
+            fresh
+        });
+        self.floor = oldest;
         before - self.entries.len()
     }
 
@@ -279,7 +301,7 @@ pub struct SwitchStats {
     /// Times a learn attempt found the table full.
     pub cam_full_events: u64,
     /// Ports currently err-disabled by port security.
-    pub shutdown_ports: HashSet<PortId>,
+    pub shutdown_ports: FastSet<PortId>,
     /// Port-security violations observed.
     pub security_violations: u64,
 }
@@ -343,7 +365,7 @@ pub struct Switch {
     config: SwitchConfig,
     cam: Rc<RefCell<CamTable>>,
     stats: Rc<RefCell<SwitchStats>>,
-    per_port_macs: HashMap<PortId, HashSet<MacAddr>>,
+    per_port_macs: FastMap<PortId, FastSet<MacAddr>>,
     inspector: Option<Box<dyn FrameInspector>>,
     tracer: Tracer,
 }
@@ -441,7 +463,7 @@ impl Switch {
                 config,
                 cam,
                 stats,
-                per_port_macs: HashMap::new(),
+                per_port_macs: FastMap::default(),
                 inspector: None,
                 tracer: Tracer::disabled(),
             },

@@ -1,6 +1,7 @@
 //! 48-bit IEEE 802 MAC addresses.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 use crate::error::ParseError;
@@ -18,8 +19,18 @@ use crate::error::ParseError;
 /// assert!(mac.is_locally_administered());
 /// assert!(!mac.is_multicast());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct MacAddr([u8; 6]);
+
+/// Hashes as one zero-extended little-endian `u64`, not as a
+/// length-prefixed byte slice: the CAM and the detectors key tables on
+/// addresses every frame, and a single word is one hasher step.
+impl Hash for MacAddr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b, c, d, e, f] = self.0;
+        state.write_u64(u64::from_le_bytes([a, b, c, d, e, f, 0, 0]));
+    }
+}
 
 impl MacAddr {
     /// The all-ones broadcast address `ff:ff:ff:ff:ff:ff`.
@@ -156,6 +167,15 @@ impl FromStr for MacAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hashes_as_one_word() {
+        use std::collections::hash_map::DefaultHasher;
+        let (mut mac, mut word) = (DefaultHasher::new(), DefaultHasher::new());
+        MacAddr::new([1, 2, 3, 4, 5, 6]).hash(&mut mac);
+        word.write_u64(0x0000_0605_0403_0201);
+        assert_eq!(mac.finish(), word.finish());
+    }
 
     #[test]
     fn display_roundtrip() {

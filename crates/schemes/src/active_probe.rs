@@ -1,8 +1,8 @@
 //! XArp/ArpON-style active verification: probe suspicious claims.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
+use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId, SimTime};
 use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetView, Ipv4Addr, MacAddr};
 
@@ -91,9 +91,9 @@ struct ProbeState {
 pub struct ActiveProbeMonitor {
     config: ActiveProbeConfig,
     log: AlertLog,
-    db: HashMap<Ipv4Addr, MacAddr>,
-    last_verified: HashMap<Ipv4Addr, SimTime>,
-    pending: HashMap<Ipv4Addr, ProbeState>,
+    db: FastMap<Ipv4Addr, MacAddr>,
+    last_verified: FastMap<Ipv4Addr, SimTime>,
+    pending: FastMap<Ipv4Addr, ProbeState>,
     /// Probes emitted.
     pub probes_sent: u64,
     /// ARP packets inspected.
@@ -106,9 +106,9 @@ impl ActiveProbeMonitor {
         ActiveProbeMonitor {
             config,
             log,
-            db: HashMap::new(),
-            last_verified: HashMap::new(),
-            pending: HashMap::new(),
+            db: FastMap::default(),
+            last_verified: FastMap::default(),
+            pending: FastMap::default(),
             probes_sent: 0,
             inspected: 0,
         }

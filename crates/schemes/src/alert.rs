@@ -1,9 +1,9 @@
 //! The shared alert log every scheme reports into.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
+use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::SimTime;
 use arpshield_packet::{Ipv4Addr, MacAddr};
 use arpshield_trace::profile;
@@ -88,7 +88,7 @@ fn verdict_counter(kind: AlertKind) -> &'static str {
 #[derive(Debug, Default)]
 struct Inner {
     alerts: Vec<Alert>,
-    work: HashMap<&'static str, u64>,
+    work: FastMap<&'static str, u64>,
     tracer: Tracer,
 }
 

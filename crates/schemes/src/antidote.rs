@@ -1,9 +1,9 @@
 //! The kernel-hardening hooks: Anticap and Antidote.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use arpshield_host::{ArpVerdict, HostApi, HostHook};
+use arpshield_netsim::hash::FastMap;
 use arpshield_packet::{ArpOp, ArpPacket, Ipv4Addr, MacAddr};
 
 use crate::alert::{Alert, AlertKind, AlertLog};
@@ -80,7 +80,7 @@ struct Takeover {
 pub struct AntidoteHook {
     log: AlertLog,
     /// Candidate rebinding per IP: the MAC that wants to take over.
-    pending: HashMap<Ipv4Addr, Takeover>,
+    pending: FastMap<Ipv4Addr, Takeover>,
     /// Extra incumbent probes per takeover attempt. 0 reproduces the
     /// classic single-probe patch; lossy links want more, since a lost
     /// probe otherwise hands the binding to the challenger.
@@ -92,7 +92,7 @@ pub struct AntidoteHook {
 impl AntidoteHook {
     /// Creates the hook, reporting rejections into `log`.
     pub fn new(log: AlertLog) -> Self {
-        AntidoteHook { log, pending: HashMap::new(), probe_retries: 0, rejections: 0 }
+        AntidoteHook { log, pending: FastMap::default(), probe_retries: 0, rejections: 0 }
     }
 
     /// Enables incumbent-probe re-issue on silent windows (for lossy

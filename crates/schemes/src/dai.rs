@@ -8,9 +8,9 @@
 //! bindings the switch can learn (DHCP leases or static entries).
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
+use arpshield_netsim::hash::{FastMap, FastSet};
 use arpshield_netsim::{FrameInspector, InspectVerdict, PortId, SimTime, VlanId};
 use arpshield_packet::{
     ArpPacket, DhcpMessage, DhcpMessageType, EtherType, EthernetView, IpProtocol, Ipv4Addr,
@@ -27,7 +27,7 @@ const SCHEME: &str = "dai";
 #[derive(Debug, Clone)]
 pub struct DaiConfig {
     /// Ports exempt from validation (uplinks, the DHCP server port).
-    pub trusted_ports: HashSet<PortId>,
+    pub trusted_ports: FastSet<PortId>,
     /// Statically configured `(vlan, ip, mac)` bindings for non-DHCP
     /// hosts. VID 0 is the untagged domain of a VLAN-unaware switch.
     pub static_bindings: Vec<(VlanId, Ipv4Addr, MacAddr)>,
@@ -70,7 +70,7 @@ pub struct DaiInspector {
     /// Bindings keyed per VLAN: a lease snooped on VLAN A says nothing
     /// about VLAN B, exactly as on real hardware where the snooping
     /// database is `(vlan, ip) -> mac`.
-    bindings: Rc<RefCell<HashMap<(VlanId, Ipv4Addr), MacAddr>>>,
+    bindings: Rc<RefCell<FastMap<(VlanId, Ipv4Addr), MacAddr>>>,
     /// Leases learned by snooping.
     pub snooped: u64,
     /// Frames denied.
@@ -79,9 +79,15 @@ pub struct DaiInspector {
 
 impl DaiInspector {
     /// Creates an inspector reporting into `log`.
-    pub fn new(config: DaiConfig, log: AlertLog) -> Self {
-        let bindings: HashMap<(VlanId, Ipv4Addr), MacAddr> =
-            config.static_bindings.iter().map(|&(vlan, ip, mac)| ((vlan, ip), mac)).collect();
+    ///
+    /// The static bindings move into the live table; the config keeps
+    /// no second copy of them.
+    pub fn new(mut config: DaiConfig, log: AlertLog) -> Self {
+        let bindings: FastMap<(VlanId, Ipv4Addr), MacAddr> =
+            std::mem::take(&mut config.static_bindings)
+                .into_iter()
+                .map(|(vlan, ip, mac)| ((vlan, ip), mac))
+                .collect();
         DaiInspector {
             config,
             log,
@@ -92,7 +98,7 @@ impl DaiInspector {
     }
 
     /// A shared handle onto the live `(vlan, ip) -> mac` binding table.
-    pub fn table(&self) -> Rc<RefCell<HashMap<(VlanId, Ipv4Addr), MacAddr>>> {
+    pub fn table(&self) -> Rc<RefCell<FastMap<(VlanId, Ipv4Addr), MacAddr>>> {
         Rc::clone(&self.bindings)
     }
 

@@ -1,7 +1,6 @@
 //! The arpwatch-style passive monitor.
 
-use std::collections::HashMap;
-
+use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::{Device, DeviceCtx, PortId, SimTime};
 use arpshield_packet::{ArpPacket, EtherType, EthernetView, Ipv4Addr, MacAddr};
 
@@ -51,8 +50,8 @@ struct Binding {
 pub struct PassiveMonitor {
     config: PassiveConfig,
     log: AlertLog,
-    db: HashMap<Ipv4Addr, Binding>,
-    last_alert: HashMap<(Ipv4Addr, MacAddr), SimTime>,
+    db: FastMap<Ipv4Addr, Binding>,
+    last_alert: FastMap<(Ipv4Addr, MacAddr), SimTime>,
     /// ARP packets inspected.
     pub inspected: u64,
 }
@@ -60,7 +59,13 @@ pub struct PassiveMonitor {
 impl PassiveMonitor {
     /// Creates a monitor reporting into `log`.
     pub fn new(config: PassiveConfig, log: AlertLog) -> Self {
-        PassiveMonitor { config, log, db: HashMap::new(), last_alert: HashMap::new(), inspected: 0 }
+        PassiveMonitor {
+            config,
+            log,
+            db: FastMap::default(),
+            last_alert: FastMap::default(),
+            inspected: 0,
+        }
     }
 
     /// Number of stations currently in the database.

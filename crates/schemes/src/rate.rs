@@ -22,9 +22,10 @@
 //! thus costs one entry, not one per ACK.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
+use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::{Device, DeviceCtx, PortId, SimTime};
 use arpshield_packet::{
     DhcpMessage, DhcpMessageType, EtherType, EthernetView, IpProtocol, Ipv4Packet, MacAddr,
@@ -76,7 +77,7 @@ pub struct RateMonitor {
     mac_events: VecDeque<(SimTime, MacAddr)>,
     /// Entries per source in `mac_events`; its size is the window's
     /// distinct-source count.
-    mac_counts: HashMap<MacAddr, u32>,
+    mac_counts: FastMap<MacAddr, u32>,
     discover_events: VecDeque<SimTime>,
     arp_request_events: VecDeque<SimTime>,
     last_alert: [Option<SimTime>; 3],
@@ -91,7 +92,7 @@ impl RateMonitor {
             config,
             log,
             mac_events: VecDeque::new(),
-            mac_counts: HashMap::new(),
+            mac_counts: FastMap::default(),
             discover_events: VecDeque::new(),
             arp_request_events: VecDeque::new(),
             last_alert: [None; 3],

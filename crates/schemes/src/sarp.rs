@@ -16,13 +16,13 @@
 //!   cost the analysis charges it.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
 use arpshield_crypto::{Akd, KeyPair, PublicKey, Signature, SIGNATURE_LEN};
 use arpshield_host::apps::App;
 use arpshield_host::{ArpVerdict, FrameVerdict, HostApi, HostHook};
+use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::{eth_frame, Frame};
 use arpshield_packet::{
     ArpOp, ArpPacket, EtherType, EthernetView, IpProtocol, Ipv4Addr, Ipv4Packet, MacAddr,
@@ -102,11 +102,11 @@ pub const DEFAULT_UNIT_COST: Duration = Duration::from_micros(1);
 pub struct SArpHook {
     config: SArpConfig,
     log: AlertLog,
-    key_cache: HashMap<Ipv4Addr, PublicKey>,
+    key_cache: FastMap<Ipv4Addr, PublicKey>,
     /// Signed claims parked while their key is fetched.
-    pending: HashMap<Ipv4Addr, Vec<Vec<u8>>>,
+    pending: FastMap<Ipv4Addr, Vec<Vec<u8>>>,
     /// Key-fetch retries still available per outstanding lookup.
-    key_retries: HashMap<Ipv4Addr, u32>,
+    key_retries: FastMap<Ipv4Addr, u32>,
     /// Signed replies waiting out their signing delay.
     outbox: std::collections::VecDeque<Frame>,
     /// Verified bindings waiting out their verification delay.
@@ -132,9 +132,9 @@ impl SArpHook {
         SArpHook {
             config,
             log,
-            key_cache: HashMap::new(),
-            pending: HashMap::new(),
-            key_retries: HashMap::new(),
+            key_cache: FastMap::default(),
+            pending: FastMap::default(),
+            key_retries: FastMap::default(),
             outbox: std::collections::VecDeque::new(),
             verify_queue: std::collections::VecDeque::new(),
             signed_replies_sent: 0,

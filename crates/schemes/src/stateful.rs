@@ -16,9 +16,9 @@
 //! entry never turns live again. A new request for the same pair
 //! overwrites it whether or not it was swept.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
+use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::{Device, DeviceCtx, PortId, SimTime};
 use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetView, Ipv4Addr, MacAddr};
 
@@ -68,10 +68,10 @@ pub struct StatefulMonitor {
     config: StatefulConfig,
     log: AlertLog,
     /// Requests seen: (requester ip, target ip) -> when last asked.
-    outstanding: HashMap<(Ipv4Addr, Ipv4Addr), SimTime>,
+    outstanding: FastMap<(Ipv4Addr, Ipv4Addr), SimTime>,
     /// Earliest time the next sweep of stale requests may run.
     next_sweep: SimTime,
-    bindings: HashMap<Ipv4Addr, MacAddr>,
+    bindings: FastMap<Ipv4Addr, MacAddr>,
     /// ARP packets inspected.
     pub inspected: u64,
 }
@@ -82,9 +82,9 @@ impl StatefulMonitor {
         StatefulMonitor {
             config,
             log,
-            outstanding: HashMap::new(),
+            outstanding: FastMap::default(),
             next_sweep: SimTime::ZERO,
-            bindings: HashMap::new(),
+            bindings: FastMap::default(),
             inspected: 0,
         }
     }

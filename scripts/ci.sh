@@ -10,7 +10,8 @@
 # rendering), a `--capture` smoke (pcapng + index emission, forensic
 # `inspect` timeline with verdict provenance), an `ingest` smoke
 # (capture re-ingest through the standalone detector, checking live vs
-# re-ingested verdict-counter parity), and a one-iteration smoke run of
+# re-ingested verdict-counter parity), a re-derivation of the committed
+# t6s/t6sd rows at 1k-10k hosts, and a one-iteration smoke run of
 # every bench (which also exercises the results/bench/*.json emission
 # path).
 set -euo pipefail
@@ -167,6 +168,18 @@ ingest_verdicts="$(awk -F',' '/detector=passive/ && /scheme\.verdict\./ {sum+=$N
 test "$live_verdicts" -gt 0
 test "$live_verdicts" = "$ingest_verdicts"
 rm -rf "$ingest_out"
+
+echo "==> reproduce t6s --defend rows (re-derive the committed sweep's first rows)"
+t6s_rows="$(mktemp -d)"
+# The committed results/t6s*_*.csv come from the full 1k-100k sweep.
+# Its first four sizes run in about a second; each of the six series
+# must reproduce the committed header and first four rows byte for byte.
+ARPSHIELD_T6S_HOSTS=1000,2000,5000,10000 \
+    ./target/release/reproduce t6s --defend --out "$t6s_rows" >/dev/null 2>&1
+for series in t6s_0 t6s_1 t6sd_0 t6sd_1 t6sd_2 t6sd_3; do
+    head -n 5 "results/$series.csv" | cmp - "$t6s_rows/$series.csv"
+done
+rm -rf "$t6s_rows"
 
 echo "==> TESTKIT_BENCH_SMOKE=1 cargo bench --workspace --offline"
 TESTKIT_BENCH_SMOKE=1 cargo bench --workspace --offline
