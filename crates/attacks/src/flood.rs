@@ -131,6 +131,9 @@ impl Device for MacFlooder {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
     use arpshield_netsim::{SimTime, Simulator, Switch, SwitchConfig};
     use arpshield_packet::EthernetView;
@@ -165,22 +168,22 @@ mod tests {
 
     #[test]
     fn random_macs_are_unicast() {
-        let mut sim = Simulator::new(1);
-        struct Probe;
-        impl Device for Probe {
+        /// Logs the source address of every frame it receives.
+        struct Tap(Rc<RefCell<Vec<MacAddr>>>);
+        impl Device for Tap {
             fn name(&self) -> &str {
-                "p"
+                "tap"
             }
             fn port_count(&self) -> usize {
-                0
+                1
             }
-            fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, _: &[u8]) {}
+            fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, frame: &[u8]) {
+                self.0.borrow_mut().push(EthernetView::parse_strict(frame).unwrap().src());
+            }
         }
-        sim.add_device(Box::new(Probe));
-        // Exercise the generator through a context.
-        // (Indirect: run a flooder and inspect trace sources.)
-        let (sw, _) = Switch::new("sw", SwitchConfig { ports: 2, ..Default::default() });
-        let sw = sim.add_device(Box::new(sw));
+        let mut sim = Simulator::new(1);
+        let sources = Rc::new(RefCell::new(Vec::new()));
+        let tap = sim.add_device(Box::new(Tap(Rc::clone(&sources))));
         let f = sim.add_device(Box::new(MacFlooder::new(
             MacFlooderConfig {
                 attacker_mac: MacAddr::from_index(1),
@@ -191,15 +194,13 @@ mod tests {
             },
             GroundTruth::new(),
         )));
-        sim.connect(f, PortId(0), sw, PortId(0), Duration::from_micros(1)).unwrap();
-        sim.enable_trace();
+        sim.connect(f, PortId(0), tap, PortId(0), Duration::from_micros(1)).unwrap();
         sim.run_until(SimTime::from_secs(1));
-        let trace = sim.trace().unwrap();
-        assert!(!trace.is_empty());
-        for frame in trace.frames() {
-            let eth = EthernetView::parse_strict(&frame.bytes).unwrap();
-            assert!(eth.src().is_unicast());
-            assert!(eth.src().is_locally_administered());
+        let sources = sources.borrow();
+        assert_eq!(sources.len(), 32);
+        for src in sources.iter() {
+            assert!(src.is_unicast());
+            assert!(src.is_locally_administered());
         }
     }
 }

@@ -158,7 +158,7 @@ fn scan_run(seed: u64, scheme: SchemeKind) -> DosRun {
         sim.connect(h, PortId(0), sw, PortId(station_port), Duration::from_micros(5)).unwrap();
         station_port += 1;
     }
-    let scanner = ArpScanner::new(
+    let (scanner, scan) = ArpScanner::new(
         ArpScannerConfig {
             attacker_mac: MacAddr::from_index(66),
             source_ip: Ipv4Addr::new(10, 0, 0, 60),
@@ -168,29 +168,11 @@ fn scan_run(seed: u64, scheme: SchemeKind) -> DosRun {
         },
         GroundTruth::new(),
     );
-    let scanner_discoveries = {
-        // Run with the scanner boxed; read discoveries through the trace
-        // instead: count distinct repliers addressed to the scanner.
-        let s = sim.add_device(Box::new(scanner));
-        sim.connect(s, PortId(0), sw, PortId(station_port), Duration::from_micros(5)).unwrap();
-        sim.enable_trace();
-        sim.run_until(SimTime::from_secs(3));
-        let trace = sim.trace().unwrap();
-        let mut repliers = std::collections::HashSet::new();
-        for f in trace.received_by(s) {
-            if let Ok(eth) = arpshield_packet::EthernetView::parse_strict(&f.bytes) {
-                if eth.ethertype() == arpshield_packet::EtherType::ARP {
-                    if let Ok(arp) = arpshield_packet::ArpPacket::parse(eth.payload()) {
-                        if arp.op == arpshield_packet::ArpOp::Reply {
-                            repliers.insert(arp.sender_mac);
-                        }
-                    }
-                }
-            }
-        }
-        repliers.len()
-    };
-    DosRun { contained: scanner_discoveries == 0, detected: !alerts.is_empty() }
+    let s = sim.add_device(Box::new(scanner));
+    sim.connect(s, PortId(0), sw, PortId(station_port), Duration::from_micros(5)).unwrap();
+    sim.run_until(SimTime::from_secs(3));
+    let contained = scan.borrow().discovered.is_empty();
+    DosRun { contained, detected: !alerts.is_empty() }
 }
 
 fn cell(run: DosRun) -> String {

@@ -82,7 +82,7 @@ impl AttackScenario {
     pub fn run(self) -> CompletedRun {
         let config = self.config;
         let mut lan = build(config);
-        lan.tracer.annotate("attack", &self.spec.label());
+        lan.sim.tracer().annotate("attack", &self.spec.label());
 
         // Sampler watching the victim's binding of the gateway.
         let watch = Watch {

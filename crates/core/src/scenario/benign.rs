@@ -74,7 +74,7 @@ impl BenignScenario {
     /// Builds, injects churn, runs, and counts false positives.
     pub fn run(self) -> BenignRun {
         let mut lan = build(self.config);
-        lan.tracer.annotate("workload", "benign-churn");
+        lan.sim.tracer().annotate("workload", "benign-churn");
 
         // A DHCP server joins the gateway's port-adjacent world: a second
         // infrastructure host on its own port (the standard LAN's gateway

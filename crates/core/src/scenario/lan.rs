@@ -187,9 +187,6 @@ pub struct BuiltLan {
     pub truth: GroundTruth,
     /// The monitor fan-out hub (present for monitor-based schemes).
     pub monitor_hub: Option<DeviceId>,
-    /// The run's tracer (disabled unless a trace collector is
-    /// installed); scenario wrappers annotate it with their labels.
-    pub tracer: Tracer,
     next_free_port: u16,
     next_hub_port: u16,
     config: ScenarioConfig,
@@ -274,7 +271,9 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
     // One recorder per run, labelled with the full parameter tuple so
     // cells that share a seed across policies/schemes stay distinct in
     // the manifest. Disabled (and allocation-free from here on) unless
-    // the caller installed a trace collector.
+    // the caller installed a trace collector. The simulator owns it and
+    // hands it to every device; scenario wrappers annotate it through
+    // `sim.tracer()`.
     let tracer = Tracer::for_current_run(format!(
         "scheme={} policy={:?} hosts={} seed={} duration_ms={}",
         config.scheme,
@@ -323,7 +322,6 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
     };
     let mut sim = Simulator::new(config.seed);
     sim.set_default_impairment(config.impairment);
-    sim.set_tracer(tracer.clone());
     // Anchor every timeline with the wiring facts an inspector needs
     // to read the frame endpoints that follow.
     tracer.event(0, "scenario.topology", || {
@@ -335,8 +333,8 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
             ),
         )
     });
+    sim.set_tracer(tracer);
     let (mut switch, switch_handle) = Switch::new("sw", switch_config);
-    switch.set_tracer(tracer.clone());
     if let Some(inspector) = installation.inspector {
         switch.set_inspector(inspector);
     }
@@ -359,7 +357,6 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
     // --- Gateway (port 0) ---
     let (mut gateway, gateway_handle) =
         Host::new(host_config("gw".into(), addr::gateway_mac(), addr::GATEWAY_IP));
-    gateway.set_tracer(tracer.clone());
     add_agent(&mut gateway, addr::GATEWAY_IP, addr::gateway_mac());
     let gw_id = sim.add_device(Box::new(gateway));
     sim.connect(gw_id, PortId(0), switch_id, PortId(0), Duration::from_micros(5)).unwrap();
@@ -370,7 +367,6 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
     for i in 0..config.n_hosts {
         let ip = addr::host_ip(i);
         let (mut host, handle) = Host::new(host_config(format!("h{i}"), addr::host_mac(i), ip));
-        host.set_tracer(tracer.clone());
         add_agent(&mut host, ip, addr::host_mac(i));
         let (ping, ping_stats) = PingApp::new(addr::GATEWAY_IP, config.ping_interval);
         host.add_app(Box::new(ping));
@@ -390,7 +386,6 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
                 .with_arp_timeout(config.arp_timeout)
                 .with_resolver_retry(config.resolver_retry),
         );
-        aux_host.set_tracer(tracer.clone());
         for hook in aux.hooks {
             aux_host.add_hook(hook);
         }
@@ -415,9 +410,7 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
     let mut monitor_hub = None;
     let mut next_hub_port = 0u16;
     if needs_monitor {
-        let mut hub = Hub::new("monitor-hub", 6);
-        hub.set_tracer(tracer.clone());
-        let hub_id = sim.add_device(Box::new(hub));
+        let hub_id = sim.add_device(Box::new(Hub::new("monitor-hub", 6)));
         sim.connect(hub_id, PortId(0), switch_id, PortId(mirror_port), Duration::from_micros(2))
             .unwrap();
         monitor_hub = Some(hub_id);
@@ -440,7 +433,6 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
         alerts,
         truth,
         monitor_hub,
-        tracer,
         next_free_port,
         next_hub_port,
         config,

@@ -53,6 +53,16 @@ pub const LEAF_CAPACITY: usize = 1024;
 /// First access VLAN id; leaf `l` is VLAN `FIRST_VID + l`.
 const FIRST_VID: VlanId = 10;
 
+/// Per-station gateway-refresh period.
+const CHAT_PERIOD: Duration = Duration::from_secs(2);
+/// Stations that cycle DHCP leases: a fixed, small set, so the global
+/// broadcast rate does not grow with the station count.
+const CHURNERS: usize = 8;
+/// Per-churner lease-turnover period.
+const CHURN_PERIOD: Duration = Duration::from_secs(1);
+/// Per-spoofer forge period.
+const SPOOF_PERIOD: Duration = Duration::from_secs(1);
+
 const CHAT_TOKEN: u64 = 1;
 const CHURN_TOKEN: u64 = 2;
 const SPOOF_TOKEN: u64 = 3;
@@ -120,39 +130,27 @@ pub struct ScaleConfig {
     pub n_hosts: usize,
     /// Simulated run length (timers stagger across it).
     pub duration: Duration,
-    /// Per-station gateway-refresh period.
-    pub chat_period: Duration,
-    /// Stations that cycle DHCP leases — a fixed, small set so the
-    /// global broadcast rate is independent of `n_hosts`.
-    pub churners: usize,
-    /// Per-churner lease-turnover period.
-    pub churn_period: Duration,
     /// Fabric variant (flat legacy domain or per-leaf VLANs).
     pub fabric: Fabric,
-    /// Stations that forge the gateway's binding — poison attempts for
-    /// the defended sweep. Fixed and small, like `churners`, so the
-    /// attack rate does not scale with the LAN. The last `spoofers`
-    /// station indices are used, keeping them disjoint from churners.
+    /// Stations that forge the gateway's binding once a second — poison
+    /// attempts for the defended sweep. Fixed and small, like the
+    /// churners, so the attack rate does not scale with the LAN. The
+    /// last `spoofers` station indices are used, keeping them disjoint
+    /// from the churners (the first eight).
     pub spoofers: usize,
-    /// Per-spoofer forge period.
-    pub spoof_period: Duration,
 }
 
 impl ScaleConfig {
-    /// Defaults: 2 s refresh per station, 8 churners renewing once a
-    /// second, over a 10 s run, on the flat legacy fabric with no
-    /// spoofers.
+    /// Defaults: a 10 s run on the flat legacy fabric with no spoofers.
+    /// Every station refreshes its gateway entry every 2 s, and the
+    /// first eight renew a lease once a second.
     pub fn new(seed: u64, n_hosts: usize) -> Self {
         ScaleConfig {
             seed,
             n_hosts,
             duration: Duration::from_secs(10),
-            chat_period: Duration::from_secs(2),
-            churners: 8.min(n_hosts),
-            churn_period: Duration::from_secs(1),
             fabric: Fabric::Flat,
             spoofers: 0,
-            spoof_period: Duration::from_secs(1),
         }
     }
 
@@ -204,10 +202,11 @@ struct ScaleHost {
     name: String,
     mac: MacAddr,
     ip: Ipv4Addr,
-    chat_period: Duration,
     chat_phase: Duration,
-    churn: Option<(Duration, Duration)>,
-    spoof: Option<(Duration, Duration)>,
+    /// First lease renewal, for a churner.
+    churn_phase: Option<Duration>,
+    /// First forgery, for a spoofer.
+    spoof_phase: Option<Duration>,
 }
 
 impl Device for ScaleHost {
@@ -219,10 +218,10 @@ impl Device for ScaleHost {
     }
     fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
         ctx.schedule_in(self.chat_phase, CHAT_TOKEN);
-        if let Some((_, phase)) = self.churn {
+        if let Some(phase) = self.churn_phase {
             ctx.schedule_in(phase, CHURN_TOKEN);
         }
-        if let Some((_, phase)) = self.spoof {
+        if let Some(phase) = self.spoof_phase {
             ctx.schedule_in(phase, SPOOF_TOKEN);
         }
     }
@@ -234,24 +233,20 @@ impl Device for ScaleHost {
                 // unicast to the gateway, no flood.
                 let arp = ArpPacket::request(self.mac, self.ip, GATEWAY_IP);
                 ctx.send(PortId(0), eth_frame(GATEWAY_MAC, self.mac, EtherType::ARP, &arp));
-                ctx.schedule_in(self.chat_period, CHAT_TOKEN);
+                ctx.schedule_in(CHAT_PERIOD, CHAT_TOKEN);
             }
             CHURN_TOKEN => {
                 // A fresh lease announces its binding to the segment.
                 let arp = ArpPacket::gratuitous(ArpOp::Reply, self.mac, self.ip);
                 ctx.send(PortId(0), eth_frame(MacAddr::BROADCAST, self.mac, EtherType::ARP, &arp));
-                if let Some((period, _)) = self.churn {
-                    ctx.schedule_in(period, CHURN_TOKEN);
-                }
+                ctx.schedule_in(CHURN_PERIOD, CHURN_TOKEN);
             }
             SPOOF_TOKEN => {
                 // "I am the gateway" — sender binding forged to steer
                 // the segment's traffic through this station.
                 let arp = ArpPacket::gratuitous(ArpOp::Reply, self.mac, GATEWAY_IP);
                 ctx.send(PortId(0), eth_frame(MacAddr::BROADCAST, self.mac, EtherType::ARP, &arp));
-                if let Some((period, _)) = self.spoof {
-                    ctx.schedule_in(period, SPOOF_TOKEN);
-                }
+                ctx.schedule_in(SPOOF_PERIOD, SPOOF_TOKEN);
             }
             _ => {}
         }
@@ -447,27 +442,17 @@ pub fn build(config: ScaleConfig) -> ScaleLan {
 
         for p in 0..leaf_hosts {
             let i = leaf * LEAF_CAPACITY + p;
-            let chat_ns = config.chat_period.as_nanos() as u64;
-            let churn_ns = config.churn_period.as_nanos() as u64;
-            let spoof_ns = config.spoof_period.as_nanos() as u64;
+            // A salted per-station offset into the first period.
+            let phase = |salt: u64, period: Duration| {
+                Duration::from_nanos(mix(config.seed ^ salt, i as u64) % period.as_nanos() as u64)
+            };
             let host = ScaleHost {
                 name: format!("h{i}"),
                 mac: station_mac(i),
                 ip: station_ip(i),
-                chat_period: config.chat_period,
-                chat_phase: Duration::from_nanos(mix(config.seed, i as u64) % chat_ns),
-                churn: (i < config.churners).then(|| {
-                    (
-                        config.churn_period,
-                        Duration::from_nanos(mix(config.seed ^ 0xC0DE, i as u64) % churn_ns),
-                    )
-                }),
-                spoof: (i >= first_spoofer).then(|| {
-                    (
-                        config.spoof_period,
-                        Duration::from_nanos(mix(config.seed ^ 0x5D00F, i as u64) % spoof_ns),
-                    )
-                }),
+                chat_phase: phase(0, CHAT_PERIOD),
+                churn_phase: (i < CHURNERS).then(|| phase(0xC0DE, CHURN_PERIOD)),
+                spoof_phase: (i >= first_spoofer).then(|| phase(0x5D00F, SPOOF_PERIOD)),
             };
             let host_id = sim.add_device(Box::new(host));
             sim.connect(host_id, PortId(0), leaf_id, PortId(p as u16), host_leaf_latency)
@@ -516,6 +501,12 @@ mod tests {
         let identity =
             spread((0..N).map(|i| (u64::from(vid(i)) << 32) | u64::from(station_ip(i).to_u32())));
         assert!(identity.1 < 128, "the key itself must fail the tag check");
+    }
+
+    #[test]
+    fn a_station_fits_in_88_bytes() {
+        let size = std::mem::size_of::<ScaleHost>();
+        assert!(size <= 88, "{size} bytes");
     }
 
     #[test]

@@ -9,7 +9,6 @@ use arpshield_packet::{
     ArpOp, ArpPacket, EtherType, EthernetView, IcmpMessage, IcmpType, IpProtocol, Ipv4Addr,
     Ipv4Cidr, Ipv4Packet, MacAddr, UdpDatagram, WireEmit,
 };
-use arpshield_trace::Tracer;
 
 use crate::apps::App;
 use crate::arp::{
@@ -193,7 +192,6 @@ pub struct HostCore {
     pub(crate) stats: Rc<RefCell<HostStats>>,
     pub(crate) respond_to_ping: bool,
     pub(crate) announce_gratuitous: bool,
-    pub(crate) tracer: Tracer,
 }
 
 impl HostCore {
@@ -311,7 +309,7 @@ impl HostCore {
                 stats.resolutions_completed += 1;
                 stats.resolution_latency_total += ctx.now().saturating_since(first_requested);
             }
-            self.tracer.observe(
+            ctx.tracer().observe(
                 "host.resolution_latency_ns",
                 ctx.now().saturating_since(first_requested).as_nanos() as u64,
             );
@@ -423,7 +421,6 @@ impl Host {
                     stats,
                     respond_to_ping: config.respond_to_ping,
                     announce_gratuitous: config.announce_gratuitous,
-                    tracer: Tracer::disabled(),
                 },
                 hooks: Vec::new(),
                 apps: Vec::new(),
@@ -443,12 +440,6 @@ impl Host {
     /// order.
     pub fn add_hook(&mut self, hook: Box<dyn HostHook>) {
         self.hooks.push(hook);
-    }
-
-    /// Routes this host's resolver and ARP-cache transitions into
-    /// `tracer`.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.core.tracer = tracer;
     }
 
     /// The host's ARP policy.
@@ -492,6 +483,7 @@ impl Host {
         } else {
             EntryOrigin::Request
         };
+        let tracer = ctx.tracer();
         let learned = match verdict {
             CacheVerdict::CreateOrUpdate => core.cache.borrow_mut().insert_dynamic(
                 ctx.now(),
@@ -518,9 +510,9 @@ impl Host {
             // whether or not a scheme ever alerts on it: pin it so a
             // capture's timeline can always show the octets behind
             // every cache mutation.
-            core.tracer.pin_current();
-            core.tracer.count(category, 1);
-            core.tracer.event(ctx.now().as_nanos(), category, || {
+            tracer.pin_current();
+            tracer.count(category, 1);
+            tracer.event(ctx.now().as_nanos(), category, || {
                 (
                     core.name.clone(),
                     format!("ip={} mac={} origin={:?}", arp.sender_ip, arp.sender_mac, origin),
@@ -528,8 +520,8 @@ impl Host {
             });
         } else if is_reply || addressed_to_us {
             core.stats.borrow_mut().policy_rejections += 1;
-            core.tracer.count("host.policy.reject", 1);
-            core.tracer.event(ctx.now().as_nanos(), "host.policy.reject", || {
+            tracer.count("host.policy.reject", 1);
+            tracer.event(ctx.now().as_nanos(), "host.policy.reject", || {
                 (
                     core.name.clone(),
                     format!(
@@ -659,11 +651,12 @@ impl Device for Host {
         match class {
             tokens::CLASS_RESOLVER => {
                 let ip = Ipv4Addr::from_u32(payload);
+                let tracer = ctx.tracer();
                 match core.resolver.tick_retry(ip) {
                     Some(RetryTick::Retransmit { next_delay }) => {
                         core.stats.borrow_mut().arp_retransmissions += 1;
-                        core.tracer.count("host.resolver.retransmit", 1);
-                        core.tracer.event(ctx.now().as_nanos(), "host.resolver.retransmit", || {
+                        tracer.count("host.resolver.retransmit", 1);
+                        tracer.event(ctx.now().as_nanos(), "host.resolver.retransmit", || {
                             (
                                 core.name.clone(),
                                 format!("ip={ip} next_delay_ns={}", next_delay.as_nanos()),
@@ -677,8 +670,8 @@ impl Device for Host {
                         stats.resolutions_failed += 1;
                         stats.ipv4_send_failures += dropped as u64;
                         drop(stats);
-                        core.tracer.count("host.resolver.giveup", 1);
-                        core.tracer.event(ctx.now().as_nanos(), "host.resolver.giveup", || {
+                        tracer.count("host.resolver.giveup", 1);
+                        tracer.event(ctx.now().as_nanos(), "host.resolver.giveup", || {
                             (core.name.clone(), format!("ip={ip} dropped_packets={dropped}"))
                         });
                     }

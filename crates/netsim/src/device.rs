@@ -2,6 +2,8 @@
 
 use std::time::Duration;
 
+use arpshield_trace::Tracer;
+
 use crate::frame::Frame;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -46,6 +48,7 @@ pub struct DeviceCtx<'a> {
     actions: &'a mut Vec<Action>,
     rng: &'a mut SimRng,
     incoming: Option<&'a Frame>,
+    tracer: &'a Tracer,
 }
 
 impl<'a> DeviceCtx<'a> {
@@ -55,8 +58,9 @@ impl<'a> DeviceCtx<'a> {
         actions: &'a mut Vec<Action>,
         rng: &'a mut SimRng,
         incoming: Option<&'a Frame>,
+        tracer: &'a Tracer,
     ) -> Self {
-        DeviceCtx { now, device, actions, rng, incoming }
+        DeviceCtx { now, device, actions, rng, incoming, tracer }
     }
 
     /// Current simulation time.
@@ -100,6 +104,14 @@ impl<'a> DeviceCtx<'a> {
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng
     }
+
+    /// The run's tracer, shared by every device of the simulation
+    /// (disabled unless one was set with
+    /// [`Simulator::set_tracer`](crate::Simulator::set_tracer)). The
+    /// borrow outlives `self`, so a device can record while it sends.
+    pub fn tracer(&self) -> &'a Tracer {
+        self.tracer
+    }
 }
 
 /// A device attached to the simulated network.
@@ -140,10 +152,15 @@ mod tests {
 
     #[test]
     fn ctx_queues_actions() {
-        let mut actions = Vec::new();
-        let mut rng = SimRng::new(1);
-        let mut ctx =
-            DeviceCtx::new(SimTime::from_secs(5), DeviceId(3), &mut actions, &mut rng, None);
+        let (mut actions, mut rng, tracer) = (Vec::new(), SimRng::new(1), Tracer::disabled());
+        let mut ctx = DeviceCtx::new(
+            SimTime::from_secs(5),
+            DeviceId(3),
+            &mut actions,
+            &mut rng,
+            None,
+            &tracer,
+        );
         assert_eq!(ctx.now(), SimTime::from_secs(5));
         assert_eq!(ctx.device_id(), DeviceId(3));
         assert!(ctx.incoming_frame().is_none());
@@ -159,11 +176,16 @@ mod tests {
 
     #[test]
     fn incoming_frame_shares_the_delivered_buffer() {
-        let mut actions = Vec::new();
-        let mut rng = SimRng::new(1);
+        let (mut actions, mut rng, tracer) = (Vec::new(), SimRng::new(1), Tracer::disabled());
         let delivered = Frame::from(vec![7u8; 64]);
-        let mut ctx =
-            DeviceCtx::new(SimTime::ZERO, DeviceId(0), &mut actions, &mut rng, Some(&delivered));
+        let mut ctx = DeviceCtx::new(
+            SimTime::ZERO,
+            DeviceId(0),
+            &mut actions,
+            &mut rng,
+            Some(&delivered),
+            &tracer,
+        );
         let shared = ctx.incoming_frame().expect("incoming frame set");
         assert!(std::ptr::eq(shared.as_slice(), delivered.as_slice()));
         ctx.send(PortId(0), shared);

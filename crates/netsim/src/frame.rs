@@ -11,11 +11,10 @@ use crate::pool::{self, FrameBuf};
 /// An immutable, reference-counted frame payload.
 ///
 /// The simulator's hot path is fan-out: a hub repeats every ingress
-/// frame to all other ports, a switch floods broadcasts and copies
-/// mirror spans, and the trace records every delivery. With `Vec<u8>`
-/// payloads each of those copies re-allocated and re-copied the same
-/// bytes; a `Frame` makes every copy a reference-count bump sharing one
-/// allocation. `Deref<Target = [u8]>` keeps all parsing code unchanged.
+/// frame to all other ports, and a switch floods broadcasts and copies
+/// mirror spans. With `Vec<u8>` payloads each of those copies
+/// re-allocated and re-copied the same bytes; a `Frame` makes every
+/// copy a reference-count bump sharing one allocation. `Deref<Target = [u8]>` keeps all parsing code unchanged.
 ///
 /// Buffers come from the recycling pool in [`crate::pool`]: dropping
 /// the last handle parks the allocation on a thread-local free list
@@ -24,7 +23,7 @@ use crate::pool::{self, FrameBuf};
 /// what lets one simulation eventually shard across threads.
 ///
 /// Frames are immutable by construction — mutating a delivered payload
-/// would retroactively rewrite trace records and in-flight copies — so
+/// would retroactively rewrite the in-flight copies sharing it — so
 /// devices that transform a frame build a fresh one.
 pub struct Frame(Option<Arc<FrameBuf>>);
 

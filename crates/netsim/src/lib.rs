@@ -51,7 +51,6 @@ mod sim;
 mod standalone;
 mod switch;
 mod time;
-mod trace;
 mod wheel;
 
 pub use device::{Device, DeviceCtx, DeviceId, PortId};
@@ -68,5 +67,4 @@ pub use switch::{
     PortVlan, Switch, SwitchConfig, SwitchHandle, SwitchStats, ViolationAction, VlanId, VlanSet,
 };
 pub use time::SimTime;
-pub use trace::{Trace, TracedFrame};
 pub use wheel::TimingWheel;

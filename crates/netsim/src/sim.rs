@@ -11,7 +11,6 @@ use crate::frame::Frame;
 use crate::impair::{self, LinkProfile};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use crate::trace::{Trace, TracedFrame};
 use crate::wheel::TimingWheel;
 
 /// Aggregate counters over everything that crossed the wire.
@@ -77,13 +76,12 @@ struct ImpairedDirection {
 
 #[derive(Debug, Clone)]
 enum EventKind {
+    /// A frame arriving at `port` of `dst`. The sender is the peer in
+    /// that port's link slot, so the event does not carry it.
     Deliver {
         dst: DeviceId,
         port: PortId,
         bytes: Frame,
-        src: DeviceId,
-        src_port: PortId,
-        sent_at: SimTime,
         /// True for impairment-injected duplicate copies, so the
         /// flight recorder can label them distinctly.
         dup: bool,
@@ -122,15 +120,15 @@ pub struct Simulator {
     rng: SimRng,
     impair_seed: u64,
     default_profile: LinkProfile,
-    trace: Option<Trace>,
     stats: WireStats,
     /// Reusable actions buffer, drained after every dispatch. Devices
     /// cannot re-enter the simulator, so one scratch vector serves all
     /// callbacks without per-event allocation.
     scratch: Vec<Action>,
-    /// Observability sink for impairment outcomes. Disabled by default;
-    /// the perfect-link fast path never consults it. Declared last so
-    /// the hot dispatch fields above keep their relative positions.
+    /// The run's one tracer: wire outcomes and the flight recorder go
+    /// here, and every device reaches it through its `DeviceCtx`.
+    /// Disabled by default. Declared last so the hot dispatch fields
+    /// above keep their relative positions.
     run_tracer: Tracer,
 }
 
@@ -154,7 +152,6 @@ impl Simulator {
             rng: SimRng::new(seed),
             impair_seed: seed ^ IMPAIR_SEED_SALT,
             default_profile: LinkProfile::PERFECT,
-            trace: None,
             run_tracer: Tracer::disabled(),
             stats: WireStats::default(),
             scratch: Vec::new(),
@@ -261,22 +258,17 @@ impl Simulator {
         Ok(())
     }
 
-    /// Routes wire-level impairment outcomes (loss, outage drops,
-    /// duplication) into `tracer`.
+    /// Makes `tracer` the run's tracer: wire outcomes (loss, outage
+    /// drops, duplication) and captured frames are recorded into it,
+    /// and every device reads it through [`DeviceCtx::tracer`].
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.run_tracer = tracer;
     }
 
-    /// Starts recording every delivered frame into an in-memory trace.
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Trace::new());
-        }
-    }
-
-    /// The trace, if [`enable_trace`](Simulator::enable_trace) was called.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+    /// The run's tracer (disabled unless [`set_tracer`](Self::set_tracer)
+    /// was called).
+    pub fn tracer(&self) -> &Tracer {
+        &self.run_tracer
     }
 
     /// Current simulation time.
@@ -321,15 +313,23 @@ impl Simulator {
         }
         self.started = true;
         for i in 0..self.devices.len() {
-            let mut actions = std::mem::take(&mut self.scratch);
-            let id = DeviceId(i);
-            {
-                let mut ctx = DeviceCtx::new(self.now, id, &mut actions, &mut self.rng, None);
-                self.devices[i].on_start(&mut ctx);
-            }
-            self.apply_actions(id, &mut actions);
-            self.scratch = actions;
+            self.dispatch(DeviceId(i), None, |device, ctx| device.on_start(ctx));
         }
+    }
+
+    /// Runs one callback of device `id`, then applies what it queued.
+    fn dispatch(
+        &mut self,
+        id: DeviceId,
+        incoming: Option<&Frame>,
+        callback: impl FnOnce(&mut dyn Device, &mut DeviceCtx<'_>),
+    ) {
+        let mut actions = std::mem::take(&mut self.scratch);
+        let mut ctx =
+            DeviceCtx::new(self.now, id, &mut actions, &mut self.rng, incoming, &self.run_tracer);
+        callback(self.devices[id.0].as_mut(), &mut ctx);
+        self.apply_actions(id, &mut actions);
+        self.scratch = actions;
     }
 
     fn apply_actions(&mut self, from: DeviceId, actions: &mut Vec<Action>) {
@@ -351,15 +351,7 @@ impl Simulator {
                         let at = self.now.as_nanos().checked_add(link.latency_ns);
                         self.push_event(
                             SimTime::from_nanos(at.expect("SimTime overflow")),
-                            EventKind::Deliver {
-                                dst: peer,
-                                port: peer_port,
-                                bytes,
-                                src: from,
-                                src_port: port,
-                                sent_at: self.now,
-                                dup: false,
-                            },
+                            EventKind::Deliver { dst: peer, port: peer_port, bytes, dup: false },
                         );
                         continue;
                     }
@@ -404,15 +396,7 @@ impl Simulator {
                     let dup = fate.duplicated.then(|| (at + latency, bytes.clone()));
                     self.push_event(
                         at,
-                        EventKind::Deliver {
-                            dst: peer,
-                            port: peer_port,
-                            bytes,
-                            src: from,
-                            src_port: port,
-                            sent_at: self.now,
-                            dup: false,
-                        },
+                        EventKind::Deliver { dst: peer, port: peer_port, bytes, dup: false },
                     );
                     if let Some((dup_at, copy)) = dup {
                         self.stats.duplicated += 1;
@@ -423,9 +407,6 @@ impl Simulator {
                                 dst: peer,
                                 port: peer_port,
                                 bytes: copy,
-                                src: from,
-                                src_port: port,
-                                sent_at: self.now,
                                 dup: true,
                             },
                         );
@@ -448,53 +429,31 @@ impl Simulator {
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
         match kind {
-            EventKind::Deliver { dst, port, bytes, src, src_port, sent_at, dup } => {
+            EventKind::Deliver { dst, port, bytes, dup } => {
                 let _s = profile::span("sim.deliver");
                 self.stats.frames += 1;
                 self.stats.bytes += bytes.len() as u64;
-                if let Some(trace) = &mut self.trace {
-                    // A shared-buffer clone: the trace holds a handle to
-                    // the delivered bytes, not a copy of them.
-                    trace.record(TracedFrame {
-                        sent_at,
-                        src_device: src,
-                        src_port,
-                        dst_device: dst,
-                        dst_port: port,
-                        bytes: bytes.clone(),
-                    });
-                }
                 let kind = if dup { FrameKind::DuplicateDelivered } else { FrameKind::Delivered };
                 let frame_id =
                     self.run_tracer.record_frame(self.now.as_nanos(), kind, &bytes, || {
+                        // The receiving port's slot names the sender.
+                        let from = self.links[self.port_base[dst.0] as usize + usize::from(port.0)];
+                        let sender = self.devices[from.peer as usize].name();
                         (
-                            format!("{}:{}", self.devices[src.0].name(), src_port.0),
+                            format!("{sender}:{}", from.peer_port.0),
                             format!("{}:{}", self.devices[dst.0].name(), port.0),
                         )
                     });
                 // While this frame is dispatched — including the sends
                 // it triggers — every traced event cites it.
                 self.run_tracer.set_current_frame(frame_id);
-                let mut actions = std::mem::take(&mut self.scratch);
-                {
-                    let mut ctx =
-                        DeviceCtx::new(self.now, dst, &mut actions, &mut self.rng, Some(&bytes));
-                    self.devices[dst.0].on_frame(&mut ctx, port, &bytes);
-                }
-                self.apply_actions(dst, &mut actions);
+                self.dispatch(dst, Some(&bytes), |device, ctx| device.on_frame(ctx, port, &bytes));
                 self.run_tracer.set_current_frame(None);
-                self.scratch = actions;
             }
             EventKind::Timer { dst, token } => {
                 let _s = profile::span("sim.timer");
                 self.stats.timers += 1;
-                let mut actions = std::mem::take(&mut self.scratch);
-                {
-                    let mut ctx = DeviceCtx::new(self.now, dst, &mut actions, &mut self.rng, None);
-                    self.devices[dst.0].on_timer(&mut ctx, token);
-                }
-                self.apply_actions(dst, &mut actions);
-                self.scratch = actions;
+                self.dispatch(dst, None, |device, ctx| device.on_timer(ctx, token));
             }
         }
         true
@@ -528,10 +487,28 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use std::cell::RefCell;
+    use std::collections::BTreeSet;
     use std::rc::Rc;
+    use std::sync::Arc;
+
+    use arpshield_trace::{install, RecordedFrame, TraceCollector};
 
     use super::*;
     use crate::impair::FlapSchedule;
+
+    /// Runs `sim` for one simulated second under an armed flight
+    /// recorder; returns its wire stats and every captured frame.
+    fn captured(mut sim: Simulator) -> (WireStats, Vec<RecordedFrame>) {
+        let collector = Arc::new(TraceCollector::with_capture(4096));
+        {
+            let _guard = install(Arc::clone(&collector));
+            sim.set_tracer(Tracer::for_current_run("sim"));
+        }
+        sim.run_until(SimTime::from_secs(1));
+        let stats = sim.wire_stats();
+        drop(sim); // the last tracer handle flushes the run
+        (stats, collector.manifest("sim").runs.remove(0).frames)
+    }
 
     /// Echoes every received frame back out the same port after 1 ms, up to
     /// a bounce budget encoded in the first byte.
@@ -644,18 +621,80 @@ mod tests {
         ));
     }
 
+    /// Sends `left` frames filled with its name's first byte out of
+    /// `port`, one every 2 ms; receives silently.
+    struct Talker {
+        name: &'static str,
+        ports: usize,
+        port: PortId,
+        left: u32,
+    }
+
+    impl Device for Talker {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn port_count(&self) -> usize {
+            self.ports
+        }
+        fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
+            ctx.schedule_in(Duration::ZERO, 0);
+        }
+        fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, _: &[u8]) {}
+        fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, _: u64) {
+            if self.left > 0 {
+                self.left -= 1;
+                ctx.send(self.port, vec![self.name.as_bytes()[0]; 60]);
+                ctx.schedule_in(Duration::from_millis(2), 0);
+            }
+        }
+    }
+
+    /// Every frame captured on an impaired link names its real sender
+    /// and receiver, whatever its fate: a delivery reads the sender from
+    /// the receiving port's link slot, a drop from the sending one.
     #[test]
-    fn trace_captures_frames() {
-        let mut sim = Simulator::new(1);
-        let k = sim.add_device(Box::new(Kickoff { budget: 2 }));
-        let e = sim.add_device(Box::new(Echo::new()));
-        sim.connect(k, PortId(0), e, PortId(0), Duration::from_millis(1)).unwrap();
-        sim.enable_trace();
-        sim.run_until(SimTime::from_secs(1));
-        let trace = sim.trace().unwrap();
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace.sent_by(k).count(), 2);
-        assert_eq!(trace.frames()[0].sent_at, SimTime::ZERO);
+    fn capture_names_both_ends_of_every_frame_on_an_impaired_link() {
+        let mut sim = Simulator::new(3);
+        let talker = |name, ports, port| Talker { name, ports, port: PortId(port), left: 150 };
+        let left = sim.add_device(Box::new(talker("left", 2, 1)));
+        let right = sim.add_device(Box::new(talker("right", 1, 0)));
+        let profile = LinkProfile::lossy(0.2).with_dup(0.3).with_flap(FlapSchedule {
+            offset: Duration::from_millis(50),
+            down_for: Duration::from_millis(30),
+            period: Duration::from_millis(100),
+        });
+        sim.connect_impaired(left, PortId(1), right, PortId(0), Duration::from_millis(1), profile)
+            .unwrap();
+        let (stats, frames) = captured(sim);
+
+        let mut seen = BTreeSet::new();
+        for frame in &frames {
+            let ends = match frame.bytes[0] {
+                b'l' => ("left:1", "right:0"),
+                _ => ("right:0", "left:1"),
+            };
+            assert_eq!((frame.src.as_str(), frame.dst.as_str()), ends, "{frame:?}");
+            seen.insert((frame.bytes[0], frame.kind));
+        }
+        for talker in [b'l', b'r'] {
+            for kind in [
+                FrameKind::Delivered,
+                FrameKind::DuplicateDelivered,
+                FrameKind::DroppedLost,
+                FrameKind::DroppedLinkDown,
+            ] {
+                assert!(seen.contains(&(talker, kind)), "no {kind:?} from {}", talker as char);
+            }
+        }
+        let count = |kind| frames.iter().filter(|f| f.kind == kind).count() as u64;
+        assert_eq!(
+            count(FrameKind::Delivered) + count(FrameKind::DuplicateDelivered),
+            stats.frames
+        );
+        assert_eq!(count(FrameKind::DuplicateDelivered), stats.duplicated);
+        assert_eq!(count(FrameKind::DroppedLost), stats.dropped_lost);
+        assert_eq!(count(FrameKind::DroppedLinkDown), stats.dropped_link_down);
     }
 
     #[test]
@@ -748,16 +787,10 @@ mod tests {
             let k = sim.add_device(Box::new(Kickoff { budget: 50 }));
             let e = sim.add_device(Box::new(Echo::new()));
             sim.connect(k, PortId(0), e, PortId(0), Duration::from_micros(137)).unwrap();
-            sim.enable_trace();
-            sim.run_until(SimTime::from_secs(1));
-            let schedule: Vec<(u64, usize)> = sim
-                .trace()
-                .unwrap()
-                .frames()
-                .iter()
-                .map(|f| (f.sent_at.as_nanos(), f.bytes.len()))
-                .collect();
-            (sim.wire_stats(), schedule)
+            let (stats, frames) = captured(sim);
+            let schedule: Vec<(u64, FrameKind, String, Vec<u8>)> =
+                frames.into_iter().map(|f| (f.at_ns, f.kind, f.src, f.bytes)).collect();
+            (stats, schedule)
         };
         let inert = LinkProfile::PERFECT.with_flap(FlapSchedule {
             offset: Duration::from_secs(3600),
@@ -771,6 +804,14 @@ mod tests {
     #[test]
     fn a_link_slot_fits_in_32_bytes() {
         assert!(std::mem::size_of::<Slot>() <= 32, "{} bytes", std::mem::size_of::<Slot>());
+    }
+
+    /// A queued delivery carries no sender facts (the link slot holds
+    /// them), which keeps every pending event at 24 bytes.
+    #[test]
+    fn a_queued_event_fits_in_24_bytes() {
+        let size = std::mem::size_of::<EventKind>();
+        assert!(size <= 24, "{size} bytes");
     }
 
     /// Sends `count` numbered frames at start and logs which arrive.

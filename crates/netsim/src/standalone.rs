@@ -13,6 +13,8 @@
 //! [`TimingWheel`] the simulator dispatches from, whose slot vectors
 //! only grow to the high-water mark of concurrently pending timers.
 
+use arpshield_trace::Tracer;
+
 use crate::device::{Action, Device, DeviceCtx, DeviceId, PortId};
 use crate::frame::Frame;
 use crate::rng::SimRng;
@@ -31,6 +33,10 @@ pub struct StandaloneDriver {
     timers: TimingWheel<u64>,
     actions: Vec<Action>,
     sends: Vec<(PortId, Frame)>,
+    /// What [`DeviceCtx::tracer`] hands the device: always disabled,
+    /// since a driven device's findings flow through its own channels
+    /// (a scheme's alert log).
+    tracer: Tracer,
     /// Timers fired so far.
     pub timers_fired: u64,
 }
@@ -44,6 +50,7 @@ impl StandaloneDriver {
             timers: TimingWheel::new(),
             actions: Vec::new(),
             sends: Vec::new(),
+            tracer: Tracer::disabled(),
             timers_fired: 0,
         }
     }
@@ -60,8 +67,7 @@ impl StandaloneDriver {
 
     /// Invokes [`Device::on_start`] at the current time.
     pub fn start(&mut self, device: &mut dyn Device) {
-        let mut ctx = DeviceCtx::new(self.now, DeviceId(0), &mut self.actions, &mut self.rng, None);
-        device.on_start(&mut ctx);
+        device.on_start(&mut self.ctx());
         self.apply_actions();
     }
 
@@ -76,9 +82,7 @@ impl StandaloneDriver {
             let (due, token) = self.timers.pop().expect("peeked");
             self.now = self.now.max(due);
             self.timers_fired += 1;
-            let mut ctx =
-                DeviceCtx::new(self.now, DeviceId(0), &mut self.actions, &mut self.rng, None);
-            device.on_timer(&mut ctx, token);
+            device.on_timer(&mut self.ctx(), token);
             self.apply_actions();
         }
         self.now = self.now.max(to);
@@ -89,8 +93,7 @@ impl StandaloneDriver {
     /// then happens at the driver's monotonic clock instead.
     pub fn deliver(&mut self, device: &mut dyn Device, at: SimTime, port: PortId, bytes: &[u8]) {
         self.advance_to(device, at);
-        let mut ctx = DeviceCtx::new(self.now, DeviceId(0), &mut self.actions, &mut self.rng, None);
-        device.on_frame(&mut ctx, port, bytes);
+        device.on_frame(&mut self.ctx(), port, bytes);
         self.apply_actions();
     }
 
@@ -99,6 +102,10 @@ impl StandaloneDriver {
     /// or drop them.
     pub fn drain_sends(&mut self) -> std::vec::Drain<'_, (PortId, Frame)> {
         self.sends.drain(..)
+    }
+
+    fn ctx(&mut self) -> DeviceCtx<'_> {
+        DeviceCtx::new(self.now, DeviceId(0), &mut self.actions, &mut self.rng, None, &self.tracer)
     }
 
     fn apply_actions(&mut self) {

@@ -12,7 +12,6 @@ use arpshield_packet::{
     ETHERNET_VLAN_TAG_LEN,
 };
 use arpshield_trace::profile;
-use arpshield_trace::Tracer;
 
 use crate::device::{Device, DeviceCtx, PortId};
 use crate::frame::Frame;
@@ -367,7 +366,6 @@ pub struct Switch {
     stats: Rc<RefCell<SwitchStats>>,
     per_port_macs: FastMap<PortId, FastSet<MacAddr>>,
     inspector: Option<Box<dyn FrameInspector>>,
-    tracer: Tracer,
 }
 
 impl std::fmt::Debug for dyn FrameInspector {
@@ -465,7 +463,6 @@ impl Switch {
                 stats,
                 per_port_macs: FastMap::default(),
                 inspector: None,
-                tracer: Tracer::disabled(),
             },
             handle,
         )
@@ -474,11 +471,6 @@ impl Switch {
     /// Installs an ingress [`FrameInspector`] (e.g. Dynamic ARP Inspection).
     pub fn set_inspector(&mut self, inspector: Box<dyn FrameInspector>) {
         self.inspector = Some(inspector);
-    }
-
-    /// Routes this switch's learn/drop outcomes into `tracer`.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// Classifies an ingress frame into a VLAN according to the port's
@@ -550,7 +542,7 @@ impl Device for Switch {
         if token == SWEEP_TOKEN {
             let evicted = self.cam.borrow_mut().sweep(ctx.now());
             if evicted > 0 {
-                self.tracer.count("switch.cam.aged_out", evicted as u64);
+                ctx.tracer().count("switch.cam.aged_out", evicted as u64);
             }
             // The aging sweep doubles as the CAM-size sampling point:
             // it already fires periodically on every switch, so the
@@ -562,6 +554,7 @@ impl Device for Switch {
     }
 
     fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, port: PortId, frame: &[u8]) {
+        let tracer = ctx.tracer();
         // Err-disabled ports drop everything.
         if self.stats.borrow().shutdown_ports.contains(&port) {
             self.stats.borrow_mut().dropped_security += 1;
@@ -572,8 +565,8 @@ impl Device for Switch {
             // Unparseable garbage is dropped — but never silently: the
             // drop is counted and attributable to its ingress port.
             self.stats.borrow_mut().dropped_unparseable += 1;
-            self.tracer.count("switch.drop.unparseable", 1);
-            self.tracer.event(ctx.now().as_nanos(), "switch.drop.unparseable", || {
+            tracer.count("switch.drop.unparseable", 1);
+            tracer.event(ctx.now().as_nanos(), "switch.drop.unparseable", || {
                 (self.name.clone(), format!("port={} len={}", port.0, frame.len()))
             });
             return;
@@ -590,8 +583,8 @@ impl Device for Switch {
             Classified::Member { vid, tagged } => (vid, tagged),
             Classified::Drop => {
                 self.stats.borrow_mut().dropped_vlan += 1;
-                self.tracer.count("switch.drop.vlan", 1);
-                self.tracer.event(ctx.now().as_nanos(), "switch.drop.vlan", || {
+                tracer.count("switch.drop.vlan", 1);
+                tracer.event(ctx.now().as_nanos(), "switch.drop.vlan", || {
                     (
                         self.name.clone(),
                         format!("port={} src={} tag={:?}", port.0, eth.src(), eth.vlan()),
@@ -605,8 +598,8 @@ impl Device for Switch {
         if let Some(inspector) = &mut self.inspector {
             let _s = profile::span("switch.inspect");
             if let InspectVerdict::Deny { reason } = inspector.inspect(ctx.now(), port, vid, &eth) {
-                self.tracer.count("switch.drop.inspector", 1);
-                self.tracer.event(ctx.now().as_nanos(), "switch.drop.inspector", || {
+                tracer.count("switch.drop.inspector", 1);
+                tracer.event(ctx.now().as_nanos(), "switch.drop.inspector", || {
                     (
                         self.name.clone(),
                         format!("port={} src={} reason={reason}", port.0, eth.src()),
@@ -628,8 +621,8 @@ impl Device for Switch {
                 let known = self.per_port_macs.entry(port).or_default();
                 if !known.contains(&eth.src()) {
                     if known.len() >= ps.max_macs_per_port {
-                        self.tracer.count("switch.drop.port_security", 1);
-                        self.tracer.event(
+                        tracer.count("switch.drop.port_security", 1);
+                        tracer.event(
                             ctx.now().as_nanos(),
                             "switch.port_security.violation",
                             || {
@@ -661,11 +654,11 @@ impl Device for Switch {
         if eth.src().is_unicast() && !eth.src().is_zero() {
             let outcome = self.cam.borrow_mut().learn_vlan(ctx.now(), vid, eth.src(), port);
             match outcome {
-                LearnOutcome::Learned => self.tracer.count("switch.learn.new", 1),
-                LearnOutcome::Refreshed => self.tracer.count("switch.learn.refreshed", 1),
+                LearnOutcome::Learned => tracer.count("switch.learn.new", 1),
+                LearnOutcome::Refreshed => tracer.count("switch.learn.refreshed", 1),
                 LearnOutcome::Moved { from } => {
-                    self.tracer.count("switch.learn.moved", 1);
-                    self.tracer.event(ctx.now().as_nanos(), "switch.cam.moved", || {
+                    tracer.count("switch.learn.moved", 1);
+                    tracer.event(ctx.now().as_nanos(), "switch.cam.moved", || {
                         (
                             self.name.clone(),
                             format!("src={} moved port {}->{}", eth.src(), from.0, port.0),
@@ -673,8 +666,8 @@ impl Device for Switch {
                     });
                 }
                 LearnOutcome::Full => {
-                    self.tracer.count("switch.learn.full", 1);
-                    self.tracer.event(ctx.now().as_nanos(), "switch.cam.full", || {
+                    tracer.count("switch.learn.full", 1);
+                    tracer.event(ctx.now().as_nanos(), "switch.cam.full", || {
                         (
                             self.name.clone(),
                             format!(
@@ -726,14 +719,14 @@ impl Device for Switch {
                     if let Some(tagged) = self.egress_mode(out, vid) {
                         ctx.send(out, forms.for_tagged(tagged));
                         self.stats.borrow_mut().forwarded += 1;
-                        self.tracer.count("switch.forwarded", 1);
+                        tracer.count("switch.forwarded", 1);
                     }
                 }
                 return;
             }
         }
         self.stats.borrow_mut().flooded += 1;
-        self.tracer.count("switch.flooded", 1);
+        tracer.count("switch.flooded", 1);
         self.flood(ctx, port, &mut forms);
     }
 }

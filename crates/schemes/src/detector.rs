@@ -262,16 +262,16 @@ impl Detector {
     /// the last frame (judging probe windows still open at end of
     /// capture) and flushes ingest counters to the tracer. Idempotent.
     pub fn finish(&mut self) {
-        if !self.finished {
-            self.finished = true;
-            let deadline = self.last_at.checked_add(FINISH_GRACE).unwrap_or(self.last_at);
-            for (device, driver) in &mut self.monitors {
-                driver.advance_to(device.as_mut(), deadline);
-            }
-            self.collect_driver_effects();
+        if self.finished {
+            return;
         }
-        self.stats.timers_fired = self.monitors.iter().map(|(_, driver)| driver.timers_fired).sum();
-        let stats = self.stats;
+        self.finished = true;
+        let deadline = self.last_at.checked_add(FINISH_GRACE).unwrap_or(self.last_at);
+        for (device, driver) in &mut self.monitors {
+            driver.advance_to(device.as_mut(), deadline);
+        }
+        self.collect_driver_effects();
+        let stats = self.stats();
         let flush = |name: &'static str, value: u64| {
             if value > 0 {
                 self.tracer.count(name, value);
@@ -413,5 +413,30 @@ mod tests {
         detector.finish();
         assert_eq!(detector.stats().denied, 1, "no snooped lease, claim denied");
         assert_eq!(detector.alerts()[0].kind, AlertKind::DaiViolation);
+    }
+
+    #[test]
+    fn finishing_twice_records_what_finishing_once_does() {
+        use arpshield_trace::{install, TraceCollector};
+        use std::sync::Arc;
+
+        let counters = |finishes: usize| {
+            let collector = Arc::new(TraceCollector::new());
+            let _guard = install(Arc::clone(&collector));
+            let tracer = Tracer::for_current_run("ingest");
+            let mut detector = Detector::with_tracer(SchemeKind::ActiveProbe, tracer).unwrap();
+            let ip = Ipv4Addr::new(10, 0, 0, 5);
+            detector.observe(SimTime::from_secs(1), &arp_frame(MacAddr::from_index(1), ip));
+            detector.observe(SimTime::from_millis(1010), &arp_frame(MacAddr::from_index(66), ip));
+            for _ in 0..finishes {
+                detector.finish();
+            }
+            drop(detector);
+            collector.manifest("ingest").runs.remove(0).counters
+        };
+        let once = counters(1);
+        assert_eq!(once.get("ingest.frames"), Some(&2));
+        assert!(once.contains_key("ingest.timers_fired"), "{once:?}");
+        assert_eq!(counters(2), once);
     }
 }

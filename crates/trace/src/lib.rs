@@ -5,8 +5,9 @@
 //! trace taken today diffs clean against one taken next year on a
 //! different machine. The layer has three pieces:
 //!
-//! * [`Tracer`] — the per-run handle the instrumented crates hold
-//!   (simulator, switch, host stacks, scheme alert log). It records
+//! * [`Tracer`] — the per-run handle the instrumented crates record
+//!   through: the simulator owns it and lends it to every device (switch,
+//!   hub, host stacks), and the scheme alert log holds a clone. It records
 //!   structured [`Event`]s, named counters, and log-bucketed
 //!   [`Histogram`]s into a [`RunRecorder`].
 //! * [`TraceCollector`] — a process-wide (thread-local, explicitly

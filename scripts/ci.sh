@@ -11,9 +11,9 @@
 # `inspect` timeline with verdict provenance), an `ingest` smoke
 # (capture re-ingest through the standalone detector, checking live vs
 # re-ingested verdict-counter parity), a re-derivation of the committed
-# t6s/t6sd rows at 1k-10k hosts, and a one-iteration smoke run of
-# every bench (which also exercises the results/bench/*.json emission
-# path).
+# t6s/t6sd rows at 1k-10k hosts, a one-iteration smoke run of every
+# bench (which also exercises the results/bench/*.json emission path),
+# and an informational lines-of-code report that never fails the gate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -243,5 +243,8 @@ scripts/bench_compare.sh
 # must exist and carry its schema tag.
 test -s results/bench/compare.json
 grep -q '"arpshield-bench-compare/1"' results/bench/compare.json
+
+echo "==> scripts/loc.sh (informational; lines of Rust per crate)"
+scripts/loc.sh || echo "loc.sh: report failed (informational only)"
 
 echo "==> ci.sh: all gates passed"

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use arpshield::analysis::experiment::{t2_susceptibility, t3_coverage};
-use arpshield::analysis::scenario::{AttackScenario, ScenarioConfig};
+use arpshield::analysis::scenario::{AttackScenario, BenignScenario, ChurnConfig, ScenarioConfig};
 use arpshield::attacks::PoisonVariant;
 use arpshield::schemes::SchemeKind;
 use arpshield::trace::{install, TraceCollector};
@@ -86,6 +86,29 @@ fn disabled_tracing_records_nothing() {
         PoisonVariant::GratuitousReply,
     )
     .run();
-    assert!(!run.lan.tracer.is_enabled());
+    assert!(!run.lan.sim.tracer().is_enabled());
     assert!(!run.lan.alerts.is_empty());
+}
+
+/// Hosts a scenario attaches after `lan::build` record into the run's
+/// one tracer like the built-in ones: the benign churn's roaming DHCP
+/// clients show up as `host.*` actors.
+#[test]
+fn hosts_attached_after_build_are_traced() {
+    let collector = Arc::new(TraceCollector::new());
+    {
+        let _guard = install(collector.clone());
+        let config = ScenarioConfig::new(8).with_hosts(2);
+        BenignScenario::new(config, ChurnConfig::default()).run();
+    }
+    let manifest = collector.manifest("benign");
+    let actors: std::collections::BTreeSet<&str> = manifest.runs[0]
+        .events
+        .iter()
+        .filter(|event| event.category.starts_with("host."))
+        .map(|event| event.actor.as_str())
+        .collect();
+    for roamer in ["roamer0", "roamer1", "roamer2"] {
+        assert!(actors.contains(roamer), "{roamer} missing from host actors {actors:?}");
+    }
 }
