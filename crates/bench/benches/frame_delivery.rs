@@ -1,11 +1,13 @@
 //! Per-frame delivery cost on broadcast-heavy topologies — the hot path
 //! the shared-`Frame` substrate work targets.
 //!
-//! Four workloads: a 16-port hub repeating every ingress frame to 15
+//! Five workloads: a 16-port hub repeating every ingress frame to 15
 //! egress ports, the same hub in front of 15 full host stacks that parse
-//! every frame up to UDP, a 16-port switch flooding broadcasts, and a
+//! every frame up to UDP, a 16-port switch flooding broadcasts, a
 //! VLAN-aware switch flooding across mixed access/trunk ports (each
-//! ingress frame is re-tagged at most once, then shared). Alongside the
+//! ingress frame is re-tagged at most once, then shared), and a
+//! 1,025-port switch — the T6S fabric's leaf shape — flooding to 1,024
+//! stations, so one flood is one fan-out event of 1,024 copies. Alongside the
 //! timed records this bench counts heap allocations per delivered frame
 //! (via a counting global allocator) and writes them to
 //! `results/bench/frame_delivery_allocs.json`, so the allocation
@@ -109,9 +111,12 @@ impl Device for Sink {
     }
 }
 
-/// One ingress + (PORTS-1) egress copies per emitted frame.
-fn delivered_frames() -> u64 {
-    FRAMES * PORTS as u64
+/// Ports of the leaf-shaped switch: 1,024 stations plus an uplink.
+const LEAF_PORTS: usize = 1025;
+
+/// One ingress + (ports - 1) egress copies per emitted frame.
+fn delivered_frames(ports: usize) -> u64 {
+    FRAMES * ports as u64
 }
 
 /// Runs a built fabric and returns (allocations during delivery, frames
@@ -156,17 +161,29 @@ fn run_hub_host_rx() -> (u64, u64) {
     deliver(sim)
 }
 
-fn run_switch_flood() -> (u64, u64) {
+/// A `ports`-port switch with the blaster on port 0 and a sink on
+/// every other port.
+fn run_switch_flood_over(ports: usize) -> (u64, u64) {
     let mut sim = Simulator::new(1);
-    let (sw, _) = Switch::new("sw", SwitchConfig { ports: PORTS, ..Default::default() });
+    let (sw, _) = Switch::new("sw", SwitchConfig { ports, ..Default::default() });
     let sw = sim.add_device(Box::new(sw));
     let src = sim.add_device(Box::new(Blaster::new()));
     sim.connect(src, PortId(0), sw, PortId(0), Duration::from_micros(1)).unwrap();
-    for p in 1..PORTS as u16 {
+    for p in 1..ports as u16 {
         let s = sim.add_device(Box::new(Sink));
         sim.connect(s, PortId(0), sw, PortId(p), Duration::from_micros(1)).unwrap();
     }
     deliver(sim)
+}
+
+fn run_switch_flood() -> (u64, u64) {
+    run_switch_flood_over(PORTS)
+}
+
+/// The fabric's leaf shape: every broadcast fans out to 1,024 stations
+/// in one event, through the simulator's reusable target arena.
+fn run_leaf_flood() -> (u64, u64) {
+    run_switch_flood_over(LEAF_PORTS)
 }
 
 /// VLAN flood: untagged ingress on an access port fans out to 7 more
@@ -195,11 +212,13 @@ fn run_switch_vlan_flood() -> (u64, u64) {
 fn bench_delivery(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame_delivery");
     group.sample_size(15);
-    group.throughput(Throughput::Elements(delivered_frames()));
+    group.throughput(Throughput::Elements(delivered_frames(PORTS)));
     group.bench_function("hub16/broadcast", |b| b.iter(run_hub_broadcast));
     group.bench_function("hub16/host_rx", |b| b.iter(run_hub_host_rx));
     group.bench_function("switch16/flood", |b| b.iter(run_switch_flood));
     group.bench_function("switch16/vlan_flood", |b| b.iter(run_switch_vlan_flood));
+    group.throughput(Throughput::Elements(delivered_frames(LEAF_PORTS)));
+    group.bench_function("switch1025/flood", |b| b.iter(run_leaf_flood));
     group.finish();
 }
 
@@ -220,6 +239,7 @@ fn write_alloc_report() {
         ("hub16/host_rx", run_hub_host_rx),
         ("switch16/flood", run_switch_flood),
         ("switch16/vlan_flood", run_switch_vlan_flood),
+        ("switch1025/flood", run_leaf_flood),
     ] {
         let (allocs, frames) = measure_allocs(workload);
         let mut obj = BTreeMap::new();

@@ -55,10 +55,12 @@ use arpshield_core::experiment::{
     f6_flood_dynamics, f6_starvation_dynamics, t2_susceptibility, t3_coverage, t4_false_positives,
     t5_cost, t5_resilience, t6_dos_coverage, t6_scale, t6_scale_defended, T6S_SIZES,
 };
+use arpshield_core::scenario::scale::Fabric;
 use arpshield_core::{taxonomy, Series, Table};
 use arpshield_netsim::SimTime;
 use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetView};
 use arpshield_schemes::{Detector, SchemeKind};
+use arpshield_trace::env_knob::{self, EnvKnob};
 use arpshield_trace::pcapng::PcapngStream;
 use arpshield_trace::{profile, Heartbeat, ProfileCollector, TraceCollector, Tracer};
 
@@ -971,17 +973,24 @@ fn run_ingest(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Host counts for the T6S scalability sweep. `ARPSHIELD_T6S_HOSTS`
-/// (comma-separated) overrides the published 1k–100k grid so CI can
-/// smoke the experiment at small sizes.
-fn t6s_sizes() -> Vec<usize> {
-    let (sizes, warning) = arpshield_trace::env_knob::knob("ARPSHIELD_T6S_HOSTS").parse_list_or(
-        T6S_SIZES.to_vec(),
-        "a comma-separated list of positive host counts",
-        |n: &usize| *n >= 1,
-    );
-    arpshield_trace::env_knob::report(warning);
+/// Host counts for the T6S scalability sweep on `fabric`.
+/// `ARPSHIELD_T6S_HOSTS` (comma-separated) overrides the published
+/// 1k–100k grid so CI can smoke the experiment at small sizes.
+fn t6s_sizes(fabric: Fabric) -> Vec<usize> {
+    let (sizes, warning) = t6s_sizes_from(&env_knob::knob("ARPSHIELD_T6S_HOSTS"), fabric);
+    env_knob::report(warning);
     sizes
+}
+
+/// Parses a T6S host list, falling back to the published grid with a
+/// warning when any count is one `fabric` cannot build.
+fn t6s_sizes_from(knob: &EnvKnob, fabric: Fabric) -> (Vec<usize>, Option<String>) {
+    let max = fabric.max_hosts();
+    knob.parse_list_or(
+        T6S_SIZES.to_vec(),
+        &format!("a comma-separated list of host counts from 1 to {max}"),
+        |n: &usize| (1..=max).contains(n),
+    )
 }
 
 fn main() {
@@ -1097,13 +1106,13 @@ fn main() {
         out.table("t6", || t6_dos_coverage(SEED));
     }
     if want("t6s") {
-        out.series("t6s", || t6_scale(SEED, &t6s_sizes()));
+        out.series("t6s", || t6_scale(SEED, &t6s_sizes(Fabric::Flat)));
     }
     // The defended scale sweep rides behind `t6s --defend` (or its own
     // `t6sd` id) so the default full run — and its committed CSVs —
     // keep the published undefended shape.
     if selected.iter().any(|s| s == "t6sd") || (want("t6s") && defend) {
-        out.series("t6sd", || t6_scale_defended(SEED, &t6s_sizes()));
+        out.series("t6sd", || t6_scale_defended(SEED, &t6s_sizes(Fabric::Vlan { defend: true })));
     }
     if want("f1") {
         out.series("f1", || f1_detection_latency(SEED, 30));
@@ -1126,4 +1135,40 @@ fn main() {
     }
 
     println!("done in {:.1}s", started.elapsed().as_secs_f64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A host count the fabric cannot build (which used to panic deep
+    /// in `scale::build`) falls back to the published grid with a
+    /// warning; counts up to the fabric's limit pass through.
+    #[test]
+    fn t6s_sizes_reject_counts_the_fabric_cannot_build() {
+        const VAR: &str = "ARPSHIELD_TEST_T6S_HOSTS";
+        let parse = |raw: &str, fabric| {
+            std::env::set_var(VAR, raw);
+            t6s_sizes_from(&env_knob::knob(VAR), fabric)
+        };
+        let (flat, vlan) = (Fabric::Flat, Fabric::Vlan { defend: true });
+        assert_eq!(parse("300, 900", vlan), (vec![300, 900], None));
+        let limits = [(flat, flat.max_hosts()), (vlan, vlan.max_hosts())];
+        for (fabric, max) in limits {
+            assert_eq!(parse(&max.to_string(), fabric), (vec![max], None));
+        }
+        let rejected = [
+            (flat, "70000000".to_string()),
+            (flat, "1000,0".to_string()),
+            (vlan, format!("1000,{}", vlan.max_hosts() + 1)),
+        ];
+        for (fabric, raw) in rejected {
+            let (sizes, warning) = parse(&raw, fabric);
+            assert_eq!(sizes, T6S_SIZES, "{raw}");
+            let warning = warning.expect("a rejected list warns");
+            assert!(warning.contains(&raw), "{warning}");
+            assert!(warning.contains(&fabric.max_hosts().to_string()), "{warning}");
+        }
+        std::env::remove_var(VAR);
+    }
 }

@@ -121,6 +121,31 @@ pub enum Fabric {
     },
 }
 
+impl Fabric {
+    /// The most stations [`build`] can wire on this fabric. The root's
+    /// 16-bit port space holds the gateway and 65 535 leaf uplinks; on
+    /// the VLAN fabric each leaf also takes one VID of `10..=4094`
+    /// (802.1Q VIDs are 12-bit, and 1..=9 and 4095 are reserved here).
+    pub const fn max_hosts(self) -> usize {
+        let leaves = match self {
+            Fabric::Flat => 65_535,
+            Fabric::Vlan { .. } => (4095 - FIRST_VID) as usize,
+        };
+        leaves * LEAF_CAPACITY
+    }
+}
+
+/// Root CAM capacity: every station plus headroom, and on the VLAN
+/// fabric also the gateway once per access VLAN, since it answers on
+/// each of them.
+fn root_cam_capacity(n_hosts: usize, fabric: Fabric) -> usize {
+    let gateway_entries = match fabric {
+        Fabric::Flat => 0,
+        Fabric::Vlan { .. } => n_hosts.div_ceil(LEAF_CAPACITY),
+    };
+    n_hosts + gateway_entries + 64
+}
+
 /// Knobs for one scale-sweep point.
 #[derive(Debug, Clone, Copy)]
 pub struct ScaleConfig {
@@ -328,10 +353,9 @@ impl ScaleLan {
 ///
 /// # Panics
 ///
-/// Panics if `n_hosts` is zero or needs more leaves than a root
-/// switch's 16-bit port space can take (not reachable below ~67M
-/// hosts). The VLAN fabric additionally requires one 802.1Q VID per
-/// leaf, capping it near 4M hosts.
+/// Panics if `n_hosts` is zero or above [`Fabric::max_hosts`]: a root
+/// switch's 16-bit port space caps the flat fabric near 67M hosts, and
+/// the VLAN fabric's one 802.1Q VID per leaf caps it near 4.18M.
 pub fn build(config: ScaleConfig) -> ScaleLan {
     assert!(config.n_hosts > 0, "a scale LAN needs at least one station");
     let n = config.n_hosts;
@@ -342,16 +366,16 @@ pub fn build(config: ScaleConfig) -> ScaleLan {
         Fabric::Vlan { defend } => (true, defend),
     };
     if vlan_fabric {
-        // 802.1Q VIDs are 12-bit; 1..=9 and 4095 are reserved here.
-        assert!(leaf_vid(n_leaves - 1) < 4095, "VLAN id space exhausted");
+        assert!(n <= config.fabric.max_hosts(), "VLAN id space exhausted");
     }
     let first_spoofer = n - config.spoofers.min(n);
 
     let mut sim = Simulator::new(config.seed);
     let host_leaf_latency = Duration::from_micros(5);
     let leaf_root_latency = Duration::from_micros(10);
-    // CAM sizing: the root eventually holds every station; aging must
-    // outlive the run or re-floods would dominate the measurement.
+    // CAM sizing: the root eventually holds every station (and the
+    // gateway once per VLAN); aging must outlive the run or re-floods
+    // would dominate the measurement.
     let aging = config.duration * 2 + Duration::from_secs(60);
 
     let alerts = defend.then(AlertLog::new);
@@ -369,7 +393,7 @@ pub fn build(config: ScaleConfig) -> ScaleLan {
         "root",
         SwitchConfig {
             ports: root_ports,
-            cam_capacity: n + 64,
+            cam_capacity: root_cam_capacity(n, config.fabric),
             cam_aging: aging,
             vlans: root_vlans,
             ..SwitchConfig::default()
@@ -550,6 +574,45 @@ mod tests {
     #[should_panic(expected = "root port space exhausted")]
     fn root_port_count_rejects_a_65537th_port() {
         root_port_count(65_535 * LEAF_CAPACITY + 1);
+    }
+
+    /// `max_hosts` is exactly where each fabric's address space runs
+    /// out: the flat root's last port (one station more is the 65,537th
+    /// port above), and the VLAN fabric's last VID.
+    #[test]
+    fn max_hosts_is_the_largest_buildable_station_count() {
+        let flat = Fabric::Flat.max_hosts();
+        assert_eq!(root_port_count(flat), 65_536);
+        assert_eq!(flat + 1, 65_535 * LEAF_CAPACITY + 1);
+
+        let vlan = Fabric::Vlan { defend: true }.max_hosts();
+        assert_eq!(vlan, Fabric::Vlan { defend: false }.max_hosts());
+        assert_eq!(vlan, 4_183_040);
+        assert_eq!(leaf_vid(vlan.div_ceil(LEAF_CAPACITY) - 1), 4094);
+    }
+
+    #[test]
+    #[should_panic(expected = "VLAN id space exhausted")]
+    fn vlan_fabric_rejects_a_station_past_its_last_vid() {
+        build(
+            ScaleConfig::new(1, Fabric::Vlan { defend: false }.max_hosts() + 1).with_vlan_fabric(),
+        );
+    }
+
+    /// The VLAN root learns the gateway once per access VLAN on top of
+    /// every station; at 100k stations (98 VLANs) that outgrew the old
+    /// `hosts + 64` and refused learns. The flat root learns it once.
+    #[test]
+    fn root_cam_holds_every_station_and_the_gateway_per_vlan() {
+        let vlan = Fabric::Vlan { defend: true };
+        for n in [1, 1024, 1025, 100_000, vlan.max_hosts()] {
+            let learnable = n + n.div_ceil(LEAF_CAPACITY);
+            assert_eq!(root_cam_capacity(n, vlan), learnable + 64, "{n} stations");
+            assert_eq!(root_cam_capacity(n, Fabric::Flat), n + 64, "{n} stations");
+        }
+        assert_eq!(root_cam_capacity(100_000, vlan), 100_162);
+        let lan = build(ScaleConfig::new(1, 3000).with_dai());
+        assert_eq!(lan.root.cam.borrow().capacity(), 3000 + 3 + 64);
     }
 
     #[test]

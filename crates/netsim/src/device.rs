@@ -1,5 +1,6 @@
 //! The device abstraction: anything attached to the simulated segment.
 
+use std::ops::Range;
 use std::time::Duration;
 
 use arpshield_trace::Tracer;
@@ -29,11 +30,31 @@ impl std::fmt::Display for PortId {
     }
 }
 
-/// Deferred side effects a device requests during a callback.
+/// One port of a flood domain: a copy leaves `port`, 802.1Q-tagged when
+/// `tagged` is set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Egress {
+    pub(crate) port: PortId,
+    pub(crate) tagged: bool,
+}
+
+/// Deferred side effects a device requests during a callback. A flood
+/// sends one copy out of every port of `ports` (a range of
+/// [`Outbox::egress`]) but `skip`, in list order; an untagged port takes
+/// `forms[0]`, a tagged one `forms[1]`.
 #[derive(Debug, Clone)]
 pub(crate) enum Action {
     Send { port: PortId, bytes: Frame },
+    Flood { ports: Range<u32>, skip: PortId, forms: [Frame; 2] },
     Schedule { delay: Duration, token: u64 },
+}
+
+/// What a device queues during one callback, applied once it returns.
+#[derive(Debug, Default)]
+pub(crate) struct Outbox {
+    pub(crate) actions: Vec<Action>,
+    /// The egress lists of the callback's floods, back to back.
+    pub(crate) egress: Vec<Egress>,
 }
 
 /// Execution context handed to every [`Device`] callback.
@@ -45,7 +66,7 @@ pub(crate) enum Action {
 pub struct DeviceCtx<'a> {
     now: SimTime,
     device: DeviceId,
-    actions: &'a mut Vec<Action>,
+    out: &'a mut Outbox,
     rng: &'a mut SimRng,
     incoming: Option<&'a Frame>,
     tracer: &'a Tracer,
@@ -55,12 +76,12 @@ impl<'a> DeviceCtx<'a> {
     pub(crate) fn new(
         now: SimTime,
         device: DeviceId,
-        actions: &'a mut Vec<Action>,
+        out: &'a mut Outbox,
         rng: &'a mut SimRng,
         incoming: Option<&'a Frame>,
         tracer: &'a Tracer,
     ) -> Self {
-        DeviceCtx { now, device, actions, rng, incoming, tracer }
+        DeviceCtx { now, device, out, rng, incoming, tracer }
     }
 
     /// Current simulation time.
@@ -82,7 +103,25 @@ impl<'a> DeviceCtx<'a> {
     /// (fan-out devices forward [`incoming_frame`](Self::incoming_frame)
     /// copies without re-allocating).
     pub fn send(&mut self, port: PortId, bytes: impl Into<Frame>) {
-        self.actions.push(Action::Send { port, bytes: bytes.into() });
+        self.out.actions.push(Action::Send { port, bytes: bytes.into() });
+    }
+
+    /// Queues one copy out of every port of `ports` except `skip`, in
+    /// list order, exactly as one [`send`](Self::send) per port would:
+    /// an untagged port gets `forms[0]`, a tagged one `forms[1]`. The
+    /// simulator queues each run of copies that arrive together as one
+    /// event.
+    pub(crate) fn flood(
+        &mut self,
+        ports: impl IntoIterator<Item = Egress>,
+        skip: PortId,
+        forms: [Frame; 2],
+    ) {
+        let egress = &mut self.out.egress;
+        let start = egress.len() as u32;
+        egress.extend(ports);
+        let ports = start..egress.len() as u32;
+        self.out.actions.push(Action::Flood { ports, skip, forms });
     }
 
     /// The shared buffer of the frame currently being delivered.
@@ -97,7 +136,7 @@ impl<'a> DeviceCtx<'a> {
 
     /// Schedules [`Device::on_timer`] with `token` after `delay`.
     pub fn schedule_in(&mut self, delay: Duration, token: u64) {
-        self.actions.push(Action::Schedule { delay, token });
+        self.out.actions.push(Action::Schedule { delay, token });
     }
 
     /// Deterministic randomness scoped to the whole simulation.
@@ -152,36 +191,30 @@ mod tests {
 
     #[test]
     fn ctx_queues_actions() {
-        let (mut actions, mut rng, tracer) = (Vec::new(), SimRng::new(1), Tracer::disabled());
-        let mut ctx = DeviceCtx::new(
-            SimTime::from_secs(5),
-            DeviceId(3),
-            &mut actions,
-            &mut rng,
-            None,
-            &tracer,
-        );
+        let (mut out, mut rng, tracer) = (Outbox::default(), SimRng::new(1), Tracer::disabled());
+        let mut ctx =
+            DeviceCtx::new(SimTime::from_secs(5), DeviceId(3), &mut out, &mut rng, None, &tracer);
         assert_eq!(ctx.now(), SimTime::from_secs(5));
         assert_eq!(ctx.device_id(), DeviceId(3));
         assert!(ctx.incoming_frame().is_none());
         ctx.send(PortId(0), vec![1, 2, 3]);
         ctx.schedule_in(Duration::from_millis(10), 42);
         let _ = ctx.rng().next_u64();
-        assert_eq!(actions.len(), 2);
+        assert_eq!(out.actions.len(), 2);
         assert!(
-            matches!(&actions[0], Action::Send { port: PortId(0), bytes } if bytes.as_slice() == [1, 2, 3])
+            matches!(&out.actions[0], Action::Send { port: PortId(0), bytes } if bytes.as_slice() == [1, 2, 3])
         );
-        assert!(matches!(&actions[1], Action::Schedule { token: 42, .. }));
+        assert!(matches!(&out.actions[1], Action::Schedule { token: 42, .. }));
     }
 
     #[test]
     fn incoming_frame_shares_the_delivered_buffer() {
-        let (mut actions, mut rng, tracer) = (Vec::new(), SimRng::new(1), Tracer::disabled());
+        let (mut out, mut rng, tracer) = (Outbox::default(), SimRng::new(1), Tracer::disabled());
         let delivered = Frame::from(vec![7u8; 64]);
         let mut ctx = DeviceCtx::new(
             SimTime::ZERO,
             DeviceId(0),
-            &mut actions,
+            &mut out,
             &mut rng,
             Some(&delivered),
             &tracer,
@@ -190,6 +223,25 @@ mod tests {
         assert!(std::ptr::eq(shared.as_slice(), delivered.as_slice()));
         ctx.send(PortId(0), shared);
         assert_eq!(delivered.handle_count(), 2, "send queues a shared handle, not a copy");
+    }
+
+    #[test]
+    fn a_flood_is_one_action_over_its_egress_list() {
+        let (mut out, mut rng, tracer) = (Outbox::default(), SimRng::new(1), Tracer::disabled());
+        let mut ctx = DeviceCtx::new(SimTime::ZERO, DeviceId(0), &mut out, &mut rng, None, &tracer);
+        let frame = Frame::from(vec![7u8; 64]);
+        let egress = |p: u16| Egress { port: PortId(p), tagged: p == 2 };
+        ctx.flood((0..3).map(egress), PortId(1), [frame.clone(), frame.clone()]);
+        ctx.send(PortId(3), frame.clone());
+        ctx.flood((3..5).map(egress), PortId(4), [frame.clone(), frame]);
+        assert_eq!(out.egress, (0..3).chain(3..5).map(egress).collect::<Vec<_>>());
+        assert!(
+            matches!(&out.actions[0], Action::Flood { ports, skip: PortId(1), .. } if *ports == (0..3))
+        );
+        assert!(matches!(&out.actions[1], Action::Send { port: PortId(3), .. }));
+        assert!(
+            matches!(&out.actions[2], Action::Flood { ports, skip: PortId(4), .. } if *ports == (3..5))
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A dumb repeating hub.
 
-use crate::device::{Device, DeviceCtx, PortId};
+use crate::device::{Device, DeviceCtx, Egress, PortId};
 
 /// A multiport repeater: every ingress frame is copied to every other port.
 ///
@@ -42,17 +42,14 @@ impl Device for Hub {
         // Only the count: per-frame events are left to the flight
         // recorder, since a mirror hub repeats every LAN frame.
         ctx.tracer().count("hub.repeated", 1);
-        // Repeat the shared buffer: one allocation total regardless of
-        // how many egress copies the repeat fans out to.
+        // Repeat the shared buffer to every port but the ingress: one
+        // allocation total regardless of how many egress copies the
+        // repeat fans out to. No port is tagged, so the second form is
+        // never taken. `ports` may be 65536 (every PortId addressable),
+        // so iterate the usize range and narrow per port.
         let shared = ctx.incoming_frame().expect("on_frame always carries a frame");
-        // `ports` may be 65536 (every PortId addressable), so iterate
-        // the usize range and narrow per port.
-        for p in 0..self.ports {
-            let p = PortId(p as u16);
-            if p != port {
-                ctx.send(p, shared.clone());
-            }
-        }
+        let ports = (0..self.ports).map(|p| Egress { port: PortId(p as u16), tagged: false });
+        ctx.flood(ports, port, [shared.clone(), shared]);
     }
 }
 

@@ -5,7 +5,7 @@ use std::time::Duration;
 use arpshield_trace::profile;
 use arpshield_trace::{FrameKind, Tracer};
 
-use crate::device::{Action, Device, DeviceCtx, DeviceId, PortId};
+use crate::device::{Action, Device, DeviceCtx, DeviceId, Egress, Outbox, PortId};
 use crate::error::NetsimError;
 use crate::frame::Frame;
 use crate::impair::{self, LinkProfile};
@@ -86,10 +86,87 @@ enum EventKind {
         /// flight recorder can label them distinctly.
         dup: bool,
     },
+    /// One flooded frame arriving at each of the `len` targets in
+    /// fan-out `slot`, in list order.
+    Fanout {
+        bytes: Frame,
+        slot: u32,
+        len: u32,
+    },
     Timer {
         dst: DeviceId,
         token: u64,
     },
+}
+
+/// Where one copy of a fan-out lands.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    dst: u32,
+    port: PortId,
+}
+
+/// Power-of-two size classes of fan-out target lists: a flood out of a
+/// 65 536-port device reaches at most 65 535 targets.
+const FANOUT_CLASSES: usize = 17;
+
+/// Free-chain terminator of [`FanoutArena`].
+const NO_SLOT: u32 = u32::MAX;
+
+/// The target lists of queued fan-out events. Size class `c` keeps one
+/// slab of `2^c`-target slots. A list takes a slot of the smallest class
+/// that holds it, and a spent slot joins its class's free chain, linked
+/// through its first target. Slabs grow by doubling, so a run allocates
+/// a few times per class and then never again.
+#[derive(Debug)]
+struct FanoutArena {
+    slabs: [Vec<Target>; FANOUT_CLASSES],
+    /// Head of each class's free chain, or [`NO_SLOT`].
+    free: [u32; FANOUT_CLASSES],
+}
+
+impl FanoutArena {
+    fn new() -> Self {
+        FanoutArena { slabs: std::array::from_fn(|_| Vec::new()), free: [NO_SLOT; FANOUT_CLASSES] }
+    }
+
+    /// The size class of a `len`-target list.
+    fn class(len: u32) -> usize {
+        len.next_power_of_two().trailing_zeros() as usize
+    }
+
+    /// Copies `targets` into a free slot and returns the slot.
+    fn store(&mut self, targets: &[Target]) -> u32 {
+        let class = Self::class(targets.len() as u32);
+        let slab = &mut self.slabs[class];
+        let slot = match self.free[class] {
+            NO_SLOT => {
+                let slot = (slab.len() >> class) as u32;
+                slab.resize(slab.len() + (1 << class), Target { dst: NO_PEER, port: PortId(0) });
+                slot
+            }
+            slot => {
+                self.free[class] = slab[(slot as usize) << class].dst;
+                slot
+            }
+        };
+        let start = (slot as usize) << class;
+        slab[start..start + targets.len()].copy_from_slice(targets);
+        slot
+    }
+
+    /// Target `i` of the `len`-target list in `slot`.
+    fn target(&self, slot: u32, len: u32, i: usize) -> Target {
+        let class = Self::class(len);
+        self.slabs[class][((slot as usize) << class) + i]
+    }
+
+    /// Puts the `len`-target list's `slot` back on its free chain.
+    fn release(&mut self, slot: u32, len: u32) {
+        let class = Self::class(len);
+        self.slabs[class][(slot as usize) << class].dst = self.free[class];
+        self.free[class] = slot;
+    }
 }
 
 /// A deterministic single-segment network simulator.
@@ -121,10 +198,14 @@ pub struct Simulator {
     impair_seed: u64,
     default_profile: LinkProfile,
     stats: WireStats,
-    /// Reusable actions buffer, drained after every dispatch. Devices
-    /// cannot re-enter the simulator, so one scratch vector serves all
+    /// Reusable outbox, drained after every dispatch. Devices cannot
+    /// re-enter the simulator, so one scratch outbox serves all
     /// callbacks without per-event allocation.
-    scratch: Vec<Action>,
+    scratch: Outbox,
+    /// Target lists of the queued fan-out events.
+    fanouts: FanoutArena,
+    /// The run of flood copies being gathered into one fan-out event.
+    flood_run: Vec<Target>,
     /// The run's one tracer: wire outcomes and the flight recorder go
     /// here, and every device reaches it through its `DeviceCtx`.
     /// Disabled by default. Declared last so the hot dispatch fields
@@ -154,7 +235,9 @@ impl Simulator {
             default_profile: LinkProfile::PERFECT,
             run_tracer: Tracer::disabled(),
             stats: WireStats::default(),
-            scratch: Vec::new(),
+            scratch: Outbox::default(),
+            fanouts: FanoutArena::new(),
+            flood_run: Vec::new(),
         }
     }
 
@@ -282,7 +365,8 @@ impl Simulator {
     }
 
     /// Pending events across the timing wheel, ready batch, and
-    /// calendar fallback — the `wheel.occupancy` gauge source.
+    /// calendar fallback — the `wheel.occupancy` gauge source. A queued
+    /// fan-out counts once, however many copies it will deliver.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
     }
@@ -324,93 +408,36 @@ impl Simulator {
         incoming: Option<&Frame>,
         callback: impl FnOnce(&mut dyn Device, &mut DeviceCtx<'_>),
     ) {
-        let mut actions = std::mem::take(&mut self.scratch);
-        let mut ctx =
-            DeviceCtx::new(self.now, id, &mut actions, &mut self.rng, incoming, &self.run_tracer);
+        let (now, tracer) = (self.now, &self.run_tracer);
+        let mut ctx = DeviceCtx::new(now, id, &mut self.scratch, &mut self.rng, incoming, tracer);
         callback(self.devices[id.0].as_mut(), &mut ctx);
-        self.apply_actions(id, &mut actions);
-        self.scratch = actions;
+        // Most deliveries queue nothing (every station a flood reaches
+        // but one); skip the outbox hand-off for them.
+        if !self.scratch.actions.is_empty() {
+            let mut out = std::mem::take(&mut self.scratch);
+            self.apply_actions(id, &mut out);
+            self.scratch = out;
+        }
     }
 
-    fn apply_actions(&mut self, from: DeviceId, actions: &mut Vec<Action>) {
-        for action in actions.drain(..) {
+    fn apply_actions(&mut self, from: DeviceId, out: &mut Outbox) {
+        for action in out.actions.drain(..) {
             match action {
                 Action::Send { port, bytes } => {
-                    let slot = self.port_base[from.0] as usize + usize::from(port.0);
-                    let link = if slot < self.port_base[from.0 + 1] as usize {
-                        self.links[slot]
-                    } else {
-                        Slot::UNLINKED
-                    };
+                    let link = self.link(from, port);
                     if link.peer == NO_PEER {
                         self.stats.dropped_no_link += 1;
-                        continue;
+                    } else if link.impaired == PERFECT_WIRE {
+                        let at = self.arrival(link);
+                        let (dst, port) = (DeviceId(link.peer as usize), link.peer_port);
+                        self.push_event(at, EventKind::Deliver { dst, port, bytes, dup: false });
+                    } else {
+                        self.send_impaired(from, port, link, bytes);
                     }
-                    let (peer, peer_port) = (DeviceId(link.peer as usize), link.peer_port);
-                    if link.impaired == PERFECT_WIRE {
-                        let at = self.now.as_nanos().checked_add(link.latency_ns);
-                        self.push_event(
-                            SimTime::from_nanos(at.expect("SimTime overflow")),
-                            EventKind::Deliver { dst: peer, port: peer_port, bytes, dup: false },
-                        );
-                        continue;
-                    }
-                    let direction = &mut self.impaired[link.impaired as usize];
-                    let (profile, key, index) = (direction.profile, direction.key, direction.sent);
-                    direction.sent += 1;
-                    let latency = Duration::from_nanos(link.latency_ns);
-                    let fate = impair::fate(&profile, self.impair_seed, key, index, self.now);
-                    if fate.lost {
-                        let flap_down = profile.flap.map(|f| f.is_down(self.now)).unwrap_or(false);
-                        let (category, kind) = if flap_down {
-                            self.stats.dropped_link_down += 1;
-                            ("wire.drop.link_down", FrameKind::DroppedLinkDown)
-                        } else {
-                            self.stats.dropped_lost += 1;
-                            ("wire.drop.lost", FrameKind::DroppedLost)
-                        };
-                        self.run_tracer.count(category, 1);
-                        // Capture the doomed octets, and cite both them
-                        // and (when the send happened inside a delivery)
-                        // the frame that caused the send.
-                        let cause = self.run_tracer.current_frame();
-                        let dropped =
-                            self.run_tracer.record_frame(self.now.as_nanos(), kind, &bytes, || {
-                                (
-                                    format!("{}:{}", self.devices[from.0].name(), port.0),
-                                    format!("{}:{}", self.devices[peer.0].name(), peer_port.0),
-                                )
-                            });
-                        self.run_tracer.event_frames(self.now.as_nanos(), category, || {
-                            (
-                                self.devices[from.0].name().to_string(),
-                                format!("port={} frame_index={index}", port.0),
-                                dropped.into_iter().chain(cause).collect(),
-                            )
-                        });
-                        continue;
-                    }
-                    let at = self.now + latency + fate.extra_delay;
-                    // The duplicate trails the original by one more
-                    // propagation delay, sharing its buffer.
-                    let dup = fate.duplicated.then(|| (at + latency, bytes.clone()));
-                    self.push_event(
-                        at,
-                        EventKind::Deliver { dst: peer, port: peer_port, bytes, dup: false },
-                    );
-                    if let Some((dup_at, copy)) = dup {
-                        self.stats.duplicated += 1;
-                        self.run_tracer.count("wire.duplicated", 1);
-                        self.push_event(
-                            dup_at,
-                            EventKind::Deliver {
-                                dst: peer,
-                                port: peer_port,
-                                bytes: copy,
-                                dup: true,
-                            },
-                        );
-                    }
+                }
+                Action::Flood { ports, skip, forms } => {
+                    let ports = &out.egress[ports.start as usize..ports.end as usize];
+                    self.flood(from, ports, skip, &forms);
                 }
                 Action::Schedule { delay, token } => {
                     let at = self.now + delay;
@@ -418,9 +445,135 @@ impl Simulator {
                 }
             }
         }
+        out.egress.clear();
     }
 
-    /// Dispatches the next event. Returns `false` when the queue is empty.
+    /// The link slot behind `port` of `from`; a port past the device's
+    /// count reads as unlinked.
+    fn link(&self, from: DeviceId, port: PortId) -> Slot {
+        let slot = self.port_base[from.0] as usize + usize::from(port.0);
+        if slot < self.port_base[from.0 + 1] as usize {
+            self.links[slot]
+        } else {
+            Slot::UNLINKED
+        }
+    }
+
+    /// When a frame sent now over the perfect wire `link` arrives.
+    fn arrival(&self, link: Slot) -> SimTime {
+        let at = self.now.as_nanos().checked_add(link.latency_ns);
+        SimTime::from_nanos(at.expect("SimTime overflow"))
+    }
+
+    /// Queues a flood's copies in the order one send per port would.
+    /// Each maximal run of perfect-wire copies with one arrival time and
+    /// one form becomes a single fan-out event. Sends queued in one
+    /// dispatch hold consecutive sequence numbers, so nothing can be
+    /// ordered between the copies of a run and the event dispatches
+    /// exactly as they would. Impaired links end the run and take the
+    /// per-frame path; unlinked ports queue nothing.
+    fn flood(&mut self, from: DeviceId, ports: &[Egress], skip: PortId, forms: &[Frame; 2]) {
+        let mut run = std::mem::take(&mut self.flood_run);
+        run.reserve(ports.len());
+        let (mut run_at, mut run_form) = (SimTime::ZERO, 0);
+        for egress in ports.iter().filter(|e| e.port != skip) {
+            let form = usize::from(egress.tagged);
+            let link = self.link(from, egress.port);
+            if link.peer == NO_PEER {
+                self.stats.dropped_no_link += 1;
+                continue;
+            }
+            if link.impaired != PERFECT_WIRE {
+                self.queue_run(&mut run, run_at, &forms[run_form]);
+                self.send_impaired(from, egress.port, link, forms[form].clone());
+                continue;
+            }
+            let at = self.arrival(link);
+            if (at, form) != (run_at, run_form) {
+                self.queue_run(&mut run, run_at, &forms[run_form]);
+                (run_at, run_form) = (at, form);
+            }
+            run.push(Target { dst: link.peer, port: link.peer_port });
+        }
+        self.queue_run(&mut run, run_at, &forms[run_form]);
+        self.flood_run = run;
+    }
+
+    /// Queues the copies of `run` arriving at `at` and empties it: one
+    /// plain delivery for a single copy, else one fan-out event.
+    fn queue_run(&mut self, run: &mut Vec<Target>, at: SimTime, bytes: &Frame) {
+        let kind = match run.as_slice() {
+            [] => return,
+            [one] => EventKind::Deliver {
+                dst: DeviceId(one.dst as usize),
+                port: one.port,
+                bytes: bytes.clone(),
+                dup: false,
+            },
+            targets => {
+                let (slot, len) = (self.fanouts.store(targets), targets.len() as u32);
+                EventKind::Fanout { bytes: bytes.clone(), slot, len }
+            }
+        };
+        self.push_event(at, kind);
+        run.clear();
+    }
+
+    /// Sends `bytes` out of `port` of `from` over the impaired `link`:
+    /// draws its fate, then drops, delays or duplicates it.
+    fn send_impaired(&mut self, from: DeviceId, port: PortId, link: Slot, bytes: Frame) {
+        let (peer, peer_port) = (DeviceId(link.peer as usize), link.peer_port);
+        let direction = &mut self.impaired[link.impaired as usize];
+        let (profile, key, index) = (direction.profile, direction.key, direction.sent);
+        direction.sent += 1;
+        let latency = Duration::from_nanos(link.latency_ns);
+        let fate = impair::fate(&profile, self.impair_seed, key, index, self.now);
+        if fate.lost {
+            let flap_down = profile.flap.map(|f| f.is_down(self.now)).unwrap_or(false);
+            let (category, kind) = if flap_down {
+                self.stats.dropped_link_down += 1;
+                ("wire.drop.link_down", FrameKind::DroppedLinkDown)
+            } else {
+                self.stats.dropped_lost += 1;
+                ("wire.drop.lost", FrameKind::DroppedLost)
+            };
+            self.run_tracer.count(category, 1);
+            // Capture the doomed octets, and cite both them and (when
+            // the send happened inside a delivery) the frame that caused
+            // the send.
+            let cause = self.run_tracer.current_frame();
+            let dropped = self.run_tracer.record_frame(self.now.as_nanos(), kind, &bytes, || {
+                (
+                    format!("{}:{}", self.devices[from.0].name(), port.0),
+                    format!("{}:{}", self.devices[peer.0].name(), peer_port.0),
+                )
+            });
+            self.run_tracer.event_frames(self.now.as_nanos(), category, || {
+                (
+                    self.devices[from.0].name().to_string(),
+                    format!("port={} frame_index={index}", port.0),
+                    dropped.into_iter().chain(cause).collect(),
+                )
+            });
+            return;
+        }
+        let at = self.now + latency + fate.extra_delay;
+        // The duplicate trails the original by one more propagation
+        // delay, sharing its buffer.
+        let dup = fate.duplicated.then(|| (at + latency, bytes.clone()));
+        self.push_event(at, EventKind::Deliver { dst: peer, port: peer_port, bytes, dup: false });
+        if let Some((dup_at, copy)) = dup {
+            self.stats.duplicated += 1;
+            self.run_tracer.count("wire.duplicated", 1);
+            self.push_event(
+                dup_at,
+                EventKind::Deliver { dst: peer, port: peer_port, bytes: copy, dup: true },
+            );
+        }
+    }
+
+    /// Dispatches the next event, every copy of it for a fan-out.
+    /// Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start();
         let Some((at, kind)) = self.queue.pop() else {
@@ -430,25 +583,15 @@ impl Simulator {
         self.now = at;
         match kind {
             EventKind::Deliver { dst, port, bytes, dup } => {
-                let _s = profile::span("sim.deliver");
-                self.stats.frames += 1;
-                self.stats.bytes += bytes.len() as u64;
                 let kind = if dup { FrameKind::DuplicateDelivered } else { FrameKind::Delivered };
-                let frame_id =
-                    self.run_tracer.record_frame(self.now.as_nanos(), kind, &bytes, || {
-                        // The receiving port's slot names the sender.
-                        let from = self.links[self.port_base[dst.0] as usize + usize::from(port.0)];
-                        let sender = self.devices[from.peer as usize].name();
-                        (
-                            format!("{sender}:{}", from.peer_port.0),
-                            format!("{}:{}", self.devices[dst.0].name(), port.0),
-                        )
-                    });
-                // While this frame is dispatched — including the sends
-                // it triggers — every traced event cites it.
-                self.run_tracer.set_current_frame(frame_id);
-                self.dispatch(dst, Some(&bytes), |device, ctx| device.on_frame(ctx, port, &bytes));
-                self.run_tracer.set_current_frame(None);
+                self.deliver(dst, port, &bytes, kind);
+            }
+            EventKind::Fanout { bytes, slot, len } => {
+                for i in 0..len as usize {
+                    let Target { dst, port } = self.fanouts.target(slot, len, i);
+                    self.deliver(DeviceId(dst as usize), port, &bytes, FrameKind::Delivered);
+                }
+                self.fanouts.release(slot, len);
             }
             EventKind::Timer { dst, token } => {
                 let _s = profile::span("sim.timer");
@@ -457,6 +600,27 @@ impl Simulator {
             }
         }
         true
+    }
+
+    /// Hands one arriving copy of `bytes` to `port` of `dst`.
+    fn deliver(&mut self, dst: DeviceId, port: PortId, bytes: &Frame, kind: FrameKind) {
+        let _s = profile::span("sim.deliver");
+        self.stats.frames += 1;
+        self.stats.bytes += bytes.len() as u64;
+        let frame_id = self.run_tracer.record_frame(self.now.as_nanos(), kind, bytes, || {
+            // The receiving port's slot names the sender.
+            let from = self.links[self.port_base[dst.0] as usize + usize::from(port.0)];
+            let sender = self.devices[from.peer as usize].name();
+            (
+                format!("{sender}:{}", from.peer_port.0),
+                format!("{}:{}", self.devices[dst.0].name(), port.0),
+            )
+        });
+        // While this frame is dispatched — including the sends it
+        // triggers — every traced event cites it.
+        self.run_tracer.set_current_frame(frame_id);
+        self.dispatch(dst, Some(bytes), |device, ctx| device.on_frame(ctx, port, bytes));
+        self.run_tracer.set_current_frame(None);
     }
 
     /// Runs until the queue drains or the clock reaches `deadline`,
@@ -892,6 +1056,41 @@ mod tests {
                 assert_eq!(together[d], kept, "pair {pair}, device {d}");
             }
         }
+    }
+
+    /// A flood queues one event per run of copies with one arrival
+    /// time: latencies 1, 1, 2, 1, 1 µs behind ports 1–5 make the runs
+    /// {1, 2}, {3} and {4, 5}.
+    #[test]
+    fn a_flood_queues_one_event_per_arrival_run() {
+        let mut sim = Simulator::new(1);
+        let hub = sim.add_device(Box::new(crate::Hub::new("hub", 6)));
+        let kickoff = sim.add_device(Box::new(Kickoff { budget: 0 }));
+        sim.connect(kickoff, PortId(0), hub, PortId(0), Duration::from_micros(1)).unwrap();
+        for (p, us) in [1, 1, 2, 1, 1].into_iter().enumerate() {
+            let echo = sim.add_device(Box::new(Echo::new()));
+            let port = PortId(p as u16 + 1);
+            sim.connect(echo, PortId(0), hub, port, Duration::from_micros(us)).unwrap();
+        }
+        assert!(sim.step(), "the hub receives the kickoff frame");
+        assert_eq!(sim.queue_depth(), 3);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.wire_stats().frames, 6, "one frame in, five copies out");
+    }
+
+    #[test]
+    fn the_fanout_arena_reuses_spent_slots_by_size_class() {
+        let targets =
+            |n: u32| (0..n).map(|dst| Target { dst, port: PortId(0) }).collect::<Vec<_>>();
+        let mut arena = FanoutArena::new();
+        let (a, b) = (arena.store(&targets(3)), arena.store(&targets(4)));
+        assert_eq!((a, b), (0, 1), "3 and 4 targets share the 4-target class");
+        assert_eq!(arena.store(&targets(5)), 0, "5 targets open the 8-target class");
+        arena.release(a, 3);
+        let c = arena.store(&targets(4));
+        assert_eq!(c, a, "a spent slot is reused before the slab grows");
+        assert_eq!(arena.slabs[2].len(), 8);
+        assert_eq!((0..4).map(|i| arena.target(c, 4, i).dst).collect::<Vec<_>>(), [0, 1, 2, 3]);
     }
 
     #[test]

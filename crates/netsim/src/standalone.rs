@@ -10,12 +10,13 @@
 //!
 //! Steady state allocates nothing: the action scratch vector and the
 //! send buffer are reused across frames, and timers live in the same
-//! [`TimingWheel`] the simulator dispatches from, whose slot vectors
-//! only grow to the high-water mark of concurrently pending timers.
+//! [`TimingWheel`] the simulator dispatches from, whose node arena and
+//! index-linked slot chains only grow to the high-water mark of
+//! concurrently pending timers.
 
 use arpshield_trace::Tracer;
 
-use crate::device::{Action, Device, DeviceCtx, DeviceId, PortId};
+use crate::device::{Action, Device, DeviceCtx, DeviceId, Outbox, PortId};
 use crate::frame::Frame;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -31,7 +32,7 @@ pub struct StandaloneDriver {
     /// tie-break (earlier scheduling wins at equal due times) is shared
     /// rather than reimplemented.
     timers: TimingWheel<u64>,
-    actions: Vec<Action>,
+    out: Outbox,
     sends: Vec<(PortId, Frame)>,
     /// What [`DeviceCtx::tracer`] hands the device: always disabled,
     /// since a driven device's findings flow through its own channels
@@ -48,7 +49,7 @@ impl StandaloneDriver {
             now: SimTime::ZERO,
             rng: SimRng::new(seed),
             timers: TimingWheel::new(),
-            actions: Vec::new(),
+            out: Outbox::default(),
             sends: Vec::new(),
             tracer: Tracer::disabled(),
             timers_fired: 0,
@@ -105,25 +106,34 @@ impl StandaloneDriver {
     }
 
     fn ctx(&mut self) -> DeviceCtx<'_> {
-        DeviceCtx::new(self.now, DeviceId(0), &mut self.actions, &mut self.rng, None, &self.tracer)
+        DeviceCtx::new(self.now, DeviceId(0), &mut self.out, &mut self.rng, None, &self.tracer)
     }
 
     fn apply_actions(&mut self) {
-        for action in self.actions.drain(..) {
+        let egress = &self.out.egress;
+        for action in self.out.actions.drain(..) {
             match action {
                 Action::Send { port, bytes } => self.sends.push((port, bytes)),
+                Action::Flood { ports, skip, forms } => self.sends.extend(
+                    egress[ports.start as usize..ports.end as usize]
+                        .iter()
+                        .filter(|e| e.port != skip)
+                        .map(|e| (e.port, forms[usize::from(e.tagged)].clone())),
+                ),
                 Action::Schedule { delay, token } => {
                     let due = self.now.checked_add(delay).unwrap_or(SimTime::from_nanos(u64::MAX));
                     self.timers.push(due, token);
                 }
             }
         }
+        self.out.egress.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Egress;
     use std::time::Duration;
 
     /// Records every callback; schedules a chain of timers on start.
@@ -194,6 +204,34 @@ mod tests {
         assert_eq!(sends.len(), 1);
         assert_eq!(sends[0].1.as_slice(), &[0xAB; 60]);
         assert!(driver.drain_sends().next().is_none(), "drain empties the buffer");
+    }
+
+    /// Floods each frame out of ports 0–3, port 3 tagged (standing in
+    /// for the re-tagged form as a run of 0xEE).
+    struct Flooder;
+
+    impl Device for Flooder {
+        fn name(&self) -> &str {
+            "flooder"
+        }
+        fn port_count(&self) -> usize {
+            4
+        }
+        fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, port: PortId, frame: &[u8]) {
+            let ports = (0..4).map(|p| Egress { port: PortId(p), tagged: p == 3 });
+            ctx.flood(ports, port, [Frame::from(frame), Frame::from([0xEE; 64])]);
+        }
+    }
+
+    /// A flood leaves a driven device as one send per listed port but
+    /// the ingress, in list order, each in its port's form.
+    #[test]
+    fn a_flood_drains_as_one_send_per_egress_port() {
+        let mut driver = StandaloneDriver::new(7);
+        driver.deliver(&mut Flooder, SimTime::ZERO, PortId(1), &[0x5A; 60]);
+        let sends: Vec<_> = driver.drain_sends().map(|(p, f)| (p.0, f.to_vec())).collect();
+        let (plain, tagged) = (vec![0x5A; 60], vec![0xEE; 64]);
+        assert_eq!(sends, [(0, plain.clone()), (2, plain), (3, tagged)]);
     }
 
     #[test]

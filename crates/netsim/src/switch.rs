@@ -13,7 +13,7 @@ use arpshield_packet::{
 };
 use arpshield_trace::profile;
 
-use crate::device::{Device, DeviceCtx, PortId};
+use crate::device::{Device, DeviceCtx, Egress, PortId};
 use crate::frame::Frame;
 use crate::hash::{FastMap, FastSet};
 use crate::time::SimTime;
@@ -355,6 +355,21 @@ impl Default for SwitchConfig {
     }
 }
 
+impl SwitchConfig {
+    /// Whether `vid` may egress through `port`: `Some(tagged)` when the
+    /// port is a member (`tagged` selects the egress encapsulation),
+    /// `None` when the port is outside the VLAN's flood domain.
+    fn egress_mode(&self, port: PortId, vid: VlanId) -> Option<bool> {
+        match &self.vlans {
+            None => Some(false),
+            Some(vlans) => match &vlans[port.0 as usize] {
+                PortVlan::Access { pvid } => (*pvid == vid).then_some(false),
+                PortVlan::Trunk { allowed } => allowed.contains(vid).then_some(true),
+            },
+        }
+    }
+}
+
 const SWEEP_TOKEN: u64 = 0xCA11_5EE9;
 
 /// A learning Ethernet switch.
@@ -366,6 +381,23 @@ pub struct Switch {
     stats: Rc<RefCell<SwitchStats>>,
     per_port_macs: FastMap<PortId, FastSet<MacAddr>>,
     inspector: Option<Box<dyn FrameInspector>>,
+    /// Flood domains by VID, each built on its VID's first flood; all
+    /// are dropped when port security err-disables a port.
+    flood_domains: FastMap<VlanId, FloodDomain>,
+    /// The domains' egress lists, back to back.
+    flood_ports: Vec<Egress>,
+}
+
+/// One VLAN's flood domain: `flood_ports[start..end]` lists every port a
+/// flood leaves by, in port order, minus the mirror port and
+/// err-disabled ports. The ingress port stays listed; the flood skips
+/// it.
+#[derive(Debug, Clone, Copy)]
+struct FloodDomain {
+    start: u32,
+    end: u32,
+    /// Whether some port egresses untagged (`[0]`) or tagged (`[1]`).
+    encaps: [bool; 2],
 }
 
 impl std::fmt::Debug for dyn FrameInspector {
@@ -383,33 +415,14 @@ enum Classified {
     Drop,
 }
 
-/// The (at most two) egress representations of one ingress frame.
-///
-/// A flood across mixed access and trunk ports needs the frame both
-/// untagged and tagged; each form is built at most once — the one matching
-/// the ingress encapsulation is the shared ingress buffer itself, the
-/// other is rebuilt lazily on first use.
-struct EgressForms<'a> {
-    shared: &'a Frame,
-    vid: VlanId,
-    ingress_tagged: bool,
-    rebuilt: Option<Frame>,
-}
-
-impl EgressForms<'_> {
-    /// The frame as it should leave a port whose egress is `tagged`.
-    fn for_tagged(&mut self, tagged: bool) -> Frame {
-        if tagged == self.ingress_tagged {
-            return self.shared.clone();
-        }
-        let rebuilt = self.rebuilt.get_or_insert_with(|| {
-            if tagged {
-                tag_frame(self.shared, self.vid)
-            } else {
-                untag_frame(self.shared)
-            }
-        });
-        rebuilt.clone()
+/// `shared`, which arrived with an outer tag when `ingress_tagged`, as it
+/// leaves a port whose egress is `tagged`: the shared buffer itself when
+/// the encapsulations match, else a copy re-tagged for `vid`.
+fn egress_form(shared: &Frame, ingress_tagged: bool, tagged: bool, vid: VlanId) -> Frame {
+    match (ingress_tagged, tagged) {
+        (false, true) => tag_frame(shared, vid),
+        (true, false) => untag_frame(shared),
+        _ => shared.clone(),
     }
 }
 
@@ -452,6 +465,7 @@ impl Switch {
         if let Some(vlans) = &config.vlans {
             assert_eq!(vlans.len(), config.ports, "per-port VLAN table must cover every port");
         }
+        let ports = config.ports;
         let cam = Rc::new(RefCell::new(CamTable::new(config.cam_capacity, config.cam_aging)));
         let stats = Rc::new(RefCell::new(SwitchStats::default()));
         let handle = SwitchHandle { cam: Rc::clone(&cam), stats: Rc::clone(&stats) };
@@ -463,6 +477,10 @@ impl Switch {
                 stats,
                 per_port_macs: FastMap::default(),
                 inspector: None,
+                // Room for one domain over every port, so a single-VLAN
+                // switch builds its domain mid-run without allocating.
+                flood_domains: FastMap::with_capacity_and_hasher(1, Default::default()),
+                flood_ports: Vec::with_capacity(ports),
             },
             handle,
         )
@@ -492,35 +510,52 @@ impl Switch {
         }
     }
 
-    /// Whether `vid` may egress through `port`: `Some(tagged)` when the
-    /// port is a member (`tagged` selects the egress encapsulation), `None`
-    /// when the port is outside the VLAN's flood domain.
-    fn egress_mode(&self, port: PortId, vid: VlanId) -> Option<bool> {
-        match &self.config.vlans {
-            None => Some(false),
-            Some(vlans) => match &vlans[port.0 as usize] {
-                PortVlan::Access { pvid } => (*pvid == vid).then_some(false),
-                PortVlan::Trunk { allowed } => allowed.contains(vid).then_some(true),
-            },
+    /// `vid`'s flood domain, built on first use.
+    fn flood_domain(&mut self, vid: VlanId) -> FloodDomain {
+        if let Some(domain) = self.flood_domains.get(&vid) {
+            return *domain;
         }
+        let (config, stats) = (&self.config, self.stats.borrow());
+        let start = self.flood_ports.len();
+        // `ports` may legitimately be 65536 (every PortId addressable),
+        // so iterate the usize range and narrow per port.
+        self.flood_ports.extend(
+            (0..config.ports)
+                .map(|p| PortId(p as u16))
+                .filter(|p| Some(*p) != config.mirror_to && !stats.shutdown_ports.contains(p))
+                .filter_map(|port| {
+                    config.egress_mode(port, vid).map(|tagged| Egress { port, tagged })
+                }),
+        );
+        let listed = &self.flood_ports[start..];
+        let encaps = [false, true].map(|tagged| listed.iter().any(|e| e.tagged == tagged));
+        let end = self.flood_ports.len() as u32;
+        let domain = FloodDomain { start: start as u32, end, encaps };
+        self.flood_domains.insert(vid, domain);
+        domain
     }
 
-    fn flood(&self, ctx: &mut DeviceCtx<'_>, ingress: PortId, forms: &mut EgressForms<'_>) {
-        // `ports` may legitimately be 65536 (every PortId addressable), so
-        // iterate the usize range and narrow per port.
-        for p in 0..self.config.ports {
-            let p = PortId(p as u16);
-            if p == ingress || Some(p) == self.config.mirror_to {
-                continue;
-            }
-            if self.stats.borrow().shutdown_ports.contains(&p) {
-                continue;
-            }
-            let Some(tagged) = self.egress_mode(p, forms.vid) else {
-                continue;
-            };
-            ctx.send(p, forms.for_tagged(tagged));
-        }
+    /// Floods `shared` within `vid` as one action over the VLAN's flood
+    /// domain. The form the ingress encapsulation does not match is
+    /// built once, and only when some port of the domain takes it.
+    fn flood(
+        &mut self,
+        ctx: &mut DeviceCtx<'_>,
+        ingress: PortId,
+        shared: Frame,
+        vid: VlanId,
+        ingress_tagged: bool,
+    ) {
+        let domain = self.flood_domain(vid);
+        let other = !ingress_tagged;
+        let rebuilt = if domain.encaps[usize::from(other)] {
+            egress_form(&shared, ingress_tagged, other, vid)
+        } else {
+            shared.clone()
+        };
+        let forms = if ingress_tagged { [rebuilt, shared] } else { [shared, rebuilt] };
+        let ports = &self.flood_ports[domain.start as usize..domain.end as usize];
+        ctx.flood(ports.iter().copied(), ingress, forms);
     }
 }
 
@@ -642,6 +677,8 @@ impl Device for Switch {
                         stats.dropped_security += 1;
                         if matches!(ps.violation, ViolationAction::ShutdownPort) {
                             stats.shutdown_ports.insert(port);
+                            self.flood_domains.clear();
+                            self.flood_ports.clear();
                         }
                         return;
                     }
@@ -703,7 +740,6 @@ impl Device for Switch {
         // shares the ingress frame's buffer; only a tag/untag boundary
         // builds one fresh frame, reused for every port of that kind.
         let shared = ctx.incoming_frame().expect("on_frame always carries a frame");
-        let mut forms = EgressForms { shared: &shared, vid, ingress_tagged, rebuilt: None };
 
         // Mirror a copy of every (accepted) ingress frame, exactly as it
         // arrived — SPAN shows wire reality, not the egress rewrite.
@@ -716,8 +752,8 @@ impl Device for Switch {
         if eth.dst().is_unicast() {
             if let Some(out) = unicast_out {
                 if out != port && !self.stats.borrow().shutdown_ports.contains(&out) {
-                    if let Some(tagged) = self.egress_mode(out, vid) {
-                        ctx.send(out, forms.for_tagged(tagged));
+                    if let Some(tagged) = self.config.egress_mode(out, vid) {
+                        ctx.send(out, egress_form(&shared, ingress_tagged, tagged, vid));
                         self.stats.borrow_mut().forwarded += 1;
                         tracer.count("switch.forwarded", 1);
                     }
@@ -727,7 +763,7 @@ impl Device for Switch {
         }
         self.stats.borrow_mut().flooded += 1;
         tracer.count("switch.flooded", 1);
-        self.flood(ctx, port, &mut forms);
+        self.flood(ctx, port, shared, vid, ingress_tagged);
     }
 }
 
@@ -991,6 +1027,38 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(b_rx.borrow().len(), 1);
         assert!(handle.stats.borrow().shutdown_ports.contains(&PortId(0)));
+    }
+
+    /// Flood domains are cached per VLAN; err-disabling a port must
+    /// drop it from every later flood.
+    #[test]
+    fn floods_skip_a_port_err_disabled_after_the_domain_was_built() {
+        let mut sim = Simulator::new(1);
+        let config = SwitchConfig {
+            ports: 3,
+            port_security: Some(PortSecurityConfig {
+                max_macs_per_port: 1,
+                violation: ViolationAction::ShutdownPort,
+            }),
+            ..Default::default()
+        };
+        let (sw, _) = Switch::new("sw", config);
+        let sw = sim.add_device(Box::new(sw));
+        let (a, _) = Station::new(vec![
+            (1, frame(MacAddr::from_index(1), MacAddr::BROADCAST)),
+            (20, frame(MacAddr::from_index(1), MacAddr::BROADCAST)),
+        ]);
+        let (b, b_rx) = Station::new(vec![]);
+        let (c, c_rx) = Station::new(vec![
+            (5, frame(MacAddr::from_index(3), MacAddr::BROADCAST)),
+            (10, frame(MacAddr::from_index(4), MacAddr::BROADCAST)), // violation -> shutdown
+        ]);
+        wire(&mut sim, a, sw, 0);
+        wire(&mut sim, b, sw, 1);
+        wire(&mut sim, c, sw, 2);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(b_rx.borrow().len(), 3, "both of a's floods and c's first frame");
+        assert_eq!(c_rx.borrow().len(), 1, "only the flood from before the shutdown");
     }
 
     #[test]

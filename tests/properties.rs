@@ -1143,3 +1143,309 @@ mod capture_robustness {
         }
     }
 }
+
+/// A flood leaves the simulator's queue as one fan-out event per run of
+/// copies that arrive together. These oracles hold it to what one send
+/// per port did: a hub must replay a reference repeater exactly, and a
+/// switch must land each broadcast once per flood-domain port, by
+/// arrival time and then by port, in the port's encapsulation.
+mod fanout_order {
+    use super::*;
+    use arpshield::netsim::{
+        Device, DeviceCtx, Hub, LinkProfile, PortSecurityConfig, PortVlan, Simulator, Switch,
+        SwitchConfig, ViolationAction, VlanSet,
+    };
+    use arpshield::trace::{install, FrameKind, RecordedFrame, TraceCollector, Tracer};
+    use std::cell::RefCell;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::rc::Rc;
+    use std::sync::Arc;
+
+    /// What a station received: `(time ns, port, bytes)` per frame.
+    type Log = Rc<RefCell<Vec<(u64, u16, Vec<u8>)>>>;
+
+    /// Sends each planned frame at its time in ns and logs what arrives.
+    /// A frame whose first byte is nonzero is echoed back with that
+    /// byte decremented, so copies trigger sends mid-fan-out.
+    struct Station {
+        name: String,
+        plan: Vec<(u64, Vec<u8>)>,
+        echo: bool,
+        log: Log,
+    }
+
+    impl Device for Station {
+        fn name(&self) -> &str {
+            &self.name
+        }
+        fn port_count(&self) -> usize {
+            1
+        }
+        fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
+            for (i, (at, _)) in self.plan.iter().enumerate() {
+                ctx.schedule_in(Duration::from_nanos(*at), i as u64);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
+            ctx.send(PortId(0), self.plan[token as usize].1.clone());
+        }
+        fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, port: PortId, frame: &[u8]) {
+            self.log.borrow_mut().push((ctx.now().as_nanos(), port.0, frame.to_vec()));
+            if self.echo && frame[0] > 0 {
+                let mut echo = frame.to_vec();
+                echo[0] -= 1;
+                ctx.send(port, echo);
+            }
+        }
+    }
+
+    /// The reference repeat: one `send` per port.
+    struct Repeater {
+        ports: usize,
+    }
+
+    impl Device for Repeater {
+        fn name(&self) -> &str {
+            "hub"
+        }
+        fn port_count(&self) -> usize {
+            self.ports
+        }
+        fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, port: PortId, _: &[u8]) {
+            let shared = ctx.incoming_frame().expect("on_frame carries a frame");
+            for p in (0..self.ports as u16).filter(|&p| p != port.0) {
+                ctx.send(PortId(p), shared.clone());
+            }
+        }
+    }
+
+    /// Runs `sim` for one simulated second under an armed flight
+    /// recorder and returns every captured frame.
+    fn captured(mut sim: Simulator) -> Vec<RecordedFrame> {
+        let collector = Arc::new(TraceCollector::with_capture(1 << 16));
+        {
+            let _guard = install(Arc::clone(&collector));
+            sim.set_tracer(Tracer::for_current_run("fanout"));
+        }
+        sim.run_until(SimTime::from_secs(1));
+        drop(sim); // the last tracer handle flushes the run
+        collector.manifest("fanout").runs.remove(0).frames
+    }
+
+    /// The port number in a `device:port` capture endpoint.
+    fn port_of(endpoint: &str) -> usize {
+        endpoint.rsplit(':').next().and_then(|p| p.parse().ok()).expect("device:port")
+    }
+
+    /// Station `p`'s MAC; the second identity is what the violator forges.
+    fn mac(p: usize, second: bool) -> MacAddr {
+        MacAddr::from_index(1 + p as u32 + if second { 1000 } else { 0 })
+    }
+
+    /// A broadcast from `src` whose payload opens with `marker`.
+    fn broadcast(src: MacAddr, marker: u8, len: usize, vid: Option<u16>) -> Vec<u8> {
+        let mut payload = vec![0xA5; len];
+        payload[0] = marker;
+        let frame =
+            EthernetEmit::new(MacAddr::BROADCAST, src, EtherType::Other(0x1234), &payload[..]);
+        match vid {
+            Some(vid) => frame.with_vlan(vid).encode(),
+            None => frame.encode(),
+        }
+    }
+
+    properties! {
+        /// Latencies of 0–3 µs make runs of equal arrival times (and
+        /// zero-latency copies arrive while their fan-out is walked);
+        /// one lossy, duplicating link splits runs and takes the
+        /// per-frame path; echoes send mid-walk. Every station's log and
+        /// the whole capture must match the one-send-per-port repeater.
+        #[test]
+        fn hub_fanout_replays_one_send_per_port(
+            latencies in collection::vec(0u64..4, 2..9),
+            impaired in any::<u8>(),
+            plans in collection::vec((any::<u8>(), 0u64..20, 0u8..3), 1..8),
+        ) {
+            let ports = latencies.len();
+            let impaired = usize::from(impaired) % ports;
+            let run = |hub: Box<dyn Device>| {
+                let mut sim = Simulator::new(7);
+                let hub = sim.add_device(hub);
+                let mut logs = Vec::new();
+                for (p, latency) in latencies.iter().enumerate() {
+                    let plan = plans
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, (who, ..))| usize::from(*who) % ports == p)
+                        .map(|(i, &(_, at_us, budget))| {
+                            let mut bytes = vec![0u8; 60];
+                            bytes[..2].copy_from_slice(&[budget, i as u8]);
+                            (at_us * 1000, bytes)
+                        })
+                        .collect();
+                    let log = Log::default();
+                    let name = format!("s{p}");
+                    let station = Station { name, plan, echo: true, log: Rc::clone(&log) };
+                    let id = sim.add_device(Box::new(station));
+                    let latency = Duration::from_micros(*latency);
+                    let profile = if p == impaired {
+                        LinkProfile::lossy(0.3).with_dup(0.5)
+                    } else {
+                        LinkProfile::PERFECT
+                    };
+                    sim.connect_impaired(id, PortId(0), hub, PortId(p as u16), latency, profile)
+                        .unwrap();
+                    logs.push(log);
+                }
+                let frames = captured(sim);
+                let logs: Vec<_> = logs.iter().map(|log| log.take()).collect();
+                (logs, frames)
+            };
+            let (hub_logs, hub_frames) = run(Box::new(Hub::new("hub", ports)));
+            let (ref_logs, ref_frames) = run(Box::new(Repeater { ports }));
+            prop_assert_eq!(hub_logs, ref_logs);
+            prop_assert_eq!(hub_frames, ref_frames);
+        }
+
+        /// A switch, VLAN-unaware or with access ports on VIDs 10 and 20
+        /// and trunks on VID 10, with a mirror port and one station that
+        /// forges a second MAC mid-run and gets its port err-disabled.
+        /// A model walks the capture's arrivals at the switch in order
+        /// and predicts each broadcast's copies: one per port of its
+        /// flood domain as of that arrival, in arrival-then-port order,
+        /// tagged toward trunks, plus the mirror's verbatim copy.
+        #[test]
+        fn switch_flood_lands_once_per_domain_port_in_order(
+            layout in collection::vec((0u64..4, 0u8..3), 4..10),
+            vlan_aware in any::<bool>(),
+            mirror in any::<u8>(),
+            violator in any::<u8>(),
+            sends in collection::vec((any::<u8>(), 0u64..30), 1..12),
+            violate_at in 1u64..30,
+            len in 46usize..80,
+        ) {
+            let ports = layout.len();
+            let mirror = usize::from(mirror) % ports;
+            let violator = (mirror + 1 + usize::from(violator) % (ports - 1)) % ports;
+            let latency = |p: usize| layout[p].0 * 1000;
+            // Mode 0: access VID 10; 1: trunk carrying VID 10; 2: access VID 20.
+            let mode = |p: usize| if vlan_aware { layout[p].1 } else { 0 };
+            let vlans = vlan_aware.then(|| {
+                layout
+                    .iter()
+                    .map(|&(_, m)| match m {
+                        1 => PortVlan::Trunk { allowed: VlanSet::Only(vec![10]) },
+                        2 => PortVlan::Access { pvid: 20 },
+                        _ => PortVlan::Access { pvid: 10 },
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let ingress_tag = |p: usize| (mode(p) == 1).then_some(10);
+
+            // Plans: every `sends` entry from its port (the monitor on
+            // the mirror port only listens), and the violator's honest
+            // frame at 0 then its forged one at `violate_at`.
+            let mut plans: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); ports];
+            let mut marker = 0u8;
+            let mut plan = |p: usize, at_us: u64, second: bool| {
+                plans[p].push((at_us * 1000, broadcast(mac(p, second), marker, len, ingress_tag(p))));
+                marker += 1;
+            };
+            plan(violator, 0, false);
+            plan(violator, violate_at, true);
+            for &(who, at_us) in &sends {
+                let p = usize::from(who) % ports;
+                if p != mirror {
+                    plan(p, at_us, false);
+                }
+            }
+
+            let mut sim = Simulator::new(3);
+            let config = SwitchConfig {
+                ports,
+                mirror_to: Some(PortId(mirror as u16)),
+                port_security: Some(PortSecurityConfig {
+                    max_macs_per_port: 1,
+                    violation: ViolationAction::ShutdownPort,
+                }),
+                vlans,
+                ..Default::default()
+            };
+            let (sw, handle) = Switch::new("sw", config);
+            let sw = sim.add_device(Box::new(sw));
+            for (p, plan) in plans.into_iter().enumerate() {
+                let name = format!("s{p}");
+                let station = Station { name, plan, echo: false, log: Log::default() };
+                let id = sim.add_device(Box::new(station));
+                let link = Duration::from_nanos(latency(p));
+                sim.connect(id, PortId(0), sw, PortId(p as u16), link).unwrap();
+            }
+            let frames = captured(sim);
+            prop_assert!(handle.stats.borrow().shutdown_ports.contains(&PortId(violator as u16)));
+
+            // Copies out of the switch, grouped by broadcast marker, in
+            // capture (dispatch) order.
+            let mut copies: BTreeMap<u8, Vec<&RecordedFrame>> = BTreeMap::new();
+            for frame in frames.iter().filter(|f| f.src.starts_with("sw:")) {
+                prop_assert_eq!(frame.kind, FrameKind::Delivered);
+                let marker = EthernetView::parse_strict(&frame.bytes).unwrap().payload()[0];
+                copies.entry(marker).or_default().push(frame);
+            }
+
+            let (mut shutdown, mut known) = (BTreeSet::new(), vec![BTreeSet::new(); ports]);
+            let arrivals = frames.iter().filter(|f| f.dst.starts_with("sw:"));
+            for arrival in arrivals {
+                let p = port_of(&arrival.dst);
+                let eth = EthernetView::parse_strict(&arrival.bytes).unwrap();
+                let marker = eth.payload()[0];
+                let got = copies.remove(&marker).unwrap_or_default();
+                let vid = match mode(p) {
+                    2 => 20,
+                    _ => 10,
+                };
+                let learns = known[p].contains(&eth.src()) || known[p].is_empty();
+                if shutdown.contains(&p) || !learns {
+                    // Err-disabled, or the violation that disables it.
+                    shutdown.insert(p);
+                    prop_assert!(got.is_empty(), "dropped frame {} was copied", marker);
+                    continue;
+                }
+                known[p].insert(eth.src());
+                let untagged = broadcast(eth.src(), marker, len, None);
+                let tagged = broadcast(eth.src(), marker, len, Some(10));
+                let mut want: Vec<(u64, usize, &[u8])> = (0..ports)
+                    .filter(|&q| q != p && q != mirror && !shutdown.contains(&q))
+                    .filter(|&q| !vlan_aware || [10, 10, 20][usize::from(mode(q))] == vid)
+                    .map(|q| {
+                        let bytes = if mode(q) == 1 { &tagged } else { &untagged };
+                        (arrival.at_ns + latency(q), q, bytes.as_slice())
+                    })
+                    .collect();
+                want.sort_by_key(|&(at, q, _)| (at, q));
+                let (mirrored, flooded): (Vec<_>, Vec<_>) =
+                    got.into_iter().partition(|f| port_of(&f.src) == mirror);
+                let flooded: Vec<(u64, usize, &[u8])> = flooded
+                    .iter()
+                    .map(|f| (f.at_ns, port_of(&f.src), f.bytes.as_slice()))
+                    .collect();
+                prop_assert!(
+                    flooded == want,
+                    "broadcast {} from port {}: copies {:?}, want {:?}",
+                    marker,
+                    p,
+                    flooded,
+                    want
+                );
+                let mirrored: Vec<_> = mirrored.iter().map(|f| (f.at_ns, &f.bytes)).collect();
+                let mirror_copy = (arrival.at_ns + latency(mirror), &arrival.bytes);
+                prop_assert!(
+                    mirrored == vec![mirror_copy],
+                    "broadcast {}: mirror copies {:?}",
+                    marker,
+                    mirrored
+                );
+            }
+            prop_assert!(copies.is_empty(), "copies of frames that never arrived: {:?}", copies);
+        }
+    }
+}
