@@ -11,11 +11,17 @@
 //! baseline pins the heap-vs-wheel ratio, not just the wheel's own
 //! trajectory.
 //!
-//! Two shapes: `steady_churn` keeps every delay inside the wheel's
-//! ~68.7 s horizon (the pure fast path), `mixed_horizon` sends one
-//! push in 16 far beyond it, forcing traffic through the calendar
-//! fallback the way a long CAM-aging timer rides alongside
-//! microsecond frame deliveries.
+//! Three shapes:
+//! - `steady_churn` keeps every delay a link latency ahead (1–25 µs),
+//!   the wheel's level-0 and level-1 fast path;
+//! - `mixed_horizon` sends one push in 16 about a day out, past the
+//!   wheel's ~19.5 h horizon, so traffic rides through the calendar
+//!   fallback the way a ticket lifetime rides alongside microsecond
+//!   frame deliveries (the bench asserts the fallback held entries);
+//! - `scale_timers` is the 100k-station fabric's pattern: one refresh
+//!   timer per station pending up to 2 s ahead. A timer's pop sends a
+//!   frame 5 or 10 µs out, each delivery pushes the next hop the same
+//!   way, and the last hop re-arms the station's timer 2 s ahead.
 //!
 //! Every run folds the popped sequence into a checksum, and the two
 //! implementations must produce the same one — the bench doubles as an
@@ -30,6 +36,15 @@ use arpshield_testkit::{Criterion, Throughput};
 
 const IN_FLIGHT: usize = 4096;
 const OPS: usize = 65_536;
+
+/// Stations in `scale_timers`, one refresh timer each.
+const STATIONS: u32 = 100_000;
+/// Deliveries per refresh before the station re-arms.
+const HOPS: u32 = 3;
+/// Station refresh period, in ns.
+const REFRESH: u64 = 2_000_000_000;
+/// Pops in `scale_timers`: one refresh cycle of every station.
+const SCALE_OPS: u32 = STATIONS * (HOPS + 1);
 
 /// xorshift64*: cheap, deterministic op-stream generator.
 struct Lcg(u64);
@@ -51,16 +66,22 @@ impl Lcg {
 const LATENCIES: [u64; 4] = [1_000, 5_000, 10_000, 25_000];
 
 /// Delay for one push: a configured link latency, with an optional
-/// 1-in-16 far-future tail that crosses the wheel horizon (a CAM-aging
-/// timer riding alongside microsecond frame deliveries).
+/// 1-in-16 far-future tail that crosses the wheel horizon (a ticket
+/// lifetime riding alongside microsecond frame deliveries).
 fn delay(rng: &mut Lcg, far_tail: bool) -> u64 {
     let raw = rng.next();
     if far_tail && raw % 16 == 0 {
-        // ~100 s out: beyond the 2^36 ns horizon, onto the fallback.
-        100_000_000_000 + raw % 1_000_000_000
+        // ~1 day out: beyond the 2^46 ns horizon, onto the fallback.
+        86_400_000_000_000 + raw % 1_000_000_000
     } else {
         LATENCIES[(raw % 4) as usize]
     }
+}
+
+/// What both contenders offer the op streams.
+trait Queue: Default {
+    fn push(&mut self, at: u64, item: u32);
+    fn pop(&mut self) -> Option<(u64, u32)>;
 }
 
 /// The scheduler the wheel replaced: a min-heap on `(at, seq)`, the
@@ -72,7 +93,7 @@ struct HeapQueue {
     seq: u64,
 }
 
-impl HeapQueue {
+impl Queue for HeapQueue {
     fn push(&mut self, at: u64, item: u32) {
         self.heap.push(Reverse((at, self.seq, item)));
         self.seq += 1;
@@ -82,15 +103,32 @@ impl HeapQueue {
     }
 }
 
+impl Queue for TimingWheel<u32> {
+    fn push(&mut self, at: u64, item: u32) {
+        TimingWheel::push(self, SimTime::from_nanos(at), item);
+    }
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        TimingWheel::pop(self).map(|(at, item)| (at.as_nanos(), item))
+    }
+}
+
 fn fold(acc: u64, at: u64, item: u32) -> u64 {
     (acc ^ at.wrapping_add(u64::from(item))).rotate_left(7)
 }
 
-/// Hold-model churn through the heap: fill to `IN_FLIGHT`, then pop
-/// one / push one for `OPS` operations, then drain.
-fn churn_heap(far_tail: bool) -> u64 {
+/// Pops everything left, folding it into `acc`.
+fn drain(q: &mut impl Queue, mut acc: u64) -> u64 {
+    while let Some((at, item)) = q.pop() {
+        acc = fold(acc, at, item);
+    }
+    acc
+}
+
+/// Hold-model churn: fill to `IN_FLIGHT`, then pop one / push one for
+/// `OPS` operations, then drain. `watch` sees the queue after each push.
+fn churn<Q: Queue>(far_tail: bool, mut watch: impl FnMut(&Q)) -> u64 {
     let mut rng = Lcg(0x5EED_0001);
-    let mut q = HeapQueue::default();
+    let mut q = Q::default();
     let mut acc = 0u64;
     for i in 0..IN_FLIGHT {
         q.push(delay(&mut rng, far_tail), i as u32);
@@ -99,54 +137,64 @@ fn churn_heap(far_tail: bool) -> u64 {
         let (at, item) = q.pop().expect("queue stays full during churn");
         acc = fold(acc, at, item);
         q.push(at + delay(&mut rng, far_tail), i as u32);
+        watch(&q);
     }
-    while let Some((at, item)) = q.pop() {
-        acc = fold(acc, at, item);
-    }
-    acc
+    drain(&mut q, acc)
 }
 
-/// The identical op stream through the timing wheel.
-fn churn_wheel(far_tail: bool) -> u64 {
-    let mut rng = Lcg(0x5EED_0001);
-    let mut q: TimingWheel<u32> = TimingWheel::new();
+/// The fabric's refresh cycle: `STATIONS` timers at uniform phases over
+/// one period, then `SCALE_OPS` pops, each pushing its successor (item
+/// `station * (HOPS + 1) + hop`, hop 0 being the timer), then drain.
+fn scale_timers<Q: Queue>() -> u64 {
+    let mut rng = Lcg(0x5EED_0002);
+    let mut q = Q::default();
+    for station in 0..STATIONS {
+        q.push(rng.next() % REFRESH, station * (HOPS + 1));
+    }
     let mut acc = 0u64;
-    for i in 0..IN_FLIGHT {
-        q.push(SimTime::from_nanos(delay(&mut rng, far_tail)), i as u32);
+    for _ in 0..SCALE_OPS {
+        let (at, item) = q.pop().expect("every pop pushes a successor");
+        acc = fold(acc, at, item);
+        let (station, hop) = (item / (HOPS + 1), item % (HOPS + 1));
+        if hop == HOPS {
+            q.push(at + REFRESH, station * (HOPS + 1));
+        } else {
+            q.push(at + [5_000, 10_000][(rng.next() % 2) as usize], item + 1);
+        }
     }
-    for i in 0..OPS {
-        let (at, item) = q.pop().expect("queue stays full during churn");
-        let now = at.as_nanos();
-        acc = fold(acc, now, item);
-        q.push(SimTime::from_nanos(now + delay(&mut rng, far_tail)), i as u32);
-    }
-    while let Some((at, item)) = q.pop() {
-        acc = fold(acc, at.as_nanos(), item);
-    }
-    acc
+    drain(&mut q, acc)
 }
 
 fn bench_churn(c: &mut Criterion) {
     // The wheel must agree with the reference ordering exactly; a
-    // checksum mismatch here means the scheduler swap broke the
-    // determinism contract, and no timing numbers would matter.
-    assert_eq!(churn_wheel(false), churn_heap(false), "steady_churn ordering diverged");
-    assert_eq!(churn_wheel(true), churn_heap(true), "mixed_horizon ordering diverged");
+    // checksum mismatch here means the scheduler broke the determinism
+    // contract, and no timing numbers would matter.
+    type Wheel = TimingWheel<u32>;
+    let steady = churn::<Wheel>(false, |_| {});
+    assert_eq!(steady, churn::<HeapQueue>(false, |_| {}), "steady_churn ordering diverged");
+    let mut fallback_peak = 0;
+    let mixed = churn::<Wheel>(true, |q| fallback_peak = fallback_peak.max(q.fallback_len()));
+    assert_eq!(mixed, churn::<HeapQueue>(true, |_| {}), "mixed_horizon ordering diverged");
+    assert!(fallback_peak > 0, "mixed_horizon never reached the calendar fallback");
+    assert_eq!(scale_timers::<Wheel>(), scale_timers::<HeapQueue>(), "scale_timers diverged");
 
     let mut group = c.benchmark_group("event_queue_churn");
     group.sample_size(15);
     group.throughput(Throughput::Elements((IN_FLIGHT + OPS) as u64));
-    group.bench_function("wheel/steady_churn", |b| {
-        b.iter(|| std::hint::black_box(churn_wheel(false)))
+    for (shape, far_tail) in [("steady_churn", false), ("mixed_horizon", true)] {
+        group.bench_function(format!("wheel/{shape}"), |b| {
+            b.iter(|| std::hint::black_box(churn::<Wheel>(far_tail, |_| {})))
+        });
+        group.bench_function(format!("heap/{shape}"), |b| {
+            b.iter(|| std::hint::black_box(churn::<HeapQueue>(far_tail, |_| {})))
+        });
+    }
+    group.throughput(Throughput::Elements(u64::from(STATIONS + SCALE_OPS)));
+    group.bench_function("wheel/scale_timers", |b| {
+        b.iter(|| std::hint::black_box(scale_timers::<Wheel>()))
     });
-    group.bench_function("heap/steady_churn", |b| {
-        b.iter(|| std::hint::black_box(churn_heap(false)))
-    });
-    group.bench_function("wheel/mixed_horizon", |b| {
-        b.iter(|| std::hint::black_box(churn_wheel(true)))
-    });
-    group.bench_function("heap/mixed_horizon", |b| {
-        b.iter(|| std::hint::black_box(churn_heap(true)))
+    group.bench_function("heap/scale_timers", |b| {
+        b.iter(|| std::hint::black_box(scale_timers::<HeapQueue>()))
     });
     group.finish();
 }

@@ -993,8 +993,56 @@ fn t6s_sizes_from(knob: &EnvKnob, fabric: Fabric) -> (Vec<usize>, Option<String>
     )
 }
 
+/// Every experiment id the run form accepts.
+const EXPERIMENT_IDS: [&str; 15] =
+    ["t1", "t2", "t3", "t4", "t5", "t5r", "t6", "t6s", "t6sd", "f1", "f2", "f3", "f4", "f5", "f6"];
+
+const RUN_USAGE: &str =
+    "usage: reproduce [--out DIR] [--trace] [--capture] [--profile] [--defend] [ID...]";
+
+/// The run form's command line.
+#[derive(Debug, Default, PartialEq)]
+struct RunArgs {
+    out_dir: PathBuf,
+    trace: bool,
+    capture: bool,
+    profile: bool,
+    defend: bool,
+    /// Lower-cased experiment ids; none selects every default one.
+    ids: Vec<String>,
+}
+
+/// Parses the run form. An unknown id or flag, or an `--out` without a
+/// directory, is a usage error, not a silent empty, unprofiled or
+/// misdirected run.
+fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
+    let mut run = RunArgs { out_dir: PathBuf::from("results"), ..RunArgs::default() };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--out" => match it.next() {
+                Some(dir) if !dir.is_empty() && !dir.starts_with('-') => run.out_dir = dir.into(),
+                _ => return Err("--out needs a directory".to_string()),
+            },
+            "--trace" => run.trace = true,
+            "--capture" => run.capture = true,
+            "--profile" => run.profile = true,
+            "--defend" => run.defend = true,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+            id => {
+                let id = id.to_lowercase();
+                if !EXPERIMENT_IDS.contains(&id.as_str()) {
+                    return Err(format!("unknown experiment id {arg:?}"));
+                }
+                run.ids.push(id);
+            }
+        }
+    }
+    Ok(run)
+}
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
 
     if args.first().map(String::as_str) == Some("validate-trace") {
         if args.len() < 2 {
@@ -1038,40 +1086,20 @@ fn main() {
         }
     }
 
-    let mut out_dir = PathBuf::from("results");
-    if let Some(pos) = args.iter().position(|a| a == "--out") {
-        args.remove(pos);
-        if pos < args.len() {
-            out_dir = PathBuf::from(args.remove(pos));
-        }
-    }
-    let mut trace = false;
-    if let Some(pos) = args.iter().position(|a| a == "--trace") {
-        args.remove(pos);
-        trace = true;
-    }
-    let mut defend = false;
-    if let Some(pos) = args.iter().position(|a| a == "--defend") {
-        args.remove(pos);
-        defend = true;
-    }
-    let mut capture = None;
-    if let Some(pos) = args.iter().position(|a| a == "--capture") {
-        args.remove(pos);
+    let run = parse_run_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{RUN_USAGE}");
+        std::process::exit(2);
+    });
+    let capture = run.capture.then(|| {
         let (capacity, warning) = arpshield_trace::ring_capacity_from_env();
         if let Some(w) = warning {
             eprintln!("warning: {w}");
         }
-        capture = Some(capacity);
-    }
-    let mut profile_flag = false;
-    if let Some(pos) = args.iter().position(|a| a == "--profile") {
-        args.remove(pos);
-        profile_flag = true;
-    }
-    fs::create_dir_all(&out_dir).ok();
-    let out = Output { out_dir, trace, capture, profile: profile_flag };
-    let selected: Vec<String> = args.iter().map(|a| a.to_lowercase()).collect();
+        capacity
+    });
+    fs::create_dir_all(&run.out_dir).ok();
+    let out = Output { out_dir: run.out_dir, trace: run.trace, capture, profile: run.profile };
+    let (selected, defend) = (run.ids, run.defend);
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
 
     println!("arpshield reproduction harness (seed {SEED})");
@@ -1170,5 +1198,83 @@ mod tests {
             assert!(warning.contains(&fabric.max_hosts().to_string()), "{warning}");
         }
         std::env::remove_var(VAR);
+    }
+
+    fn run_args(line: &[&str]) -> Result<RunArgs, String> {
+        parse_run_args(&line.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    /// Unknown ids and flags and a valueless `--out` are usage errors;
+    /// known ones parse in any order and case.
+    #[test]
+    fn run_args_reject_unknown_ids_flags_and_a_bare_out() {
+        let run =
+            run_args(&["--out", "D", "T3", "--trace", "t6s", "--defend", "--capture", "--profile"]);
+        let want = RunArgs {
+            out_dir: "D".into(),
+            trace: true,
+            capture: true,
+            profile: true,
+            defend: true,
+            ids: vec!["t3".into(), "t6s".into()],
+        };
+        assert_eq!(run, Ok(want));
+        assert_eq!(run_args(&[]).map(|r| r.out_dir), Ok(PathBuf::from("results")));
+        for bad in [
+            &["t7"][..],
+            &["--profiel", "t1"],
+            &["t1", "--out"],
+            &["--out", "--trace", "t1"],
+            &["--out", "", "t1"],
+            &["t1", "-x"],
+            &["--out=D", "t1"],
+        ] {
+            assert!(run_args(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// Random argument lists over a vocabulary of good and bad tokens
+    /// never panic, and parse exactly when every token is a known id or
+    /// flag and every `--out` is followed by a directory.
+    #[test]
+    fn run_args_survive_garbage_lists() {
+        let vocabulary = [
+            "t1",
+            "T5R",
+            "f6",
+            "t6sd",
+            "t7",
+            "t1 t2",
+            "dir",
+            "é",
+            "\u{0}",
+            "",
+            "--out",
+            "--trace",
+            "--defend",
+            "--profiel",
+            "--out=x",
+            "-",
+            "--",
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |n: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        for _ in 0..5000 {
+            let line: Vec<&str> =
+                (0..next(6)).map(|_| vocabulary[next(vocabulary.len())]).collect();
+            let mut valid = true;
+            let mut tokens = line.iter();
+            while let Some(&token) = tokens.next() {
+                valid &= match token {
+                    "--out" => tokens.next().is_some_and(|d| !d.is_empty() && !d.starts_with('-')),
+                    "--trace" | "--defend" => true,
+                    id => EXPERIMENT_IDS.contains(&id.to_lowercase().as_str()),
+                };
+            }
+            assert_eq!(run_args(&line).is_ok(), valid, "{line:?}");
+        }
     }
 }

@@ -11,19 +11,21 @@
 //!
 //! # Shape
 //!
-//! Six levels of 64 slots at 1 ns resolution. Level `l` spans
-//! `64^(l+1)` ns, so the wheel covers `64^6` ns ≈ 68.7 simulated
-//! seconds ahead of `anchor` (the time of the most recently dispatched
-//! entry). An entry's level is the highest 6-bit digit in which its
-//! timestamp differs from `anchor` (the `timeout.c` trick): that digit
-//! is the entry's slot, every higher digit matches `anchor`, so
-//! occupied slots always sit *ahead* of the level's cursor within the
-//! current epoch and a single `rotate_right` + `trailing_zeros` finds
-//! the next one. Entries whose timestamps differ from `anchor` above
-//! bit 35 — CAM aging sweeps, day-long ticket lifetimes — go to a
-//! calendar fallback (a plain heap ordered by `(time, seq)`); `pop`
-//! compares the two heads so far-future entries interleave exactly
-//! where the contract puts them.
+//! Time is cut into 1,024 ns windows (`at >> 10`), and six levels of 64
+//! slots index those windows: a level-0 slot is one window, level `l`
+//! spans `64^(l+1)` windows, and the wheel covers 2^46 ns ≈ 19.5
+//! simulated hours ahead of `anchor` (the window it last drained). So a
+//! frame delivery microseconds out is queued on level 0 directly, and a
+//! 2 s refresh timer cascades three times. An entry's level is the
+//! highest 6-bit digit in which its window differs from `anchor` (the
+//! `timeout.c` trick): that digit is the entry's slot, every higher
+//! digit matches `anchor`, so occupied slots always sit *ahead* of the
+//! level's cursor within the current epoch, a single `rotate_right` +
+//! `trailing_zeros` finds the next one, and every entry on a level sorts
+//! after every entry on the levels below it. Entries further out —
+//! day-long ticket lifetimes — go to a calendar fallback (a plain heap
+//! ordered by `(time, seq)`); `pop` compares the two heads so
+//! far-future entries interleave exactly where the contract puts them.
 //!
 //! # Storage
 //!
@@ -36,13 +38,16 @@
 //!
 //! # Advancing
 //!
-//! Time only moves at `pop`/`next_at`: the wheel finds the earliest
-//! occupied slot across levels, advances `anchor` to its start, and
-//! either drains it (level 0, where a slot holds exactly one
-//! timestamp) into a seq-sorted ready batch or cascades its chain down
-//! a level and repeats. `anchor` never overtakes the fallback's head,
-//! so a later push at the popped timestamp still lands after every
-//! pending equal-timestamp entry, never before.
+//! The wheel only moves when `pop`/`next_at` find the ready batch empty:
+//! it takes the next occupied slot of the lowest occupied level, moves
+//! `anchor` to that slot's first window, and either drains it (level 0,
+//! one window) into `ready` sorted by `(time, seq)`, or cascades its
+//! chain down a level and repeats. `anchor` never passes the fallback's
+//! head. Every pending entry in a window at or before `anchor` is in
+//! `ready`, so a push into such a window — a sub-microsecond delay, or
+//! any push after a `next_at` peek ran ahead of the clock — merges into
+//! `ready` after the last entry due no later than it (usually at the
+//! back), and still pops after every pending equal-timestamp entry.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -51,20 +56,22 @@ use arpshield_trace::profile;
 
 use crate::time::SimTime;
 
+/// log2 of a level-0 slot's width in nanoseconds.
+const WINDOW_BITS: u32 = 10;
 /// log2 of the slot count per level.
 const LEVEL_BITS: u32 = 6;
 /// Slots per level.
 const SLOTS: usize = 1 << LEVEL_BITS;
 /// Number of levels.
 const LEVELS: usize = 6;
-/// Timestamps differing from `anchor` at or above this bit overflow to
-/// the calendar fallback.
+/// Windows differing from `anchor` at or above this bit overflow to the
+/// calendar fallback.
 const WHEEL_BITS: u32 = LEVEL_BITS * LEVELS as u32;
 /// Null link for slot chains and the node free list.
 const NIL: u32 = u32::MAX;
 
-/// An arena node: either a pending entry on a slot chain, or a spent
-/// one on the free list (`item` taken).
+/// An arena node: either a pending entry on a slot chain or in `ready`,
+/// or a spent one on the free list (`item` taken).
 #[derive(Debug)]
 struct Node<T> {
     at: u64,
@@ -106,8 +113,12 @@ impl<T> Ord for Far<T> {
 /// clamp only defends against misuse, it never fires in the simulator.
 #[derive(Debug)]
 pub struct TimingWheel<T> {
-    /// Lower bound on every pending timestamp: the time of the most
-    /// recently dispatched entry.
+    /// Time of the most recently popped entry: a lower bound on every
+    /// pending timestamp.
+    now: u64,
+    /// The window (`at >> WINDOW_BITS`) slot digits are measured
+    /// against. Pending entries in windows up to it are in `ready` or
+    /// `far`; slot entries are all in later windows.
     anchor: u64,
     /// Next insertion sequence number.
     seq: u64,
@@ -123,10 +134,8 @@ pub struct TimingWheel<T> {
     tail: [u32; LEVELS * SLOTS],
     /// Per-level slot-occupancy bitmaps.
     occ: [u64; LEVELS],
-    /// The due batch: node indices sharing one timestamp, seq-sorted.
+    /// The due batch: node indices in `(at, seq)` order.
     ready: VecDeque<u32>,
-    /// Scratch for seq-sorting a drained slot chain.
-    batch: Vec<u32>,
     /// Calendar fallback for beyond-horizon entries.
     far: BinaryHeap<Reverse<Far<T>>>,
 }
@@ -141,6 +150,7 @@ impl<T> TimingWheel<T> {
     /// Creates an empty wheel anchored at time zero.
     pub fn new() -> Self {
         TimingWheel {
+            now: 0,
             anchor: 0,
             seq: 0,
             wheel_len: 0,
@@ -150,7 +160,6 @@ impl<T> TimingWheel<T> {
             tail: [NIL; LEVELS * SLOTS],
             occ: [0; LEVELS],
             ready: VecDeque::new(),
-            batch: Vec::new(),
             far: BinaryHeap::new(),
         }
     }
@@ -176,10 +185,11 @@ impl<T> TimingWheel<T> {
     /// Schedules `item` at `at`. Entries pushed with equal timestamps
     /// pop in push order.
     pub fn push(&mut self, at: SimTime, item: T) {
-        let at = at.as_nanos().max(self.anchor);
+        let at = at.as_nanos().max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        if (at ^ self.anchor) >> WHEEL_BITS != 0 {
+        let window = at >> WINDOW_BITS;
+        if window > self.anchor && (window ^ self.anchor) >> WHEEL_BITS != 0 {
             self.far.push(Reverse(Far { at, seq, item }));
             return;
         }
@@ -198,8 +208,20 @@ impl<T> TimingWheel<T> {
                 idx
             }
         };
-        self.link(node);
-        self.wheel_len += 1;
+        if window > self.anchor {
+            self.link(node);
+            self.wheel_len += 1;
+        } else {
+            // Already drained: merge after every entry due no later.
+            match self.ready.back() {
+                Some(&last) if self.nodes[last as usize].at > at => {
+                    let nodes = &self.nodes;
+                    let pos = self.ready.partition_point(|&n| nodes[n as usize].at <= at);
+                    self.ready.insert(pos, node);
+                }
+                _ => self.ready.push_back(node),
+            }
+        }
     }
 
     /// The timestamp of the next entry, without removing it.
@@ -231,30 +253,35 @@ impl<T> TimingWheel<T> {
             (Some(_), None) => false,
             (None, None) => return None,
         };
-        if take_far {
+        let (at, item) = if take_far {
             let Reverse(far) = self.far.pop().expect("peeked above");
-            self.anchor = self.anchor.max(far.at);
-            Some((SimTime::from_nanos(far.at), far.item))
+            if self.wheel_len == 0 {
+                // No slot entry to misplace: follow the clock, so later
+                // near-future pushes land in the wheel, not the fallback.
+                self.anchor = self.anchor.max(far.at >> WINDOW_BITS);
+            }
+            (far.at, far.item)
         } else {
             let index = self.ready.pop_front().expect("peeked above");
             let node = &mut self.nodes[index as usize];
-            let at = node.at;
             let item = node.item.take().expect("ready nodes hold their item");
             node.next = self.free;
             self.free = index;
-            Some((SimTime::from_nanos(at), item))
-        }
+            (node.at, item)
+        };
+        self.now = at;
+        Some((SimTime::from_nanos(at), item))
     }
 
-    /// Appends an in-horizon node to the slot chain its timestamp and
-    /// the current `anchor` hash to.
+    /// Appends a slot node to the chain its window and the current
+    /// `anchor` hash to.
     fn link(&mut self, index: u32) {
-        let at = self.nodes[index as usize].at;
-        let diff = at ^ self.anchor;
-        debug_assert!(diff >> WHEEL_BITS == 0 && at >= self.anchor);
-        let level = if diff == 0 { 0 } else { ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize };
+        let window = self.nodes[index as usize].at >> WINDOW_BITS;
+        let diff = window ^ self.anchor;
+        debug_assert!(diff >> WHEEL_BITS == 0 && window >= self.anchor);
+        let level = ((diff | 1).ilog2() / LEVEL_BITS) as usize;
         let shift = LEVEL_BITS * level as u32;
-        let slot = ((at >> shift) & (SLOTS as u64 - 1)) as usize;
+        let slot = ((window >> shift) & (SLOTS as u64 - 1)) as usize;
         let chain = level * SLOTS + slot;
         match self.tail[chain] {
             NIL => self.head[chain] = index,
@@ -264,54 +291,41 @@ impl<T> TimingWheel<T> {
         self.occ[level] |= 1 << slot;
     }
 
-    /// Advances `anchor` to the earliest occupied slot and fills
-    /// `ready` with its (single-timestamp) batch, cascading multi-ns
-    /// slots down a level on the way. Leaves `ready` empty when the
-    /// wheel is empty or the calendar fallback holds the earliest
-    /// entry — `anchor` must never overtake the fallback's head.
+    /// Advances `anchor` to the next occupied slot and fills `ready`
+    /// with its window's entries, cascading wider slots down a level on
+    /// the way. Leaves `ready` empty when the wheel is empty or the
+    /// calendar fallback holds an earlier window — `anchor` must never
+    /// pass the fallback's head.
     fn pump(&mut self) {
-        let far_head = self.far.peek().map(|Reverse(f)| f.at);
+        let far_head = self.far.peek().map(|Reverse(f)| f.at >> WINDOW_BITS);
         while self.ready.is_empty() && self.wheel_len > 0 {
-            let mut best_time = u64::MAX;
-            let mut best_level = 0;
-            for level in 0..LEVELS {
-                if self.occ[level] == 0 {
-                    continue;
-                }
-                let shift = LEVEL_BITS * level as u32;
-                let cursor = ((self.anchor >> shift) & (SLOTS as u64 - 1)) as u32;
-                let dist = self.occ[level].rotate_right(cursor).trailing_zeros() as u64;
-                let start = ((self.anchor >> shift) + dist) << shift;
-                if start < best_time {
-                    best_time = start;
-                    best_level = level;
-                }
-            }
-            debug_assert!(best_time != u64::MAX, "wheel_len > 0 but no occupied slot");
-            if far_head.is_some_and(|f| f < best_time) {
+            let level = self.occ.iter().position(|&o| o != 0).expect("wheel_len > 0");
+            let shift = LEVEL_BITS * level as u32;
+            let cursor = ((self.anchor >> shift) & (SLOTS as u64 - 1)) as u32;
+            let dist = self.occ[level].rotate_right(cursor).trailing_zeros() as u64;
+            let start = ((self.anchor >> shift) + dist) << shift;
+            if far_head.is_some_and(|f| f < start) {
                 return;
             }
-            self.anchor = best_time;
-            let shift = LEVEL_BITS * best_level as u32;
-            let slot = ((best_time >> shift) & (SLOTS as u64 - 1)) as usize;
-            self.occ[best_level] &= !(1u64 << slot);
-            let chain = best_level * SLOTS + slot;
+            self.anchor = start;
+            let slot = ((start >> shift) & (SLOTS as u64 - 1)) as usize;
+            self.occ[level] &= !(1u64 << slot);
+            let chain = level * SLOTS + slot;
             let mut node = self.head[chain];
             self.head[chain] = NIL;
             self.tail[chain] = NIL;
-            if best_level == 0 {
-                // A level-0 slot holds exactly one timestamp; only the
-                // insertion order within it needs restoring (cascades
-                // may have appended out of seq order).
-                self.batch.clear();
+            if level == 0 {
+                // A chain holds its window in arrival order (pushes and
+                // cascades), not time order; one sort restores `(at, seq)`.
                 while node != NIL {
-                    self.batch.push(node);
+                    self.ready.push_back(node);
                     node = self.nodes[node as usize].next;
                 }
-                self.wheel_len -= self.batch.len();
+                self.wheel_len -= self.ready.len();
                 let nodes = &self.nodes;
-                self.batch.sort_unstable_by_key(|&n| nodes[n as usize].seq);
-                self.ready.extend(self.batch.iter().copied());
+                self.ready
+                    .make_contiguous()
+                    .sort_unstable_by_key(|&n| (nodes[n as usize].at, nodes[n as usize].seq));
             } else {
                 let _s = profile::span("wheel.cascade");
                 while node != NIL {
@@ -357,7 +371,7 @@ mod tests {
     #[test]
     fn far_future_entries_interleave_with_near_ones() {
         let mut wheel = TimingWheel::new();
-        // Day-scale timestamps overflow the ~68.7 s horizon.
+        // Day-scale timestamps overflow the ~19.5 h horizon.
         wheel.push(SimTime::from_secs(86_400), 0);
         wheel.push(SimTime::from_nanos(5), 1);
         wheel.push(SimTime::from_secs(86_400), 2);
@@ -399,6 +413,18 @@ mod tests {
         assert_eq!(wheel.pop(), Some((SimTime::from_nanos(1000), 0)));
         wheel.push(SimTime::from_nanos(10), 1);
         assert_eq!(wheel.pop(), Some((SimTime::from_nanos(1000), 1)));
+    }
+
+    #[test]
+    fn pushes_after_a_peek_keep_their_time() {
+        let mut wheel = TimingWheel::new();
+        wheel.push(SimTime::from_nanos(5000), 0);
+        // The peek drains 5000's window; the clock is still at zero.
+        assert_eq!(wheel.next_at(), Some(SimTime::from_nanos(5000)));
+        wheel.push(SimTime::from_nanos(100), 1);
+        wheel.push(SimTime::from_nanos(4500), 2);
+        wheel.push(SimTime::from_nanos(5000), 3);
+        assert_eq!(drain(&mut wheel), vec![(100, 1), (4500, 2), (5000, 0), (5000, 3)]);
     }
 
     #[test]
@@ -466,6 +492,107 @@ mod tests {
             }
             assert!(heap.is_empty());
             assert_eq!(popped, expected, "round {round}");
+        }
+    }
+
+    /// The contract the wheel documents: a heap on `(at, seq)` whose
+    /// pushes clamp to the last popped time.
+    #[derive(Default)]
+    struct Reference {
+        heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+        seq: u64,
+        now: u64,
+    }
+
+    impl Reference {
+        fn push(&mut self, at: u64, item: u32) {
+            self.heap.push(Reverse((at.max(self.now), self.seq, item)));
+            self.seq += 1;
+        }
+        fn pop(&mut self) -> Option<(u64, u32)> {
+            let Reverse((at, _, item)) = self.heap.pop()?;
+            self.now = at;
+            Some((at, item))
+        }
+    }
+
+    /// Streams that stress window merges: sub-window delays landing
+    /// before and after the drained window's last entry, ties either
+    /// side of a window edge, pushes between a `next_at` peek and the
+    /// pop (the `run_until` pattern), and fallback entries whose window
+    /// the wheel later drains around them.
+    #[test]
+    fn window_merges_match_a_reference_heap() {
+        const WINDOW: u64 = 1 << WINDOW_BITS;
+        const HORIZON: u64 = 1 << (WINDOW_BITS + WHEEL_BITS);
+        let mut state = 0x0DD_B1A5_u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for round in 0..40 {
+            let mut wheel = TimingWheel::new();
+            let mut reference = Reference::default();
+            let mut far_times = Vec::new();
+            let mut item = 0u32;
+            let mut push = |wheel: &mut TimingWheel<u32>, reference: &mut Reference, at: u64| {
+                wheel.push(SimTime::from_nanos(at), item);
+                reference.push(at, item);
+                item += 1;
+            };
+            for op in 0..1500 {
+                let clock = reference.now;
+                match next() % 16 {
+                    0..=3 => push(&mut wheel, &mut reference, clock + next() % WINDOW),
+                    4 => {
+                        let edge = (clock / WINDOW + 1 + next() % 2) * WINDOW;
+                        for at in [edge - 1, edge, edge - 1, edge] {
+                            push(&mut wheel, &mut reference, at);
+                        }
+                    }
+                    5 => {
+                        let peeked = wheel.next_at().map(SimTime::as_nanos);
+                        let want = reference.heap.peek().map(|Reverse((at, ..))| *at);
+                        assert_eq!(peeked, want, "round {round} op {op}: next_at");
+                        for _ in 0..1 + next() % 3 {
+                            push(&mut wheel, &mut reference, clock + next() % (3 * WINDOW));
+                        }
+                    }
+                    6 => {
+                        let at = clock + HORIZON + next() % (4 * WINDOW);
+                        far_times.push(at);
+                        push(&mut wheel, &mut reference, at);
+                    }
+                    7 => {
+                        // Escort a fallback entry once its window is in
+                        // reach, so both sides of it share one batch.
+                        if let Some(&far) = far_times.iter().find(|&&f| f > clock + WINDOW) {
+                            if far - clock < HORIZON - 8 * WINDOW {
+                                push(
+                                    &mut wheel,
+                                    &mut reference,
+                                    far + next() % WINDOW - WINDOW / 2,
+                                );
+                            }
+                        }
+                    }
+                    8 => push(&mut wheel, &mut reference, clock + HORIZON / 2 + next() % WINDOW),
+                    _ => {
+                        for _ in 0..1 + next() % 4 {
+                            let got = wheel.pop().map(|(at, item)| (at.as_nanos(), item));
+                            assert_eq!(got, reference.pop(), "round {round} op {op}");
+                        }
+                    }
+                }
+                assert_eq!(wheel.len(), reference.heap.len());
+            }
+            loop {
+                let got = wheel.pop().map(|(at, item)| (at.as_nanos(), item));
+                assert_eq!(got, reference.pop(), "round {round}: drain");
+                if got.is_none() {
+                    break;
+                }
+            }
         }
     }
 }

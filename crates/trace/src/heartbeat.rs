@@ -18,7 +18,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::env_knob;
+use crate::env_knob::{self, EnvKnob};
 
 /// Default seconds between heartbeat lines when
 /// `ARPSHIELD_HEARTBEAT_SECS` is unset.
@@ -50,16 +50,12 @@ impl Heartbeat {
     /// Creates a reporter labelled `label` (shown on every line), with
     /// the interval and quiet flag read from the environment.
     pub fn new(label: impl Into<String>) -> Self {
-        let (secs, warning) = env_knob::knob("ARPSHIELD_HEARTBEAT_SECS").parse_or(
-            DEFAULT_HEARTBEAT_SECS,
-            "a positive number of seconds",
-            |v: &f64| v.is_finite() && *v > 0.0,
-        );
+        let (every, warning) = interval_from(&env_knob::knob("ARPSHIELD_HEARTBEAT_SECS"));
         env_knob::report(warning);
         let now = Instant::now();
         Heartbeat {
             label: label.into(),
-            every: Duration::from_secs_f64(secs),
+            every,
             quiet: quiet(),
             started: now,
             last_emit: now,
@@ -123,6 +119,17 @@ impl Heartbeat {
     }
 }
 
+/// Parses a heartbeat interval, falling back to the default with a
+/// warning for anything that is not a positive `Duration`.
+fn interval_from(knob: &EnvKnob) -> (Duration, Option<String>) {
+    let (secs, warning) = knob.parse_or(
+        DEFAULT_HEARTBEAT_SECS,
+        "a positive number of seconds up to ~1.8e19",
+        |v: &f64| *v > 0.0 && Duration::try_from_secs_f64(*v).is_ok(),
+    );
+    (Duration::from_secs_f64(secs), warning)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,6 +152,26 @@ mod tests {
         hb.every = Duration::ZERO;
         assert!(hb.tick(|hb| format!("n={}", hb.emitted())));
         assert_eq!(hb.emitted(), 1);
+    }
+
+    /// Values a `Duration` cannot hold (which used to panic in
+    /// `Duration::from_secs_f64`) warn and fall back to the default.
+    #[test]
+    fn interval_knob_rejects_what_a_duration_cannot_hold() {
+        const VAR: &str = "ARPSHIELD_TEST_HEARTBEAT_SECS";
+        let parse = |raw: &str| {
+            std::env::set_var(VAR, raw);
+            interval_from(&env_knob::knob(VAR))
+        };
+        assert_eq!(parse("0.25"), (Duration::from_millis(250), None));
+        assert_eq!(parse("1e9"), (Duration::from_secs(1_000_000_000), None));
+        let default = Duration::from_secs_f64(DEFAULT_HEARTBEAT_SECS);
+        for raw in ["1e308", "2e19", "inf", "NaN", "0", "-1", "soon"] {
+            let (every, warning) = parse(raw);
+            assert_eq!(every, default, "{raw}");
+            assert!(warning.is_some_and(|w| w.contains(raw)), "{raw}");
+        }
+        std::env::remove_var(VAR);
     }
 
     #[test]

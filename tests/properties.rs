@@ -591,7 +591,7 @@ mod scheduler_and_pool {
         /// `(timestamp, insertion order)`: any interleaving of pushes
         /// and pops replays exactly the sequence a seq-tagged
         /// `BinaryHeap` reference produces — including timestamp ties
-        /// and entries past the ~68.7 s wheel horizon.
+        /// and entries past the ~19.5 h wheel horizon.
         #[test]
         fn timing_wheel_matches_heap_order(
             ops in collection::vec((any::<u64>(), any::<u8>()), 1..200),
