@@ -14,10 +14,9 @@
 //! Three shapes:
 //! - `steady_churn` keeps every delay a link latency ahead (1–25 µs),
 //!   the wheel's level-0 and level-1 fast path;
-//! - `mixed_horizon` sends one push in 16 about a day out, past the
-//!   wheel's ~19.5 h horizon, so traffic rides through the calendar
-//!   fallback the way a ticket lifetime rides alongside microsecond
-//!   frame deliveries (the bench asserts the fallback held entries);
+//! - `mixed_horizon` sends one push in 16 about a day out, onto the
+//!   wheel's level 6, the way a ticket lifetime rides alongside
+//!   microsecond frame deliveries;
 //! - `scale_timers` is the 100k-station fabric's pattern: one refresh
 //!   timer per station pending up to 2 s ahead. A timer's pop sends a
 //!   frame 5 or 10 µs out, each delivery pushes the next hop the same
@@ -66,12 +65,12 @@ impl Lcg {
 const LATENCIES: [u64; 4] = [1_000, 5_000, 10_000, 25_000];
 
 /// Delay for one push: a configured link latency, with an optional
-/// 1-in-16 far-future tail that crosses the wheel horizon (a ticket
-/// lifetime riding alongside microsecond frame deliveries).
+/// 1-in-16 day-long tail (a ticket lifetime riding alongside
+/// microsecond frame deliveries).
 fn delay(rng: &mut Lcg, far_tail: bool) -> u64 {
     let raw = rng.next();
     if far_tail && raw % 16 == 0 {
-        // ~1 day out: beyond the 2^46 ns horizon, onto the fallback.
+        // ~1 day out: six levels up.
         86_400_000_000_000 + raw % 1_000_000_000
     } else {
         LATENCIES[(raw % 4) as usize]
@@ -125,8 +124,8 @@ fn drain(q: &mut impl Queue, mut acc: u64) -> u64 {
 }
 
 /// Hold-model churn: fill to `IN_FLIGHT`, then pop one / push one for
-/// `OPS` operations, then drain. `watch` sees the queue after each push.
-fn churn<Q: Queue>(far_tail: bool, mut watch: impl FnMut(&Q)) -> u64 {
+/// `OPS` operations, then drain.
+fn churn<Q: Queue>(far_tail: bool) -> u64 {
     let mut rng = Lcg(0x5EED_0001);
     let mut q = Q::default();
     let mut acc = 0u64;
@@ -137,7 +136,6 @@ fn churn<Q: Queue>(far_tail: bool, mut watch: impl FnMut(&Q)) -> u64 {
         let (at, item) = q.pop().expect("queue stays full during churn");
         acc = fold(acc, at, item);
         q.push(at + delay(&mut rng, far_tail), i as u32);
-        watch(&q);
     }
     drain(&mut q, acc)
 }
@@ -170,12 +168,10 @@ fn bench_churn(c: &mut Criterion) {
     // checksum mismatch here means the scheduler broke the determinism
     // contract, and no timing numbers would matter.
     type Wheel = TimingWheel<u32>;
-    let steady = churn::<Wheel>(false, |_| {});
-    assert_eq!(steady, churn::<HeapQueue>(false, |_| {}), "steady_churn ordering diverged");
-    let mut fallback_peak = 0;
-    let mixed = churn::<Wheel>(true, |q| fallback_peak = fallback_peak.max(q.fallback_len()));
-    assert_eq!(mixed, churn::<HeapQueue>(true, |_| {}), "mixed_horizon ordering diverged");
-    assert!(fallback_peak > 0, "mixed_horizon never reached the calendar fallback");
+    let steady = churn::<Wheel>(false);
+    assert_eq!(steady, churn::<HeapQueue>(false), "steady_churn ordering diverged");
+    let mixed = churn::<Wheel>(true);
+    assert_eq!(mixed, churn::<HeapQueue>(true), "mixed_horizon ordering diverged");
     assert_eq!(scale_timers::<Wheel>(), scale_timers::<HeapQueue>(), "scale_timers diverged");
 
     let mut group = c.benchmark_group("event_queue_churn");
@@ -183,10 +179,10 @@ fn bench_churn(c: &mut Criterion) {
     group.throughput(Throughput::Elements((IN_FLIGHT + OPS) as u64));
     for (shape, far_tail) in [("steady_churn", false), ("mixed_horizon", true)] {
         group.bench_function(format!("wheel/{shape}"), |b| {
-            b.iter(|| std::hint::black_box(churn::<Wheel>(far_tail, |_| {})))
+            b.iter(|| std::hint::black_box(churn::<Wheel>(far_tail)))
         });
         group.bench_function(format!("heap/{shape}"), |b| {
-            b.iter(|| std::hint::black_box(churn::<HeapQueue>(far_tail, |_| {})))
+            b.iter(|| std::hint::black_box(churn::<HeapQueue>(far_tail)))
         });
     }
     group.throughput(Throughput::Elements(u64::from(STATIONS + SCALE_OPS)));

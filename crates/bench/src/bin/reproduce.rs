@@ -86,10 +86,10 @@ impl Output {
         // both. No root span opens here: the per-job spans inside each
         // experiment are the tree roots, so profile paths are identical
         // whether jobs run inline (ARPSHIELD_THREADS=1) or on workers.
-        let collector = Arc::new(arpshield_trace::ProfileCollector::new());
+        let collector = Arc::new(ProfileCollector::new());
         let started = Instant::now();
         let result = {
-            let _guard = arpshield_trace::profile::install(collector.clone());
+            let _guard = profile::install(collector.clone());
             self.trace_collected(id, f)
         };
         let wall_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -537,25 +537,31 @@ fn load_index(
     Ok((events_by_label, evicted_by_label))
 }
 
-fn run_inspect(args: &[String]) -> Result<(), String> {
+const INSPECT_USAGE: &str = "usage: reproduce inspect FILE [--host S] [--mac S] [--verdict S]";
+
+/// Parses `inspect`'s command line into the capture path and the
+/// timeline filter.
+fn parse_inspect_args(args: &[String]) -> Result<(String, InspectFilter), String> {
     let mut path = None;
     let mut filter = InspectFilter { host: None, mac: None, verdict: None };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut flag_value =
-            |name: &str| it.next().map(|v| v.to_string()).ok_or(format!("{name} needs a value"));
         match arg.as_str() {
-            "--host" => filter.host = Some(flag_value("--host")?),
-            "--mac" => filter.mac = Some(flag_value("--mac")?),
-            "--verdict" => filter.verdict = Some(flag_value("--verdict")?),
+            "--host" => filter.host = Some(flag_value(arg, &mut it)?),
+            "--mac" => filter.mac = Some(flag_value(arg, &mut it)?),
+            "--verdict" => filter.verdict = Some(flag_value(arg, &mut it)?),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
             other if path.is_none() => path = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
-    let path = path.ok_or("usage: reproduce inspect FILE [--host S] [--mac S] [--verdict S]")?;
-    let raw = fs::read(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Ok((path.ok_or("no capture FILE given")?, filter))
+}
+
+fn run_inspect(path: &str, filter: &InspectFilter) -> Result<(), String> {
+    let raw = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let capture = arpshield_trace::pcapng::parse(&raw).map_err(|e| format!("{path}: {e}"))?;
-    let (events_by_label, evicted_by_label) = load_index(&path)?;
+    let (events_by_label, evicted_by_label) = load_index(path)?;
 
     let mut frames_by_run: Vec<Vec<FrameLine>> = Vec::new();
     frames_by_run.resize_with(capture.interfaces.len(), Vec::new);
@@ -695,16 +701,14 @@ fn parse_ingest_args(args: &[String]) -> Result<IngestOptions, String> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut flag_value =
-            |name: &str| it.next().map(|v| v.to_string()).ok_or(format!("{name} needs a value"));
         match arg.as_str() {
             "--stdin" => opts.stdin = true,
             "--capture" => opts.capture = true,
             "--profile" => opts.profile = true,
-            "--vantage" => opts.vantage = Some(flag_value("--vantage")?),
-            "--out" => opts.out_dir = PathBuf::from(flag_value("--out")?),
+            "--vantage" => opts.vantage = Some(flag_value(arg, &mut it)?),
+            "--out" => opts.out_dir = flag_value(arg, &mut it)?.into(),
             "--scheme" => {
-                let label = flag_value("--scheme")?;
+                let label = flag_value(arg, &mut it)?;
                 let kind = SchemeKind::from_label(&label)
                     .ok_or_else(|| format!("unknown scheme {label:?}"))?;
                 if !Detector::is_supported(kind) {
@@ -715,12 +719,12 @@ fn parse_ingest_args(args: &[String]) -> Result<IngestOptions, String> {
                 }
                 opts.schemes.push(kind);
             }
-            other if !other.starts_with('-') => opts.sources.push(other.to_string()),
-            other => return Err(format!("unexpected argument {other:?}\n{INGEST_USAGE}")),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+            source => opts.sources.push(source.to_string()),
         }
     }
     if opts.sources.is_empty() && !opts.stdin {
-        return Err(INGEST_USAGE.to_string());
+        return Err("no capture FILE or --stdin given".to_string());
     }
     if opts.schemes.is_empty() {
         opts.schemes = Detector::supported();
@@ -894,77 +898,41 @@ fn ingest_source(
     Ok((stats.packets, filtered))
 }
 
-fn run_ingest(args: &[String]) -> Result<(), String> {
-    let opts = parse_ingest_args(args)?;
-    let collector = Arc::new(if opts.capture {
-        let (capacity, warning) = arpshield_trace::ring_capacity_from_env();
-        if let Some(w) = warning {
-            eprintln!("warning: {w}");
-        }
-        TraceCollector::with_capture(capacity)
-    } else {
-        TraceCollector::new()
-    });
-    let _guard = arpshield_trace::install(collector.clone());
+/// Streams every source through the detectors under one `ingest`
+/// trace (and, with `--capture`/`--profile`, capture and profile) run.
+/// Every file opens before any is read, so a missing one writes
+/// nothing; a capture that fails mid-stream stops the ingest, and the
+/// manifests record what was read before it.
+fn run_ingest(opts: &IngestOptions) -> Result<(), String> {
+    let files = opts
+        .sources
+        .iter()
+        .map(|source| fs::File::open(source).map_err(|e| format!("cannot open {source}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let out = Output {
+        out_dir: opts.out_dir.clone(),
+        trace: true,
+        capture: opts.capture.then(capture_capacity),
+        profile: opts.profile,
+    };
     println!(
         "arpshield capture ingest: scheme(s) [{}] as online detector(s)\n",
         opts.schemes.iter().map(|k| k.label()).collect::<Vec<_>>().join(", ")
     );
-    let profiler = opts.profile.then(|| Arc::new(ProfileCollector::new()));
-    let profile_started = Instant::now();
-    let (mut packets, mut filtered) = (0u64, 0u64);
-    {
-        let _profile_guard = profiler.clone().map(profile::install);
-        for source in &opts.sources {
-            let file = fs::File::open(source).map_err(|e| format!("cannot open {source}: {e}"))?;
-            let mut reader = BufReader::new(file);
-            let (p, f) = ingest_source(source, &mut reader, &opts)?;
+    let (packets, filtered) = out.traced("ingest", || {
+        let (mut packets, mut filtered) = (0u64, 0u64);
+        for (source, file) in opts.sources.iter().zip(files) {
+            let (p, f) = ingest_source(source, &mut BufReader::new(file), opts)?;
             packets += p;
             filtered += f;
         }
         if opts.stdin {
-            let stdin = std::io::stdin();
-            let mut reader = stdin.lock();
-            let (p, f) = ingest_source("stdin", &mut reader, &opts)?;
+            let (p, f) = ingest_source("stdin", &mut std::io::stdin().lock(), opts)?;
             packets += p;
             filtered += f;
         }
-    }
-    let manifest = collector.manifest("ingest");
-    let out = Output {
-        out_dir: opts.out_dir.clone(),
-        trace: true,
-        capture: opts.capture.then_some(0),
-        profile: opts.profile,
-    };
-    if let Some(profiler) = &profiler {
-        let wall_ns = profile_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let report = profiler.report("ingest", wall_ns);
-        out.write_artifacts(
-            "profile",
-            &[
-                ("ingest.json".to_string(), report.to_json().into_bytes()),
-                ("ingest.csv".to_string(), report.to_csv().into_bytes()),
-            ],
-        );
-    }
-    out.write_artifacts(
-        "trace",
-        &[
-            ("ingest.json".to_string(), manifest.to_json().into_bytes()),
-            ("ingest.csv".to_string(), manifest.to_counters_csv().into_bytes()),
-            ("ingest.hist.csv".to_string(), manifest.to_histograms_csv().into_bytes()),
-        ],
-    );
-    if opts.capture {
-        out.write_artifacts(
-            "capture",
-            &[
-                ("ingest.pcapng".to_string(), manifest.to_pcapng()),
-                ("ingest.index.json".to_string(), manifest.to_capture_index().into_bytes()),
-            ],
-        );
-    }
+        Ok::<_, String>((packets, filtered))
+    })?;
     println!(
         "{} packet(s) ingested ({filtered} filtered by vantage); manifest: {}",
         packets,
@@ -991,6 +959,32 @@ fn t6s_sizes_from(knob: &EnvKnob, fabric: Fabric) -> (Vec<usize>, Option<String>
         &format!("a comma-separated list of host counts from 1 to {max}"),
         |n: &usize| (1..=max).contains(n),
     )
+}
+
+/// The value after flag `name`. A missing or empty value, or one that
+/// starts with `-` (the next flag), is a usage error: no flag is ever
+/// taken as a value, and no value is silently dropped.
+fn flag_value<'a>(name: &str, it: &mut impl Iterator<Item = &'a String>) -> Result<String, String> {
+    match it.next() {
+        Some(value) if !value.is_empty() && !value.starts_with('-') => Ok(value.clone()),
+        _ => Err(format!("{name} needs a value")),
+    }
+}
+
+/// Reports a malformed command line with its form's usage and exits 2.
+fn usage_error(error: &str, usage: &str) -> ! {
+    eprintln!("error: {error}\n{usage}");
+    std::process::exit(2);
+}
+
+/// The flight-recorder ring capacity `--capture` arms, from
+/// `ARPSHIELD_RECORD_FRAMES`.
+fn capture_capacity() -> usize {
+    let (capacity, warning) = arpshield_trace::ring_capacity_from_env();
+    if let Some(w) = warning {
+        eprintln!("warning: {w}");
+    }
+    capacity
 }
 
 /// Every experiment id the run form accepts.
@@ -1020,10 +1014,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--out" => match it.next() {
-                Some(dir) if !dir.is_empty() && !dir.starts_with('-') => run.out_dir = dir.into(),
-                _ => return Err("--out needs a directory".to_string()),
-            },
+            "--out" => run.out_dir = flag_value(arg, &mut it)?.into(),
             "--trace" => run.trace = true,
             "--capture" => run.capture = true,
             "--profile" => run.profile = true,
@@ -1053,23 +1044,22 @@ fn main() {
     }
 
     if args.first().map(String::as_str) == Some("inspect") {
-        match run_inspect(&args[1..]) {
-            Ok(()) => return,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(if e.starts_with("usage:") { 2 } else { 1 });
-            }
+        let (path, filter) =
+            parse_inspect_args(&args[1..]).unwrap_or_else(|e| usage_error(&e, INSPECT_USAGE));
+        if let Err(e) = run_inspect(&path, &filter) {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
+        return;
     }
 
     if args.first().map(String::as_str) == Some("ingest") {
-        match run_ingest(&args[1..]) {
-            Ok(()) => return,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(if e.starts_with("usage:") { 2 } else { 1 });
-            }
+        let opts = parse_ingest_args(&args[1..]).unwrap_or_else(|e| usage_error(&e, INGEST_USAGE));
+        if let Err(e) = run_ingest(&opts) {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
+        return;
     }
 
     if args.first().map(String::as_str) == Some("profile-report") {
@@ -1086,17 +1076,8 @@ fn main() {
         }
     }
 
-    let run = parse_run_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}\n{RUN_USAGE}");
-        std::process::exit(2);
-    });
-    let capture = run.capture.then(|| {
-        let (capacity, warning) = arpshield_trace::ring_capacity_from_env();
-        if let Some(w) = warning {
-            eprintln!("warning: {w}");
-        }
-        capacity
-    });
+    let run = parse_run_args(&args).unwrap_or_else(|e| usage_error(&e, RUN_USAGE));
+    let capture = run.capture.then(capture_capacity);
     fs::create_dir_all(&run.out_dir).ok();
     let out = Output { out_dir: run.out_dir, trace: run.trace, capture, profile: run.profile };
     let (selected, defend) = (run.ids, run.defend);
@@ -1200,8 +1181,12 @@ mod tests {
         std::env::remove_var(VAR);
     }
 
+    fn strings(line: &[&str]) -> Vec<String> {
+        line.iter().map(|a| a.to_string()).collect()
+    }
+
     fn run_args(line: &[&str]) -> Result<RunArgs, String> {
-        parse_run_args(&line.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        parse_run_args(&strings(line))
     }
 
     /// Unknown ids and flags and a valueless `--out` are usage errors;
@@ -1230,6 +1215,48 @@ mod tests {
             &["--out=D", "t1"],
         ] {
             assert!(run_args(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// `ingest` and `inspect` take flag values the way the run form
+    /// does: a missing or empty value, or one that is the next flag, is
+    /// a usage error, and an unknown flag is never taken as a capture.
+    #[test]
+    fn ingest_and_inspect_reject_missing_values_and_unknown_flags() {
+        let line = ["C", "--out", "D", "--capture", "--scheme", "passive", "--vantage", "mon"];
+        let opts = parse_ingest_args(&strings(&line)).expect("a well-formed line");
+        assert_eq!(opts.sources, ["C"]);
+        assert_eq!(opts.out_dir, PathBuf::from("D"));
+        assert!(opts.capture && !opts.profile);
+        assert_eq!(opts.schemes, [SchemeKind::Passive]);
+        assert_eq!(opts.vantage.as_deref(), Some("mon"));
+        for bad in [
+            &["C", "--out", "--capture"][..],
+            &["C", "--out"],
+            &["C", "--vantage", ""],
+            &["--scheme", "-x", "C"],
+            &["--scheme", "nonesuch", "C"],
+            &["--hots", "C"],
+            &["C", "-"],
+            &[],
+        ] {
+            assert!(parse_ingest_args(&strings(bad)).is_err(), "ingest {bad:?}");
+        }
+        let line = ["C", "--host", "h1", "--mac", "02:00", "--verdict", "spoof"];
+        let (path, filter) = parse_inspect_args(&strings(&line)).expect("a well-formed line");
+        assert_eq!(path, "C");
+        assert_eq!(filter.host.as_deref(), Some("h1"));
+        assert_eq!(filter.mac.as_deref(), Some("02:00"));
+        assert_eq!(filter.verdict.as_deref(), Some("spoof"));
+        for bad in [
+            &["--hots", "C"][..],
+            &["C", "--host"],
+            &["C", "--mac", "--verdict", "spoof"],
+            &["C", "--verdict", ""],
+            &["C", "D"],
+            &[],
+        ] {
+            assert!(parse_inspect_args(&strings(bad)).is_err(), "inspect {bad:?}");
         }
     }
 

@@ -55,7 +55,6 @@ fn run_measured(lan: &mut ScaleLan, duration: Duration, label: String) -> Heartb
             lan.sim.run_until(next);
         }
         profile::gauge("wheel.occupancy", lan.sim.queue_depth() as u64);
-        profile::gauge("wheel.fallback_depth", lan.sim.queue_fallback_depth() as u64);
         let pool = arpshield_netsim::pool_stats();
         profile::gauge("pool.hit_rate_pct", (pool.hit_rate() * 100.0) as u64);
         // The in-switch sampling point rides the CAM aging sweep, whose
@@ -69,14 +68,13 @@ fn run_measured(lan: &mut ScaleLan, duration: Duration, label: String) -> Heartb
             let eta = hb.eta_secs(fraction).unwrap_or(0.0);
             format!(
                 "sim_ms={}/{} frames={} frames_per_wall_s={:.0} events_per_wall_s={:.0} \
-                 wheel={} fallback={} pool_hit_pct={:.0} eta_s={eta:.1}",
+                 wheel={} pool_hit_pct={:.0} eta_s={eta:.1}",
                 next.as_nanos() / 1_000_000,
                 end.as_nanos() / 1_000_000,
                 stats.frames,
                 stats.frames as f64 / wall_s,
                 (stats.frames + stats.timers) as f64 / wall_s,
                 lan.sim.queue_depth(),
-                lan.sim.queue_fallback_depth(),
                 pool.hit_rate() * 100.0,
             )
         });

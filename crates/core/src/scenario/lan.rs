@@ -188,7 +188,6 @@ pub struct BuiltLan {
     /// The monitor fan-out hub (present for monitor-based schemes).
     pub monitor_hub: Option<DeviceId>,
     next_free_port: u16,
-    next_hub_port: u16,
     config: ScenarioConfig,
 }
 
@@ -234,22 +233,6 @@ impl BuiltLan {
         self.sim
             .connect(id, PortId(0), self.switch_id, PortId(port), latency)
             .expect("scenario switch ran out of ports");
-        id
-    }
-
-    /// Attaches a monitor to the mirror fan-out hub.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario was built without a monitor hub.
-    pub fn attach_monitor(&mut self, device: Box<dyn arpshield_netsim::Device>) -> DeviceId {
-        let hub = self.monitor_hub.expect("scenario has no monitor hub");
-        let id = self.sim.add_device(device);
-        let port = self.next_hub_port;
-        self.next_hub_port += 1;
-        self.sim
-            .connect(id, PortId(0), hub, PortId(port), Duration::from_micros(5))
-            .expect("monitor hub ran out of ports");
         id
     }
 }
@@ -408,18 +391,14 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
 
     // --- Monitor fan-out hub + monitors ---
     let mut monitor_hub = None;
-    let mut next_hub_port = 0u16;
     if needs_monitor {
         let hub_id = sim.add_device(Box::new(Hub::new("monitor-hub", 6)));
         sim.connect(hub_id, PortId(0), switch_id, PortId(mirror_port), Duration::from_micros(2))
             .unwrap();
         monitor_hub = Some(hub_id);
-        next_hub_port = 1;
-        for monitor in installation.monitors {
+        for (port, monitor) in (1..).zip(installation.monitors) {
             let id = sim.add_device(monitor);
-            sim.connect(id, PortId(0), hub_id, PortId(next_hub_port), Duration::from_micros(2))
-                .unwrap();
-            next_hub_port += 1;
+            sim.connect(id, PortId(0), hub_id, PortId(port), Duration::from_micros(2)).unwrap();
         }
     }
 
@@ -434,7 +413,6 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
         truth,
         monitor_hub,
         next_free_port,
-        next_hub_port,
         config,
     }
 }

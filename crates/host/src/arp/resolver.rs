@@ -79,17 +79,6 @@ impl Resolver {
         }
     }
 
-    /// Registers an outstanding request with nothing queued behind it
-    /// (used by gratuitous refreshes and probing schemes). Returns `true`
-    /// when newly registered.
-    pub fn register_probe(&mut self, now: SimTime, ip: Ipv4Addr) -> bool {
-        if self.pending.contains_key(&ip) {
-            return false;
-        }
-        self.pending.insert(ip, Pending { packets: Vec::new(), attempts: 0, first_requested: now });
-        true
-    }
-
     /// Completes a resolution, returning the queued packets and the time
     /// the first request went out (for latency accounting).
     pub fn complete(&mut self, ip: Ipv4Addr) -> Option<(Vec<PendingPacket>, SimTime)> {
@@ -109,11 +98,6 @@ impl Resolver {
         // The timer that just fired waited `interval_for(attempts - 1)`;
         // the next one waits the next step of the backoff curve.
         Some(RetryTick::Retransmit { next_delay: self.policy.interval_for(p.attempts) })
-    }
-
-    /// Number of in-flight resolutions.
-    pub fn outstanding(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -192,15 +176,5 @@ mod tests {
             ]
         );
         assert_eq!(r.tick_retry(IP), None, "give-up dropped the entry");
-    }
-
-    #[test]
-    fn probe_registration() {
-        let mut r = resolver();
-        assert!(r.register_probe(SimTime::ZERO, IP));
-        assert!(!r.register_probe(SimTime::ZERO, IP));
-        assert_eq!(r.outstanding(), 1);
-        let (packets, _) = r.complete(IP).unwrap();
-        assert!(packets.is_empty());
     }
 }

@@ -100,11 +100,6 @@ impl DhcpServer {
         (DhcpServer { config, state: Rc::clone(&state) }, state)
     }
 
-    /// Pool addresses not currently leased or offered.
-    pub fn pool_free(&self) -> u32 {
-        self.config.pool_size.saturating_sub(self.state.borrow().taken() as u32)
-    }
-
     pub(crate) fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
         api.schedule(SWEEP_EVERY, TICK_SWEEP);
     }

@@ -105,11 +105,6 @@ impl HostApi<'_, '_> {
         self.core.iface.borrow().subnet()
     }
 
-    /// Host name.
-    pub fn host_name(&self) -> &str {
-        &self.core.name
-    }
-
     /// A deterministic random draw.
     pub fn rand_u64(&mut self) -> u64 {
         self.ctx.rng().next_u64()
@@ -181,28 +176,9 @@ impl HostApi<'_, '_> {
         self.core.cache.borrow_mut().insert_static(now, ip, mac);
     }
 
-    /// Removes a binding.
-    pub fn remove_binding(&mut self, ip: Ipv4Addr) {
-        self.core.cache.borrow_mut().remove(ip);
-    }
-
     /// True when this host has an outstanding ARP request for `ip`.
     pub fn is_resolving(&self, ip: Ipv4Addr) -> bool {
         self.core.resolver.is_outstanding(ip)
-    }
-
-    /// Registers an outstanding-resolution marker for `ip` without
-    /// queueing traffic behind it, so a subsequent reply reads as
-    /// solicited. Probing hooks use this before emitting their own
-    /// requests. Returns `false` when a resolution is already in flight.
-    pub fn register_probe_resolution(&mut self, ip: Ipv4Addr) -> bool {
-        let now = self.ctx.now();
-        self.core.resolver.register_probe(now, ip)
-    }
-
-    /// Number of resolutions currently in flight on this host.
-    pub fn resolutions_in_flight(&self) -> usize {
-        self.core.resolver.outstanding()
     }
 
     /// Charges abstract work units to this host (the CPU-cost proxy used
@@ -210,10 +186,5 @@ impl HostApi<'_, '_> {
     /// per signature operation).
     pub fn add_work(&mut self, units: u64) {
         self.core.stats.borrow_mut().work_units += units;
-    }
-
-    /// Counts a hook-level drop in the host stats.
-    pub fn count_hook_drop(&mut self) {
-        self.core.stats.borrow_mut().hook_drops += 1;
     }
 }

@@ -150,12 +150,6 @@ impl HostConfig {
         self
     }
 
-    /// Sets the default gateway.
-    pub fn with_gateway(mut self, gateway: Ipv4Addr) -> Self {
-        self.gateway = Some(gateway);
-        self
-    }
-
     /// Sets the dynamic ARP entry lifetime.
     pub fn with_arp_timeout(mut self, timeout: Duration) -> Self {
         self.arp_timeout = timeout;

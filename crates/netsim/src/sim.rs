@@ -249,11 +249,6 @@ impl Simulator {
         self.default_profile = profile;
     }
 
-    /// The profile new links are connected with.
-    pub fn default_impairment(&self) -> LinkProfile {
-        self.default_profile
-    }
-
     /// Attaches a device and returns its id.
     ///
     /// # Panics
@@ -364,27 +359,16 @@ impl Simulator {
         self.stats
     }
 
-    /// Pending events across the timing wheel, ready batch, and
-    /// calendar fallback — the `wheel.occupancy` gauge source. A queued
-    /// fan-out counts once, however many copies it will deliver.
+    /// Pending events across the timing wheel's slots and ready batch —
+    /// the `wheel.occupancy` gauge source. A queued fan-out counts once,
+    /// however many copies it will deliver.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Pending events parked in the wheel's calendar fallback — the
-    /// `wheel.fallback_depth` gauge source.
-    pub fn queue_fallback_depth(&self) -> usize {
-        self.queue.fallback_len()
     }
 
     /// Immutable access to a device, for post-run inspection.
     pub fn device(&self, id: DeviceId) -> Option<&dyn Device> {
         self.devices.get(id.0).map(|d| d.as_ref())
-    }
-
-    /// Number of devices.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
@@ -440,7 +424,7 @@ impl Simulator {
                     self.flood(from, ports, skip, &forms);
                 }
                 Action::Schedule { delay, token } => {
-                    let at = self.now + delay;
+                    let at = self.now.saturating_add(delay);
                     self.push_event(at, EventKind::Timer { dst: from, token });
                 }
             }
@@ -639,12 +623,6 @@ impl Simulator {
         if self.now < deadline {
             self.now = deadline;
         }
-    }
-
-    /// Runs for `duration` past the current clock.
-    pub fn run_for(&mut self, duration: Duration) {
-        let deadline = self.now + duration;
-        self.run_until(deadline);
     }
 }
 
@@ -1096,7 +1074,7 @@ mod tests {
     #[test]
     fn timers_fire_in_order() {
         struct TimerDev {
-            fired: Vec<u64>,
+            fired: Rc<RefCell<Vec<u64>>>,
         }
         impl Device for TimerDev {
             fn name(&self) -> &str {
@@ -1106,6 +1084,8 @@ mod tests {
                 0
             }
             fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
+                // A timer set "never" waits at the end of the clock.
+                ctx.schedule_in(Duration::MAX, 99);
                 ctx.schedule_in(Duration::from_millis(30), 3);
                 ctx.schedule_in(Duration::from_millis(10), 1);
                 ctx.schedule_in(Duration::from_millis(20), 2);
@@ -1114,12 +1094,17 @@ mod tests {
             }
             fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, _: &[u8]) {}
             fn on_timer(&mut self, _: &mut DeviceCtx<'_>, token: u64) {
-                self.fired.push(token);
+                self.fired.borrow_mut().push(token);
             }
         }
+        let fired = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Simulator::new(1);
-        sim.add_device(Box::new(TimerDev { fired: Vec::new() }));
+        sim.add_device(Box::new(TimerDev { fired: Rc::clone(&fired) }));
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.wire_stats().timers, 4);
+        assert_eq!(*fired.borrow(), [1, 10, 2, 3]);
+        assert_eq!(sim.queue_depth(), 1);
+        sim.run_until(SimTime::MAX);
+        assert_eq!(*fired.borrow(), [1, 10, 2, 3, 99]);
+        assert_eq!((sim.wire_stats().timers, sim.now()), (5, SimTime::MAX));
     }
 }

@@ -121,8 +121,7 @@ impl StandaloneDriver {
                         .map(|e| (e.port, forms[usize::from(e.tagged)].clone())),
                 ),
                 Action::Schedule { delay, token } => {
-                    let due = self.now.checked_add(delay).unwrap_or(SimTime::from_nanos(u64::MAX));
-                    self.timers.push(due, token);
+                    self.timers.push(self.now.saturating_add(delay), token);
                 }
             }
         }

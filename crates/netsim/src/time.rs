@@ -52,11 +52,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole microseconds since the epoch.
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Whole milliseconds since the epoch.
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
@@ -82,6 +77,13 @@ impl SimTime {
     pub fn checked_add(self, d: Duration) -> Option<SimTime> {
         let nanos = u64::try_from(d.as_nanos()).ok()?;
         self.0.checked_add(nanos).map(SimTime)
+    }
+
+    /// Saturating addition of a duration: [`SimTime::MAX`] when the sum
+    /// passes it. A timer's due time, so one scheduled "never" waits at
+    /// the end of the clock instead of overflowing it.
+    pub fn saturating_add(self, d: Duration) -> SimTime {
+        self.checked_add(d).unwrap_or(SimTime::MAX)
     }
 }
 
@@ -149,6 +151,10 @@ mod tests {
     fn checked_add_saturates_at_max() {
         assert!(SimTime::MAX.checked_add(Duration::from_nanos(1)).is_none());
         assert!(SimTime::ZERO.checked_add(Duration::from_secs(1)).is_some());
+        assert_eq!(SimTime::from_secs(1).saturating_add(Duration::MAX), SimTime::MAX);
+        assert_eq!(SimTime::MAX.saturating_add(Duration::from_nanos(1)), SimTime::MAX);
+        let t = SimTime::from_secs(1).saturating_add(Duration::from_millis(5));
+        assert_eq!(t, SimTime::from_millis(1005));
     }
 
     #[test]

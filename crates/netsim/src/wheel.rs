@@ -1,4 +1,4 @@
-//! A hierarchical timing wheel with a calendar-queue fallback.
+//! A hierarchical timing wheel over the whole `u64` clock.
 //!
 //! The simulator's event core: a min-priority queue over `(time, seq)`
 //! where `seq` is the insertion sequence, so equal-timestamp entries pop
@@ -11,30 +11,30 @@
 //!
 //! # Shape
 //!
-//! Time is cut into 1,024 ns windows (`at >> 10`), and six levels of 64
-//! slots index those windows: a level-0 slot is one window, level `l`
-//! spans `64^(l+1)` windows, and the wheel covers 2^46 ns ≈ 19.5
-//! simulated hours ahead of `anchor` (the window it last drained). So a
-//! frame delivery microseconds out is queued on level 0 directly, and a
-//! 2 s refresh timer cascades three times. An entry's level is the
-//! highest 6-bit digit in which its window differs from `anchor` (the
+//! Time is cut into 1,024 ns windows (`at >> 10`), and nine levels of 64
+//! slots index those windows: a level-0 slot is one window and level `l`
+//! spans `64^(l+1)` windows. Nine 6-bit digits are all 54 bits of a
+//! window number, so every timestamp up to [`SimTime::MAX`] has a slot
+//! and the wheel has no horizon. A frame delivery microseconds out is
+//! queued on level 0 directly, and a 2 s refresh timer cascades three
+//! times. An entry's level is the highest 6-bit digit in which its
+//! window differs from `anchor` (the window it last drained; the
 //! `timeout.c` trick): that digit is the entry's slot, every higher
 //! digit matches `anchor`, so occupied slots always sit *ahead* of the
 //! level's cursor within the current epoch, a single `rotate_right` +
 //! `trailing_zeros` finds the next one, and every entry on a level sorts
-//! after every entry on the levels below it. Entries further out —
-//! day-long ticket lifetimes — go to a calendar fallback (a plain heap
-//! ordered by `(time, seq)`); `pop` compares the two heads so
-//! far-future entries interleave exactly where the contract puts them.
+//! after every entry on the levels below it.
 //!
 //! # Storage
 //!
-//! Entries live in one index-addressed node arena; each slot is a FIFO
-//! chain threaded through `u32` links, and spent nodes go on a free
-//! list inside the same arena. Pushing, cascading, and popping
+//! Entries live in one index-addressed node arena; each slot is a chain
+//! threaded through `u32` links from its head, and spent nodes go on a
+//! free list inside the same arena. Pushing, cascading, and popping
 //! therefore allocate nothing once the arena has grown to the run's
 //! in-flight high-water mark — the counting-allocator benches hold the
-//! whole simulator to a fraction of an allocation per frame.
+//! whole simulator to a fraction of an allocation per frame. A chain is
+//! unordered: a push links at its head, a cascade relinks every node it
+//! moves, and a level-0 drain sorts its window by `(at, seq)`.
 //!
 //! # Advancing
 //!
@@ -42,15 +42,14 @@
 //! it takes the next occupied slot of the lowest occupied level, moves
 //! `anchor` to that slot's first window, and either drains it (level 0,
 //! one window) into `ready` sorted by `(time, seq)`, or cascades its
-//! chain down a level and repeats. `anchor` never passes the fallback's
-//! head. Every pending entry in a window at or before `anchor` is in
-//! `ready`, so a push into such a window — a sub-microsecond delay, or
-//! any push after a `next_at` peek ran ahead of the clock — merges into
-//! `ready` after the last entry due no later than it (usually at the
-//! back), and still pops after every pending equal-timestamp entry.
+//! chain down a level and repeats. Every pending entry in a window at or
+//! before `anchor` is in `ready`, so a push into such a window — a
+//! sub-microsecond delay, or any push after a `next_at` peek ran ahead
+//! of the clock — merges into `ready` after the last entry due no later
+//! than it (usually at the back), and still pops after every pending
+//! equal-timestamp entry.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use arpshield_trace::profile;
 
@@ -62,11 +61,8 @@ const WINDOW_BITS: u32 = 10;
 const LEVEL_BITS: u32 = 6;
 /// Slots per level.
 const SLOTS: usize = 1 << LEVEL_BITS;
-/// Number of levels.
-const LEVELS: usize = 6;
-/// Windows differing from `anchor` at or above this bit overflow to the
-/// calendar fallback.
-const WHEEL_BITS: u32 = LEVEL_BITS * LEVELS as u32;
+/// Number of levels: one per 6-bit digit of a `u64` timestamp's window.
+const LEVELS: usize = (u64::BITS - WINDOW_BITS).div_ceil(LEVEL_BITS) as usize;
 /// Null link for slot chains and the node free list.
 const NIL: u32 = u32::MAX;
 
@@ -80,32 +76,6 @@ struct Node<T> {
     item: Option<T>,
 }
 
-/// Calendar-fallback entry; ordered by `(at, seq)` only, never by the
-/// payload.
-#[derive(Debug)]
-struct Far<T> {
-    at: u64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Far<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl<T> Eq for Far<T> {}
-impl<T> PartialOrd for Far<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Far<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// A deterministic timer queue: entries pop in `(time, insertion)` order.
 ///
 /// Pushing a timestamp earlier than the last popped one is clamped to
@@ -117,12 +87,12 @@ pub struct TimingWheel<T> {
     /// pending timestamp.
     now: u64,
     /// The window (`at >> WINDOW_BITS`) slot digits are measured
-    /// against. Pending entries in windows up to it are in `ready` or
-    /// `far`; slot entries are all in later windows.
+    /// against. Pending entries in windows up to it are in `ready`;
+    /// slot entries are all in later windows.
     anchor: u64,
     /// Next insertion sequence number.
     seq: u64,
-    /// Entries resident in wheel slots (excludes `ready` and `far`).
+    /// Entries resident in wheel slots (excludes `ready`).
     wheel_len: usize,
     /// Node arena; slot chains and the free list both live here.
     nodes: Vec<Node<T>>,
@@ -130,14 +100,10 @@ pub struct TimingWheel<T> {
     free: u32,
     /// Chain head per slot, level-major; [`NIL`] when empty.
     head: [u32; LEVELS * SLOTS],
-    /// Chain tail per slot, for O(1) FIFO append.
-    tail: [u32; LEVELS * SLOTS],
     /// Per-level slot-occupancy bitmaps.
     occ: [u64; LEVELS],
     /// The due batch: node indices in `(at, seq)` order.
     ready: VecDeque<u32>,
-    /// Calendar fallback for beyond-horizon entries.
-    far: BinaryHeap<Reverse<Far<T>>>,
 }
 
 impl<T> Default for TimingWheel<T> {
@@ -157,29 +123,19 @@ impl<T> TimingWheel<T> {
             nodes: Vec::new(),
             free: NIL,
             head: [NIL; LEVELS * SLOTS],
-            tail: [NIL; LEVELS * SLOTS],
             occ: [0; LEVELS],
             ready: VecDeque::new(),
-            far: BinaryHeap::new(),
         }
     }
 
     /// Pending entries.
     pub fn len(&self) -> usize {
-        self.wheel_len + self.ready.len() + self.far.len()
+        self.wheel_len + self.ready.len()
     }
 
     /// Whether no entries are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Entries currently parked in the calendar fallback — the
-    /// beyond-horizon overflow whose depth the profiler samples as the
-    /// `wheel.fallback_depth` gauge (a deep fallback means the workload
-    /// is outrunning the wheel's O(1) near-future fast path).
-    pub fn fallback_len(&self) -> usize {
-        self.far.len()
     }
 
     /// Schedules `item` at `at`. Entries pushed with equal timestamps
@@ -188,11 +144,6 @@ impl<T> TimingWheel<T> {
         let at = at.as_nanos().max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let window = at >> WINDOW_BITS;
-        if window > self.anchor && (window ^ self.anchor) >> WHEEL_BITS != 0 {
-            self.far.push(Reverse(Far { at, seq, item }));
-            return;
-        }
         let node = match self.free {
             NIL => {
                 self.nodes.push(Node { at, seq, next: NIL, item: Some(item) });
@@ -203,12 +154,11 @@ impl<T> TimingWheel<T> {
                 self.free = node.next;
                 node.at = at;
                 node.seq = seq;
-                node.next = NIL;
                 node.item = Some(item);
                 idx
             }
         };
-        if window > self.anchor {
+        if at >> WINDOW_BITS > self.anchor {
             self.link(node);
             self.wheel_len += 1;
         } else {
@@ -229,13 +179,7 @@ impl<T> TimingWheel<T> {
         if self.ready.is_empty() {
             self.pump();
         }
-        let near = self.ready.front().map(|&n| self.nodes[n as usize].at);
-        let far = self.far.peek().map(|Reverse(f)| f.at);
-        match (near, far) {
-            (Some(n), Some(f)) => Some(n.min(f)),
-            (n, f) => n.or(f),
-        }
-        .map(SimTime::from_nanos)
+        self.ready.front().map(|&n| SimTime::from_nanos(self.nodes[n as usize].at))
     }
 
     /// Removes and returns the next entry in `(time, insertion)` order.
@@ -244,79 +188,43 @@ impl<T> TimingWheel<T> {
         if self.ready.is_empty() {
             self.pump();
         }
-        let take_far = match (self.ready.front(), self.far.peek()) {
-            (Some(&n), Some(Reverse(far))) => {
-                let near = &self.nodes[n as usize];
-                (far.at, far.seq) < (near.at, near.seq)
-            }
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (None, None) => return None,
-        };
-        let (at, item) = if take_far {
-            let Reverse(far) = self.far.pop().expect("peeked above");
-            if self.wheel_len == 0 {
-                // No slot entry to misplace: follow the clock, so later
-                // near-future pushes land in the wheel, not the fallback.
-                self.anchor = self.anchor.max(far.at >> WINDOW_BITS);
-            }
-            (far.at, far.item)
-        } else {
-            let index = self.ready.pop_front().expect("peeked above");
-            let node = &mut self.nodes[index as usize];
-            let item = node.item.take().expect("ready nodes hold their item");
-            node.next = self.free;
-            self.free = index;
-            (node.at, item)
-        };
-        self.now = at;
-        Some((SimTime::from_nanos(at), item))
+        let index = self.ready.pop_front()?;
+        let node = &mut self.nodes[index as usize];
+        let item = node.item.take().expect("ready nodes hold their item");
+        node.next = self.free;
+        self.free = index;
+        self.now = node.at;
+        Some((SimTime::from_nanos(node.at), item))
     }
 
-    /// Appends a slot node to the chain its window and the current
+    /// Links a slot node onto the chain its window and the current
     /// `anchor` hash to.
     fn link(&mut self, index: u32) {
         let window = self.nodes[index as usize].at >> WINDOW_BITS;
-        let diff = window ^ self.anchor;
-        debug_assert!(diff >> WHEEL_BITS == 0 && window >= self.anchor);
-        let level = ((diff | 1).ilog2() / LEVEL_BITS) as usize;
+        debug_assert!(window >= self.anchor);
+        let level = (((window ^ self.anchor) | 1).ilog2() / LEVEL_BITS) as usize;
         let shift = LEVEL_BITS * level as u32;
         let slot = ((window >> shift) & (SLOTS as u64 - 1)) as usize;
         let chain = level * SLOTS + slot;
-        match self.tail[chain] {
-            NIL => self.head[chain] = index,
-            tail => self.nodes[tail as usize].next = index,
-        }
-        self.tail[chain] = index;
+        self.nodes[index as usize].next = self.head[chain];
+        self.head[chain] = index;
         self.occ[level] |= 1 << slot;
     }
 
     /// Advances `anchor` to the next occupied slot and fills `ready`
     /// with its window's entries, cascading wider slots down a level on
-    /// the way. Leaves `ready` empty when the wheel is empty or the
-    /// calendar fallback holds an earlier window — `anchor` must never
-    /// pass the fallback's head.
+    /// the way. Leaves `ready` empty only when the wheel is empty.
     fn pump(&mut self) {
-        let far_head = self.far.peek().map(|Reverse(f)| f.at >> WINDOW_BITS);
         while self.ready.is_empty() && self.wheel_len > 0 {
             let level = self.occ.iter().position(|&o| o != 0).expect("wheel_len > 0");
             let shift = LEVEL_BITS * level as u32;
             let cursor = ((self.anchor >> shift) & (SLOTS as u64 - 1)) as u32;
             let dist = self.occ[level].rotate_right(cursor).trailing_zeros() as u64;
-            let start = ((self.anchor >> shift) + dist) << shift;
-            if far_head.is_some_and(|f| f < start) {
-                return;
-            }
-            self.anchor = start;
-            let slot = ((start >> shift) & (SLOTS as u64 - 1)) as usize;
+            self.anchor = ((self.anchor >> shift) + dist) << shift;
+            let slot = ((self.anchor >> shift) & (SLOTS as u64 - 1)) as usize;
             self.occ[level] &= !(1u64 << slot);
-            let chain = level * SLOTS + slot;
-            let mut node = self.head[chain];
-            self.head[chain] = NIL;
-            self.tail[chain] = NIL;
+            let mut node = std::mem::replace(&mut self.head[level * SLOTS + slot], NIL);
             if level == 0 {
-                // A chain holds its window in arrival order (pushes and
-                // cascades), not time order; one sort restores `(at, seq)`.
                 while node != NIL {
                     self.ready.push_back(node);
                     node = self.nodes[node as usize].next;
@@ -330,7 +238,6 @@ impl<T> TimingWheel<T> {
                 let _s = profile::span("wheel.cascade");
                 while node != NIL {
                     let next = self.nodes[node as usize].next;
-                    self.nodes[node as usize].next = NIL;
                     self.link(node);
                     node = next;
                 }
@@ -341,6 +248,9 @@ impl<T> TimingWheel<T> {
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
 
     fn drain(wheel: &mut TimingWheel<u32>) -> Vec<(u64, u32)> {
@@ -371,7 +281,7 @@ mod tests {
     #[test]
     fn far_future_entries_interleave_with_near_ones() {
         let mut wheel = TimingWheel::new();
-        // Day-scale timestamps overflow the ~19.5 h horizon.
+        // Day-scale timestamps sit six levels up.
         wheel.push(SimTime::from_secs(86_400), 0);
         wheel.push(SimTime::from_nanos(5), 1);
         wheel.push(SimTime::from_secs(86_400), 2);
@@ -383,13 +293,13 @@ mod tests {
     }
 
     #[test]
-    fn equal_timestamp_order_holds_across_wheel_and_fallback() {
+    fn equal_timestamp_order_holds_across_levels() {
         let mut wheel = TimingWheel::new();
         let t = SimTime::from_secs(86_400);
-        wheel.push(t, 0); // beyond horizon: calendar fallback
+        wheel.push(t, 0); // six levels up
         wheel.push(SimTime::from_secs(86_399), 1);
-        // Pop the near entry; anchor now sits within the fallback
-        // entry's epoch, so this push lands in the wheel.
+        // Pop the near entry; anchor now sits within a second of the
+        // first entry, so this push lands on a lower level.
         assert_eq!(wheel.pop(), Some((SimTime::from_secs(86_399), 1)));
         wheel.push(t, 2);
         assert_eq!(drain(&mut wheel), vec![(t.as_nanos(), 0), (t.as_nanos(), 2)]);
@@ -431,7 +341,7 @@ mod tests {
     fn next_at_previews_without_disturbing_order() {
         let mut wheel = TimingWheel::new();
         assert_eq!(wheel.next_at(), None);
-        wheel.push(SimTime::from_secs(300), 0); // fallback
+        wheel.push(SimTime::from_secs(300), 0); // four levels up
         wheel.push(SimTime::from_nanos(77), 1);
         assert_eq!(wheel.next_at(), Some(SimTime::from_nanos(77)));
         assert_eq!(wheel.pop(), Some((SimTime::from_nanos(77), 1)));
@@ -473,13 +383,15 @@ mod tests {
                         expected.push((hat, hitem));
                     }
                 } else {
-                    // Mix of microsecond-scale and horizon-crossing delays.
-                    let delay = if next() % 7 == 0 {
-                        86_400_000_000_000 + next() % 1_000_000
-                    } else {
-                        next() % (1 << (10 + round % 20))
+                    // Microsecond-scale to second-scale delays, day-long
+                    // ones, jumps of any size up to the top of the clock,
+                    // and the top itself.
+                    let at = match next() % 8 {
+                        0 => clock.saturating_add(86_400_000_000_000 + next() % 1_000_000),
+                        1 => clock.saturating_add(next() << (next() % 34)),
+                        2 if round % 5 == 4 => u64::MAX,
+                        _ => clock.saturating_add(next() % (1 << (10 + round % 20))),
                     };
-                    let at = clock + delay;
                     wheel.push(SimTime::from_nanos(at), op as u32);
                     heap.push(Reverse((at, seq, op as u32)));
                     seq += 1;
@@ -519,33 +431,40 @@ mod tests {
     /// Streams that stress window merges: sub-window delays landing
     /// before and after the drained window's last entry, ties either
     /// side of a window edge, pushes between a `next_at` peek and the
-    /// pop (the `run_until` pattern), and fallback entries whose window
-    /// the wheel later drains around them.
+    /// pop (the `run_until` pattern), day-long entries whose window the
+    /// wheel later drains around them, jumps up to the top of the clock,
+    /// and pushes after [`SimTime::MAX`] has popped, which clamp to it.
     #[test]
     fn window_merges_match_a_reference_heap() {
         const WINDOW: u64 = 1 << WINDOW_BITS;
-        const HORIZON: u64 = 1 << (WINDOW_BITS + WHEEL_BITS);
+        const DAY: u64 = 86_400_000_000_000;
         let mut state = 0x0DD_B1A5_u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             state >> 33
         };
+        let mut pushes_after_max = 0;
         for round in 0..40 {
             let mut wheel = TimingWheel::new();
             let mut reference = Reference::default();
             let mut far_times = Vec::new();
             let mut item = 0u32;
             let mut push = |wheel: &mut TimingWheel<u32>, reference: &mut Reference, at: u64| {
+                pushes_after_max += u32::from(reference.now == u64::MAX);
                 wheel.push(SimTime::from_nanos(at), item);
                 reference.push(at, item);
                 item += 1;
             };
+            // Even rounds jump at most ~19.5 h; odd ones anywhere.
+            let reach = if round % 2 == 0 { 16 } else { 34 };
             for op in 0..1500 {
                 let clock = reference.now;
                 match next() % 16 {
-                    0..=3 => push(&mut wheel, &mut reference, clock + next() % WINDOW),
+                    0..=3 => {
+                        push(&mut wheel, &mut reference, clock.saturating_add(next() % WINDOW))
+                    }
                     4 => {
-                        let edge = (clock / WINDOW + 1 + next() % 2) * WINDOW;
+                        let edge = (clock / WINDOW + 1 + next() % 2).saturating_mul(WINDOW);
                         for at in [edge - 1, edge, edge - 1, edge] {
                             push(&mut wheel, &mut reference, at);
                         }
@@ -555,28 +474,33 @@ mod tests {
                         let want = reference.heap.peek().map(|Reverse((at, ..))| *at);
                         assert_eq!(peeked, want, "round {round} op {op}: next_at");
                         for _ in 0..1 + next() % 3 {
-                            push(&mut wheel, &mut reference, clock + next() % (3 * WINDOW));
+                            let at = clock.saturating_add(next() % (3 * WINDOW));
+                            push(&mut wheel, &mut reference, at);
                         }
                     }
                     6 => {
-                        let at = clock + HORIZON + next() % (4 * WINDOW);
+                        let at = clock.saturating_add(DAY + next() % (4 * WINDOW));
                         far_times.push(at);
                         push(&mut wheel, &mut reference, at);
                     }
                     7 => {
-                        // Escort a fallback entry once its window is in
-                        // reach, so both sides of it share one batch.
-                        if let Some(&far) = far_times.iter().find(|&&f| f > clock + WINDOW) {
-                            if far - clock < HORIZON - 8 * WINDOW {
-                                push(
-                                    &mut wheel,
-                                    &mut reference,
-                                    far + next() % WINDOW - WINDOW / 2,
-                                );
-                            }
+                        // Escort a day-long entry: a push near its time
+                        // from a later anchor lands on a lower level, and
+                        // the two meet in one drained window.
+                        if let Some(&far) =
+                            far_times.iter().find(|&&f| f.saturating_sub(clock) > WINDOW)
+                        {
+                            let at = (far - WINDOW / 2).saturating_add(next() % WINDOW);
+                            push(&mut wheel, &mut reference, at);
                         }
                     }
-                    8 => push(&mut wheel, &mut reference, clock + HORIZON / 2 + next() % WINDOW),
+                    8 => push(
+                        &mut wheel,
+                        &mut reference,
+                        clock.saturating_add(next() << (next() % reach)),
+                    ),
+                    // Late, so most of the round runs below the top.
+                    9 if round % 4 == 3 && op >= 1200 => push(&mut wheel, &mut reference, u64::MAX),
                     _ => {
                         for _ in 0..1 + next() % 4 {
                             let got = wheel.pop().map(|(at, item)| (at.as_nanos(), item));
@@ -594,5 +518,6 @@ mod tests {
                 }
             }
         }
+        assert!(pushes_after_max > 0, "no stream popped SimTime::MAX and pushed again");
     }
 }

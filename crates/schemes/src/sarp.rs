@@ -85,15 +85,6 @@ pub struct SArpConfig {
     pub key_fetch_timeout: Duration,
 }
 
-impl SArpConfig {
-    /// Enables AKD key-fetch retries (for lossy links).
-    pub fn with_key_fetch_retries(mut self, retries: u32, timeout: Duration) -> Self {
-        self.key_fetch_retries = retries;
-        self.key_fetch_timeout = timeout;
-        self
-    }
-}
-
 /// Default simulated CPU cost of one work unit.
 pub const DEFAULT_UNIT_COST: Duration = Duration::from_micros(1);
 

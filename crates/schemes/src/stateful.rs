@@ -152,7 +152,7 @@ impl StatefulMonitor {
         if self.outstanding.len() > SWEEP_ABOVE && now >= self.next_sweep {
             let window = self.config.request_window;
             self.outstanding.retain(|_, asked_at| now.saturating_since(*asked_at) <= window);
-            self.next_sweep = now.checked_add(window / SWEEPS_PER_WINDOW).unwrap_or(SimTime::MAX);
+            self.next_sweep = now.saturating_add(window / SWEEPS_PER_WINDOW);
         }
     }
 }

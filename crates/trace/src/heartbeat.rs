@@ -63,11 +63,6 @@ impl Heartbeat {
         }
     }
 
-    /// True when output is suppressed (`ARPSHIELD_QUIET`).
-    pub fn is_quiet(&self) -> bool {
-        self.quiet
-    }
-
     /// Wall time since construction.
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()

@@ -590,8 +590,9 @@ mod scheduler_and_pool {
         /// The timing wheel is observationally a *stable* min-heap on
         /// `(timestamp, insertion order)`: any interleaving of pushes
         /// and pops replays exactly the sequence a seq-tagged
-        /// `BinaryHeap` reference produces — including timestamp ties
-        /// and entries past the ~19.5 h wheel horizon.
+        /// `BinaryHeap` reference produces — including timestamp ties,
+        /// day-long entries, and any time up to `SimTime::MAX`, before
+        /// and after it pops.
         #[test]
         fn timing_wheel_matches_heap_order(
             ops in collection::vec((any::<u64>(), any::<u8>()), 1..200),
@@ -614,12 +615,14 @@ mod scheduler_and_pool {
                     }
                 } else {
                     // Spread delays across wheel levels: frequent ties,
-                    // mid-horizon scatter, and horizon-crossing jumps
-                    // that exercise the calendar fallback.
-                    let delay = match kind % 4 {
-                        1 => raw % 4,
-                        2 => raw % 10_000_000_000,
-                        _ => raw % 200_000_000_000_000,
+                    // second-scale scatter, day-scale jumps, and jumps
+                    // of any size, which often saturate at the top of
+                    // the clock.
+                    let delay = match kind % 8 {
+                        1 | 5 => raw % 4,
+                        2 | 6 => raw % 10_000_000_000,
+                        3 => raw % 200_000_000_000_000,
+                        _ => raw,
                     };
                     let at = clock.saturating_add(delay);
                     wheel.push(SimTime::from_nanos(at), i);
