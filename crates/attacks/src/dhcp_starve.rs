@@ -20,10 +20,6 @@ pub struct DhcpStarverConfig {
     pub start_delay: Duration,
     /// Forged DISCOVERs per second.
     pub rate_per_sec: u32,
-    /// Whether to complete the handshake (REQUEST each OFFER), which
-    /// pins leases rather than just transient offers — the stronger form
-    /// of the attack.
-    pub complete_handshake: bool,
     /// Total discovers to send (`None` = unbounded).
     pub total: Option<u64>,
 }
@@ -124,11 +120,9 @@ impl Device for DhcpStarver {
     }
 
     fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, _port: PortId, frame: &[u8]) {
-        if !self.config.complete_handshake {
-            return;
-        }
-        // Capture OFFERs addressed to any of our forged clients and pin
-        // them with a REQUEST.
+        // Complete the handshake: capture OFFERs addressed to any of our
+        // forged clients and pin them with a REQUEST, so the attack holds
+        // leases rather than just transient offers.
         let Ok(eth) = EthernetView::parse_strict(frame) else {
             return;
         };
@@ -182,7 +176,6 @@ mod tests {
                 attacker_mac: MacAddr::from_index(66),
                 start_delay: Duration::ZERO,
                 rate_per_sec: 100,
-                complete_handshake: true,
                 total: None,
             },
             GroundTruth::new(),

@@ -150,21 +150,17 @@ impl Device for RogueDhcpServer {
             return;
         }
         match msg.message_type() {
-            Some(DhcpMessageType::Discover) => {
-                if self.next_ip < self.config.pool_size {
-                    let ip = Ipv4Addr::from_u32(self.config.pool_start.to_u32() + self.next_ip);
-                    self.next_ip += 1;
-                    self.stats.offers_sent += 1;
-                    self.reply(ctx, DhcpMessageType::Offer, &msg, ip);
-                }
+            Some(DhcpMessageType::Discover) if self.next_ip < self.config.pool_size => {
+                let ip = Ipv4Addr::from_u32(self.config.pool_start.to_u32() + self.next_ip);
+                self.next_ip += 1;
+                self.stats.offers_sent += 1;
+                self.reply(ctx, DhcpMessageType::Offer, &msg, ip);
             }
-            Some(DhcpMessageType::Request) => {
-                // Ack any request naming us as the server.
-                if msg.server_id() == Some(self.config.server_ip) {
-                    let ip = msg.requested_ip().unwrap_or(msg.ciaddr);
-                    self.stats.victims_captured += 1;
-                    self.reply(ctx, DhcpMessageType::Ack, &msg, ip);
-                }
+            // Ack any request naming us as the server.
+            Some(DhcpMessageType::Request) if msg.server_id() == Some(self.config.server_ip) => {
+                let ip = msg.requested_ip().unwrap_or(msg.ciaddr);
+                self.stats.victims_captured += 1;
+                self.reply(ctx, DhcpMessageType::Ack, &msg, ip);
             }
             _ => {}
         }

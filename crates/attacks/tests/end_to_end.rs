@@ -164,7 +164,7 @@ fn reply_race_defeats_no_unsolicited_policy() {
         Some(mac(66)),
         "forged reply should win the race"
     );
-    assert!(truth.len() >= 1);
+    assert!(!truth.is_empty());
 }
 
 /// Full-duplex MITM: both victims' caches point at the attacker, yet
@@ -265,7 +265,6 @@ fn starvation_then_rogue_capture() {
             attacker_mac: mac(66),
             start_delay: Duration::from_millis(100),
             rate_per_sec: 50,
-            complete_handshake: true,
             total: Some(40),
         },
         truth.clone(),

@@ -69,7 +69,7 @@ const LATENCIES: [u64; 4] = [1_000, 5_000, 10_000, 25_000];
 /// microsecond frame deliveries).
 fn delay(rng: &mut Lcg, far_tail: bool) -> u64 {
     let raw = rng.next();
-    if far_tail && raw % 16 == 0 {
+    if far_tail && raw.is_multiple_of(16) {
         // ~1 day out: six levels up.
         86_400_000_000_000 + raw % 1_000_000_000
     } else {

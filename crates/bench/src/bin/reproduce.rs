@@ -334,7 +334,7 @@ fn run_profile_report(path: &str) -> Result<(), String> {
         rows.len(),
         self_total_ns / 1e9,
     );
-    let path_width = rows.iter().map(|r| r.path.len()).chain(["span".len()].into_iter()).max();
+    let path_width = rows.iter().map(|r| r.path.len()).chain(["span".len()]).max();
     let path_width = path_width.unwrap_or(4);
     println!(
         "{:<path_width$}  {:>12}  {:>12}  {:>12}  {:>7}",
@@ -765,7 +765,7 @@ fn ingest_source(
         // packets so a million-packet stream never pays a clock read
         // per frame; a slow trickle still heartbeats at each batch.
         const HEARTBEAT_EVERY: u64 = 4096;
-        if pulled % HEARTBEAT_EVERY == 0 && pulled > 0 {
+        if pulled.is_multiple_of(HEARTBEAT_EVERY) && pulled > 0 {
             let stats = stream.stats();
             hb.tick(|hb| {
                 let wall_s = hb.elapsed().as_secs_f64().max(1e-9);
@@ -1094,7 +1094,7 @@ fn main() {
     let started = Instant::now();
 
     if want("t1") {
-        out.table("t1", || taxonomy::table());
+        out.table("t1", taxonomy::table);
     }
     if want("t2") {
         out.table("t2", || t2_susceptibility(SEED));

@@ -9,11 +9,11 @@ use arpshield_attacks::{
 };
 use arpshield_host::dhcp::DhcpServerConfig;
 use arpshield_host::{Host, HostConfig};
-use arpshield_netsim::{
-    PortId, PortSecurityConfig, SimTime, Simulator, Switch, SwitchConfig, ViolationAction,
-};
+use arpshield_netsim::{PortId, SimTime, Simulator, Switch, SwitchConfig};
 use arpshield_packet::{Ipv4Addr, Ipv4Cidr, MacAddr};
-use arpshield_schemes::{AlertLog, DaiConfig, DaiInspector, RateConfig, RateMonitor, SchemeKind};
+use arpshield_schemes::{
+    AlertLog, DaiConfig, DaiInspector, RateConfig, RateMonitor, SchemeKind, PORT_SECURITY,
+};
 
 use crate::report::Table;
 
@@ -32,10 +32,7 @@ fn flood_run(seed: u64, scheme: SchemeKind) -> DosRun {
     let mut sim = Simulator::new(seed);
     let mut config = SwitchConfig { ports: 8, cam_capacity: 512, ..Default::default() };
     if scheme == SchemeKind::PortSecurity {
-        config.port_security = Some(PortSecurityConfig {
-            max_macs_per_port: 2,
-            violation: ViolationAction::ShutdownPort,
-        });
+        config.port_security = Some(PORT_SECURITY);
     }
     // Mirror to the monitor port for the rate monitor.
     if scheme == SchemeKind::RateMonitor {
@@ -66,10 +63,7 @@ fn starve_run(seed: u64, scheme: SchemeKind) -> DosRun {
     let pool = 16u32;
     let mut config = SwitchConfig { ports: 8, ..Default::default() };
     if scheme == SchemeKind::PortSecurity {
-        config.port_security = Some(PortSecurityConfig {
-            max_macs_per_port: 2,
-            violation: ViolationAction::ShutdownPort,
-        });
+        config.port_security = Some(PORT_SECURITY);
     }
     if scheme == SchemeKind::RateMonitor {
         config.mirror_to = Some(PortId(7));
@@ -98,7 +92,6 @@ fn starve_run(seed: u64, scheme: SchemeKind) -> DosRun {
             attacker_mac: MacAddr::from_index(66),
             start_delay: Duration::from_millis(200),
             rate_per_sec: 50,
-            complete_handshake: true,
             total: None,
         },
         GroundTruth::new(),
@@ -116,10 +109,7 @@ fn scan_run(seed: u64, scheme: SchemeKind) -> DosRun {
     let subnet = Ipv4Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 26); // 62 hosts to sweep
     let mut config = SwitchConfig { ports: 12, ..Default::default() };
     if scheme == SchemeKind::PortSecurity {
-        config.port_security = Some(PortSecurityConfig {
-            max_macs_per_port: 2,
-            violation: ViolationAction::ShutdownPort,
-        });
+        config.port_security = Some(PORT_SECURITY);
     }
     if scheme == SchemeKind::RateMonitor {
         config.mirror_to = Some(PortId(11));

@@ -8,10 +8,9 @@ use arpshield_attacks::{
 };
 use arpshield_host::dhcp::DhcpServerConfig;
 use arpshield_host::{Host, HostConfig};
-use arpshield_netsim::{
-    PortId, PortSecurityConfig, SimTime, Simulator, Switch, SwitchConfig, ViolationAction,
-};
+use arpshield_netsim::{PortId, SimTime, Simulator, Switch, SwitchConfig};
 use arpshield_packet::{Ipv4Addr, Ipv4Cidr, MacAddr};
+use arpshield_schemes::PORT_SECURITY;
 
 use crate::report::Series;
 use crate::scenario::lan::addr;
@@ -29,10 +28,7 @@ pub fn f6_flood_dynamics(seed: u64) -> Vec<Series> {
         let config = SwitchConfig {
             ports: 8,
             cam_capacity: 1024,
-            port_security: secured.then_some(PortSecurityConfig {
-                max_macs_per_port: 2,
-                violation: ViolationAction::ShutdownPort,
-            }),
+            port_security: secured.then_some(PORT_SECURITY),
             ..Default::default()
         };
         let (switch, handle) = Switch::new("sw", config);
@@ -81,7 +77,6 @@ pub fn f6_starvation_dynamics(seed: u64) -> Series {
             attacker_mac: addr::attacker_mac(),
             start_delay: Duration::from_millis(500),
             rate_per_sec: 50,
-            complete_handshake: true,
             total: None,
         },
         GroundTruth::new(),

@@ -7,7 +7,7 @@ use arpshield_schemes::SchemeKind;
 
 use crate::parallel::run_indexed;
 use crate::report::Table;
-use crate::scenario::{BenignScenario, ChurnConfig, ScenarioConfig};
+use crate::scenario::{BenignScenario, ScenarioConfig};
 
 /// T4: alerts raised by each scheme on an attack-free LAN with DHCP
 /// lease churn, roaming clients, gratuitous boot announcements, and one
@@ -31,7 +31,7 @@ pub fn t4_false_positives(seed: u64) -> Table {
                     .with_hosts(3)
                     .with_scheme(scheme)
                     .with_duration(Duration::from_secs(30));
-                let run = BenignScenario::new(config, ChurnConfig::default()).run();
+                let run = BenignScenario::new(config).run();
                 let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
                 for alert in run.lan.alerts.alerts() {
                     *kinds.entry(format!("{:?}", alert.kind)).or_insert(0) += 1;

@@ -13,6 +13,10 @@ use arpshield_netsim::SimTime;
 use crate::metrics::{CacheSampler, SampleLog, Watch};
 use crate::scenario::lan::{addr, build, BuiltLan, ScenarioConfig};
 
+/// When the attacker (if any) first acts — after the warm-up in which
+/// legitimate bindings circulate.
+const ATTACK_START: Duration = Duration::from_secs(3);
+
 /// Which attack an [`AttackScenario`] mounts against the standard LAN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackSpec {
@@ -109,7 +113,7 @@ impl AttackScenario {
                                 addr::attacker_mac()
                             },
                             target: Some((addr::host_ip(0), addr::host_mac(0))),
-                            start_delay: config.attack_start,
+                            start_delay: ATTACK_START,
                             repeat: Some(Duration::from_secs(2)),
                         },
                         truth,
@@ -124,7 +128,7 @@ impl AttackScenario {
                             attacker_mac: addr::attacker_mac(),
                             side_a: (addr::GATEWAY_IP, addr::gateway_mac()),
                             side_b: (addr::host_ip(0), addr::host_mac(0)),
-                            start_delay: config.attack_start,
+                            start_delay: ATTACK_START,
                             repeat: Duration::from_secs(2),
                         },
                         truth,
@@ -135,7 +139,7 @@ impl AttackScenario {
             AttackSpec::Flood => {
                 lan.attach(Box::new(MacFlooder::new(
                     MacFlooderConfig {
-                        start_delay: config.attack_start,
+                        start_delay: ATTACK_START,
                         ..MacFlooderConfig::macof_rate(addr::attacker_mac())
                     },
                     truth,
@@ -145,9 +149,8 @@ impl AttackScenario {
                 lan.attach(Box::new(DhcpStarver::new(
                     DhcpStarverConfig {
                         attacker_mac: addr::attacker_mac(),
-                        start_delay: config.attack_start,
+                        start_delay: ATTACK_START,
                         rate_per_sec: 50,
-                        complete_handshake: true,
                         total: None,
                     },
                     truth,
@@ -157,12 +160,7 @@ impl AttackScenario {
 
         let deadline = SimTime::ZERO + config.duration;
         lan.sim.run_until(deadline);
-        CompletedRun {
-            lan,
-            spec: self.spec,
-            samples,
-            attack_start: SimTime::ZERO + config.attack_start,
-        }
+        CompletedRun { lan, spec: self.spec, samples, attack_start: SimTime::ZERO + ATTACK_START }
     }
 }
 

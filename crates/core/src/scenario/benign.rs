@@ -20,30 +20,15 @@ use arpshield_packet::MacAddr;
 
 use crate::scenario::lan::{addr, build, BuiltLan, ScenarioConfig};
 
-/// Churn intensity knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnConfig {
-    /// Roaming DHCP clients that release and re-acquire leases.
-    pub dhcp_roamers: usize,
-    /// Size of the DHCP pool serving them (small pools force address
-    /// reuse across different MACs — the FP trigger).
-    pub pool_size: u32,
-    /// How long each roamer holds a lease before releasing.
-    pub lease_hold: Duration,
-    /// Replace the victim host's NIC at this point in the run.
-    pub nic_swap_at: Option<Duration>,
-}
-
-impl Default for ChurnConfig {
-    fn default() -> Self {
-        ChurnConfig {
-            dhcp_roamers: 3,
-            pool_size: 2,
-            lease_hold: Duration::from_secs(4),
-            nic_swap_at: Some(Duration::from_secs(10)),
-        }
-    }
-}
+/// Roaming DHCP clients that release and re-acquire leases.
+const DHCP_ROAMERS: usize = 3;
+/// Size of the DHCP pool serving them (small pools force address reuse
+/// across different MACs — the FP trigger).
+const POOL_SIZE: u32 = 2;
+/// How long each roamer holds a lease before releasing.
+const LEASE_HOLD: Duration = Duration::from_secs(4);
+/// Replace the victim host's NIC at this point in the run.
+const NIC_SWAP_AT: Duration = Duration::from_secs(10);
 
 /// A benign run's residue.
 #[derive(Debug)]
@@ -61,14 +46,12 @@ pub struct BenignRun {
 pub struct BenignScenario {
     /// LAN parameters.
     pub config: ScenarioConfig,
-    /// Churn parameters.
-    pub churn: ChurnConfig,
 }
 
 impl BenignScenario {
     /// Creates a benign scenario.
-    pub fn new(config: ScenarioConfig, churn: ChurnConfig) -> Self {
-        BenignScenario { config, churn }
+    pub fn new(config: ScenarioConfig) -> Self {
+        BenignScenario { config }
     }
 
     /// Builds, injects churn, runs, and counts false positives.
@@ -91,7 +74,7 @@ impl BenignScenario {
         // the snooped-lease flow from the scheme integration tests.
         let server_cfg = DhcpServerConfig {
             pool_start: arpshield_packet::Ipv4Addr::new(10, 0, 0, 200),
-            pool_size: self.churn.pool_size,
+            pool_size: POOL_SIZE,
             lease: Duration::from_secs(600),
             mask: arpshield_packet::Ipv4Addr::new(255, 255, 255, 0),
             router: addr::GATEWAY_IP,
@@ -109,11 +92,10 @@ impl BenignScenario {
         lan.attach(Box::new(server_host));
 
         let mut roamers = Vec::new();
-        for i in 0..self.churn.dhcp_roamers {
+        for i in 0..DHCP_ROAMERS {
             let client_cfg = DhcpClientConfig {
                 start_delay: Duration::from_millis(200 + 700 * i as u64),
-                retry_interval: Duration::from_secs(2),
-                lease_hold: Some(self.churn.lease_hold + Duration::from_millis(900 * i as u64)),
+                lease_hold: Some(LEASE_HOLD + Duration::from_millis(900 * i as u64)),
             };
             let (mut roamer, handle) = Host::new(
                 HostConfig::dhcp(
@@ -132,20 +114,16 @@ impl BenignScenario {
             roamers.push(handle);
         }
 
-        let deadline = SimTime::ZERO + self.config.duration;
-        match self.churn.nic_swap_at {
-            Some(swap_at) if swap_at < self.config.duration => {
-                lan.sim.run_until(SimTime::ZERO + swap_at);
-                // Replace the victim's NIC: same IP, brand-new MAC. The
-                // link bounce flushes its ARP cache, so its next ping
-                // re-resolves the gateway with the new source MAC — which
-                // is how the changed binding reaches the wire.
-                lan.hosts[0].iface_ref.borrow_mut().set_mac(MacAddr::from_index(5000));
-                lan.hosts[0].cache.borrow_mut().remove(addr::GATEWAY_IP);
-                lan.sim.run_until(deadline);
-            }
-            _ => lan.sim.run_until(deadline),
+        if NIC_SWAP_AT < self.config.duration {
+            lan.sim.run_until(SimTime::ZERO + NIC_SWAP_AT);
+            // Replace the victim's NIC: same IP, brand-new MAC. The link
+            // bounce flushes its ARP cache, so its next ping re-resolves
+            // the gateway with the new source MAC — which is how the
+            // changed binding reaches the wire.
+            lan.hosts[0].iface_ref.borrow_mut().set_mac(MacAddr::from_index(5000));
+            lan.hosts[0].cache.borrow_mut().remove(addr::GATEWAY_IP);
         }
+        lan.sim.run_until(SimTime::ZERO + self.config.duration);
 
         let false_positives = lan.alerts.len();
         BenignRun { lan, roamers, false_positives }
@@ -160,7 +138,7 @@ mod tests {
     #[test]
     fn churn_actually_churns() {
         let config = ScenarioConfig::new(8).with_hosts(2).with_duration(Duration::from_secs(25));
-        let run = BenignScenario::new(config, ChurnConfig::default()).run();
+        let run = BenignScenario::new(config).run();
         let total_acquisitions: u64 =
             run.roamers.iter().map(|r| r.dhcp_client.as_ref().unwrap().borrow().acquisitions).sum();
         assert!(total_acquisitions >= 4, "expected lease churn, got {total_acquisitions}");
@@ -172,7 +150,7 @@ mod tests {
             .with_hosts(2)
             .with_scheme(SchemeKind::Passive)
             .with_duration(Duration::from_secs(30));
-        let run = BenignScenario::new(config, ChurnConfig::default()).run();
+        let run = BenignScenario::new(config).run();
         assert!(
             run.false_positives > 0,
             "DHCP reuse + NIC swap must look like poisoning to arpwatch"
@@ -182,7 +160,7 @@ mod tests {
     #[test]
     fn baseline_has_no_alerts() {
         let config = ScenarioConfig::new(10).with_hosts(2).with_duration(Duration::from_secs(20));
-        let run = BenignScenario::new(config, ChurnConfig::default()).run();
+        let run = BenignScenario::new(config).run();
         assert_eq!(run.false_positives, 0);
     }
 }

@@ -8,7 +8,7 @@ use arpshield_attacks::GroundTruth;
 use arpshield_host::apps::{PingApp, PingStats};
 use arpshield_host::{ArpPolicy, Host, HostConfig, HostHandle, RetryPolicy};
 use arpshield_netsim::{
-    DeviceId, Hub, LinkProfile, PortId, SimTime, Simulator, Switch, SwitchConfig, SwitchHandle,
+    DeviceId, Hub, LinkProfile, PortId, Simulator, Switch, SwitchConfig, SwitchHandle,
 };
 use arpshield_packet::{Ipv4Addr, Ipv4Cidr, MacAddr};
 use arpshield_schemes::{
@@ -49,12 +49,6 @@ pub mod addr {
     pub fn attacker_mac() -> MacAddr {
         MacAddr::from_index(6666)
     }
-    /// Keypair seed for a principal (per-IP).
-    pub fn key_seed(ip: Ipv4Addr) -> u64 {
-        u64::from(ip.to_u32())
-    }
-    /// The AKD's own signing seed.
-    pub const AKD_KEY_SEED: u64 = 0xA4D;
 }
 
 /// Parameters of the standard experimental LAN.
@@ -70,13 +64,8 @@ pub struct ScenarioConfig {
     pub policy: ArpPolicy,
     /// Dynamic ARP entry lifetime.
     pub arp_timeout: Duration,
-    /// Host ping interval toward the gateway.
-    pub ping_interval: Duration,
     /// Total simulated run length.
     pub duration: Duration,
-    /// When the attacker (if any) first acts — after the warm-up in
-    /// which legitimate bindings circulate.
-    pub attack_start: Duration,
     impairment: LinkProfile,
     resolver_retry: RetryPolicy,
     hardening: SchemeHardening,
@@ -92,9 +81,7 @@ impl ScenarioConfig {
             scheme: SchemeKind::None,
             policy: ArpPolicy::Standard,
             arp_timeout: Duration::from_secs(60),
-            ping_interval: Duration::from_millis(250),
             duration: Duration::from_secs(12),
-            attack_start: Duration::from_secs(3),
             impairment: LinkProfile::PERFECT,
             resolver_retry: RetryPolicy::default(),
             hardening: SchemeHardening::default(),
@@ -115,7 +102,7 @@ impl ScenarioConfig {
 
     /// Sets the workload size.
     pub fn with_hosts(mut self, n: usize) -> Self {
-        assert!(n >= 1 && n <= 200, "host count must be in 1..=200");
+        assert!((1..=200).contains(&n), "host count must be in 1..=200");
         self.n_hosts = n;
         self
     }
@@ -237,6 +224,9 @@ impl BuiltLan {
     }
 }
 
+/// Host ping interval toward the gateway.
+const PING_INTERVAL: Duration = Duration::from_millis(250);
+
 /// Builds the standard LAN with `config.scheme` deployed.
 ///
 /// Topology: one switch; gateway on port 0 (the DAI-trusted port), the
@@ -281,10 +271,6 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
         akd: (addr::AKD_IP, addr::akd_mac()),
         trusted_ports: vec![PortId(0), infrastructure_port],
         probe_source_mac: MacAddr::from_index(9000),
-        tarp_lta_seed: 0x17A,
-        akd_key_seed: addr::AKD_KEY_SEED,
-        ticket_lifetime: SimTime::from_secs(86_400),
-        sarp_max_age: Duration::from_secs(5),
         hardening: config.hardening,
     };
     let mut resources = SchemeResources::new(plan, alerts.clone());
@@ -351,7 +337,7 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
         let ip = addr::host_ip(i);
         let (mut host, handle) = Host::new(host_config(format!("h{i}"), addr::host_mac(i), ip));
         add_agent(&mut host, ip, addr::host_mac(i));
-        let (ping, ping_stats) = PingApp::new(addr::GATEWAY_IP, config.ping_interval);
+        let (ping, ping_stats) = PingApp::new(addr::GATEWAY_IP, PING_INTERVAL);
         host.add_app(Box::new(ping));
         let id = sim.add_device(Box::new(host));
         sim.connect(id, PortId(0), switch_id, PortId(1 + i as u16), Duration::from_micros(5))

@@ -7,6 +7,6 @@ pub mod lan;
 pub mod scale;
 
 pub use attack::{AttackScenario, AttackSpec, CompletedRun};
-pub use benign::{BenignRun, BenignScenario, ChurnConfig};
+pub use benign::{BenignRun, BenignScenario};
 pub use lan::{BuiltLan, ScenarioConfig};
 pub use scale::{ScaleConfig, ScaleLan};

@@ -16,8 +16,6 @@ use crate::hooks::HostApi;
 pub struct DhcpClientConfig {
     /// Delay before the first DISCOVER (staggers fleet boots).
     pub start_delay: Duration,
-    /// Retry interval while discovering/requesting.
-    pub retry_interval: Duration,
     /// If set, the client voluntarily RELEASEs its lease after holding it
     /// this long and re-acquires from scratch — the lease-churn workload
     /// behind the false-positive experiments.
@@ -26,11 +24,7 @@ pub struct DhcpClientConfig {
 
 impl Default for DhcpClientConfig {
     fn default() -> Self {
-        DhcpClientConfig {
-            start_delay: Duration::from_millis(100),
-            retry_interval: Duration::from_secs(2),
-            lease_hold: None,
-        }
+        DhcpClientConfig { start_delay: Duration::from_millis(100), lease_hold: None }
     }
 }
 
@@ -56,6 +50,9 @@ enum State {
     Requesting { xid: u32, offered: Ipv4Addr, server: Ipv4Addr },
     Bound { server: Ipv4Addr, addr: Ipv4Addr },
 }
+
+/// Retry interval while discovering/requesting.
+const RETRY_INTERVAL: Duration = Duration::from_secs(2);
 
 // Timer payloads.
 const TICK_START: u32 = 0;
@@ -88,7 +85,7 @@ impl DhcpClient {
         let msg = DhcpMessage::discover(xid, api.mac());
         self.info.borrow_mut().discovers_sent += 1;
         self.broadcast(api, &msg);
-        api.schedule(self.config.retry_interval, TICK_RETRY);
+        api.schedule(RETRY_INTERVAL, TICK_RETRY);
     }
 
     fn broadcast(&self, api: &mut HostApi<'_, '_>, msg: &DhcpMessage) {
@@ -112,7 +109,7 @@ impl DhcpClient {
             (TICK_RENEW, State::Bound { server, addr }) => {
                 let msg = DhcpMessage::request(api.rand_u64() as u32, api.mac(), addr, server);
                 self.broadcast(api, &msg);
-                api.schedule(self.config.retry_interval, TICK_RETRY);
+                api.schedule(RETRY_INTERVAL, TICK_RETRY);
                 self.state = State::Requesting { xid: msg.xid, offered: addr, server };
             }
             (TICK_CHURN, State::Bound { server, addr }) => {
@@ -184,7 +181,7 @@ impl DhcpClient {
             (Some(DhcpMessageType::Nak), State::Requesting { xid, .. }) if msg.xid == xid => {
                 self.info.borrow_mut().naks += 1;
                 self.state = State::Init;
-                api.schedule(self.config.retry_interval, TICK_START);
+                api.schedule(RETRY_INTERVAL, TICK_START);
             }
             _ => {}
         }

@@ -187,7 +187,7 @@ impl DhcpServer {
                         let mut st = self.state.borrow_mut();
                         st.offers.insert(
                             msg.chaddr,
-                            Lease { ip, expires: now + self.config.offer_hold },
+                            Lease { ip, expires: now.saturating_add(self.config.offer_hold) },
                         );
                         st.offers_sent += 1;
                     }
@@ -223,7 +223,7 @@ impl DhcpServer {
                         st.offers.remove(&msg.chaddr);
                         st.leases.insert(
                             msg.chaddr,
-                            Lease { ip: requested, expires: now + self.config.lease },
+                            Lease { ip: requested, expires: now.saturating_add(self.config.lease) },
                         );
                         st.by_ip.insert(requested, msg.chaddr);
                         st.acks_sent += 1;

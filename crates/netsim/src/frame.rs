@@ -115,21 +115,24 @@ impl AsRef<[u8]> for Frame {
     }
 }
 
-impl From<Vec<u8>> for Frame {
-    fn from(bytes: Vec<u8>) -> Frame {
-        Frame(Some(pool::adopt(bytes)))
+impl From<&[u8]> for Frame {
+    fn from(bytes: &[u8]) -> Frame {
+        Frame(Some(pool::build(bytes.len(), |buf| {
+            buf.copy_from_slice(bytes);
+            bytes.len()
+        })))
     }
 }
 
-impl From<&[u8]> for Frame {
-    fn from(bytes: &[u8]) -> Frame {
-        Frame(Some(pool::alloc(bytes)))
+impl From<Vec<u8>> for Frame {
+    fn from(bytes: Vec<u8>) -> Frame {
+        Frame::from(bytes.as_slice())
     }
 }
 
 impl<const N: usize> From<[u8; N]> for Frame {
     fn from(bytes: [u8; N]) -> Frame {
-        Frame(Some(pool::alloc(bytes.as_slice())))
+        Frame::from(bytes.as_slice())
     }
 }
 

@@ -85,71 +85,31 @@ fn pop_free() -> Option<Arc<FrameBuf>> {
     popped
 }
 
-/// Builds a buffer holding a copy of `src`, reusing a recycled buffer
-/// (bytes and control block) when one is available.
-pub(crate) fn alloc(src: &[u8]) -> Arc<FrameBuf> {
-    let _s = profile::span("pool.acquire");
-    match pop_free() {
-        Some(mut arc) => {
-            match Arc::get_mut(&mut arc) {
-                Some(buf) => {
-                    buf.bytes.clear();
-                    buf.bytes.extend_from_slice(src);
-                    buf.epoch += 1;
-                    arc
-                }
-                // The free list only holds unique handles, so this arm
-                // is unreachable today; allocating fresh keeps it
-                // harmless if weak references ever appear.
-                None => Arc::new(FrameBuf { bytes: src.to_vec(), epoch: 0 }),
-            }
-        }
-        None => Arc::new(FrameBuf { bytes: src.to_vec(), epoch: 0 }),
-    }
-}
-
-/// Like [`alloc`], but takes ownership: with no recycled buffer on
-/// hand the vector is adopted wholesale instead of copied.
-pub(crate) fn adopt(src: Vec<u8>) -> Arc<FrameBuf> {
-    let _s = profile::span("pool.acquire");
-    match pop_free() {
-        Some(mut arc) => match Arc::get_mut(&mut arc) {
-            Some(buf) => {
-                buf.bytes.clear();
-                buf.bytes.extend_from_slice(&src);
-                buf.epoch += 1;
-                arc
-            }
-            None => Arc::new(FrameBuf { bytes: src, epoch: 0 }),
-        },
-        None => Arc::new(FrameBuf { bytes: src, epoch: 0 }),
-    }
-}
-
 /// Builds a zeroed `len`-byte buffer in place and hands it to `f` to
-/// fill, reusing a recycled buffer when one is available. This is the
-/// zero-copy TX path: in-place wire writers encode straight into the
-/// pool allocation with no intermediate `Vec`. The closure returns the
-/// byte count it wrote, which must equal `len` (debug-asserted) — the
-/// pre-zeroing both guarantees stale bytes from the previous tenant
-/// never show through and provides Ethernet's min-payload padding.
+/// fill, reusing a recycled buffer (bytes and control block) when one is
+/// available. This is the pool's one acquisition path: in-place wire
+/// writers encode straight into the pool allocation with no
+/// intermediate `Vec`, and the `From` conversions copy into it. The
+/// closure returns the byte count it wrote, which must equal `len`
+/// (debug-asserted) — the pre-zeroing both guarantees stale bytes from
+/// the previous tenant never show through and provides Ethernet's
+/// min-payload padding.
 pub(crate) fn build(len: usize, f: impl FnOnce(&mut [u8]) -> usize) -> Arc<FrameBuf> {
     let mut arc = {
         // The acquire span covers only buffer acquisition; the caller's
         // encode closure below is attributed to the caller's own span.
         let _s = profile::span("pool.acquire");
-        match pop_free() {
-            Some(mut arc) => match Arc::get_mut(&mut arc) {
-                Some(buf) => {
-                    buf.bytes.clear();
-                    buf.bytes.resize(len, 0);
-                    buf.epoch += 1;
-                    arc
-                }
-                None => Arc::new(FrameBuf { bytes: vec![0; len], epoch: 0 }),
-            },
-            None => Arc::new(FrameBuf { bytes: vec![0; len], epoch: 0 }),
-        }
+        // The free list only holds unique handles, so `get_mut` cannot
+        // fail today; allocating fresh keeps a shared handle harmless if
+        // weak references ever appear.
+        let recycled = pop_free().and_then(|mut arc| {
+            let buf = Arc::get_mut(&mut arc)?;
+            buf.bytes.clear();
+            buf.bytes.resize(len, 0);
+            buf.epoch += 1;
+            Some(arc)
+        });
+        recycled.unwrap_or_else(|| Arc::new(FrameBuf { bytes: vec![0; len], epoch: 0 }))
     };
     let buf = Arc::get_mut(&mut arc).expect("freshly built buffer has a unique handle");
     let written = f(&mut buf.bytes);

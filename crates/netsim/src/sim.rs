@@ -443,10 +443,10 @@ impl Simulator {
         }
     }
 
-    /// When a frame sent now over the perfect wire `link` arrives.
+    /// When a frame sent now over the perfect wire `link` arrives: like
+    /// a timer's due time, [`SimTime::MAX`] if the sum passes it.
     fn arrival(&self, link: Slot) -> SimTime {
-        let at = self.now.as_nanos().checked_add(link.latency_ns);
-        SimTime::from_nanos(at.expect("SimTime overflow"))
+        SimTime::from_nanos(self.now.as_nanos().saturating_add(link.latency_ns))
     }
 
     /// Queues a flood's copies in the order one send per port would.
@@ -541,10 +541,10 @@ impl Simulator {
             });
             return;
         }
-        let at = self.now + latency + fate.extra_delay;
+        let at = self.now.saturating_add(latency).saturating_add(fate.extra_delay);
         // The duplicate trails the original by one more propagation
         // delay, sharing its buffer.
-        let dup = fate.duplicated.then(|| (at + latency, bytes.clone()));
+        let dup = fate.duplicated.then(|| (at.saturating_add(latency), bytes.clone()));
         self.push_event(at, EventKind::Deliver { dst: peer, port: peer_port, bytes, dup: false });
         if let Some((dup_at, copy)) = dup {
             self.stats.duplicated += 1;
@@ -1106,5 +1106,39 @@ mod tests {
         sim.run_until(SimTime::MAX);
         assert_eq!(*fired.borrow(), [1, 10, 2, 3, 99]);
         assert_eq!((sim.wire_stats().timers, sim.now()), (5, SimTime::MAX));
+    }
+
+    #[test]
+    fn a_frame_sent_at_the_end_of_the_clock_arrives_there() {
+        /// Sends one frame when its "never" timer fires.
+        struct LastWord;
+        impl Device for LastWord {
+            fn name(&self) -> &str {
+                "last-word"
+            }
+            fn port_count(&self) -> usize {
+                1
+            }
+            fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
+                ctx.schedule_in(Duration::MAX, 0);
+            }
+            fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, _: &[u8]) {}
+            fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, _: u64) {
+                ctx.send(PortId(0), vec![0]);
+            }
+        }
+        for (profile, copies) in
+            [(LinkProfile::PERFECT, 1), (LinkProfile::PERFECT.with_dup(1.0), 2)]
+        {
+            let mut sim = Simulator::new(1);
+            let sender = sim.add_device(Box::new(LastWord));
+            let echo = sim.add_device(Box::new(Echo::new()));
+            let latency = Duration::from_micros(5);
+            sim.connect_impaired(sender, PortId(0), echo, PortId(0), latency, profile).unwrap();
+            sim.run_until(SimTime::MAX);
+            let stats = sim.wire_stats();
+            assert_eq!((stats.frames, stats.duplicated), (copies, copies - 1), "{profile:?}");
+            assert_eq!(sim.now(), SimTime::MAX);
+        }
     }
 }

@@ -11,15 +11,16 @@ use crate::work;
 
 const SCHEME: &str = "active-probe";
 
+/// How long to collect probe answers before judging.
+const PROBE_WINDOW: Duration = Duration::from_millis(300);
+/// Re-verify a binding at most this often (limits wire overhead).
+const REVERIFY_COOLDOWN: Duration = Duration::from_secs(5);
+
 /// Active prober knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ActiveProbeConfig {
     /// The prober's own hardware address (probes are sourced from it).
     pub mac: MacAddr,
-    /// How long to collect probe answers before judging.
-    pub probe_window: Duration,
-    /// Re-verify a binding at most this often (limits wire overhead).
-    pub reverify_cooldown: Duration,
     /// Extra probes re-issued when a verification window closes with no
     /// answer at all — a lost probe (or lost reply) otherwise turns into
     /// a silently trusted claim. 0 reproduces the classic single-probe
@@ -28,14 +29,9 @@ pub struct ActiveProbeConfig {
 }
 
 impl ActiveProbeConfig {
-    /// Defaults tuned for millisecond-scale LANs.
+    /// A classic single-probe prober sourcing its probes from `mac`.
     pub fn new(mac: MacAddr) -> Self {
-        ActiveProbeConfig {
-            mac,
-            probe_window: Duration::from_millis(300),
-            reverify_cooldown: Duration::from_secs(5),
-            probe_retries: 0,
-        }
+        ActiveProbeConfig { mac, probe_retries: 0 }
     }
 
     /// Enables probe re-issue on silent verification windows (for lossy
@@ -134,7 +130,7 @@ impl ActiveProbeMonitor {
         // probe — that is the scheme's whole point.
         if !contradiction {
             if let Some(at) = self.last_verified.get(&ip) {
-                if ctx.now().saturating_since(*at) < self.config.reverify_cooldown {
+                if ctx.now().saturating_since(*at) < REVERIFY_COOLDOWN {
                     return;
                 }
             }
@@ -157,7 +153,7 @@ impl ActiveProbeMonitor {
         ctx.send(PortId(0), eth_frame(MacAddr::BROADCAST, self.config.mac, EtherType::ARP, &probe));
         self.probes_sent += 1;
         self.log.add_work(SCHEME, work::PROBE);
-        ctx.schedule_in(self.config.probe_window, u64::from(ip.to_u32()));
+        ctx.schedule_in(PROBE_WINDOW, u64::from(ip.to_u32()));
     }
 
     fn judge(&mut self, now: SimTime, ip: Ipv4Addr) {

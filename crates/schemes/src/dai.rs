@@ -31,20 +31,12 @@ pub struct DaiConfig {
     /// Statically configured `(vlan, ip, mac)` bindings for non-DHCP
     /// hosts. VID 0 is the untagged domain of a VLAN-unaware switch.
     pub static_bindings: Vec<(VlanId, Ipv4Addr, MacAddr)>,
-    /// Drop DHCP *server* messages (OFFER/ACK/NAK) arriving on untrusted
-    /// ports — the rogue-DHCP-server guard that real DHCP snooping
-    /// provides.
-    pub block_untrusted_dhcp_servers: bool,
 }
 
 impl DaiConfig {
     /// A typical deployment: `trusted` ports uplink to infrastructure.
     pub fn new(trusted: impl IntoIterator<Item = PortId>) -> Self {
-        DaiConfig {
-            trusted_ports: trusted.into_iter().collect(),
-            static_bindings: Vec::new(),
-            block_untrusted_dhcp_servers: true,
-        }
+        DaiConfig { trusted_ports: trusted.into_iter().collect(), static_bindings: Vec::new() }
     }
 
     /// Adds a static binding for a non-DHCP host in the untagged (VID 0)
@@ -142,7 +134,10 @@ impl DaiInspector {
             return None;
         }
         let msg = DhcpMessage::parse(dgram.payload).ok()?;
-        if is_server_msg && !trusted && self.config.block_untrusted_dhcp_servers {
+        // Drop DHCP *server* messages (OFFER/ACK/NAK) arriving on
+        // untrusted ports — the rogue-DHCP-server guard that real DHCP
+        // snooping provides.
+        if is_server_msg && !trusted {
             return Some(self.deny(
                 now,
                 AlertKind::DaiViolation,

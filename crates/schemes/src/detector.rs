@@ -42,7 +42,7 @@ const TRUSTED_PORT: PortId = PortId(0);
 /// Port the DAI inspector validates (ARP side).
 const UNTRUSTED_PORT: PortId = PortId(1);
 /// Base seed for per-monitor deterministic randomness.
-const DRIVER_SEED: u64 = 0x1D_E7EC_70;
+const DRIVER_SEED: u64 = 0x1DE7_EC70;
 /// How far past the last frame [`Detector::finish`] advances the clock,
 /// closing probe windows that straddle the capture's end.
 const FINISH_GRACE: std::time::Duration = std::time::Duration::from_secs(1);
@@ -156,10 +156,6 @@ impl Detector {
             akd: (arpshield_packet::Ipv4Addr::UNSPECIFIED, arpshield_packet::MacAddr::ZERO),
             trusted_ports: vec![TRUSTED_PORT],
             probe_source_mac: arpshield_packet::MacAddr::from_index(0x00D7_EC70),
-            tarp_lta_seed: 0x7A59,
-            akd_key_seed: 0xA4D,
-            ticket_lifetime: SimTime::from_secs(86_400),
-            sarp_max_age: std::time::Duration::from_secs(5),
             hardening: Default::default(),
         }
     }
@@ -266,7 +262,7 @@ impl Detector {
             return;
         }
         self.finished = true;
-        let deadline = self.last_at.checked_add(FINISH_GRACE).unwrap_or(self.last_at);
+        let deadline = self.last_at.saturating_add(FINISH_GRACE);
         for (device, driver) in &mut self.monitors {
             driver.advance_to(device.as_mut(), deadline);
         }
@@ -392,15 +388,21 @@ mod tests {
 
     #[test]
     fn active_probe_emits_probes_and_judges_at_finish() {
-        let mut detector = Detector::new(SchemeKind::ActiveProbe).unwrap();
-        let ip = Ipv4Addr::new(10, 0, 0, 5);
-        detector.observe(SimTime::from_secs(1), &arp_frame(MacAddr::from_index(1), ip));
-        // A second MAC claims the same IP inside the first probe window.
-        detector.observe(SimTime::from_millis(1010), &arp_frame(MacAddr::from_index(66), ip));
-        detector.finish();
-        let stats = detector.stats();
-        assert!(stats.probes_emitted >= 1, "claims trigger probes: {stats:?}");
-        assert!(stats.timers_fired >= 1, "probe windows close at finish: {stats:?}");
+        // The second base sits half a second before the end of the
+        // clock: the grace period past it saturates, so the open probe
+        // window is still judged.
+        for base in [SimTime::from_secs(1), SimTime::from_nanos(u64::MAX - 500_000_000)] {
+            let mut detector = Detector::new(SchemeKind::ActiveProbe).unwrap();
+            let ip = Ipv4Addr::new(10, 0, 0, 5);
+            detector.observe(base, &arp_frame(MacAddr::from_index(1), ip));
+            // A second MAC claims the same IP inside the first probe window.
+            let later = base + std::time::Duration::from_millis(10);
+            detector.observe(later, &arp_frame(MacAddr::from_index(66), ip));
+            detector.finish();
+            let stats = detector.stats();
+            assert!(stats.probes_emitted >= 1, "claims trigger probes at {base}: {stats:?}");
+            assert!(stats.timers_fired >= 1, "probe windows close at finish at {base}: {stats:?}");
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Duration;
 
 use arpshield_crypto::{Akd, KeyPair};
 use arpshield_host::apps::App;
@@ -25,7 +24,6 @@ use arpshield_netsim::{
 };
 use arpshield_packet::{Ipv4Addr, MacAddr};
 
-use crate::sarp::DEFAULT_UNIT_COST;
 use crate::{
     ActiveProbeConfig, ActiveProbeMonitor, AkdApp, AlertLog, AnticapHook, AntidoteHook, DaiConfig,
     DaiInspector, PassiveConfig, PassiveMonitor, RateConfig, RateMonitor, SArpConfig, SArpHook,
@@ -36,7 +34,7 @@ use crate::{
 ///
 /// All zero by default: on a perfect wire no retry timer is ever armed
 /// and behaviour is identical to the pre-retry implementations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchemeHardening {
     /// Extra probes [`ActiveProbeMonitor`] and [`AntidoteHook`] re-issue
     /// when a probe window elapses unanswered.
@@ -44,31 +42,28 @@ pub struct SchemeHardening {
     /// AKD lookups [`SArpHook`] re-issues when a key fetch goes
     /// unanswered.
     pub key_fetch_retries: u32,
-    /// How long S-ARP waits for an AKD response before re-requesting.
-    pub key_fetch_timeout: Duration,
-}
-
-impl Default for SchemeHardening {
-    fn default() -> Self {
-        SchemeHardening {
-            probe_retries: 0,
-            key_fetch_retries: 0,
-            key_fetch_timeout: Duration::from_millis(200),
-        }
-    }
 }
 
 impl SchemeHardening {
     /// A sensible hardened profile for impaired links: a couple of probe
     /// re-issues, a few key-fetch retries.
     pub fn lossy() -> Self {
-        SchemeHardening {
-            probe_retries: 2,
-            key_fetch_retries: 3,
-            key_fetch_timeout: Duration::from_millis(200),
-        }
+        SchemeHardening { probe_retries: 2, key_fetch_retries: 3 }
     }
 }
+
+/// The switch hardening [`SchemeKind::PortSecurity`] deploys: at most
+/// two source MACs per access port, and a port that learns a third is
+/// shut down.
+pub const PORT_SECURITY: PortSecurityConfig =
+    PortSecurityConfig { max_macs_per_port: 2, violation: ViolationAction::ShutdownPort };
+
+/// Seed of the TARP local ticketing agency's keypair.
+const TARP_LTA_SEED: u64 = 0x17A;
+/// Seed of the AKD's signing keypair.
+const AKD_KEY_SEED: u64 = 0xA4D;
+/// Lifetime of issued TARP tickets.
+const TICKET_LIFETIME: SimTime = SimTime::from_secs(86_400);
 
 /// The facts about a LAN a scheme needs in order to deploy onto it.
 ///
@@ -87,14 +82,6 @@ pub struct LanPlan {
     pub trusted_ports: Vec<PortId>,
     /// Source MAC the active-probe monitor probes from.
     pub probe_source_mac: MacAddr,
-    /// Seed of the TARP local ticketing agency's keypair.
-    pub tarp_lta_seed: u64,
-    /// Seed of the AKD's signing keypair.
-    pub akd_key_seed: u64,
-    /// Lifetime of issued TARP tickets.
-    pub ticket_lifetime: SimTime,
-    /// S-ARP signed-reply freshness window.
-    pub sarp_max_age: Duration,
     /// Fault-tolerance knobs (all zero on perfect wires).
     pub hardening: SchemeHardening,
 }
@@ -254,10 +241,7 @@ impl SchemeKind {
                 }));
             }
             SchemeKind::PortSecurity => {
-                install.port_security = Some(PortSecurityConfig {
-                    max_macs_per_port: 2,
-                    violation: ViolationAction::ShutdownPort,
-                });
+                install.port_security = Some(PORT_SECURITY);
             }
             SchemeKind::Dai => {
                 let mut config = DaiConfig::new(plan.trusted_ports.iter().copied())
@@ -270,12 +254,12 @@ impl SchemeKind {
             SchemeKind::SArp => {
                 install.policy_override = Some(ArpPolicy::StaticOnly);
                 let registry = Rc::new(RefCell::new(Akd::new()));
-                let akd_keypair = KeyPair::from_seed(plan.akd_key_seed);
+                let akd_keypair = KeyPair::from_seed(AKD_KEY_SEED);
                 // Enrolment order (gateway, AKD, hosts) is part of the
                 // deterministic construction contract.
                 let enrol = |ip: Ipv4Addr| {
                     let kp = KeyPair::from_seed(LanPlan::key_seed(ip));
-                    registry.borrow_mut().register(u32::from(ip.to_u32()), kp.public_key());
+                    registry.borrow_mut().register(ip.to_u32(), kp.public_key());
                 };
                 enrol(plan.gateway.0);
                 enrol(plan.akd.0);
@@ -283,7 +267,6 @@ impl SchemeKind {
                     enrol(ip);
                 }
                 let (akd_ip, akd_mac) = plan.akd;
-                let max_age = plan.sarp_max_age;
                 let sarp_config = {
                     let registry = Rc::clone(&registry);
                     let akd_key = akd_keypair.public_key();
@@ -292,11 +275,8 @@ impl SchemeKind {
                         akd_ip,
                         akd_mac,
                         akd_key,
-                        max_age,
                         local_akd: local.then(|| Rc::clone(&registry)),
-                        unit_cost: DEFAULT_UNIT_COST,
                         key_fetch_retries: hardening.key_fetch_retries,
-                        key_fetch_timeout: hardening.key_fetch_timeout,
                     }
                 };
                 install.aux_station = Some(AuxStation {
@@ -313,14 +293,12 @@ impl SchemeKind {
             }
             SchemeKind::Tarp => {
                 install.policy_override = Some(ArpPolicy::StaticOnly);
-                let lta = KeyPair::from_seed(plan.tarp_lta_seed);
-                let lifetime = plan.ticket_lifetime;
+                let lta = KeyPair::from_seed(TARP_LTA_SEED);
                 install.host_agent = Some(Box::new(move |ip, mac| {
                     Box::new(TarpHook::new(
                         TarpConfig {
-                            ticket: Ticket::issue(&lta, ip, mac, lifetime),
+                            ticket: Ticket::issue(&lta, ip, mac, TICKET_LIFETIME),
                             lta_key: lta.public_key(),
-                            unit_cost: DEFAULT_UNIT_COST,
                         },
                         alerts.clone(),
                     )) as Box<dyn HostHook>
@@ -344,10 +322,6 @@ mod tests {
             akd: (Ipv4Addr::new(10, 0, 0, 250), MacAddr::from_index(2500)),
             trusted_ports: vec![PortId(0), PortId(5)],
             probe_source_mac: MacAddr::from_index(9000),
-            tarp_lta_seed: 0x17A,
-            akd_key_seed: 0xA4D,
-            ticket_lifetime: SimTime::from_secs(86_400),
-            sarp_max_age: Duration::from_secs(5),
             hardening: SchemeHardening::default(),
         }
     }

@@ -45,6 +45,7 @@ pub use descriptor::{Activity, DeployCost, Mode, SchemeClass, SchemeDescriptor, 
 pub use detector::{Detector, IngestStats};
 pub use factory::{
     AuxStation, HostAgentFn, LanPlan, SchemeHardening, SchemeInstallation, SchemeResources,
+    PORT_SECURITY,
 };
 pub use passive::{PassiveConfig, PassiveMonitor};
 pub use rate::{RateConfig, RateMonitor};

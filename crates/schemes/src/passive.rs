@@ -9,24 +9,16 @@ use crate::work;
 
 const SCHEME: &str = "passive";
 
+/// Suppress repeat alerts for the same (ip, mac) pair within this
+/// window, mirroring arpwatch's report throttling.
+const DEDUP_WINDOW: std::time::Duration = std::time::Duration::from_secs(10);
+
 /// Passive monitor knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PassiveConfig {
     /// Also alert the first time a station is seen (arpwatch's "new
     /// station" report). Off by default: on a busy LAN it is pure noise.
     pub alert_on_new_station: bool,
-    /// Suppress repeat alerts for the same (ip, mac) pair within this
-    /// window, mirroring arpwatch's report throttling.
-    pub dedup_window: std::time::Duration,
-}
-
-impl Default for PassiveConfig {
-    fn default() -> Self {
-        PassiveConfig {
-            alert_on_new_station: false,
-            dedup_window: std::time::Duration::from_secs(10),
-        }
-    }
 }
 
 /// A monitored binding: the believed MAC plus the capture frame that
@@ -111,7 +103,7 @@ impl PassiveMonitor {
                 let throttled = self
                     .last_alert
                     .get(&key)
-                    .map(|t| now.saturating_since(*t) < self.config.dedup_window)
+                    .map(|t| now.saturating_since(*t) < DEDUP_WINDOW)
                     .unwrap_or(false);
                 if !throttled {
                     self.last_alert.insert(key, now);
@@ -227,10 +219,7 @@ mod tests {
     #[test]
     fn new_station_alerts_when_enabled() {
         let log = AlertLog::new();
-        let mut m = PassiveMonitor::new(
-            PassiveConfig { alert_on_new_station: true, ..Default::default() },
-            log.clone(),
-        );
+        let mut m = PassiveMonitor::new(PassiveConfig { alert_on_new_station: true }, log.clone());
         m.observe(SimTime::from_secs(1), Ipv4Addr::new(10, 0, 0, 1), MacAddr::from_index(1));
         assert_eq!(log.len(), 1);
     }

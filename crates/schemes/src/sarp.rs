@@ -65,28 +65,27 @@ pub struct SArpConfig {
     /// The AKD's public key (statically provisioned; AKD responses are
     /// signed with it).
     pub akd_key: PublicKey,
-    /// Maximum acceptable age of a signed reply (replay window).
-    pub max_age: Duration,
     /// On the AKD host itself, direct access to the registry (skips the
     /// network round trip to ourselves).
     pub local_akd: Option<Rc<RefCell<Akd>>>,
-    /// Simulated CPU time per work unit. Signing and verification are
-    /// deferred by `work × this` so the signature cost shows up in
-    /// resolution *latency*, not just in the work ledger. One
-    /// microsecond per unit calibrates a ~600 µs sign / ~900 µs verify,
-    /// the right order of magnitude for era-appropriate DSA on
-    /// commodity hosts.
-    pub unit_cost: Duration,
     /// AKD lookups re-issued when a key fetch goes unanswered — a lost
     /// datagram otherwise parks the claims behind it forever. 0 (the
     /// default on perfect wires) disables the retry timer entirely.
     pub key_fetch_retries: u32,
-    /// How long to wait for an AKD response before re-requesting.
-    pub key_fetch_timeout: Duration,
 }
 
-/// Default simulated CPU cost of one work unit.
-pub const DEFAULT_UNIT_COST: Duration = Duration::from_micros(1);
+/// Maximum acceptable age of a signed reply (replay window).
+const MAX_AGE: Duration = Duration::from_secs(5);
+
+/// Simulated CPU time per work unit. Signing and verification are
+/// deferred by `work × this` so the signature cost shows up in
+/// resolution *latency*, not just in the work ledger. One microsecond
+/// per unit calibrates a ~600 µs sign / ~900 µs verify, the right order
+/// of magnitude for era-appropriate DSA on commodity hosts.
+pub(crate) const UNIT_COST: Duration = Duration::from_micros(1);
+
+/// How long to wait for an AKD response before re-requesting.
+const KEY_FETCH_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// The per-host S-ARP agent.
 #[derive(Debug)]
@@ -161,7 +160,7 @@ impl SArpHook {
         let frame = eth_frame(request.sender_mac, my_mac, EtherType::SArp, &payload[..]);
         // The signature costs CPU time: emit after the signing delay.
         self.outbox.push_back(frame);
-        api.schedule(self.config.unit_cost * work::SIGN as u32, TIMER_SEND_SIGNED);
+        api.schedule(UNIT_COST * work::SIGN as u32, TIMER_SEND_SIGNED);
         self.signed_replies_sent += 1;
     }
 
@@ -171,7 +170,7 @@ impl SArpHook {
         }
         if let Some(akd) = &self.config.local_akd {
             api.add_work(work::KEY_LOOKUP);
-            if let Ok(key) = akd.borrow_mut().lookup(u32::from(ip.to_u32())) {
+            if let Ok(key) = akd.borrow_mut().lookup(ip.to_u32()) {
                 self.key_cache.insert(ip, key);
                 return Some(key);
             }
@@ -195,7 +194,7 @@ impl SArpHook {
         let ts = u64::from_be_bytes(payload[ARP_WIRE_LEN..ARP_WIRE_LEN + 8].try_into().unwrap());
         let now = api.now().as_nanos();
         let age = now.saturating_sub(ts);
-        if age > self.config.max_age.as_nanos() as u64 {
+        if age > MAX_AGE.as_nanos() as u64 {
             self.rejected += 1;
             self.alert(api, AlertKind::SignatureInvalid, arp.sender_ip, arp.sender_mac);
             return;
@@ -206,7 +205,7 @@ impl SArpHook {
         let ok = Signature::from_bytes(sig_bytes).and_then(|sig| key.verify(message, &sig)).is_ok();
         // Verification costs CPU time: the outcome lands after the delay.
         self.verify_queue.push_back((arp.sender_ip, arp.sender_mac, ok));
-        api.schedule(self.config.unit_cost * work::VERIFY as u32, TIMER_FINISH_VERIFY);
+        api.schedule(UNIT_COST * work::VERIFY as u32, TIMER_FINISH_VERIFY);
     }
 
     fn finish_verify(&mut self, api: &mut HostApi<'_, '_>) {
@@ -247,7 +246,7 @@ impl SArpHook {
                     && !self.key_retries.contains_key(&arp.sender_ip)
                 {
                     self.key_retries.insert(arp.sender_ip, self.config.key_fetch_retries);
-                    api.schedule(self.config.key_fetch_timeout, arp.sender_ip.to_u32());
+                    api.schedule(KEY_FETCH_TIMEOUT, arp.sender_ip.to_u32());
                 }
             }
         }
@@ -351,7 +350,7 @@ impl HostHook for SArpHook {
                     Some(left) if *left > 0 => {
                         *left -= 1;
                         self.request_key(api, ip);
-                        api.schedule(self.config.key_fetch_timeout, ip_raw);
+                        api.schedule(KEY_FETCH_TIMEOUT, ip_raw);
                     }
                     Some(_) => {
                         // Out of retries: give up on the fetch and the
@@ -431,7 +430,7 @@ impl App for AkdApp {
         }
         self.log.add_work(SCHEME, work::KEY_LOOKUP);
         let ip = Ipv4Addr::new(payload[1], payload[2], payload[3], payload[4]);
-        let response = match self.akd.borrow_mut().lookup(u32::from(ip.to_u32())) {
+        let response = match self.akd.borrow_mut().lookup(ip.to_u32()) {
             Ok(key) => {
                 let mut msg = vec![MSG_KEY];
                 msg.extend_from_slice(&ip.octets());

@@ -11,8 +11,6 @@
 //! trade-off is ticket lifetime: a binding cannot be revoked before its
 //! ticket expires, which is why TARP and fast DHCP churn coexist poorly.
 
-use std::time::Duration;
-
 use arpshield_crypto::{KeyPair, PublicKey, Signature, SIGNATURE_LEN};
 use arpshield_host::{ArpVerdict, FrameVerdict, HostApi, HostHook};
 use arpshield_netsim::{eth_frame, Frame, SimTime};
@@ -21,6 +19,7 @@ use arpshield_packet::{
 };
 
 use crate::alert::{Alert, AlertKind, AlertLog};
+use crate::sarp::UNIT_COST;
 use crate::work;
 
 const SCHEME: &str = "tarp";
@@ -95,8 +94,6 @@ pub struct TarpConfig {
     pub ticket: Ticket,
     /// The LTA's public key (statically provisioned everywhere).
     pub lta_key: PublicKey,
-    /// Simulated CPU time per work unit (see the S-ARP agent).
-    pub unit_cost: Duration,
 }
 
 /// The per-host TARP agent: attach our ticket to replies, verify
@@ -166,7 +163,7 @@ impl HostHook for TarpHook {
                     let frame = eth_frame(arp.sender_mac, my_mac, EtherType::Tarp, &payload[..]);
                     self.outbox.push_back(frame);
                     // Only header assembly; one inspection unit of delay.
-                    api.schedule(self.config.unit_cost, TIMER_SEND);
+                    api.schedule(UNIT_COST, TIMER_SEND);
                     self.replies_sent += 1;
                 }
                 ArpVerdict::Drop
@@ -202,7 +199,7 @@ impl HostHook for TarpHook {
             && ticket.ip == arp.sender_ip
             && ticket.mac == arp.sender_mac;
         self.verify_queue.push_back((arp.sender_ip, arp.sender_mac, ok));
-        api.schedule(self.config.unit_cost * work::VERIFY as u32, TIMER_VERIFY);
+        api.schedule(UNIT_COST * work::VERIFY as u32, TIMER_VERIFY);
         FrameVerdict::Consumed
     }
 

@@ -16,7 +16,7 @@ use arpshield_packet::{
     MacAddr, WireEmit,
 };
 use arpshield_schemes::{
-    sarp, tarp, AlertKind, AlertLog, SArpConfig, SArpHook, TarpConfig, TarpHook, Ticket,
+    tarp, AlertKind, AlertLog, SArpConfig, SArpHook, TarpConfig, TarpHook, Ticket,
 };
 
 fn cidr() -> Ipv4Cidr {
@@ -102,6 +102,7 @@ impl Net {
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn sarp_host(
     net: &mut Net,
     name: &str,
@@ -121,11 +122,8 @@ fn sarp_host(
             akd_ip: ip(9),
             akd_mac: mac(109),
             akd_key: akd_keypair.public_key(),
-            max_age: Duration::from_secs(5),
             local_akd: local.then(|| Rc::clone(registry)),
-            unit_cost: sarp::DEFAULT_UNIT_COST,
             key_fetch_retries: 0,
-            key_fetch_timeout: std::time::Duration::from_millis(200),
         },
         alerts.clone(),
     )));
@@ -152,10 +150,9 @@ fn sarp_rejects_stale_replayed_replies() {
     let registry = Rc::new(RefCell::new(Akd::new()));
     let akd_keypair = KeyPair::from_seed(9000);
     for n in [9u8, 1, 2] {
-        registry.borrow_mut().register(
-            u32::from(ip(n).to_u32()),
-            KeyPair::from_seed(u64::from(ip(n).to_u32())).public_key(),
-        );
+        registry
+            .borrow_mut()
+            .register(ip(n).to_u32(), KeyPair::from_seed(u64::from(ip(n).to_u32())).public_key());
     }
     sarp_host(&mut net, "akd", ip(9), mac(109), &registry, &akd_keypair, true, &alerts);
     sarp_host(&mut net, "gw", ip(1), mac(100), &registry, &akd_keypair, false, &alerts);
@@ -202,7 +199,6 @@ fn tarp_stale_ticket_replays_successfully_until_expiry() {
             TarpConfig {
                 ticket: Ticket::issue(&lta, hip, hmac, expires),
                 lta_key: lta.public_key(),
-                unit_cost: sarp::DEFAULT_UNIT_COST,
             },
             alerts.clone(),
         )));
@@ -306,7 +302,7 @@ fn sarp_key_fetch_retries_recover_from_akd_outage() {
         let akd_keypair = KeyPair::from_seed(9000);
         for n in [9u8, 1, 2] {
             registry.borrow_mut().register(
-                u32::from(ip(n).to_u32()),
+                ip(n).to_u32(),
                 KeyPair::from_seed(u64::from(ip(n).to_u32())).public_key(),
             );
         }
@@ -315,11 +311,8 @@ fn sarp_key_fetch_retries_recover_from_akd_outage() {
             akd_ip: ip(9),
             akd_mac: mac(109),
             akd_key: akd_keypair.public_key(),
-            max_age: Duration::from_secs(5),
             local_akd: local.then(|| Rc::clone(&registry)),
-            unit_cost: sarp::DEFAULT_UNIT_COST,
             key_fetch_retries,
-            key_fetch_timeout: Duration::from_millis(200),
         };
 
         // The AKD's link is dark for the first second, then stays up.

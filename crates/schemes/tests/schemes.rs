@@ -314,7 +314,7 @@ fn sarp_prevents_poisoning_and_resolves_signed() {
         (2, 2, KeyPair::from_seed(2)),
     ];
     for (ip_n, _, kp) in &keys {
-        akd_registry.borrow_mut().register(u32::from(ip(*ip_n).to_u32()), kp.public_key());
+        akd_registry.borrow_mut().register(ip(*ip_n).to_u32(), kp.public_key());
     }
 
     let sarp_config = |seed_ip: u8, local: bool| SArpConfig {
@@ -322,11 +322,8 @@ fn sarp_prevents_poisoning_and_resolves_signed() {
         akd_ip: ip(9),
         akd_mac: mac(109),
         akd_key: akd_keypair.public_key(),
-        max_age: Duration::from_secs(5),
         local_akd: local.then(|| Rc::clone(&akd_registry)),
-        unit_cost: arpshield_schemes::sarp::DEFAULT_UNIT_COST,
         key_fetch_retries: 0,
-        key_fetch_timeout: std::time::Duration::from_millis(200),
     };
 
     // The AKD host.
@@ -495,10 +492,7 @@ fn port_security_contains_mac_flooding() {
         SwitchConfig {
             ports: 16,
             cam_capacity: 256,
-            port_security: Some(arpshield_netsim::PortSecurityConfig {
-                max_macs_per_port: 2,
-                violation: arpshield_netsim::ViolationAction::ShutdownPort,
-            }),
+            port_security: Some(arpshield_schemes::PORT_SECURITY),
             ..Default::default()
         },
     );

@@ -76,7 +76,7 @@ impl Heartbeat {
     /// Estimated seconds to completion given the fraction of work done,
     /// extrapolating the rate so far. `None` until any progress exists.
     pub fn eta_secs(&self, fraction_done: f64) -> Option<f64> {
-        if !(fraction_done > 0.0) {
+        if fraction_done.is_nan() || fraction_done <= 0.0 {
             return None;
         }
         let elapsed = self.started.elapsed().as_secs_f64();
@@ -197,6 +197,7 @@ mod tests {
         };
         assert!(hb.eta_secs(0.0).is_none());
         assert!(hb.eta_secs(-1.0).is_none());
+        assert!(hb.eta_secs(f64::NAN).is_none());
         let eta = hb.eta_secs(0.5).unwrap();
         assert!((eta - 10.0).abs() < 1.0, "half done after 10s -> ~10s left, got {eta}");
         assert_eq!(hb.eta_secs(1.0).unwrap(), 0.0);

@@ -47,7 +47,7 @@ fn push_option(body: &mut Vec<u8>, code: u16, value: &[u8]) {
     body.extend_from_slice(&code.to_le_bytes());
     body.extend_from_slice(&(value.len() as u16).to_le_bytes());
     body.extend_from_slice(value);
-    body.extend(std::iter::repeat(0u8).take(pad4(value.len())));
+    body.extend(std::iter::repeat_n(0u8, pad4(value.len())));
 }
 
 /// Incrementally builds a single-section pcapng file.
@@ -108,7 +108,7 @@ impl PcapngWriter {
         body.extend_from_slice(&(bytes.len() as u32).to_le_bytes()); // captured
         body.extend_from_slice(&(bytes.len() as u32).to_le_bytes()); // original
         body.extend_from_slice(bytes);
-        body.extend(std::iter::repeat(0u8).take(pad4(bytes.len())));
+        body.extend(std::iter::repeat_n(0u8, pad4(bytes.len())));
         if !comment.is_empty() {
             push_option(&mut body, OPT_COMMENT, comment.as_bytes());
             push_option(&mut body, OPT_END, &[]);
@@ -385,7 +385,7 @@ impl<R: Read> PcapngStream<R> {
         }
         let block_type = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes"));
         let total_len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")) as usize;
-        if total_len < 12 || total_len % 4 != 0 {
+        if total_len < 12 || !total_len.is_multiple_of(4) {
             return Err(format!("bad block length {total_len} at offset {block_start}"));
         }
         if total_len > MAX_STREAM_BLOCK {
@@ -691,7 +691,7 @@ mod tests {
         // An implausible length field must not drive a huge allocation.
         let mut huge = PcapngWriter::new("x").finish();
         huge.extend_from_slice(&EPB_TYPE.to_le_bytes());
-        huge.extend_from_slice(&(u32::MAX & !3).to_le_bytes());
+        huge.extend_from_slice(&(!3u32).to_le_bytes());
         assert!(matches!(collect_stream(&huge), Err(e) if e.contains("implausible block length")));
     }
 }

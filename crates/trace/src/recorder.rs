@@ -122,7 +122,7 @@ impl FrameRecorder {
         });
         // Ring-fill gauge for `--profile` runs, decimated so a capture
         // without profiling pays one branch per 1024 frames.
-        if id % 1024 == 0 {
+        if id.is_multiple_of(1024) {
             crate::profile::gauge("recorder.ring_fill", self.len() as u64);
         }
         id

@@ -48,7 +48,6 @@ fn build_and_run(protected: bool) {
             attacker_mac: MacAddr::from_index(66),
             start_delay: Duration::from_millis(200),
             rate_per_sec: 40,
-            complete_handshake: true,
             total: Some(60),
         },
         truth.clone(),

@@ -56,11 +56,8 @@ fn main() {
                 akd_ip,
                 akd_mac,
                 akd_key: akd_keypair.public_key(),
-                max_age: Duration::from_secs(5),
                 local_akd: (*name == "akd").then(|| Rc::clone(&registry)),
-                unit_cost: arpshield::schemes::sarp::DEFAULT_UNIT_COST,
                 key_fetch_retries: 0,
-                key_fetch_timeout: std::time::Duration::from_millis(200),
             },
             alerts.clone(),
         )));

@@ -4,11 +4,12 @@
 #
 #   scripts/ci.sh
 #
-# Steps: rustfmt check, release build, full test suite, a smoke run of
-# the t5r loss-resilience sweep, a `--trace` smoke (manifest emission +
-# validation), a `--profile` smoke (span profile emission + report
-# rendering), a `--capture` smoke (pcapng + index emission, forensic
-# `inspect` timeline with verdict provenance), an `ingest` smoke
+# Steps: rustfmt check, release build, clippy over every target with
+# lints denied, full test suite, a smoke run of the t5r loss-resilience
+# sweep, a `--trace` smoke (manifest emission + validation), a
+# `--profile` smoke (span profile emission + report rendering), a
+# `--capture` smoke (pcapng + index emission, forensic `inspect`
+# timeline with verdict provenance), an `ingest` smoke
 # (capture re-ingest through the standalone detector, checking live vs
 # re-ingested verdict-counter parity), a re-derivation of the committed
 # t6s/t6sd rows at 1k-10k hosts, a one-iteration smoke run of every
@@ -26,6 +27,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline
+
+echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline

@@ -721,9 +721,7 @@ mod wire_emit_identity {
         }
         out.extend_from_slice(&f.ethertype.to_u16().to_be_bytes());
         out.extend_from_slice(f.payload);
-        for _ in f.payload.len()..46 {
-            out.push(0);
-        }
+        out.resize(out.len() + 46usize.saturating_sub(f.payload.len()), 0);
         out
     }
 

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use arpshield::analysis::experiment::{t2_susceptibility, t3_coverage};
-use arpshield::analysis::scenario::{AttackScenario, BenignScenario, ChurnConfig, ScenarioConfig};
+use arpshield::analysis::scenario::{AttackScenario, BenignScenario, ScenarioConfig};
 use arpshield::attacks::PoisonVariant;
 use arpshield::schemes::SchemeKind;
 use arpshield::trace::{install, TraceCollector};
@@ -99,7 +99,7 @@ fn hosts_attached_after_build_are_traced() {
     {
         let _guard = install(collector.clone());
         let config = ScenarioConfig::new(8).with_hosts(2);
-        BenignScenario::new(config, ChurnConfig::default()).run();
+        BenignScenario::new(config).run();
     }
     let manifest = collector.manifest("benign");
     let actors: std::collections::BTreeSet<&str> = manifest.runs[0]
