@@ -13,9 +13,6 @@ use crate::ground_truth::{AttackEvent, AttackKind, GroundTruth};
 /// Starver parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct DhcpStarverConfig {
-    /// The attacker's real address (bookkeeping; discovers carry random
-    /// forged `chaddr`s).
-    pub attacker_mac: MacAddr,
     /// Delay before the attack starts.
     pub start_delay: Duration,
     /// Forged DISCOVERs per second.
@@ -24,27 +21,14 @@ pub struct DhcpStarverConfig {
     pub total: Option<u64>,
 }
 
-/// Starvation statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct StarverStats {
-    /// Forged DISCOVERs sent.
-    pub discovers_sent: u64,
-    /// OFFERs captured.
-    pub offers_seen: u64,
-    /// REQUESTs sent to pin offers into leases.
-    pub requests_sent: u64,
-    /// ACKs observed (leases successfully stolen).
-    pub leases_stolen: u64,
-}
-
 /// Exhausts a DHCP pool with forged client hardware addresses.
 #[derive(Debug)]
 pub struct DhcpStarver {
     config: DhcpStarverConfig,
     truth: GroundTruth,
     next_forged: u32,
-    /// Live counters.
-    pub stats: StarverStats,
+    /// Forged DISCOVERs sent, checked against `config.total`.
+    discovers_sent: u64,
 }
 
 const TICK: u64 = 1;
@@ -52,7 +36,7 @@ const TICK: u64 = 1;
 impl DhcpStarver {
     /// Creates a starver reporting into `truth`.
     pub fn new(config: DhcpStarverConfig, truth: GroundTruth) -> Self {
-        DhcpStarver { config, truth, next_forged: 0, stats: StarverStats::default() }
+        DhcpStarver { config, truth, next_forged: 0, discovers_sent: 0 }
     }
 
     /// The forged `chaddr` space is disjoint from `MacAddr::from_index`
@@ -97,7 +81,7 @@ impl Device for DhcpStarver {
             return;
         }
         if let Some(total) = self.config.total {
-            if self.stats.discovers_sent >= total {
+            if self.discovers_sent >= total {
                 return;
             }
         }
@@ -107,10 +91,9 @@ impl Device for DhcpStarver {
         // The forged client's MAC is also used at L2 so switch-level
         // defences (port security) see the multiplicity.
         self.send_dhcp(ctx, chaddr, &discover);
-        self.stats.discovers_sent += 1;
+        self.discovers_sent += 1;
         self.truth.record(AttackEvent {
             at: ctx.now(),
-            attacker: self.config.attacker_mac,
             kind: AttackKind::DhcpStarvation,
             forged_ip: None,
             claimed_mac: Some(chaddr),
@@ -145,22 +128,12 @@ impl Device for DhcpStarver {
             return;
         };
         let forged = msg.chaddr.octets()[0] == 0x06 && msg.chaddr.octets()[1] == 0x66;
-        if !forged {
+        if !forged || msg.message_type() != Some(DhcpMessageType::Offer) {
             return;
         }
-        match msg.message_type() {
-            Some(DhcpMessageType::Offer) => {
-                self.stats.offers_seen += 1;
-                if let Some(server) = msg.server_id() {
-                    let request = DhcpMessage::request(msg.xid, msg.chaddr, msg.yiaddr, server);
-                    self.send_dhcp(ctx, msg.chaddr, &request);
-                    self.stats.requests_sent += 1;
-                }
-            }
-            Some(DhcpMessageType::Ack) => {
-                self.stats.leases_stolen += 1;
-            }
-            _ => {}
+        if let Some(server) = msg.server_id() {
+            let request = DhcpMessage::request(msg.xid, msg.chaddr, msg.yiaddr, server);
+            self.send_dhcp(ctx, msg.chaddr, &request);
         }
     }
 }
@@ -172,12 +145,7 @@ mod tests {
     #[test]
     fn forged_macs_are_distinct_and_tagged() {
         let mut s = DhcpStarver::new(
-            DhcpStarverConfig {
-                attacker_mac: MacAddr::from_index(66),
-                start_delay: Duration::ZERO,
-                rate_per_sec: 100,
-                total: None,
-            },
+            DhcpStarverConfig { start_delay: Duration::ZERO, rate_per_sec: 100, total: None },
             GroundTruth::new(),
         );
         let a = s.forged_mac();

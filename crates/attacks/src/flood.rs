@@ -10,9 +10,6 @@ use crate::ground_truth::{AttackEvent, AttackKind, GroundTruth};
 /// Flooder parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MacFlooderConfig {
-    /// The attacker's real address (used only for bookkeeping; flood
-    /// frames carry random sources, as `macof` does).
-    pub attacker_mac: MacAddr,
     /// Delay before flooding starts.
     pub start_delay: Duration,
     /// Frames per burst.
@@ -26,9 +23,8 @@ pub struct MacFlooderConfig {
 impl MacFlooderConfig {
     /// Roughly `macof`'s observed rate (~155 000 frames/minute) in
     /// 100-frame bursts.
-    pub fn macof_rate(attacker_mac: MacAddr) -> Self {
+    pub fn macof_rate() -> Self {
         MacFlooderConfig {
-            attacker_mac,
             start_delay: Duration::from_millis(100),
             burst: 100,
             interval: Duration::from_millis(39),
@@ -37,23 +33,14 @@ impl MacFlooderConfig {
     }
 }
 
-/// Flood statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FloodStats {
-    /// Frames emitted.
-    pub frames_sent: u64,
-    /// Bursts emitted.
-    pub bursts: u64,
-}
-
 /// Fills a switch's CAM table with random source addresses until it
 /// fail-opens into hub behaviour.
 #[derive(Debug)]
 pub struct MacFlooder {
     config: MacFlooderConfig,
     truth: GroundTruth,
-    /// Live counters.
-    pub stats: FloodStats,
+    /// Frames emitted, checked against `config.total`.
+    frames_sent: u64,
 }
 
 const TICK: u64 = 1;
@@ -61,7 +48,7 @@ const TICK: u64 = 1;
 impl MacFlooder {
     /// Creates a flooder reporting into `truth`.
     pub fn new(config: MacFlooderConfig, truth: GroundTruth) -> Self {
-        MacFlooder { config, truth, stats: FloodStats::default() }
+        MacFlooder { config, truth, frames_sent: 0 }
     }
 
     fn random_mac(ctx: &mut DeviceCtx<'_>) -> MacAddr {
@@ -88,10 +75,10 @@ impl Device for MacFlooder {
         if token != TICK {
             return;
         }
-        let mut sent_this_burst = 0u32;
+        let burst_start = self.frames_sent;
         for _ in 0..self.config.burst {
             if let Some(total) = self.config.total {
-                if self.stats.frames_sent >= total {
+                if self.frames_sent >= total {
                     break;
                 }
             }
@@ -107,15 +94,12 @@ impl Device for MacFlooder {
                 [0u8; 20].as_slice(),
             );
             ctx.send(PortId(0), eth_frame(dst, src, EtherType::Ipv4, &pkt));
-            self.stats.frames_sent += 1;
-            sent_this_burst += 1;
+            self.frames_sent += 1;
         }
-        if sent_this_burst > 0 {
-            self.stats.bursts += 1;
+        if self.frames_sent > burst_start {
             self.truth.record(AttackEvent {
                 at: ctx.now(),
-                attacker: self.config.attacker_mac,
-                kind: AttackKind::MacFlood { frames: sent_this_burst },
+                kind: AttackKind::MacFlood,
                 forged_ip: None,
                 claimed_mac: None,
             });
@@ -147,7 +131,6 @@ mod tests {
         let truth = GroundTruth::new();
         let flooder = MacFlooder::new(
             MacFlooderConfig {
-                attacker_mac: MacAddr::from_index(66),
                 start_delay: Duration::from_millis(1),
                 burst: 50,
                 interval: Duration::from_millis(10),
@@ -163,7 +146,7 @@ mod tests {
         assert!(handle.stats.borrow().cam_full_events >= 100);
         // Ground truth recorded bursts.
         assert!(truth.len() >= 4);
-        assert!(truth.events().iter().all(|e| matches!(e.kind, AttackKind::MacFlood { .. })));
+        assert!(truth.events().iter().all(|e| matches!(e.kind, AttackKind::MacFlood)));
     }
 
     #[test]
@@ -186,7 +169,6 @@ mod tests {
         let tap = sim.add_device(Box::new(Tap(Rc::clone(&sources))));
         let f = sim.add_device(Box::new(MacFlooder::new(
             MacFlooderConfig {
-                attacker_mac: MacAddr::from_index(1),
                 start_delay: Duration::from_millis(1),
                 burst: 32,
                 interval: Duration::from_millis(5),

@@ -15,10 +15,7 @@ pub enum AttackKind {
     /// An ARP-cache-poisoning emission.
     ArpPoison(PoisonVariant),
     /// A burst of CAM-flooding frames.
-    MacFlood {
-        /// Frames in the burst.
-        frames: u32,
-    },
+    MacFlood,
     /// A forged DHCP DISCOVER (starvation).
     DhcpStarvation,
     /// A rogue DHCP OFFER/ACK.
@@ -32,8 +29,6 @@ pub enum AttackKind {
 pub struct AttackEvent {
     /// When the frames left the attacker.
     pub at: SimTime,
-    /// The attacker's real hardware address.
-    pub attacker: MacAddr,
     /// Category.
     pub kind: AttackKind,
     /// For poisoning: the IP whose binding was forged.
@@ -96,7 +91,6 @@ mod tests {
     fn event(at_ms: u64) -> AttackEvent {
         AttackEvent {
             at: SimTime::from_millis(at_ms),
-            attacker: MacAddr::from_index(66),
             kind: AttackKind::ArpPoison(PoisonVariant::GratuitousReply),
             forged_ip: Some(Ipv4Addr::new(10, 0, 0, 1)),
             claimed_mac: Some(MacAddr::from_index(66)),
@@ -118,15 +112,14 @@ mod tests {
         let truth = GroundTruth::new();
         truth.record(AttackEvent {
             at: SimTime::from_millis(5),
-            attacker: MacAddr::from_index(1),
-            kind: AttackKind::MacFlood { frames: 100 },
+            kind: AttackKind::MacFlood,
             forged_ip: None,
             claimed_mac: None,
         });
         truth.record(event(10));
         assert_eq!(truth.first_poison_at(), Some(SimTime::from_millis(10)));
         assert_eq!(
-            truth.first_time(|e| matches!(e.kind, AttackKind::MacFlood { .. })),
+            truth.first_time(|e| matches!(e.kind, AttackKind::MacFlood)),
             Some(SimTime::from_millis(5))
         );
         assert_eq!(truth.first_time(|e| matches!(e.kind, AttackKind::RogueDhcp)), None);

@@ -46,10 +46,10 @@ mod poison;
 mod rogue_dhcp;
 mod scan;
 
-pub use dhcp_starve::{DhcpStarver, DhcpStarverConfig, StarverStats};
-pub use flood::{FloodStats, MacFlooder, MacFlooderConfig};
+pub use dhcp_starve::{DhcpStarver, DhcpStarverConfig};
+pub use flood::{MacFlooder, MacFlooderConfig};
 pub use ground_truth::{AttackEvent, AttackKind, GroundTruth};
-pub use mitm::{MitmRelay, MitmRelayConfig, MitmStats};
+pub use mitm::{MitmRelay, MitmRelayConfig};
 pub use poison::{ArpPoisoner, PoisonConfig, PoisonVariant};
-pub use rogue_dhcp::{RogueDhcpServer, RogueDhcpServerConfig, RogueStats};
+pub use rogue_dhcp::{RogueDhcpServer, RogueDhcpServerConfig};
 pub use scan::{ArpScanner, ArpScannerConfig, ScanStats};

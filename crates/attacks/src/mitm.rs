@@ -27,17 +27,6 @@ pub struct MitmRelayConfig {
     pub repeat: Duration,
 }
 
-/// Intercept statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MitmStats {
-    /// IPv4 frames intercepted and relayed onward.
-    pub relayed_frames: u64,
-    /// Bytes of IPv4 payload that crossed the attacker.
-    pub intercepted_bytes: u64,
-    /// Poisoning rounds emitted.
-    pub poison_rounds: u64,
-}
-
 /// A full-duplex ARP-poisoning man-in-the-middle.
 ///
 /// Each round it sends two unicast forged replies — telling A that B's IP
@@ -49,8 +38,6 @@ pub struct MitmStats {
 pub struct MitmRelay {
     config: MitmRelayConfig,
     truth: GroundTruth,
-    /// Live intercept counters.
-    pub stats: MitmStats,
 }
 
 const TICK: u64 = 1;
@@ -58,7 +45,7 @@ const TICK: u64 = 1;
 impl MitmRelay {
     /// Creates a relay reporting into `truth`.
     pub fn new(config: MitmRelayConfig, truth: GroundTruth) -> Self {
-        MitmRelay { config, truth, stats: MitmStats::default() }
+        MitmRelay { config, truth }
     }
 
     fn poison(&mut self, ctx: &mut DeviceCtx<'_>) {
@@ -77,13 +64,11 @@ impl MitmRelay {
             );
             self.truth.record(AttackEvent {
                 at: ctx.now(),
-                attacker: c.attacker_mac,
                 kind: AttackKind::ArpPoison(PoisonVariant::UnicastReply),
                 forged_ip: Some(victim_of_forgery.0),
                 claimed_mac: Some(c.attacker_mac),
             });
         }
-        self.stats.poison_rounds += 1;
     }
 }
 
@@ -127,8 +112,6 @@ impl Device for MitmRelay {
         } else {
             return; // not part of the intercepted conversation
         };
-        self.stats.relayed_frames += 1;
-        self.stats.intercepted_bytes += pkt.payload.len() as u64;
         // An attacker could tamper here; we relay verbatim to stay covert.
         let _ = IpProtocol::Udp; // (payload protocols pass through untouched)
         ctx.send(

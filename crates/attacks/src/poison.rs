@@ -101,8 +101,6 @@ pub struct PoisonConfig {
 pub struct ArpPoisoner {
     config: PoisonConfig,
     truth: GroundTruth,
-    /// Forged frames emitted.
-    pub emissions: u64,
     /// For the race variant: requesters awaiting the delayed second
     /// tap, in scheduling order.
     race_targets: std::collections::VecDeque<(MacAddr, Ipv4Addr)>,
@@ -118,7 +116,7 @@ const RACE_SECOND_TAP_DELAY: Duration = Duration::from_millis(30);
 impl ArpPoisoner {
     /// Creates a poisoner reporting into `truth`.
     pub fn new(config: PoisonConfig, truth: GroundTruth) -> Self {
-        ArpPoisoner { config, truth, emissions: 0, race_targets: std::collections::VecDeque::new() }
+        ArpPoisoner { config, truth, race_targets: std::collections::VecDeque::new() }
     }
 
     fn forged_packet(&self) -> ArpPacket {
@@ -173,10 +171,8 @@ impl ArpPoisoner {
 
     fn emit(&mut self, ctx: &mut DeviceCtx<'_>, packet: ArpPacket, dst: MacAddr) {
         ctx.send(PortId(0), eth_frame(dst, self.config.attacker_mac, EtherType::ARP, &packet));
-        self.emissions += 1;
         self.truth.record(AttackEvent {
             at: ctx.now(),
-            attacker: self.config.attacker_mac,
             kind: AttackKind::ArpPoison(self.config.variant),
             forged_ip: Some(self.config.victim_ip),
             claimed_mac: Some(self.config.claimed_mac),

@@ -34,15 +34,6 @@ pub struct RogueDhcpServerConfig {
     pub start_delay: Duration,
 }
 
-/// Rogue server statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RogueStats {
-    /// Forged OFFERs sent.
-    pub offers_sent: u64,
-    /// Forged ACKs sent (victims captured).
-    pub victims_captured: u64,
-}
-
 /// A rogue DHCP server device.
 #[derive(Debug)]
 pub struct RogueDhcpServer {
@@ -50,8 +41,6 @@ pub struct RogueDhcpServer {
     truth: GroundTruth,
     active: bool,
     next_ip: u32,
-    /// Live counters.
-    pub stats: RogueStats,
 }
 
 const TICK_ACTIVATE: u64 = 1;
@@ -59,7 +48,7 @@ const TICK_ACTIVATE: u64 = 1;
 impl RogueDhcpServer {
     /// Creates a rogue server reporting into `truth`.
     pub fn new(config: RogueDhcpServerConfig, truth: GroundTruth) -> Self {
-        RogueDhcpServer { config, truth, active: false, next_ip: 0, stats: RogueStats::default() }
+        RogueDhcpServer { config, truth, active: false, next_ip: 0 }
     }
 
     fn reply(
@@ -93,7 +82,6 @@ impl RogueDhcpServer {
         );
         self.truth.record(AttackEvent {
             at: ctx.now(),
-            attacker: self.config.attacker_mac,
             kind: AttackKind::RogueDhcp,
             forged_ip: Some(yiaddr),
             claimed_mac: Some(client.chaddr),
@@ -153,13 +141,11 @@ impl Device for RogueDhcpServer {
             Some(DhcpMessageType::Discover) if self.next_ip < self.config.pool_size => {
                 let ip = Ipv4Addr::from_u32(self.config.pool_start.to_u32() + self.next_ip);
                 self.next_ip += 1;
-                self.stats.offers_sent += 1;
                 self.reply(ctx, DhcpMessageType::Offer, &msg, ip);
             }
             // Ack any request naming us as the server.
             Some(DhcpMessageType::Request) if msg.server_id() == Some(self.config.server_ip) => {
                 let ip = msg.requested_ip().unwrap_or(msg.ciaddr);
-                self.stats.victims_captured += 1;
                 self.reply(ctx, DhcpMessageType::Ack, &msg, ip);
             }
             _ => {}

@@ -38,8 +38,6 @@ pub struct ArpScannerConfig {
 /// Scan results.
 #[derive(Debug, Default, Clone)]
 pub struct ScanStats {
-    /// Requests transmitted.
-    pub requests_sent: u64,
     /// Stations discovered (distinct repliers).
     pub discovered: Vec<(Ipv4Addr, MacAddr)>,
 }
@@ -95,10 +93,8 @@ impl Device for ArpScanner {
             PortId(0),
             eth_frame(MacAddr::BROADCAST, self.config.attacker_mac, EtherType::ARP, &request),
         );
-        self.stats.borrow_mut().requests_sent += 1;
         self.truth.record(AttackEvent {
             at: ctx.now(),
-            attacker: self.config.attacker_mac,
             kind: AttackKind::ArpScan,
             forged_ip: None,
             claimed_mac: None,

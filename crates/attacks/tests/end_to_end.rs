@@ -262,7 +262,6 @@ fn starvation_then_rogue_capture() {
     let truth = GroundTruth::new();
     let starver = DhcpStarver::new(
         DhcpStarverConfig {
-            attacker_mac: mac(66),
             start_delay: Duration::from_millis(100),
             rate_per_sec: 50,
             total: Some(40),

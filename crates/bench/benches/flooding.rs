@@ -39,10 +39,7 @@ fn bench_cam(c: &mut Criterion) {
             let mut sim = Simulator::new(3);
             let (sw, handle) = Switch::new("sw", SwitchConfig { ports: 4, ..Default::default() });
             let sw = sim.add_device(Box::new(sw));
-            let flooder = MacFlooder::new(
-                MacFlooderConfig::macof_rate(MacAddr::from_index(66)),
-                GroundTruth::new(),
-            );
+            let flooder = MacFlooder::new(MacFlooderConfig::macof_rate(), GroundTruth::new());
             let f = sim.add_device(Box::new(flooder));
             sim.connect(f, PortId(0), sw, PortId(0), Duration::from_micros(1)).unwrap();
             sim.run_until(SimTime::from_secs(1));

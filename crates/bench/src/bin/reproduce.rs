@@ -753,7 +753,8 @@ fn ingest_source(
     let started = Instant::now();
     let mut hb = Heartbeat::new(format!("ingest {stem}"));
     let mut stream = PcapngStream::new(input);
-    let mut detectors: HashMap<(usize, usize), Detector> = HashMap::new();
+    // Each run keeps the label its trace section was opened under.
+    let mut detectors: HashMap<(usize, usize), (String, Detector)> = HashMap::new();
     let mut filtered = 0u64;
     let mut pulled = 0u64;
     // Reused scratch so the per-frame copy out of the stream's block
@@ -795,36 +796,31 @@ fn ingest_source(
         };
         pulled += 1;
         let (_, _, src, dst, _) = parse_frame_comment(&comment);
-        if let Some(vantage) = &opts.vantage {
-            // Foreign captures have no arpshield comments; everything
-            // they hold is "what the detector saw".
-            if !comment.is_empty() && !dst.contains(vantage.as_str()) {
-                filtered += 1;
-                continue;
-            }
+        // Only arpshield's own comments name a `dst=` endpoint. A foreign
+        // capture's frames, uncommented or free-form, are all "what the
+        // detector saw", whatever the vantage.
+        let provenance = !dst.is_empty();
+        if provenance && opts.vantage.as_ref().is_some_and(|v| !dst.contains(v.as_str())) {
+            filtered += 1;
+            continue;
         }
+        let (src, dst) =
+            if provenance { (src.as_str(), dst.as_str()) } else { ("wire", "detector") };
         let at = SimTime::from_nanos(ts_ns);
-        let run_label = stream
-            .interfaces()
-            .get(interface)
-            .filter(|l| !l.is_empty())
-            .cloned()
-            .unwrap_or_else(|| format!("if{interface}"));
         for (index, kind) in opts.schemes.iter().enumerate() {
-            let detector = detectors.entry((interface, index)).or_insert_with(|| {
-                Detector::with_tracer(
-                    *kind,
-                    Tracer::for_current_run(format!(
-                        "ingest={stem} detector={kind} run={run_label}"
-                    )),
-                )
-                .expect("scheme support validated at argument parse")
+            let (_, detector) = detectors.entry((interface, index)).or_insert_with(|| {
+                let label = stream
+                    .interfaces()
+                    .get(interface)
+                    .filter(|l| !l.is_empty())
+                    .cloned()
+                    .unwrap_or_else(|| format!("if{interface}"));
+                let tracer =
+                    Tracer::for_current_run(format!("ingest={stem} detector={kind} run={label}"));
+                let detector = Detector::with_tracer(*kind, tracer)
+                    .expect("scheme support validated at argument parse");
+                (label, detector)
             });
-            let (src, dst) = if comment.is_empty() {
-                ("wire", "detector")
-            } else {
-                (src.as_str(), dst.as_str())
-            };
             detector.observe_from(at, &frame, src, dst);
         }
     }
@@ -847,21 +843,13 @@ fn ingest_source(
             "  vantage '{vantage}': {filtered} frame(s) recorded at other vantage points skipped"
         );
     }
-    for ((interface, _), detector) in &mut runs {
+    for (_, (label, detector)) in &mut runs {
         detector.finish();
         let ingest = detector.stats();
-        let label = stream
-            .interfaces()
-            .get(*interface)
-            .filter(|l| !l.is_empty())
-            .cloned()
-            .unwrap_or_else(|| format!("if{interface}"));
-        let verdicts = detector
-            .verdict_histogram()
-            .into_iter()
-            .map(|(kind, n)| format!("{kind}={n}"))
-            .collect::<Vec<_>>()
-            .join(" ");
+        let histogram = detector.verdict_histogram();
+        let alerts: u64 = histogram.values().sum();
+        let verdicts =
+            histogram.iter().map(|(kind, n)| format!("{kind}={n}")).collect::<Vec<_>>().join(" ");
         println!(
             "  run {label}  detector={}  frames={} arp={} vlan={} jumbo={} unparseable={} \
              denied={} probes={}  alerts={}{}",
@@ -873,7 +861,7 @@ fn ingest_source(
             ingest.unparseable,
             ingest.denied,
             ingest.probes_emitted,
-            detector.alerts().len(),
+            alerts,
             if verdicts.is_empty() { String::new() } else { format!("  [{verdicts}]") },
         );
     }
@@ -1302,6 +1290,67 @@ mod tests {
                 };
             }
             assert_eq!(run_args(&line).is_ok(), valid, "{line:?}");
+        }
+    }
+
+    /// Only a comment that names a `dst=` endpoint is arpshield
+    /// provenance. `--vantage` keeps every frame of a foreign capture,
+    /// free-form comments included, and still skips arpshield frames
+    /// recorded at another device. With or without `--vantage`, a
+    /// foreign frame is re-captured as wire→detector and an arpshield
+    /// frame keeps its recorded endpoints.
+    #[test]
+    fn vantage_skips_only_frames_recorded_at_other_devices() {
+        use arpshield_netsim::eth_frame;
+        use arpshield_packet::{Ipv4Addr, MacAddr};
+        use arpshield_trace::pcapng::PcapngWriter;
+        use arpshield_trace::{install, TraceCollector};
+
+        // Two replies claiming 10.0.0.1 from different stations.
+        let capture = |comment: &str| {
+            let mut writer = PcapngWriter::new("foreign");
+            let interface = writer.add_interface("office");
+            for (at_ms, station) in [(1, 1), (2, 66)] {
+                let mac = MacAddr::from_index(station);
+                let arp = ArpPacket::gratuitous(ArpOp::Reply, mac, Ipv4Addr::new(10, 0, 0, 1));
+                let frame = eth_frame(MacAddr::BROADCAST, mac, EtherType::ARP, &arp);
+                writer.add_packet(interface, at_ms * 1_000_000, &frame, comment);
+            }
+            writer.finish()
+        };
+        let plain = ["--stdin", "--scheme", "passive"];
+        let vantage = ["--stdin", "--scheme", "passive", "--vantage", "passive-monitor"];
+        let plain = parse_ingest_args(&strings(&plain)).expect("a well-formed line");
+        let vantage = parse_ingest_args(&strings(&vantage)).expect("a well-formed line");
+        for (comment, endpoints, skipped) in [
+            ("", "src=wire dst=detector", 0),
+            ("captured on office switch", "src=wire dst=detector", 0),
+            (
+                "id=1 kind=deliver src=mirror:0 dst=passive-monitor:0",
+                "src=mirror:0 dst=passive-monitor:0",
+                0,
+            ),
+            ("id=1 kind=deliver src=h0:0 dst=sw:1", "src=h0:0 dst=sw:1", 2),
+        ] {
+            for (opts, skipped) in [(&plain, 0), (&vantage, skipped)] {
+                let collector = Arc::new(TraceCollector::with_capture(16));
+                let bytes = capture(comment);
+                let counts = {
+                    let _guard = install(collector.clone());
+                    ingest_source("office.pcapng", &mut bytes.as_slice(), opts)
+                };
+                let context = format!("comment {comment:?}, vantage {:?}", opts.vantage);
+                assert_eq!(counts, Ok((2, skipped)), "{context}");
+                let recaptured = collector.manifest("ingest").to_pcapng();
+                let mut stream = PcapngStream::new(recaptured.as_slice());
+                let mut frames = 0;
+                while let Some(pkt) = stream.next_packet().expect("own captures must stream") {
+                    let wanted = format!(" {endpoints}");
+                    assert!(pkt.comment.contains(&wanted), "{context}: {:?}", pkt.comment);
+                    frames += 1;
+                }
+                assert_eq!(frames, 2 - skipped, "{context}");
+            }
         }
     }
 }

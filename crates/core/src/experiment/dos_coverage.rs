@@ -47,8 +47,7 @@ fn flood_run(seed: u64, scheme: SchemeKind) -> DosRun {
         let m = sim.add_device(Box::new(RateMonitor::new(RateConfig::default(), alerts.clone())));
         sim.connect(m, PortId(0), sw, PortId(7), Duration::from_micros(2)).unwrap();
     }
-    let flooder =
-        MacFlooder::new(MacFlooderConfig::macof_rate(MacAddr::from_index(66)), GroundTruth::new());
+    let flooder = MacFlooder::new(MacFlooderConfig::macof_rate(), GroundTruth::new());
     let f = sim.add_device(Box::new(flooder));
     sim.connect(f, PortId(0), sw, PortId(1), Duration::from_micros(5)).unwrap();
     sim.run_until(SimTime::from_secs(3));
@@ -89,7 +88,6 @@ fn starve_run(seed: u64, scheme: SchemeKind) -> DosRun {
     sim.connect(g, PortId(0), sw, PortId(0), Duration::from_micros(5)).unwrap();
     let starver = DhcpStarver::new(
         DhcpStarverConfig {
-            attacker_mac: MacAddr::from_index(66),
             start_delay: Duration::from_millis(200),
             rate_per_sec: 50,
             total: None,

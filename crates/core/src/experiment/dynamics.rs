@@ -13,7 +13,6 @@ use arpshield_packet::{Ipv4Addr, Ipv4Cidr, MacAddr};
 use arpshield_schemes::PORT_SECURITY;
 
 use crate::report::Series;
-use crate::scenario::lan::addr;
 
 /// F6a: CAM-table occupancy over time under `macof`-rate flooding, with
 /// the plain switch vs one running port security.
@@ -33,8 +32,7 @@ pub fn f6_flood_dynamics(seed: u64) -> Vec<Series> {
         };
         let (switch, handle) = Switch::new("sw", config);
         let switch = sim.add_device(Box::new(switch));
-        let flooder =
-            MacFlooder::new(MacFlooderConfig::macof_rate(addr::attacker_mac()), GroundTruth::new());
+        let flooder = MacFlooder::new(MacFlooderConfig::macof_rate(), GroundTruth::new());
         let f = sim.add_device(Box::new(flooder));
         sim.connect(f, PortId(0), switch, PortId(1), Duration::from_micros(5)).unwrap();
 
@@ -74,7 +72,6 @@ pub fn f6_starvation_dynamics(seed: u64) -> Series {
 
     let starver = DhcpStarver::new(
         DhcpStarverConfig {
-            attacker_mac: addr::attacker_mac(),
             start_delay: Duration::from_millis(500),
             rate_per_sec: 50,
             total: None,

@@ -77,8 +77,7 @@ pub fn score_attack_run(run: &CompletedRun) -> AttackOutcome {
         }
     }
 
-    let p = run.lan.pings[0].borrow();
-    let victim_delivery = if p.sent == 0 { 0.0 } else { p.received as f64 / p.sent as f64 };
+    let victim_delivery = run.lan.pings[0].borrow().delivery_ratio();
 
     AttackOutcome {
         prevented,

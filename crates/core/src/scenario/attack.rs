@@ -140,19 +140,14 @@ impl AttackScenario {
                 lan.attach(Box::new(MacFlooder::new(
                     MacFlooderConfig {
                         start_delay: ATTACK_START,
-                        ..MacFlooderConfig::macof_rate(addr::attacker_mac())
+                        ..MacFlooderConfig::macof_rate()
                     },
                     truth,
                 )));
             }
             AttackSpec::Starve => {
                 lan.attach(Box::new(DhcpStarver::new(
-                    DhcpStarverConfig {
-                        attacker_mac: addr::attacker_mac(),
-                        start_delay: ATTACK_START,
-                        rate_per_sec: 50,
-                        total: None,
-                    },
+                    DhcpStarverConfig { start_delay: ATTACK_START, rate_per_sec: 50, total: None },
                     truth,
                 )));
             }

@@ -172,8 +172,6 @@ pub struct BuiltLan {
     pub alerts: AlertLog,
     /// Attacker ground truth.
     pub truth: GroundTruth,
-    /// The monitor fan-out hub (present for monitor-based schemes).
-    pub monitor_hub: Option<DeviceId>,
     next_free_port: u16,
     config: ScenarioConfig,
 }
@@ -376,12 +374,10 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
     }
 
     // --- Monitor fan-out hub + monitors ---
-    let mut monitor_hub = None;
     if needs_monitor {
         let hub_id = sim.add_device(Box::new(Hub::new("monitor-hub", 6)));
         sim.connect(hub_id, PortId(0), switch_id, PortId(mirror_port), Duration::from_micros(2))
             .unwrap();
-        monitor_hub = Some(hub_id);
         for (port, monitor) in (1..).zip(installation.monitors) {
             let id = sim.add_device(monitor);
             sim.connect(id, PortId(0), hub_id, PortId(port), Duration::from_micros(2)).unwrap();
@@ -397,7 +393,6 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
         pings,
         alerts,
         truth,
-        monitor_hub,
         next_free_port,
         config,
     }

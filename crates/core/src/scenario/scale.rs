@@ -285,7 +285,6 @@ impl Device for ScaleHost {
 /// once per access VLAN, and replies carry the VID the request
 /// arrived on — a router-on-a-stick in miniature.
 struct ScaleGateway {
-    replies: u64,
     /// Access VLANs served; empty on the flat fabric (untagged).
     vlans: Vec<VlanId>,
 }
@@ -316,7 +315,6 @@ impl Device for ScaleGateway {
         }
         let Ok(arp) = ArpPacket::parse(view.payload()) else { return };
         if arp.op == ArpOp::Request && arp.target_ip == GATEWAY_IP && !arp.is_gratuitous() {
-            self.replies += 1;
             let reply = ArpPacket::reply_to(&arp, GATEWAY_MAC);
             let frame =
                 vlan_frame(arp.sender_mac, GATEWAY_MAC, view.vlan(), EtherType::ARP, &reply);
@@ -412,7 +410,7 @@ pub fn build(config: ScaleConfig) -> ScaleLan {
     let root_id = sim.add_device(Box::new(root));
     let gateway_vlans =
         if vlan_fabric { (0..n_leaves).map(leaf_vid).collect() } else { Vec::new() };
-    let gateway_id = sim.add_device(Box::new(ScaleGateway { replies: 0, vlans: gateway_vlans }));
+    let gateway_id = sim.add_device(Box::new(ScaleGateway { vlans: gateway_vlans }));
     sim.connect(gateway_id, PortId(0), root_id, PortId(0), leaf_root_latency)
         .expect("gateway uplink");
 

@@ -148,14 +148,12 @@ impl App for PingApp {
 #[derive(Debug)]
 pub struct UdpEchoServer {
     port: u16,
-    /// Datagrams echoed.
-    pub echoed: u64,
 }
 
 impl UdpEchoServer {
     /// Creates an echo server on `port`.
     pub fn new(port: u16) -> Self {
-        UdpEchoServer { port, echoed: 0 }
+        UdpEchoServer { port }
     }
 }
 
@@ -173,7 +171,6 @@ impl App for UdpEchoServer {
         payload: &[u8],
     ) {
         if dst_port == self.port {
-            self.echoed += 1;
             api.send_udp(src, self.port, src_port, payload.to_vec());
         }
     }
@@ -188,14 +185,12 @@ pub struct UdpPulseApp {
     dst_port: u16,
     mean_interval: Duration,
     size: usize,
-    /// Datagrams transmitted.
-    pub transmitted: u64,
 }
 
 impl UdpPulseApp {
     /// Creates a pulse generator.
     pub fn new(target: Ipv4Addr, dst_port: u16, mean_interval: Duration, size: usize) -> Self {
-        UdpPulseApp { target, dst_port, mean_interval, size, transmitted: 0 }
+        UdpPulseApp { target, dst_port, mean_interval, size }
     }
 
     fn arm(&self, api: &mut HostApi<'_, '_>) {
@@ -220,7 +215,6 @@ impl App for UdpPulseApp {
     }
 
     fn on_timer(&mut self, api: &mut HostApi<'_, '_>, _payload: u32) {
-        self.transmitted += 1;
         api.send_udp(self.target, 40_000, self.dst_port, vec![0xab; self.size]);
         self.arm(api);
     }

@@ -37,10 +37,6 @@ pub struct DhcpClientInfo {
     pub acquisitions: u64,
     /// NAKs received.
     pub naks: u64,
-    /// Discovers sent (including retries).
-    pub discovers_sent: u64,
-    /// Times an acquisition attempt timed out with no usable offer.
-    pub timeouts: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,26 +79,21 @@ impl DhcpClient {
         let xid = api.rand_u64() as u32;
         self.state = State::Selecting { xid };
         let msg = DhcpMessage::discover(xid, api.mac());
-        self.info.borrow_mut().discovers_sent += 1;
         self.broadcast(api, &msg);
         api.schedule(RETRY_INTERVAL, TICK_RETRY);
     }
 
     fn broadcast(&self, api: &mut HostApi<'_, '_>, msg: &DhcpMessage) {
-        api.core.stats.borrow_mut().dhcp_sent += 1;
         api.core.send_udp_broadcast(api.ctx, DHCP_CLIENT_PORT, DHCP_SERVER_PORT, msg);
     }
 
     pub(crate) fn on_timer(&mut self, api: &mut HostApi<'_, '_>, payload: u32) {
         match (payload, self.state) {
-            (TICK_START, State::Init) => self.send_discover(api),
-            (TICK_RETRY, State::Selecting { .. }) => {
-                self.info.borrow_mut().timeouts += 1;
-                self.send_discover(api);
+            (TICK_START, State::Init) | (TICK_RETRY, State::Selecting { .. }) => {
+                self.send_discover(api)
             }
             (TICK_RETRY, State::Requesting { .. }) => {
                 // Offer went stale; start over.
-                self.info.borrow_mut().timeouts += 1;
                 self.state = State::Init;
                 self.send_discover(api);
             }
@@ -136,7 +127,6 @@ impl DhcpClient {
         if msg.chaddr != api.mac() {
             return; // broadcast replies addressed to another client
         }
-        api.core.stats.borrow_mut().dhcp_received += 1;
         match (msg.message_type(), self.state) {
             (Some(DhcpMessageType::Offer), State::Selecting { xid }) if msg.xid == xid => {
                 let Some(server) = msg.server_id() else { return };

@@ -66,10 +66,6 @@ pub struct DhcpServerState {
     pub offers: FastMap<MacAddr, Lease>,
     /// OFFERs sent.
     pub offers_sent: u64,
-    /// ACKs sent.
-    pub acks_sent: u64,
-    /// NAKs sent.
-    pub naks_sent: u64,
     /// DISCOVERs that found the pool empty.
     pub exhaustion_events: u64,
 }
@@ -158,7 +154,6 @@ impl DhcpServer {
             self.config.mask,
             self.config.router,
         );
-        api.core.stats.borrow_mut().dhcp_sent += 1;
         // Reply directly to the client's hardware address; the client has
         // no IP yet, so the L3 destination is the limited broadcast.
         api.core.send_udp_to_mac(
@@ -178,7 +173,6 @@ impl DhcpServer {
         let Ok(msg) = DhcpMessage::parse(payload) else {
             return;
         };
-        api.core.stats.borrow_mut().dhcp_received += 1;
         let now = api.now();
         match msg.message_type() {
             Some(DhcpMessageType::Discover) => match self.allocate(now, msg.chaddr) {
@@ -226,11 +220,9 @@ impl DhcpServer {
                             Lease { ip: requested, expires: now.saturating_add(self.config.lease) },
                         );
                         st.by_ip.insert(requested, msg.chaddr);
-                        st.acks_sent += 1;
                     }
                     self.reply(api, DhcpMessageType::Ack, &msg, requested);
                 } else {
-                    self.state.borrow_mut().naks_sent += 1;
                     self.reply(api, DhcpMessageType::Nak, &msg, Ipv4Addr::UNSPECIFIED);
                 }
             }

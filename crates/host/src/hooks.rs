@@ -166,7 +166,6 @@ impl HostApi<'_, '_> {
     pub fn install_verified_binding(&mut self, ip: Ipv4Addr, mac: MacAddr) {
         let now = self.ctx.now();
         self.core.cache.borrow_mut().insert_dynamic(now, ip, mac, EntryOrigin::Verified);
-        self.core.stats.borrow_mut().cache_writes += 1;
         self.core.flush_pending(self.ctx, ip, mac);
     }
 

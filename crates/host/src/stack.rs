@@ -497,7 +497,6 @@ impl Host {
             CacheVerdict::Ignore => false,
         };
         if learned {
-            core.stats.borrow_mut().cache_writes += 1;
             let category =
                 if admit_ctx.have_entry { "host.cache.update" } else { "host.cache.create" };
             // A frame that rewrote an ARP cache is forensic evidence
@@ -557,7 +556,6 @@ impl Host {
         if !for_me && !broadcast {
             return; // hosts are not routers
         }
-        core.stats.borrow_mut().ipv4_received += 1;
         match pkt.protocol {
             IpProtocol::Icmp => {
                 let Ok(icmp) = IcmpMessage::parse(pkt.payload) else {
@@ -726,7 +724,6 @@ impl Device for Host {
                 let Ok(arp) = ArpPacket::parse(eth.payload()) else {
                     return;
                 };
-                core.stats.borrow_mut().arp_received += 1;
                 for (i, hook) in hooks.iter_mut().enumerate() {
                     let mut api = HostApi { core, ctx, class: TimerClass::Hook(i as u16) };
                     if hook.on_arp_rx(&mut api, &arp) == ArpVerdict::Drop {

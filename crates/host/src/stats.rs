@@ -12,10 +12,6 @@ pub struct HostStats {
     pub arp_requests_sent: u64,
     /// ARP replies transmitted.
     pub arp_replies_sent: u64,
-    /// ARP packets received (pre-policy).
-    pub arp_received: u64,
-    /// Cache writes performed (creations + updates).
-    pub cache_writes: u64,
     /// ARP packets whose binding the policy refused.
     pub policy_rejections: u64,
     /// ARP packets dropped by a host hook (scheme agent).
@@ -30,8 +26,6 @@ pub struct HostStats {
     pub arp_retransmissions: u64,
     /// IPv4 packets sent (including queued-then-flushed).
     pub ipv4_sent: u64,
-    /// IPv4 packets received and parsed.
-    pub ipv4_received: u64,
     /// IPv4 packets that could not be sent (no next hop / resolution
     /// failure).
     pub ipv4_send_failures: u64,
@@ -41,10 +35,6 @@ pub struct HostStats {
     pub icmp_echoes_answered: u64,
     /// ICMP echo replies received by the ping client path.
     pub icmp_replies_received: u64,
-    /// DHCP messages sent (client and server combined).
-    pub dhcp_sent: u64,
-    /// DHCP messages received.
-    pub dhcp_received: u64,
     /// Abstract work units consumed by scheme agents on this host
     /// (signature verifications, database lookups…), the paper's
     /// CPU-cost proxy.

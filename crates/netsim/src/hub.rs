@@ -12,8 +12,6 @@ use crate::device::{Device, DeviceCtx, Egress, PortId};
 pub struct Hub {
     name: String,
     ports: usize,
-    /// Frames repeated (each ingress frame counts once regardless of copies).
-    pub frames_repeated: u64,
 }
 
 impl Hub {
@@ -24,7 +22,7 @@ impl Hub {
     /// Panics if `ports` is zero.
     pub fn new(name: impl Into<String>, ports: usize) -> Self {
         assert!(ports > 0, "a hub needs at least one port");
-        Hub { name: name.into(), ports, frames_repeated: 0 }
+        Hub { name: name.into(), ports }
     }
 }
 
@@ -38,7 +36,6 @@ impl Device for Hub {
     }
 
     fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, port: PortId, _frame: &[u8]) {
-        self.frames_repeated += 1;
         // Only the count: per-frame events are left to the flight
         // recorder, since a mirror hub repeats every LAN frame.
         ctx.tracer().count("hub.repeated", 1);

@@ -285,8 +285,6 @@ pub struct SwitchStats {
     pub forwarded: u64,
     /// Frames flooded to all ports (broadcast/multicast/unknown dst).
     pub flooded: u64,
-    /// Frames dropped by port security.
-    pub dropped_security: u64,
     /// Frames dropped by the inspector, with reasons.
     pub dropped_inspector: u64,
     /// Frames that failed Ethernet parsing at ingress and were dropped.
@@ -592,7 +590,6 @@ impl Device for Switch {
         let tracer = ctx.tracer();
         // Err-disabled ports drop everything.
         if self.stats.borrow().shutdown_ports.contains(&port) {
-            self.stats.borrow_mut().dropped_security += 1;
             return;
         }
 
@@ -674,7 +671,6 @@ impl Device for Switch {
                         );
                         let mut stats = self.stats.borrow_mut();
                         stats.security_violations += 1;
-                        stats.dropped_security += 1;
                         if matches!(ps.violation, ViolationAction::ShutdownPort) {
                             stats.shutdown_ports.insert(port);
                             self.flood_domains.clear();

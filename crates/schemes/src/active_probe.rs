@@ -90,10 +90,6 @@ pub struct ActiveProbeMonitor {
     db: FastMap<Ipv4Addr, MacAddr>,
     last_verified: FastMap<Ipv4Addr, SimTime>,
     pending: FastMap<Ipv4Addr, ProbeState>,
-    /// Probes emitted.
-    pub probes_sent: u64,
-    /// ARP packets inspected.
-    pub inspected: u64,
 }
 
 impl ActiveProbeMonitor {
@@ -105,8 +101,6 @@ impl ActiveProbeMonitor {
             db: FastMap::default(),
             last_verified: FastMap::default(),
             pending: FastMap::default(),
-            probes_sent: 0,
-            inspected: 0,
         }
     }
 
@@ -151,7 +145,6 @@ impl ActiveProbeMonitor {
     fn emit_probe(&mut self, ctx: &mut DeviceCtx<'_>, ip: Ipv4Addr) {
         let probe = ArpPacket::request(self.config.mac, Ipv4Addr::UNSPECIFIED, ip);
         ctx.send(PortId(0), eth_frame(MacAddr::BROADCAST, self.config.mac, EtherType::ARP, &probe));
-        self.probes_sent += 1;
         self.log.add_work(SCHEME, work::PROBE);
         ctx.schedule_in(PROBE_WINDOW, u64::from(ip.to_u32()));
     }
@@ -217,7 +210,6 @@ impl Device for ActiveProbeMonitor {
         if arp.sender_mac == self.config.mac {
             return; // our own probes, mirrored back
         }
-        self.inspected += 1;
         self.log.add_work(SCHEME, work::INSPECT);
         if arp.sender_ip.is_unspecified() {
             return; // someone else's probe

@@ -37,18 +37,7 @@ pub enum AlertKind {
 impl AlertKind {
     /// Stable lower-snake label, used as the trace counter suffix.
     pub fn label(self) -> &'static str {
-        match self {
-            AlertKind::BindingChanged => "binding_changed",
-            AlertKind::UnsolicitedReply => "unsolicited_reply",
-            AlertKind::ReplyMismatch => "reply_mismatch",
-            AlertKind::ProbeContradiction => "probe_contradiction",
-            AlertKind::DuplicateResponders => "duplicate_responders",
-            AlertKind::SignatureInvalid => "signature_invalid",
-            AlertKind::UnsignedReply => "unsigned_reply",
-            AlertKind::ReplaceRejected => "replace_rejected",
-            AlertKind::DaiViolation => "dai_violation",
-            AlertKind::RateAnomaly => "rate_anomaly",
-        }
+        &verdict_counter(self)[VERDICT_PREFIX.len()..]
     }
 }
 
@@ -69,7 +58,11 @@ pub struct Alert {
     pub expected_mac: Option<MacAddr>,
 }
 
-/// The trace counter bumped for each [`AlertKind`].
+/// The namespace of [`verdict_counter`]'s names.
+const VERDICT_PREFIX: &str = "scheme.verdict.";
+
+/// The trace counter bumped for each [`AlertKind`]: [`VERDICT_PREFIX`]
+/// followed by the kind's [`label`](AlertKind::label).
 fn verdict_counter(kind: AlertKind) -> &'static str {
     match kind {
         AlertKind::BindingChanged => "scheme.verdict.binding_changed",
@@ -231,6 +224,26 @@ mod tests {
             Some(SimTime::from_millis(10))
         );
         assert_eq!(log.first_time(|a| a.kind == AlertKind::DaiViolation), None);
+    }
+
+    #[test]
+    fn labels_are_the_verdict_counters_without_their_prefix() {
+        let kinds = [
+            (AlertKind::BindingChanged, "binding_changed"),
+            (AlertKind::UnsolicitedReply, "unsolicited_reply"),
+            (AlertKind::ReplyMismatch, "reply_mismatch"),
+            (AlertKind::ProbeContradiction, "probe_contradiction"),
+            (AlertKind::DuplicateResponders, "duplicate_responders"),
+            (AlertKind::SignatureInvalid, "signature_invalid"),
+            (AlertKind::UnsignedReply, "unsigned_reply"),
+            (AlertKind::ReplaceRejected, "replace_rejected"),
+            (AlertKind::DaiViolation, "dai_violation"),
+            (AlertKind::RateAnomaly, "rate_anomaly"),
+        ];
+        for (kind, label) in kinds {
+            assert_eq!(kind.label(), label);
+            assert_eq!(verdict_counter(kind), format!("scheme.verdict.{label}"));
+        }
     }
 
     #[test]

@@ -20,8 +20,6 @@ use crate::work;
 #[derive(Debug)]
 pub struct AnticapHook {
     log: AlertLog,
-    /// Replies dropped.
-    pub dropped: u64,
 }
 
 const SCHEME_ANTICAP: &str = "anticap";
@@ -29,7 +27,7 @@ const SCHEME_ANTICAP: &str = "anticap";
 impl AnticapHook {
     /// Creates the hook, reporting drops into `log`.
     pub fn new(log: AlertLog) -> Self {
-        AnticapHook { log, dropped: 0 }
+        AnticapHook { log }
     }
 }
 
@@ -41,7 +39,6 @@ impl HostHook for AnticapHook {
     fn on_arp_rx(&mut self, api: &mut HostApi<'_, '_>, arp: &ArpPacket) -> ArpVerdict {
         api.add_work(work::INSPECT);
         if arp.op == ArpOp::Reply && !api.is_resolving(arp.sender_ip) {
-            self.dropped += 1;
             self.log.raise(Alert {
                 at: api.now(),
                 scheme: SCHEME_ANTICAP,
@@ -85,14 +82,12 @@ pub struct AntidoteHook {
     /// classic single-probe patch; lossy links want more, since a lost
     /// probe otherwise hands the binding to the challenger.
     probe_retries: u32,
-    /// Rebinding attempts rejected because the old MAC was alive.
-    pub rejections: u64,
 }
 
 impl AntidoteHook {
     /// Creates the hook, reporting rejections into `log`.
     pub fn new(log: AlertLog) -> Self {
-        AntidoteHook { log, pending: FastMap::default(), probe_retries: 0, rejections: 0 }
+        AntidoteHook { log, pending: FastMap::default(), probe_retries: 0 }
     }
 
     /// Enables incumbent-probe re-issue on silent windows (for lossy
@@ -121,7 +116,6 @@ impl HostHook for AntidoteHook {
             // The incumbent speaks. If a takeover probe was in flight,
             // the old station is alive — reject the challenger.
             if let Some(takeover) = self.pending.remove(&arp.sender_ip) {
-                self.rejections += 1;
                 self.log.raise(Alert {
                     at: api.now(),
                     scheme: SCHEME_ANTIDOTE,

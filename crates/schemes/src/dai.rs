@@ -63,10 +63,6 @@ pub struct DaiInspector {
     /// about VLAN B, exactly as on real hardware where the snooping
     /// database is `(vlan, ip) -> mac`.
     bindings: Rc<RefCell<FastMap<(VlanId, Ipv4Addr), MacAddr>>>,
-    /// Leases learned by snooping.
-    pub snooped: u64,
-    /// Frames denied.
-    pub denied: u64,
 }
 
 impl DaiInspector {
@@ -80,13 +76,7 @@ impl DaiInspector {
                 .into_iter()
                 .map(|(vlan, ip, mac)| ((vlan, ip), mac))
                 .collect();
-        DaiInspector {
-            config,
-            log,
-            bindings: Rc::new(RefCell::new(bindings)),
-            snooped: 0,
-            denied: 0,
-        }
+        DaiInspector { config, log, bindings: Rc::new(RefCell::new(bindings)) }
     }
 
     /// A shared handle onto the live `(vlan, ip) -> mac` binding table.
@@ -95,7 +85,7 @@ impl DaiInspector {
     }
 
     fn deny(
-        &mut self,
+        &self,
         now: SimTime,
         kind: AlertKind,
         vlan: VlanId,
@@ -103,7 +93,6 @@ impl DaiInspector {
         mac: MacAddr,
         reason: &str,
     ) -> InspectVerdict {
-        self.denied += 1;
         self.log.raise(Alert {
             at: now,
             scheme: SCHEME,
@@ -116,7 +105,7 @@ impl DaiInspector {
     }
 
     fn snoop_dhcp(
-        &mut self,
+        &self,
         eth: &EthernetView<'_>,
         trusted: bool,
         vlan: VlanId,
@@ -152,7 +141,6 @@ impl DaiInspector {
             && !msg.yiaddr.is_unspecified()
         {
             self.bindings.borrow_mut().insert((vlan, msg.yiaddr), msg.chaddr);
-            self.snooped += 1;
         }
         if msg.message_type() == Some(DhcpMessageType::Release) {
             // Trust releases only when the lease matches the releasing MAC.
@@ -269,7 +257,7 @@ mod tests {
         ));
         assert_eq!(log.alerts()[0].kind, AlertKind::DaiViolation);
         assert_eq!(log.alerts()[0].expected_mac, Some(MacAddr::from_index(5)));
-        assert_eq!(dai.denied, 1);
+        assert_eq!(log.len(), 1);
     }
 
     #[test]
@@ -326,7 +314,7 @@ mod tests {
             dai.inspect(SimTime::ZERO, PortId(1), 20, &view(&frame)),
             InspectVerdict::Deny { .. }
         ));
-        assert_eq!(dai.denied, 1);
+        assert_eq!(log.len(), 1);
         assert_eq!(log.alerts()[0].expected_mac, None, "no cross-VLAN expectation leaked");
     }
 

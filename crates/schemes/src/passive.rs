@@ -44,20 +44,12 @@ pub struct PassiveMonitor {
     log: AlertLog,
     db: FastMap<Ipv4Addr, Binding>,
     last_alert: FastMap<(Ipv4Addr, MacAddr), SimTime>,
-    /// ARP packets inspected.
-    pub inspected: u64,
 }
 
 impl PassiveMonitor {
     /// Creates a monitor reporting into `log`.
     pub fn new(config: PassiveConfig, log: AlertLog) -> Self {
-        PassiveMonitor {
-            config,
-            log,
-            db: FastMap::default(),
-            last_alert: FastMap::default(),
-            inspected: 0,
-        }
+        PassiveMonitor { config, log, db: FastMap::default(), last_alert: FastMap::default() }
     }
 
     /// Number of stations currently in the database.
@@ -149,7 +141,6 @@ impl Device for PassiveMonitor {
         let Ok(arp) = ArpPacket::parse(eth.payload()) else {
             return;
         };
-        self.inspected += 1;
         self.log.add_work(SCHEME, work::INSPECT);
         self.observe(ctx.now(), arp.sender_ip, arp.sender_mac);
     }

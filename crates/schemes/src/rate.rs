@@ -81,8 +81,6 @@ pub struct RateMonitor {
     discover_events: VecDeque<SimTime>,
     arp_request_events: VecDeque<SimTime>,
     last_alert: [Option<SimTime>; 3],
-    /// Frames inspected.
-    pub inspected: u64,
 }
 
 impl RateMonitor {
@@ -96,7 +94,6 @@ impl RateMonitor {
             discover_events: VecDeque::new(),
             arp_request_events: VecDeque::new(),
             last_alert: [None; 3],
-            inspected: 0,
         }
     }
 
@@ -168,7 +165,6 @@ impl RateMonitor {
         ethertype: EtherType,
         payload: &[u8],
     ) {
-        self.inspected += 1;
         self.log.add_work(SCHEME, work::INSPECT);
         self.expire(now);
         if src.is_unicast() && !src.is_zero() {

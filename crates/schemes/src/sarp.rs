@@ -101,19 +101,6 @@ pub struct SArpHook {
     outbox: std::collections::VecDeque<Frame>,
     /// Verified bindings waiting out their verification delay.
     verify_queue: std::collections::VecDeque<(Ipv4Addr, MacAddr, bool)>,
-    /// Signed replies emitted.
-    pub signed_replies_sent: u64,
-    /// Claims verified and installed.
-    pub verified: u64,
-    /// Claims rejected (bad signature / stale timestamp).
-    pub rejected: u64,
-    /// Plain legacy replies dropped.
-    pub legacy_dropped: u64,
-    /// AKD round trips initiated.
-    pub key_fetches: u64,
-    /// Key fetches abandoned after every retry went unanswered (their
-    /// parked claims were dropped).
-    pub key_fetch_timeouts: u64,
 }
 
 impl SArpHook {
@@ -127,12 +114,6 @@ impl SArpHook {
             key_retries: FastMap::default(),
             outbox: std::collections::VecDeque::new(),
             verify_queue: std::collections::VecDeque::new(),
-            signed_replies_sent: 0,
-            verified: 0,
-            rejected: 0,
-            legacy_dropped: 0,
-            key_fetches: 0,
-            key_fetch_timeouts: 0,
         }
     }
 
@@ -161,7 +142,6 @@ impl SArpHook {
         // The signature costs CPU time: emit after the signing delay.
         self.outbox.push_back(frame);
         api.schedule(UNIT_COST * work::SIGN as u32, TIMER_SEND_SIGNED);
-        self.signed_replies_sent += 1;
     }
 
     fn lookup_key(&mut self, api: &mut HostApi<'_, '_>, ip: Ipv4Addr) -> Option<PublicKey> {
@@ -180,7 +160,6 @@ impl SArpHook {
     }
 
     fn request_key(&mut self, api: &mut HostApi<'_, '_>, ip: Ipv4Addr) {
-        self.key_fetches += 1;
         let mut payload = vec![MSG_LOOKUP];
         payload.extend_from_slice(&ip.octets());
         api.send_udp(self.config.akd_ip, CLIENT_PORT, AKD_PORT, payload);
@@ -195,7 +174,6 @@ impl SArpHook {
         let now = api.now().as_nanos();
         let age = now.saturating_sub(ts);
         if age > MAX_AGE.as_nanos() as u64 {
-            self.rejected += 1;
             self.alert(api, AlertKind::SignatureInvalid, arp.sender_ip, arp.sender_mac);
             return;
         }
@@ -211,10 +189,8 @@ impl SArpHook {
     fn finish_verify(&mut self, api: &mut HostApi<'_, '_>) {
         if let Some((ip, mac, ok)) = self.verify_queue.pop_front() {
             if ok {
-                self.verified += 1;
                 api.install_verified_binding(ip, mac);
             } else {
-                self.rejected += 1;
                 self.alert(api, AlertKind::SignatureInvalid, ip, mac);
             }
         }
@@ -232,7 +208,6 @@ impl SArpHook {
             Some(key) => self.verify_claim(api, key, payload),
             None if self.config.local_akd.is_some() => {
                 // We *are* the AKD and the principal is unknown: reject.
-                self.rejected += 1;
                 self.alert(api, AlertKind::SignatureInvalid, arp.sender_ip, arp.sender_mac);
             }
             None => {
@@ -283,9 +258,7 @@ impl SArpHook {
                 let ip = Ipv4Addr::new(data[1], data[2], data[3], data[4]);
                 // Unenrolled principal: drop any parked claims for it.
                 self.key_retries.remove(&ip);
-                if self.pending.remove(&ip).is_some() {
-                    self.rejected += 1;
-                }
+                self.pending.remove(&ip);
             }
             _ => {}
         }
@@ -321,7 +294,6 @@ impl HostHook for SArpHook {
             }
             ArpOp::Reply => {
                 // Plain replies are forbidden on an S-ARP segment.
-                self.legacy_dropped += 1;
                 self.alert(api, AlertKind::UnsignedReply, arp.sender_ip, arp.sender_mac);
                 ArpVerdict::Drop
             }
@@ -357,7 +329,6 @@ impl HostHook for SArpHook {
                         // claims parked behind it.
                         self.key_retries.remove(&ip);
                         self.pending.remove(&ip);
-                        self.key_fetch_timeouts += 1;
                     }
                     None => {}
                 }
@@ -400,15 +371,13 @@ pub struct AkdApp {
     akd: Rc<RefCell<Akd>>,
     keypair: KeyPair,
     log: AlertLog,
-    /// Lookups answered.
-    pub served: u64,
 }
 
 impl AkdApp {
     /// Creates the service around a shared registry, signing responses
     /// with the AKD keypair.
     pub fn new(akd: Rc<RefCell<Akd>>, keypair: KeyPair, log: AlertLog) -> Self {
-        AkdApp { akd, keypair, log, served: 0 }
+        AkdApp { akd, keypair, log }
     }
 }
 
@@ -447,7 +416,6 @@ impl App for AkdApp {
                 msg
             }
         };
-        self.served += 1;
         api.send_udp(src, AKD_PORT, src_port, response);
     }
 }

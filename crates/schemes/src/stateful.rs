@@ -72,8 +72,6 @@ pub struct StatefulMonitor {
     /// Earliest time the next sweep of stale requests may run.
     next_sweep: SimTime,
     bindings: FastMap<Ipv4Addr, MacAddr>,
-    /// ARP packets inspected.
-    pub inspected: u64,
 }
 
 impl StatefulMonitor {
@@ -85,7 +83,6 @@ impl StatefulMonitor {
             outstanding: FastMap::default(),
             next_sweep: SimTime::ZERO,
             bindings: FastMap::default(),
-            inspected: 0,
         }
     }
 
@@ -120,7 +117,6 @@ impl StatefulMonitor {
     }
 
     fn inspect(&mut self, now: SimTime, l2_src: MacAddr, arp: &ArpPacket) {
-        self.inspected += 1;
         self.log.add_work(SCHEME, work::INSPECT);
         if self.config.check_l2_consistency && !arp.sender_mac.is_zero() && l2_src != arp.sender_mac
         {

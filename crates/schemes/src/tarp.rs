@@ -104,12 +104,6 @@ pub struct TarpHook {
     log: AlertLog,
     outbox: std::collections::VecDeque<Frame>,
     verify_queue: std::collections::VecDeque<(Ipv4Addr, MacAddr, bool)>,
-    /// Ticketed replies sent.
-    pub replies_sent: u64,
-    /// Claims verified and installed.
-    pub verified: u64,
-    /// Claims rejected.
-    pub rejected: u64,
 }
 
 const TIMER_SEND: u32 = 1;
@@ -123,9 +117,6 @@ impl TarpHook {
             log,
             outbox: std::collections::VecDeque::new(),
             verify_queue: std::collections::VecDeque::new(),
-            replies_sent: 0,
-            verified: 0,
-            rejected: 0,
         }
     }
 
@@ -164,13 +155,11 @@ impl HostHook for TarpHook {
                     self.outbox.push_back(frame);
                     // Only header assembly; one inspection unit of delay.
                     api.schedule(UNIT_COST, TIMER_SEND);
-                    self.replies_sent += 1;
                 }
                 ArpVerdict::Drop
             }
             ArpOp::Reply => {
                 // Unticketed replies are forbidden on a TARP segment.
-                self.rejected += 1;
                 self.alert(api.now(), AlertKind::UnsignedReply, arp.sender_ip, arp.sender_mac);
                 ArpVerdict::Drop
             }
@@ -189,7 +178,6 @@ impl HostHook for TarpHook {
             return FrameVerdict::Consumed;
         };
         let Some(ticket) = Ticket::from_bytes(&payload[ARP_WIRE_LEN..]) else {
-            self.rejected += 1;
             self.alert(api.now(), AlertKind::SignatureInvalid, arp.sender_ip, arp.sender_mac);
             return FrameVerdict::Consumed;
         };
@@ -213,10 +201,8 @@ impl HostHook for TarpHook {
             TIMER_VERIFY => {
                 if let Some((ip, mac, ok)) = self.verify_queue.pop_front() {
                     if ok {
-                        self.verified += 1;
                         api.install_verified_binding(ip, mac);
                     } else {
-                        self.rejected += 1;
                         self.alert(api.now(), AlertKind::SignatureInvalid, ip, mac);
                     }
                 }

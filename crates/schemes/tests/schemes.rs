@@ -500,7 +500,7 @@ fn port_security_contains_mac_flooding() {
     let mut lan = Lan { sim, switch, next_port: 0 };
     let truth = GroundTruth::new();
     lan.attach(Box::new(arpshield_attacks::MacFlooder::new(
-        arpshield_attacks::MacFlooderConfig::macof_rate(mac(66)),
+        arpshield_attacks::MacFlooderConfig::macof_rate(),
         truth.clone(),
     )));
     lan.sim.run_until(SimTime::from_secs(5));

@@ -248,13 +248,6 @@ fn gauge_impl(name: &'static str, value: u64) {
     });
 }
 
-/// True when a profiler is installed on the current thread (cheap
-/// global check first, so the common answer is one load).
-#[inline(always)]
-pub fn enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0 && current().is_some()
-}
-
 /// The collector installed on the current thread, if any. Worker pools
 /// capture this on the submitting thread and [`install`] it inside
 /// each worker, mirroring [`crate::current`] for tracing.

@@ -45,7 +45,6 @@ fn build_and_run(protected: bool) {
     let truth = GroundTruth::new();
     let starver = DhcpStarver::new(
         DhcpStarverConfig {
-            attacker_mac: MacAddr::from_index(66),
             start_delay: Duration::from_millis(200),
             rate_per_sec: 40,
             total: Some(60),

@@ -5,7 +5,9 @@
 #   scripts/ci.sh
 #
 # Steps: rustfmt check, release build, clippy over every target with
-# lints denied, full test suite, a smoke run of the t5r loss-resilience
+# lints denied, full test suite, a build and self-test of perfbench (its
+# own workspace, built against the library crates by path, so removing
+# API it uses fails here), a smoke run of the t5r loss-resilience
 # sweep, a `--trace` smoke (manifest emission + validation), a
 # `--profile` smoke (span profile emission + report rendering), a
 # `--capture` smoke (pcapng + index emission, forensic `inspect`
@@ -33,6 +35,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
+
+echo "==> cargo test perfbench (benchmark build + self-tests)"
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> reproduce t5r smoke (loss-resilience sweep)"
 t5r_out="$(mktemp -d)"
