@@ -5,7 +5,7 @@ use std::time::Duration;
 use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId};
 use arpshield_packet::{
     DhcpMessage, DhcpMessageType, EtherType, EthernetView, IpProtocol, Ipv4Addr, Ipv4Packet,
-    MacAddr, UdpDatagram, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
+    MacAddr, UdpDatagram, WireEmit, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
 };
 
 use crate::ground_truth::{AttackEvent, AttackKind, GroundTruth};
@@ -49,7 +49,7 @@ impl DhcpStarver {
         MacAddr::new([0x06, 0x66, b[0], b[1], b[2], b[3]])
     }
 
-    fn send_dhcp(&mut self, ctx: &mut DeviceCtx<'_>, src_mac: MacAddr, msg: &DhcpMessage) {
+    fn send_dhcp(&mut self, ctx: &mut DeviceCtx<'_>, src_mac: MacAddr, msg: &impl WireEmit) {
         let dgram = UdpDatagram::new(
             DHCP_CLIENT_PORT,
             DHCP_SERVER_PORT,

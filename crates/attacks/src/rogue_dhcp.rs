@@ -55,7 +55,7 @@ impl RogueDhcpServer {
         &mut self,
         ctx: &mut DeviceCtx<'_>,
         kind: DhcpMessageType,
-        client: &DhcpMessage,
+        client: &DhcpMessage<&[u8]>,
         yiaddr: Ipv4Addr,
     ) {
         let msg = DhcpMessage::reply(

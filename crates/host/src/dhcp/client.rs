@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use arpshield_netsim::SimTime;
 use arpshield_packet::{
-    DhcpMessage, DhcpMessageType, Ipv4Addr, Ipv4Cidr, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
+    DhcpMessage, DhcpMessageType, Ipv4Addr, Ipv4Cidr, WireEmit, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
 };
 
 use crate::hooks::HostApi;
@@ -83,7 +83,7 @@ impl DhcpClient {
         api.schedule(RETRY_INTERVAL, TICK_RETRY);
     }
 
-    fn broadcast(&self, api: &mut HostApi<'_, '_>, msg: &DhcpMessage) {
+    fn broadcast(&self, api: &mut HostApi<'_, '_>, msg: &impl WireEmit) {
         api.core.send_udp_broadcast(api.ctx, DHCP_CLIENT_PORT, DHCP_SERVER_PORT, msg);
     }
 
@@ -139,14 +139,7 @@ impl DhcpClient {
                 if msg.xid == xid =>
             {
                 let addr = if msg.yiaddr.is_unspecified() { offered } else { msg.yiaddr };
-                let mask = msg
-                    .options
-                    .iter()
-                    .find_map(|o| match o {
-                        arpshield_packet::DhcpOption::SubnetMask(m) => Some(*m),
-                        _ => None,
-                    })
-                    .unwrap_or(Ipv4Addr::new(255, 255, 255, 0));
+                let mask = msg.subnet_mask().unwrap_or(Ipv4Addr::new(255, 255, 255, 0));
                 let prefix = mask.to_u32().count_ones() as u8;
                 api.core.iface.borrow_mut().configure(
                     addr,

@@ -141,7 +141,7 @@ impl DhcpServer {
         &self,
         api: &mut HostApi<'_, '_>,
         kind: DhcpMessageType,
-        client: &DhcpMessage,
+        client: &DhcpMessage<&[u8]>,
         yiaddr: Ipv4Addr,
     ) {
         let server_id = api.ip().unwrap_or(self.config.router);

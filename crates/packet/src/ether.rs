@@ -131,6 +131,7 @@ impl<'a> EthernetView<'a> {
     ///
     /// Returns [`ParseError::Truncated`] when `buf` is shorter than the
     /// 14-byte header or ends inside a VLAN tag.
+    #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Self, ParseError> {
         if buf.len() < ETHERNET_HEADER_LEN {
             return Err(ParseError::Truncated {

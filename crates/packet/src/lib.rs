@@ -44,7 +44,8 @@ mod wire;
 pub use arp::{ArpOp, ArpPacket, ARP_WIRE_LEN};
 pub use checksum::{internet_checksum, Checksum};
 pub use dhcp::{
-    DhcpMessage, DhcpMessageType, DhcpOp, DhcpOption, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
+    DhcpMessage, DhcpMessageType, DhcpOp, DhcpOption, DhcpOptions, DHCP_CLIENT_PORT,
+    DHCP_SERVER_PORT,
 };
 pub use error::ParseError;
 pub use ether::{

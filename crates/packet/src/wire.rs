@@ -339,9 +339,10 @@ impl WireEmit for IcmpMessage<'_> {
 // DHCP
 // ---------------------------------------------------------------------------
 
-impl WireEmit for DhcpMessage {
+impl<'a, O: AsRef<[DhcpOption<'a>]>> WireEmit for DhcpMessage<O> {
     fn wire_len(&self) -> usize {
-        DHCP_FIXED_LEN + 4 + self.options.iter().map(DhcpOption::encoded_len).sum::<usize>() + 1
+        let options = self.options.as_ref();
+        DHCP_FIXED_LEN + 4 + options.iter().map(DhcpOption::encoded_len).sum::<usize>() + 1
     }
 
     fn emit(&self, buf: &mut [u8]) -> usize {
@@ -364,7 +365,7 @@ impl WireEmit for DhcpMessage {
         buf[34..DHCP_FIXED_LEN].fill(0);
         buf[DHCP_FIXED_LEN..DHCP_FIXED_LEN + 4].copy_from_slice(&DHCP_MAGIC_COOKIE);
         let mut at = DHCP_FIXED_LEN + 4;
-        for option in &self.options {
+        for option in self.options.as_ref() {
             at += option.emit_at(buf, at);
         }
         buf[at] = 255; // end marker

@@ -6,10 +6,10 @@ use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId, SimTime};
 use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetView, Ipv4Addr, MacAddr};
 
-use crate::alert::{Alert, AlertKind, AlertLog};
 use crate::work;
+use crate::{Alert, AlertKind, AlertLog, SchemeKind};
 
-const SCHEME: &str = "active-probe";
+const SCHEME: SchemeKind = SchemeKind::ActiveProbe;
 
 /// How long to collect probe answers before judging.
 const PROBE_WINDOW: Duration = Duration::from_millis(300);
@@ -166,7 +166,7 @@ impl ActiveProbeMonitor {
                 if answer != state.claimed {
                     self.log.raise(Alert {
                         at: now,
-                        scheme: SCHEME,
+                        scheme: SCHEME.label(),
                         kind: AlertKind::ProbeContradiction,
                         subject_ip: Some(ip),
                         observed_mac: Some(state.claimed),
@@ -177,7 +177,7 @@ impl ActiveProbeMonitor {
             Answers::Several => {
                 self.log.raise(Alert {
                     at: now,
-                    scheme: SCHEME,
+                    scheme: SCHEME.label(),
                     kind: AlertKind::DuplicateResponders,
                     subject_ip: Some(ip),
                     observed_mac: Some(state.claimed),

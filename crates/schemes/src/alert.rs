@@ -1,13 +1,15 @@
 //! The shared alert log every scheme reports into.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::SimTime;
 use arpshield_packet::{Ipv4Addr, MacAddr};
 use arpshield_trace::profile;
 use arpshield_trace::Tracer;
+
+use crate::SchemeKind;
 
 /// What a scheme believes it saw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,7 +83,8 @@ fn verdict_counter(kind: AlertKind) -> &'static str {
 #[derive(Debug, Default)]
 struct Inner {
     alerts: Vec<Alert>,
-    work: FastMap<&'static str, u64>,
+    /// Work units per scheme, indexed by [`SchemeKind`] discriminant.
+    work: [u64; SchemeKind::all().len()],
     tracer: Tracer,
 }
 
@@ -158,8 +161,8 @@ impl AlertLog {
     }
 
     /// Charges `units` of abstract CPU work to `scheme`.
-    pub fn add_work(&self, scheme: &'static str, units: u64) {
-        *self.inner.borrow_mut().work.entry(scheme).or_insert(0) += units;
+    pub fn add_work(&self, scheme: SchemeKind, units: u64) {
+        self.inner.borrow_mut().work[scheme as usize] += units;
     }
 
     /// Snapshot of all alerts so far.
@@ -182,19 +185,22 @@ impl AlertLog {
         self.inner.borrow().alerts.iter().find(|a| pred(a)).map(|a| a.at)
     }
 
-    /// Alerts whose subject is `ip`.
-    pub fn about_ip(&self, ip: Ipv4Addr) -> Vec<Alert> {
-        self.inner.borrow().alerts.iter().filter(|a| a.subject_ip == Some(ip)).cloned().collect()
+    /// Alert counts keyed by verdict label, counted in place.
+    pub fn verdict_histogram(&self) -> BTreeMap<&'static str, u64> {
+        self.inner.borrow().alerts.iter().fold(BTreeMap::new(), |mut histogram, alert| {
+            *histogram.entry(alert.kind.label()).or_insert(0) += 1;
+            histogram
+        })
     }
 
-    /// Work units charged to `scheme`.
+    /// Work units charged to the scheme labelled `scheme`.
     pub fn work_of(&self, scheme: &str) -> u64 {
-        self.inner.borrow().work.get(scheme).copied().unwrap_or(0)
+        SchemeKind::from_label(scheme).map_or(0, |kind| self.inner.borrow().work[kind as usize])
     }
 
     /// Total work across schemes.
     pub fn total_work(&self) -> u64 {
-        self.inner.borrow().work.values().sum()
+        self.inner.borrow().work.iter().sum()
     }
 }
 
@@ -249,22 +255,54 @@ mod tests {
     #[test]
     fn work_accounting() {
         let log = AlertLog::new();
-        log.add_work("passive", 3);
-        log.add_work("passive", 4);
-        log.add_work("sarp", 900);
+        log.add_work(SchemeKind::Passive, 3);
+        log.add_work(SchemeKind::Passive, 4);
+        log.add_work(SchemeKind::SArp, 900);
         assert_eq!(log.work_of("passive"), 7);
         assert_eq!(log.work_of("sarp"), 900);
         assert_eq!(log.work_of("nobody"), 0);
         assert_eq!(log.total_work(), 907);
     }
 
+    /// Each scheme that charges work reads it back through its label,
+    /// and the total is their sum.
     #[test]
-    fn about_ip_filters() {
+    fn every_charging_kind_resolves_by_its_label() {
+        let charging = [
+            (SchemeKind::Passive, "passive"),
+            (SchemeKind::Stateful, "stateful"),
+            (SchemeKind::ActiveProbe, "active-probe"),
+            (SchemeKind::RateMonitor, "rate-monitor"),
+            (SchemeKind::Dai, "dai"),
+            (SchemeKind::SArp, "sarp"),
+        ];
+        let log = AlertLog::new();
+        for (units, (kind, label)) in (1..).zip(charging) {
+            assert_eq!(kind.label(), label);
+            log.add_work(kind, units);
+            log.add_work(kind, units);
+        }
+        for (units, (kind, _)) in (1..).zip(charging) {
+            assert_eq!(log.work_of(kind.label()), 2 * units, "{kind}");
+        }
+        assert_eq!(log.total_work(), 2 * (1..=6).sum::<u64>());
+        for kind in SchemeKind::all() {
+            if !charging.iter().any(|(charged, _)| *charged == kind) {
+                assert_eq!(log.work_of(kind.label()), 0, "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn verdict_histogram_counts_by_kind() {
         let log = AlertLog::new();
         log.raise(alert(1, AlertKind::BindingChanged));
-        let mut other = alert(2, AlertKind::UnsolicitedReply);
-        other.subject_ip = Some(Ipv4Addr::new(10, 0, 0, 9));
-        log.raise(other);
-        assert_eq!(log.about_ip(Ipv4Addr::new(10, 0, 0, 1)).len(), 1);
+        log.raise(alert(2, AlertKind::RateAnomaly));
+        log.raise(alert(3, AlertKind::BindingChanged));
+        let histogram = log.verdict_histogram();
+        assert_eq!(
+            histogram.into_iter().collect::<Vec<_>>(),
+            [("binding_changed", 2), ("rate_anomaly", 1)]
+        );
     }
 }

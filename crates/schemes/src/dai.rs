@@ -18,10 +18,10 @@ use arpshield_packet::{
 };
 use arpshield_trace::profile;
 
-use crate::alert::{Alert, AlertKind, AlertLog};
 use crate::work;
+use crate::{Alert, AlertKind, AlertLog, SchemeKind};
 
-const SCHEME: &str = "dai";
+const SCHEME: SchemeKind = SchemeKind::Dai;
 
 /// DAI configuration.
 #[derive(Debug, Clone)]
@@ -95,7 +95,7 @@ impl DaiInspector {
     ) -> InspectVerdict {
         self.log.raise(Alert {
             at: now,
-            scheme: SCHEME,
+            scheme: SCHEME.label(),
             kind,
             subject_ip: Some(ip),
             observed_mac: Some(mac),

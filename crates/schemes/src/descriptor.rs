@@ -96,7 +96,7 @@ pub enum SchemeKind {
 
 impl SchemeKind {
     /// All schemes, in the order the report tables list them.
-    pub fn all() -> [SchemeKind; 13] {
+    pub const fn all() -> [SchemeKind; 13] {
         [
             SchemeKind::None,
             SchemeKind::StaticArp,

@@ -127,9 +127,8 @@ impl Detector {
             .monitors
             .into_iter()
             .enumerate()
-            .map(|(index, device)| {
+            .map(|(index, mut device)| {
                 let mut driver = StandaloneDriver::new(DRIVER_SEED + index as u64);
-                let mut device = device;
                 driver.start(device.as_mut());
                 (device, driver)
             })
@@ -249,9 +248,8 @@ impl Detector {
     }
 
     fn collect_driver_effects(&mut self) {
-        for (_, driver) in &mut self.monitors {
-            self.stats.probes_emitted += driver.drain_sends().count() as u64;
-        }
+        let sends = self.monitors.iter_mut().map(|(_, driver)| driver.drain_sends().len());
+        self.stats.probes_emitted += sends.sum::<usize>() as u64;
     }
 
     /// Closes out the stream: advances scheme clocks a grace period past
@@ -301,11 +299,7 @@ impl Detector {
     /// Alert counts keyed by verdict label — the per-scheme histogram
     /// the ingest summary prints.
     pub fn verdict_histogram(&self) -> BTreeMap<&'static str, u64> {
-        let mut histogram = BTreeMap::new();
-        for alert in self.alerts.alerts() {
-            *histogram.entry(alert.kind.label()).or_insert(0) += 1;
-        }
-        histogram
+        self.alerts.verdict_histogram()
     }
 }
 

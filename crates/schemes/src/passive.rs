@@ -4,10 +4,10 @@ use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::{Device, DeviceCtx, PortId, SimTime};
 use arpshield_packet::{ArpPacket, EtherType, EthernetView, Ipv4Addr, MacAddr};
 
-use crate::alert::{Alert, AlertKind, AlertLog};
 use crate::work;
+use crate::{Alert, AlertKind, AlertLog, SchemeKind};
 
-const SCHEME: &str = "passive";
+const SCHEME: SchemeKind = SchemeKind::Passive;
 
 /// Suppress repeat alerts for the same (ip, mac) pair within this
 /// window, mirroring arpwatch's report throttling.
@@ -80,7 +80,7 @@ impl PassiveMonitor {
                 if self.config.alert_on_new_station {
                     self.log.raise(Alert {
                         at: now,
-                        scheme: SCHEME,
+                        scheme: SCHEME.label(),
                         kind: AlertKind::BindingChanged,
                         subject_ip: Some(ip),
                         observed_mac: Some(mac),
@@ -103,7 +103,7 @@ impl PassiveMonitor {
                     self.log.raise_with_frames(
                         Alert {
                             at: now,
-                            scheme: SCHEME,
+                            scheme: SCHEME.label(),
                             kind: AlertKind::BindingChanged,
                             subject_ip: Some(ip),
                             observed_mac: Some(mac),

@@ -32,10 +32,10 @@ use arpshield_packet::{
     UdpDatagram, DHCP_SERVER_PORT,
 };
 
-use crate::alert::{Alert, AlertKind, AlertLog};
 use crate::work;
+use crate::{Alert, AlertKind, AlertLog, SchemeKind};
 
-const SCHEME: &str = "rate-monitor";
+const SCHEME: SchemeKind = SchemeKind::RateMonitor;
 
 /// Rate-monitor thresholds, all per [`RateConfig::window`].
 #[derive(Debug, Clone, Copy)]
@@ -135,7 +135,7 @@ impl RateMonitor {
             self.last_alert[which] = Some(now);
             self.log.raise(Alert {
                 at: now,
-                scheme: SCHEME,
+                scheme: SCHEME.label(),
                 kind,
                 subject_ip: None,
                 observed_mac: None,

@@ -29,10 +29,10 @@ use arpshield_packet::{
     UdpDatagram, WireEmit, ARP_WIRE_LEN,
 };
 
-use crate::alert::{Alert, AlertKind, AlertLog};
 use crate::work;
+use crate::{Alert, AlertKind, AlertLog, SchemeKind};
 
-const SCHEME: &str = "sarp";
+const SCHEME: SchemeKind = SchemeKind::SArp;
 /// UDP port the AKD listens on.
 pub const AKD_PORT: u16 = 9612;
 /// Client-side source port for key requests.
@@ -120,7 +120,7 @@ impl SArpHook {
     fn alert(&self, api: &HostApi<'_, '_>, kind: AlertKind, ip: Ipv4Addr, mac: MacAddr) {
         self.log.raise(Alert {
             at: api.now(),
-            scheme: SCHEME,
+            scheme: SCHEME.label(),
             kind,
             subject_ip: Some(ip),
             observed_mac: Some(mac),
@@ -267,7 +267,7 @@ impl SArpHook {
 
 impl HostHook for SArpHook {
     fn name(&self) -> &str {
-        SCHEME
+        SCHEME.label()
     }
 
     fn on_start(&mut self, api: &mut HostApi<'_, '_>) {

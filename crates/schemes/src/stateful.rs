@@ -22,10 +22,10 @@ use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::{Device, DeviceCtx, PortId, SimTime};
 use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetView, Ipv4Addr, MacAddr};
 
-use crate::alert::{Alert, AlertKind, AlertLog};
 use crate::work;
+use crate::{Alert, AlertKind, AlertLog, SchemeKind};
 
-const SCHEME: &str = "stateful";
+const SCHEME: SchemeKind = SchemeKind::Stateful;
 
 /// Outstanding requests the table may hold before stale ones are swept.
 const SWEEP_ABOVE: usize = 4096;
@@ -89,7 +89,7 @@ impl StatefulMonitor {
     fn raise(&self, now: SimTime, kind: AlertKind, arp: &ArpPacket, expected: Option<MacAddr>) {
         self.log.raise(Alert {
             at: now,
-            scheme: SCHEME,
+            scheme: SCHEME.label(),
             kind,
             subject_ip: Some(arp.sender_ip),
             observed_mac: Some(arp.sender_mac),
@@ -106,7 +106,7 @@ impl StatefulMonitor {
             if previous != mac {
                 self.log.raise(Alert {
                     at: now,
-                    scheme: SCHEME,
+                    scheme: SCHEME.label(),
                     kind: AlertKind::BindingChanged,
                     subject_ip: Some(ip),
                     observed_mac: Some(mac),

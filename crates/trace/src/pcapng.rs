@@ -144,21 +144,24 @@ pub struct PcapngFile {
     pub packets: Vec<PcapngPacket>,
 }
 
-/// Scans a block's options region for `(code, value)` pairs.
-fn options(mut region: &[u8]) -> Vec<(u16, Vec<u8>)> {
-    let mut found = Vec::new();
-    while region.len() >= 4 {
-        let code = u16::from_le_bytes([region[0], region[1]]);
-        let len = u16::from_le_bytes([region[2], region[3]]) as usize;
-        region = &region[4..];
-        if code == OPT_END || region.len() < len {
-            break;
+/// Walks a block's options region in place for the first option
+/// `code`, returning its value's range within `region`. The walk stops
+/// at `opt_endofopt` or at an option whose length overruns the region.
+fn find_option(region: &[u8], code: u16) -> Option<std::ops::Range<usize>> {
+    let mut at = 0;
+    while let Some(&[c0, c1, l0, l1]) = region.get(at..at + 4) {
+        let start = at + 4;
+        let end = start + usize::from(u16::from_le_bytes([l0, l1]));
+        let found = u16::from_le_bytes([c0, c1]);
+        if found == OPT_END || end > region.len() {
+            return None;
         }
-        found.push((code, region[..len].to_vec()));
-        let advance = (len + pad4(len)).min(region.len());
-        region = &region[advance..];
+        if found == code {
+            return Some(start..end);
+        }
+        at = (end + pad4(end - start)).min(region.len());
     }
-    found
+    None
 }
 
 /// Nanoseconds per tick for an `if_tsresol` byte: a power of ten when
@@ -432,16 +435,12 @@ impl<R: Read> PcapngStream<R> {
                 if self.buf.len() < 8 {
                     return Err("truncated interface description block".to_string());
                 }
-                let opts = options(&self.buf[8..]);
-                let name = opts
-                    .iter()
-                    .find(|(code, _)| *code == OPT_IF_NAME)
-                    .map(|(_, v)| String::from_utf8_lossy(v).into_owned())
+                let opts = &self.buf[8..];
+                let name = find_option(opts, OPT_IF_NAME)
+                    .map(|value| String::from_utf8_lossy(&opts[value]).into_owned())
                     .unwrap_or_default();
-                let tsresol = opts
-                    .iter()
-                    .find(|(code, _)| *code == OPT_IF_TSRESOL)
-                    .and_then(|(_, v)| v.first().copied())
+                let tsresol = find_option(opts, OPT_IF_TSRESOL)
+                    .and_then(|value| opts[value].first().copied())
                     .unwrap_or(6); // the spec default: microseconds
                 self.interfaces.push(name);
                 self.tsresols.push(tsresol);
@@ -464,23 +463,11 @@ impl<R: Read> PcapngStream<R> {
                     return Err("packet data exceeds block".to_string());
                 }
                 let opts_at = (20 + captured + pad4(captured)).min(self.buf.len());
-                let comment = options(&self.buf[opts_at..])
-                    .into_iter()
-                    .find(|(code, _)| *code == OPT_COMMENT)
-                    .map(|(_, value)| value)
-                    .unwrap_or_default();
-                // Relocate the comment into the buffer's tail so the
-                // yielded ranges both borrow `self.buf`.
-                let comment_at = self.buf.len();
-                self.buf.extend_from_slice(&comment);
+                let comment = find_option(&self.buf[opts_at..], OPT_COMMENT)
+                    .map_or(0..0, |value| opts_at + value.start..opts_at + value.end);
                 let ts_ns = ts.saturating_mul(tsresol_to_ns(self.tsresols[interface]));
                 self.stats.packets += 1;
-                Ok(Step::Packet(
-                    interface,
-                    ts_ns,
-                    20..20 + captured,
-                    comment_at..comment_at + comment.len(),
-                ))
+                Ok(Step::Packet(interface, ts_ns, 20..20 + captured, comment))
             }
             _ => {
                 self.stats.unknown_blocks += 1;
@@ -670,6 +657,71 @@ mod tests {
         assert_eq!(streamed, whole);
         assert!(warnings.is_empty());
         assert_eq!(stats.sections, 2);
+    }
+
+    /// An EPB on interface 0 carrying `data` and the raw options
+    /// region `options` (which the caller pads to 4 bytes).
+    fn raw_epb(data: &[u8], options: &[u8]) -> Vec<u8> {
+        let mut body = vec![0u8; 12]; // interface 0, timestamp 0
+        body.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        body.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        body.extend_from_slice(data);
+        body.extend(std::iter::repeat_n(0u8, pad4(data.len())));
+        body.extend_from_slice(options);
+        let total = (body.len() + 12) as u32;
+        let mut block = EPB_TYPE.to_le_bytes().to_vec();
+        block.extend_from_slice(&total.to_le_bytes());
+        block.extend_from_slice(&body);
+        block.extend_from_slice(&total.to_le_bytes());
+        block
+    }
+
+    /// The comment is found by walking the options region in place:
+    /// past other options (padding included), never past
+    /// `opt_endofopt` or an option whose length overruns the block.
+    #[test]
+    fn comment_is_the_first_opt_comment_the_walk_reaches() {
+        let option = |code: u16, value: &[u8]| {
+            let mut out = Vec::new();
+            push_option(&mut out, code, value);
+            out
+        };
+        let comment = option(OPT_COMMENT, b"id=7 kind=deliver");
+        let end = option(OPT_END, &[]);
+        let overrun = [0x02, 0x00, 0xC8, 0x00, 1, 2, 3, 4]; // epb_flags claiming 200 bytes
+        let cases: [(&str, Vec<u8>, &str); 8] = [
+            (
+                "after epb_flags",
+                [option(2, &[1, 0, 0, 0]), comment.clone()].concat(),
+                "id=7 kind=deliver",
+            ),
+            (
+                "after a padded custom option",
+                [option(0x8001, b"abc"), comment.clone(), end.clone()].concat(),
+                "id=7 kind=deliver",
+            ),
+            (
+                "the first of two",
+                [comment.clone(), option(OPT_COMMENT, b"second")].concat(),
+                "id=7 kind=deliver",
+            ),
+            ("after an overrunning option", [overrun.to_vec(), comment.clone()].concat(), ""),
+            ("overrunning itself", [0x01, 0x00, 0x40, 0x00, b'a', b'b', b'c', b'd'].to_vec(), ""),
+            ("after opt_endofopt", [end.clone(), comment.clone()].concat(), ""),
+            ("not UTF-8", option(OPT_COMMENT, &[0xFF, 0xFE]), ""),
+            ("absent", end.clone(), ""),
+        ];
+        for (what, options, expected) in cases {
+            let mut w = PcapngWriter::new("x");
+            w.add_interface("i");
+            let mut bytes = w.finish();
+            bytes.extend_from_slice(&raw_epb(&[0xAB; 14], &options));
+            let mut stream = PcapngStream::new(&bytes[..]);
+            let packet = stream.next_packet().unwrap().expect("one packet");
+            assert_eq!(packet.bytes, &[0xAB; 14], "{what}");
+            assert_eq!(packet.comment, expected, "{what}");
+            assert_eq!(parse(&bytes).unwrap().packets[0].comment, expected, "{what}");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@ use arpshield_testkit::prelude::*;
 use arpshield::crypto::{KeyPair, Signature};
 use arpshield::netsim::{CamTable, PortId, SimTime};
 use arpshield::packet::{
-    ArpOp, ArpPacket, DhcpMessage, EtherType, EthernetEmit, EthernetView, IcmpMessage, IpProtocol,
-    Ipv4Addr, Ipv4Cidr, Ipv4Packet, MacAddr, UdpDatagram, WireEmit,
+    ArpOp, ArpPacket, DhcpMessage, DhcpMessageType, DhcpOp, EtherType, EthernetEmit, EthernetView,
+    IcmpMessage, IpProtocol, Ipv4Addr, Ipv4Cidr, Ipv4Packet, MacAddr, UdpDatagram, WireEmit,
 };
 use std::time::Duration;
 
@@ -23,6 +23,11 @@ fn arb_mac() -> impl Strategy<Value = MacAddr> {
 
 fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr::from_u32)
+}
+
+/// A DHCP message's fixed BOOTP fields, whichever form its options take.
+fn dhcp_fixed<O>(m: &DhcpMessage<O>) -> (DhcpOp, u32, Ipv4Addr, Ipv4Addr, Ipv4Addr, MacAddr) {
+    (m.op, m.xid, m.ciaddr, m.yiaddr, m.siaddr, m.chaddr)
 }
 
 properties! {
@@ -86,14 +91,25 @@ properties! {
         prop_assert_eq!(IcmpMessage::parse(&bytes).unwrap(), msg);
     }
 
+    /// Emit, then parse as a view: the view reads back the same fixed
+    /// fields and walks out the same typed options, in order.
     #[test]
-    fn dhcp_roundtrip(xid in any::<u32>(), chaddr in arb_mac(), requested in arb_ip(), server in arb_ip()) {
-        for msg in [
-            DhcpMessage::discover(xid, chaddr),
-            DhcpMessage::request(xid, chaddr, requested, server),
-            DhcpMessage::release(xid, chaddr, requested, server),
+    fn dhcp_roundtrip(xid in any::<u32>(), chaddr in arb_mac(), requested in arb_ip(), server in arb_ip(),
+                      lease in any::<u32>()) {
+        let discover = DhcpMessage::discover(xid, chaddr);
+        let request = DhcpMessage::request(xid, chaddr, requested, server);
+        let release = DhcpMessage::release(xid, chaddr, requested, server);
+        let ack = DhcpMessage::reply(DhcpMessageType::Ack, &request, requested, server, lease,
+                                     Ipv4Addr::new(255, 255, 0, 0), server);
+        for (bytes, fixed, options) in [
+            (discover.encode(), dhcp_fixed(&discover), discover.options.to_vec()),
+            (request.encode(), dhcp_fixed(&request), request.options.to_vec()),
+            (release.encode(), dhcp_fixed(&release), release.options.to_vec()),
+            (ack.encode(), dhcp_fixed(&ack), ack.options.to_vec()),
         ] {
-            prop_assert_eq!(DhcpMessage::parse(&msg.encode()).unwrap(), msg);
+            let view = DhcpMessage::parse(&bytes).unwrap();
+            prop_assert_eq!(dhcp_fixed(&view), fixed);
+            prop_assert_eq!(view.options().collect::<Vec<_>>(), options);
         }
     }
 
@@ -681,7 +697,7 @@ mod scheduler_and_pool {
 mod wire_emit_identity {
     use super::*;
     use arpshield::netsim::{eth_frame, Frame};
-    use arpshield::packet::{DhcpMessageType, DhcpOp, DhcpOption};
+    use arpshield::packet::DhcpOption;
 
     /// Independent RFC 1071 checksum over a contiguous byte string (odd
     /// trailing byte zero-padded).
@@ -779,7 +795,7 @@ mod wire_emit_identity {
         out
     }
 
-    fn ref_dhcp(m: &DhcpMessage) -> Vec<u8> {
+    fn ref_dhcp(m: &DhcpMessage<Vec<DhcpOption<'_>>>) -> Vec<u8> {
         let mut out = vec![0u8; 236];
         out[0] = m.op.to_u8();
         out[1] = 1; // htype: ethernet
@@ -820,13 +836,30 @@ mod wire_emit_identity {
         out.extend_from_slice(&addr.octets());
     }
 
-    fn arb_dhcp_option() -> impl Strategy<Value = DhcpOption> {
+    /// A generated option. An unknown option's bytes are owned here and
+    /// lent to the message, which borrows them.
+    #[derive(Debug, Clone)]
+    enum ArbOption {
+        Typed(DhcpOption<'static>),
+        Other(u8, Vec<u8>),
+    }
+
+    impl ArbOption {
+        fn lend(&self) -> DhcpOption<'_> {
+            match self {
+                ArbOption::Typed(option) => *option,
+                ArbOption::Other(code, data) => DhcpOption::Other(*code, data),
+            }
+        }
+    }
+
+    fn arb_dhcp_option() -> impl Strategy<Value = ArbOption> {
         prop_oneof![
-            arb_ip().prop_map(DhcpOption::SubnetMask),
-            arb_ip().prop_map(DhcpOption::Router),
-            arb_ip().prop_map(DhcpOption::DnsServer),
-            arb_ip().prop_map(DhcpOption::RequestedIp),
-            any::<u32>().prop_map(DhcpOption::LeaseTime),
+            arb_ip().prop_map(|a| ArbOption::Typed(DhcpOption::SubnetMask(a))),
+            arb_ip().prop_map(|a| ArbOption::Typed(DhcpOption::Router(a))),
+            arb_ip().prop_map(|a| ArbOption::Typed(DhcpOption::DnsServer(a))),
+            arb_ip().prop_map(|a| ArbOption::Typed(DhcpOption::RequestedIp(a))),
+            any::<u32>().prop_map(|t| ArbOption::Typed(DhcpOption::LeaseTime(t))),
             prop_oneof![
                 Just(DhcpMessageType::Discover),
                 Just(DhcpMessageType::Offer),
@@ -835,10 +868,10 @@ mod wire_emit_identity {
                 Just(DhcpMessageType::Nak),
                 Just(DhcpMessageType::Release),
             ]
-            .prop_map(DhcpOption::MessageType),
-            arb_ip().prop_map(DhcpOption::ServerId),
+            .prop_map(|t| ArbOption::Typed(DhcpOption::MessageType(t))),
+            arb_ip().prop_map(|a| ArbOption::Typed(DhcpOption::ServerId(a))),
             (1u8..=254, collection::vec(any::<u8>(), 0..40))
-                .prop_map(|(code, data)| DhcpOption::Other(code, data)),
+                .prop_map(|(code, data)| ArbOption::Other(code, data)),
         ]
     }
 
@@ -902,6 +935,7 @@ mod wire_emit_identity {
                                        xid in any::<u32>(), ci in arb_ip(), yi in arb_ip(),
                                        si in arb_ip(), chaddr in arb_mac(),
                                        options in collection::vec(arb_dhcp_option(), 0..8)) {
+            let options = options.iter().map(ArbOption::lend).collect();
             let msg = DhcpMessage {
                 op, xid, ciaddr: ci, yiaddr: yi, siaddr: si, chaddr, options,
             };
