@@ -217,37 +217,52 @@ fn vlan_frame<P: WireEmit + ?Sized>(
     Frame::from_wire(&emit)
 }
 
+/// Station `i`'s name, `h{i}`, right-aligned in nine bytes, and where it
+/// starts: the flat fabric's largest index, 67,107,839, takes 8 digits.
+fn station_name(mut i: usize) -> ([u8; 9], u8) {
+    let (mut bytes, mut first) = ([b'h'; 9], 9);
+    while first == 9 || i > 0 {
+        first -= 1;
+        bytes[first] = b'0' + (i % 10) as u8;
+        i /= 10;
+    }
+    (bytes, first as u8 - 1)
+}
+
 /// A minimal station: refreshes its preconfigured gateway entry on a
 /// timer, and (when a churner) broadcasts a gratuitous announcement
 /// per simulated lease renewal. Replies are absorbed without parsing —
 /// the station model must stay lighter than the fabric it loads. A
 /// spoofer additionally broadcasts forged claims to the gateway's IP,
-/// the classic cache-poison attempt DAI exists to stop.
+/// the classic cache-poison attempt DAI exists to stop. A 100k fabric
+/// boxes 100k of these, so nothing here lives on the heap, and each
+/// phase is `u32` nanoseconds below its period.
 struct ScaleHost {
-    name: String,
+    name: [u8; 9],
+    name_start: u8,
     mac: MacAddr,
     ip: Ipv4Addr,
-    chat_phase: Duration,
+    chat_phase: u32,
     /// First lease renewal, for a churner.
-    churn_phase: Option<Duration>,
+    churn_phase: Option<u32>,
     /// First forgery, for a spoofer.
-    spoof_phase: Option<Duration>,
+    spoof_phase: Option<u32>,
 }
 
 impl Device for ScaleHost {
     fn name(&self) -> &str {
-        &self.name
+        std::str::from_utf8(&self.name[usize::from(self.name_start)..]).expect("an ASCII name")
     }
     fn port_count(&self) -> usize {
         1
     }
     fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        ctx.schedule_in(self.chat_phase, CHAT_TOKEN);
+        ctx.schedule_in(Duration::from_nanos(self.chat_phase.into()), CHAT_TOKEN);
         if let Some(phase) = self.churn_phase {
-            ctx.schedule_in(phase, CHURN_TOKEN);
+            ctx.schedule_in(Duration::from_nanos(phase.into()), CHURN_TOKEN);
         }
         if let Some(phase) = self.spoof_phase {
-            ctx.schedule_in(phase, SPOOF_TOKEN);
+            ctx.schedule_in(Duration::from_nanos(phase.into()), SPOOF_TOKEN);
         }
     }
     fn on_frame(&mut self, _ctx: &mut DeviceCtx<'_>, _port: PortId, _frame: &[u8]) {}
@@ -466,10 +481,13 @@ pub fn build(config: ScaleConfig) -> ScaleLan {
             let i = leaf * LEAF_CAPACITY + p;
             // A salted per-station offset into the first period.
             let phase = |salt: u64, period: Duration| {
-                Duration::from_nanos(mix(config.seed ^ salt, i as u64) % period.as_nanos() as u64)
+                let ns = mix(config.seed ^ salt, i as u64) % period.as_nanos() as u64;
+                u32::try_from(ns).expect("every period is at most 2 s")
             };
+            let (name, name_start) = station_name(i);
             let host = ScaleHost {
-                name: format!("h{i}"),
+                name,
+                name_start,
                 mac: station_mac(i),
                 ip: station_ip(i),
                 chat_phase: phase(0, CHAT_PERIOD),
@@ -525,10 +543,26 @@ mod tests {
         assert!(identity.1 < 128, "the key itself must fail the tag check");
     }
 
+    /// One 48-byte allocator chunk per station.
     #[test]
-    fn a_station_fits_in_88_bytes() {
+    fn a_station_fits_in_40_bytes() {
         let size = std::mem::size_of::<ScaleHost>();
-        assert!(size <= 88, "{size} bytes");
+        assert!(size <= 40, "{size} bytes");
+    }
+
+    /// The inline name spells `h{i}` up to the flat fabric's last station.
+    #[test]
+    fn station_names_match_the_decimal_index_up_to_the_largest_flat_one() {
+        let name = |i| {
+            let (bytes, start) = station_name(i);
+            String::from_utf8(bytes[usize::from(start)..].to_vec()).unwrap()
+        };
+        let last = Fabric::Flat.max_hosts() - 1;
+        assert_eq!(name(last), "h67107839");
+        let edges = (0..=10).flat_map(|d| [10usize.pow(d) - 1, 10usize.pow(d)]);
+        for i in (0..2000).chain(edges.filter(|&i| i <= last)).chain([last - 1, last]) {
+            assert_eq!(name(i), format!("h{i}"));
+        }
     }
 
     #[test]

@@ -1,0 +1,59 @@
+//! What building the scale fabric costs the allocator. At 100k stations
+//! every per-station heap allocation is 100k allocator calls and their
+//! chunk headers, so a station's only allocation is its device box; the
+//! switches, inspectors and tables add a fixed number per leaf.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use arpshield_core::scenario::scale::{self, ScaleConfig, LEAF_CAPACITY};
+
+/// Counts the calling thread's allocations, so the test harness's own
+/// threads never show up in a count.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every method forwards to `System` unchanged; the thread-local
+// counter has no destructor and allocates nothing.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Allocations a leaf may add: its switch, CAM, VLAN port table, DAI
+/// inspector and binding table, and its share of the root's and the
+/// simulator's growing tables. Four leaves of DAI fabric make 154 such
+/// allocations in all.
+const PER_LEAF: u64 = 64;
+
+/// Four full leaves of the defended VLAN fabric, with spoofers. A name
+/// built with `format!` would add two allocations per station (its
+/// buffer and one growth), about 12,400 in all, and break the bound.
+#[test]
+fn a_dai_fabric_build_allocates_once_per_station_plus_a_fixed_amount_per_leaf() {
+    const HOSTS: usize = 4096;
+    let config = ScaleConfig::new(20_070_625, HOSTS).with_dai().with_spoofers(8);
+    let before = allocations();
+    let lan = scale::build(config);
+    let made = allocations() - before;
+    let leaves = HOSTS.div_ceil(LEAF_CAPACITY) as u64;
+    let allowed = HOSTS as u64 + PER_LEAF * leaves;
+    assert!(made <= allowed, "{made} allocations for {HOSTS} stations, at most {allowed} allowed");
+    assert_eq!(lan.n_hosts, HOSTS);
+}

@@ -171,7 +171,7 @@ impl App for UdpEchoServer {
         payload: &[u8],
     ) {
         if dst_port == self.port {
-            api.send_udp(src, self.port, src_port, payload.to_vec());
+            api.send_udp(src, self.port, src_port, payload);
         }
     }
 }
@@ -215,7 +215,7 @@ impl App for UdpPulseApp {
     }
 
     fn on_timer(&mut self, api: &mut HostApi<'_, '_>, _payload: u32) {
-        api.send_udp(self.target, 40_000, self.dst_port, vec![0xab; self.size]);
+        api.send_udp(self.target, 40_000, self.dst_port, &vec![0xab; self.size]);
         self.arm(api);
     }
 }

@@ -6,7 +6,6 @@ use std::time::Duration;
 use arpshield_netsim::{eth_frame, DeviceCtx, Frame, PortId};
 use arpshield_packet::{
     ArpPacket, EtherType, EthernetView, IcmpMessage, Ipv4Addr, Ipv4Cidr, MacAddr, UdpDatagram,
-    WireEmit,
 };
 
 use crate::arp::EntryOrigin;
@@ -134,14 +133,14 @@ impl HostApi<'_, '_> {
     /// needed).
     pub fn send_ping(&mut self, dst: Ipv4Addr, identifier: u16, sequence: u16) {
         let msg = IcmpMessage::echo_request(identifier, sequence, &[0x61; 16]);
-        self.core.send_ipv4(self.ctx, dst, arpshield_packet::IpProtocol::Icmp, msg.encode());
+        self.core.send_ipv4(self.ctx, dst, arpshield_packet::IpProtocol::Icmp, &msg);
     }
 
     /// Sends a UDP datagram to `dst` (resolving it first if needed).
-    pub fn send_udp(&mut self, dst: Ipv4Addr, src_port: u16, dst_port: u16, payload: Vec<u8>) {
+    pub fn send_udp(&mut self, dst: Ipv4Addr, src_port: u16, dst_port: u16, payload: &[u8]) {
         let src_ip = self.ip().unwrap_or(Ipv4Addr::UNSPECIFIED);
-        let dgram = UdpDatagram::new(src_port, dst_port, src_ip, dst, &payload[..]).encode();
-        self.core.send_ipv4(self.ctx, dst, arpshield_packet::IpProtocol::Udp, dgram);
+        let dgram = UdpDatagram::new(src_port, dst_port, src_ip, dst, payload);
+        self.core.send_ipv4(self.ctx, dst, arpshield_packet::IpProtocol::Udp, &dgram);
     }
 
     /// Schedules a callback to this hook/app after `delay`, with an opaque

@@ -233,15 +233,17 @@ impl HostCore {
 
     /// Sends an IPv4 payload toward `dst`, resolving the next hop through
     /// ARP (queuing behind an outstanding resolution when necessary).
-    pub(crate) fn send_ipv4(
+    /// The payload is encoded straight into the frame; only a packet
+    /// that must wait for a resolution is encoded on its own.
+    pub(crate) fn send_ipv4<P: WireEmit + ?Sized>(
         &mut self,
         ctx: &mut DeviceCtx<'_>,
         dst: Ipv4Addr,
         protocol: IpProtocol,
-        payload: Vec<u8>,
+        payload: &P,
     ) {
         if dst.is_limited_broadcast() {
-            self.transmit_ipv4(ctx, MacAddr::BROADCAST, dst, protocol, &payload[..]);
+            self.transmit_ipv4(ctx, MacAddr::BROADCAST, dst, protocol, payload);
             return;
         }
         let next_hop = self.iface.borrow().next_hop(dst);
@@ -251,12 +253,12 @@ impl HostCore {
         };
         let cached = self.cache.borrow().lookup(ctx.now(), next_hop);
         match cached {
-            Some(mac) => self.transmit_ipv4(ctx, mac, dst, protocol, &payload[..]),
+            Some(mac) => self.transmit_ipv4(ctx, mac, dst, protocol, payload),
             None => {
                 let fresh = self.resolver.enqueue(
                     ctx.now(),
                     next_hop,
-                    PendingPacket { dst_ip: dst, protocol, payload },
+                    PendingPacket { dst_ip: dst, protocol, payload: payload.encode() },
                 );
                 if fresh {
                     self.send_arp_request(ctx, next_hop);
@@ -878,7 +880,7 @@ mod tests {
                 api.schedule(Duration::from_millis(100), 0);
             }
             fn on_timer(&mut self, api: &mut HostApi<'_, '_>, _: u32) {
-                api.send_udp(Ipv4Addr::new(10, 0, 0, 99), 5555, 7000, b"void".to_vec());
+                api.send_udp(Ipv4Addr::new(10, 0, 0, 99), 5555, 7000, b"void");
             }
         }
         let policy =
@@ -930,7 +932,7 @@ mod tests {
                         api.schedule(Duration::from_millis(50), 0);
                     }
                     fn on_timer(&mut self, api: &mut HostApi<'_, '_>, _: u32) {
-                        api.send_udp(Ipv4Addr::new(10, 0, 0, 2), 5555, 7000, b"hello".to_vec());
+                        api.send_udp(Ipv4Addr::new(10, 0, 0, 2), 5555, 7000, b"hello");
                     }
                     fn on_udp(
                         &mut self,

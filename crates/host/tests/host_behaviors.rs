@@ -182,7 +182,7 @@ fn broadcast_ipv4_reaches_every_station() {
             api.schedule(Duration::from_millis(50), 0);
         }
         fn on_timer(&mut self, api: &mut HostApi<'_, '_>, _p: u32) {
-            api.send_udp(Ipv4Addr::BROADCAST, 7777, 7777, b"hello all".to_vec());
+            api.send_udp(Ipv4Addr::BROADCAST, 7777, 7777, b"hello all");
         }
     }
     let mut net = Net::new(6);

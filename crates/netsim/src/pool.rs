@@ -95,26 +95,33 @@ fn pop_free() -> Option<Arc<FrameBuf>> {
 /// the previous tenant never show through and provides Ethernet's
 /// min-payload padding.
 pub(crate) fn build(len: usize, f: impl FnOnce(&mut [u8]) -> usize) -> Arc<FrameBuf> {
-    let mut arc = {
-        // The acquire span covers only buffer acquisition; the caller's
-        // encode closure below is attributed to the caller's own span.
-        let _s = profile::span("pool.acquire");
-        // The free list only holds unique handles, so `get_mut` cannot
-        // fail today; allocating fresh keeps a shared handle harmless if
-        // weak references ever appear.
-        let recycled = pop_free().and_then(|mut arc| {
-            let buf = Arc::get_mut(&mut arc)?;
+    // The acquire span covers only buffer acquisition; the caller's
+    // encode closure is attributed to the caller's own span.
+    let acquire = profile::span("pool.acquire");
+    // The free list only holds unique handles, so `get_mut` cannot fail
+    // today; allocating fresh keeps a shared handle harmless if weak
+    // references ever appear. It is the one uniqueness check per frame:
+    // a fresh buffer is filled before it is shared.
+    if let Some(mut arc) = pop_free() {
+        if let Some(buf) = Arc::get_mut(&mut arc) {
             buf.bytes.clear();
             buf.bytes.resize(len, 0);
             buf.epoch += 1;
-            Some(arc)
-        });
-        recycled.unwrap_or_else(|| Arc::new(FrameBuf { bytes: vec![0; len], epoch: 0 }))
-    };
-    let buf = Arc::get_mut(&mut arc).expect("freshly built buffer has a unique handle");
-    let written = f(&mut buf.bytes);
-    debug_assert_eq!(written, len, "Frame::build closure must fill the stated length");
-    arc
+            drop(acquire);
+            fill(&mut buf.bytes, f);
+            return arc;
+        }
+    }
+    let mut buf = FrameBuf { bytes: vec![0; len], epoch: 0 };
+    drop(acquire);
+    fill(&mut buf.bytes, f);
+    Arc::new(buf)
+}
+
+/// Runs a [`build`] closure over its zeroed buffer.
+fn fill(bytes: &mut [u8], f: impl FnOnce(&mut [u8]) -> usize) {
+    let written = f(bytes);
+    debug_assert_eq!(written, bytes.len(), "Frame::build closure must fill the stated length");
 }
 
 /// Returns a buffer to the free list if `arc` is the last handle and

@@ -74,27 +74,29 @@ struct ImpairedDirection {
     sent: u64,
 }
 
+/// A queued event. Device ids are `u32`, as in the link slots, and a
+/// fan-out's length fits 16 bits, so an event is 16 bytes.
 #[derive(Debug, Clone)]
 enum EventKind {
-    /// A frame arriving at `port` of `dst`. The sender is the peer in
-    /// that port's link slot, so the event does not carry it.
+    /// A frame arriving at `port` of device `dst`. The sender is the
+    /// peer in that port's link slot, so the event does not carry it.
     Deliver {
-        dst: DeviceId,
+        dst: u32,
         port: PortId,
         bytes: Frame,
         /// True for impairment-injected duplicate copies, so the
         /// flight recorder can label them distinctly.
         dup: bool,
     },
-    /// One flooded frame arriving at each of the `len` targets in
+    /// One flooded frame arriving at each of targets `0..=last` in
     /// fan-out `slot`, in list order.
     Fanout {
         bytes: Frame,
         slot: u32,
-        len: u32,
+        last: u16,
     },
     Timer {
-        dst: DeviceId,
+        dst: u32,
         token: u64,
     },
 }
@@ -109,6 +111,10 @@ struct Target {
 /// Power-of-two size classes of fan-out target lists: a flood out of a
 /// 65 536-port device reaches at most 65 535 targets.
 const FANOUT_CLASSES: usize = 17;
+
+/// The most targets one fan-out event holds: its largest size class, and
+/// every `last` index a `u16` can name. A longer run queues as several.
+const MAX_FANOUT: usize = 1 << (FANOUT_CLASSES - 1);
 
 /// Free-chain terminator of [`FanoutArena`].
 const NO_SLOT: u32 = u32::MAX;
@@ -413,7 +419,7 @@ impl Simulator {
                         self.stats.dropped_no_link += 1;
                     } else if link.impaired == PERFECT_WIRE {
                         let at = self.arrival(link);
-                        let (dst, port) = (DeviceId(link.peer as usize), link.peer_port);
+                        let (dst, port) = (link.peer, link.peer_port);
                         self.push_event(at, EventKind::Deliver { dst, port, bytes, dup: false });
                     } else {
                         self.send_impaired(from, port, link, bytes);
@@ -424,8 +430,9 @@ impl Simulator {
                     self.flood(from, ports, skip, &forms);
                 }
                 Action::Schedule { delay, token } => {
+                    // `add_device` keeps every id below `NO_PEER`.
                     let at = self.now.saturating_add(delay);
-                    self.push_event(at, EventKind::Timer { dst: from, token });
+                    self.push_event(at, EventKind::Timer { dst: from.0 as u32, token });
                 }
             }
         }
@@ -484,29 +491,26 @@ impl Simulator {
     }
 
     /// Queues the copies of `run` arriving at `at` and empties it: one
-    /// plain delivery for a single copy, else one fan-out event.
+    /// plain delivery for a single copy, else one fan-out event per
+    /// [`MAX_FANOUT`] copies. The events hold consecutive sequence
+    /// numbers, so they dispatch exactly as one would.
     fn queue_run(&mut self, run: &mut Vec<Target>, at: SimTime, bytes: &Frame) {
-        let kind = match run.as_slice() {
-            [] => return,
-            [one] => EventKind::Deliver {
-                dst: DeviceId(one.dst as usize),
-                port: one.port,
-                bytes: bytes.clone(),
-                dup: false,
-            },
-            targets => {
-                let (slot, len) = (self.fanouts.store(targets), targets.len() as u32);
-                EventKind::Fanout { bytes: bytes.clone(), slot, len }
+        if let [one] = run[..] {
+            let (dst, port) = (one.dst, one.port);
+            self.push_event(at, EventKind::Deliver { dst, port, bytes: bytes.clone(), dup: false });
+        } else {
+            for targets in run.chunks(MAX_FANOUT) {
+                let (slot, last) = (self.fanouts.store(targets), (targets.len() - 1) as u16);
+                self.push_event(at, EventKind::Fanout { bytes: bytes.clone(), slot, last });
             }
-        };
-        self.push_event(at, kind);
+        }
         run.clear();
     }
 
     /// Sends `bytes` out of `port` of `from` over the impaired `link`:
     /// draws its fate, then drops, delays or duplicates it.
     fn send_impaired(&mut self, from: DeviceId, port: PortId, link: Slot, bytes: Frame) {
-        let (peer, peer_port) = (DeviceId(link.peer as usize), link.peer_port);
+        let (peer, peer_port) = (link.peer, link.peer_port);
         let direction = &mut self.impaired[link.impaired as usize];
         let (profile, key, index) = (direction.profile, direction.key, direction.sent);
         direction.sent += 1;
@@ -529,7 +533,7 @@ impl Simulator {
             let dropped = self.run_tracer.record_frame(self.now.as_nanos(), kind, &bytes, || {
                 (
                     format!("{}:{}", self.devices[from.0].name(), port.0),
-                    format!("{}:{}", self.devices[peer.0].name(), peer_port.0),
+                    format!("{}:{}", self.devices[peer as usize].name(), peer_port.0),
                 )
             });
             self.run_tracer.event_frames(self.now.as_nanos(), category, || {
@@ -568,9 +572,10 @@ impl Simulator {
         match kind {
             EventKind::Deliver { dst, port, bytes, dup } => {
                 let kind = if dup { FrameKind::DuplicateDelivered } else { FrameKind::Delivered };
-                self.deliver(dst, port, &bytes, kind);
+                self.deliver(DeviceId(dst as usize), port, &bytes, kind);
             }
-            EventKind::Fanout { bytes, slot, len } => {
+            EventKind::Fanout { bytes, slot, last } => {
+                let len = u32::from(last) + 1;
                 for i in 0..len as usize {
                     let Target { dst, port } = self.fanouts.target(slot, len, i);
                     self.deliver(DeviceId(dst as usize), port, &bytes, FrameKind::Delivered);
@@ -580,6 +585,7 @@ impl Simulator {
             EventKind::Timer { dst, token } => {
                 let _s = profile::span("sim.timer");
                 self.stats.timers += 1;
+                let dst = DeviceId(dst as usize);
                 self.dispatch(dst, None, |device, ctx| device.on_timer(ctx, token));
             }
         }
@@ -949,11 +955,13 @@ mod tests {
     }
 
     /// A queued delivery carries no sender facts (the link slot holds
-    /// them), which keeps every pending event at 24 bytes.
+    /// them), and device ids and fan-out lengths take 32 and 16 bits,
+    /// which keeps every pending event, and the `Option` a wheel node
+    /// holds it in, at 16 bytes.
     #[test]
-    fn a_queued_event_fits_in_24_bytes() {
-        let size = std::mem::size_of::<EventKind>();
-        assert!(size <= 24, "{size} bytes");
+    fn a_queued_event_fits_in_16_bytes() {
+        let size = std::mem::size_of::<Option<EventKind>>();
+        assert!(size <= 16, "{size} bytes");
     }
 
     /// Sends `count` numbered frames at start and logs which arrive.
@@ -1054,6 +1062,49 @@ mod tests {
         assert_eq!(sim.queue_depth(), 3);
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.wire_stats().frames, 6, "one frame in, five copies out");
+    }
+
+    /// Floods `copies` copies out of port 1, all to the one peer there.
+    struct Flooder {
+        copies: usize,
+    }
+
+    impl Device for Flooder {
+        fn name(&self) -> &str {
+            "flooder"
+        }
+        fn port_count(&self) -> usize {
+            2
+        }
+        fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
+            let egress = Egress { port: PortId(1), tagged: false };
+            let frame = Frame::from(&[0u8; 60][..]);
+            ctx.flood(std::iter::repeat_n(egress, self.copies), PortId(0), [frame.clone(), frame]);
+        }
+        fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, _: &[u8]) {}
+    }
+
+    /// A fan-out event names its last target in 16 bits: a run of
+    /// 65,536 copies is one event, and one more copy queues a second
+    /// that dispatches right after it.
+    #[test]
+    fn a_run_past_16_bits_of_targets_splits_into_fanouts() {
+        for (copies, events) in [(MAX_FANOUT, 1), (MAX_FANOUT + 1, 2)] {
+            let mut sim = Simulator::new(1);
+            let flooder = sim.add_device(Box::new(Flooder { copies }));
+            let sink = sim.add_device(Box::new(Talker {
+                name: "sink",
+                ports: 1,
+                port: PortId(0),
+                left: 0,
+            }));
+            sim.connect(flooder, PortId(1), sink, PortId(0), Duration::from_micros(1)).unwrap();
+            sim.run_until(SimTime::ZERO);
+            assert_eq!(sim.queue_depth(), events, "{copies} copies");
+            sim.run_until(SimTime::from_secs(1));
+            assert_eq!(sim.wire_stats().frames, copies as u64);
+        }
+        assert_eq!(MAX_FANOUT, 65_536);
     }
 
     #[test]

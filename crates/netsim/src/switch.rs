@@ -69,8 +69,6 @@ pub enum PortVlan {
 pub struct CamEntry {
     /// Port the address was learned on.
     pub port: PortId,
-    /// Time the entry was created or moved.
-    pub learned_at: SimTime,
     /// Time of the most recent frame from this address.
     pub last_seen: SimTime,
 }
@@ -140,7 +138,6 @@ impl CamTable {
             }
             let from = entry.port;
             entry.port = port;
-            entry.learned_at = now;
             return LearnOutcome::Moved { from };
         }
         if self.entries.len() >= self.capacity {
@@ -152,7 +149,7 @@ impl CamTable {
         if self.entries.len() >= self.capacity {
             return LearnOutcome::Full;
         }
-        self.entries.insert((vid, mac), CamEntry { port, learned_at: now, last_seen: now });
+        self.entries.insert((vid, mac), CamEntry { port, last_seen: now });
         LearnOutcome::Learned
     }
 
@@ -249,8 +246,9 @@ pub enum InspectVerdict {
     Permit,
     /// Drop the frame; `reason` is recorded in switch stats.
     Deny {
-        /// Human-readable drop reason.
-        reason: String,
+        /// Human-readable drop reason, one of the inspector's fixed
+        /// strings, so a denial allocates nothing.
+        reason: &'static str,
     },
 }
 
@@ -294,7 +292,7 @@ pub struct SwitchStats {
     pub dropped_vlan: u64,
     /// Most recent inspector drop reasons (bounded ring of 32; a deque so
     /// eviction is O(1) on the per-frame ingress path).
-    pub inspector_reasons: VecDeque<String>,
+    pub inspector_reasons: VecDeque<&'static str>,
     /// Times a learn attempt found the table full.
     pub cam_full_events: u64,
     /// Ports currently err-disabled by port security.
@@ -919,6 +917,14 @@ mod tests {
         assert_eq!(cam.lookup(MacAddr::from_index(2)), Some(PortId(1)));
     }
 
+    /// An entry holds what lookups and aging read, so a 100k-station
+    /// CAM's bucket (8-byte key, entry) is 24 bytes.
+    #[test]
+    fn a_cam_entry_fits_in_16_bytes() {
+        let size = std::mem::size_of::<CamEntry>();
+        assert!(size <= 16, "{size} bytes");
+    }
+
     #[test]
     fn full_table_of_stale_entries_does_not_lock_out_learning() {
         let mut cam = CamTable::new(2, Duration::from_secs(60));
@@ -1088,7 +1094,7 @@ mod tests {
                 _: VlanId,
                 _: &EthernetView<'_>,
             ) -> InspectVerdict {
-                InspectVerdict::Deny { reason: "test".into() }
+                InspectVerdict::Deny { reason: "test" }
             }
         }
         let mut sim = Simulator::new(1);
@@ -1102,12 +1108,20 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(b_rx.borrow().len(), 0);
         assert_eq!(handle.stats.borrow().dropped_inspector, 1);
-        assert_eq!(handle.stats.borrow().inspector_reasons, vec!["test".to_string()]);
+        assert_eq!(handle.stats.borrow().inspector_reasons, ["test"]);
     }
 
     #[test]
     fn inspector_reason_ring_keeps_newest_32() {
-        struct DenySeq(u64);
+        /// Reasons are `&'static str`, so the n-th denial names `r{n}`
+        /// from a fixed table.
+        const REASONS: [&str; 40] = [
+            "r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11", "r12", "r13",
+            "r14", "r15", "r16", "r17", "r18", "r19", "r20", "r21", "r22", "r23", "r24", "r25",
+            "r26", "r27", "r28", "r29", "r30", "r31", "r32", "r33", "r34", "r35", "r36", "r37",
+            "r38", "r39",
+        ];
+        struct DenySeq(usize);
         impl FrameInspector for DenySeq {
             fn inspect(
                 &mut self,
@@ -1117,7 +1131,7 @@ mod tests {
                 _: &EthernetView<'_>,
             ) -> InspectVerdict {
                 self.0 += 1;
-                InspectVerdict::Deny { reason: format!("r{}", self.0 - 1) }
+                InspectVerdict::Deny { reason: REASONS[self.0 - 1] }
             }
         }
         let mut sim = Simulator::new(1);
@@ -1133,8 +1147,8 @@ mod tests {
         let stats = handle.stats.borrow();
         assert_eq!(stats.dropped_inspector, 40);
         assert_eq!(stats.inspector_reasons.len(), 32, "ring stays bounded");
-        assert_eq!(stats.inspector_reasons.front().map(String::as_str), Some("r8"));
-        assert_eq!(stats.inspector_reasons.back().map(String::as_str), Some("r39"));
+        assert_eq!(stats.inspector_reasons.front(), Some(&"r8"));
+        assert_eq!(stats.inspector_reasons.back(), Some(&"r39"));
     }
 
     fn access(pvid: VlanId) -> PortVlan {

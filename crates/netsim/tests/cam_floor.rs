@@ -11,8 +11,8 @@ use arpshield_netsim::{CamTable, LearnOutcome, PortId, SimTime, VlanId};
 use arpshield_packet::MacAddr;
 use arpshield_testkit::prelude::*;
 
-/// A binding as `(port, learned_at, last_seen)`.
-type Binding = (PortId, SimTime, SimTime);
+/// A binding as `(port, last_seen)`.
+type Binding = (PortId, SimTime);
 
 /// Every binding, sorted by key.
 type Contents = Vec<((VlanId, MacAddr), Binding)>;
@@ -26,13 +26,13 @@ struct ReferenceCam {
 
 impl ReferenceCam {
     fn learn(&mut self, now: SimTime, vid: VlanId, mac: MacAddr, port: PortId) -> LearnOutcome {
-        if let Some((bound, learned_at, last_seen)) = self.entries.get_mut(&(vid, mac)) {
+        if let Some((bound, last_seen)) = self.entries.get_mut(&(vid, mac)) {
             *last_seen = now;
             if *bound == port {
                 return LearnOutcome::Refreshed;
             }
             let from = *bound;
-            (*bound, *learned_at) = (port, now);
+            *bound = port;
             return LearnOutcome::Moved { from };
         }
         if self.entries.len() >= self.capacity {
@@ -41,13 +41,13 @@ impl ReferenceCam {
         if self.entries.len() >= self.capacity {
             return LearnOutcome::Full;
         }
-        self.entries.insert((vid, mac), (port, now, now));
+        self.entries.insert((vid, mac), (port, now));
         LearnOutcome::Learned
     }
 
     fn sweep(&mut self, now: SimTime) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|_, (_, _, last_seen)| now.saturating_since(*last_seen) < self.aging);
+        self.entries.retain(|_, (_, last_seen)| now.saturating_since(*last_seen) < self.aging);
         before - self.entries.len()
     }
 
@@ -59,8 +59,7 @@ impl ReferenceCam {
 }
 
 fn contents(cam: &CamTable) -> Contents {
-    let mut all: Vec<_> =
-        cam.iter().map(|(k, e)| (*k, (e.port, e.learned_at, e.last_seen))).collect();
+    let mut all: Vec<_> = cam.iter().map(|(k, e)| (*k, (e.port, e.last_seen))).collect();
     all.sort();
     all
 }
@@ -106,7 +105,7 @@ properties! {
                 ),
                 2 => prop_assert_eq!(
                     cam.lookup_vlan(vid, mac),
-                    reference.entries.get(&(vid, mac)).map(|(bound, _, _)| *bound)
+                    reference.entries.get(&(vid, mac)).map(|(bound, _)| *bound)
                 ),
                 _ => prop_assert_eq!(cam.sweep(at), reference.sweep(at)),
             }

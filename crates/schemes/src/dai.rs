@@ -91,7 +91,7 @@ impl DaiInspector {
         vlan: VlanId,
         ip: Ipv4Addr,
         mac: MacAddr,
-        reason: &str,
+        reason: &'static str,
     ) -> InspectVerdict {
         self.log.raise(Alert {
             at: now,
@@ -101,7 +101,7 @@ impl DaiInspector {
             observed_mac: Some(mac),
             expected_mac: self.bindings.borrow().get(&(vlan, ip)).copied(),
         });
-        InspectVerdict::Deny { reason: reason.to_string() }
+        InspectVerdict::Deny { reason }
     }
 
     fn snoop_dhcp(
@@ -182,7 +182,7 @@ impl FrameInspector for DaiInspector {
                     return InspectVerdict::Permit;
                 }
                 let Ok(arp) = ArpPacket::parse(eth.payload()) else {
-                    return InspectVerdict::Deny { reason: "unparseable arp".into() };
+                    return InspectVerdict::Deny { reason: "unparseable arp" };
                 };
                 if arp.sender_ip.is_unspecified() {
                     return InspectVerdict::Permit; // probes carry no claim

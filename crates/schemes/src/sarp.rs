@@ -162,7 +162,7 @@ impl SArpHook {
     fn request_key(&mut self, api: &mut HostApi<'_, '_>, ip: Ipv4Addr) {
         let mut payload = vec![MSG_LOOKUP];
         payload.extend_from_slice(&ip.octets());
-        api.send_udp(self.config.akd_ip, CLIENT_PORT, AKD_PORT, payload);
+        api.send_udp(self.config.akd_ip, CLIENT_PORT, AKD_PORT, &payload);
     }
 
     fn verify_claim(&mut self, api: &mut HostApi<'_, '_>, key: PublicKey, payload: &[u8]) {
@@ -416,7 +416,7 @@ impl App for AkdApp {
                 msg
             }
         };
-        api.send_udp(src, AKD_PORT, src_port, response);
+        api.send_udp(src, AKD_PORT, src_port, &response);
     }
 }
 

@@ -291,7 +291,7 @@ fn sarp_key_fetch_retries_recover_from_akd_outage() {
             api.schedule(Duration::from_millis(100), 0);
         }
         fn on_timer(&mut self, api: &mut arpshield_host::HostApi<'_, '_>, _payload: u32) {
-            api.send_udp(ip(1), 4000, 4001, vec![0xAB]);
+            api.send_udp(ip(1), 4000, 4001, &[0xAB]);
         }
     }
 
