@@ -27,7 +27,8 @@ use arpshield_netsim::{
 use arpshield_packet::{
     EtherType, IpProtocol, Ipv4Addr, Ipv4Cidr, Ipv4Packet, MacAddr, UdpDatagram,
 };
-use arpshield_testkit::{json, Criterion, Throughput};
+use arpshield_testkit::{Criterion, Throughput};
+use arpshield_trace::json;
 
 struct CountingAlloc;
 

@@ -36,7 +36,8 @@ use arpshield_packet::{
     DHCP_SERVER_PORT, ETHERNET_HEADER_LEN, ETHERNET_MIN_PAYLOAD, ETHERNET_VLAN_TAG_LEN,
 };
 use arpshield_schemes::{Detector, SchemeKind};
-use arpshield_testkit::{json, Criterion, Throughput};
+use arpshield_testkit::{Criterion, Throughput};
+use arpshield_trace::json;
 use arpshield_trace::pcapng::{PcapngStream, PcapngWriter};
 
 struct CountingAlloc;

@@ -31,12 +31,14 @@
 //! `<out>/profile/` sidecars and stderr — the experiment CSVs stay
 //! byte-identical with and without `--profile` at any thread count.
 //!
-//! `inspect` joins a capture with its `.index.json` sidecar into a
-//! per-run timeline interleaving frames, cache/CAM mutations, and
-//! scheme verdicts; `--host S`, `--mac S`, and `--verdict S` narrow it.
+//! `inspect` streams a capture and joins it with its `.index.json`
+//! sidecar into a per-run timeline interleaving frames, cache/CAM
+//! mutations, and scheme verdicts; `--host S`, `--mac S`, and
+//! `--verdict S` narrow it.
 //!
-//! `ingest` streams pcapng files (arpshield's own or foreign ones) in
-//! constant memory through any monitor-class scheme running standalone.
+//! `ingest` streams pcapng files (arpshield's own or foreign ones)
+//! through any monitor-class scheme running standalone; the reader
+//! holds one block and a capped interface table, whatever the file.
 //! `--scheme K` picks detectors (default: all supported), `--vantage S`
 //! replays only frames a live run delivered to device `S` — from a
 //! monitor's vantage point this reproduces the live run's verdict
@@ -61,8 +63,10 @@ use arpshield_netsim::SimTime;
 use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetView};
 use arpshield_schemes::{Detector, SchemeKind};
 use arpshield_trace::env_knob::{self, EnvKnob};
-use arpshield_trace::pcapng::PcapngStream;
-use arpshield_trace::{profile, Heartbeat, ProfileCollector, TraceCollector, Tracer};
+use arpshield_trace::pcapng::{PcapngStream, MAX_INTERFACE_NAME};
+use arpshield_trace::{
+    json, profile, FrameComment, Heartbeat, ProfileCollector, TraceCollector, Tracer,
+};
 
 const SEED: u64 = 20070625; // the venue's year, as a nod
 
@@ -182,7 +186,7 @@ impl Output {
 /// Returns a human-readable error naming the first violated invariant.
 fn validate_trace_manifest(path: &str) -> Result<String, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = arpshield_testkit::json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
     let schema = doc
         .get("schema")
         .and_then(|v| v.as_str())
@@ -285,8 +289,7 @@ fn run_validate_trace(paths: &[String]) -> i32 {
 /// runtime gauges. Returns a human-readable error for malformed input.
 fn run_profile_report(path: &str) -> Result<(), String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc =
-        arpshield_testkit::json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
     let schema = doc
         .get("schema")
         .and_then(|v| v.as_str())
@@ -378,7 +381,8 @@ fn run_profile_report(path: &str) -> Result<(), String> {
 // `inspect`: the forensic timeline.
 // ---------------------------------------------------------------------
 
-/// One frame row, reassembled from a pcapng packet and its comment.
+/// One frame's summary row, built from a pcapng packet and its
+/// comment as the capture streams past; the octets are not kept.
 struct FrameLine {
     id: u64,
     at_ns: u64,
@@ -397,26 +401,6 @@ struct EventLine {
     actor: String,
     detail: String,
     frames: Vec<u64>,
-}
-
-/// Splits a writer comment (`id=N kind=K src=S dst=D [pinned]`) into
-/// its fields; tolerates foreign captures with free-form comments.
-fn parse_frame_comment(comment: &str) -> (Option<u64>, String, String, String, bool) {
-    let mut id = None;
-    let mut kind = String::new();
-    let mut src = String::new();
-    let mut dst = String::new();
-    let mut pinned = false;
-    for token in comment.split_whitespace() {
-        match token.split_once('=') {
-            Some(("id", v)) => id = v.parse().ok(),
-            Some(("kind", v)) => kind = v.to_string(),
-            Some(("src", v)) => src = v.to_string(),
-            Some(("dst", v)) => dst = v.to_string(),
-            _ => pinned |= token == "pinned",
-        }
-    }
-    (id, kind, src, dst, pinned)
 }
 
 /// One-line protocol decode of a captured frame, via `crates/packet`.
@@ -482,9 +466,10 @@ impl InspectFilter {
     }
 }
 
-/// Loads the `.index.json` sidecar next to `path`, returning per-label
-/// events and eviction counts. A capture without its index still
-/// inspects (frames only), so hand-copied pcapng files work.
+/// Loads the `.index.json` sidecar next to `path`, `/1` or `/2`,
+/// returning per-label events and eviction counts. A capture without
+/// its index still inspects (frames only), so hand-copied pcapng files
+/// work.
 #[allow(clippy::type_complexity)]
 fn load_index(
     path: &str,
@@ -499,10 +484,9 @@ fn load_index(
         eprintln!("note: no index sidecar at {sidecar}; timeline will show frames only");
         return Ok((events_by_label, evicted_by_label));
     };
-    let doc = arpshield_testkit::json::parse(&text)
-        .map_err(|e| format!("{sidecar}: invalid JSON: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{sidecar}: invalid JSON: {e}"))?;
     let schema = doc.get("schema").and_then(|v| v.as_str()).unwrap_or_default();
-    if schema != "arpshield-capture/1" {
+    if !matches!(schema, "arpshield-capture/1" | "arpshield-capture/2") {
         return Err(format!("{sidecar}: unknown schema {schema:?}"));
     }
     for run in doc.get("runs").and_then(|v| v.as_arr()).unwrap_or_default() {
@@ -558,31 +542,38 @@ fn parse_inspect_args(args: &[String]) -> Result<(String, InspectFilter), String
     Ok((path.ok_or("no capture FILE given")?, filter))
 }
 
+/// Streams the capture at `path`, keeping one summary row per frame,
+/// and prints it joined with its index as per-run timelines. A capture
+/// cut mid-block shows its complete packets and a warning.
 fn run_inspect(path: &str, filter: &InspectFilter) -> Result<(), String> {
-    let raw = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let capture = arpshield_trace::pcapng::parse(&raw).map_err(|e| format!("{path}: {e}"))?;
-    let (events_by_label, evicted_by_label) = load_index(path)?;
-
-    let mut frames_by_run: Vec<Vec<FrameLine>> = Vec::new();
-    frames_by_run.resize_with(capture.interfaces.len(), Vec::new);
-    for (seq, pkt) in capture.packets.iter().enumerate() {
-        let (id, kind, src, dst, pinned) = parse_frame_comment(&pkt.comment);
-        frames_by_run[pkt.interface].push(FrameLine {
-            id: id.unwrap_or(seq as u64 + 1),
+    let file = fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let mut stream = PcapngStream::new(BufReader::new(file));
+    let mut frames_by_run: HashMap<usize, Vec<FrameLine>> = HashMap::new();
+    let mut seq = 0;
+    while let Some(pkt) = stream.next_packet().map_err(|e| format!("{path}: {e}"))? {
+        seq += 1;
+        let comment = FrameComment::parse(pkt.comment);
+        frames_by_run.entry(pkt.interface).or_default().push(FrameLine {
+            id: comment.id.unwrap_or(seq),
             at_ns: pkt.ts_ns,
-            kind,
-            src,
-            dst,
+            kind: comment.kind.to_string(),
+            src: comment.src.to_string(),
+            dst: comment.dst.to_string(),
             len: pkt.bytes.len(),
-            pinned,
-            decoded: decode_frame(&pkt.bytes),
+            pinned: comment.pinned,
+            decoded: decode_frame(pkt.bytes),
         });
     }
+    for warning in stream.warnings() {
+        eprintln!("warning: {path}: {warning}");
+    }
+    let labels = stream.interfaces();
+    let (events_by_label, evicted_by_label) = load_index(path)?;
 
     let (mut frames_shown, mut frames_total) = (0usize, 0usize);
     let (mut events_shown, mut events_total) = (0usize, 0usize);
-    for (run, label) in capture.interfaces.iter().enumerate() {
-        let frames = &frames_by_run[run];
+    for (run, label) in labels.iter().enumerate() {
+        let frames = frames_by_run.get(&run).map(Vec::as_slice).unwrap_or_default();
         let events = events_by_label.get(label).map(Vec::as_slice).unwrap_or_default();
         frames_total += frames.len();
         events_total += events.len();
@@ -667,7 +658,7 @@ fn run_inspect(path: &str, filter: &InspectFilter) -> Result<(), String> {
     println!(
         "{} run(s); showing {frames_shown}/{frames_total} frame(s), \
          {events_shown}/{events_total} event(s)",
-        capture.interfaces.len(),
+        labels.len(),
     );
     Ok(())
 }
@@ -795,7 +786,7 @@ fn ingest_source(
             }
         };
         pulled += 1;
-        let (_, _, src, dst, _) = parse_frame_comment(&comment);
+        let FrameComment { src, dst, .. } = FrameComment::parse(&comment);
         // Only arpshield's own comments name a `dst=` endpoint. A foreign
         // capture's frames, uncommented or free-form, are all "what the
         // detector saw", whatever the vantage.
@@ -804,8 +795,7 @@ fn ingest_source(
             filtered += 1;
             continue;
         }
-        let (src, dst) =
-            if provenance { (src.as_str(), dst.as_str()) } else { ("wire", "detector") };
+        let (src, dst) = if provenance { (src, dst) } else { ("wire", "detector") };
         let at = SimTime::from_nanos(ts_ns);
         for (index, kind) in opts.schemes.iter().enumerate() {
             let (_, detector) = detectors.entry((interface, index)).or_insert_with(|| {
@@ -842,6 +832,9 @@ fn ingest_source(
         println!(
             "  vantage '{vantage}': {filtered} frame(s) recorded at other vantage points skipped"
         );
+    }
+    if stats.truncated_names > 0 {
+        println!("  {} interface name(s) cut to {MAX_INTERFACE_NAME} bytes", stats.truncated_names);
     }
     for (_, (label, detector)) in &mut runs {
         detector.finish();

@@ -14,6 +14,7 @@ use arpshield_packet::{Ipv4Addr, Ipv4Cidr, MacAddr};
 use arpshield_schemes::{
     AlertLog, DaiConfig, DaiInspector, RateConfig, RateMonitor, SchemeKind, PORT_SECURITY,
 };
+use arpshield_trace::Tracer;
 
 use crate::report::Table;
 
@@ -27,9 +28,19 @@ struct DosRun {
     detected: bool,
 }
 
-fn flood_run(seed: u64, scheme: SchemeKind) -> DosRun {
+/// A simulator and alert log sharing one run tracer named after the
+/// run's parameters, disabled unless a trace collector is installed.
+fn traced_run(attack: &str, scheme: SchemeKind, seed: u64) -> (Simulator, AlertLog) {
+    let tracer = Tracer::for_current_run(format!("attack={attack} scheme={scheme} seed={seed}"));
     let alerts = AlertLog::new();
+    alerts.set_tracer(tracer.clone());
     let mut sim = Simulator::new(seed);
+    sim.set_tracer(tracer);
+    (sim, alerts)
+}
+
+fn flood_run(seed: u64, scheme: SchemeKind) -> DosRun {
+    let (mut sim, alerts) = traced_run("mac-flood", scheme, seed);
     let mut config = SwitchConfig { ports: 8, cam_capacity: 512, ..Default::default() };
     if scheme == SchemeKind::PortSecurity {
         config.port_security = Some(PORT_SECURITY);
@@ -56,8 +67,7 @@ fn flood_run(seed: u64, scheme: SchemeKind) -> DosRun {
 }
 
 fn starve_run(seed: u64, scheme: SchemeKind) -> DosRun {
-    let alerts = AlertLog::new();
-    let mut sim = Simulator::new(seed);
+    let (mut sim, alerts) = traced_run("dhcp-starvation", scheme, seed);
     let gw_ip = Ipv4Addr::new(192, 168, 88, 1);
     let pool = 16u32;
     let mut config = SwitchConfig { ports: 8, ..Default::default() };
@@ -102,8 +112,7 @@ fn starve_run(seed: u64, scheme: SchemeKind) -> DosRun {
 }
 
 fn scan_run(seed: u64, scheme: SchemeKind) -> DosRun {
-    let alerts = AlertLog::new();
-    let mut sim = Simulator::new(seed);
+    let (mut sim, alerts) = traced_run("arp-scan", scheme, seed);
     let subnet = Ipv4Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 26); // 62 hosts to sweep
     let mut config = SwitchConfig { ports: 12, ..Default::default() };
     if scheme == SchemeKind::PortSecurity {

@@ -11,6 +11,7 @@ use arpshield_host::{Host, HostConfig};
 use arpshield_netsim::{PortId, SimTime, Simulator, Switch, SwitchConfig};
 use arpshield_packet::{Ipv4Addr, Ipv4Cidr, MacAddr};
 use arpshield_schemes::PORT_SECURITY;
+use arpshield_trace::Tracer;
 
 use crate::report::Series;
 
@@ -24,6 +25,7 @@ pub fn f6_flood_dynamics(seed: u64) -> Vec<Series> {
     let mut out = Vec::new();
     for (label, secured) in [("plain-switch", false), ("port-security", true)] {
         let mut sim = Simulator::new(seed);
+        sim.set_tracer(Tracer::for_current_run(format!("mac-flood switch={label} seed={seed}")));
         let config = SwitchConfig {
             ports: 8,
             cam_capacity: 1024,
@@ -54,6 +56,7 @@ pub fn f6_flood_dynamics(seed: u64) -> Vec<Series> {
 /// 20, handshake-completing starver at 50 discovers/s).
 pub fn f6_starvation_dynamics(seed: u64) -> Series {
     let mut sim = Simulator::new(seed);
+    sim.set_tracer(Tracer::for_current_run(format!("dhcp-starvation seed={seed}")));
     let (switch, _) = Switch::new("sw", SwitchConfig { ports: 8, ..Default::default() });
     let switch = sim.add_device(Box::new(switch));
 

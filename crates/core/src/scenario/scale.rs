@@ -46,6 +46,7 @@ use arpshield_packet::{
     ArpOp, ArpPacket, EtherType, EthernetEmit, EthernetView, Ipv4Addr, MacAddr, WireEmit,
 };
 use arpshield_schemes::{AlertLog, DaiConfig, DaiInspector};
+use arpshield_trace::Tracer;
 
 /// Hosts per leaf switch; the uplink rides on one extra port.
 pub const LEAF_CAPACITY: usize = 1024;
@@ -383,6 +384,8 @@ pub fn build(config: ScaleConfig) -> ScaleLan {
     }
     let first_spoofer = n - config.spoofers.min(n);
 
+    // One recorder per run, disabled unless a collector is installed.
+    let tracer = Tracer::for_current_run(format!("{config:?}"));
     let mut sim = Simulator::new(config.seed);
     let host_leaf_latency = Duration::from_micros(5);
     let leaf_root_latency = Duration::from_micros(10);
@@ -392,6 +395,10 @@ pub fn build(config: ScaleConfig) -> ScaleLan {
     let aging = config.duration * 2 + Duration::from_secs(60);
 
     let alerts = defend.then(AlertLog::new);
+    if let Some(log) = &alerts {
+        log.set_tracer(tracer.clone());
+    }
+    sim.set_tracer(tracer);
     // The root trunks every access VLAN: port 0 (gateway) carries all
     // of them, port l+1 carries exactly leaf l's VID — mis-wired tags
     // die at the trunk instead of leaking across leaves.

@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::json;
+use arpshield_trace::json;
 
 /// Measurement depth configuration.
 #[derive(Debug, Clone)]

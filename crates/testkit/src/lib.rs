@@ -12,9 +12,8 @@
 //! * [`bench`] — a criterion-lite harness behind the same
 //!   `criterion_group!`/`criterion_main!` surface, timing with
 //!   calibration + warmup + fixed-iteration sampling and writing
-//!   median/mean/throughput JSON to `results/bench/<name>.json`.
-//! * [`json`] — the minimal JSON writer/parser the bench artifacts and
-//!   their validation tests share.
+//!   median/mean/throughput JSON to `results/bench/<name>.json` through
+//!   `arpshield_trace::json`.
 //!
 //! The point of the crate (see the "Zero registry dependencies" section
 //! of the top-level README): `cargo build && cargo test && cargo bench`
@@ -25,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod json;
 pub mod prop;
 pub mod rng;
 

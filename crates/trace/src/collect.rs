@@ -14,7 +14,7 @@ use crate::hist::Histogram;
 use crate::json::quote;
 use crate::pcapng::PcapngWriter;
 use crate::record::Event;
-use crate::recorder::RecordedFrame;
+use crate::recorder::{FrameComment, RecordedFrame};
 
 /// One flushed run: its label, its counters (kept structured so the
 /// manifest can merge totals), its serialized JSON body, and — when a
@@ -249,36 +249,31 @@ impl RunManifest {
     /// Exports every captured frame as a pcapng file openable in
     /// Wireshark/tshark: one Ethernet interface per run (named after
     /// the run label, nanosecond timestamps), frames in capture-id
-    /// order, each carrying its id/kind/endpoints (and pin state) as
-    /// the packet comment. Runs that captured nothing still get their
+    /// order, each carrying its [`FrameComment`] (id, kind, endpoints,
+    /// pin state). Runs that captured nothing still get their
     /// interface, so the interface list always mirrors the run list.
     pub fn to_pcapng(&self) -> Vec<u8> {
         let mut writer = PcapngWriter::new("arpshield reproduce");
         for run in &self.runs {
             let interface = writer.add_interface(&run.label);
             for frame in &run.frames {
-                let comment = format!(
-                    "id={} kind={} src={} dst={}{}",
-                    frame.id,
-                    frame.kind.label(),
-                    frame.src,
-                    frame.dst,
-                    if frame.pinned { " pinned" } else { "" },
-                );
+                let comment = FrameComment::of(frame).to_string();
                 writer.add_packet(interface, frame.at_ns, &frame.bytes, &comment);
             }
         }
         writer.finish()
     }
 
-    /// Serializes the capture sidecar index (`arpshield-capture/1`):
-    /// per run, the frame table (metadata only — octets live in the
-    /// pcapng) and every event with its frame citations. `reproduce
-    /// inspect` joins the two files into the forensic timeline.
+    /// Serializes the capture sidecar index (`arpshield-capture/2`):
+    /// what the pcapng cannot hold, namely the ring capacity and, per
+    /// run, the eviction count and every event with its frame
+    /// citations. The frames themselves, with their ids, times and
+    /// endpoints, live only in the pcapng. `reproduce inspect` joins
+    /// the two files into the forensic timeline.
     pub fn to_capture_index(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"arpshield-capture/1\",");
+        let _ = writeln!(out, "  \"schema\": \"arpshield-capture/2\",");
         let _ = writeln!(out, "  \"experiment\": {},", quote(&self.experiment));
         let _ = writeln!(out, "  \"time_unit\": \"ns\",");
         let _ = writeln!(out, "  \"ring_capacity\": {},", self.capture.unwrap_or(0));
@@ -289,25 +284,7 @@ impl RunManifest {
             }
             out.push_str("\n    {\"label\":");
             out.push_str(&quote(&run.label));
-            let _ = write!(out, ",\"frames_evicted\":{},\"frames\":[", run.frames_evicted);
-            for (j, f) in run.frames.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"id\":{},\"at_ns\":{},\"kind\":{},\"src\":{},\"dst\":{},\
-                     \"len\":{},\"pinned\":{}}}",
-                    f.id,
-                    f.at_ns,
-                    quote(f.kind.label()),
-                    quote(&f.src),
-                    quote(&f.dst),
-                    f.bytes.len(),
-                    f.pinned,
-                );
-            }
-            out.push_str("],\"events\":[");
+            let _ = write!(out, ",\"frames_evicted\":{},\"events\":[", run.frames_evicted);
             for (j, ev) in run.events.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
@@ -340,6 +317,7 @@ impl RunManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Value};
 
     fn section(label: &str, counter: &str, value: u64) -> RunSection {
         let mut counters = BTreeMap::new();
@@ -386,15 +364,24 @@ mod tests {
     fn json_shape() {
         let collector = TraceCollector::new();
         collector.push_section(section("r", "c", 1));
+        collector.warn("a \"quoted\" warning");
         let json = collector.manifest("t9").to_json();
         assert!(json.starts_with("{\n  \"schema\": \"arpshield-trace/1\""));
         assert!(json.contains("\"experiment\": \"t9\""));
         assert!(json.contains("\"time_unit\": \"ns\""));
         assert!(json.contains("\"totals\": {"));
         assert!(json.contains("\"runs\": ["));
+        let doc = json::parse(&json).expect("the manifest is JSON");
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some("arpshield-trace/1"));
+        assert_eq!(doc.get("totals").and_then(|t| t.get("c")), Some(&Value::Num(1.0)));
+        let warnings = doc.get("warnings").and_then(Value::as_arr).unwrap();
+        assert_eq!(warnings, [Value::Str("a \"quoted\" warning".into())]);
+        let runs = doc.get("runs").and_then(Value::as_arr).unwrap();
+        assert_eq!(runs[0].get("label").and_then(Value::as_str), Some("r"));
         let empty = TraceCollector::new().manifest("t0").to_json();
         assert!(empty.contains("\"runs\": []"));
         assert!(empty.contains("\"warnings\": []"));
+        assert!(json::parse(&empty).is_ok());
     }
 
     #[test]
@@ -425,19 +412,31 @@ mod tests {
         let manifest = collector.manifest("tX");
         assert_eq!(manifest.capture, Some(16));
 
-        let pcap = crate::pcapng::parse(&manifest.to_pcapng()).unwrap();
-        assert_eq!(pcap.interfaces, vec!["run-a".to_string(), "run-b".to_string()]);
-        assert_eq!(pcap.packets.len(), 1);
-        assert_eq!(pcap.packets[0].interface, 1, "frameless runs still hold their interface slot");
-        assert_eq!(pcap.packets[0].ts_ns, 5_000);
-        assert_eq!(pcap.packets[0].comment, "id=1 kind=deliver src=h0:0 dst=sw:1 pinned");
+        let pcap = manifest.to_pcapng();
+        let mut stream = crate::pcapng::PcapngStream::new(pcap.as_slice());
+        let packet = stream.next_packet().unwrap().expect("one captured frame");
+        assert_eq!(packet.interface, 1, "frameless runs still hold their interface slot");
+        assert_eq!(packet.ts_ns, 5_000);
+        assert_eq!(packet.bytes, [0xAB; 60]);
+        assert_eq!(packet.comment, "id=1 kind=deliver src=h0:0 dst=sw:1 pinned");
+        assert!(stream.next_packet().unwrap().is_none());
+        assert_eq!(stream.interfaces(), ["run-a", "run-b"]);
 
-        let index = manifest.to_capture_index();
-        assert!(index.starts_with("{\n  \"schema\": \"arpshield-capture/1\""));
-        assert!(index.contains("\"ring_capacity\": 16"));
-        assert!(index.contains("\"frames_evicted\":3"));
-        assert!(index.contains("\"kind\":\"deliver\""));
-        assert!(index.contains("\"frames\":[1]"));
+        // The index parses back, carries its tag, and holds eviction
+        // counts and events with their citations, but no frame table:
+        // the frames live in the pcapng alone.
+        let index = json::parse(&manifest.to_capture_index()).expect("the index is JSON");
+        assert_eq!(index.get("schema").and_then(Value::as_str), Some("arpshield-capture/2"));
+        assert_eq!(index.get("ring_capacity").and_then(Value::as_num), Some(16.0));
+        let runs = index.get("runs").and_then(Value::as_arr).unwrap();
+        assert_eq!(runs.len(), 2);
+        assert!(runs.iter().all(|run| run.get("frames").is_none()));
+        let run_b = &runs[1];
+        assert_eq!(run_b.get("label").and_then(Value::as_str), Some("run-b"));
+        assert_eq!(run_b.get("frames_evicted").and_then(Value::as_num), Some(3.0));
+        let event = &run_b.get("events").and_then(Value::as_arr).unwrap()[0];
+        assert_eq!(event.get("detail").and_then(Value::as_str), Some("kind=binding_changed"));
+        assert_eq!(event.get("frames"), Some(&Value::Arr(vec![Value::Num(1.0)])));
     }
 
     #[test]

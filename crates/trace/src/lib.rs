@@ -17,6 +17,9 @@
 //! * [`RunManifest`] — the deterministic JSON/CSV export written under
 //!   `results/trace/` by `reproduce --trace`.
 //!
+//! The crate also owns the two file formats, with one reader and one
+//! writer each: [`json`] and [`pcapng`].
+//!
 //! ## Determinism contract
 //!
 //! The manifest for a given experiment and seed is byte-identical at
@@ -41,8 +44,10 @@
 //! event recorded during that dispatch — a CAM move, a cache write, a
 //! scheme verdict — cites the exact frame that caused it. Frames cited
 //! by scheme alerts are *pinned* and survive ring eviction. The
-//! [`RunManifest`] exports captures as standard [`pcapng`] plus an
-//! `arpshield-capture/1` JSON index.
+//! [`RunManifest`] exports captures as standard [`pcapng`], each frame
+//! described by its [`FrameComment`], plus an `arpshield-capture/2`
+//! JSON index holding what the pcapng cannot: eviction counts and the
+//! events with their frame citations.
 //!
 //! ## Disabled-path cost
 //!
@@ -74,7 +79,7 @@ mod csv;
 pub mod env_knob;
 pub mod heartbeat;
 mod hist;
-mod json;
+pub mod json;
 pub mod pcapng;
 pub mod profile;
 mod record;
@@ -89,5 +94,6 @@ pub use profile::{
 };
 pub use record::{Event, RunRecorder, Tracer, MAX_EVENTS_PER_RUN};
 pub use recorder::{
-    ring_capacity_from_env, FrameKind, FrameRecorder, RecordedFrame, DEFAULT_RECORD_FRAMES,
+    ring_capacity_from_env, FrameComment, FrameKind, FrameRecorder, RecordedFrame,
+    DEFAULT_RECORD_FRAMES,
 };

@@ -628,6 +628,11 @@ mod tests {
         assert!(json.contains("\"name\": \"beta\""));
         assert!(json
             .contains("\"name\": \"depth\", \"samples\": 2, \"min\": 5, \"max\": 11, \"sum\": 16"));
+        let doc = crate::json::parse(&json).expect("the report is JSON");
+        assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some(PROFILE_SCHEMA));
+        assert_eq!(doc.get("wall_ns").and_then(|v| v.as_num()), Some(123_456.0));
+        let spans = doc.get("spans").and_then(|v| v.as_arr()).unwrap();
+        assert!(spans.iter().any(|s| s.get("path").and_then(|v| v.as_str()) == Some("alpha/beta")));
         let csv = report.to_csv();
         assert!(csv.starts_with("path,count,total_ns,self_ns\n"));
         assert!(csv.contains("alpha/beta,1,"));

@@ -10,6 +10,7 @@
 //! bytes that triggered it, no matter how much traffic followed.
 
 use std::collections::VecDeque;
+use std::fmt;
 
 /// Default ring capacity when `ARPSHIELD_RECORD_FRAMES` is unset.
 pub const DEFAULT_RECORD_FRAMES: usize = 4096;
@@ -60,6 +61,65 @@ pub struct RecordedFrame {
     /// Whether an alert cited this frame (pinned frames survive ring
     /// eviction).
     pub pinned: bool,
+}
+
+/// A captured frame's pcapng comment, `id=N kind=K src=S dst=D` plus
+/// ` pinned` when pinned: [`Display`](fmt::Display) writes it and
+/// [`parse`](Self::parse) reads it back, borrowing its fields.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameComment<'a> {
+    /// [`RecordedFrame::id`]; `None` when the comment names none.
+    pub id: Option<u64>,
+    /// [`FrameKind::label`].
+    pub kind: &'a str,
+    /// [`RecordedFrame::src`].
+    pub src: &'a str,
+    /// [`RecordedFrame::dst`].
+    pub dst: &'a str,
+    /// [`RecordedFrame::pinned`].
+    pub pinned: bool,
+}
+
+impl<'a> FrameComment<'a> {
+    /// The comment `frame` is exported with.
+    pub fn of(frame: &'a RecordedFrame) -> Self {
+        FrameComment {
+            id: Some(frame.id),
+            kind: frame.kind.label(),
+            src: &frame.src,
+            dst: &frame.dst,
+            pinned: frame.pinned,
+        }
+    }
+
+    /// Splits `comment` into its fields. Unknown tokens are skipped, so
+    /// a foreign capture's free-form comment reads as empty fields.
+    pub fn parse(comment: &'a str) -> Self {
+        let mut fields = FrameComment::default();
+        for token in comment.split_whitespace() {
+            match token.split_once('=') {
+                Some(("id", v)) => fields.id = v.parse().ok(),
+                Some(("kind", v)) => fields.kind = v,
+                Some(("src", v)) => fields.src = v,
+                Some(("dst", v)) => fields.dst = v,
+                _ => fields.pinned |= token == "pinned",
+            }
+        }
+        fields
+    }
+}
+
+impl fmt::Display for FrameComment<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(id) = self.id {
+            write!(f, "id={id} ")?;
+        }
+        write!(f, "kind={} src={} dst={}", self.kind, self.src, self.dst)?;
+        if self.pinned {
+            f.write_str(" pinned")?;
+        }
+        Ok(())
+    }
 }
 
 /// A bounded ring of [`RecordedFrame`]s with pin-on-evict migration.
@@ -240,6 +300,27 @@ mod tests {
         frame(&mut rec, 2);
         assert_eq!(rec.len(), 1);
         assert_eq!(rec.evicted(), 1);
+    }
+
+    /// What the writer prints, the parser reads back field for field,
+    /// pinned or not; a foreign comment reads as empty fields.
+    #[test]
+    fn frame_comment_round_trips() {
+        let mut rec = FrameRecorder::new(4);
+        frame(&mut rec, 1);
+        frame(&mut rec, 2);
+        rec.pin(2);
+        let (frames, _) = rec.into_frames();
+        let written: Vec<String> = frames.iter().map(|f| FrameComment::of(f).to_string()).collect();
+        assert_eq!(
+            written,
+            ["id=1 kind=deliver src=a:1 dst=b:0", "id=2 kind=deliver src=a:2 dst=b:0 pinned"]
+        );
+        for (frame, text) in frames.iter().zip(&written) {
+            assert_eq!(FrameComment::parse(text), FrameComment::of(frame));
+        }
+        assert_eq!(FrameComment::parse("captured on office switch"), FrameComment::default());
+        assert_eq!(FrameComment::parse("id=x dst=m:0").id, None);
     }
 
     #[test]

@@ -4,14 +4,16 @@
 #
 #   scripts/ci.sh
 #
-# Steps: rustfmt check, release build, clippy over every target with
-# lints denied, full test suite, a build and self-test of perfbench (its
+# Steps: rustfmt check, release build, a check that the `reproduce`
+# crate links the test kit only as a dev-dependency, clippy over every
+# target with lints denied, full test suite, a build and self-test of perfbench (its
 # own workspace, built against the library crates by path, so removing
 # API it uses fails here), a smoke run of the t5r loss-resilience
 # sweep, a `--trace` smoke (manifest emission + validation), a
 # `--profile` smoke (span profile emission + report rendering), a
-# `--capture` smoke (pcapng + index emission, forensic `inspect`
-# timeline with verdict provenance), an `ingest` smoke
+# `--capture` smoke (pcapng + `arpshield-capture/2` index emission,
+# forensic `inspect` timeline with verdict provenance, `inspect` on a
+# capture cut mid-block), an `ingest` smoke
 # (capture re-ingest through the standalone detector, checking live vs
 # re-ingested verdict-counter parity), a re-derivation of the committed
 # t6s/t6sd rows at 1k-10k hosts, a one-iteration smoke run of every
@@ -29,6 +31,13 @@ cargo fmt --all -- --check
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline
+
+echo "==> arpshield-bench links no test code (arpshield-testkit is a dev-dependency only)"
+bench_deps="$(cargo tree --offline -e normal -p arpshield-bench)"
+if grep -q "arpshield-testkit" <<<"$bench_deps"; then
+    echo "arpshield-bench has a normal dependency on arpshield-testkit" >&2
+    exit 1
+fi
 
 echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -85,7 +94,30 @@ for id in t2 t3; do
     test -s "$capture_out/capture/$id.pcapng"
     test -s "$capture_out/capture/$id.index.json"
 done
+# The index carries events and eviction counts; the frames themselves
+# live only in the pcapng, so no run has a `frames` table.
+python3 - "$capture_out/capture/t2.index.json" "$capture_out/capture/t3.index.json" <<'PY'
+import json
+import sys
+
+for path in sys.argv[1:]:
+    doc = json.load(open(path))
+    if doc["schema"] != "arpshield-capture/2":
+        sys.exit(f"capture index: FAIL {path}: schema {doc['schema']!r}")
+    if any("frames" in run for run in doc["runs"]):
+        sys.exit(f"capture index: FAIL {path}: a run carries a frame table")
+    print(f"capture index: ok {path}: {len(doc['runs'])} run(s), no frame table")
+PY
 ./target/release/reproduce inspect "$capture_out/capture/t2.pcapng" >/dev/null
+# A capture cut mid-block still inspects: its complete packets plus a
+# `truncated` warning, and exit 0.
+t2_size="$(wc -c <"$capture_out/capture/t2.pcapng")"
+head -c "$((t2_size - 2))" "$capture_out/capture/t2.pcapng" >"$capture_out/cut.pcapng"
+cp "$capture_out/capture/t2.index.json" "$capture_out/cut.index.json"
+./target/release/reproduce inspect "$capture_out/cut.pcapng" \
+    >"$capture_out/cut.timeline" 2>"$capture_out/cut.stderr"
+grep -q "truncated" "$capture_out/cut.stderr"
+grep -q "== run: " "$capture_out/cut.timeline"
 # t3 runs defended cells: the timeline must surface verdicts with their
 # pinned provenance frames.
 ./target/release/reproduce inspect "$capture_out/capture/t3.pcapng" \

@@ -5,7 +5,8 @@
 use arpshield::packet::{
     ArpPacket, EtherType, EthernetEmit, EthernetView, Ipv4Addr, MacAddr, WireEmit,
 };
-use arpshield_testkit::{json, BenchConfig, Criterion, Throughput};
+use arpshield::trace::json;
+use arpshield_testkit::{BenchConfig, Criterion, Throughput};
 
 #[test]
 fn one_iteration_bench_run_emits_parseable_json() {

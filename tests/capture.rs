@@ -5,7 +5,7 @@
 //!    pcapng + index are byte-identical at any `ARPSHIELD_THREADS`.
 //! 2. **Verdicts carry provenance**: every `scheme.verdict.*` event in
 //!    a captured attack run cites at least one frame, every cited
-//!    frame survives ring eviction (pinning), and the pcapng parses
+//!    frame survives ring eviction (pinning), and the pcapng streams
 //!    back with one interface per run.
 //! 3. **Capture off means nothing recorded**: sections hold no frames
 //!    and manifests don't even mention them.
@@ -16,7 +16,8 @@ use arpshield::analysis::experiment::t2_susceptibility;
 use arpshield::analysis::scenario::{AttackScenario, ScenarioConfig};
 use arpshield::attacks::PoisonVariant;
 use arpshield::schemes::SchemeKind;
-use arpshield::trace::{install, pcapng, TraceCollector};
+use arpshield::trace::pcapng::PcapngStream;
+use arpshield::trace::{install, json, FrameComment, TraceCollector};
 
 #[test]
 fn capture_is_inert_and_thread_count_independent() {
@@ -79,19 +80,28 @@ fn attack_capture_pins_verdict_provenance() {
         }
     }
 
-    // The export round-trips through the stand-alone parser with one
-    // named interface per run and every packet's octets intact.
-    let parsed = pcapng::parse(&manifest.to_pcapng()).expect("export must parse back");
-    assert_eq!(parsed.interfaces, vec![run.label.clone()]);
-    assert_eq!(parsed.packets.len(), run.frames.len());
-    for (packet, frame) in parsed.packets.iter().zip(&run.frames) {
+    // The export streams back with one named interface per run and
+    // every packet's octets and comment intact.
+    let pcap = manifest.to_pcapng();
+    let mut stream = PcapngStream::new(pcap.as_slice());
+    let mut frames = run.frames.iter();
+    while let Some(packet) = stream.next_packet().expect("export must stream back") {
+        let frame = frames.next().expect("no more packets than frames");
         assert_eq!(packet.ts_ns, frame.at_ns);
         assert_eq!(packet.bytes, frame.bytes, "octets survive the pcapng round-trip");
-        assert!(packet.comment.contains(&format!("id={}", frame.id)));
+        assert_eq!(FrameComment::parse(packet.comment), FrameComment::of(frame));
     }
+    assert!(frames.next().is_none(), "every frame is exported");
+    assert_eq!(stream.interfaces(), std::slice::from_ref(&run.label));
+    assert!(stream.warnings().is_empty());
 
+    // The index holds the events and their citations; the frames
+    // themselves are the pcapng's alone.
     let index = manifest.to_capture_index();
-    assert!(index.contains("\"arpshield-capture/1\""));
+    let doc = json::parse(&index).expect("the index is JSON");
+    assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some("arpshield-capture/2"));
+    let runs = doc.get("runs").and_then(|v| v.as_arr()).expect("a runs array");
+    assert!(runs[0].get("frames").is_none(), "no frame table in the index");
     assert!(index.contains("\"scheme.verdict\""));
     assert!(index.contains("kind=binding_changed"));
 }

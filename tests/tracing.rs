@@ -9,22 +9,49 @@
 
 use std::sync::Arc;
 
-use arpshield::analysis::experiment::{t2_susceptibility, t3_coverage};
+use arpshield::analysis::experiment::{
+    f6_flood_dynamics, f6_starvation_dynamics, t2_susceptibility, t3_coverage, t6_dos_coverage,
+    t6_scale, t6_scale_defended,
+};
 use arpshield::analysis::scenario::{AttackScenario, BenignScenario, ScenarioConfig};
+use arpshield::analysis::Series;
 use arpshield::attacks::PoisonVariant;
 use arpshield::schemes::SchemeKind;
 use arpshield::trace::{install, TraceCollector};
 
+/// Runs one experiment and renders its CSV.
+type Experiment = fn() -> String;
+
+fn series_csv(series: Vec<Series>) -> String {
+    series.iter().map(Series::to_csv).collect()
+}
+
+/// Every experiment family's builder opens a run tracer: the LAN
+/// scenarios (t2), the volumetric-attack runs (t6), the scale fabric
+/// (t6s, t6sd) and the attack dynamics (f6).
 #[test]
 fn tracing_does_not_perturb_experiment_output() {
-    let plain = t2_susceptibility(21).to_csv();
-    let collector = Arc::new(TraceCollector::new());
-    let traced = {
-        let _guard = install(collector.clone());
-        t2_susceptibility(21).to_csv()
-    };
-    assert_eq!(plain, traced, "observation must never change the observed simulation");
-    assert!(!collector.is_empty(), "the traced run must actually have recorded something");
+    let experiments: [(&str, Experiment); 5] = [
+        ("t2", || t2_susceptibility(21).to_csv()),
+        ("t6", || t6_dos_coverage(21).to_csv()),
+        ("t6s", || series_csv(t6_scale(21, &[300]))),
+        ("t6sd", || series_csv(t6_scale_defended(21, &[300]))),
+        ("f6", || {
+            let mut series = f6_flood_dynamics(21);
+            series.push(f6_starvation_dynamics(21));
+            series_csv(series)
+        }),
+    ];
+    for (id, run) in experiments {
+        let plain = run();
+        let collector = Arc::new(TraceCollector::new());
+        let traced = {
+            let _guard = install(collector.clone());
+            run()
+        };
+        assert_eq!(plain, traced, "{id}: observation must never change the observed simulation");
+        assert!(!collector.is_empty(), "{id}: the traced runs must leave run sections");
+    }
 }
 
 #[test]
