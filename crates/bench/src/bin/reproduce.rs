@@ -6,35 +6,35 @@
 //! reproduce --out DIR         # also write CSVs (default: results/)
 //! reproduce t6s --defend      # also run the DAI-defended scale sweep (id t6sd)
 //! reproduce --trace t2        # additionally write results/trace/t2.{json,csv,hist.csv}
-//! reproduce --capture t2      # additionally write results/capture/t2.{pcapng,index.json}
-//! reproduce --profile t6s     # additionally write results/profile/t6s.{json,csv}
-//! reproduce validate-trace P… # check trace manifests (files and/or directories) and exit
+//! reproduce --capture t2      # as --trace, plus the frames in results/trace/t2.pcapng
+//! reproduce --profile t6s     # additionally write the wall section of results/trace/t6s.json
+//! reproduce validate-trace P… # check manifests (files and/or directories) and exit
 //! reproduce inspect FILE      # decode a .pcapng capture into a forensic timeline
 //! reproduce ingest FILE…      # stream captures through the schemes as online detectors
-//! reproduce profile-report F  # render a profile JSON as a self-time table
+//! reproduce profile-report F  # render a manifest's wall section as a self-time table
 //! ```
 //!
-//! `--trace` installs a per-experiment trace collector around each
-//! experiment, so every simulated run flushes its sim-time-stamped
-//! counters, histograms, and events into one manifest per experiment
-//! id under `<out>/trace/`. `--capture` additionally arms the flight
-//! recorder: every wire frame lands in a bounded per-run ring
-//! (capacity via `ARPSHIELD_RECORD_FRAMES`), exported as a standard
-//! pcapng (openable in Wireshark) plus a JSON index tying scheme
-//! verdicts to the frames that triggered them. The experiment CSVs
-//! themselves are byte-identical with and without either flag.
+//! Each experiment writes one manifest, `<out>/trace/<id>.json`. Under
+//! `--trace` every simulated run flushes its sim-time-stamped counters,
+//! histograms, and events into it. `--capture` implies `--trace` and
+//! arms the flight recorder: every wire frame lands in a bounded
+//! per-run ring (capacity via `ARPSHIELD_RECORD_FRAMES`), exported as a
+//! standard pcapng (openable in Wireshark) beside the manifest, whose
+//! events cite the frames behind each scheme verdict. The experiment
+//! CSVs themselves are byte-identical with and without either flag.
 //!
 //! `--profile` wraps each experiment in the span-scoped wall-clock
 //! profiler from `crates/trace`: hierarchical self/total times and
 //! call counts for the simulator, switch, scheme, and pool hot paths,
 //! plus sampled runtime gauges. Wall-clock data is quarantined to the
-//! `<out>/profile/` sidecars and stderr — the experiment CSVs stay
-//! byte-identical with and without `--profile` at any thread count.
+//! manifest's `wall` section and stderr — the experiment CSVs and the
+//! rest of the manifest stay byte-identical with and without
+//! `--profile` at any thread count.
 //!
-//! `inspect` streams a capture and joins it with its `.index.json`
-//! sidecar into a per-run timeline interleaving frames, cache/CAM
-//! mutations, and scheme verdicts; `--host S`, `--mac S`, and
-//! `--verdict S` narrow it.
+//! `inspect` streams a capture and joins it with the manifest beside it
+//! (`X.json` for `X.pcapng`) into a per-run timeline interleaving
+//! frames, cache/CAM mutations, and scheme verdicts; `--host S`,
+//! `--mac S`, and `--verdict S` narrow it.
 //!
 //! `ingest` streams pcapng files (arpshield's own or foreign ones)
 //! through any monitor-class scheme running standalone; the reader
@@ -64,14 +64,13 @@ use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetView};
 use arpshield_schemes::{Detector, SchemeKind};
 use arpshield_trace::env_knob::{self, EnvKnob};
 use arpshield_trace::pcapng::{PcapngStream, MAX_INTERFACE_NAME};
-use arpshield_trace::{
-    json, profile, FrameComment, Heartbeat, ProfileCollector, TraceCollector, Tracer,
-};
+use arpshield_trace::{profile, FrameComment, Heartbeat, ProfileCollector, TraceCollector, Tracer};
 
 const SEED: u64 = 20070625; // the venue's year, as a nod
 
 struct Output {
     out_dir: PathBuf,
+    /// `--trace`, which `--capture` implies.
     trace: bool,
     /// Flight-recorder ring capacity; `Some` arms `--capture`.
     capture: Option<usize>,
@@ -79,154 +78,231 @@ struct Output {
 }
 
 impl Output {
-    /// Runs one experiment under the requested telemetry: `--trace`/
-    /// `--capture` manifests land in `<out>/trace/` and `<out>/capture/`,
-    /// `--profile` span/gauge reports in `<out>/profile/<id>.{json,csv}`.
+    /// Runs one experiment under the requested telemetry and writes its
+    /// manifest to `<out>/trace/<id>.json`: with the counter and
+    /// histogram CSVs beside it under `--trace`, the pcapng
+    /// `<id>.pcapng` under `--capture`, and the `wall` section under
+    /// `--profile`.
     fn traced<T>(&self, id: &str, f: impl FnOnce() -> T) -> T {
-        if !self.profile {
-            return self.trace_collected(id, f);
-        }
-        // The profiler wraps the trace collector so worker threads see
-        // both. No root span opens here: the per-job spans inside each
-        // experiment are the tree roots, so profile paths are identical
-        // whether jobs run inline (ARPSHIELD_THREADS=1) or on workers.
-        let collector = Arc::new(ProfileCollector::new());
-        let started = Instant::now();
-        let result = {
-            let _guard = profile::install(collector.clone());
-            self.trace_collected(id, f)
-        };
-        let wall_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let report = collector.report(id, wall_ns);
-        self.write_artifacts(
-            "profile",
-            &[
-                (format!("{id}.json"), report.to_json().into_bytes()),
-                (format!("{id}.csv"), report.to_csv().into_bytes()),
-            ],
-        );
-        result
-    }
-
-    /// Runs one experiment, optionally under a fresh trace collector
-    /// whose manifest lands in `<out>/trace/<id>.{json,csv,hist.csv}`
-    /// and whose capture lands in `<out>/capture/<id>.{pcapng,index.json}`.
-    fn trace_collected<T>(&self, id: &str, f: impl FnOnce() -> T) -> T {
-        if !self.trace && self.capture.is_none() {
+        if !self.trace && !self.profile {
             return f();
         }
         let collector = Arc::new(match self.capture {
             Some(capacity) => TraceCollector::with_capture(capacity),
             None => TraceCollector::new(),
         });
+        // The profiler wraps the trace collector so worker threads see
+        // both. No root span opens here: the per-job spans inside each
+        // experiment are the tree roots, so profile paths are identical
+        // whether jobs run inline (ARPSHIELD_THREADS=1) or on workers.
+        let profiler = self.profile.then(|| Arc::new(ProfileCollector::new()));
+        let started = Instant::now();
         let result = {
-            let _guard = arpshield_trace::install(collector.clone());
+            let _profile = profiler.clone().map(profile::install);
+            let _trace = self.trace.then(|| arpshield_trace::install(collector.clone()));
             f()
         };
-        let manifest = collector.manifest(id);
+        let wall_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let mut manifest = collector.manifest(id);
+        manifest.wall = profiler.map(|profiler| profiler.report(wall_ns));
+        // A directory that cannot be made shows as a warning per file.
+        let dir = self.out_dir.join("trace");
+        fs::create_dir_all(&dir).ok();
+        write_file(&dir.join(format!("{id}.json")), manifest.to_json());
         if self.trace {
-            self.write_artifacts(
-                "trace",
-                &[
-                    (format!("{id}.json"), manifest.to_json().into_bytes()),
-                    (format!("{id}.csv"), manifest.to_counters_csv().into_bytes()),
-                    (format!("{id}.hist.csv"), manifest.to_histograms_csv().into_bytes()),
-                ],
-            );
+            write_file(&dir.join(format!("{id}.csv")), manifest.to_counters_csv());
+            write_file(&dir.join(format!("{id}.hist.csv")), manifest.to_histograms_csv());
         }
         if self.capture.is_some() {
-            self.write_artifacts(
-                "capture",
-                &[
-                    (format!("{id}.pcapng"), manifest.to_pcapng()),
-                    (format!("{id}.index.json"), manifest.to_capture_index().into_bytes()),
-                ],
-            );
+            write_file(&dir.join(format!("{id}.pcapng")), manifest.to_pcapng());
         }
         result
-    }
-
-    fn write_artifacts(&self, subdir: &str, files: &[(String, Vec<u8>)]) {
-        let dir = self.out_dir.join(subdir);
-        if let Err(e) = fs::create_dir_all(&dir) {
-            eprintln!("warning: could not create {}: {e}", dir.display());
-            return;
-        }
-        for (name, body) in files {
-            let path = dir.join(name);
-            if let Err(e) = fs::write(&path, body) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
     }
 
     fn table(&self, id: &str, make: impl FnOnce() -> Table) {
         let table = self.traced(id, make);
         println!("{}", table.render());
-        let path = self.out_dir.join(format!("{id}.csv"));
-        if let Err(e) = fs::write(&path, table.to_csv()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
+        write_file(&self.out_dir.join(format!("{id}.csv")), table.to_csv());
     }
 
     fn series(&self, id: &str, make: impl FnOnce() -> Vec<Series>) {
         let series = self.traced(id, make);
         for (i, s) in series.iter().enumerate() {
             println!("{}", s.render());
-            let path = self.out_dir.join(format!("{id}_{i}.csv"));
-            if let Err(e) = fs::write(&path, s.to_csv()) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
+            write_file(&self.out_dir.join(format!("{id}_{i}.csv")), s.to_csv());
         }
     }
 }
 
-/// Checks that `path` holds a well-formed `arpshield-trace/1` manifest.
-///
-/// Returns a human-readable error naming the first violated invariant.
-fn validate_trace_manifest(path: &str) -> Result<String, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(|v| v.as_str())
-        .ok_or("missing string field `schema`".to_string())?;
-    if schema != "arpshield-trace/1" {
-        return Err(format!("unknown schema {schema:?}"));
+/// Writes `body` to `path`, warning on stderr when it cannot.
+fn write_file(path: &Path, body: impl AsRef<[u8]>) {
+    if let Err(e) = fs::write(path, body) {
+        eprintln!("warning: could not write {}: {e}", path.display());
     }
-    doc.get("experiment")
-        .and_then(|v| v.as_str())
-        .ok_or("missing string field `experiment`".to_string())?;
-    let unit = doc
-        .get("time_unit")
-        .and_then(|v| v.as_str())
-        .ok_or("missing string field `time_unit`".to_string())?;
-    if unit != "ns" {
-        return Err(format!("unexpected time_unit {unit:?}"));
+}
+
+/// The one reader of the manifests `reproduce` writes, shared by
+/// `validate-trace`, `profile-report` and `inspect`. A manifest may come
+/// from anywhere, so the reader never indexes, overflows or panics.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+mod manifest {
+    use std::fs;
+
+    use arpshield_trace::json::{self, Value};
+
+    /// What the readers take from an `arpshield-trace/1` manifest.
+    pub struct Manifest {
+        pub experiment: String,
+        pub runs: Vec<Run>,
+        /// The wall-clock profile, from a run under `--profile`.
+        pub wall: Option<Wall>,
     }
-    doc.get("totals").ok_or("missing field `totals`".to_string())?;
-    doc.get("warnings")
-        .and_then(|v| v.as_arr())
-        .ok_or("missing array field `warnings`".to_string())?;
-    let runs =
-        doc.get("runs").and_then(|v| v.as_arr()).ok_or("missing array field `runs`".to_string())?;
-    for (i, run) in runs.iter().enumerate() {
-        run.get("label")
-            .and_then(|v| v.as_str())
-            .ok_or(format!("run {i}: missing string field `label`"))?;
-        run.get("counters").ok_or(format!("run {i}: missing field `counters`"))?;
-        let events = run
-            .get("events")
-            .and_then(|v| v.as_arr())
-            .ok_or(format!("run {i}: missing array field `events`"))?;
-        for (j, event) in events.iter().enumerate() {
-            event
-                .get("at_ns")
-                .and_then(|v| v.as_num())
-                .ok_or(format!("run {i} event {j}: missing numeric field `at_ns`"))?;
+
+    pub struct Run {
+        pub label: String,
+        /// Frames lost to ring eviction; 0 when capture was off.
+        pub frames_evicted: u64,
+        pub events: Vec<Event>,
+    }
+
+    pub struct Event {
+        pub at_ns: u64,
+        pub category: String,
+        pub actor: String,
+        pub detail: String,
+        /// Capture ids of the frames the event cites.
+        pub frames: Vec<u64>,
+    }
+
+    pub struct Wall {
+        pub wall_ns: f64,
+        pub self_total_ns: f64,
+        pub spans: Vec<Span>,
+        pub gauges: Vec<Gauge>,
+    }
+
+    pub struct Span {
+        pub path: String,
+        pub count: u64,
+        pub total_ns: f64,
+        pub self_ns: f64,
+    }
+
+    pub struct Gauge {
+        pub name: String,
+        pub samples: f64,
+        pub min: f64,
+        pub max: f64,
+        pub sum: f64,
+    }
+
+    /// Reads the manifest at `path`, returning a message naming the
+    /// first violated invariant: the schema tag, a required field that
+    /// is missing or has the wrong type, or a malformed optional
+    /// section (`ring_capacity`, a run's `frames_evicted`, `wall`).
+    pub fn load(path: &str) -> Result<Manifest, String> {
+        let text = fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
+        let doc = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
+        let schema = str_field(&doc, "schema")?;
+        if schema != "arpshield-trace/1" {
+            return Err(format!("unknown schema {schema:?}"));
         }
+        let experiment = str_field(&doc, "experiment")?.to_string();
+        let unit = str_field(&doc, "time_unit")?;
+        if unit != "ns" {
+            return Err(format!("unexpected time_unit {unit:?}"));
+        }
+        doc.get("totals").ok_or("missing field `totals`")?;
+        arr_field(&doc, "warnings")?;
+        opt_num(&doc, "ring_capacity")?;
+        let runs = each(&doc, "runs", "run", load_run)?;
+        let wall = doc.get("wall").map(|wall| load_wall(wall).map_err(|e| format!("wall: {e}")));
+        Ok(Manifest { experiment, runs, wall: wall.transpose()? })
     }
-    Ok(format!("{path}: valid arpshield-trace/1 manifest with {} run(s)", runs.len()))
+
+    fn load_run(run: &Value) -> Result<Run, String> {
+        let label = str_field(run, "label")?.to_string();
+        run.get("counters").ok_or("missing field `counters`")?;
+        let frames_evicted = opt_num(run, "frames_evicted")?.unwrap_or(0.0) as u64;
+        let events = each(run, "events", "event", load_event)?;
+        Ok(Run { label, frames_evicted, events })
+    }
+
+    fn load_event(event: &Value) -> Result<Event, String> {
+        let frames = match event.get("frames") {
+            None => Vec::new(),
+            Some(ids) => ids
+                .as_arr()
+                .and_then(|ids| ids.iter().map(|id| id.as_num().map(|id| id as u64)).collect())
+                .ok_or("field `frames` is not an array of numbers")?,
+        };
+        Ok(Event {
+            at_ns: num_field(event, "at_ns")? as u64,
+            category: str_field(event, "category")?.to_string(),
+            actor: str_field(event, "actor")?.to_string(),
+            detail: str_field(event, "detail")?.to_string(),
+            frames,
+        })
+    }
+
+    fn load_wall(wall: &Value) -> Result<Wall, String> {
+        let spans = each(wall, "spans", "span", |span| {
+            Ok(Span {
+                path: str_field(span, "path")?.to_string(),
+                count: num_field(span, "count")? as u64,
+                total_ns: num_field(span, "total_ns")?,
+                self_ns: num_field(span, "self_ns")?,
+            })
+        })?;
+        let gauges = each(wall, "gauges", "gauge", |gauge| {
+            Ok(Gauge {
+                name: str_field(gauge, "name")?.to_string(),
+                samples: num_field(gauge, "samples")?,
+                min: num_field(gauge, "min")?,
+                max: num_field(gauge, "max")?,
+                sum: num_field(gauge, "sum")?,
+            })
+        })?;
+        let wall_ns = num_field(wall, "wall_ns")?;
+        Ok(Wall { wall_ns, self_total_ns: num_field(wall, "self_total_ns")?, spans, gauges })
+    }
+
+    /// Loads every element of array field `key` with `load`, naming a
+    /// failing element `{what} {index}`.
+    fn each<T>(
+        obj: &Value,
+        key: &str,
+        what: &str,
+        load: fn(&Value) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = arr_field(obj, key)?.iter().enumerate();
+        items.map(|(i, item)| load(item).map_err(|e| format!("{what} {i}: {e}"))).collect()
+    }
+
+    fn str_field<'a>(obj: &'a Value, key: &str) -> Result<&'a str, String> {
+        obj.get(key).and_then(Value::as_str).ok_or_else(|| format!("missing string field `{key}`"))
+    }
+
+    fn num_field(obj: &Value, key: &str) -> Result<f64, String> {
+        obj.get(key).and_then(Value::as_num).ok_or_else(|| format!("missing numeric field `{key}`"))
+    }
+
+    fn arr_field<'a>(obj: &'a Value, key: &str) -> Result<&'a [Value], String> {
+        obj.get(key).and_then(Value::as_arr).ok_or_else(|| format!("missing array field `{key}`"))
+    }
+
+    /// A numeric field that may be absent.
+    fn opt_num(obj: &Value, key: &str) -> Result<Option<f64>, String> {
+        obj.get(key)
+            .map(|v| v.as_num().ok_or_else(|| format!("field `{key}` is not a number")))
+            .transpose()
+    }
 }
 
 /// Expands a mix of file and directory arguments into the sorted list
@@ -264,10 +340,13 @@ fn run_validate_trace(paths: &[String]) -> i32 {
     }
     let mut failed = 0usize;
     for file in &files {
-        match validate_trace_manifest(&file.display().to_string()) {
-            Ok(report) => println!("{report}"),
+        let path = file.display().to_string();
+        match manifest::load(&path) {
+            Ok(m) => {
+                println!("{path}: valid arpshield-trace/1 manifest with {} run(s)", m.runs.len())
+            }
             Err(e) => {
-                eprintln!("error: {}: {e}", file.display());
+                eprintln!("error: {path}: {e}");
                 failed += 1;
             }
         }
@@ -281,69 +360,34 @@ fn run_validate_trace(paths: &[String]) -> i32 {
 }
 
 // ---------------------------------------------------------------------
-// `profile-report`: render a profile JSON as a self-time table.
+// `profile-report`: render a manifest's wall section as a self-time table.
 // ---------------------------------------------------------------------
 
-/// Loads an `arpshield-profile/1` report and prints its spans sorted by
+/// Loads a manifest and prints its `wall` section's spans sorted by
 /// self time (where the wall clock actually went), then the sampled
-/// runtime gauges. Returns a human-readable error for malformed input.
+/// runtime gauges. A manifest without `wall` is an error.
 fn run_profile_report(path: &str) -> Result<(), String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| format!("{path}: missing string field `schema`"))?;
-    if schema != arpshield_trace::PROFILE_SCHEMA {
-        return Err(format!(
-            "{path}: unknown schema {schema:?} (expected {:?})",
-            arpshield_trace::PROFILE_SCHEMA
-        ));
-    }
-    let experiment = doc.get("experiment").and_then(|v| v.as_str()).unwrap_or("?").to_string();
-    let wall_ns = doc.get("wall_ns").and_then(|v| v.as_num()).unwrap_or(0.0);
-    let self_total_ns = doc.get("self_total_ns").and_then(|v| v.as_num()).unwrap_or(0.0);
-    let spans = doc
-        .get("spans")
-        .and_then(|v| v.as_arr())
-        .ok_or_else(|| format!("{path}: missing array field `spans`"))?;
-
-    struct Row {
-        path: String,
-        count: u64,
-        total_ns: f64,
-        self_ns: f64,
-    }
-    let mut rows = Vec::new();
-    for (i, span) in spans.iter().enumerate() {
-        rows.push(Row {
-            path: span
-                .get("path")
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| format!("{path}: span {i}: missing string field `path`"))?
-                .to_string(),
-            count: span.get("count").and_then(|v| v.as_num()).unwrap_or(0.0) as u64,
-            total_ns: span.get("total_ns").and_then(|v| v.as_num()).unwrap_or(0.0),
-            self_ns: span.get("self_ns").and_then(|v| v.as_num()).unwrap_or(0.0),
-        });
-    }
-    rows.sort_by(|a, b| b.self_ns.total_cmp(&a.self_ns).then_with(|| a.path.cmp(&b.path)));
+    let manifest = manifest::load(path).map_err(|e| format!("{path}: {e}"))?;
+    let Some(mut wall) = manifest.wall else {
+        return Err(format!("{path}: no `wall` section; run the experiment with --profile"));
+    };
+    wall.spans.sort_by(|a, b| b.self_ns.total_cmp(&a.self_ns).then_with(|| a.path.cmp(&b.path)));
+    let (wall_ns, self_total_ns, rows) = (wall.wall_ns, wall.self_total_ns, &wall.spans);
 
     let wall_s = wall_ns / 1e9;
     let coverage = if wall_ns > 0.0 { 100.0 * self_total_ns / wall_ns } else { 0.0 };
-    println!("profile: {experiment} ({schema})");
+    println!("profile: {} (wall section of {path})", manifest.experiment);
     println!(
         "wall {wall_s:.3}s; {} span path(s) accounting {:.3}s self time ({coverage:.1}% coverage)\n",
         rows.len(),
         self_total_ns / 1e9,
     );
-    let path_width = rows.iter().map(|r| r.path.len()).chain(["span".len()]).max();
-    let path_width = path_width.unwrap_or(4);
+    let path_width = rows.iter().map(|r| r.path.len()).fold("span".len(), usize::max);
     println!(
         "{:<path_width$}  {:>12}  {:>12}  {:>12}  {:>7}",
         "span", "count", "total_ms", "self_ms", "self_%"
     );
-    for row in &rows {
+    for row in rows {
         let pct = if wall_ns > 0.0 { 100.0 * row.self_ns / wall_ns } else { 0.0 };
         println!(
             "{:<path_width$}  {:>12}  {:>12.3}  {:>12.3}  {:>6.1}%",
@@ -354,23 +398,17 @@ fn run_profile_report(path: &str) -> Result<(), String> {
             pct,
         );
     }
-    let gauges = doc.get("gauges").and_then(|v| v.as_arr()).unwrap_or_default();
-    if !gauges.is_empty() {
+    if !wall.gauges.is_empty() {
         println!();
         println!(
             "{:<path_width$}  {:>12}  {:>12}  {:>12}  {:>12}",
             "gauge", "samples", "min", "max", "mean"
         );
-        for gauge in gauges {
-            let name = gauge.get("name").and_then(|v| v.as_str()).unwrap_or("?");
-            let samples = gauge.get("samples").and_then(|v| v.as_num()).unwrap_or(0.0);
-            let min = gauge.get("min").and_then(|v| v.as_num()).unwrap_or(0.0);
-            let max = gauge.get("max").and_then(|v| v.as_num()).unwrap_or(0.0);
-            let sum = gauge.get("sum").and_then(|v| v.as_num()).unwrap_or(0.0);
-            let mean = if samples > 0.0 { sum / samples } else { 0.0 };
+        for gauge in &wall.gauges {
+            let mean = if gauge.samples > 0.0 { gauge.sum / gauge.samples } else { 0.0 };
             println!(
-                "{name:<path_width$}  {:>12}  {:>12}  {:>12}  {mean:>12.1}",
-                samples as u64, min as u64, max as u64,
+                "{:<path_width$}  {:>12}  {:>12}  {:>12}  {mean:>12.1}",
+                gauge.name, gauge.samples as u64, gauge.min as u64, gauge.max as u64,
             );
         }
     }
@@ -392,15 +430,6 @@ struct FrameLine {
     len: usize,
     pinned: bool,
     decoded: String,
-}
-
-/// One event row from the capture index.
-struct EventLine {
-    at_ns: u64,
-    category: String,
-    actor: String,
-    detail: String,
-    frames: Vec<u64>,
 }
 
 /// One-line protocol decode of a captured frame, via `crates/packet`.
@@ -450,7 +479,7 @@ impl InspectFilter {
         host_ok && mac_ok
     }
 
-    fn event_matches(&self, e: &EventLine) -> bool {
+    fn event_matches(&self, e: &manifest::Event) -> bool {
         let host_ok = self
             .host
             .as_ref()
@@ -466,59 +495,20 @@ impl InspectFilter {
     }
 }
 
-/// Loads the `.index.json` sidecar next to `path`, `/1` or `/2`,
-/// returning per-label events and eviction counts. A capture without
-/// its index still inspects (frames only), so hand-copied pcapng files
-/// work.
-#[allow(clippy::type_complexity)]
-fn load_index(
-    path: &str,
-) -> Result<(HashMap<String, Vec<EventLine>>, HashMap<String, u64>), String> {
+/// Loads the manifest beside the capture at `path` (`X.json` for
+/// `X.pcapng`) for its runs' events and eviction counts. A capture
+/// without one still inspects (frames only), so hand-copied pcapng
+/// files work.
+fn load_sidecar(path: &str) -> Result<Vec<manifest::Run>, String> {
     let sidecar = match path.strip_suffix(".pcapng") {
-        Some(stem) => format!("{stem}.index.json"),
-        None => format!("{path}.index.json"),
+        Some(stem) => format!("{stem}.json"),
+        None => format!("{path}.json"),
     };
-    let mut events_by_label = HashMap::new();
-    let mut evicted_by_label = HashMap::new();
-    let Ok(text) = fs::read_to_string(&sidecar) else {
-        eprintln!("note: no index sidecar at {sidecar}; timeline will show frames only");
-        return Ok((events_by_label, evicted_by_label));
-    };
-    let doc = json::parse(&text).map_err(|e| format!("{sidecar}: invalid JSON: {e}"))?;
-    let schema = doc.get("schema").and_then(|v| v.as_str()).unwrap_or_default();
-    if !matches!(schema, "arpshield-capture/1" | "arpshield-capture/2") {
-        return Err(format!("{sidecar}: unknown schema {schema:?}"));
+    if !Path::new(&sidecar).is_file() {
+        eprintln!("note: no manifest at {sidecar}; timeline will show frames only");
+        return Ok(Vec::new());
     }
-    for run in doc.get("runs").and_then(|v| v.as_arr()).unwrap_or_default() {
-        let Some(label) = run.get("label").and_then(|v| v.as_str()) else {
-            continue;
-        };
-        let evicted = run.get("frames_evicted").and_then(|v| v.as_num()).unwrap_or(0.0) as u64;
-        evicted_by_label.insert(label.to_string(), evicted);
-        let mut events = Vec::new();
-        for ev in run.get("events").and_then(|v| v.as_arr()).unwrap_or_default() {
-            events.push(EventLine {
-                at_ns: ev.get("at_ns").and_then(|v| v.as_num()).unwrap_or(0.0) as u64,
-                category: ev
-                    .get("category")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or_default()
-                    .to_string(),
-                actor: ev.get("actor").and_then(|v| v.as_str()).unwrap_or_default().to_string(),
-                detail: ev.get("detail").and_then(|v| v.as_str()).unwrap_or_default().to_string(),
-                frames: ev
-                    .get("frames")
-                    .and_then(|v| v.as_arr())
-                    .unwrap_or_default()
-                    .iter()
-                    .filter_map(|id| id.as_num())
-                    .map(|id| id as u64)
-                    .collect(),
-            });
-        }
-        events_by_label.insert(label.to_string(), events);
-    }
-    Ok((events_by_label, evicted_by_label))
+    manifest::load(&sidecar).map(|m| m.runs).map_err(|e| format!("{sidecar}: {e}"))
 }
 
 const INSPECT_USAGE: &str = "usage: reproduce inspect FILE [--host S] [--mac S] [--verdict S]";
@@ -568,13 +558,15 @@ fn run_inspect(path: &str, filter: &InspectFilter) -> Result<(), String> {
         eprintln!("warning: {path}: {warning}");
     }
     let labels = stream.interfaces();
-    let (events_by_label, evicted_by_label) = load_index(path)?;
+    let runs = load_sidecar(path)?;
+    let runs: HashMap<&str, &manifest::Run> = runs.iter().map(|r| (r.label.as_str(), r)).collect();
 
     let (mut frames_shown, mut frames_total) = (0usize, 0usize);
     let (mut events_shown, mut events_total) = (0usize, 0usize);
     for (run, label) in labels.iter().enumerate() {
         let frames = frames_by_run.get(&run).map(Vec::as_slice).unwrap_or_default();
-        let events = events_by_label.get(label).map(Vec::as_slice).unwrap_or_default();
+        let sidecar_run = runs.get(label.as_str());
+        let events = sidecar_run.map(|r| r.events.as_slice()).unwrap_or_default();
         frames_total += frames.len();
         events_total += events.len();
 
@@ -591,13 +583,13 @@ fn run_inspect(path: &str, filter: &InspectFilter) -> Result<(), String> {
             .filter(|f| cited.as_ref().map(|set| set.contains(&f.id)).unwrap_or(true))
             .filter(|f| filter.frame_matches(f))
             .collect();
-        let visible_events: Vec<&EventLine> =
+        let visible_events: Vec<&manifest::Event> =
             events.iter().filter(|e| filter.event_matches(e)).collect();
         if visible_frames.is_empty() && visible_events.is_empty() {
             continue;
         }
 
-        let evicted = evicted_by_label.get(label).copied().unwrap_or(0);
+        let evicted = sidecar_run.map_or(0, |r| r.frames_evicted);
         println!(
             "== run: {label} ({} frame(s) captured, {evicted} evicted, {} event(s)) ==",
             frames.len(),
@@ -608,7 +600,7 @@ fn run_inspect(path: &str, filter: &InspectFilter) -> Result<(), String> {
         // caused by a frame dispatched at t), then record order.
         enum Entry<'a> {
             Frame(&'a FrameLine),
-            Event(&'a EventLine),
+            Event(&'a manifest::Event),
         }
         let mut timeline: Vec<(u64, u8, u64, Entry<'_>)> = Vec::new();
         for f in &visible_frames {
@@ -1060,7 +1052,12 @@ fn main() {
     let run = parse_run_args(&args).unwrap_or_else(|e| usage_error(&e, RUN_USAGE));
     let capture = run.capture.then(capture_capacity);
     fs::create_dir_all(&run.out_dir).ok();
-    let out = Output { out_dir: run.out_dir, trace: run.trace, capture, profile: run.profile };
+    let out = Output {
+        out_dir: run.out_dir,
+        trace: run.trace || run.capture,
+        capture,
+        profile: run.profile,
+    };
     let (selected, defend) = (run.ids, run.defend);
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
 

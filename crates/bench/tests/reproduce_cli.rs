@@ -1,11 +1,12 @@
 //! The `reproduce` binary's readers on damaged or hostile input.
 //!
-//! `validate-trace`, `profile-report` and `inspect`'s `.index.json`
-//! sidecar all read JSON that arpshield may not have written. A
-//! document nested far deeper than any manifest must be refused with a
-//! message and a nonzero exit code, not abort the process on a stack
-//! overflow. A capture cut mid-block is not an error: `inspect` shows
-//! its complete packets, as `ingest` does, and warns about the cut.
+//! `validate-trace`, `profile-report` and `inspect`'s sidecar read
+//! manifests through one loader, and a manifest may not be one arpshield
+//! wrote. A document nested far deeper than any manifest, or one whose
+//! fields have the wrong type, must be refused with a message and a
+//! nonzero exit code, not abort the process. A capture cut mid-block is
+//! not an error: `inspect` shows its complete packets, as `ingest`
+//! does, and warns about the cut.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -30,8 +31,8 @@ fn reproduce(args: &[&str]) -> Output {
 }
 
 /// Runs `reproduce args…` and checks it exited with a nonzero code (so
-/// no signal killed it) and named the nesting problem on stderr.
-fn assert_refused(args: &[&str]) {
+/// no signal killed it) and said `needle` on stderr.
+fn assert_refused(args: &[&str], needle: &str) {
     let out = reproduce(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     let code = out.status.code();
@@ -40,30 +41,89 @@ fn assert_refused(args: &[&str]) {
         "{args:?}: expected a nonzero exit code, got {:?}; stderr: {stderr}",
         out.status
     );
-    assert!(stderr.contains("nesting deeper than"), "{args:?}: stderr: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: expected {needle:?} on stderr: {stderr}");
+}
+
+/// An empty capture with one run, so `inspect` reaches its sidecar.
+fn empty_capture(dir: &std::path::Path) -> String {
+    let mut writer = PcapngWriter::new("arpshield-test");
+    writer.add_interface("run");
+    let capture = dir.join("run.pcapng");
+    std::fs::write(&capture, writer.finish()).unwrap();
+    capture.to_str().unwrap().to_string()
+}
+
+/// Writes `manifest` as `run.json` and runs all three readers on it:
+/// `validate-trace` and `profile-report` on the file, `inspect` on the
+/// capture beside it.
+fn assert_all_readers_refuse(dir: &std::path::Path, manifest: &str, needle: &str) {
+    let path = dir.join("run.json");
+    std::fs::write(&path, manifest).unwrap();
+    let path = path.to_str().unwrap();
+    assert_refused(&["validate-trace", path], needle);
+    assert_refused(&["profile-report", path], needle);
+    // `inspect` reads the sidecar after the capture itself parses.
+    assert_refused(&["inspect", &empty_capture(dir)], needle);
 }
 
 #[test]
 fn deeply_nested_json_is_an_error_not_an_abort() {
     let dir = scratch_dir("nested");
-    let nested = dir.join("nested.json");
-    std::fs::write(&nested, deeply_nested()).unwrap();
-    let nested = nested.to_str().unwrap();
-    assert_refused(&["validate-trace", nested]);
-    assert_refused(&["profile-report", nested]);
+    assert_all_readers_refuse(&dir, &deeply_nested(), "nesting deeper than");
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    // `inspect` reads the sidecar after the capture itself parses.
-    let mut writer = PcapngWriter::new("arpshield-test");
-    writer.add_interface("run");
-    let capture = dir.join("run.pcapng");
-    std::fs::write(&capture, writer.finish()).unwrap();
-    std::fs::write(dir.join("run.index.json"), deeply_nested()).unwrap();
-    assert_refused(&["inspect", capture.to_str().unwrap()]);
+/// A minimal manifest with one run carrying `event`, plus `extra`
+/// top-level members.
+fn manifest(event: &str, extra: &str) -> String {
+    format!(
+        r#"{{"schema":"arpshield-trace/1","experiment":"t0","time_unit":"ns","totals":{{}},"warnings":[],{extra}"runs":[{{"label":"run","counters":{{}},"frames_evicted":0,"events":[{event}]}}]}}"#
+    )
+}
+
+const VERDICT: &str = r#"{"at_ns":1000000,"category":"scheme.verdict","actor":"passive","detail":"kind=binding_changed","frames":[1]}"#;
+
+const WALL: &str = r#""wall":{"wall_ns":1000,"self_total_ns":900,"spans":[{"path":"job","name":"job","count":1,"total_ns":900,"self_ns":900,"child_ns":0}],"gauges":[]},"#;
+
+/// `runs`, `events` and `wall.spans` of the wrong type: every reader
+/// refuses the manifest with a message naming the field.
+#[test]
+fn wrongly_typed_sections_are_refused_by_every_reader() {
+    let dir = scratch_dir("types");
+    let runs = r#"{"schema":"arpshield-trace/1","experiment":"t0","time_unit":"ns","totals":{},"warnings":[],"runs":{"label":"run"}}"#;
+    assert_all_readers_refuse(&dir, runs, "missing array field `runs`");
+    let events = manifest(VERDICT, "").replace(&format!("[{VERDICT}]"), "\"none\"");
+    assert_all_readers_refuse(&dir, &events, "run 0: missing array field `events`");
+    let spans = manifest(VERDICT, &WALL.replace(r#""spans":["#, r#""spans":7,"x":["#));
+    assert_all_readers_refuse(&dir, &spans, "wall: missing array field `spans`");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `profile-report` needs the `wall` section, and `inspect` a sidecar
+/// that is a manifest.
+#[test]
+fn readers_refuse_manifests_without_what_they_read() {
+    let dir = scratch_dir("missing");
+    let path = dir.join("run.json");
+    std::fs::write(&path, manifest(VERDICT, "")).unwrap();
+    let path = path.to_str().unwrap();
+    assert_eq!(reproduce(&["validate-trace", path]).status.code(), Some(0));
+    assert_refused(&["profile-report", path], "no `wall` section");
+
+    std::fs::write(path, manifest(VERDICT, WALL)).unwrap();
+    let out = reproduce(&["profile-report", path]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("90.0% coverage"));
+
+    // The bench harness's JSON schema, say: not a manifest.
+    let other = manifest(VERDICT, "").replace("arpshield-trace/1", "arpshield-bench-v1");
+    std::fs::write(path, other).unwrap();
+    assert_refused(&["inspect", &empty_capture(&dir)], "unknown schema \"arpshield-bench-v1\"");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Two gratuitous replies claiming 10.0.0.1, the second cut off mid-
-/// block, with an index naming a verdict that cites the first.
+/// block, beside a manifest naming a verdict that cites the first.
 #[test]
 fn inspect_shows_the_complete_packets_of_a_cut_capture() {
     let dir = scratch_dir("cut");
@@ -80,31 +140,41 @@ fn inspect_shows_the_complete_packets_of_a_cut_capture() {
     let capture = dir.join("run.pcapng");
     std::fs::write(&capture, &full[..full.len() - 10]).unwrap();
     let capture = capture.to_str().unwrap();
+    std::fs::write(dir.join("run.json"), manifest(VERDICT, r#""ring_capacity":2,"#)).unwrap();
 
-    // One run whose verdict cites frame 1; a `/1` index also carries
-    // the frame table `/2` dropped.
-    let event = r#"{"at_ns":1000000,"category":"scheme.verdict","actor":"passive","detail":"kind=binding_changed","frames":[1]}"#;
-    let table = r#""frames":[{"id":1,"at_ns":1000000,"kind":"deliver","src":"h1:0","dst":"sw:1","len":60,"pinned":true}],"#;
-    let index = |schema: &str, frames: &str| {
-        format!(
-            r#"{{"schema":"arpshield-capture/{schema}","runs":[{{"label":"run","frames_evicted":0,{frames}"events":[{event}]}}]}}"#
-        )
-    };
-    let mut shown = Vec::new();
-    for (schema, frames) in [("2", ""), ("1", table)] {
-        std::fs::write(dir.join("run.index.json"), index(schema, frames)).unwrap();
-        let out = reproduce(&["inspect", capture]);
-        let (stdout, stderr) =
-            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
-        assert_eq!(out.status.code(), Some(0), "/{schema}: stderr: {stderr}");
-        assert!(stderr.contains("truncated"), "/{schema}: stderr: {stderr}");
-        assert!(stdout.contains("(1 frame(s) captured, 0 evicted, 1 event(s))"), "{stdout}");
-        assert!(stdout.contains("#1 "), "the complete packet is shown: {stdout}");
-        assert!(stdout.contains("gratuitous ARP 10.0.0.1 is-at"), "{stdout}");
-        assert!(!stdout.contains("#2 "), "the cut packet is not: {stdout}");
-        assert!(stdout.contains("kind=binding_changed  <= frames #1"), "{stdout}");
-        shown.push(stdout.into_owned());
+    let out = reproduce(&["inspect", capture]);
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.contains("truncated"), "stderr: {stderr}");
+    assert!(stdout.contains("(1 frame(s) captured, 0 evicted, 1 event(s))"), "{stdout}");
+    assert!(stdout.contains("#1 "), "the complete packet is shown: {stdout}");
+    assert!(stdout.contains("gratuitous ARP 10.0.0.1 is-at"), "{stdout}");
+    assert!(!stdout.contains("#2 "), "the cut packet is not: {stdout}");
+    assert!(stdout.contains("kind=binding_changed  <= frames #1"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every JSON file `reproduce` writes is a manifest: with all three
+/// telemetry flags, `validate-trace` passes the whole output directory,
+/// and the capture and profile land beside the trace, not in
+/// directories of their own.
+#[test]
+fn validate_trace_passes_everything_reproduce_writes() {
+    let dir = scratch_dir("all-flags");
+    let out_dir = dir.to_str().unwrap();
+    let run = reproduce(&["--trace", "--capture", "--profile", "t2", "--out", out_dir]);
+    assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
+    for name in ["t2.json", "t2.csv", "t2.hist.csv", "t2.pcapng"] {
+        assert!(dir.join("trace").join(name).is_file(), "trace/{name} missing");
     }
-    assert_eq!(shown[0], shown[1], "both index schemas render the same timeline");
+    assert!(!dir.join("capture").exists() && !dir.join("profile").exists());
+    let out = reproduce(&["validate-trace", out_dir]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(stdout.lines().count(), 1, "one manifest: {stdout}");
+    assert!(stdout.contains("t2.json: valid arpshield-trace/1 manifest"), "{stdout}");
+    let report = reproduce(&["profile-report", dir.join("trace/t2.json").to_str().unwrap()]);
+    assert_eq!(report.status.code(), Some(0), "{}", String::from_utf8_lossy(&report.stderr));
     std::fs::remove_dir_all(&dir).ok();
 }

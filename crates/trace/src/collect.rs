@@ -13,14 +13,14 @@ use crate::csv::csv_escape;
 use crate::hist::Histogram;
 use crate::json::quote;
 use crate::pcapng::PcapngWriter;
-use crate::record::Event;
+use crate::profile::ProfileReport;
 use crate::recorder::{FrameComment, RecordedFrame};
 
 /// One flushed run: its label, its counters (kept structured so the
-/// manifest can merge totals), its serialized JSON body, and — when a
-/// capture was active — the structured histograms, events, and frames
-/// behind that body, kept so the manifest can export them as pcapng
-/// and CSV without re-parsing its own JSON.
+/// manifest can merge totals), its serialized JSON body, and the
+/// structured histograms and frames behind that body, kept so the
+/// manifest can export them as CSV and pcapng without re-parsing its
+/// own JSON.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunSection {
     /// The run label chosen at [`crate::Tracer::for_current_run`] time
@@ -30,14 +30,12 @@ pub struct RunSection {
     pub counters: BTreeMap<String, u64>,
     /// Final histogram state for the run, by name.
     pub histograms: BTreeMap<String, Histogram>,
-    /// The run's stored events (the same ones serialized in `body`).
-    pub events: Vec<Event>,
     /// Captured frames (pinned survivors plus ring remainder), sorted
     /// by id. Empty unless the collector had a capture capacity.
     pub frames: Vec<RecordedFrame>,
-    /// Unpinned frames lost to ring eviction during the run.
-    pub frames_evicted: u64,
-    /// The run serialized as a single-line JSON object.
+    /// The run serialized as a single-line JSON object: counters,
+    /// histograms, events with their frame citations and, under
+    /// capture, the count of frames lost to ring eviction.
     pub body: String,
 }
 
@@ -146,12 +144,15 @@ impl TraceCollector {
             warnings,
             runs,
             capture: self.capture,
+            wall: None,
         }
     }
 }
 
-/// The per-experiment trace artifact: every run's section plus merged
-/// counter totals. Exported as JSON and CSV under `results/trace/`.
+/// The per-experiment artifact: every run's section plus merged
+/// counter totals, and, when the experiment ran under the profiler,
+/// where its wall clock went. Exported as JSON and CSV under
+/// `results/trace/`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunManifest {
     /// Experiment id the manifest belongs to (e.g. `t2`).
@@ -165,17 +166,26 @@ pub struct RunManifest {
     /// The flight-recorder ring capacity the runs recorded under,
     /// `None` when frame capture was off.
     pub capture: Option<usize>,
+    /// The wall-clock profile of the experiment, `None` unless it ran
+    /// under the profiler.
+    pub wall: Option<ProfileReport>,
 }
 
 impl RunManifest {
     /// Serializes the manifest as JSON: deterministic key order, one
-    /// run object per line so manifests diff readably.
+    /// run object per line so manifests diff readably. `ring_capacity`
+    /// appears only under capture and `wall` only under profiling, so a
+    /// plain trace manifest has neither; every byte outside `wall` is
+    /// identical at any `ARPSHIELD_THREADS`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": \"arpshield-trace/1\",");
         let _ = writeln!(out, "  \"experiment\": {},", quote(&self.experiment));
         let _ = writeln!(out, "  \"time_unit\": \"ns\",");
+        if let Some(capacity) = self.capture {
+            let _ = writeln!(out, "  \"ring_capacity\": {capacity},");
+        }
         out.push_str("  \"totals\": {");
         for (i, (name, value)) in self.totals.iter().enumerate() {
             if i > 0 {
@@ -200,9 +210,12 @@ impl RunManifest {
             out.push_str("\n    ");
             out.push_str(&run.body);
         }
-        out.push_str(if self.runs.is_empty() { "]\n" } else { "\n  ]\n" });
-        out.push('}');
-        out.push('\n');
+        out.push_str(if self.runs.is_empty() { "]" } else { "\n  ]" });
+        if let Some(wall) = &self.wall {
+            out.push_str(",\n  \"wall\": ");
+            write_wall(&mut out, wall);
+        }
+        out.push_str("\n}\n");
         out
     }
 
@@ -263,61 +276,55 @@ impl RunManifest {
         }
         writer.finish()
     }
+}
 
-    /// Serializes the capture sidecar index (`arpshield-capture/2`):
-    /// what the pcapng cannot hold, namely the ring capacity and, per
-    /// run, the eviction count and every event with its frame
-    /// citations. The frames themselves, with their ids, times and
-    /// endpoints, live only in the pcapng. `reproduce inspect` joins
-    /// the two files into the forensic timeline.
-    pub fn to_capture_index(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"arpshield-capture/2\",");
-        let _ = writeln!(out, "  \"experiment\": {},", quote(&self.experiment));
-        let _ = writeln!(out, "  \"time_unit\": \"ns\",");
-        let _ = writeln!(out, "  \"ring_capacity\": {},", self.capture.unwrap_or(0));
-        out.push_str("  \"runs\": [");
-        for (i, run) in self.runs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"label\":");
-            out.push_str(&quote(&run.label));
-            let _ = write!(out, ",\"frames_evicted\":{},\"events\":[", run.frames_evicted);
-            for (j, ev) in run.events.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"at_ns\":{},\"category\":{},\"actor\":{},\"detail\":{},\"frames\":[",
-                    ev.at_ns,
-                    quote(ev.category),
-                    quote(&ev.actor),
-                    quote(&ev.detail),
-                );
-                for (k, id) in ev.frames.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{id}");
-                }
-                out.push_str("]}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str(if self.runs.is_empty() { "]\n" } else { "\n  ]\n" });
-        out.push('}');
-        out.push('\n');
-        out
+/// Writes the `wall` object: the independently measured wall time, the
+/// sum of span self times, and the span and gauge tables, path- and
+/// name-sorted. All times are wall-clock nanoseconds, the one part of
+/// the manifest that differs from run to run.
+fn write_wall(out: &mut String, wall: &ProfileReport) {
+    let _ = writeln!(out, "{{\n    \"wall_ns\": {},", wall.wall_ns);
+    let _ = writeln!(out, "    \"self_total_ns\": {},", wall.data.self_total_ns());
+    out.push_str("    \"spans\": [");
+    for (i, (path, s)) in wall.data.spans.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        let name = path.rsplit('/').next().unwrap_or(path);
+        let _ = write!(
+            out,
+            "      {{\"path\": {}, \"name\": {}, \"count\": {}, \"total_ns\": {}, \"self_ns\": {}, \"child_ns\": {}}}",
+            quote(path),
+            quote(name),
+            s.count,
+            s.total_ns,
+            s.self_ns(),
+            s.child_ns,
+        );
     }
+    out.push_str(if wall.data.spans.is_empty() { "],\n" } else { "\n    ],\n" });
+    out.push_str("    \"gauges\": [");
+    for (i, (name, g)) in wall.data.gauges.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        let min = if g.samples == 0 { 0 } else { g.min };
+        let _ = write!(
+            out,
+            "      {{\"name\": {}, \"samples\": {}, \"min\": {}, \"max\": {}, \"sum\": {}}}",
+            quote(name),
+            g.samples,
+            min,
+            g.max,
+            g.sum,
+        );
+    }
+    out.push_str(if wall.data.gauges.is_empty() { "]\n  }" } else { "\n    ]\n  }" });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::{self, Value};
+    use crate::profile::{ProfileData, SpanStats};
+    use crate::recorder::FrameKind;
+    use crate::Tracer;
 
     fn section(label: &str, counter: &str, value: u64) -> RunSection {
         let mut counters = BTreeMap::new();
@@ -384,31 +391,35 @@ mod tests {
         assert!(json::parse(&empty).is_ok());
     }
 
+    /// Records run `label` through a real tracer, so its body is the
+    /// one a simulation writes: `frames` delivered frames, the first
+    /// pinned and cited by a verdict. Without capture nothing is
+    /// recorded and the verdict cites no frame.
+    fn record_run(label: &str, frames: u64) {
+        let tracer = Tracer::for_current_run(label);
+        for n in 1..=frames {
+            let endpoints = || ("h0:0".to_string(), "sw:1".to_string());
+            let id = tracer.record_frame(n * 1_000, FrameKind::Delivered, &[0xAB; 60], endpoints);
+            if n == 1 {
+                if let Some(id) = id {
+                    tracer.pin_frame(id);
+                }
+                tracer.event_frames(n * 1_000, "scheme.verdict", || {
+                    ("passive".into(), "kind=binding_changed".into(), id.into_iter().collect())
+                });
+            }
+        }
+    }
+
     #[test]
     fn capture_exports_cover_every_run() {
-        use crate::recorder::FrameKind;
-        let collector = TraceCollector::with_capture(16);
+        let collector = Arc::new(TraceCollector::with_capture(16));
         assert_eq!(collector.capture_capacity(), Some(16));
-        let mut with_frames = section("run-b", "c", 1);
-        with_frames.frames.push(RecordedFrame {
-            id: 1,
-            at_ns: 5_000,
-            kind: FrameKind::Delivered,
-            src: "h0:0".into(),
-            dst: "sw:1".into(),
-            bytes: vec![0xAB; 60],
-            pinned: true,
-        });
-        with_frames.events.push(Event {
-            at_ns: 5_001,
-            category: "scheme.verdict",
-            actor: "passive".into(),
-            detail: "kind=binding_changed".into(),
-            frames: vec![1],
-        });
-        with_frames.frames_evicted = 3;
-        collector.push_section(with_frames);
-        collector.push_section(section("run-a", "c", 1));
+        {
+            let _guard = install(Arc::clone(&collector));
+            record_run("run-b", 1);
+            record_run("run-a", 0);
+        }
         let manifest = collector.manifest("tX");
         assert_eq!(manifest.capture, Some(16));
 
@@ -416,27 +427,64 @@ mod tests {
         let mut stream = crate::pcapng::PcapngStream::new(pcap.as_slice());
         let packet = stream.next_packet().unwrap().expect("one captured frame");
         assert_eq!(packet.interface, 1, "frameless runs still hold their interface slot");
-        assert_eq!(packet.ts_ns, 5_000);
+        assert_eq!(packet.ts_ns, 1_000);
         assert_eq!(packet.bytes, [0xAB; 60]);
         assert_eq!(packet.comment, "id=1 kind=deliver src=h0:0 dst=sw:1 pinned");
         assert!(stream.next_packet().unwrap().is_none());
         assert_eq!(stream.interfaces(), ["run-a", "run-b"]);
+    }
 
-        // The index parses back, carries its tag, and holds eviction
-        // counts and events with their citations, but no frame table:
-        // the frames live in the pcapng alone.
-        let index = json::parse(&manifest.to_capture_index()).expect("the index is JSON");
-        assert_eq!(index.get("schema").and_then(Value::as_str), Some("arpshield-capture/2"));
-        assert_eq!(index.get("ring_capacity").and_then(Value::as_num), Some(16.0));
-        let runs = index.get("runs").and_then(Value::as_arr).unwrap();
-        assert_eq!(runs.len(), 2);
-        assert!(runs.iter().all(|run| run.get("frames").is_none()));
-        let run_b = &runs[1];
-        assert_eq!(run_b.get("label").and_then(Value::as_str), Some("run-b"));
-        assert_eq!(run_b.get("frames_evicted").and_then(Value::as_num), Some(3.0));
-        let event = &run_b.get("events").and_then(Value::as_arr).unwrap()[0];
+    /// Neither capture nor profiling: none of the optional keys appear.
+    #[test]
+    fn plain_manifest_has_no_optional_sections() {
+        let collector = Arc::new(TraceCollector::new());
+        {
+            let _guard = install(Arc::clone(&collector));
+            record_run("r", 3);
+        }
+        let json = collector.manifest("t0").to_json();
+        for key in ["ring_capacity", "frames_evicted", "wall", "\"frames\":"] {
+            assert!(!json.contains(key), "{key} in a plain manifest:\n{json}");
+        }
+        let doc = json::parse(&json).expect("the manifest is JSON");
+        let runs = doc.get("runs").and_then(Value::as_arr).unwrap();
+        assert_eq!(runs.len(), 1);
+        assert!(runs[0].get("events").and_then(Value::as_arr).is_some_and(|e| e.len() == 1));
+    }
+
+    /// Capture and profiling together: the manifest parses back with
+    /// the ring capacity, each run's eviction count, the verdict's
+    /// frame citation and the wall section.
+    #[test]
+    fn capture_and_profile_manifest_carries_all_three() {
+        let collector = Arc::new(TraceCollector::with_capture(2));
+        {
+            let _guard = install(Arc::clone(&collector));
+            // Frame 1 is pinned; 2 and 3 are evicted to make room for 4 and 5.
+            record_run("r", 5);
+        }
+        let mut data = ProfileData::default();
+        data.spans.insert("job/step".into(), SpanStats { count: 2, total_ns: 700, child_ns: 200 });
+        data.gauges.entry("depth".into()).or_default().sample(5);
+        let mut manifest = collector.manifest("t0");
+        manifest.wall = Some(ProfileReport { wall_ns: 1_000, data });
+        let doc = json::parse(&manifest.to_json()).expect("the manifest is JSON");
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some("arpshield-trace/1"));
+        assert_eq!(doc.get("ring_capacity").and_then(Value::as_num), Some(2.0));
+        let run = &doc.get("runs").and_then(Value::as_arr).unwrap()[0];
+        assert_eq!(run.get("frames_evicted").and_then(Value::as_num), Some(2.0));
+        assert!(run.get("frames").is_none(), "the frames live in the pcapng alone");
+        let event = &run.get("events").and_then(Value::as_arr).unwrap()[0];
         assert_eq!(event.get("detail").and_then(Value::as_str), Some("kind=binding_changed"));
         assert_eq!(event.get("frames"), Some(&Value::Arr(vec![Value::Num(1.0)])));
+        let wall = doc.get("wall").expect("a wall section");
+        assert_eq!(wall.get("wall_ns").and_then(Value::as_num), Some(1_000.0));
+        assert_eq!(wall.get("self_total_ns").and_then(Value::as_num), Some(500.0));
+        let span = &wall.get("spans").and_then(Value::as_arr).unwrap()[0];
+        assert_eq!(span.get("path").and_then(Value::as_str), Some("job/step"));
+        assert_eq!(span.get("name").and_then(Value::as_str), Some("step"));
+        let gauge = &wall.get("gauges").and_then(Value::as_arr).unwrap()[0];
+        assert_eq!(gauge.get("samples").and_then(Value::as_num), Some(1.0));
     }
 
     #[test]

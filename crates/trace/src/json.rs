@@ -125,181 +125,217 @@ impl fmt::Display for Value {
     }
 }
 
-/// Deepest array/object nesting [`parse`] accepts. Every document
-/// arpshield writes nests under ten levels; the cap keeps the recursion
-/// bounded on input it did not write.
-const MAX_DEPTH: usize = 128;
+pub use reader::parse;
 
-/// Parses a JSON document, rejecting trailing garbage and arrays or
-/// objects nested deeper than 128 levels.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
-}
+/// The parser. Its input may come from anywhere, so it never indexes,
+/// overflows or panics: every byte is read through `get`, and clippy
+/// holds it to that.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+mod reader {
+    use std::collections::BTreeMap;
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
+    use super::Value;
 
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {pos}", byte as char, pos = *pos))
-    }
-}
+    /// Deepest array/object nesting [`parse`] accepts. Every document
+    /// arpshield writes nests under ten levels; the cap keeps the
+    /// recursion bounded on input it did not write.
+    pub(super) const MAX_DEPTH: usize = 128;
 
-/// Parses one value whose enclosing arrays and objects number `depth`.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-    skip_ws(bytes, pos);
-    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
-        return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}", pos = *pos));
-    }
-    match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos, depth + 1),
-        Some(b'[') => parse_arr(bytes, pos, depth + 1),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Value) -> Result<Value, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
+    /// Parses a JSON document, rejecting trailing garbage and arrays or
+    /// objects nested deeper than 128 levels.
+    pub fn parse(text: &str) -> Result<Value, String> {
+        let bytes = text.as_bytes();
+        let mut pos = 0;
+        let value = parse_value(bytes, &mut pos, 0)?;
+        skip_ws(bytes, &mut pos);
+        if pos != bytes.len() {
+            return Err(format!("trailing garbage at byte {pos}"));
+        }
         Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
+    /// Moves `pos` past `n` bytes the caller has just read. `pos` stays
+    /// within the input, so the sum never saturates.
+    fn advance(pos: &mut usize, n: usize) {
+        *pos = pos.saturating_add(n);
     }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .map(Value::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
+    fn skip_ws(bytes: &[u8], pos: &mut usize) {
+        while matches!(bytes.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            advance(pos, 1);
+        }
+    }
+
+    fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
+        if bytes.get(*pos) == Some(&byte) {
+            advance(pos, 1);
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {pos}", byte as char, pos = *pos))
+        }
+    }
+
+    /// Parses one value whose enclosing arrays and objects number `depth`.
+    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
+        skip_ws(bytes, pos);
+        if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+                pos = *pos
+            ));
+        }
+        // Below the cap, so the increment never saturates.
+        let inner = depth.saturating_add(1);
         match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "invalid \\u escape".to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
+            Some(b'{') => parse_obj(bytes, pos, inner),
+            Some(b'[') => parse_arr(bytes, pos, inner),
+            Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
+            Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
+            Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
+            Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
+            Some(_) => parse_number(bytes, pos),
+            None => Err("unexpected end of input".to_string()),
+        }
+    }
+
+    fn parse_keyword(
+        bytes: &[u8],
+        pos: &mut usize,
+        word: &str,
+        value: Value,
+    ) -> Result<Value, String> {
+        if bytes.get(*pos..).is_some_and(|rest| rest.starts_with(word.as_bytes())) {
+            advance(pos, word.len());
+            Ok(value)
+        } else {
+            Err(format!("invalid literal at byte {pos}", pos = *pos))
+        }
+    }
+
+    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+        let start = *pos;
+        while matches!(bytes.get(*pos), Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) {
+            advance(pos, 1);
+        }
+        bytes
+            .get(start..*pos)
+            .and_then(|digits| std::str::from_utf8(digits).ok())
+            .and_then(|s| s.parse().ok())
+            .map(Value::Num)
+            .ok_or_else(|| format!("invalid number at byte {start}"))
+    }
+
+    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+        expect(bytes, pos, b'"')?;
+        let mut out = String::new();
+        loop {
+            match bytes.get(*pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    advance(pos, 1);
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    advance(pos, 1);
+                    match bytes.get(*pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(*pos..)
+                                .and_then(|rest| rest.get(1..5))
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .ok_or("truncated \\u escape")?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| "invalid \\u escape".to_string())?;
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            advance(pos, 4);
+                        }
+                        _ => return Err(format!("invalid escape at byte {pos}", pos = *pos)),
                     }
-                    _ => return Err(format!("invalid escape at byte {pos}", pos = *pos)),
+                    advance(pos, 1);
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume the whole run up to the next quote or escape
-                // in one append. `"` and `\` are ASCII, so they can
-                // never appear inside a UTF-8 continuation sequence,
-                // and the input is a &str, so the run is valid UTF-8.
-                let start = *pos;
-                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
-                    *pos += 1;
+                Some(_) => {
+                    // Consume the whole run up to the next quote or
+                    // escape in one append. `"` and `\` are ASCII, so
+                    // they can never appear inside a UTF-8 continuation
+                    // sequence, and the input is a &str, so the run is
+                    // valid UTF-8.
+                    let start = *pos;
+                    while bytes.get(*pos).is_some_and(|b| !matches!(b, b'"' | b'\\')) {
+                        advance(pos, 1);
+                    }
+                    let run = bytes.get(start..*pos).unwrap_or_default();
+                    out.push_str(std::str::from_utf8(run).map_err(|e| e.to_string())?);
                 }
-                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-                out.push_str(run);
             }
         }
     }
-}
 
-fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth)?);
+    fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
+        expect(bytes, pos, b'[')?;
+        let mut items = Vec::new();
         skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
+        if bytes.get(*pos) == Some(&b']') {
+            advance(pos, 1);
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(parse_value(bytes, pos, depth)?);
+            skip_ws(bytes, pos);
+            match bytes.get(*pos) {
+                Some(b',') => advance(pos, 1),
+                Some(b']') => {
+                    advance(pos, 1);
+                    return Ok(Value::Arr(items));
+                }
+                _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
             }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
         }
     }
-}
 
-fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-    expect(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(map));
-    }
-    loop {
+    fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
+        expect(bytes, pos, b'{')?;
+        let mut map = BTreeMap::new();
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        map.insert(key, parse_value(bytes, pos, depth)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(map));
+        if bytes.get(*pos) == Some(&b'}') {
+            advance(pos, 1);
+            return Ok(Value::Obj(map));
+        }
+        loop {
+            skip_ws(bytes, pos);
+            let key = parse_string(bytes, pos)?;
+            skip_ws(bytes, pos);
+            expect(bytes, pos, b':')?;
+            map.insert(key, parse_value(bytes, pos, depth)?);
+            skip_ws(bytes, pos);
+            match bytes.get(*pos) {
+                Some(b',') => advance(pos, 1),
+                Some(b'}') => {
+                    advance(pos, 1);
+                    return Ok(Value::Obj(map));
+                }
+                _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
             }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reader::MAX_DEPTH;
     use super::*;
 
     #[test]

@@ -14,16 +14,19 @@
 //!   propagated) sink that finished runs flush into. Installed with
 //!   [`install`]; when no collector is installed every [`Tracer`] is
 //!   disabled and recording is a single branch on a `None`.
-//! * [`RunManifest`] — the deterministic JSON/CSV export written under
-//!   `results/trace/` by `reproduce --trace`.
+//! * [`RunManifest`] — the one artifact per experiment, written under
+//!   `results/trace/` by `reproduce --trace`, `--capture` and
+//!   `--profile`: a JSON manifest, its counter and histogram CSVs and,
+//!   under capture, a pcapng beside it.
 //!
 //! The crate also owns the two file formats, with one reader and one
 //! writer each: [`json`] and [`pcapng`].
 //!
 //! ## Determinism contract
 //!
-//! The manifest for a given experiment and seed is byte-identical at
-//! any `ARPSHIELD_THREADS` value. Three properties make that hold:
+//! Every manifest byte outside the `wall` section is identical, for a
+//! given experiment and seed, at any `ARPSHIELD_THREADS` value. Three
+//! properties make that hold:
 //!
 //! 1. every run records into its own [`RunRecorder`] on the thread
 //!    that executes it, so there is no cross-run interleaving;
@@ -45,9 +48,9 @@
 //! scheme verdict — cites the exact frame that caused it. Frames cited
 //! by scheme alerts are *pinned* and survive ring eviction. The
 //! [`RunManifest`] exports captures as standard [`pcapng`], each frame
-//! described by its [`FrameComment`], plus an `arpshield-capture/2`
-//! JSON index holding what the pcapng cannot: eviction counts and the
-//! events with their frame citations.
+//! described by its [`FrameComment`]. What the pcapng cannot hold
+//! stays in the manifest: the top-level `ring_capacity`, each run's
+//! `frames_evicted`, and the events with their frame citations.
 //!
 //! ## Disabled-path cost
 //!
@@ -62,11 +65,11 @@
 //! ## Wall-clock telemetry
 //!
 //! Two sibling subsystems deliberately step outside the sim-time rule
-//! and are quarantined to stderr and sidecar files for it:
-//! [`profile`] (span-scoped wall-clock self-profiling, exported as
-//! `results/profile/<id>.json` + `.csv` by `reproduce --profile`) and
-//! [`heartbeat`] (periodic progress lines during scale sweeps and
-//! ingest, suppressed by `ARPSHIELD_QUIET=1`). Both follow the same
+//! and are quarantined for it: [`profile`] (span-scoped wall-clock
+//! self-profiling, exported as the manifest's `wall` section by
+//! `reproduce --profile`) and [`heartbeat`] (periodic progress lines
+//! during scale sweeps and ingest, suppressed by `ARPSHIELD_QUIET=1`,
+//! on stderr only). Both follow the same
 //! disabled-path discipline as the tracer. [`env_knob`] centralises
 //! `ARPSHIELD_*` environment parsing so every knob warns-and-defaults
 //! on garbage.
@@ -89,9 +92,7 @@ pub use collect::{current, install, InstallGuard, RunManifest, RunSection, Trace
 pub use csv::csv_escape;
 pub use heartbeat::Heartbeat;
 pub use hist::{bucket_of, bucket_range, Histogram, BUCKETS};
-pub use profile::{
-    GaugeStats, ProfileCollector, ProfileData, ProfileReport, SpanStats, PROFILE_SCHEMA,
-};
+pub use profile::{GaugeStats, ProfileCollector, ProfileData, ProfileReport, SpanStats};
 pub use record::{Event, RunRecorder, Tracer, MAX_EVENTS_PER_RUN};
 pub use recorder::{
     ring_capacity_from_env, FrameComment, FrameKind, FrameRecorder, RecordedFrame,

@@ -4,8 +4,9 @@
 //! clock** — where the host CPU's cycles went, not where simulated time
 //! went. Its output is therefore quarantined the same way the scale
 //! experiments quarantine their timing: profile data only ever reaches
-//! the `results/profile/` sidecar and stderr, never a deterministic CSV
-//! or manifest.
+//! the `wall` section of the experiment's manifest
+//! (`results/trace/<id>.json`) and stderr, never a deterministic CSV
+//! or another manifest byte.
 //!
 //! ## Model
 //!
@@ -19,13 +20,14 @@
 //!
 //! Each thread keeps a stack of open spans and a calling-context tree:
 //! the same label reached through different parents is a distinct node,
-//! so `results/profile/t6s.json` distinguishes `pool.acquire` under
-//! `packet.encode` from `pool.acquire` under `sim.deliver`. Every node
-//! accumulates a call count, *total* time (span enter → exit) and
-//! *child* time (total of directly nested spans); **self** time is
-//! their difference, and summing self over all nodes reproduces the
-//! total of the root spans — which is what lets CI assert that the
-//! instrumentation accounts for ≥90% of a run's measured wall time.
+//! so the `wall` section of `results/trace/t6s.json` distinguishes
+//! `pool.acquire` under `packet.encode` from `pool.acquire` under
+//! `sim.deliver`. Every node accumulates a call count, *total* time
+//! (span enter → exit) and *child* time (total of directly nested
+//! spans); **self** time is their difference, and summing self over
+//! all nodes reproduces the total of the root spans — which is what
+//! lets CI assert that the instrumentation accounts for ≥90% of a
+//! run's measured wall time.
 //!
 //! [`gauge`] records point-in-time samples (wheel occupancy, pool hit
 //! counts, CAM size, recorder ring fill) into order-free aggregates
@@ -53,17 +55,11 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::marker::PhantomData;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-use crate::json::quote;
-
-/// Schema tag written at the head of every profile JSON sidecar.
-pub const PROFILE_SCHEMA: &str = "arpshield-profile/1";
 
 /// Count of live [`install`] guards across all threads. Zero means
 /// profiling is off everywhere and [`span`]/[`gauge`] cost one branch.
@@ -392,89 +388,22 @@ impl ProfileCollector {
         self.merged.lock().expect("profile merge poisoned").clone()
     }
 
-    /// Freezes the merged data into an exportable report. `wall_ns` is
-    /// the caller's independent wall-clock measurement of the profiled
+    /// Freezes the merged data into a report. `wall_ns` is the
+    /// caller's independent wall-clock measurement of the profiled
     /// region (span self-times should sum close to it).
-    pub fn report(&self, experiment: impl Into<String>, wall_ns: u64) -> ProfileReport {
-        ProfileReport { experiment: experiment.into(), wall_ns, data: self.snapshot() }
+    pub fn report(&self, wall_ns: u64) -> ProfileReport {
+        ProfileReport { wall_ns, data: self.snapshot() }
     }
 }
 
-/// One experiment's profile, ready to serialise.
+/// One experiment's profile: the `wall` section of its
+/// [`RunManifest`](crate::RunManifest).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileReport {
-    /// Experiment id (`t6s`, `ingest`, …).
-    pub experiment: String,
     /// Independently measured wall time of the profiled region.
     pub wall_ns: u64,
     /// The merged span/gauge data.
     pub data: ProfileData,
-}
-
-impl ProfileReport {
-    /// Serialises to the `arpshield-profile/1` JSON sidecar. Spans are
-    /// path-sorted and gauges name-sorted; all times are wall-clock
-    /// nanoseconds, which is why this file lives beside — never inside
-    /// — the deterministic outputs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", quote(PROFILE_SCHEMA));
-        let _ = writeln!(out, "  \"experiment\": {},", quote(&self.experiment));
-        out.push_str("  \"time_unit\": \"ns\",\n");
-        let _ = writeln!(out, "  \"wall_ns\": {},", self.wall_ns);
-        let _ = writeln!(out, "  \"self_total_ns\": {},", self.data.self_total_ns());
-        out.push_str("  \"spans\": [");
-        for (i, (path, s)) in self.data.spans.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let name = path.rsplit('/').next().unwrap_or(path);
-            let _ = write!(
-                out,
-                "    {{\"path\": {}, \"name\": {}, \"count\": {}, \"total_ns\": {}, \"self_ns\": {}, \"child_ns\": {}}}",
-                quote(path),
-                quote(name),
-                s.count,
-                s.total_ns,
-                s.self_ns(),
-                s.child_ns,
-            );
-        }
-        out.push_str(if self.data.spans.is_empty() { "],\n" } else { "\n  ],\n" });
-        out.push_str("  \"gauges\": [");
-        for (i, (name, g)) in self.data.gauges.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let min = if g.samples == 0 { 0 } else { g.min };
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"samples\": {}, \"min\": {}, \"max\": {}, \"sum\": {}}}",
-                quote(name),
-                g.samples,
-                min,
-                g.max,
-                g.sum,
-            );
-        }
-        out.push_str(if self.data.gauges.is_empty() { "]\n" } else { "\n  ]\n" });
-        out.push_str("}\n");
-        out
-    }
-
-    /// Serialises the span table as CSV (`path,count,total_ns,self_ns`),
-    /// path-sorted.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("path,count,total_ns,self_ns\n");
-        for (path, s) in &self.data.spans {
-            let _ = writeln!(
-                out,
-                "{},{},{},{}",
-                crate::csv_escape(path),
-                s.count,
-                s.total_ns,
-                s.self_ns()
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -619,23 +548,21 @@ mod tests {
             gauge("depth", 5);
             gauge("depth", 11);
         }
-        let report = collector.report("t0", 123_456);
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"arpshield-profile/1\""));
+        let mut manifest = crate::TraceCollector::new().manifest("t0");
+        manifest.wall = Some(collector.report(123_456));
+        let json = manifest.to_json();
+        assert!(json.contains("\"schema\": \"arpshield-trace/1\""));
         assert!(json.contains("\"experiment\": \"t0\""));
-        assert!(json.contains("\"wall_ns\": 123456"));
+        assert!(json.contains("\"wall\": {\n    \"wall_ns\": 123456,"));
         assert!(json.contains("\"path\": \"alpha/beta\""));
         assert!(json.contains("\"name\": \"beta\""));
         assert!(json
             .contains("\"name\": \"depth\", \"samples\": 2, \"min\": 5, \"max\": 11, \"sum\": 16"));
-        let doc = crate::json::parse(&json).expect("the report is JSON");
-        assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some(PROFILE_SCHEMA));
-        assert_eq!(doc.get("wall_ns").and_then(|v| v.as_num()), Some(123_456.0));
-        let spans = doc.get("spans").and_then(|v| v.as_arr()).unwrap();
+        let doc = crate::json::parse(&json).expect("the manifest is JSON");
+        let wall = doc.get("wall").expect("a wall section");
+        assert_eq!(wall.get("wall_ns").and_then(|v| v.as_num()), Some(123_456.0));
+        let spans = wall.get("spans").and_then(|v| v.as_arr()).unwrap();
         assert!(spans.iter().any(|s| s.get("path").and_then(|v| v.as_str()) == Some("alpha/beta")));
-        let csv = report.to_csv();
-        assert!(csv.starts_with("path,count,total_ns,self_ns\n"));
-        assert!(csv.contains("alpha/beta,1,"));
     }
 
     #[test]

@@ -143,7 +143,13 @@ impl RunRecorder {
             }
             out.push('}');
         }
-        out.push_str("]}");
+        out.push(']');
+        // Present only under capture, so trace-only manifests stay
+        // byte-identical to older ones.
+        if let Some(frames) = &self.frames {
+            let _ = write!(out, ",\"frames_evicted\":{}", frames.evicted());
+        }
+        out.push('}');
         out
     }
 }
@@ -153,17 +159,11 @@ impl Drop for RunRecorder {
         // Serialize before moving the structured fields out: the body
         // is part of the section's deterministic sort key.
         let body = self.to_json();
-        let (frames, frames_evicted) = match self.frames.take() {
-            Some(recorder) => recorder.into_frames(),
-            None => (Vec::new(), 0),
-        };
         let section = RunSection {
             label: self.label.clone(),
             counters: self.counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
             histograms: self.histograms.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
-            events: std::mem::take(&mut self.events),
-            frames,
-            frames_evicted,
+            frames: self.frames.take().map(FrameRecorder::into_frames).unwrap_or_default(),
             body,
         };
         self.collector.push_section(section);

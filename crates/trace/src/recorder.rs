@@ -29,7 +29,7 @@ pub enum FrameKind {
 }
 
 impl FrameKind {
-    /// Stable label used in capture indexes and pcapng comments.
+    /// Stable label used in pcapng comments.
     pub fn label(self) -> &'static str {
         match self {
             FrameKind::Delivered => "deliver",
@@ -214,12 +214,12 @@ impl FrameRecorder {
         self.evicted
     }
 
-    /// Consumes the recorder into `(frames sorted by id, evicted)`.
-    pub fn into_frames(self) -> (Vec<RecordedFrame>, u64) {
+    /// Consumes the recorder into its frames, sorted by id.
+    pub fn into_frames(self) -> Vec<RecordedFrame> {
         let mut frames = self.survivors;
         frames.extend(self.ring);
         frames.sort_by_key(|f| f.id);
-        (frames, self.evicted)
+        frames
     }
 }
 
@@ -262,10 +262,10 @@ mod tests {
             frame(&mut rec, n);
         }
         // Ring holds 7..=10; 1, 3, 4, 5, 6 evicted unpinned; 2 survived.
-        let (frames, evicted) = rec.into_frames();
+        assert_eq!(rec.evicted(), 5);
+        let frames = rec.into_frames();
         let ids: Vec<u64> = frames.iter().map(|f| f.id).collect();
         assert_eq!(ids, vec![2, 7, 8, 9, 10]);
-        assert_eq!(evicted, 5);
         let saved = &frames[0];
         assert!(saved.pinned);
         assert_eq!(saved.bytes, vec![2u8; 4]);
@@ -310,7 +310,7 @@ mod tests {
         frame(&mut rec, 1);
         frame(&mut rec, 2);
         rec.pin(2);
-        let (frames, _) = rec.into_frames();
+        let frames = rec.into_frames();
         let written: Vec<String> = frames.iter().map(|f| FrameComment::of(f).to_string()).collect();
         assert_eq!(
             written,

@@ -10,10 +10,11 @@
 # own workspace, built against the library crates by path, so removing
 # API it uses fails here), a smoke run of the t5r loss-resilience
 # sweep, a `--trace` smoke (manifest emission + validation), a
-# `--profile` smoke (span profile emission + report rendering), a
-# `--capture` smoke (pcapng + `arpshield-capture/2` index emission,
-# forensic `inspect` timeline with verdict provenance, `inspect` on a
-# capture cut mid-block), an `ingest` smoke
+# `--profile` smoke (the manifest's `wall` section + report rendering),
+# a `--capture` smoke (pcapng beside the manifest, forensic `inspect`
+# timeline with verdict provenance, `inspect` on a capture cut
+# mid-block), an all-flags run whose output directory must validate
+# as manifests only, an `ingest` smoke
 # (capture re-ingest through the standalone detector, checking live vs
 # re-ingested verdict-counter parity), a re-derivation of the committed
 # t6s/t6sd rows at 1k-10k hosts, a one-iteration smoke run of every
@@ -66,64 +67,94 @@ test -s "$trace_out/trace/t2.hist.csv"
 ./target/release/reproduce validate-trace "$trace_out/trace"
 rm -rf "$trace_out"
 
-echo "==> reproduce --profile smoke (span profile emission + report rendering)"
+echo "==> reproduce --profile smoke (the manifest's wall section + report rendering)"
 profile_out="$(mktemp -d)"
 ./target/release/reproduce --profile t3 --out "$profile_out" >/dev/null
 test -s "$profile_out/t3.csv"
-test -s "$profile_out/profile/t3.json"
-test -s "$profile_out/profile/t3.csv"
-grep -q '"schema": "arpshield-profile/1"' "$profile_out/profile/t3.json"
-./target/release/reproduce profile-report "$profile_out/profile/t3.json" \
+test -s "$profile_out/trace/t3.json"
+python3 - "$profile_out/trace/t3.json" <<'PY'
+import json
+import sys
+
+doc = json.load(open(sys.argv[1]))
+wall = doc["wall"]
+if doc["schema"] != "arpshield-trace/1" or not wall["spans"] or wall["wall_ns"] <= 0:
+    sys.exit(f"profile: FAIL {sys.argv[1]}: no usable wall section")
+print(f"profile: ok {sys.argv[1]}: {len(wall['spans'])} span path(s) in the wall section")
+PY
+./target/release/reproduce profile-report "$profile_out/trace/t3.json" \
     >"$profile_out/report.txt"
-grep -q "arpshield-profile/1" "$profile_out/report.txt"
+grep -q "^profile: t3 " "$profile_out/report.txt"
 # At least one span row with real samples: the simulator's dispatch
 # span fires for every delivered frame in every t3 cell.
 grep -q "sim.deliver" "$profile_out/report.txt"
-# A non-profile file must be rejected with a nonzero exit.
+# A non-manifest file, and a manifest without a wall section, must be
+# rejected with a nonzero exit.
 if ./target/release/reproduce profile-report "$profile_out/t3.csv" >/dev/null 2>&1; then
-    echo "profile-report accepted a non-profile file" >&2
+    echo "profile-report accepted a non-manifest file" >&2
     exit 1
 fi
+./target/release/reproduce --trace t2 --out "$profile_out/plain" >/dev/null
+if ./target/release/reproduce profile-report "$profile_out/plain/trace/t2.json" \
+    >/dev/null 2>"$profile_out/plain.stderr"; then
+    echo "profile-report accepted a manifest without a wall section" >&2
+    exit 1
+fi
+grep -q "no \`wall\` section" "$profile_out/plain.stderr"
 rm -rf "$profile_out"
 
-echo "==> reproduce --capture smoke (pcapng + index + inspect timeline)"
+echo "==> reproduce --capture smoke (pcapng beside the manifest + inspect timeline)"
 capture_out="$(mktemp -d)"
 ARPSHIELD_RECORD_FRAMES=256 ./target/release/reproduce --capture t2 t3 \
     --out "$capture_out" >/dev/null
 for id in t2 t3; do
-    test -s "$capture_out/capture/$id.pcapng"
-    test -s "$capture_out/capture/$id.index.json"
+    test -s "$capture_out/trace/$id.pcapng"
+    test -s "$capture_out/trace/$id.json"
 done
-# The index carries events and eviction counts; the frames themselves
-# live only in the pcapng, so no run has a `frames` table.
-python3 - "$capture_out/capture/t2.index.json" "$capture_out/capture/t3.index.json" <<'PY'
+# The capture writes into the manifest's directory and nowhere else,
+# and the two manifests are the only JSON files written.
+test ! -e "$capture_out/capture"
+test ! -e "$capture_out/profile"
+test "$(find "$capture_out" -name '*.json' | wc -l)" -eq 2
+# The manifest carries the ring capacity and each run's eviction count;
+# the frames themselves live only in the pcapng, so no run has a
+# `frames` table.
+python3 - "$capture_out/trace/t2.json" "$capture_out/trace/t3.json" <<'PY'
 import json
 import sys
 
 for path in sys.argv[1:]:
     doc = json.load(open(path))
-    if doc["schema"] != "arpshield-capture/2":
-        sys.exit(f"capture index: FAIL {path}: schema {doc['schema']!r}")
+    if doc["schema"] != "arpshield-trace/1" or doc.get("ring_capacity") != 256:
+        sys.exit(f"capture manifest: FAIL {path}: schema or ring_capacity")
+    if not all("frames_evicted" in run for run in doc["runs"]):
+        sys.exit(f"capture manifest: FAIL {path}: a run lacks frames_evicted")
     if any("frames" in run for run in doc["runs"]):
-        sys.exit(f"capture index: FAIL {path}: a run carries a frame table")
-    print(f"capture index: ok {path}: {len(doc['runs'])} run(s), no frame table")
+        sys.exit(f"capture manifest: FAIL {path}: a run carries a frame table")
+    print(f"capture manifest: ok {path}: {len(doc['runs'])} run(s), no frame table")
 PY
-./target/release/reproduce inspect "$capture_out/capture/t2.pcapng" >/dev/null
+./target/release/reproduce inspect "$capture_out/trace/t2.pcapng" >/dev/null
 # A capture cut mid-block still inspects: its complete packets plus a
 # `truncated` warning, and exit 0.
-t2_size="$(wc -c <"$capture_out/capture/t2.pcapng")"
-head -c "$((t2_size - 2))" "$capture_out/capture/t2.pcapng" >"$capture_out/cut.pcapng"
-cp "$capture_out/capture/t2.index.json" "$capture_out/cut.index.json"
+t2_size="$(wc -c <"$capture_out/trace/t2.pcapng")"
+head -c "$((t2_size - 2))" "$capture_out/trace/t2.pcapng" >"$capture_out/cut.pcapng"
+cp "$capture_out/trace/t2.json" "$capture_out/cut.json"
 ./target/release/reproduce inspect "$capture_out/cut.pcapng" \
     >"$capture_out/cut.timeline" 2>"$capture_out/cut.stderr"
 grep -q "truncated" "$capture_out/cut.stderr"
 grep -q "== run: " "$capture_out/cut.timeline"
 # t3 runs defended cells: the timeline must surface verdicts with their
 # pinned provenance frames.
-./target/release/reproduce inspect "$capture_out/capture/t3.pcapng" \
+./target/release/reproduce inspect "$capture_out/trace/t3.pcapng" \
     --verdict binding_changed >"$capture_out/t3.timeline"
 grep -q "scheme.verdict" "$capture_out/t3.timeline"
 rm -rf "$capture_out"
+
+echo "==> reproduce --trace --capture --profile: every JSON written is a manifest"
+all_out="$(mktemp -d)"
+./target/release/reproduce --trace --capture --profile t2 --out "$all_out" >/dev/null
+./target/release/reproduce validate-trace "$all_out"
+rm -rf "$all_out"
 
 echo "==> reproduce t6s --defend smoke (scale sweep, thread/profile byte identity)"
 t6s_out="$(mktemp -d)"
@@ -132,7 +163,7 @@ t6s_out="$(mktemp -d)"
 # with in-fabric DAI (id t6sd). All CSVs — undefended and defended —
 # must be byte-identical whether the sweep points fan out over one
 # worker or four, and whether or not the wall-clock profiler is armed
-# (its artifacts are quarantined under profile/ and stderr).
+# (its data is quarantined to the manifests under trace/ and stderr).
 ARPSHIELD_T6S_HOSTS=300,900 ARPSHIELD_THREADS=1 \
     ./target/release/reproduce t6s --defend --out "$t6s_out/one" >/dev/null 2>&1
 ARPSHIELD_T6S_HOSTS=300,900 ARPSHIELD_THREADS=4 \
@@ -154,11 +185,12 @@ for i in 0 1 2 3; do
 done
 # DAI must actually deny the smoke's spoofed frames at every size.
 awk -F',' 'NR > 1 && $2 + 0 <= 0 { exit 1 }' "$t6s_out/one/t6sd_2.csv"
-# Byte identity across worker count and profiler arming; the profile/
-# sidecars are wall-clock data and excluded from the comparison.
+# Byte identity across worker count and profiler arming; the trace/
+# manifests hold the wall-clock data and are excluded from the
+# comparison.
 diff -r "$t6s_out/one" "$t6s_out/four"
-diff -r -x profile "$t6s_out/one" "$t6s_out/one-prof"
-diff -r -x profile "$t6s_out/one" "$t6s_out/four-prof"
+diff -r -x trace "$t6s_out/one" "$t6s_out/one-prof"
+diff -r -x trace "$t6s_out/one" "$t6s_out/four-prof"
 # The forced-fast interval must produce heartbeat progress lines plus a
 # done summary per sweep point, and quiet mode must silence both.
 grep -q "heartbeat" "$t6s_out/one-prof.stderr"
@@ -167,21 +199,22 @@ test ! -s "$t6s_out/four-prof.stderr"
 # Coverage gate: span self times must account for >=90% of each run's
 # measured wall time (job-level root spans make sum(self) telescope to
 # the work actually executed; with >1 worker it can exceed wall time).
-python3 - "$t6s_out/one-prof/profile/t6s.json" \
-    "$t6s_out/one-prof/profile/t6sd.json" \
-    "$t6s_out/four-prof/profile/t6s.json" \
-    "$t6s_out/four-prof/profile/t6sd.json" <<'PY'
+python3 - "$t6s_out/one-prof/trace/t6s.json" \
+    "$t6s_out/one-prof/trace/t6sd.json" \
+    "$t6s_out/four-prof/trace/t6s.json" \
+    "$t6s_out/four-prof/trace/t6sd.json" <<'PY'
 import json
 import sys
 
 failed = False
 for path in sys.argv[1:]:
     doc = json.load(open(path))
-    if doc["schema"] != "arpshield-profile/1":
-        print(f"profile coverage: FAIL {path}: unexpected schema {doc['schema']!r}")
+    if doc["schema"] != "arpshield-trace/1" or "wall" not in doc:
+        print(f"profile coverage: FAIL {path}: no wall section in {doc['schema']!r}")
         failed = True
         continue
-    coverage = 100.0 * doc["self_total_ns"] / max(doc["wall_ns"], 1)
+    wall = doc["wall"]
+    coverage = 100.0 * wall["self_total_ns"] / max(wall["wall_ns"], 1)
     verdict = "ok" if coverage >= 90.0 else "FAIL"
     failed |= coverage < 90.0
     print(f"profile coverage: {verdict} {path}: {coverage:.1f}% of wall accounted")
@@ -195,7 +228,7 @@ ingest_out="$(mktemp -d)"
 # parity needs the monitor's complete vantage on disk.
 ARPSHIELD_RECORD_FRAMES=200000 ./target/release/reproduce t3 --trace --capture \
     --out "$ingest_out" >/dev/null
-./target/release/reproduce ingest "$ingest_out/capture/t3.pcapng" \
+./target/release/reproduce ingest "$ingest_out/trace/t3.pcapng" \
     --scheme passive --vantage passive-monitor --out "$ingest_out" >/dev/null
 test -s "$ingest_out/trace/ingest.json"
 test -s "$ingest_out/trace/ingest.csv"

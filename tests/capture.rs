@@ -2,7 +2,7 @@
 //!
 //! 1. **Capture is inert**: arming the frame ring changes neither the
 //!    experiment CSVs nor the simulation itself, and the exported
-//!    pcapng + index are byte-identical at any `ARPSHIELD_THREADS`.
+//!    pcapng + manifest are byte-identical at any `ARPSHIELD_THREADS`.
 //! 2. **Verdicts carry provenance**: every `scheme.verdict.*` event in
 //!    a captured attack run cites at least one frame, every cited
 //!    frame survives ring eviction (pinning), and the pcapng streams
@@ -16,8 +16,9 @@ use arpshield::analysis::experiment::t2_susceptibility;
 use arpshield::analysis::scenario::{AttackScenario, ScenarioConfig};
 use arpshield::attacks::PoisonVariant;
 use arpshield::schemes::SchemeKind;
+use arpshield::trace::json::{self, Value};
 use arpshield::trace::pcapng::PcapngStream;
-use arpshield::trace::{install, json, FrameComment, TraceCollector};
+use arpshield::trace::{install, FrameComment, TraceCollector};
 
 #[test]
 fn capture_is_inert_and_thread_count_independent() {
@@ -32,16 +33,17 @@ fn capture_is_inert_and_thread_count_independent() {
         };
         std::env::remove_var("ARPSHIELD_THREADS");
         let manifest = collector.manifest("t2");
-        (csv, manifest.to_pcapng(), manifest.to_capture_index())
+        (csv, manifest.to_pcapng(), manifest.to_json())
     };
-    let (csv_seq, pcap_seq, index_seq) = captured("1");
-    let (csv_par, pcap_par, index_par) = captured("4");
+    let (csv_seq, pcap_seq, manifest_seq) = captured("1");
+    let (csv_par, pcap_par, manifest_par) = captured("4");
 
     assert_eq!(plain, csv_seq, "arming the flight recorder must not change the experiment");
     assert_eq!(csv_seq, csv_par, "the experiment itself is thread-count independent");
     assert_eq!(pcap_seq, pcap_par, "pcapng export is byte-identical at any thread count");
-    assert_eq!(index_seq, index_par, "capture index is byte-identical at any thread count");
+    assert_eq!(manifest_seq, manifest_par, "the manifest is byte-identical at any thread count");
     assert!(!pcap_seq.is_empty());
+    assert!(manifest_seq.contains("\"ring_capacity\": 512,"));
 }
 
 #[test]
@@ -59,23 +61,30 @@ fn attack_capture_pins_verdict_provenance() {
     let manifest = collector.manifest("attack-capture");
     assert_eq!(manifest.runs.len(), 1);
     let run = &manifest.runs[0];
+    let doc = json::parse(&manifest.to_json()).expect("the manifest is JSON");
+    let runs = doc.get("runs").and_then(Value::as_arr).expect("a runs array");
+    let section = &runs[0];
+    assert!(section.get("frames").is_none(), "no frame table in the manifest");
 
     // A 64-frame ring on a 12-second poisoning run must wrap: eviction
     // is exercised, yet every frame a verdict cites is still here.
-    assert!(run.frames_evicted > 0, "ring must have wrapped (capacity 64)");
+    let evicted = section.get("frames_evicted").and_then(Value::as_num);
+    assert!(evicted.is_some_and(|n| n > 0.0), "ring must have wrapped (capacity 64)");
     assert!(!run.frames.is_empty());
     let ids: std::collections::HashSet<u64> = run.frames.iter().map(|f| f.id).collect();
-    let verdicts: Vec<_> =
-        run.events.iter().filter(|e| e.category.starts_with("scheme.verdict")).collect();
+    let events = section.get("events").and_then(Value::as_arr).expect("an events array");
+    let is_verdict = |e: &Value| {
+        e.get("category").and_then(Value::as_str).is_some_and(|c| c.starts_with("scheme.verdict"))
+    };
+    let verdicts: Vec<&Value> = events.iter().filter(|e| is_verdict(e)).collect();
     assert!(!verdicts.is_empty(), "the attack run must log verdicts");
+    assert!(verdicts.iter().any(|v| v.to_string().contains("kind=binding_changed")));
     for verdict in &verdicts {
-        assert!(
-            !verdict.frames.is_empty(),
-            "every verdict must cite its provenance frames: {verdict:?}"
-        );
-        for id in &verdict.frames {
-            assert!(ids.contains(id), "cited frame #{id} must survive eviction");
-            let frame = run.frames.iter().find(|f| f.id == *id).unwrap();
+        let cited = verdict.get("frames").and_then(Value::as_arr).unwrap_or_default();
+        assert!(!cited.is_empty(), "every verdict must cite its provenance frames: {verdict}");
+        for id in cited.iter().filter_map(Value::as_num).map(|id| id as u64) {
+            assert!(ids.contains(&id), "cited frame #{id} must survive eviction");
+            let frame = run.frames.iter().find(|f| f.id == id).unwrap();
             assert!(frame.pinned, "cited frame #{id} must be pinned");
         }
     }
@@ -94,16 +103,6 @@ fn attack_capture_pins_verdict_provenance() {
     assert!(frames.next().is_none(), "every frame is exported");
     assert_eq!(stream.interfaces(), std::slice::from_ref(&run.label));
     assert!(stream.warnings().is_empty());
-
-    // The index holds the events and their citations; the frames
-    // themselves are the pcapng's alone.
-    let index = manifest.to_capture_index();
-    let doc = json::parse(&index).expect("the index is JSON");
-    assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some("arpshield-capture/2"));
-    let runs = doc.get("runs").and_then(|v| v.as_arr()).expect("a runs array");
-    assert!(runs[0].get("frames").is_none(), "no frame table in the index");
-    assert!(index.contains("\"scheme.verdict\""));
-    assert!(index.contains("kind=binding_changed"));
 }
 
 #[test]
@@ -120,8 +119,10 @@ fn capture_off_records_no_frames() {
     let manifest = collector.manifest("no-capture");
     for run in &manifest.runs {
         assert!(run.frames.is_empty(), "no capture requested, no frames recorded");
-        assert_eq!(run.frames_evicted, 0);
         assert!(!run.body.contains("\"frames\":"), "trace-only manifests must not mention frames");
     }
-    assert!(!manifest.to_json().contains("\"frames\":"));
+    let json = manifest.to_json();
+    for key in ["\"frames\":", "frames_evicted", "ring_capacity"] {
+        assert!(!json.contains(key), "a trace-only manifest mentions {key}");
+    }
 }

@@ -17,6 +17,7 @@ use arpshield::analysis::scenario::{AttackScenario, BenignScenario, ScenarioConf
 use arpshield::analysis::Series;
 use arpshield::attacks::PoisonVariant;
 use arpshield::schemes::SchemeKind;
+use arpshield::trace::json::{self, Value};
 use arpshield::trace::{install, TraceCollector};
 
 /// Runs one experiment and renders its CSV.
@@ -128,12 +129,16 @@ fn hosts_attached_after_build_are_traced() {
         let config = ScenarioConfig::new(8).with_hosts(2);
         BenignScenario::new(config).run();
     }
-    let manifest = collector.manifest("benign");
-    let actors: std::collections::BTreeSet<&str> = manifest.runs[0]
-        .events
+    let manifest = json::parse(&collector.manifest("benign").to_json()).expect("JSON");
+    let runs = manifest.get("runs").and_then(Value::as_arr).expect("a runs array");
+    let events = runs[0].get("events").and_then(Value::as_arr).expect("an events array");
+    fn field<'a>(event: &'a Value, key: &str) -> &'a str {
+        event.get(key).and_then(Value::as_str).unwrap_or_default()
+    }
+    let actors: std::collections::BTreeSet<&str> = events
         .iter()
-        .filter(|event| event.category.starts_with("host."))
-        .map(|event| event.actor.as_str())
+        .filter(|event| field(event, "category").starts_with("host."))
+        .map(|event| field(event, "actor"))
         .collect();
     for roamer in ["roamer0", "roamer1", "roamer2"] {
         assert!(actors.contains(roamer), "{roamer} missing from host actors {actors:?}");
