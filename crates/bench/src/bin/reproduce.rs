@@ -47,7 +47,7 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{BufReader, Read};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -67,6 +67,30 @@ use arpshield_trace::pcapng::{PcapngStream, MAX_INTERFACE_NAME};
 use arpshield_trace::{profile, FrameComment, Heartbeat, ProfileCollector, TraceCollector, Tracer};
 
 const SEED: u64 = 20070625; // the venue's year, as a nod
+
+/// Prints a line through [`emit`], the one writer of every subcommand's
+/// report.
+macro_rules! outln {
+    () => {
+        emit(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// Writes `line` and a newline to stdout. A reader that closes the pipe
+/// early, as `| head` does, ends the command quietly with exit 0; any
+/// other write error ends it with a message and exit 1.
+fn emit(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 struct Output {
     out_dir: PathBuf,
@@ -120,16 +144,18 @@ impl Output {
     }
 
     fn table(&self, id: &str, make: impl FnOnce() -> Table) {
+        // The CSV is written first, so a reader that closes stdout
+        // early does not cost the experiment its file.
         let table = self.traced(id, make);
-        println!("{}", table.render());
         write_file(&self.out_dir.join(format!("{id}.csv")), table.to_csv());
+        outln!("{}", table.render());
     }
 
     fn series(&self, id: &str, make: impl FnOnce() -> Vec<Series>) {
         let series = self.traced(id, make);
         for (i, s) in series.iter().enumerate() {
-            println!("{}", s.render());
             write_file(&self.out_dir.join(format!("{id}_{i}.csv")), s.to_csv());
+            outln!("{}", s.render());
         }
     }
 }
@@ -343,7 +369,7 @@ fn run_validate_trace(paths: &[String]) -> i32 {
         let path = file.display().to_string();
         match manifest::load(&path) {
             Ok(m) => {
-                println!("{path}: valid arpshield-trace/1 manifest with {} run(s)", m.runs.len())
+                outln!("{path}: valid arpshield-trace/1 manifest with {} run(s)", m.runs.len())
             }
             Err(e) => {
                 eprintln!("error: {path}: {e}");
@@ -376,20 +402,24 @@ fn run_profile_report(path: &str) -> Result<(), String> {
 
     let wall_s = wall_ns / 1e9;
     let coverage = if wall_ns > 0.0 { 100.0 * self_total_ns / wall_ns } else { 0.0 };
-    println!("profile: {} (wall section of {path})", manifest.experiment);
-    println!(
+    outln!("profile: {} (wall section of {path})", manifest.experiment);
+    outln!(
         "wall {wall_s:.3}s; {} span path(s) accounting {:.3}s self time ({coverage:.1}% coverage)\n",
         rows.len(),
         self_total_ns / 1e9,
     );
     let path_width = rows.iter().map(|r| r.path.len()).fold("span".len(), usize::max);
-    println!(
+    outln!(
         "{:<path_width$}  {:>12}  {:>12}  {:>12}  {:>7}",
-        "span", "count", "total_ms", "self_ms", "self_%"
+        "span",
+        "count",
+        "total_ms",
+        "self_ms",
+        "self_%"
     );
     for row in rows {
         let pct = if wall_ns > 0.0 { 100.0 * row.self_ns / wall_ns } else { 0.0 };
-        println!(
+        outln!(
             "{:<path_width$}  {:>12}  {:>12.3}  {:>12.3}  {:>6.1}%",
             row.path,
             row.count,
@@ -399,16 +429,23 @@ fn run_profile_report(path: &str) -> Result<(), String> {
         );
     }
     if !wall.gauges.is_empty() {
-        println!();
-        println!(
+        outln!();
+        outln!(
             "{:<path_width$}  {:>12}  {:>12}  {:>12}  {:>12}",
-            "gauge", "samples", "min", "max", "mean"
+            "gauge",
+            "samples",
+            "min",
+            "max",
+            "mean"
         );
         for gauge in &wall.gauges {
             let mean = if gauge.samples > 0.0 { gauge.sum / gauge.samples } else { 0.0 };
-            println!(
+            outln!(
                 "{:<path_width$}  {:>12}  {:>12}  {:>12}  {mean:>12.1}",
-                gauge.name, gauge.samples as u64, gauge.min as u64, gauge.max as u64,
+                gauge.name,
+                gauge.samples as u64,
+                gauge.min as u64,
+                gauge.max as u64,
             );
         }
     }
@@ -590,7 +627,7 @@ fn run_inspect(path: &str, filter: &InspectFilter) -> Result<(), String> {
         }
 
         let evicted = sidecar_run.map_or(0, |r| r.frames_evicted);
-        println!(
+        outln!(
             "== run: {label} ({} frame(s) captured, {evicted} evicted, {} event(s)) ==",
             frames.len(),
             events.len(),
@@ -614,7 +651,7 @@ fn run_inspect(path: &str, filter: &InspectFilter) -> Result<(), String> {
             match entry {
                 Entry::Frame(f) => {
                     frames_shown += 1;
-                    println!(
+                    outln!(
                         "  {}  #{:<5} {:<14} {} -> {}  {}B  {}{}",
                         fmt_ts(f.at_ns),
                         f.id,
@@ -634,7 +671,7 @@ fn run_inspect(path: &str, filter: &InspectFilter) -> Result<(), String> {
                         let ids: Vec<String> = e.frames.iter().map(|id| format!("#{id}")).collect();
                         format!("  <= frames {}", ids.join(" "))
                     };
-                    println!(
+                    outln!(
                         "  {}  * {:<22} {:<16} {}{}",
                         fmt_ts(e.at_ns),
                         e.category,
@@ -645,9 +682,9 @@ fn run_inspect(path: &str, filter: &InspectFilter) -> Result<(), String> {
                 }
             }
         }
-        println!();
+        outln!();
     }
-    println!(
+    outln!(
         "{} run(s); showing {frames_shown}/{frames_total} frame(s), \
          {events_shown}/{events_total} event(s)",
         labels.len(),
@@ -815,18 +852,21 @@ fn ingest_source(
     let stats = stream.stats();
     let mut runs: Vec<_> = detectors.into_iter().collect();
     runs.sort_by_key(|((interface, scheme), _)| (*interface, *scheme));
-    println!(
+    outln!(
         "== ingest: {name} ({} section(s), {} block(s), {} packet(s), {} unknown block(s)) ==",
-        stats.sections, stats.blocks, stats.packets, stats.unknown_blocks
+        stats.sections,
+        stats.blocks,
+        stats.packets,
+        stats.unknown_blocks
     );
     if filtered > 0 {
         let vantage = opts.vantage.as_deref().unwrap_or_default();
-        println!(
+        outln!(
             "  vantage '{vantage}': {filtered} frame(s) recorded at other vantage points skipped"
         );
     }
     if stats.truncated_names > 0 {
-        println!("  {} interface name(s) cut to {MAX_INTERFACE_NAME} bytes", stats.truncated_names);
+        outln!("  {} interface name(s) cut to {MAX_INTERFACE_NAME} bytes", stats.truncated_names);
     }
     for (_, (label, detector)) in &mut runs {
         detector.finish();
@@ -835,7 +875,7 @@ fn ingest_source(
         let alerts: u64 = histogram.values().sum();
         let verdicts =
             histogram.iter().map(|(kind, n)| format!("{kind}={n}")).collect::<Vec<_>>().join(" ");
-        println!(
+        outln!(
             "  run {label}  detector={}  frames={} arp={} vlan={} jumbo={} unparseable={} \
              denied={} probes={}  alerts={}{}",
             detector.kind(),
@@ -851,7 +891,7 @@ fn ingest_source(
         );
     }
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-    println!(
+    outln!(
         "  {} packet(s), {} byte(s) in {:.3}s: {:.0} frames/s, {:.1} MB/s\n",
         stats.packets,
         stats.bytes,
@@ -888,7 +928,7 @@ fn run_ingest(opts: &IngestOptions) -> Result<(), String> {
         capture: opts.capture.then(capture_capacity),
         profile: opts.profile,
     };
-    println!(
+    outln!(
         "arpshield capture ingest: scheme(s) [{}] as online detector(s)\n",
         opts.schemes.iter().map(|k| k.label()).collect::<Vec<_>>().join(", ")
     );
@@ -906,7 +946,7 @@ fn run_ingest(opts: &IngestOptions) -> Result<(), String> {
         }
         Ok::<_, String>((packets, filtered))
     })?;
-    println!(
+    outln!(
         "{} packet(s) ingested ({filtered} filtered by vantage); manifest: {}",
         packets,
         out.out_dir.join("trace").join("ingest.json").display(),
@@ -1061,8 +1101,8 @@ fn main() {
     let (selected, defend) = (run.ids, run.defend);
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
 
-    println!("arpshield reproduction harness (seed {SEED})");
-    println!(
+    outln!("arpshield reproduction harness (seed {SEED})");
+    outln!(
         "every experiment is deterministic; CSVs land in {}/; \
          independent runs fan out over {} worker thread(s) \
          (ARPSHIELD_THREADS overrides; output is identical at any count)\n",
@@ -1121,7 +1161,7 @@ fn main() {
         out.series("f6b", || vec![f6_starvation_dynamics(SEED)]);
     }
 
-    println!("done in {:.1}s", started.elapsed().as_secs_f64());
+    outln!("done in {:.1}s", started.elapsed().as_secs_f64());
 }
 
 #[cfg(test)]

@@ -6,11 +6,17 @@
 //! fields have the wrong type, must be refused with a message and a
 //! nonzero exit code, not abort the process. A capture cut mid-block is
 //! not an error: `inspect` shows its complete packets, as `ingest`
-//! does, and warns about the cut.
+//! does, and warns about the cut. Nor is a reader that closes stdout
+//! early: the command ends quietly.
+//!
+//! The scale fabric's slice of the behavioural contract lives here too:
+//! the digests of what `reproduce --trace --capture t6s t6sd` writes.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
 
+use arpshield_crypto::sha256;
 use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetEmit, Ipv4Addr, MacAddr, WireEmit};
 use arpshield_trace::pcapng::PcapngWriter;
 
@@ -177,4 +183,110 @@ fn validate_trace_passes_everything_reproduce_writes() {
     let report = reproduce(&["profile-report", dir.join("trace/t2.json").to_str().unwrap()]);
     assert_eq!(report.status.code(), Some(0), "{}", String::from_utf8_lossy(&report.stderr));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `reproduce args…` with its stdout on a pipe, reads one line and
+/// closes the pipe: the command must end with exit 0 and say nothing on
+/// stderr, as a table piped into `head -1` does.
+fn assert_quiet_on_a_closed_pipe(args: &[&str]) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert!(!first.is_empty(), "{args:?}: no first line");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert_eq!((out.status.code(), stderr.as_ref()), (Some(0), ""), "{args:?}");
+}
+
+/// Both tables run far past a pipe's 64 KiB buffer, so each command is
+/// still writing when the reader goes: `inspect`'s timeline of 4,000
+/// frames and `profile-report`'s table of 4,000 spans.
+#[test]
+fn a_closed_stdout_ends_inspect_and_profile_report_quietly() {
+    let dir = scratch_dir("closed-pipe");
+    let mut writer = PcapngWriter::new("arpshield-test");
+    let interface = writer.add_interface("run");
+    let mac = MacAddr::from_index(1);
+    let arp = ArpPacket::gratuitous(ArpOp::Reply, mac, Ipv4Addr::new(10, 0, 0, 1));
+    let frame = EthernetEmit::new(MacAddr::BROADCAST, mac, EtherType::ARP, &arp).encode();
+    for id in 1..=4000u64 {
+        writer.add_packet(interface, id * 1000, &frame, &format!("id={id} kind=deliver"));
+    }
+    let capture = dir.join("run.pcapng");
+    std::fs::write(&capture, writer.finish()).unwrap();
+    let span = r#"{"path":"job","name":"job","count":1,"total_ns":900,"self_ns":900,"child_ns":0}"#;
+    let spans = vec![span; 4000].join(",");
+    let wall = WALL.replace(&format!("[{span}]"), &format!("[{spans}]"));
+    let manifest_path = dir.join("run.json");
+    std::fs::write(&manifest_path, manifest(VERDICT, &wall)).unwrap();
+
+    assert_quiet_on_a_closed_pipe(&["inspect", capture.to_str().unwrap()]);
+    assert_quiet_on_a_closed_pipe(&["profile-report", manifest_path.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every file under `dir`, as a path relative to it with `/` between
+/// components, in sorted order.
+fn files_under(dir: &Path) -> Vec<String> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(next) = pending.pop() {
+        for entry in std::fs::read_dir(&next).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let relative = path.strip_prefix(dir).unwrap().components();
+                let names: Vec<_> = relative.map(|c| c.as_os_str().to_string_lossy()).collect();
+                files.push(names.join("/"));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// The scale fabric's slice of the behavioural contract. At 300 and
+/// 2,100 stations the sweep covers a partial leaf and three VIDs, and
+/// `results/contract.sha256` pins the SHA-256 of each file it writes:
+/// six CSVs, and each experiment's trace CSV, histogram CSV, manifest
+/// and pcapng. The digests hold at one worker thread and at four.
+#[test]
+fn the_scale_sweep_writes_the_contracted_bytes_at_any_thread_count() {
+    let contract_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/contract.sha256");
+    let contract = std::fs::read_to_string(contract_path).unwrap();
+    let expected: Vec<(&str, &str)> =
+        contract.lines().map(|line| line.split_once("  ").expect("`DIGEST  PATH`")).collect();
+    assert_eq!(expected.len(), 14, "{contract}");
+    for threads in ["1", "4"] {
+        let dir = scratch_dir(&format!("contract-{threads}"));
+        let run = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(["--trace", "--capture", "t6s", "t6sd", "--out", dir.to_str().unwrap()])
+            .env("ARPSHIELD_T6S_HOSTS", "300,2100")
+            .env("ARPSHIELD_THREADS", threads)
+            .env_remove("ARPSHIELD_RECORD_FRAMES")
+            .output()
+            .unwrap();
+        assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
+        let mut want: Vec<&str> = expected.iter().map(|(_, path)| *path).collect();
+        want.sort_unstable();
+        assert_eq!(files_under(&dir), want, "files written at {threads} thread(s)");
+        let changed: Vec<&str> = expected
+            .iter()
+            .filter(|(digest, path)| {
+                let bytes = std::fs::read(dir.join(path)).unwrap();
+                let got: String = sha256(&bytes).iter().map(|b| format!("{b:02x}")).collect();
+                got != *digest
+            })
+            .map(|(_, path)| *path)
+            .collect();
+        assert!(changed.is_empty(), "at {threads} thread(s), these files changed: {changed:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -387,6 +387,9 @@ pub fn build(config: ScaleConfig) -> ScaleLan {
     // One recorder per run, disabled unless a collector is installed.
     let tracer = Tracer::for_current_run(format!("{config:?}"));
     let mut sim = Simulator::new(config.seed);
+    // The root, the gateway, every leaf and every station; each leaf
+    // has a port per station plus its uplink.
+    sim.reserve(2 + n_leaves + n, root_ports + 1 + (n + n_leaves) + n);
     let host_leaf_latency = Duration::from_micros(5);
     let leaf_root_latency = Duration::from_micros(10);
     // CAM sizing: the root eventually holds every station (and the
@@ -403,11 +406,9 @@ pub fn build(config: ScaleConfig) -> ScaleLan {
     // of them, port l+1 carries exactly leaf l's VID — mis-wired tags
     // die at the trunk instead of leaking across leaves.
     let root_vlans = vlan_fabric.then(|| {
-        let mut ports = vec![PortVlan::Trunk { allowed: VlanSet::All }];
-        ports.extend(
-            (0..n_leaves).map(|l| PortVlan::Trunk { allowed: VlanSet::Only(vec![leaf_vid(l)]) }),
-        );
-        ports
+        let uplinks =
+            (0..n_leaves).map(|l| PortVlan::Trunk { allowed: VlanSet::Only(vec![leaf_vid(l)]) });
+        std::iter::once(PortVlan::Trunk { allowed: VlanSet::All }).chain(uplinks).collect()
     });
     let (mut root, root_handle) = Switch::new(
         "root",
@@ -443,9 +444,8 @@ pub fn build(config: ScaleConfig) -> ScaleLan {
         // Station ports are access ports on the leaf's VID; the uplink
         // trunks that VID (tagged) toward the root.
         let leaf_vlans = vlan_fabric.then(|| {
-            let mut ports = vec![PortVlan::Access { pvid: vid }; leaf_hosts];
-            ports.push(PortVlan::Trunk { allowed: VlanSet::Only(vec![vid]) });
-            ports
+            let access = std::iter::repeat_n(PortVlan::Access { pvid: vid }, leaf_hosts);
+            access.chain([PortVlan::Trunk { allowed: VlanSet::Only(vec![vid]) }]).collect()
         });
         let (mut leaf_switch, leaf_handle) = Switch::new(
             format!("leaf{leaf}"),

@@ -175,6 +175,24 @@ impl FanoutArena {
     }
 }
 
+/// One attached device and its ports' run of link slots, 24 bytes: a
+/// send reads the entry its dispatch just loaded, then one slot.
+#[derive(Debug)]
+struct DeviceEntry {
+    device: Box<dyn Device>,
+    /// The device's port 0 is link slot `first_link`.
+    first_link: u32,
+    ports: u32,
+}
+
+impl DeviceEntry {
+    /// The link slot behind `port`, or `None` past the device's count.
+    fn slot(&self, port: PortId) -> Option<usize> {
+        let port = u32::from(port.0);
+        (port < self.ports).then(|| (self.first_link + port) as usize)
+    }
+}
+
 /// A deterministic single-segment network simulator.
 ///
 /// Add devices, connect their ports with latencied links, and run. Events
@@ -184,19 +202,16 @@ impl FanoutArena {
 pub struct Simulator {
     now: SimTime,
     started: bool,
-    devices: Vec<Box<dyn Device>>,
-    /// Index-addressed link arena: device `d`'s ports occupy slots
-    /// `port_base[d] .. port_base[d + 1]`. The dispatch hot path
-    /// resolves a send with one add and one array index instead of a
-    /// hash lookup per frame, and the single contiguous slab is what
-    /// lets per-link state shard cleanly once simulations span threads.
+    devices: Vec<DeviceEntry>,
+    /// Index-addressed link arena: each device's ports occupy the run of
+    /// slots its entry names. The dispatch hot path resolves a send with
+    /// one add and one array index instead of a hash lookup per frame,
+    /// and the single contiguous slab is what lets per-link state shard
+    /// cleanly once simulations span threads.
     links: Vec<Slot>,
     /// Side table of impaired link directions, indexed by
     /// `Slot::impaired`; perfect wires have no entry.
     impaired: Vec<ImpairedDirection>,
-    /// Cumulative port offsets into `links`, one entry per device plus
-    /// a trailing sentinel, so `port_base.len() == devices.len() + 1`.
-    port_base: Vec<u32>,
     /// The event core: a hierarchical timing wheel preserving the
     /// `(timestamp, insertion)` dispatch order the heap gave.
     queue: TimingWheel<EventKind>,
@@ -234,7 +249,6 @@ impl Simulator {
             devices: Vec::new(),
             links: Vec::new(),
             impaired: Vec::new(),
-            port_base: vec![0],
             queue: TimingWheel::new(),
             rng: SimRng::new(seed),
             impair_seed: seed ^ IMPAIR_SEED_SALT,
@@ -255,6 +269,14 @@ impl Simulator {
         self.default_profile = profile;
     }
 
+    /// Reserves room for `devices` more devices with `ports` ports
+    /// between them, as [`Vec::reserve_exact`] does: a topology that
+    /// adds exactly that many keeps no spare capacity.
+    pub fn reserve(&mut self, devices: usize, ports: usize) {
+        self.devices.reserve_exact(devices);
+        self.links.reserve_exact(ports);
+    }
+
     /// Attaches a device and returns its id.
     ///
     /// # Panics
@@ -264,11 +286,12 @@ impl Simulator {
     pub fn add_device(&mut self, device: Box<dyn Device>) -> DeviceId {
         let id = self.devices.len();
         assert!(id < NO_PEER as usize, "device id space exhausted");
+        // `links.len()` is the last add's checked end, so it fits.
+        let first_link = self.links.len() as u32;
         let next = self.links.len() + device.port_count();
-        let next_base = u32::try_from(next).expect("port slot space exhausted");
+        let end = u32::try_from(next).expect("port slot space exhausted");
         self.links.resize(next, Slot::UNLINKED);
-        self.port_base.push(next_base);
-        self.devices.push(device);
+        self.devices.push(DeviceEntry { device, first_link, ports: end - first_link });
         DeviceId(id)
     }
 
@@ -311,15 +334,15 @@ impl Simulator {
             return Err(NetsimError::SelfLink(a));
         }
         for (dev, port) in [(a, a_port), (b, b_port)] {
-            if dev.0 + 1 >= self.port_base.len() {
-                return Err(NetsimError::UnknownDevice(dev));
-            }
-            let base = self.port_base[dev.0] as usize;
-            let count = self.port_base[dev.0 + 1] as usize - base;
-            if usize::from(port.0) >= count {
-                return Err(NetsimError::BadPort { device: dev, port, count });
-            }
-            if self.links[base + usize::from(port.0)].peer != NO_PEER {
+            let entry = self.devices.get(dev.0).ok_or(NetsimError::UnknownDevice(dev))?;
+            let Some(slot) = entry.slot(port) else {
+                return Err(NetsimError::BadPort {
+                    device: dev,
+                    port,
+                    count: entry.ports as usize,
+                });
+            };
+            if self.links[slot].peer != NO_PEER {
                 return Err(NetsimError::PortInUse { device: dev, port });
             }
         }
@@ -336,8 +359,8 @@ impl Simulator {
                 self.impaired.push(ImpairedDirection { profile, key, sent: 0 });
                 (self.impaired.len() - 1) as u32
             };
-            self.links[self.port_base[from.0] as usize + usize::from(from_port.0)] =
-                Slot { latency_ns, peer: to.0 as u32, impaired, peer_port: to_port };
+            let slot = self.devices[from.0].slot(from_port).expect("checked above");
+            self.links[slot] = Slot { latency_ns, peer: to.0 as u32, impaired, peer_port: to_port };
         }
         Ok(())
     }
@@ -374,7 +397,7 @@ impl Simulator {
 
     /// Immutable access to a device, for post-run inspection.
     pub fn device(&self, id: DeviceId) -> Option<&dyn Device> {
-        self.devices.get(id.0).map(|d| d.as_ref())
+        self.devices.get(id.0).map(|d| d.device.as_ref())
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
@@ -400,7 +423,7 @@ impl Simulator {
     ) {
         let (now, tracer) = (self.now, &self.run_tracer);
         let mut ctx = DeviceCtx::new(now, id, &mut self.scratch, &mut self.rng, incoming, tracer);
-        callback(self.devices[id.0].as_mut(), &mut ctx);
+        callback(self.devices[id.0].device.as_mut(), &mut ctx);
         // Most deliveries queue nothing (every station a flood reaches
         // but one); skip the outbox hand-off for them.
         if !self.scratch.actions.is_empty() {
@@ -442,12 +465,7 @@ impl Simulator {
     /// The link slot behind `port` of `from`; a port past the device's
     /// count reads as unlinked.
     fn link(&self, from: DeviceId, port: PortId) -> Slot {
-        let slot = self.port_base[from.0] as usize + usize::from(port.0);
-        if slot < self.port_base[from.0 + 1] as usize {
-            self.links[slot]
-        } else {
-            Slot::UNLINKED
-        }
+        self.devices[from.0].slot(port).map_or(Slot::UNLINKED, |slot| self.links[slot])
     }
 
     /// When a frame sent now over the perfect wire `link` arrives: like
@@ -532,13 +550,13 @@ impl Simulator {
             let cause = self.run_tracer.current_frame();
             let dropped = self.run_tracer.record_frame(self.now.as_nanos(), kind, &bytes, || {
                 (
-                    format!("{}:{}", self.devices[from.0].name(), port.0),
-                    format!("{}:{}", self.devices[peer as usize].name(), peer_port.0),
+                    format!("{}:{}", self.devices[from.0].device.name(), port.0),
+                    format!("{}:{}", self.devices[peer as usize].device.name(), peer_port.0),
                 )
             });
             self.run_tracer.event_frames(self.now.as_nanos(), category, || {
                 (
-                    self.devices[from.0].name().to_string(),
+                    self.devices[from.0].device.name().to_string(),
                     format!("port={} frame_index={index}", port.0),
                     dropped.into_iter().chain(cause).collect(),
                 )
@@ -599,11 +617,11 @@ impl Simulator {
         self.stats.bytes += bytes.len() as u64;
         let frame_id = self.run_tracer.record_frame(self.now.as_nanos(), kind, bytes, || {
             // The receiving port's slot names the sender.
-            let from = self.links[self.port_base[dst.0] as usize + usize::from(port.0)];
-            let sender = self.devices[from.peer as usize].name();
+            let from = self.link(dst, port);
+            let sender = self.devices[from.peer as usize].device.name();
             (
                 format!("{sender}:{}", from.peer_port.0),
-                format!("{}:{}", self.devices[dst.0].name(), port.0),
+                format!("{}:{}", self.devices[dst.0].device.name(), port.0),
             )
         });
         // While this frame is dispatched — including the sends it
@@ -952,6 +970,35 @@ mod tests {
     #[test]
     fn a_link_slot_fits_in_32_bytes() {
         assert!(std::mem::size_of::<Slot>() <= 32, "{} bytes", std::mem::size_of::<Slot>());
+    }
+
+    /// A device's entry holds its box and its run of link slots, so a
+    /// send needs no second array.
+    #[test]
+    fn a_device_entry_fits_in_24_bytes() {
+        let size = std::mem::size_of::<DeviceEntry>();
+        assert!(size <= 24, "{size} bytes");
+    }
+
+    /// A topology added after a matching `reserve` leaves no slack in
+    /// the device or link tables, and a port past a device's count,
+    /// whose slot index belongs to the next device or lies past the
+    /// table's end, reads as unlinked.
+    #[test]
+    fn a_reserved_topology_fills_its_tables_exactly() {
+        let mut sim = Simulator::new(1);
+        sim.reserve(3, 8);
+        let hub = sim.add_device(Box::new(crate::Hub::new("hub", 6)));
+        let k = sim.add_device(Box::new(Kickoff { budget: 0 }));
+        let e = sim.add_device(Box::new(Echo::new()));
+        sim.connect(k, PortId(0), hub, PortId(0), Duration::from_micros(1)).unwrap();
+        sim.connect(e, PortId(0), hub, PortId(1), Duration::from_micros(1)).unwrap();
+        assert_eq!((sim.devices.len(), sim.devices.capacity()), (3, 3));
+        assert_eq!((sim.links.len(), sim.links.capacity()), (8, 8));
+        assert_eq!(sim.link(hub, PortId(0)).peer, k.0 as u32);
+        for (device, port) in [(hub, PortId(6)), (k, PortId(1)), (e, PortId(1)), (e, PortId(9))] {
+            assert_eq!(sim.link(device, port).peer, NO_PEER, "{device:?} {port:?}");
+        }
     }
 
     /// A queued delivery carries no sender facts (the link slot holds

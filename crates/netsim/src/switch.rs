@@ -64,6 +64,54 @@ pub enum PortVlan {
     },
 }
 
+/// A port's VLAN mode as a switch keeps it: [`PortVlan`] in 4 bytes,
+/// with each trunk's VID set held once in [`VlanTable::trunks`].
+#[derive(Debug, Clone, Copy)]
+enum PortMode {
+    Access(VlanId),
+    /// Index into [`VlanTable::trunks`].
+    Trunk(u16),
+}
+
+/// A switch's per-port VLAN modes, built once from
+/// [`SwitchConfig::vlans`], so classifying a frame or listing a flood
+/// domain reads 4 bytes per port.
+#[derive(Debug)]
+struct VlanTable {
+    modes: Box<[PortMode]>,
+    trunks: Vec<VlanSet>,
+}
+
+impl VlanTable {
+    fn new(ports: Vec<PortVlan>) -> Self {
+        let mut trunks = Vec::new();
+        let modes = ports
+            .into_iter()
+            .map(|mode| match mode {
+                PortVlan::Access { pvid } => PortMode::Access(pvid),
+                PortVlan::Trunk { allowed } => {
+                    let trunk = u16::try_from(trunks.len()).expect("at most 65,536 ports");
+                    trunks.push(allowed);
+                    PortMode::Trunk(trunk)
+                }
+            })
+            .collect();
+        VlanTable { modes, trunks }
+    }
+}
+
+/// Whether `vid` may egress through `port` of a switch with `vlans`:
+/// `Some(tagged)` when the port is a member (`tagged` selects the egress
+/// encapsulation), `None` when the port is outside the VLAN's flood
+/// domain. Every port of a VLAN-unaware switch egresses untagged.
+fn egress_mode(vlans: Option<&VlanTable>, port: PortId, vid: VlanId) -> Option<bool> {
+    let Some(vlans) = vlans else { return Some(false) };
+    match vlans.modes[usize::from(port.0)] {
+        PortMode::Access(pvid) => (pvid == vid).then_some(false),
+        PortMode::Trunk(trunk) => vlans.trunks[usize::from(trunk)].contains(vid).then_some(true),
+    }
+}
+
 /// One CAM-table binding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CamEntry {
@@ -334,6 +382,7 @@ pub struct SwitchConfig {
     /// Per-port VLAN modes, indexed by port number; the length must equal
     /// `ports`. `None` keeps the switch VLAN-unaware: one broadcast
     /// domain, and any tag stacks forward opaquely as payload bytes.
+    /// [`Switch::new`] packs them into 4 bytes per port.
     pub vlans: Option<Vec<PortVlan>>,
 }
 
@@ -351,28 +400,16 @@ impl Default for SwitchConfig {
     }
 }
 
-impl SwitchConfig {
-    /// Whether `vid` may egress through `port`: `Some(tagged)` when the
-    /// port is a member (`tagged` selects the egress encapsulation),
-    /// `None` when the port is outside the VLAN's flood domain.
-    fn egress_mode(&self, port: PortId, vid: VlanId) -> Option<bool> {
-        match &self.vlans {
-            None => Some(false),
-            Some(vlans) => match &vlans[port.0 as usize] {
-                PortVlan::Access { pvid } => (*pvid == vid).then_some(false),
-                PortVlan::Trunk { allowed } => allowed.contains(vid).then_some(true),
-            },
-        }
-    }
-}
-
 const SWEEP_TOKEN: u64 = 0xCA11_5EE9;
 
 /// A learning Ethernet switch.
 #[derive(Debug)]
 pub struct Switch {
     name: String,
+    /// The construction parameters; their VLAN modes live in `vlans`.
     config: SwitchConfig,
+    /// `None` on a VLAN-unaware switch.
+    vlans: Option<VlanTable>,
     cam: Rc<RefCell<CamTable>>,
     stats: Rc<RefCell<SwitchStats>>,
     per_port_macs: FastMap<PortId, FastSet<MacAddr>>,
@@ -457,10 +494,11 @@ impl Switch {
     ///
     /// Panics if a VLAN table is configured whose length differs from the
     /// port count.
-    pub fn new(name: impl Into<String>, config: SwitchConfig) -> (Self, SwitchHandle) {
+    pub fn new(name: impl Into<String>, mut config: SwitchConfig) -> (Self, SwitchHandle) {
         if let Some(vlans) = &config.vlans {
             assert_eq!(vlans.len(), config.ports, "per-port VLAN table must cover every port");
         }
+        let vlans = config.vlans.take().map(VlanTable::new);
         let ports = config.ports;
         let cam = Rc::new(RefCell::new(CamTable::new(config.cam_capacity, config.cam_aging)));
         let stats = Rc::new(RefCell::new(SwitchStats::default()));
@@ -469,6 +507,7 @@ impl Switch {
             Switch {
                 name: name.into(),
                 config,
+                vlans,
                 cam,
                 stats,
                 per_port_macs: FastMap::default(),
@@ -491,16 +530,18 @@ impl Switch {
     /// mode. A VLAN-unaware switch admits everything into VID 0 with the
     /// bytes treated as opaque (no re-tagging ever happens).
     fn classify(&self, port: PortId, eth: &EthernetView<'_>) -> Classified {
-        let Some(vlans) = &self.config.vlans else {
+        let Some(vlans) = &self.vlans else {
             return Classified::Member { vid: 0, tagged: false };
         };
-        match &vlans[port.0 as usize] {
-            PortVlan::Access { pvid } => match eth.vlan() {
-                None => Classified::Member { vid: *pvid, tagged: false },
+        match vlans.modes[usize::from(port.0)] {
+            PortMode::Access(pvid) => match eth.vlan() {
+                None => Classified::Member { vid: pvid, tagged: false },
                 Some(_) => Classified::Drop,
             },
-            PortVlan::Trunk { allowed } => match eth.vlan() {
-                Some(vid) if allowed.contains(vid) => Classified::Member { vid, tagged: true },
+            PortMode::Trunk(trunk) => match eth.vlan() {
+                Some(vid) if vlans.trunks[usize::from(trunk)].contains(vid) => {
+                    Classified::Member { vid, tagged: true }
+                }
                 _ => Classified::Drop,
             },
         }
@@ -511,7 +552,7 @@ impl Switch {
         if let Some(domain) = self.flood_domains.get(&vid) {
             return *domain;
         }
-        let (config, stats) = (&self.config, self.stats.borrow());
+        let (config, vlans, stats) = (&self.config, self.vlans.as_ref(), self.stats.borrow());
         let start = self.flood_ports.len();
         // `ports` may legitimately be 65536 (every PortId addressable),
         // so iterate the usize range and narrow per port.
@@ -520,7 +561,7 @@ impl Switch {
                 .map(|p| PortId(p as u16))
                 .filter(|p| Some(*p) != config.mirror_to && !stats.shutdown_ports.contains(p))
                 .filter_map(|port| {
-                    config.egress_mode(port, vid).map(|tagged| Egress { port, tagged })
+                    egress_mode(vlans, port, vid).map(|tagged| Egress { port, tagged })
                 }),
         );
         let listed = &self.flood_ports[start..];
@@ -746,7 +787,7 @@ impl Device for Switch {
         if eth.dst().is_unicast() {
             if let Some(out) = unicast_out {
                 if out != port && !self.stats.borrow().shutdown_ports.contains(&out) {
-                    if let Some(tagged) = self.config.egress_mode(out, vid) {
+                    if let Some(tagged) = egress_mode(self.vlans.as_ref(), out, vid) {
                         ctx.send(out, egress_form(&shared, ingress_tagged, tagged, vid));
                         self.stats.borrow_mut().forwarded += 1;
                         tracer.count("switch.forwarded", 1);
@@ -923,6 +964,14 @@ mod tests {
     fn a_cam_entry_fits_in_16_bytes() {
         let size = std::mem::size_of::<CamEntry>();
         assert!(size <= 16, "{size} bytes");
+    }
+
+    /// Classification and flood-domain builds read one mode per port,
+    /// so a 1,025-port leaf's VLAN table is 4,100 bytes.
+    #[test]
+    fn a_port_vlan_mode_fits_in_4_bytes() {
+        let size = std::mem::size_of::<PortMode>();
+        assert!(size <= 4, "{size} bytes");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 # `--profile` smoke (the manifest's `wall` section + report rendering),
 # a `--capture` smoke (pcapng beside the manifest, forensic `inspect`
 # timeline with verdict provenance, `inspect` on a capture cut
-# mid-block), an all-flags run whose output directory must validate
-# as manifests only, an `ingest` smoke
+# mid-block), a closed-pipe smoke (`inspect` and `profile-report`
+# piped into `head -1` end quietly with exit 0), an all-flags run whose
+# output directory must validate as manifests only, an `ingest` smoke
 # (capture re-ingest through the standalone detector, checking live vs
 # re-ingested verdict-counter parity), a re-derivation of the committed
 # t6s/t6sd rows at 1k-10k hosts, a one-iteration smoke run of every
@@ -55,6 +56,17 @@ t5r_out="$(mktemp -d)"
 test -s "$t5r_out/t5r.csv"
 rm -rf "$t5r_out"
 
+# Runs a command whose stdout `head -1` closes after one line: under
+# pipefail the pipeline fails unless the command exits 0, and it must
+# say nothing on stderr.
+closed_pipe() {
+    local stderr
+    stderr="$(mktemp)"
+    "$@" 2>"$stderr" | head -1 >/dev/null
+    test ! -s "$stderr"
+    rm -f "$stderr"
+}
+
 echo "==> reproduce --trace smoke (run manifest emission + validation)"
 trace_out="$(mktemp -d)"
 ./target/release/reproduce --trace t2 --out "$trace_out" >/dev/null
@@ -88,6 +100,7 @@ grep -q "^profile: t3 " "$profile_out/report.txt"
 # At least one span row with real samples: the simulator's dispatch
 # span fires for every delivered frame in every t3 cell.
 grep -q "sim.deliver" "$profile_out/report.txt"
+closed_pipe ./target/release/reproduce profile-report "$profile_out/trace/t3.json"
 # A non-manifest file, and a manifest without a wall section, must be
 # rejected with a nonzero exit.
 if ./target/release/reproduce profile-report "$profile_out/t3.csv" >/dev/null 2>&1; then
@@ -134,6 +147,7 @@ for path in sys.argv[1:]:
     print(f"capture manifest: ok {path}: {len(doc['runs'])} run(s), no frame table")
 PY
 ./target/release/reproduce inspect "$capture_out/trace/t2.pcapng" >/dev/null
+closed_pipe ./target/release/reproduce inspect "$capture_out/trace/t2.pcapng"
 # A capture cut mid-block still inspects: its complete packets plus a
 # `truncated` warning, and exit 0.
 t2_size="$(wc -c <"$capture_out/trace/t2.pcapng")"
