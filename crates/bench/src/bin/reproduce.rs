@@ -64,7 +64,9 @@ use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetView};
 use arpshield_schemes::{Detector, SchemeKind};
 use arpshield_trace::env_knob::{self, EnvKnob};
 use arpshield_trace::pcapng::{PcapngStream, MAX_INTERFACE_NAME};
-use arpshield_trace::{profile, FrameComment, Heartbeat, ProfileCollector, TraceCollector, Tracer};
+use arpshield_trace::{
+    profile, stderr_line, FrameComment, Heartbeat, ProfileCollector, TraceCollector, Tracer,
+};
 
 const SEED: u64 = 20070625; // the venue's year, as a nod
 
@@ -79,6 +81,14 @@ macro_rules! outln {
     };
 }
 
+/// Prints a line through [`stderr_line`], the one writer of every
+/// warning, error and usage line.
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        stderr_line(format_args!($($arg)*))
+    };
+}
+
 /// Writes `line` and a newline to stdout. A reader that closes the pipe
 /// early, as `| head` does, ends the command quietly with exit 0; any
 /// other write error ends it with a message and exit 1.
@@ -87,7 +97,7 @@ fn emit(line: std::fmt::Arguments<'_>) {
         if e.kind() == ErrorKind::BrokenPipe {
             std::process::exit(0);
         }
-        eprintln!("error: cannot write to stdout: {e}");
+        errln!("error: cannot write to stdout: {e}");
         std::process::exit(1);
     }
 }
@@ -163,7 +173,7 @@ impl Output {
 /// Writes `body` to `path`, warning on stderr when it cannot.
 fn write_file(path: &Path, body: impl AsRef<[u8]>) {
     if let Err(e) = fs::write(path, body) {
-        eprintln!("warning: could not write {}: {e}", path.display());
+        errln!("warning: could not write {}: {e}", path.display());
     }
 }
 
@@ -356,12 +366,12 @@ fn run_validate_trace(paths: &[String]) -> i32 {
     let mut files = Vec::new();
     for arg in paths {
         if let Err(e) = collect_manifest_paths(Path::new(arg), &mut files) {
-            eprintln!("error: {e}");
+            errln!("error: {e}");
             return 1;
         }
     }
     if files.is_empty() {
-        eprintln!("error: no manifest files found under the given paths");
+        errln!("error: no manifest files found under the given paths");
         return 1;
     }
     let mut failed = 0usize;
@@ -372,13 +382,13 @@ fn run_validate_trace(paths: &[String]) -> i32 {
                 outln!("{path}: valid arpshield-trace/1 manifest with {} run(s)", m.runs.len())
             }
             Err(e) => {
-                eprintln!("error: {path}: {e}");
+                errln!("error: {path}: {e}");
                 failed += 1;
             }
         }
     }
     if failed > 0 {
-        eprintln!("{failed} of {} manifest(s) failed validation", files.len());
+        errln!("{failed} of {} manifest(s) failed validation", files.len());
         1
     } else {
         0
@@ -542,7 +552,7 @@ fn load_sidecar(path: &str) -> Result<Vec<manifest::Run>, String> {
         None => format!("{path}.json"),
     };
     if !Path::new(&sidecar).is_file() {
-        eprintln!("note: no manifest at {sidecar}; timeline will show frames only");
+        errln!("note: no manifest at {sidecar}; timeline will show frames only");
         return Ok(Vec::new());
     }
     manifest::load(&sidecar).map(|m| m.runs).map_err(|e| format!("{sidecar}: {e}"))
@@ -592,7 +602,7 @@ fn run_inspect(path: &str, filter: &InspectFilter) -> Result<(), String> {
         });
     }
     for warning in stream.warnings() {
-        eprintln!("warning: {path}: {warning}");
+        errln!("warning: {path}: {warning}");
     }
     let labels = stream.interfaces();
     let runs = load_sidecar(path)?;
@@ -844,7 +854,7 @@ fn ingest_source(
         }
     }
     for warning in stream.warnings() {
-        eprintln!("warning: {name}: {warning}");
+        errln!("warning: {name}: {warning}");
         if let Some(collector) = arpshield_trace::current() {
             collector.warn(format!("{name}: {warning}"));
         }
@@ -986,7 +996,7 @@ fn flag_value<'a>(name: &str, it: &mut impl Iterator<Item = &'a String>) -> Resu
 
 /// Reports a malformed command line with its form's usage and exits 2.
 fn usage_error(error: &str, usage: &str) -> ! {
-    eprintln!("error: {error}\n{usage}");
+    errln!("error: {error}\n{usage}");
     std::process::exit(2);
 }
 
@@ -995,7 +1005,7 @@ fn usage_error(error: &str, usage: &str) -> ! {
 fn capture_capacity() -> usize {
     let (capacity, warning) = arpshield_trace::ring_capacity_from_env();
     if let Some(w) = warning {
-        eprintln!("warning: {w}");
+        errln!("warning: {w}");
     }
     capacity
 }
@@ -1050,7 +1060,7 @@ fn main() {
 
     if args.first().map(String::as_str) == Some("validate-trace") {
         if args.len() < 2 {
-            eprintln!("usage: reproduce validate-trace FILE_OR_DIR...");
+            errln!("usage: reproduce validate-trace FILE_OR_DIR...");
             std::process::exit(2);
         }
         std::process::exit(run_validate_trace(&args[1..]));
@@ -1060,7 +1070,7 @@ fn main() {
         let (path, filter) =
             parse_inspect_args(&args[1..]).unwrap_or_else(|e| usage_error(&e, INSPECT_USAGE));
         if let Err(e) = run_inspect(&path, &filter) {
-            eprintln!("error: {e}");
+            errln!("error: {e}");
             std::process::exit(1);
         }
         return;
@@ -1069,7 +1079,7 @@ fn main() {
     if args.first().map(String::as_str) == Some("ingest") {
         let opts = parse_ingest_args(&args[1..]).unwrap_or_else(|e| usage_error(&e, INGEST_USAGE));
         if let Err(e) = run_ingest(&opts) {
-            eprintln!("error: {e}");
+            errln!("error: {e}");
             std::process::exit(1);
         }
         return;
@@ -1077,13 +1087,13 @@ fn main() {
 
     if args.first().map(String::as_str) == Some("profile-report") {
         let Some(path) = args.get(1) else {
-            eprintln!("usage: reproduce profile-report FILE");
+            errln!("usage: reproduce profile-report FILE");
             std::process::exit(2);
         };
         match run_profile_report(path) {
             Ok(()) => return,
             Err(e) => {
-                eprintln!("error: {e}");
+                errln!("error: {e}");
                 std::process::exit(1);
             }
         }

@@ -7,10 +7,12 @@
 //! nonzero exit code, not abort the process. A capture cut mid-block is
 //! not an error: `inspect` shows its complete packets, as `ingest`
 //! does, and warns about the cut. Nor is a reader that closes stdout
-//! early: the command ends quietly.
+//! early: the command ends quietly. A reader that closes stderr early
+//! costs a run its diagnostics and nothing else.
 //!
-//! The scale fabric's slice of the behavioural contract lives here too:
-//! the digests of what `reproduce --trace --capture t6s t6sd` writes.
+//! The behavioural contract lives here too: the digests of every file
+//! that `reproduce --trace --capture --defend` and an `ingest` replay of
+//! its t3 capture write.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -121,7 +123,7 @@ fn readers_refuse_manifests_without_what_they_read() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("90.0% coverage"));
 
-    // The bench harness's JSON schema, say: not a manifest.
+    // A document in another schema: not a manifest.
     let other = manifest(VERDICT, "").replace("arpshield-trace/1", "arpshield-bench-v1");
     std::fs::write(path, other).unwrap();
     assert_refused(&["inspect", &empty_capture(&dir)], "unknown schema \"arpshield-bench-v1\"");
@@ -182,6 +184,15 @@ fn validate_trace_passes_everything_reproduce_writes() {
     assert!(stdout.contains("t2.json: valid arpshield-trace/1 manifest"), "{stdout}");
     let report = reproduce(&["profile-report", dir.join("trace/t2.json").to_str().unwrap()]);
     assert_eq!(report.status.code(), Some(0), "{}", String::from_utf8_lossy(&report.stderr));
+
+    // The walk stays strict: a JSON file that is not a manifest, such as
+    // a report in some other schema, fails it by name.
+    let stray = r#"{"schema":"arpshield-bench-v1","results":[]}"#;
+    std::fs::write(dir.join("report.json"), stray).unwrap();
+    let out = reproduce(&["validate-trace", out_dir]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("report.json"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -231,6 +242,38 @@ fn a_closed_stdout_ends_inspect_and_profile_report_quietly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A reader that closes stderr at once, as `2>&1 >/dev/null | head -1`
+/// does, drops the heartbeat lines and nothing else: the sweep exits 0
+/// and writes the CSVs it writes with stderr open.
+#[test]
+fn a_closed_stderr_drops_diagnostics_and_changes_no_output() {
+    let dir = scratch_dir("closed-stderr");
+    let sweep = |name: &str| {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_reproduce"));
+        command
+            .args(["t6s", "--out", dir.join(name).to_str().unwrap()])
+            .env("ARPSHIELD_T6S_HOSTS", "2000,3000")
+            .env("ARPSHIELD_THREADS", "1")
+            .env("ARPSHIELD_HEARTBEAT_SECS", "0.0001")
+            .env_remove("ARPSHIELD_QUIET");
+        command
+    };
+    let csvs = |name: &str| {
+        ["t6s_0.csv", "t6s_1.csv"].map(|f| std::fs::read(dir.join(name).join(f)).unwrap())
+    };
+
+    let open = sweep("open").output().unwrap();
+    let stderr = String::from_utf8_lossy(&open.stderr);
+    assert_eq!(open.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("heartbeat"), "the sweep has lines to drop: {stderr}");
+
+    let mut child = sweep("closed").stdout(Stdio::null()).stderr(Stdio::piped()).spawn().unwrap();
+    drop(child.stderr.take());
+    assert_eq!(child.wait().unwrap().code(), Some(0));
+    assert!(csvs("closed") == csvs("open"), "the CSVs differ");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Every file under `dir`, as a path relative to it with `/` between
 /// components, in sorted order.
 fn files_under(dir: &Path) -> Vec<String> {
@@ -252,41 +295,65 @@ fn files_under(dir: &Path) -> Vec<String> {
     files
 }
 
-/// The scale fabric's slice of the behavioural contract. At 300 and
-/// 2,100 stations the sweep covers a partial leaf and three VIDs, and
-/// `results/contract.sha256` pins the SHA-256 of each file it writes:
-/// six CSVs, and each experiment's trace CSV, histogram CSV, manifest
-/// and pcapng. The digests hold at one worker thread and at four.
-#[test]
-fn the_scale_sweep_writes_the_contracted_bytes_at_any_thread_count() {
+/// The behavioural contract. `results/contract.sha256` pins the SHA-256
+/// of every file two commands write. `reproduce --trace --capture
+/// --defend` runs the whole grid, the scale sweep at 300 and 2,100
+/// stations (a partial leaf and three VIDs) and with a 256-frame ring:
+/// 33 CSVs, and each of 16 experiments' trace CSV, histogram CSV,
+/// manifest and pcapng. `reproduce ingest` then replays t3's capture
+/// through the passive monitor, writing three more files under
+/// `trace/`. The digests hold at any worker-thread count.
+fn assert_the_contract_holds_at(threads: &str) {
     let contract_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/contract.sha256");
     let contract = std::fs::read_to_string(contract_path).unwrap();
     let expected: Vec<(&str, &str)> =
         contract.lines().map(|line| line.split_once("  ").expect("`DIGEST  PATH`")).collect();
-    assert_eq!(expected.len(), 14, "{contract}");
-    for threads in ["1", "4"] {
-        let dir = scratch_dir(&format!("contract-{threads}"));
+    assert_eq!(expected.len(), 100, "{contract}");
+    let dir = scratch_dir(&format!("contract-{threads}"));
+    let out = dir.to_str().unwrap();
+    let capture = dir.join("trace/t3.pcapng");
+    let capture = capture.to_str().unwrap();
+    let grid = ["--trace", "--capture", "--defend", "--out", out];
+    let replay =
+        ["ingest", capture, "--scheme", "passive", "--vantage", "passive-monitor", "--out", out];
+    for args in [&grid[..], &replay[..]] {
         let run = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-            .args(["--trace", "--capture", "t6s", "t6sd", "--out", dir.to_str().unwrap()])
+            .args(args)
             .env("ARPSHIELD_T6S_HOSTS", "300,2100")
+            .env("ARPSHIELD_RECORD_FRAMES", "256")
             .env("ARPSHIELD_THREADS", threads)
-            .env_remove("ARPSHIELD_RECORD_FRAMES")
             .output()
             .unwrap();
-        assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
-        let mut want: Vec<&str> = expected.iter().map(|(_, path)| *path).collect();
-        want.sort_unstable();
-        assert_eq!(files_under(&dir), want, "files written at {threads} thread(s)");
-        let changed: Vec<&str> = expected
-            .iter()
-            .filter(|(digest, path)| {
-                let bytes = std::fs::read(dir.join(path)).unwrap();
-                let got: String = sha256(&bytes).iter().map(|b| format!("{b:02x}")).collect();
-                got != *digest
-            })
-            .map(|(_, path)| *path)
-            .collect();
-        assert!(changed.is_empty(), "at {threads} thread(s), these files changed: {changed:?}");
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            run.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
     }
+    let mut want: Vec<&str> = expected.iter().map(|(_, path)| *path).collect();
+    want.sort_unstable();
+    assert_eq!(files_under(&dir), want, "files written at {threads} thread(s)");
+    let changed: Vec<&str> = expected
+        .iter()
+        .filter(|(digest, path)| {
+            let bytes = std::fs::read(dir.join(path)).unwrap();
+            let got: String = sha256(&bytes).iter().map(|b| format!("{b:02x}")).collect();
+            got != *digest
+        })
+        .map(|(_, path)| *path)
+        .collect();
+    assert!(changed.is_empty(), "at {threads} thread(s), these files changed: {changed:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// One test per thread count, so the two runs overlap.
+#[test]
+fn the_grid_writes_the_contracted_bytes_at_one_thread() {
+    assert_the_contract_holds_at("1");
+}
+
+#[test]
+fn the_grid_writes_the_contracted_bytes_at_four_threads() {
+    assert_the_contract_holds_at("4");
 }

@@ -5,9 +5,9 @@
 //! — goes onto a thread-local free list instead of back to the
 //! allocator, and the next frame construction pops it, clears the
 //! bytes, and copies the new payload in place. At steady state a
-//! simulation therefore allocates nothing per frame: the counting
-//! global allocator in the `frame_delivery` bench is the regression
-//! gate for that claim.
+//! simulation therefore allocates nothing per frame: the frame-delivery
+//! floors in `tests/alloc_floors.rs` count every allocation a delivery
+//! run makes and gate that claim.
 //!
 //! The free list is thread-local rather than a global mutex: a frame
 //! allocated on one thread and dropped on another simply recycles into

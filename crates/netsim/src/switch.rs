@@ -406,8 +406,14 @@ const SWEEP_TOKEN: u64 = 0xCA11_5EE9;
 #[derive(Debug)]
 pub struct Switch {
     name: String,
-    /// The construction parameters; their VLAN modes live in `vlans`.
-    config: SwitchConfig,
+    ports: usize,
+    /// The CAM aging sweep's period: a quarter of the aging time, and at
+    /// least 100 ms.
+    sweep_every: Duration,
+    fail_mode: FailMode,
+    /// Excluded from floods; every ingress frame is copied to it.
+    mirror_to: Option<PortId>,
+    port_security: Option<PortSecurityConfig>,
     /// `None` on a VLAN-unaware switch.
     vlans: Option<VlanTable>,
     cam: Rc<RefCell<CamTable>>,
@@ -494,20 +500,22 @@ impl Switch {
     ///
     /// Panics if a VLAN table is configured whose length differs from the
     /// port count.
-    pub fn new(name: impl Into<String>, mut config: SwitchConfig) -> (Self, SwitchHandle) {
+    pub fn new(name: impl Into<String>, config: SwitchConfig) -> (Self, SwitchHandle) {
         if let Some(vlans) = &config.vlans {
             assert_eq!(vlans.len(), config.ports, "per-port VLAN table must cover every port");
         }
-        let vlans = config.vlans.take().map(VlanTable::new);
-        let ports = config.ports;
         let cam = Rc::new(RefCell::new(CamTable::new(config.cam_capacity, config.cam_aging)));
         let stats = Rc::new(RefCell::new(SwitchStats::default()));
         let handle = SwitchHandle { cam: Rc::clone(&cam), stats: Rc::clone(&stats) };
         (
             Switch {
                 name: name.into(),
-                config,
-                vlans,
+                ports: config.ports,
+                sweep_every: (config.cam_aging / 4).max(Duration::from_millis(100)),
+                fail_mode: config.fail_mode,
+                mirror_to: config.mirror_to,
+                port_security: config.port_security,
+                vlans: config.vlans.map(VlanTable::new),
                 cam,
                 stats,
                 per_port_macs: FastMap::default(),
@@ -515,7 +523,7 @@ impl Switch {
                 // Room for one domain over every port, so a single-VLAN
                 // switch builds its domain mid-run without allocating.
                 flood_domains: FastMap::with_capacity_and_hasher(1, Default::default()),
-                flood_ports: Vec::with_capacity(ports),
+                flood_ports: Vec::with_capacity(config.ports),
             },
             handle,
         )
@@ -552,14 +560,14 @@ impl Switch {
         if let Some(domain) = self.flood_domains.get(&vid) {
             return *domain;
         }
-        let (config, vlans, stats) = (&self.config, self.vlans.as_ref(), self.stats.borrow());
+        let (vlans, stats) = (self.vlans.as_ref(), self.stats.borrow());
         let start = self.flood_ports.len();
         // `ports` may legitimately be 65536 (every PortId addressable),
         // so iterate the usize range and narrow per port.
         self.flood_ports.extend(
-            (0..config.ports)
+            (0..self.ports)
                 .map(|p| PortId(p as u16))
-                .filter(|p| Some(*p) != config.mirror_to && !stats.shutdown_ports.contains(p))
+                .filter(|p| Some(*p) != self.mirror_to && !stats.shutdown_ports.contains(p))
                 .filter_map(|port| {
                     egress_mode(vlans, port, vid).map(|tagged| Egress { port, tagged })
                 }),
@@ -602,12 +610,11 @@ impl Device for Switch {
     }
 
     fn port_count(&self) -> usize {
-        self.config.ports
+        self.ports
     }
 
     fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        let interval = (self.config.cam_aging / 4).max(Duration::from_millis(100));
-        ctx.schedule_in(interval, SWEEP_TOKEN);
+        ctx.schedule_in(self.sweep_every, SWEEP_TOKEN);
     }
 
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
@@ -620,8 +627,7 @@ impl Device for Switch {
             // it already fires periodically on every switch, so the
             // gauge costs nothing new on the frame path.
             profile::gauge("switch.cam.size", self.cam.borrow().occupancy() as u64);
-            let interval = (self.config.cam_aging / 4).max(Duration::from_millis(100));
-            ctx.schedule_in(interval, SWEEP_TOKEN);
+            ctx.schedule_in(self.sweep_every, SWEEP_TOKEN);
         }
     }
 
@@ -687,7 +693,7 @@ impl Device for Switch {
         }
 
         // Port security accounting on the *source* address.
-        if let Some(ps) = self.config.port_security {
+        if let Some(ps) = self.port_security {
             if eth.src().is_unicast() && !eth.src().is_zero() {
                 let known = self.per_port_macs.entry(port).or_default();
                 if !known.contains(&eth.src()) {
@@ -747,7 +753,7 @@ impl Device for Switch {
                                 eth.src(),
                                 port.0,
                                 self.cam.borrow().occupancy(),
-                                self.config.fail_mode
+                                self.fail_mode
                             ),
                         )
                     });
@@ -755,7 +761,7 @@ impl Device for Switch {
             }
             if outcome == LearnOutcome::Full {
                 self.stats.borrow_mut().cam_full_events += 1;
-                if self.config.fail_mode == FailMode::DropNew {
+                if self.fail_mode == FailMode::DropNew {
                     return;
                 }
             }
@@ -778,7 +784,7 @@ impl Device for Switch {
 
         // Mirror a copy of every (accepted) ingress frame, exactly as it
         // arrived — SPAN shows wire reality, not the egress rewrite.
-        if let Some(mirror) = self.config.mirror_to {
+        if let Some(mirror) = self.mirror_to {
             if mirror != port && unicast_out != Some(mirror) {
                 ctx.send(mirror, shared.clone());
             }
@@ -972,6 +978,14 @@ mod tests {
     fn a_port_vlan_mode_fits_in_4_bytes() {
         let size = std::mem::size_of::<PortMode>();
         assert!(size <= 4, "{size} bytes");
+    }
+
+    /// A switch keeps only what it reads after construction: no CAM
+    /// capacity, which the table holds, and no unpacked VLAN modes.
+    #[test]
+    fn a_switch_fits_in_264_bytes() {
+        let size = std::mem::size_of::<Switch>();
+        assert!(size <= 264, "{size} bytes");
     }
 
     #[test]

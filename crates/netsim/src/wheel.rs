@@ -31,10 +31,11 @@
 //! threaded through `u32` links from its head, and spent nodes go on a
 //! free list inside the same arena. Pushing, cascading, and popping
 //! therefore allocate nothing once the arena has grown to the run's
-//! in-flight high-water mark — the counting-allocator benches hold the
-//! whole simulator to a fraction of an allocation per frame. A chain is
-//! unordered: a push links at its head, a cascade relinks every node it
-//! moves, and a level-0 drain sorts its window by `(at, seq)`.
+//! in-flight high-water mark — the allocation floors in
+//! `tests/alloc_floors.rs` hold the whole simulator to a fraction of an
+//! allocation per frame. A chain is unordered: a push links at its
+//! head, a cascade relinks every node it moves, and a level-0 drain
+//! sorts its window by `(at, seq)`.
 //!
 //! # Advancing
 //!
@@ -368,42 +369,88 @@ mod tests {
             state >> 33
         };
         for round in 0..50 {
-            let mut wheel = TimingWheel::new();
-            let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-            let mut clock = 0u64;
-            let mut seq = 0u64;
-            let mut popped = Vec::new();
-            let mut expected = Vec::new();
+            let mut queues = Lockstep::new(format!("round {round}"));
             for op in 0..400 {
                 if op % 5 == 3 {
-                    if let Some((at, item)) = wheel.pop() {
-                        clock = at.as_nanos();
-                        popped.push((at.as_nanos(), item));
-                        let Reverse((hat, _, hitem)) = heap.pop().expect("same length");
-                        expected.push((hat, hitem));
-                    }
-                } else {
-                    // Microsecond-scale to second-scale delays, day-long
-                    // ones, jumps of any size up to the top of the clock,
-                    // and the top itself.
-                    let at = match next() % 8 {
-                        0 => clock.saturating_add(86_400_000_000_000 + next() % 1_000_000),
-                        1 => clock.saturating_add(next() << (next() % 34)),
-                        2 if round % 5 == 4 => u64::MAX,
-                        _ => clock.saturating_add(next() % (1 << (10 + round % 20))),
-                    };
-                    wheel.push(SimTime::from_nanos(at), op as u32);
-                    heap.push(Reverse((at, seq, op as u32)));
-                    seq += 1;
+                    queues.pop();
+                    continue;
                 }
+                // Microsecond-scale to second-scale delays, day-long
+                // ones, jumps of any size up to the top of the clock, and
+                // the top itself.
+                let clock = queues.reference.now;
+                let at = match next() % 8 {
+                    0 => clock.saturating_add(86_400_000_000_000 + next() % 1_000_000),
+                    1 => clock.saturating_add(next() << (next() % 34)),
+                    2 if round % 5 == 4 => u64::MAX,
+                    _ => clock.saturating_add(next() % (1 << (10 + round % 20))),
+                };
+                queues.push(at, op);
             }
-            while let Some((at, item)) = wheel.pop() {
-                popped.push((at.as_nanos(), item));
-                let Reverse((hat, _, hitem)) = heap.pop().expect("same length");
-                expected.push((hat, hitem));
+            while queues.pop().is_some() {}
+        }
+
+        // The simulator's own load at full size, where every pop pushes
+        // its successor. Hold-model churn keeps 4,096 entries a link
+        // latency ahead, so equal-timestamp batches dominate;
+        // `mixed_horizon` sends one push in 16 a day out.
+        const LATENCIES: [u64; 4] = [1_000, 5_000, 10_000, 25_000];
+        for (shape, far_tail) in [("steady_churn", false), ("mixed_horizon", true)] {
+            let mut delay = || match next() {
+                r if far_tail && r % 16 == 0 => 86_400_000_000_000 + r % 1_000_000_000,
+                r => LATENCIES[(r % 4) as usize],
+            };
+            let mut queues = Lockstep::new(shape.to_string());
+            for item in 0..4096 {
+                queues.push(delay(), item);
             }
-            assert!(heap.is_empty());
-            assert_eq!(popped, expected, "round {round}");
+            for item in 0..65_536 {
+                let (at, _) = queues.pop().expect("the queue stays full");
+                queues.push(at + delay(), item);
+            }
+            while queues.pop().is_some() {}
+        }
+        // The 100k-station fabric: one refresh timer per station pending
+        // up to 2 s ahead. A timer's pop sends a frame 5 or 10 µs out,
+        // each delivery pushes the next hop the same way, and the third
+        // hop re-arms the timer. Item `4 * station + hop` is one step.
+        const REFRESH: u64 = 2_000_000_000;
+        let mut queues = Lockstep::new("scale_timers".to_string());
+        for station in 0..100_000u32 {
+            queues.push(next() % REFRESH, 4 * station);
+        }
+        for _ in 0..400_000 {
+            let (at, item) = queues.pop().expect("every pop pushes a successor");
+            match item % 4 {
+                3 => queues.push(at + REFRESH, item - 3),
+                _ => queues.push(at + [5_000, 10_000][(next() % 2) as usize], item + 1),
+            }
+        }
+        while queues.pop().is_some() {}
+    }
+
+    /// A wheel and the reference heap fed the same pushes, whose every
+    /// pop must agree.
+    struct Lockstep {
+        stream: String,
+        wheel: TimingWheel<u32>,
+        reference: Reference,
+        pops: usize,
+    }
+
+    impl Lockstep {
+        fn new(stream: String) -> Self {
+            Lockstep { stream, wheel: TimingWheel::new(), reference: Reference::default(), pops: 0 }
+        }
+        fn push(&mut self, at: u64, item: u32) {
+            self.wheel.push(SimTime::from_nanos(at), item);
+            self.reference.push(at, item);
+        }
+        fn pop(&mut self) -> Option<(u64, u32)> {
+            let got = self.wheel.pop().map(|(at, item)| (at.as_nanos(), item));
+            assert_eq!(got, self.reference.pop(), "{}: pop {}", self.stream, self.pops);
+            self.pops += 1;
+            got
         }
     }
 

@@ -58,10 +58,9 @@ pub use tarp::{TarpConfig, TarpHook, Ticket};
 /// One unit ≈ one packet-header inspection. The signature constants model
 /// era-appropriate DSA on commodity hosts (verification ~1.5× the cost of
 /// signing, both two to three orders of magnitude above a header
-/// inspection — the ratio the S-ARP literature reports). The
-/// `sarp_latency` bench measures what this machine's 127-bit toy group
-/// actually costs, for comparison; the experiments use these constants so
-/// results do not depend on host speed.
+/// inspection — the ratio the S-ARP literature reports). The experiments
+/// use these constants, not the wall time of this crate's 127-bit toy
+/// group, so results do not depend on host speed.
 pub mod work {
     /// Inspecting one sniffed packet.
     pub const INSPECT: u64 = 1;

@@ -1,7 +1,6 @@
 //! # arpshield-testkit
 //!
-//! The workspace's in-tree, zero-registry-dependency correctness and
-//! performance toolkit:
+//! The workspace's in-tree, zero-registry-dependency test toolkit:
 //!
 //! * [`rng`] — a seeded PCG32 generator ([`TestRng`]) for deterministic
 //!   test-input streams, independent of the simulator's own RNG.
@@ -9,25 +8,18 @@
 //!   combinators, the [`properties!`] block macro, seeded case
 //!   generation, and greedy shrinking that reports the seed and the
 //!   minimal counterexample.
-//! * [`bench`] — a criterion-lite harness behind the same
-//!   `criterion_group!`/`criterion_main!` surface, timing with
-//!   calibration + warmup + fixed-iteration sampling and writing
-//!   median/mean/throughput JSON to `results/bench/<name>.json` through
-//!   `arpshield_trace::json`.
 //!
 //! The point of the crate (see the "Zero registry dependencies" section
-//! of the top-level README): `cargo build && cargo test && cargo bench`
-//! must work from a bare Rust toolchain with no network and no vendored
-//! registry, because this environment has neither.
+//! of the top-level README): `cargo build && cargo test` must work from
+//! a bare Rust toolchain with no network and no vendored registry. It
+//! depends on nothing, not even the crates it tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{BenchConfig, Bencher, BenchmarkGroup, BenchmarkId, Criterion, Throughput};
 pub use prop::{Strategy, TestCaseError, TestCaseResult};
 pub use rng::TestRng;
 

@@ -125,7 +125,7 @@ pub fn report(warning: Option<String>) {
     let Some(warning) = warning else { return };
     match crate::current() {
         Some(collector) => collector.warn(warning),
-        None => eprintln!("warning: {warning}"),
+        None => crate::stderr_line(format_args!("warning: {warning}")),
     }
 }
 

@@ -110,7 +110,10 @@ impl Heartbeat {
 
     fn emit(&self, event: &str, detail: &str) {
         let wall_s = self.started.elapsed().as_secs_f64();
-        eprintln!("arpshield {}: {event} wall_s={wall_s:.2} {detail}", self.label);
+        crate::stderr_line(format_args!(
+            "arpshield {}: {event} wall_s={wall_s:.2} {detail}",
+            self.label
+        ));
     }
 }
 

@@ -1,7 +1,7 @@
 //! The workspace's one JSON module: a value type, a writer, and a
 //! recursive-descent parser, with no serde dependency. The manifest
-//! writers quote through [`quote`], `reproduce` reads every artifact
-//! back with [`parse`], and the bench harness writes through [`Value`].
+//! writers quote through [`quote`], and `reproduce` reads every
+//! artifact back with [`parse`].
 //! The parser supports the full JSON grammar except `\u` escapes beyond
 //! the BMP, and refuses documents nested deeper than 128 levels with
 //! an error rather than recursing until the stack overflows.
@@ -80,7 +80,7 @@ pub fn quote(s: &str) -> String {
     out
 }
 
-/// Formats a number the way the harness writes it: integers without a
+/// Formats a number as [`Value`]'s writer does: integers without a
 /// fractional part, everything else in shortest-roundtrip form.
 pub fn fmt_num(n: f64) -> String {
     if !n.is_finite() {

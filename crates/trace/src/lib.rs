@@ -58,7 +58,7 @@
 //! record call is one branch, no allocation, no formatting (event
 //! construction is closure-gated). The `reproduce` binary installs no
 //! collector unless `--trace` or `--capture` is passed, so legacy CSV
-//! outputs and bench numbers are untouched by instrumentation; with
+//! outputs and perfbench numbers are untouched by instrumentation; with
 //! tracing on but capture off, frame recording additionally skips the
 //! octet copy and endpoint formatting entirely.
 //!
@@ -72,7 +72,8 @@
 //! on stderr only). Both follow the same
 //! disabled-path discipline as the tracer. [`env_knob`] centralises
 //! `ARPSHIELD_*` environment parsing so every knob warns-and-defaults
-//! on garbage.
+//! on garbage. Every line bound for stderr goes through
+//! [`stderr_line`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -98,3 +99,13 @@ pub use recorder::{
     ring_capacity_from_env, FrameComment, FrameKind, FrameRecorder, RecordedFrame,
     DEFAULT_RECORD_FRAMES,
 };
+
+/// Writes `line` and a newline to stderr, the one writer of every
+/// diagnostic line: heartbeats, knob warnings and `reproduce`'s
+/// warnings, errors and usage. A stderr that cannot be written, such as
+/// a pipe whose reader has gone, drops the line, so a diagnostic never
+/// ends a run or changes its exit code.
+pub fn stderr_line(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let _ = writeln!(std::io::stderr().lock(), "{line}");
+}

@@ -217,8 +217,9 @@ impl Tracer {
     // enabled-check and an `#[inline(never)]` recording body. The hint
     // alone is not enough: LLVM keeps the whole method out-of-line at
     // some call sites, and a real call in the switch's per-frame path
-    // shows up in the frame-delivery bench. Forcing the split keeps
-    // the disabled path at exactly one predictable branch.
+    // shows up in the fabric workloads' `netsim.ns_per_event`. Forcing
+    // the split keeps the disabled path at exactly one predictable
+    // branch.
 
     /// Adds `n` to the named counter.
     #[inline(always)]

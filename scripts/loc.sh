@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Lines of Rust per crate, counted over the files git tracks.
+# Lines of Rust per crate, counted over the files git tracks plus the
+# untracked ones it does not ignore, so a new file counts before it is
+# added.
 #
 #   scripts/loc.sh
 #
 # Two counts per row:
-#   all       every line of every tracked .rs file;
+#   all       every line of every counted .rs file;
 #   non-test  lines of files under a src/ directory, each counted up to
-#             its first top-level `#[cfg(test)]` (tests/, benches/ and
-#             examples/ count as test lines).
+#             its first top-level `#[cfg(test)]` (tests/ and examples/
+#             count as test lines).
 # The `arpshield` row is the root package (src/, tests/, examples/);
 # the `workspace` row covers everything except perfbench/.
 set -euo pipefail
@@ -33,7 +35,7 @@ count() {
 row() {
     local name=$1
     shift
-    printf '%-10s %s\n' "$name" "$(git ls-files -- "$@" | count)"
+    printf '%-10s %s\n' "$name" "$(git ls-files --cached --others --exclude-standard -- "$@" | count)"
 }
 
 printf '%-10s %9s %9s\n' crate all non-test
