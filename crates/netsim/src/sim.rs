@@ -1,5 +1,6 @@
 //! The discrete-event simulation engine.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use arpshield_trace::profile;
@@ -40,26 +41,32 @@ const IMPAIR_SEED_SALT: u64 = 0x1A7E_0F1C_5EED_11D0;
 /// never hands out this id, so it cannot name a real device.
 const NO_PEER: u32 = u32::MAX;
 
-/// `Slot::impaired` of a perfect wire, which keeps no side-table entry.
-const PERFECT_WIRE: u32 = u32::MAX;
-
-/// One direction of a link, holding only what every send reads (24
-/// bytes). Impairment state lives in a side table that a perfect wire
-/// never touches.
+/// One direction of a link, holding only what is its own (12 bytes):
+/// what it shares with other directions lives in its class.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// One-way latency in nanoseconds.
-    latency_ns: u64,
     /// Receiving device, or [`NO_PEER`].
     peer: u32,
-    /// Index into `Simulator::impaired`, or [`PERFECT_WIRE`].
-    impaired: u32,
+    /// Index into `Simulator::classes`; never read while `peer` is
+    /// [`NO_PEER`].
+    class: u32,
     peer_port: PortId,
 }
 
 impl Slot {
-    const UNLINKED: Slot =
-        Slot { latency_ns: 0, peer: NO_PEER, impaired: PERFECT_WIRE, peer_port: PortId(0) };
+    const UNLINKED: Slot = Slot { peer: NO_PEER, class: 0, peer_port: PortId(0) };
+}
+
+/// What a send reads after its slot. Perfect wires of equal latency
+/// share one class, so a topology has a handful of them. An impaired
+/// direction's class is its own: its draws are keyed on its own key
+/// and frame counter.
+#[derive(Debug, Clone)]
+struct LinkClass {
+    /// One-way latency in nanoseconds.
+    latency_ns: u64,
+    /// `None` for a perfect wire.
+    impairment: Option<ImpairedDirection>,
 }
 
 /// The state only an impaired link direction needs.
@@ -176,7 +183,8 @@ impl FanoutArena {
 }
 
 /// One attached device and its ports' run of link slots, 24 bytes: a
-/// send reads the entry its dispatch just loaded, then one slot.
+/// send reads the entry its dispatch just loaded, then one slot and its
+/// class.
 #[derive(Debug)]
 struct DeviceEntry {
     device: Box<dyn Device>,
@@ -209,15 +217,20 @@ pub struct Simulator {
     /// and the single contiguous slab is what lets per-link state shard
     /// cleanly once simulations span threads.
     links: Vec<Slot>,
-    /// Side table of impaired link directions, indexed by
-    /// `Slot::impaired`; perfect wires have no entry.
-    impaired: Vec<ImpairedDirection>,
+    /// Link classes, indexed by `Slot::class`.
+    classes: Vec<LinkClass>,
     /// The event core: a hierarchical timing wheel preserving the
     /// `(timestamp, insertion)` dispatch order the heap gave.
     queue: TimingWheel<EventKind>,
     rng: SimRng,
     impair_seed: u64,
     default_profile: LinkProfile,
+    /// The last perfect-wire class handed out, with its latency:
+    /// topologies are wired in runs of equal links, so most connects
+    /// reuse it without a map lookup.
+    last_wire: Option<(u64, u32)>,
+    /// Every perfect-wire class by latency, for the connects that do not.
+    wires: BTreeMap<u64, u32>,
     stats: WireStats,
     /// Reusable outbox, drained after every dispatch. Devices cannot
     /// re-enter the simulator, so one scratch outbox serves all
@@ -248,11 +261,13 @@ impl Simulator {
             started: false,
             devices: Vec::new(),
             links: Vec::new(),
-            impaired: Vec::new(),
+            classes: Vec::new(),
             queue: TimingWheel::new(),
             rng: SimRng::new(seed),
             impair_seed: seed ^ IMPAIR_SEED_SALT,
             default_profile: LinkProfile::PERFECT,
+            last_wire: None,
+            wires: BTreeMap::new(),
             run_tracer: Tracer::disabled(),
             stats: WireStats::default(),
             scratch: Outbox::default(),
@@ -347,22 +362,38 @@ impl Simulator {
             }
         }
         let latency_ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+        let wire = profile.is_perfect().then(|| self.wire_class(latency_ns));
         for (from, from_port, to, to_port) in [(a, a_port, b, b_port), (b, b_port, a, a_port)] {
-            let impaired = if profile.is_perfect() {
-                PERFECT_WIRE
-            } else {
+            let class = wire.unwrap_or_else(|| {
                 // Each direction gets a stable key derived from its
                 // sending endpoint — topology, not insertion order — so
                 // impairment draws survive any change in how links
                 // happen to be wired up.
                 let key = ((from.0 as u64) << 16) | u64::from(from_port.0);
-                self.impaired.push(ImpairedDirection { profile, key, sent: 0 });
-                (self.impaired.len() - 1) as u32
-            };
+                let impairment = Some(ImpairedDirection { profile, key, sent: 0 });
+                self.classes.push(LinkClass { latency_ns, impairment });
+                (self.classes.len() - 1) as u32
+            });
             let slot = self.devices[from.0].slot(from_port).expect("checked above");
-            self.links[slot] = Slot { latency_ns, peer: to.0 as u32, impaired, peer_port: to_port };
+            self.links[slot] = Slot { peer: to.0 as u32, class, peer_port: to_port };
         }
         Ok(())
+    }
+
+    /// The class of a perfect wire of `latency_ns`: the previous wire's
+    /// when the latency matches, else the one the map holds, else a new
+    /// one.
+    fn wire_class(&mut self, latency_ns: u64) -> u32 {
+        if let Some((_, class)) = self.last_wire.filter(|&(ns, _)| ns == latency_ns) {
+            return class;
+        }
+        let next = self.classes.len() as u32;
+        let class = *self.wires.entry(latency_ns).or_insert(next);
+        if class == next {
+            self.classes.push(LinkClass { latency_ns, impairment: None });
+        }
+        self.last_wire = Some((latency_ns, class));
+        class
     }
 
     /// Makes `tracer` the run's tracer: wire outcomes (loss, outage
@@ -440,8 +471,7 @@ impl Simulator {
                     let link = self.link(from, port);
                     if link.peer == NO_PEER {
                         self.stats.dropped_no_link += 1;
-                    } else if link.impaired == PERFECT_WIRE {
-                        let at = self.arrival(link);
+                    } else if let Some(at) = self.arrival(link) {
                         let (dst, port) = (link.peer, link.peer_port);
                         self.push_event(at, EventKind::Deliver { dst, port, bytes, dup: false });
                     } else {
@@ -468,10 +498,13 @@ impl Simulator {
         self.devices[from.0].slot(port).map_or(Slot::UNLINKED, |slot| self.links[slot])
     }
 
-    /// When a frame sent now over the perfect wire `link` arrives: like
-    /// a timer's due time, [`SimTime::MAX`] if the sum passes it.
-    fn arrival(&self, link: Slot) -> SimTime {
-        SimTime::from_nanos(self.now.as_nanos().saturating_add(link.latency_ns))
+    /// When a frame sent now over `link` arrives if it is a perfect wire
+    /// (like a timer's due time, [`SimTime::MAX`] if the sum passes it),
+    /// or `None` if it is impaired and each frame draws its own fate.
+    fn arrival(&self, link: Slot) -> Option<SimTime> {
+        let class = &self.classes[link.class as usize];
+        let at = SimTime::from_nanos(self.now.as_nanos().saturating_add(class.latency_ns));
+        class.impairment.is_none().then_some(at)
     }
 
     /// Queues a flood's copies in the order one send per port would.
@@ -492,12 +525,11 @@ impl Simulator {
                 self.stats.dropped_no_link += 1;
                 continue;
             }
-            if link.impaired != PERFECT_WIRE {
+            let Some(at) = self.arrival(link) else {
                 self.queue_run(&mut run, run_at, &forms[run_form]);
                 self.send_impaired(from, egress.port, link, forms[form].clone());
                 continue;
-            }
-            let at = self.arrival(link);
+            };
             if (at, form) != (run_at, run_form) {
                 self.queue_run(&mut run, run_at, &forms[run_form]);
                 (run_at, run_form) = (at, form);
@@ -529,10 +561,11 @@ impl Simulator {
     /// draws its fate, then drops, delays or duplicates it.
     fn send_impaired(&mut self, from: DeviceId, port: PortId, link: Slot, bytes: Frame) {
         let (peer, peer_port) = (link.peer, link.peer_port);
-        let direction = &mut self.impaired[link.impaired as usize];
+        let class = &mut self.classes[link.class as usize];
+        let latency = Duration::from_nanos(class.latency_ns);
+        let direction = class.impairment.as_mut().expect("only impaired classes draw fates");
         let (profile, key, index) = (direction.profile, direction.key, direction.sent);
         direction.sent += 1;
-        let latency = Duration::from_nanos(link.latency_ns);
         let fate = impair::fate(&profile, self.impair_seed, key, index, self.now);
         if fate.lost {
             let flap_down = profile.flap.map(|f| f.is_down(self.now)).unwrap_or(false);
@@ -967,9 +1000,11 @@ mod tests {
         assert_eq!(run(None), run(Some(inert)));
     }
 
+    /// Latency and impairment live in the slot's class, so a slot holds
+    /// only its peer, its class and its peer's port.
     #[test]
-    fn a_link_slot_fits_in_32_bytes() {
-        assert!(std::mem::size_of::<Slot>() <= 32, "{} bytes", std::mem::size_of::<Slot>());
+    fn a_link_slot_fits_in_12_bytes() {
+        assert!(std::mem::size_of::<Slot>() <= 12, "{} bytes", std::mem::size_of::<Slot>());
     }
 
     /// A device's entry holds its box and its run of link slots, so a
@@ -983,20 +1018,28 @@ mod tests {
     /// A topology added after a matching `reserve` leaves no slack in
     /// the device or link tables, and a port past a device's count,
     /// whose slot index belongs to the next device or lies past the
-    /// table's end, reads as unlinked.
+    /// table's end, reads as unlinked. Links of one latency share a
+    /// class, and another latency opens a second.
     #[test]
     fn a_reserved_topology_fills_its_tables_exactly() {
         let mut sim = Simulator::new(1);
-        sim.reserve(3, 8);
+        sim.reserve(4, 9);
         let hub = sim.add_device(Box::new(crate::Hub::new("hub", 6)));
         let k = sim.add_device(Box::new(Kickoff { budget: 0 }));
         let e = sim.add_device(Box::new(Echo::new()));
+        let f = sim.add_device(Box::new(Echo::new()));
         sim.connect(k, PortId(0), hub, PortId(0), Duration::from_micros(1)).unwrap();
         sim.connect(e, PortId(0), hub, PortId(1), Duration::from_micros(1)).unwrap();
-        assert_eq!((sim.devices.len(), sim.devices.capacity()), (3, 3));
-        assert_eq!((sim.links.len(), sim.links.capacity()), (8, 8));
+        assert_eq!(sim.classes.len(), 1, "the two 1 µs links share one class");
+        sim.connect(f, PortId(0), hub, PortId(2), Duration::from_micros(3)).unwrap();
+        assert_eq!(sim.classes.len(), 2, "a 3 µs link gets a second class");
+        let class = |device, port| sim.link(device, PortId(port)).class;
+        assert_eq!([class(k, 0), class(hub, 0), class(e, 0), class(hub, 1)], [0; 4]);
+        assert_eq!([class(f, 0), class(hub, 2)], [1; 2]);
+        assert_eq!((sim.devices.len(), sim.devices.capacity()), (4, 4));
+        assert_eq!((sim.links.len(), sim.links.capacity()), (9, 9));
         assert_eq!(sim.link(hub, PortId(0)).peer, k.0 as u32);
-        for (device, port) in [(hub, PortId(6)), (k, PortId(1)), (e, PortId(1)), (e, PortId(9))] {
+        for (device, port) in [(hub, PortId(6)), (k, PortId(1)), (f, PortId(1)), (f, PortId(9))] {
             assert_eq!(sim.link(device, port).peer, NO_PEER, "{device:?} {port:?}");
         }
     }
@@ -1034,10 +1077,10 @@ mod tests {
         }
     }
 
-    /// Perfect and lossy links wired in alternation, each lossy link
-    /// with its own loss rate: every lossy direction must drop exactly
-    /// what it drops when it is the only link wired, and what its own
-    /// key and counter draw, so the side-table index each slot holds
+    /// Perfect and lossy links of one latency wired in alternation, each
+    /// lossy link with its own loss rate: every lossy direction must
+    /// drop exactly what it drops when it is the only link wired, and
+    /// what its own key and counter draw, so the class each slot holds
     /// names its own direction's profile, key and frame counter.
     #[test]
     fn interleaved_lossy_links_drop_as_they_do_alone() {

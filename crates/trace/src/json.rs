@@ -1,5 +1,5 @@
-//! The workspace's one JSON module: a value type, a writer, and a
-//! recursive-descent parser, with no serde dependency. The manifest
+//! The workspace's one JSON module: a value type, string quoting, and
+//! a recursive-descent parser, with no serde dependency. The manifest
 //! writers quote through [`quote`], and `reproduce` reads every
 //! artifact back with [`parse`].
 //! The parser supports the full JSON grammar except `\u` escapes beyond
@@ -7,7 +7,6 @@
 //! an error rather than recursing until the stack overflows.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,51 +77,6 @@ pub fn quote(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Formats a number as [`Value`]'s writer does: integers without a
-/// fractional part, everything else in shortest-roundtrip form.
-pub fn fmt_num(n: f64) -> String {
-    if !n.is_finite() {
-        // JSON has no Inf/NaN; null is the conventional stand-in.
-        return "null".to_string();
-    }
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Num(n) => f.write_str(&fmt_num(*n)),
-            Value::Str(s) => f.write_str(&quote(s)),
-            Value::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Value::Obj(map) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{}:{v}", quote(k))?;
-                }
-                f.write_str("}")
-            }
-        }
-    }
 }
 
 pub use reader::parse;
@@ -358,16 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn display_output_reparses_identically() {
-        let original = parse(
-            r#"{"name":"bench \"x\"","values":[0,1.25,1e9],"unicode":"µs A","empty":[],"obj":{}}"#,
-        )
-        .unwrap();
-        let reparsed = parse(&original.to_string()).unwrap();
-        assert_eq!(original, reparsed);
-    }
-
-    #[test]
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "accepted: {bad}");
@@ -386,12 +330,5 @@ mod tests {
         // stack overflow.
         assert!(parse(&"[".repeat(400_000)).unwrap_err().contains("nesting deeper"));
         assert!(parse(&r#"{"k":"#.repeat(100_000)).unwrap_err().contains("nesting deeper"));
-    }
-
-    #[test]
-    fn integers_print_without_fraction() {
-        assert_eq!(fmt_num(3.0), "3");
-        assert_eq!(fmt_num(3.5), "3.5");
-        assert_eq!(Value::Num(1e9).to_string(), "1000000000");
     }
 }

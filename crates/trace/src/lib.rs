@@ -19,8 +19,9 @@
 //!   `--profile`: a JSON manifest, its counter and histogram CSVs and,
 //!   under capture, a pcapng beside it.
 //!
-//! The crate also owns the two file formats, with one reader and one
-//! writer each: [`json`] and [`pcapng`].
+//! The crate also owns the two file formats: [`json`], with the one
+//! reader and the quoting the manifest writers share, and [`pcapng`],
+//! with one reader and one writer.
 //!
 //! ## Determinism contract
 //!

@@ -5,22 +5,25 @@
 #   scripts/ci.sh
 #
 # Steps: rustfmt check, release build, a check that the `reproduce`
-# crate links no test code, clippy over every target with lints
-# denied, full test suite (the allocation floors in
-# tests/alloc_floors.rs included), a build and self-test of perfbench (its
-# own workspace, built against the library crates by path, so removing
-# API it uses fails here), a smoke run of the t5r loss-resilience
-# sweep, a `--trace` smoke (manifest emission + validation), a
-# `--profile` smoke (the manifest's `wall` section + report rendering),
-# a `--capture` smoke (pcapng beside the manifest, forensic `inspect`
-# timeline with verdict provenance, `inspect` on a capture cut
-# mid-block), a closed-pipe smoke (`inspect` and `profile-report`
-# piped into `head -1` end quietly with exit 0), an all-flags run whose
-# output directory must validate as manifests only, an `ingest` smoke
-# (capture re-ingest through the standalone detector, checking live vs
-# re-ingested verdict-counter parity), a re-derivation of the committed
-# t6s/t6sd rows at 1k-10k hosts, and a lines-of-code gate: no crate's
-# non-test lines may exceed its row in the committed results/loc.txt.
+# crate links no test code, clippy over every target with lints denied,
+# full test suite (the allocation floors in tests/alloc_floors.rs
+# included), a build and self-test of perfbench (its own workspace,
+# built against the library crates by path, so removing API it uses
+# fails here), a 5 s perfbench run of every workload (its oracles must
+# hold, and its peak memory must stay within the BENCHMARK.json bound of
+# results/perfbench-<workload>.json), a smoke run of the t5r
+# loss-resilience sweep, a `--trace` smoke (manifest emission +
+# validation), a `--profile` smoke (the manifest's `wall` section +
+# report rendering), a `--capture` smoke (pcapng beside the manifest,
+# forensic `inspect` timeline with verdict provenance, `inspect` on a
+# capture cut mid-block), a closed-pipe smoke (`inspect` and
+# `profile-report` piped into `head -1` end quietly with exit 0), an
+# all-flags run whose output directory must validate as manifests only,
+# an `ingest` smoke (capture re-ingest through the standalone detector,
+# checking live vs re-ingested verdict-counter parity), a re-derivation
+# of the committed t6s/t6sd rows at 1k-10k hosts, and a lines-of-code
+# gate: no crate's non-test lines may exceed its row in the committed
+# results/loc.txt.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -49,6 +52,41 @@ cargo test -q --workspace --offline
 
 echo "==> cargo test perfbench (benchmark build + self-tests)"
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench --workload all --seconds 5 (oracles + peak memory vs results/perfbench-*.json)"
+# Every workload's oracle checks must pass (`failed` is 0), and no
+# workload's peak_rss_mb may exceed its committed value by more than
+# BENCHMARK.json's bound for it. Timing metrics are printed beside their
+# committed values but not gated: how often a shared host alone moves
+# them past their bounds is not yet measured.
+perf_out="$(mktemp)"
+cargo run --release --offline --quiet --locked --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seconds 5 | tee "$perf_out"
+python3 - "$perf_out" <<'PY'
+import json
+import sys
+
+summary = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+spec = json.load(open("BENCHMARK.json"))
+failed = summary["failed"] > 0
+print(f"perfbench gate: {'FAIL' if failed else 'ok'} {summary['failed']} of "
+      f"{summary['attempted']} checks failed")
+for workload in (w["name"] for w in spec["workloads"]):
+    committed = json.load(open(f"results/perfbench-{workload}.json"))
+    for metric in spec["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
+        now = summary["metrics"][f"{workload}/{name}"]["value"]
+        was = committed["metrics"][name]["value"]
+        line = f"{workload} {name} {now:.6g} against {was:.6g} at {committed['commit']}"
+        if name == "peak_rss_mb":
+            over = now > was * (1 + bound)
+            failed |= over
+            print(f"perfbench gate: {'FAIL' if over else 'ok'} {line} (bound +{bound:.0%})")
+        else:
+            print(f"perfbench, not gated: {line}")
+sys.exit(1 if failed else 0)
+PY
+rm -f "$perf_out"
 
 echo "==> reproduce t5r smoke (loss-resilience sweep)"
 t5r_out="$(mktemp -d)"

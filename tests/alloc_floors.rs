@@ -443,13 +443,14 @@ fn ingest_stays_within_its_allocation_floors() {
 const PER_LEAF: u64 = 64;
 
 /// Live bytes a station may hold after the build: its 40-byte device
-/// box, a 24-byte device entry, two 24-byte link slots, a 4-byte VLAN
+/// box, a 24-byte device entry, two 12-byte link slots, a 4-byte VLAN
 /// port mode, and its bindings in the leaf and root DAI tables. Left
 /// to grow by doubling, the link and device tables and a leaf's VLAN
 /// port table (24 bytes a port, 2,048 ports for 1,025) held 249 bytes
-/// a station; sized once and packed they hold 189. Every byte the build
-/// leaves live is held for the whole run.
-const LIVE_BYTES_PER_STATION: i64 = 200;
+/// a station; sized once and packed they hold 189, and with latency
+/// and impairment moved into shared link classes, 165. Every byte the
+/// build leaves live is held for the whole run.
+const LIVE_BYTES_PER_STATION: i64 = 170;
 
 /// Four full leaves of the defended VLAN fabric, with spoofers. A name
 /// built with `format!` would add two allocations per station (its

@@ -78,10 +78,12 @@ fn attack_capture_pins_verdict_provenance() {
     };
     let verdicts: Vec<&Value> = events.iter().filter(|e| is_verdict(e)).collect();
     assert!(!verdicts.is_empty(), "the attack run must log verdicts");
-    assert!(verdicts.iter().any(|v| v.to_string().contains("kind=binding_changed")));
+    assert!(verdicts.iter().any(|v| {
+        v.get("detail").and_then(Value::as_str).is_some_and(|d| d.contains("kind=binding_changed"))
+    }));
     for verdict in &verdicts {
         let cited = verdict.get("frames").and_then(Value::as_arr).unwrap_or_default();
-        assert!(!cited.is_empty(), "every verdict must cite its provenance frames: {verdict}");
+        assert!(!cited.is_empty(), "every verdict must cite its provenance frames: {verdict:?}");
         for id in cited.iter().filter_map(Value::as_num).map(|id| id as u64) {
             assert!(ids.contains(&id), "cited frame #{id} must survive eviction");
             let frame = run.frames.iter().find(|f| f.id == id).unwrap();

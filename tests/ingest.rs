@@ -162,59 +162,86 @@ properties! {
     }
 }
 
+/// Each monitor scheme and the device whose vantage it replays. Hybrid's
+/// stateful and active-probe monitors share the monitor hub, so the
+/// stateful monitor's vantage is theirs.
+const VANTAGES: [(SchemeKind, &str); 5] = [
+    (SchemeKind::Passive, "passive-monitor"),
+    (SchemeKind::Stateful, "stateful-monitor"),
+    (SchemeKind::ActiveProbe, "active-probe-monitor"),
+    (SchemeKind::RateMonitor, "rate-monitor"),
+    (SchemeKind::Hybrid, "stateful-monitor"),
+];
+
+/// Sums the verdict counters of the runs whose label holds `marker`.
+fn verdict_sum(csv: &str, marker: &str) -> u64 {
+    csv.lines()
+        .filter(|line| line.contains(marker) && line.contains(",scheme.verdict."))
+        .filter_map(|line| line.rsplit(',').next()?.parse::<u64>().ok())
+        .sum()
+}
+
+/// Every (scheme, vantage) pair × poisoning variant × seed: a live run
+/// under a flight recorder sized so nothing is evicted, then its
+/// monitor's recorded vantage (exactly the frames the simulation
+/// delivered to it, at the times it received them) streamed through a
+/// standalone detector. The alert lists and verdict-counter sums must
+/// agree in every cell. The rate monitor detects volume, not forged
+/// bindings, so its cells raise nothing; every other cell must alert,
+/// so the matrix cannot pass vacuously.
 #[test]
-fn reingesting_a_live_capture_reproduces_passive_verdicts() {
-    // Live run: passive monitor watching a gratuitous-reply poisoning,
-    // with the flight recorder sized so nothing is evicted.
-    let collector = Arc::new(TraceCollector::with_capture(1 << 20));
-    let live_alerts = {
-        let _guard = install(collector.clone());
-        let run = AttackScenario::poisoning(
-            ScenarioConfig::new(31).with_hosts(3).with_scheme(SchemeKind::Passive),
-            PoisonVariant::GratuitousReply,
-        )
-        .run();
-        run.lan.alerts.alerts()
-    };
-    assert!(!live_alerts.is_empty(), "the live run must detect the forgery");
-    let manifest = collector.manifest("live");
-    let capture = manifest.to_pcapng();
+fn reingesting_a_live_capture_reproduces_every_monitors_verdicts() {
+    let mut failures = Vec::new();
+    let mut cells = 0;
+    for (kind, vantage) in VANTAGES {
+        for variant in PoisonVariant::all() {
+            for seed in [31, 32, 33] {
+                cells += 1;
+                let cell = format!("{kind} × {variant} × seed {seed}");
+                let collector = Arc::new(TraceCollector::with_capture(1 << 20));
+                let live_alerts = {
+                    let _guard = install(collector.clone());
+                    let config = ScenarioConfig::new(seed).with_hosts(3).with_scheme(kind);
+                    AttackScenario::poisoning(config, variant).run().lan.alerts.alerts()
+                };
+                let manifest = collector.manifest("live");
+                let capture = manifest.to_pcapng();
 
-    // Re-ingest from the passive monitor's vantage point: exactly the
-    // frames the live simulation delivered to it, at the times it
-    // received them.
-    let reingest_collector = Arc::new(TraceCollector::new());
-    let detector_alerts = {
-        let _guard = install(reingest_collector.clone());
-        let mut detector =
-            Detector::with_tracer(SchemeKind::Passive, Tracer::for_current_run("reingest"))
-                .expect("passive is supported");
-        let mut stream = PcapngStream::new(capture.as_slice());
-        while let Some(pkt) = stream.next_packet().expect("own captures must stream") {
-            if !FrameComment::parse(pkt.comment).dst.contains("passive-monitor") {
-                continue;
+                let reingest_collector = Arc::new(TraceCollector::new());
+                let detector_alerts = {
+                    let _guard = install(reingest_collector.clone());
+                    let tracer = Tracer::for_current_run("reingest");
+                    let mut detector = Detector::with_tracer(kind, tracer).expect("supported");
+                    let mut stream = PcapngStream::new(capture.as_slice());
+                    while let Some(pkt) = stream.next_packet().expect("own captures must stream") {
+                        if FrameComment::parse(pkt.comment).dst.contains(vantage) {
+                            detector.observe(SimTime::from_nanos(pkt.ts_ns), pkt.bytes);
+                        }
+                    }
+                    detector.finish();
+                    detector.alerts()
+                };
+
+                let mut problems = Vec::new();
+                if live_alerts.is_empty() != (kind == SchemeKind::RateMonitor) {
+                    problems.push(format!("{} live alerts", live_alerts.len()));
+                }
+                if detector_alerts != live_alerts {
+                    let (replayed, live) = (detector_alerts.len(), live_alerts.len());
+                    problems.push(format!("alerts differ: {replayed} re-ingested, {live} live"));
+                }
+                let live = verdict_sum(&manifest.to_counters_csv(), &format!("scheme={kind} "));
+                let csv = reingest_collector.manifest("reingest").to_counters_csv();
+                let reingested = verdict_sum(&csv, "reingest");
+                if live != reingested || live != live_alerts.len() as u64 {
+                    problems.push(format!("verdicts {reingested} re-ingested, {live} live"));
+                }
+                if !problems.is_empty() {
+                    failures.push(format!("{cell}: {}", problems.join("; ")));
+                }
             }
-            detector.observe(SimTime::from_nanos(pkt.ts_ns), pkt.bytes);
         }
-        detector.finish();
-        detector.alerts()
-    };
-
-    assert_eq!(
-        detector_alerts, live_alerts,
-        "re-ingesting the monitor's vantage must reproduce the live alerts exactly"
-    );
-
-    // The verdict counters agree too, manifest to manifest.
-    let verdict_sum = |csv: &str, label_marker: &str| -> u64 {
-        csv.lines()
-            .filter(|line| line.contains(label_marker) && line.contains(",scheme.verdict."))
-            .filter_map(|line| line.rsplit(',').next()?.parse::<u64>().ok())
-            .sum()
-    };
-    let live_csv = manifest.to_counters_csv();
-    let reingest_csv = reingest_collector.manifest("reingest").to_counters_csv();
-    let live_verdicts = verdict_sum(&live_csv, "scheme=passive");
-    assert!(live_verdicts > 0);
-    assert_eq!(verdict_sum(&reingest_csv, "reingest"), live_verdicts);
+    }
+    assert_eq!(cells, 90);
+    assert!(failures.is_empty(), "{} cells disagree:\n{}", failures.len(), failures.join("\n"));
 }
