@@ -1,7 +1,7 @@
 //! Shared, immutable frame buffers.
 
 use std::ops::Deref;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use arpshield_packet::{EtherType, EthernetEmit, MacAddr, WireEmit};
 use arpshield_trace::profile;
@@ -19,19 +19,24 @@ use crate::pool::{self, FrameBuf};
 /// Buffers come from the recycling pool in [`crate::pool`]: dropping
 /// the last handle parks the allocation on a thread-local free list
 /// and the next construction reuses it, so steady-state traffic
-/// allocates nothing per frame. The handle is `Send + Sync`, which is
-/// what lets one simulation eventually shard across threads.
+/// allocates nothing per frame. A frame stays on the thread that built
+/// it, so the handle counts sharers with `Rc`, not atomics, and is not `Send`:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<arpshield_netsim::Frame>();
+/// ```
 ///
 /// Frames are immutable by construction — mutating a delivered payload
 /// would retroactively rewrite the in-flight copies sharing it — so
 /// devices that transform a frame build a fresh one.
-pub struct Frame(Option<Arc<FrameBuf>>);
+pub struct Frame(Option<Rc<FrameBuf>>);
 
 impl Frame {
     /// The backing buffer. Only [`Drop`] vacates the slot, so every
     /// other method can rely on it being present.
     #[inline]
-    fn buf(&self) -> &Arc<FrameBuf> {
+    fn buf(&self) -> &Rc<FrameBuf> {
         self.0.as_ref().expect("frame buffer only vacated during drop")
     }
 
@@ -77,7 +82,7 @@ impl Frame {
 
     /// Number of live handles sharing this buffer (diagnostics only).
     pub fn handle_count(&self) -> usize {
-        Arc::strong_count(self.buf())
+        Rc::strong_count(self.buf())
     }
 
     /// How many times this frame's buffer has been recycled through
@@ -95,8 +100,8 @@ impl Clone for Frame {
 
 impl Drop for Frame {
     fn drop(&mut self) {
-        if let Some(arc) = self.0.take() {
-            pool::recycle(arc);
+        if let Some(rc) = self.0.take() {
+            pool::recycle(rc);
         }
     }
 }
@@ -187,14 +192,6 @@ impl std::fmt::Debug for Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The pool exists so parallel sharding stays on the table: the
-    /// handle must be thread-safe.
-    #[test]
-    fn frame_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Frame>();
-    }
 
     #[test]
     fn clones_share_one_buffer() {

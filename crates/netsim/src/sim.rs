@@ -213,9 +213,7 @@ pub struct Simulator {
     devices: Vec<DeviceEntry>,
     /// Index-addressed link arena: each device's ports occupy the run of
     /// slots its entry names. The dispatch hot path resolves a send with
-    /// one add and one array index instead of a hash lookup per frame,
-    /// and the single contiguous slab is what lets per-link state shard
-    /// cleanly once simulations span threads.
+    /// one add and one array index instead of a hash lookup per frame.
     links: Vec<Slot>,
     /// Link classes, indexed by `Slot::class`.
     classes: Vec<LinkClass>,
@@ -456,16 +454,17 @@ impl Simulator {
         let mut ctx = DeviceCtx::new(now, id, &mut self.scratch, &mut self.rng, incoming, tracer);
         callback(self.devices[id.0].device.as_mut(), &mut ctx);
         // Most deliveries queue nothing (every station a flood reaches
-        // but one); skip the outbox hand-off for them.
+        // but one); skip the hand-off for them.
         if !self.scratch.actions.is_empty() {
-            let mut out = std::mem::take(&mut self.scratch);
-            self.apply_actions(id, &mut out);
-            self.scratch = out;
+            let mut actions = std::mem::take(&mut self.scratch.actions);
+            self.apply_actions(id, &mut actions);
+            self.scratch.actions = actions;
         }
     }
 
-    fn apply_actions(&mut self, from: DeviceId, out: &mut Outbox) {
-        for action in out.actions.drain(..) {
+    /// Applies one callback's `actions`; their floods index the scratch egress list.
+    fn apply_actions(&mut self, from: DeviceId, actions: &mut Vec<Action>) {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { port, bytes } => {
                     let link = self.link(from, port);
@@ -479,8 +478,10 @@ impl Simulator {
                     }
                 }
                 Action::Flood { ports, skip, forms } => {
-                    let ports = &out.egress[ports.start as usize..ports.end as usize];
+                    let egress = std::mem::take(&mut self.scratch.egress);
+                    let ports = &egress[ports.start as usize..ports.end as usize];
                     self.flood(from, ports, skip, &forms);
+                    self.scratch.egress = egress;
                 }
                 Action::Schedule { delay, token } => {
                     // `add_device` keeps every id below `NO_PEER`.
@@ -489,7 +490,7 @@ impl Simulator {
                 }
             }
         }
-        out.egress.clear();
+        self.scratch.egress.clear();
     }
 
     /// The link slot behind `port` of `from`; a port past the device's
@@ -615,7 +616,12 @@ impl Simulator {
     /// Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start();
-        let Some((at, kind)) = self.queue.pop() else {
+        self.step_until(SimTime::MAX)
+    }
+
+    /// [`step`](Self::step) for an event due by `deadline`; `false` if none is.
+    fn step_until(&mut self, deadline: SimTime) -> bool {
+        let Some((at, kind)) = self.queue.pop_until(deadline) else {
             return false;
         };
         debug_assert!(at >= self.now, "event queue went backwards");
@@ -669,14 +675,7 @@ impl Simulator {
     /// queued; the clock is advanced to exactly `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start();
-        loop {
-            match self.queue.next_at() {
-                Some(at) if at <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
+        while self.step_until(deadline) {}
         if self.now < deadline {
             self.now = deadline;
         }

@@ -76,11 +76,7 @@ impl StandaloneDriver {
     /// the way in (due, sequence) order — including timers those firings
     /// schedule, as long as they are due by `to`.
     pub fn advance_to(&mut self, device: &mut dyn Device, to: SimTime) {
-        while let Some(due) = self.timers.next_at() {
-            if due > to {
-                break;
-            }
-            let (due, token) = self.timers.pop().expect("peeked");
+        while let Some((due, token)) = self.timers.pop_until(to) {
             self.now = self.now.max(due);
             self.timers_fired += 1;
             device.on_timer(&mut self.ctx(), token);

@@ -35,20 +35,20 @@
 //! `tests/alloc_floors.rs` hold the whole simulator to a fraction of an
 //! allocation per frame. A chain is unordered: a push links at its
 //! head, a cascade relinks every node it moves, and a level-0 drain
-//! sorts its window by `(at, seq)`.
+//! sorts its window by `(at, seq)` unless it holds a single entry.
 //!
 //! # Advancing
 //!
-//! The wheel only moves when `pop`/`next_at` find the ready batch empty:
-//! it takes the next occupied slot of the lowest occupied level, moves
+//! The wheel only moves when a pop finds the ready batch empty: it
+//! takes the next occupied slot of the lowest occupied level, moves
 //! `anchor` to that slot's first window, and either drains it (level 0,
 //! one window) into `ready` sorted by `(time, seq)`, or cascades its
 //! chain down a level and repeats. Every pending entry in a window at or
 //! before `anchor` is in `ready`, so a push into such a window — a
-//! sub-microsecond delay, or any push after a `next_at` peek ran ahead
-//! of the clock — merges into `ready` after the last entry due no later
-//! than it (usually at the back), and still pops after every pending
-//! equal-timestamp entry.
+//! sub-microsecond delay, or any push after a `pop_until` that fell
+//! short of the next entry but ran the wheel ahead of the clock — merges
+//! into `ready` after the last entry due no later than it (usually at
+//! the back), and still pops after every pending equal-timestamp entry.
 
 use std::collections::VecDeque;
 
@@ -175,22 +175,23 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// The timestamp of the next entry, without removing it.
-    pub fn next_at(&mut self) -> Option<SimTime> {
-        if self.ready.is_empty() {
-            self.pump();
-        }
-        self.ready.front().map(|&n| SimTime::from_nanos(self.nodes[n as usize].at))
-    }
-
     /// Removes and returns the next entry in `(time, insertion)` order.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Removes and returns the next entry if it is due by `deadline`, else `None`.
+    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
         let _s = profile::span("wheel.pop");
         if self.ready.is_empty() {
             self.pump();
         }
-        let index = self.ready.pop_front()?;
+        let &index = self.ready.front()?;
         let node = &mut self.nodes[index as usize];
+        if node.at > deadline.as_nanos() {
+            return None;
+        }
+        self.ready.pop_front();
         let item = node.item.take().expect("ready nodes hold their item");
         node.next = self.free;
         self.free = index;
@@ -225,7 +226,10 @@ impl<T> TimingWheel<T> {
             let slot = ((self.anchor >> shift) & (SLOTS as u64 - 1)) as usize;
             self.occ[level] &= !(1u64 << slot);
             let mut node = std::mem::replace(&mut self.head[level * SLOTS + slot], NIL);
-            if level == 0 {
+            if level == 0 && self.nodes[node as usize].next == NIL {
+                self.ready.push_back(node);
+                self.wheel_len -= 1;
+            } else if level == 0 {
                 while node != NIL {
                     self.ready.push_back(node);
                     node = self.nodes[node as usize].next;
@@ -327,11 +331,12 @@ mod tests {
     }
 
     #[test]
-    fn pushes_after_a_peek_keep_their_time() {
+    fn pushes_after_a_short_pop_until_keep_their_time() {
         let mut wheel = TimingWheel::new();
         wheel.push(SimTime::from_nanos(5000), 0);
-        // The peek drains 5000's window; the clock is still at zero.
-        assert_eq!(wheel.next_at(), Some(SimTime::from_nanos(5000)));
+        // The call drains 5000's window but pops nothing; the clock is
+        // still at zero.
+        assert_eq!(wheel.pop_until(SimTime::from_nanos(4999)), None);
         wheel.push(SimTime::from_nanos(100), 1);
         wheel.push(SimTime::from_nanos(4500), 2);
         wheel.push(SimTime::from_nanos(5000), 3);
@@ -339,16 +344,18 @@ mod tests {
     }
 
     #[test]
-    fn next_at_previews_without_disturbing_order() {
+    fn pop_until_leaves_entries_past_its_deadline_in_order() {
         let mut wheel = TimingWheel::new();
-        assert_eq!(wheel.next_at(), None);
+        assert_eq!(wheel.pop_until(SimTime::MAX), None);
         wheel.push(SimTime::from_secs(300), 0); // four levels up
         wheel.push(SimTime::from_nanos(77), 1);
-        assert_eq!(wheel.next_at(), Some(SimTime::from_nanos(77)));
-        assert_eq!(wheel.pop(), Some((SimTime::from_nanos(77), 1)));
-        assert_eq!(wheel.next_at(), Some(SimTime::from_secs(300)));
-        assert_eq!(wheel.pop(), Some((SimTime::from_secs(300), 0)));
-        assert_eq!(wheel.next_at(), None);
+        assert_eq!(wheel.pop_until(SimTime::from_nanos(76)), None);
+        assert_eq!(wheel.pop_until(SimTime::from_nanos(77)), Some((SimTime::from_nanos(77), 1)));
+        assert_eq!(wheel.pop_until(SimTime::from_secs(299)), None);
+        assert_eq!(wheel.len(), 1);
+        assert_eq!(wheel.pop_until(SimTime::from_secs(300)), Some((SimTime::from_secs(300), 0)));
+        assert_eq!(wheel.pop_until(SimTime::MAX), None);
+        assert!(wheel.is_empty());
     }
 
     #[test]
@@ -368,27 +375,45 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             state >> 33
         };
+        let mut short_deadlines = 0;
         for round in 0..50 {
             let mut queues = Lockstep::new(format!("round {round}"));
             for op in 0..400 {
+                let clock = queues.reference.now;
                 if op % 5 == 3 {
                     queues.pop();
+                    continue;
+                }
+                if op % 5 == 1 {
+                    // A deadline from the clock to twice the next entry's
+                    // distance, so about half fall short of it. Those
+                    // pump the wheel ahead to its window; pushes before
+                    // that window follow.
+                    let Some(front) = queues.reference.front() else { continue };
+                    let deadline =
+                        clock.saturating_add(next() % (front - clock).saturating_mul(2).max(1));
+                    if queues.pop_until(deadline).is_none() {
+                        short_deadlines += 1;
+                        for k in 1..=1 + next() % 3 {
+                            queues.push(clock + next() % (front - clock), op << 2 | k as u32);
+                        }
+                    }
                     continue;
                 }
                 // Microsecond-scale to second-scale delays, day-long
                 // ones, jumps of any size up to the top of the clock, and
                 // the top itself.
-                let clock = queues.reference.now;
                 let at = match next() % 8 {
                     0 => clock.saturating_add(86_400_000_000_000 + next() % 1_000_000),
                     1 => clock.saturating_add(next() << (next() % 34)),
                     2 if round % 5 == 4 => u64::MAX,
                     _ => clock.saturating_add(next() % (1 << (10 + round % 20))),
                 };
-                queues.push(at, op);
+                queues.push(at, op << 2);
             }
             while queues.pop().is_some() {}
         }
+        assert!(short_deadlines > 0, "no deadline fell short of a pending entry");
 
         // The simulator's own load at full size, where every pop pushes
         // its successor. Hold-model churn keeps 4,096 entries a link
@@ -414,23 +439,28 @@ mod tests {
         // up to 2 s ahead. A timer's pop sends a frame 5 or 10 µs out,
         // each delivery pushes the next hop the same way, and the third
         // hop re-arms the timer. Item `4 * station + hop` is one step.
+        // The run advances in 1 ms chunks, as `Simulator::run_until`
+        // does, so each chunk ends on a deadline short of the next entry.
         const REFRESH: u64 = 2_000_000_000;
         let mut queues = Lockstep::new("scale_timers".to_string());
         for station in 0..100_000u32 {
             queues.push(next() % REFRESH, 4 * station);
         }
-        for _ in 0..400_000 {
-            let (at, item) = queues.pop().expect("every pop pushes a successor");
-            match item % 4 {
-                3 => queues.push(at + REFRESH, item - 3),
-                _ => queues.push(at + [5_000, 10_000][(next() % 2) as usize], item + 1),
+        let mut deadline = 0;
+        while queues.pops < 400_000 {
+            deadline += 1_000_000;
+            while let Some((at, item)) = queues.pop_until(deadline) {
+                match item % 4 {
+                    3 => queues.push(at + REFRESH, item - 3),
+                    _ => queues.push(at + [5_000, 10_000][(next() % 2) as usize], item + 1),
+                }
             }
         }
         while queues.pop().is_some() {}
     }
 
     /// A wheel and the reference heap fed the same pushes, whose every
-    /// pop must agree.
+    /// pop, entry or `None`, and every length after it must agree.
     struct Lockstep {
         stream: String,
         wheel: TimingWheel<u32>,
@@ -448,7 +478,17 @@ mod tests {
         }
         fn pop(&mut self) -> Option<(u64, u32)> {
             let got = self.wheel.pop().map(|(at, item)| (at.as_nanos(), item));
-            assert_eq!(got, self.reference.pop(), "{}: pop {}", self.stream, self.pops);
+            self.check(got, u64::MAX)
+        }
+        fn pop_until(&mut self, deadline: u64) -> Option<(u64, u32)> {
+            let got = self.wheel.pop_until(SimTime::from_nanos(deadline));
+            self.check(got.map(|(at, item)| (at.as_nanos(), item)), deadline)
+        }
+        fn check(&mut self, got: Option<(u64, u32)>, deadline: u64) -> Option<(u64, u32)> {
+            let (stream, pops) = (&self.stream, self.pops);
+            let want = self.reference.pop_until(deadline);
+            assert_eq!(got, want, "{stream}: pop {pops} until {deadline}");
+            assert_eq!(self.wheel.len(), self.reference.heap.len(), "{stream}: len after {pops}");
             self.pops += 1;
             got
         }
@@ -468,7 +508,16 @@ mod tests {
             self.heap.push(Reverse((at.max(self.now), self.seq, item)));
             self.seq += 1;
         }
+        fn front(&self) -> Option<u64> {
+            self.heap.peek().map(|Reverse((at, ..))| *at)
+        }
         fn pop(&mut self) -> Option<(u64, u32)> {
+            self.pop_until(u64::MAX)
+        }
+        fn pop_until(&mut self, deadline: u64) -> Option<(u64, u32)> {
+            if self.front()? > deadline {
+                return None;
+            }
             let Reverse((at, _, item)) = self.heap.pop()?;
             self.now = at;
             Some((at, item))
@@ -477,10 +526,11 @@ mod tests {
 
     /// Streams that stress window merges: sub-window delays landing
     /// before and after the drained window's last entry, ties either
-    /// side of a window edge, pushes between a `next_at` peek and the
-    /// pop (the `run_until` pattern), day-long entries whose window the
-    /// wheel later drains around them, jumps up to the top of the clock,
-    /// and pushes after [`SimTime::MAX`] has popped, which clamp to it.
+    /// side of a window edge, pushes after a `pop_until` whose deadline
+    /// fell short (the end of a `run_until` chunk), day-long entries
+    /// whose window the wheel later drains around them, jumps up to the
+    /// top of the clock, and pushes after [`SimTime::MAX`] has popped,
+    /// which clamp to it.
     #[test]
     fn window_merges_match_a_reference_heap() {
         const WINDOW: u64 = 1 << WINDOW_BITS;
@@ -517,9 +567,11 @@ mod tests {
                         }
                     }
                     5 => {
-                        let peeked = wheel.next_at().map(SimTime::as_nanos);
-                        let want = reference.heap.peek().map(|Reverse((at, ..))| *at);
-                        assert_eq!(peeked, want, "round {round} op {op}: next_at");
+                        let deadline = clock.saturating_add(next() % (2 * WINDOW));
+                        let got = wheel.pop_until(SimTime::from_nanos(deadline));
+                        let got = got.map(|(at, item)| (at.as_nanos(), item));
+                        let want = reference.pop_until(deadline);
+                        assert_eq!(got, want, "round {round} op {op}: pop_until {deadline}");
                         for _ in 0..1 + next() % 3 {
                             let at = clock.saturating_add(next() % (3 * WINDOW));
                             push(&mut wheel, &mut reference, at);

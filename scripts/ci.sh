@@ -10,7 +10,7 @@
 # included), a build and self-test of perfbench (its own workspace,
 # built against the library crates by path, so removing API it uses
 # fails here), a 5 s perfbench run of every workload (its oracles must
-# hold, and its peak memory must stay within the BENCHMARK.json bound of
+# hold, and its peak memory must stay within 5% of
 # results/perfbench-<workload>.json), a smoke run of the t5r
 # loss-resilience sweep, a `--trace` smoke (manifest emission +
 # validation), a `--profile` smoke (the manifest's `wall` section +
@@ -56,15 +56,20 @@ cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 echo "==> perfbench --workload all --seconds 5 (oracles + peak memory vs results/perfbench-*.json)"
 # Every workload's oracle checks must pass (`failed` is 0), and no
 # workload's peak_rss_mb may exceed its committed value by more than
-# BENCHMARK.json's bound for it. Timing metrics are printed beside their
-# committed values but not gated: how often a shared host alone moves
-# them past their bounds is not yet measured.
+# PEAK_RSS_BOUND below, finer than BENCHMARK.json's 10%. Timing metrics
+# are printed beside their committed values but not gated: how often a
+# shared host alone moves them past their bounds is not yet measured.
 perf_out="$(mktemp)"
 cargo run --release --offline --quiet --locked --manifest-path perfbench/Cargo.toml -- \
     --workload all --seconds 5 | tee "$perf_out"
 python3 - "$perf_out" <<'PY'
 import json
 import sys
+
+# Ten back-to-back unchanged runs on a shared 2-vCPU host exceeded the
+# committed peak memory by at most 1.0%; 32 bytes of padding in the
+# timing wheel's node adds 6-10% on both 100k fabrics.
+PEAK_RSS_BOUND = 0.05
 
 summary = json.loads(open(sys.argv[1]).read().splitlines()[-1])
 spec = json.load(open("BENCHMARK.json"))
@@ -73,15 +78,14 @@ print(f"perfbench gate: {'FAIL' if failed else 'ok'} {summary['failed']} of "
       f"{summary['attempted']} checks failed")
 for workload in (w["name"] for w in spec["workloads"]):
     committed = json.load(open(f"results/perfbench-{workload}.json"))
-    for metric in spec["end_to_end"]:
-        name, bound = metric["name"], metric["bound"]
+    for name in (metric["name"] for metric in spec["end_to_end"]):
         now = summary["metrics"][f"{workload}/{name}"]["value"]
         was = committed["metrics"][name]["value"]
         line = f"{workload} {name} {now:.6g} against {was:.6g} at {committed['commit']}"
         if name == "peak_rss_mb":
-            over = now > was * (1 + bound)
+            over = now > was * (1 + PEAK_RSS_BOUND)
             failed |= over
-            print(f"perfbench gate: {'FAIL' if over else 'ok'} {line} (bound +{bound:.0%})")
+            print(f"perfbench gate: {'FAIL' if over else 'ok'} {line} (bound +{PEAK_RSS_BOUND:.0%})")
         else:
             print(f"perfbench, not gated: {line}")
 sys.exit(1 if failed else 0)

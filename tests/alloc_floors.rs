@@ -181,20 +181,22 @@ fn switch_vlan_flood() -> Simulator {
 type Workload = fn() -> Simulator;
 
 /// Runs `workload` four times and returns the allocations of the last
-/// delivery run alone. Three warm-up runs fill the thread's frame pool:
-/// the VLAN flood's re-tag grows recycled 256-byte buffers to 260 bytes,
-/// and its count falls until the fourth run.
+/// delivery run alone. The first run fills the thread's frame pool, and
+/// runs 2–4 must count the same: a pooled buffer has room for a VLAN
+/// re-tag, so which buffers the free list hands out cannot matter.
 fn delivery_allocations(workload: Workload, ports: usize) -> u64 {
-    let mut made = 0;
-    for _ in 0..4 {
+    let mut made = [0; 4];
+    for count in &mut made {
         let mut sim = workload();
         let before = allocations();
         sim.run_until(SimTime::from_secs(1));
-        made = allocations() - before;
+        *count = allocations() - before;
         // One ingress plus (ports - 1) egress copies per emitted frame.
         assert_eq!(sim.wire_stats().frames, FRAMES * ports as u64);
     }
-    made
+    let warm = &made[1..];
+    assert!(warm.iter().all(|&n| n == warm[0]), "runs 2-4 allocated {warm:?}");
+    warm[0]
 }
 
 /// 64 broadcasts make 1,024 deliveries on the 16-port fabrics and

@@ -604,11 +604,12 @@ mod scheduler_and_pool {
 
     properties! {
         /// The timing wheel is observationally a *stable* min-heap on
-        /// `(timestamp, insertion order)`: any interleaving of pushes
-        /// and pops replays exactly the sequence a seq-tagged
-        /// `BinaryHeap` reference produces — including timestamp ties,
-        /// day-long entries, and any time up to `SimTime::MAX`, before
-        /// and after it pops.
+        /// `(timestamp, insertion order)`: any interleaving of pushes,
+        /// pops and deadline-bounded pops replays exactly the sequence a
+        /// seq-tagged `BinaryHeap` reference produces — including
+        /// timestamp ties, day-long entries, pushes right after a
+        /// deadline fell short of the next entry, and any time up to
+        /// `SimTime::MAX`, before and after it pops.
         #[test]
         fn timing_wheel_matches_heap_order(
             ops in collection::vec((any::<u64>(), any::<u8>()), 1..200),
@@ -623,11 +624,35 @@ mod scheduler_and_pool {
             let mut seq = 0u64;
             for (i, &(raw, kind)) in ops.iter().enumerate() {
                 if kind % 4 == 0 {
-                    let got = wheel.pop().map(|(at, item)| (at.as_nanos(), item));
-                    let want = heap.pop().map(|Reverse((at, _, item))| (at, item));
+                    // Half the pops carry a deadline from the clock to
+                    // twice the next entry's distance.
+                    let front = heap.peek().map(|Reverse((at, ..))| *at);
+                    let deadline = match (kind % 8, front) {
+                        (4, Some(front)) => {
+                            clock.saturating_add(raw % (front - clock).saturating_mul(2).max(1))
+                        }
+                        _ => u64::MAX,
+                    };
+                    let got = wheel.pop_until(SimTime::from_nanos(deadline));
+                    let got = got.map(|(at, item)| (at.as_nanos(), item));
+                    let want = match front {
+                        Some(front) if front <= deadline => {
+                            heap.pop().map(|Reverse((at, _, item))| (at, item))
+                        }
+                        _ => None,
+                    };
                     prop_assert_eq!(got, want);
-                    if let Some((at, _)) = got {
-                        clock = at;
+                    match (got, front) {
+                        (Some((at, _)), _) => clock = at,
+                        // The wheel has pumped ahead to the next entry's
+                        // window: push before it.
+                        (None, Some(front)) => {
+                            let at = clock + (raw >> 8) % (front - clock);
+                            wheel.push(SimTime::from_nanos(at), i);
+                            heap.push(Reverse((at, seq, i)));
+                            seq += 1;
+                        }
+                        (None, None) => {}
                     }
                 } else {
                     // Spread delays across wheel levels: frequent ties,
