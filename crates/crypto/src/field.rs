@@ -13,6 +13,32 @@ pub const P: u128 = (1u128 << 127) - 1;
 /// `GF(p)*`, i.e. `p - 1`.
 pub const N: u128 = P - 1;
 
+/// The Schnorr group generator. Its exact order is a large divisor of
+/// `p - 1`; since exponents are reduced modulo `p - 1`, correctness
+/// holds by Fermat's little theorem regardless.
+pub const G: u128 = 3;
+
+/// `G^(j·16^i)` at `[i][j]`: one row per hex digit of a 128-bit
+/// exponent, 8 KB computed at compile time.
+static G_POWERS: [[u128; 16]; 32] = g_powers();
+
+const fn g_powers() -> [[u128; 16]; 32] {
+    let mut table = [[1; 16]; 32];
+    // G^(16^i) for the row being filled.
+    let mut base = G;
+    let mut i = 0;
+    while i < 32 {
+        let mut j = 1;
+        while j < 16 {
+            table[i][j] = mul(table[i][j - 1], base);
+            j += 1;
+        }
+        base = mul(table[i][15], base);
+        i += 1;
+    }
+    table
+}
+
 /// Reduces an arbitrary `u128` modulo `P` using Mersenne folding.
 pub const fn reduce(x: u128) -> u128 {
     // x = hi * 2^127 + lo, and 2^127 ≡ 1 (mod P).
@@ -31,21 +57,21 @@ pub const fn add(a: u128, b: u128) -> u128 {
 }
 
 /// Multiplies two field elements via 64-bit limbs and Mersenne folding.
-pub fn mul(a: u128, b: u128) -> u128 {
+pub const fn mul(a: u128, b: u128) -> u128 {
     debug_assert!(a < P && b < P);
-    let (a_hi, a_lo) = ((a >> 64) as u64, a as u64);
-    let (b_hi, b_lo) = ((b >> 64) as u64, b as u64);
+    let (a_hi, a_lo) = (a >> 64, a as u64 as u128);
+    let (b_hi, b_lo) = (b >> 64, b as u64 as u128);
 
-    let ll = u128::from(a_lo) * u128::from(b_lo);
-    let lh = u128::from(a_lo) * u128::from(b_hi);
-    let hl = u128::from(a_hi) * u128::from(b_lo);
-    let hh = u128::from(a_hi) * u128::from(b_hi);
+    let ll = a_lo * b_lo;
+    let lh = a_lo * b_hi;
+    let hl = a_hi * b_lo;
+    let hh = a_hi * b_hi;
 
     // 256-bit product = hh·2^128 + (lh + hl)·2^64 + ll, accumulated into
     // (hi, lo) 128-bit halves.
     let mid = lh + hl; // ≤ 2^128 - 2^65 + ... fits: each ≤ (2^64-1)^2 < 2^128/2
     let (lo1, carry1) = ll.overflowing_add(mid << 64);
-    let hi = hh + (mid >> 64) + u128::from(carry1);
+    let hi = hh + (mid >> 64) + carry1 as u128;
 
     // value = hi·2^128 + lo1; 2^128 ≡ 2 (mod P) because 2^127 ≡ 1.
     // hi < 2^126 (since the product of two 127-bit numbers is < 2^254),
@@ -63,6 +89,20 @@ pub fn pow(base: u128, mut exp: u128) -> u128 {
         }
         base = mul(base, base);
         exp >>= 1;
+    }
+    acc
+}
+
+/// Raises [`G`] to `exp`, equal to `pow(G, exp)`: one multiply per
+/// nonzero hex digit of `exp`, each a lookup in a compile-time table,
+/// where square-and-multiply takes about 190 for a full-size exponent.
+pub fn pow_g(exp: u128) -> u128 {
+    let mut acc = 1;
+    for (i, row) in G_POWERS.iter().enumerate() {
+        let digit = (exp >> (4 * i)) & 0xf;
+        if digit != 0 {
+            acc = mul(acc, row[digit as usize]);
+        }
     }
     acc
 }
@@ -152,6 +192,21 @@ mod tests {
         assert_eq!(pow(2, 10), 1024);
         assert_eq!(pow(3, 4), 81);
         assert_eq!(pow(2, 127), 1); // 2^127 = P + 1 ≡ 1
+    }
+
+    #[test]
+    fn pow_g_matches_square_and_multiply() {
+        let mut exponents = vec![0, 1, 2, 15, 16, N - 1, N, P, u128::MAX];
+        let mut x: u128 = 0x5eed_0f9a_b1e5;
+        for _ in 0..2_000 {
+            x = x.wrapping_mul(0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645).wrapping_add(1);
+            // Any width up to 128 bits, so short exponents' zero digits
+            // come up as well as full-size ones.
+            exponents.push(x >> (x % 128));
+        }
+        for exp in exponents {
+            assert_eq!(pow_g(exp), pow(G, exp), "exp={exp:#x}");
+        }
     }
 
     #[test]

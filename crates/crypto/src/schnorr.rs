@@ -8,14 +8,9 @@
 //! across distinct messages.
 
 use crate::error::CryptoError;
-use crate::field::{self, mulmod, pow, submod, N, P};
+use crate::field::{self, mulmod, pow, pow_g, submod, N, P};
 use crate::hmac::hmac_sha256;
 use crate::sha256::Sha256;
-
-/// Group generator. Its exact order is a large divisor of `p - 1`; since
-/// exponents are reduced modulo `p - 1`, correctness holds by Fermat's
-/// little theorem regardless.
-pub const G: u128 = 3;
 
 /// Serialized signature length in bytes (`e` ‖ `s`, 16 bytes each).
 pub const SIGNATURE_LEN: usize = 32;
@@ -109,7 +104,7 @@ impl PublicKey {
     /// verify.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError> {
         // r' = g^s · y^e
-        let r = field::mul(pow(G, signature.s), pow(self.y, signature.e));
+        let r = field::mul(pow_g(signature.s), pow(self.y, signature.e));
         let e = challenge(r, message);
         if e == signature.e {
             Ok(())
@@ -138,7 +133,7 @@ impl KeyPair {
         x_bytes.copy_from_slice(&digest[..16]);
         // x in [1, N)
         let x = (u128::from_be_bytes(x_bytes) % (N - 1)) + 1;
-        let y = pow(G, x);
+        let y = pow_g(x);
         KeyPair { x, public: PublicKey { y } }
     }
 
@@ -153,7 +148,7 @@ impl KeyPair {
         let mut k_bytes = [0u8; 16];
         k_bytes.copy_from_slice(&k_tag[..16]);
         let k = (u128::from_be_bytes(k_bytes) % (N - 1)) + 1;
-        let r = pow(G, k);
+        let r = pow_g(k);
         let e = challenge(r, message);
         // s = k - x·e (mod n)
         let s = submod(k, mulmod(self.x, e, N), N);
@@ -236,6 +231,49 @@ mod tests {
         let kp = KeyPair::from_seed(5);
         assert_eq!(kp.sign(b"same message"), kp.sign(b"same message"));
         assert_ne!(kp.sign(b"message 1"), kp.sign(b"message 2"));
+    }
+
+    /// Round trips would pass with a generator table built from a wrong
+    /// base; these bytes come from square-and-multiply `pow(G, _)`,
+    /// which reads no table.
+    #[test]
+    fn keys_and_signatures_match_known_answers() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let cases: [(u64, &[u8], &str, &str); 4] = [
+            (
+                0,
+                b"10.0.0.1 is-at 02:00:00:00:00:01",
+                "4aa76d900f1cf197a397014f869a9305",
+                "3aad39ce299826a54fa8f2a7f9da10cf60a111069a8fbeae9fe82e5bea2bad96",
+            ),
+            (
+                42,
+                b"binding A",
+                "25afbfe179a4b9215c6f6a56b55e598e",
+                "1610fcd7803462839d813f5ffc0102be49a67cffbb810eb3e4025345e0440744",
+            ),
+            (
+                0xdead_beef_cafe,
+                b"",
+                "2997f9236bc89b190bd5ee87341bcbed",
+                "64e53c068bcbd0df59d253dbb140ff7c6b0f16d7d27648d6d4dfaa03ab9a1212",
+            ),
+            (
+                u64::MAX,
+                b"arpshield",
+                "01cef8b2e673c88b36c3b2263613b33e",
+                "3ce8f968cb7c26abbefa5f8386e4cc68099f360db9a62f4c36c1ce2dbc74977f",
+            ),
+        ];
+        for (seed, message, public, signature) in cases {
+            let kp = KeyPair::from_seed(seed);
+            assert_eq!(hex(&kp.public_key().to_bytes()), public, "seed {seed}");
+            let sig = kp.sign(message);
+            assert_eq!(hex(&sig.to_bytes()), signature, "seed {seed}");
+            assert!(kp.public_key().verify(message, &sig).is_ok(), "seed {seed}");
+        }
     }
 
     #[test]

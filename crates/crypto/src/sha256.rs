@@ -85,40 +85,22 @@ impl Sha256 {
 
     /// Finishes and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let length_bits = self.length_bits;
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update_padding_byte();
-        while self.buffered != 56 {
-            self.update_zero_byte();
-        }
+        // Padding: 0x80, zeros, 64-bit big-endian length. `buffered` is
+        // below 64; past 55 the length spills into a block of its own.
         let mut block = self.buffer;
-        block[56..64].copy_from_slice(&length_bits.to_be_bytes());
+        block[self.buffered] = 0x80;
+        block[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            self.compress(&block);
+            block = [0; 64];
+        }
+        block[56..].copy_from_slice(&self.length_bits.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
-    }
-
-    fn update_padding_byte(&mut self) {
-        self.buffer[self.buffered] = 0x80;
-        self.buffered += 1;
-        if self.buffered == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffered = 0;
-        }
-    }
-
-    fn update_zero_byte(&mut self) {
-        self.buffer[self.buffered] = 0;
-        self.buffered += 1;
-        if self.buffered == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffered = 0;
-        }
     }
 
     fn compress(&mut self, block: &[u8; 64]) {

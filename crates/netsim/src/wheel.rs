@@ -35,7 +35,7 @@
 //! `tests/alloc_floors.rs` hold the whole simulator to a fraction of an
 //! allocation per frame. A chain is unordered: a push links at its
 //! head, a cascade relinks every node it moves, and a level-0 drain
-//! sorts its window by `(at, seq)` unless it holds a single entry.
+//! sorts its window by `(at, seq)`.
 //!
 //! # Advancing
 //!
@@ -43,8 +43,11 @@
 //! takes the next occupied slot of the lowest occupied level, moves
 //! `anchor` to that slot's first window, and either drains it (level 0,
 //! one window) into `ready` sorted by `(time, seq)`, or cascades its
-//! chain down a level and repeats. Every pending entry in a window at or
-//! before `anchor` is in `ready`, so a push into such a window — a
+//! chain down a level and repeats. A slot holding a single entry, on
+//! any level, holds the next entry due: it goes straight to `ready` and
+//! `anchor` moves to its window, where the cascades would have left it
+//! without relinking it once per level. Every pending entry in a window
+//! at or before `anchor` is in `ready`, so a push into such a window — a
 //! sub-microsecond delay, or any push after a `pop_until` that fell
 //! short of the next entry but ran the wheel ahead of the clock — merges
 //! into `ready` after the last entry due no later than it (usually at
@@ -226,7 +229,10 @@ impl<T> TimingWheel<T> {
             let slot = ((self.anchor >> shift) & (SLOTS as u64 - 1)) as usize;
             self.occ[level] &= !(1u64 << slot);
             let mut node = std::mem::replace(&mut self.head[level * SLOTS + slot], NIL);
-            if level == 0 && self.nodes[node as usize].next == NIL {
+            if self.nodes[node as usize].next == NIL {
+                // A lone entry: every lower level is empty and this is
+                // the level's first occupied slot, so it is due next.
+                self.anchor = self.nodes[node as usize].at >> WINDOW_BITS;
                 self.ready.push_back(node);
                 self.wheel_len -= 1;
             } else if level == 0 {
@@ -356,6 +362,54 @@ mod tests {
         assert_eq!(wheel.pop_until(SimTime::from_secs(300)), Some((SimTime::from_secs(300), 0)));
         assert_eq!(wheel.pop_until(SimTime::MAX), None);
         assert!(wheel.is_empty());
+    }
+
+    /// `wheel.cascade` spans recorded while `run` drives a wheel under
+    /// an installed profiler.
+    fn cascades(run: impl FnOnce(&mut TimingWheel<u32>)) -> u64 {
+        use std::sync::Arc;
+
+        use arpshield_trace::profile::ProfileCollector;
+
+        let collector = Arc::new(ProfileCollector::new());
+        {
+            let _installed = profile::install(collector.clone());
+            run(&mut TimingWheel::new());
+        }
+        let spans = collector.snapshot().spans;
+        spans.iter().filter(|(path, _)| path.ends_with("wheel.cascade")).map(|(_, s)| s.count).sum()
+    }
+
+    #[test]
+    fn a_lone_entry_pops_from_any_level_without_a_cascade() {
+        let cascaded = cascades(|wheel| {
+            // One entry on each of levels 1-8, measured from anchor 0,
+            // pushed highest first; each stays alone in its slot.
+            let times: Vec<u64> =
+                (1..LEVELS as u32).map(|l| (1 << (WINDOW_BITS + LEVEL_BITS * l)) + 777).collect();
+            for (item, &at) in times.iter().enumerate().rev() {
+                wheel.push(SimTime::from_nanos(at), item as u32);
+            }
+            for (item, &at) in times.iter().enumerate() {
+                assert_eq!(wheel.pop(), Some((SimTime::from_nanos(at), item as u32)));
+                // The wheel now sits at the entry's window: a push a
+                // microsecond on pops before the next level's entry.
+                wheel.push(SimTime::from_nanos(at + 1_000), 99);
+                assert_eq!(wheel.pop(), Some((SimTime::from_nanos(at + 1_000), 99)));
+            }
+            assert!(wheel.is_empty());
+        });
+        assert_eq!(cascaded, 0);
+
+        // Two entries in one level-2 slot, in different level-1 slots:
+        // one cascade splits them, and each then pops alone.
+        let cascaded = cascades(|wheel| {
+            let (a, b) = ((1 << 22) + (2 << 16), (1 << 22) + (1 << 16));
+            wheel.push(SimTime::from_nanos(a), 0);
+            wheel.push(SimTime::from_nanos(b), 1);
+            assert_eq!(drain(wheel), vec![(b, 1), (a, 0)]);
+        });
+        assert_eq!(cascaded, 1);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Checksum {
-    sum: u32,
+    /// One's-complement sum with end-around carry. Since `2^64 - 1` is
+    /// a multiple of `2^16 - 1`, it folds to the same 16 bits as a sum
+    /// of the words it was fed, whatever their width.
+    sum: u64,
     /// High byte of a half-filled word: an odd trailing byte from
     /// [`Checksum::add_bytes`] waits here for the next call's first byte,
     /// so a buffer fed in slices sums identically at any split points.
@@ -34,7 +37,7 @@ impl Checksum {
     /// independent of the byte stream: they do not consume or disturb a
     /// pending odd byte from [`Checksum::add_bytes`].
     pub fn add_u16(&mut self, word: u16) {
-        self.sum += u32::from(word);
+        self.add_u64(u64::from(word));
     }
 
     /// Adds a 32-bit value as two 16-bit words (used for pseudo-header
@@ -62,13 +65,24 @@ impl Checksum {
                 }
             }
         }
-        let mut chunks = bytes.chunks_exact(2);
-        for chunk in &mut chunks {
-            self.add_u16(u16::from_be_bytes([chunk[0], chunk[1]]));
+        let (chunks, rest) = bytes.as_chunks::<8>();
+        for chunk in chunks {
+            self.add_u64(u64::from_be_bytes(*chunk));
         }
-        if let [last] = chunks.remainder() {
+        let (words, rest) = rest.as_chunks::<2>();
+        for word in words {
+            self.add_u16(u16::from_be_bytes(*word));
+        }
+        if let [last] = rest {
             self.pending = Some(*last);
         }
+    }
+
+    /// Adds `value` with end-around carry: four big-endian words at
+    /// once, or a single one.
+    fn add_u64(&mut self, value: u64) {
+        let (sum, carry) = self.sum.overflowing_add(value);
+        self.sum = sum + u64::from(carry);
     }
 
     /// Folds carries and returns the one's-complement checksum.

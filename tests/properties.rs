@@ -1005,31 +1005,60 @@ mod wire_emit_identity {
         }
 
         /// Streaming a byte string through `Checksum::add_bytes` in
-        /// arbitrary chunks — odd-length ones included — folds to the
-        /// same sum as one whole-buffer call. The incremental checksum
-        /// must carry a dangling odd byte *across* calls, not pad each
-        /// chunk independently.
+        /// arbitrary chunks — odd-length ones included — folds to what
+        /// the 16-bit `ref_checksum` does over the whole buffer, though
+        /// the checksum sums eight bytes per step. The incremental
+        /// checksum must carry a dangling odd byte *across* calls, not
+        /// pad each chunk independently. Half the buffers are all 0xFF,
+        /// whose every add carries, and words from `add_u16`/`add_u32`
+        /// fall between the chunks, as UDP's pseudo-header interleaves
+        /// them.
         #[test]
-        fn checksum_chunking_is_split_invariant(bytes in collection::vec(any::<u8>(), 0..300),
-                                                cuts in collection::vec(any::<u16>(), 0..12)) {
+        fn checksum_chunking_is_split_invariant(
+            bytes in collection::vec(any::<u8>(), 0..1601),
+            all_ones in any::<bool>(),
+            cuts in collection::vec((any::<u16>(), any::<u32>(), 0u8..3), 0..12),
+        ) {
             use arpshield::packet::Checksum;
 
+            let bytes = if all_ones { vec![0xff; bytes.len()] } else { bytes };
             let mut whole = Checksum::new();
             whole.add_bytes(&bytes);
 
             // Random split points, sorted and clamped into range; runs
             // of equal cuts feed empty slices through the stream too.
-            let mut splits: Vec<usize> =
-                cuts.iter().map(|&c| c as usize % (bytes.len() + 1)).collect();
-            splits.sort_unstable();
+            let mut cuts: Vec<(usize, u32, u8)> = cuts
+                .iter()
+                .map(|&(cut, word, kind)| (cut as usize % (bytes.len() + 1), word, kind))
+                .collect();
+            cuts.sort_unstable_by_key(|&(cut, ..)| cut);
             let mut chunked = Checksum::new();
+            // The words sum as if appended, word-aligned, to the bytes.
+            let mut words = Vec::new();
             let mut start = 0;
-            for cut in splits {
+            for (cut, word, kind) in cuts {
                 chunked.add_bytes(&bytes[start..cut]);
                 start = cut;
+                match kind {
+                    1 => {
+                        chunked.add_u16(word as u16);
+                        words.extend_from_slice(&(word as u16).to_be_bytes());
+                    }
+                    2 => {
+                        chunked.add_u32(word);
+                        words.extend_from_slice(&word.to_be_bytes());
+                    }
+                    _ => {}
+                }
             }
             chunked.add_bytes(&bytes[start..]);
-            prop_assert_eq!(chunked.finish(), whole.finish());
+            prop_assert_eq!(whole.finish(), ref_checksum(&bytes));
+            let mut reference = bytes.clone();
+            if reference.len() % 2 == 1 {
+                reference.push(0);
+            }
+            reference.extend_from_slice(&words);
+            prop_assert_eq!(chunked.finish(), ref_checksum(&reference));
         }
     }
 }
