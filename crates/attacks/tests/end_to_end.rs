@@ -1,6 +1,7 @@
 //! End-to-end attack behaviour against real victim hosts on a switched
 //! LAN.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use arpshield_attacks::{
@@ -12,6 +13,7 @@ use arpshield_host::dhcp::{DhcpClientConfig, DhcpServerConfig};
 use arpshield_host::{ArpPolicy, Host, HostConfig, HostHandle};
 use arpshield_netsim::{DeviceId, PortId, SimTime, Simulator, Switch, SwitchConfig};
 use arpshield_packet::{Ipv4Addr, Ipv4Cidr, MacAddr};
+use arpshield_trace::{install, TraceCollector, Tracer};
 
 fn cidr() -> Ipv4Cidr {
     Ipv4Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 24)
@@ -115,9 +117,16 @@ fn gratuitous_reply_fails_without_existing_entry() {
         truth,
     );
     lan.attach(Box::new(poisoner));
+    let collector = Arc::new(TraceCollector::new());
+    {
+        let _guard = install(Arc::clone(&collector));
+        lan.sim.set_tracer(Tracer::for_current_run("lan"));
+    }
     lan.sim.run_until(SimTime::from_secs(2));
     assert_eq!(victim_h.cache.borrow().lookup(lan.sim.now(), ip(1)), None);
-    assert_eq!(victim_h.stats.borrow().policy_rejections, 1);
+    drop(lan); // the last tracer handle flushes the run
+    let rejections = collector.manifest("lan").totals.get("host.policy.reject").copied();
+    assert_eq!(rejections, Some(1));
 }
 
 /// The reply-race variant defeats even the no-unsolicited kernel policy:

@@ -243,7 +243,7 @@ fn a_closed_stdout_ends_inspect_and_profile_report_quietly() {
 }
 
 /// A reader that closes stderr at once, as `2>&1 >/dev/null | head -1`
-/// does, drops the heartbeat lines and nothing else: the sweep exits 0
+/// does, drops the progress lines and nothing else: the sweep exits 0
 /// and writes the CSVs it writes with stderr open.
 #[test]
 fn a_closed_stderr_drops_diagnostics_and_changes_no_output() {
@@ -254,7 +254,6 @@ fn a_closed_stderr_drops_diagnostics_and_changes_no_output() {
             .args(["t6s", "--out", dir.join(name).to_str().unwrap()])
             .env("ARPSHIELD_T6S_HOSTS", "2000,3000")
             .env("ARPSHIELD_THREADS", "1")
-            .env("ARPSHIELD_HEARTBEAT_SECS", "0.0001")
             .env_remove("ARPSHIELD_QUIET");
         command
     };
@@ -265,7 +264,7 @@ fn a_closed_stderr_drops_diagnostics_and_changes_no_output() {
     let open = sweep("open").output().unwrap();
     let stderr = String::from_utf8_lossy(&open.stderr);
     assert_eq!(open.status.code(), Some(0), "{stderr}");
-    assert!(stderr.contains("heartbeat"), "the sweep has lines to drop: {stderr}");
+    assert!(stderr.contains(": done "), "the sweep has lines to drop: {stderr}");
 
     let mut child = sweep("closed").stdout(Stdio::null()).stderr(Stdio::piped()).spawn().unwrap();
     drop(child.stderr.take());

@@ -59,19 +59,9 @@ impl BenignScenario {
         let mut lan = build(self.config);
         lan.sim.tracer().annotate("workload", "benign-churn");
 
-        // A DHCP server joins the gateway's port-adjacent world: a second
-        // infrastructure host on its own port (the standard LAN's gateway
-        // has no server so attack scenarios stay minimal). For DAI the
-        // builder trusts port 0 only, so put the server host there…
-        // instead, simplest faithful arrangement: run the DHCP server on
-        // an extra infrastructure host attached to the next free port,
-        // and accept that under DAI its offers are snooped only if that
-        // port is trusted — DAI deployments trust their server port, so
-        // we model the server co-resident with the gateway via a static
-        // trusted binding. To keep the wiring honest and simple, the
-        // roamers' DHCP server lives on the *gateway port's* trusted side
-        // only when the scheme is DAI-free; the DAI benign FP path uses
-        // the snooped-lease flow from the scheme integration tests.
+        // The roamers' DHCP server attaches to the first expansion port,
+        // which `lan::build` reserves as trusted infrastructure
+        // (`infrastructure_port`), so under DAI the switch snoops its leases.
         let server_cfg = DhcpServerConfig {
             pool_start: arpshield_packet::Ipv4Addr::new(10, 0, 0, 200),
             pool_size: POOL_SIZE,

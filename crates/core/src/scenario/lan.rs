@@ -11,9 +11,7 @@ use arpshield_netsim::{
     DeviceId, Hub, LinkProfile, PortId, Simulator, Switch, SwitchConfig, SwitchHandle,
 };
 use arpshield_packet::{Ipv4Addr, Ipv4Cidr, MacAddr};
-use arpshield_schemes::{
-    static_arp, AlertLog, LanPlan, SchemeHardening, SchemeKind, SchemeResources,
-};
+use arpshield_schemes::{static_arp, AlertLog, LanPlan, SchemeHardening, SchemeKind};
 use arpshield_trace::Tracer;
 
 /// Addressing constants of the standard LAN.
@@ -271,8 +269,7 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
         probe_source_mac: MacAddr::from_index(9000),
         hardening: config.hardening,
     };
-    let mut resources = SchemeResources::new(plan, alerts.clone());
-    let installation = config.scheme.instantiate(&mut resources);
+    let installation = config.scheme.instantiate(&plan, &alerts);
 
     let needs_monitor = !installation.monitors.is_empty();
     let ports = config.n_hosts + 12;
@@ -400,8 +397,11 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use arpshield_netsim::SimTime;
+    use arpshield_trace::{install, TraceCollector};
 
     #[test]
     fn baseline_lan_runs_and_pings_flow() {
@@ -470,19 +470,23 @@ mod tests {
 
     #[test]
     fn impaired_lan_still_pings_with_hardened_retries() {
-        let mut lan = build(
-            ScenarioConfig::new(5)
-                .with_hosts(3)
-                .with_impairment(LinkProfile::default().with_loss(0.05))
-                .with_resolver_retry(RetryPolicy::exponential(
-                    Duration::from_millis(500),
-                    5,
-                    Duration::from_secs(2),
-                ))
-                .with_hardening(SchemeHardening::lossy()),
-        );
+        let collector = Arc::new(TraceCollector::new());
+        let mut lan = {
+            let _guard = install(Arc::clone(&collector));
+            build(
+                ScenarioConfig::new(5)
+                    .with_hosts(3)
+                    .with_impairment(LinkProfile::default().with_loss(0.05))
+                    .with_resolver_retry(RetryPolicy::exponential(
+                        Duration::from_millis(500),
+                        5,
+                        Duration::from_secs(2),
+                    ))
+                    .with_hardening(SchemeHardening::lossy()),
+            )
+        };
         lan.sim.run_until(SimTime::from_secs(6));
-        let p = lan.pings[0].borrow();
+        let p = lan.pings[0].borrow().clone();
         assert!(p.sent > 10);
         assert!(
             p.received as f64 / p.sent as f64 > 0.7,
@@ -490,6 +494,8 @@ mod tests {
             p.received,
             p.sent
         );
-        assert!(lan.sim.wire_stats().dropped_lost > 0, "losses must actually occur");
+        drop(lan); // the last tracer handle flushes the run
+        let lost = collector.manifest("lan").totals.get("wire.drop.lost").copied().unwrap_or(0);
+        assert!(lost > 0, "losses must actually occur");
     }
 }

@@ -39,8 +39,8 @@
 use std::time::Duration;
 
 use arpshield_netsim::{
-    eth_frame, Device, DeviceCtx, Frame, PortId, PortVlan, Simulator, Switch, SwitchConfig,
-    SwitchHandle, VlanId, VlanSet,
+    eth_frame, splitmix64, Device, DeviceCtx, Frame, PortId, PortVlan, Simulator, Switch,
+    SwitchConfig, SwitchHandle, VlanId, VlanSet,
 };
 use arpshield_packet::{
     ArpOp, ArpPacket, EtherType, EthernetEmit, EthernetView, Ipv4Addr, MacAddr, WireEmit,
@@ -81,14 +81,6 @@ fn station_ip(i: usize) -> Ipv4Addr {
 
 const GATEWAY_MAC: MacAddr = MacAddr::new([0x02, 0xFF, 0, 0, 0, 1]);
 const GATEWAY_IP: Ipv4Addr = Ipv4Addr::from_u32(0x0A00_0001);
-
-/// SplitMix64, for deterministic per-station phase scatter.
-fn mix(seed: u64, i: u64) -> u64 {
-    let mut z = seed ^ (i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Root port count for `n_hosts` stations: one uplink per leaf plus
 /// the gateway on port 0.
@@ -488,7 +480,8 @@ pub fn build(config: ScaleConfig) -> ScaleLan {
             let i = leaf * LEAF_CAPACITY + p;
             // A salted per-station offset into the first period.
             let phase = |salt: u64, period: Duration| {
-                let ns = mix(config.seed ^ salt, i as u64) % period.as_nanos() as u64;
+                let key = config.seed ^ salt ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let ns = splitmix64(key) % period.as_nanos() as u64;
                 u32::try_from(ns).expect("every period is at most 2 s")
             };
             let (name, name_start) = station_name(i);

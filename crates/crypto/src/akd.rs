@@ -19,8 +19,6 @@ use crate::schnorr::PublicKey;
 #[derive(Debug, Default, Clone)]
 pub struct Akd {
     keys: HashMap<u32, PublicKey>,
-    /// Lookups served, for overhead accounting.
-    pub lookups: u64,
 }
 
 impl Akd {
@@ -49,8 +47,7 @@ impl Akd {
     /// # Errors
     ///
     /// Returns [`CryptoError::UnknownPrincipal`] when no key is registered.
-    pub fn lookup(&mut self, principal: u32) -> Result<PublicKey, CryptoError> {
-        self.lookups += 1;
+    pub fn lookup(&self, principal: u32) -> Result<PublicKey, CryptoError> {
         self.keys.get(&principal).copied().ok_or(CryptoError::UnknownPrincipal(principal))
     }
 
@@ -81,7 +78,6 @@ mod tests {
         assert_eq!(akd.lookup(11), Err(CryptoError::UnknownPrincipal(11)));
         assert_eq!(akd.revoke(10), Some(kp.public_key()));
         assert_eq!(akd.lookup(10), Err(CryptoError::UnknownPrincipal(10)));
-        assert_eq!(akd.lookups, 3);
     }
 
     #[test]

@@ -176,50 +176,6 @@ impl App for UdpEchoServer {
     }
 }
 
-/// Sends UDP datagrams to a target with exponential (Poisson-process)
-/// inter-arrival times — realistic background load for overhead and
-/// false-positive experiments.
-#[derive(Debug)]
-pub struct UdpPulseApp {
-    target: Ipv4Addr,
-    dst_port: u16,
-    mean_interval: Duration,
-    size: usize,
-}
-
-impl UdpPulseApp {
-    /// Creates a pulse generator.
-    pub fn new(target: Ipv4Addr, dst_port: u16, mean_interval: Duration, size: usize) -> Self {
-        UdpPulseApp { target, dst_port, mean_interval, size }
-    }
-
-    fn arm(&self, api: &mut HostApi<'_, '_>) {
-        let mean = self.mean_interval.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let wait = {
-            let rng_draw = api.rand_u64();
-            // Inverse-CDF exponential sample from a uniform draw.
-            let u = ((rng_draw >> 11) as f64 / (1u64 << 53) as f64).max(f64::MIN_POSITIVE);
-            Duration::from_nanos((-(u.ln()) * mean as f64).min(1e18) as u64)
-        };
-        api.schedule(wait, 0);
-    }
-}
-
-impl App for UdpPulseApp {
-    fn name(&self) -> &str {
-        "udp-pulse"
-    }
-
-    fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-        self.arm(api);
-    }
-
-    fn on_timer(&mut self, api: &mut HostApi<'_, '_>, _payload: u32) {
-        api.send_udp(self.target, 40_000, self.dst_port, &vec![0xab; self.size]);
-        self.arm(api);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

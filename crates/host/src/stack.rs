@@ -514,7 +514,6 @@ impl Host {
                 )
             });
         } else if is_reply || addressed_to_us {
-            core.stats.borrow_mut().policy_rejections += 1;
             tracer.count("host.policy.reject", 1);
             tracer.event(ctx.now().as_nanos(), "host.policy.reject", || {
                 (
@@ -648,7 +647,6 @@ impl Device for Host {
                 let tracer = ctx.tracer();
                 match core.resolver.tick_retry(ip) {
                     Some(RetryTick::Retransmit { next_delay }) => {
-                        core.stats.borrow_mut().arp_retransmissions += 1;
                         tracer.count("host.resolver.retransmit", 1);
                         tracer.event(ctx.now().as_nanos(), "host.resolver.retransmit", || {
                             (
@@ -745,9 +743,12 @@ impl Device for Host {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::apps::{PingApp, UdpEchoServer};
     use arpshield_netsim::{SimTime, Simulator, Switch, SwitchConfig};
+    use arpshield_trace::{install, TraceCollector, Tracer};
 
     fn cidr() -> Ipv4Cidr {
         Ipv4Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 24)
@@ -896,21 +897,30 @@ mod tests {
         let id = sim.add_device(Box::new(host));
         sim.connect(id, PortId(0), sw, PortId(0), Duration::from_micros(5)).unwrap();
 
+        let collector = Arc::new(TraceCollector::new());
+        {
+            let _guard = install(Arc::clone(&collector));
+            sim.set_tracer(Tracer::for_current_run("backoff"));
+        }
+
         // Before the first backoff interval only the initial request is out.
         sim.run_until(SimTime::from_millis(550));
         assert_eq!(handle.stats.borrow().arp_requests_sent, 1);
         // 0.6 s and 1.6 s marks: first and second retransmissions.
         sim.run_until(SimTime::from_millis(1100));
-        assert_eq!(handle.stats.borrow().arp_retransmissions, 1);
+        assert_eq!(handle.stats.borrow().arp_requests_sent, 2);
         sim.run_until(SimTime::from_millis(2100));
-        assert_eq!(handle.stats.borrow().arp_retransmissions, 2);
+        assert_eq!(handle.stats.borrow().arp_requests_sent, 3);
         // Run out the schedule: 3.6 s and 5.6 s retries, 7.6 s give-up.
         sim.run_until(SimTime::from_secs(10));
+        drop(sim); // the last tracer handle flushes the run
         let stats = handle.stats.borrow();
-        assert_eq!(stats.arp_retransmissions, 4);
         assert_eq!(stats.arp_requests_sent, 5);
         assert_eq!(stats.resolutions_failed, 1, "give-up must be counted once");
         assert_eq!(stats.ipv4_send_failures, 1, "the queued datagram was dropped");
+        let retransmits =
+            collector.manifest("backoff").totals.get("host.resolver.retransmit").copied();
+        assert_eq!(retransmits, Some(4));
     }
 
     #[test]

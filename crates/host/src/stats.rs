@@ -12,8 +12,6 @@ pub struct HostStats {
     pub arp_requests_sent: u64,
     /// ARP replies transmitted.
     pub arp_replies_sent: u64,
-    /// ARP packets whose binding the policy refused.
-    pub policy_rejections: u64,
     /// ARP packets dropped by a host hook (scheme agent).
     pub hook_drops: u64,
     /// Resolutions completed (reply matched an outstanding request).
@@ -22,8 +20,6 @@ pub struct HostStats {
     pub resolution_latency_total: Duration,
     /// Resolutions abandoned after retry exhaustion (give-ups).
     pub resolutions_failed: u64,
-    /// ARP requests retransmitted by the resolver's retry policy.
-    pub arp_retransmissions: u64,
     /// IPv4 packets sent (including queued-then-flushed).
     pub ipv4_sent: u64,
     /// IPv4 packets that could not be sent (no next hop / resolution

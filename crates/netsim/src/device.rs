@@ -65,7 +65,6 @@ pub(crate) struct Outbox {
 #[derive(Debug)]
 pub struct DeviceCtx<'a> {
     now: SimTime,
-    device: DeviceId,
     out: &'a mut Outbox,
     rng: &'a mut SimRng,
     incoming: Option<&'a Frame>,
@@ -75,23 +74,17 @@ pub struct DeviceCtx<'a> {
 impl<'a> DeviceCtx<'a> {
     pub(crate) fn new(
         now: SimTime,
-        device: DeviceId,
         out: &'a mut Outbox,
         rng: &'a mut SimRng,
         incoming: Option<&'a Frame>,
         tracer: &'a Tracer,
     ) -> Self {
-        DeviceCtx { now, device, out, rng, incoming, tracer }
+        DeviceCtx { now, out, rng, incoming, tracer }
     }
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The id of the device being called.
-    pub fn device_id(&self) -> DeviceId {
-        self.device
     }
 
     /// Queues a frame for transmission out of `port`. If the port is not
@@ -192,10 +185,8 @@ mod tests {
     #[test]
     fn ctx_queues_actions() {
         let (mut out, mut rng, tracer) = (Outbox::default(), SimRng::new(1), Tracer::disabled());
-        let mut ctx =
-            DeviceCtx::new(SimTime::from_secs(5), DeviceId(3), &mut out, &mut rng, None, &tracer);
+        let mut ctx = DeviceCtx::new(SimTime::from_secs(5), &mut out, &mut rng, None, &tracer);
         assert_eq!(ctx.now(), SimTime::from_secs(5));
-        assert_eq!(ctx.device_id(), DeviceId(3));
         assert!(ctx.incoming_frame().is_none());
         ctx.send(PortId(0), vec![1, 2, 3]);
         ctx.schedule_in(Duration::from_millis(10), 42);
@@ -211,24 +202,21 @@ mod tests {
     fn incoming_frame_shares_the_delivered_buffer() {
         let (mut out, mut rng, tracer) = (Outbox::default(), SimRng::new(1), Tracer::disabled());
         let delivered = Frame::from(vec![7u8; 64]);
-        let mut ctx = DeviceCtx::new(
-            SimTime::ZERO,
-            DeviceId(0),
-            &mut out,
-            &mut rng,
-            Some(&delivered),
-            &tracer,
-        );
+        let mut ctx = DeviceCtx::new(SimTime::ZERO, &mut out, &mut rng, Some(&delivered), &tracer);
         let shared = ctx.incoming_frame().expect("incoming frame set");
         assert!(std::ptr::eq(shared.as_slice(), delivered.as_slice()));
         ctx.send(PortId(0), shared);
-        assert_eq!(delivered.handle_count(), 2, "send queues a shared handle, not a copy");
+        let Action::Send { bytes, .. } = &out.actions[0] else { panic!("a send") };
+        assert!(
+            std::ptr::eq(bytes.as_slice(), delivered.as_slice()),
+            "send queues a shared handle, not a copy"
+        );
     }
 
     #[test]
     fn a_flood_is_one_action_over_its_egress_list() {
         let (mut out, mut rng, tracer) = (Outbox::default(), SimRng::new(1), Tracer::disabled());
-        let mut ctx = DeviceCtx::new(SimTime::ZERO, DeviceId(0), &mut out, &mut rng, None, &tracer);
+        let mut ctx = DeviceCtx::new(SimTime::ZERO, &mut out, &mut rng, None, &tracer);
         let frame = Frame::from(vec![7u8; 64]);
         let egress = |p: u16| Egress { port: PortId(p), tagged: p == 2 };
         ctx.flood((0..3).map(egress), PortId(1), [frame.clone(), frame.clone()]);

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use arpshield_packet::{EtherType, EthernetEmit, MacAddr, WireEmit};
 use arpshield_trace::profile;
 
-use crate::pool::{self, FrameBuf};
+use crate::pool;
 
 /// An immutable, reference-counted frame payload.
 ///
@@ -30,13 +30,13 @@ use crate::pool::{self, FrameBuf};
 /// Frames are immutable by construction — mutating a delivered payload
 /// would retroactively rewrite the in-flight copies sharing it — so
 /// devices that transform a frame build a fresh one.
-pub struct Frame(Option<Rc<FrameBuf>>);
+pub struct Frame(Option<Rc<Vec<u8>>>);
 
 impl Frame {
     /// The backing buffer. Only [`Drop`] vacates the slot, so every
     /// other method can rely on it being present.
     #[inline]
-    fn buf(&self) -> &Rc<FrameBuf> {
+    fn buf(&self) -> &Rc<Vec<u8>> {
         self.0.as_ref().expect("frame buffer only vacated during drop")
     }
 
@@ -67,28 +67,17 @@ impl Frame {
     /// The payload length in bytes.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
-        self.buf().bytes.len()
+        self.buf().len()
     }
 
     /// True for zero-length payloads.
     pub fn is_empty(&self) -> bool {
-        self.buf().bytes.is_empty()
+        self.buf().is_empty()
     }
 
     /// The payload as a byte slice (also available through `Deref`).
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf().bytes
-    }
-
-    /// Number of live handles sharing this buffer (diagnostics only).
-    pub fn handle_count(&self) -> usize {
-        Rc::strong_count(self.buf())
-    }
-
-    /// How many times this frame's buffer has been recycled through
-    /// the pool (diagnostics only).
-    pub fn buffer_epoch(&self) -> u64 {
-        self.buf().epoch
+        self.buf()
     }
 }
 
@@ -110,7 +99,7 @@ impl Deref for Frame {
     type Target = [u8];
     #[inline]
     fn deref(&self) -> &[u8] {
-        &self.buf().bytes
+        self.buf()
     }
 }
 
@@ -198,7 +187,6 @@ mod tests {
         let a = Frame::from(vec![1, 2, 3]);
         let b = a.clone();
         assert_eq!(a, b);
-        assert_eq!(a.handle_count(), 2);
         assert!(std::ptr::eq(a.as_slice(), b.as_slice()));
     }
 
@@ -229,19 +217,20 @@ mod tests {
     fn dropping_the_last_handle_recycles_the_buffer() {
         let first = Frame::from(vec![0xFF; 1500]);
         let ptr = first.as_slice().as_ptr();
-        let epoch = first.buffer_epoch();
         drop(first);
+        let recycled = pool::pool_stats().recycled;
         let second = Frame::from(vec![0x01; 64]);
         assert!(std::ptr::eq(ptr, second.as_slice().as_ptr()), "allocation was reused");
-        assert_eq!(second.buffer_epoch(), epoch + 1);
+        assert_eq!(pool::pool_stats().recycled, recycled + 1);
     }
 
     #[test]
     fn recycled_buffers_never_leak_stale_bytes() {
         let poison = Frame::from(vec![0xFF; 1500]);
+        let ptr = poison.as_slice().as_ptr();
         drop(poison);
         let fresh = Frame::from(vec![0x01; 64]);
-        assert_eq!(fresh.buffer_epoch(), 1, "buffer came from the pool");
+        assert!(std::ptr::eq(ptr, fresh.as_slice().as_ptr()), "buffer came from the pool");
         assert_eq!(fresh.len(), 64, "length is the new payload's, not the old capacity");
         assert!(fresh.iter().all(|&b| b == 0x01), "no stale poison bytes visible");
     }

@@ -11,6 +11,7 @@
 
 use std::time::Duration;
 
+use crate::rng::splitmix64;
 use crate::time::SimTime;
 
 /// Domain-separation salts: one independent draw family per decision.
@@ -109,14 +110,11 @@ impl LinkProfile {
     }
 }
 
-/// SplitMix64 finalizer: a high-quality 64-bit mixer used as a keyed
-/// hash. Unlike a stream RNG, equal inputs always give equal outputs no
-/// matter how many other draws happened in between.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+/// One SplitMix64 step keyed by `x`, used as a hash: unlike a stream
+/// RNG, equal inputs always give equal outputs no matter how many other
+/// draws happened in between.
+fn mix(x: u64) -> u64 {
+    splitmix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// A uniform draw in `[0, 1)` keyed by (seed, link direction, frame

@@ -59,7 +59,7 @@ pub use frame::{eth_frame, Frame};
 pub use hub::Hub;
 pub use impair::{FlapSchedule, LinkProfile};
 pub use pool::{pool_stats, PoolStats};
-pub use rng::SimRng;
+pub use rng::{splitmix64, SimRng};
 pub use sim::{Simulator, WireStats};
 pub use standalone::StandaloneDriver;
 pub use switch::{

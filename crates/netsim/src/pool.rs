@@ -1,6 +1,6 @@
 //! A recycling arena for frame buffers.
 //!
-//! Every [`Frame`](crate::Frame) wraps an `Rc<FrameBuf>`. When the
+//! Every [`Frame`](crate::Frame) wraps an `Rc<Vec<u8>>`. When the
 //! last handle drops, the buffer — bytes *and* the `Rc` allocation
 //! — goes onto a thread-local free list instead of back to the
 //! allocator, and the next frame construction pops it, clears the
@@ -11,23 +11,11 @@
 //!
 //! The free list is thread-local, as frames are: it needs no lock, and
 //! reuse is deterministic per thread, which tests rely on.
-//!
-//! Each recycle bumps the buffer's `epoch`, which diagnostics and the
-//! byte-identity property tests use to prove a buffer really was
-//! reused — and that reuse never leaks stale bytes into a new frame.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use arpshield_trace::profile;
-
-/// A reference-counted frame payload plus its recycle generation.
-#[derive(Debug)]
-pub(crate) struct FrameBuf {
-    pub(crate) bytes: Vec<u8>,
-    /// Incremented every time the buffer is pulled off the free list.
-    pub(crate) epoch: u64,
-}
 
 /// Free-list bound: beyond this the buffers go back to the allocator.
 /// 4096 MTU-sized buffers is ~6 MB per thread, far above any
@@ -38,7 +26,7 @@ const MAX_FREE: usize = 4096;
 const HEADROOM: usize = 8;
 
 thread_local! {
-    static FREE: RefCell<Vec<Rc<FrameBuf>>> = const { RefCell::new(Vec::new()) };
+    static FREE: RefCell<Vec<Rc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
     static HITS: Cell<u64> = const { Cell::new(0) };
     static MISSES: Cell<u64> = const { Cell::new(0) };
 }
@@ -78,7 +66,7 @@ pub fn pool_stats() -> PoolStats {
 
 /// Pops a unique recycled buffer, or `None` when the list is empty or
 /// unreachable (thread teardown), counting the hit or miss either way.
-fn pop_free() -> Option<Rc<FrameBuf>> {
+fn pop_free() -> Option<Rc<Vec<u8>>> {
     let popped = FREE.try_with(|free| free.borrow_mut().pop()).ok().flatten();
     let counter = if popped.is_some() { &HITS } else { &MISSES };
     let _ = counter.try_with(|c| c.set(c.get() + 1));
@@ -94,7 +82,7 @@ fn pop_free() -> Option<Rc<FrameBuf>> {
 /// (debug-asserted) — the pre-zeroing both guarantees stale bytes from
 /// the previous tenant never show through and provides Ethernet's
 /// min-payload padding.
-pub(crate) fn build(len: usize, f: impl FnOnce(&mut [u8]) -> usize) -> Rc<FrameBuf> {
+pub(crate) fn build(len: usize, f: impl FnOnce(&mut [u8]) -> usize) -> Rc<Vec<u8>> {
     // The acquire span covers only buffer acquisition; the caller's
     // encode closure is attributed to the caller's own span.
     let acquire = profile::span("pool.acquire");
@@ -104,19 +92,18 @@ pub(crate) fn build(len: usize, f: impl FnOnce(&mut [u8]) -> usize) -> Rc<FrameB
     // a fresh buffer is filled before it is shared.
     if let Some(mut rc) = pop_free() {
         if let Some(buf) = Rc::get_mut(&mut rc) {
-            buf.bytes.clear();
-            buf.bytes.resize(len, 0);
-            buf.epoch += 1;
+            buf.clear();
+            buf.resize(len, 0);
             drop(acquire);
-            fill(&mut buf.bytes, f);
+            fill(buf, f);
             return rc;
         }
     }
     // Zeroed by the allocator as before: `Vec::with_capacity` raised peak memory 2% at 100k hosts.
-    let mut buf = FrameBuf { bytes: vec![0; len + HEADROOM], epoch: 0 };
-    buf.bytes.truncate(len);
+    let mut buf = vec![0; len + HEADROOM];
+    buf.truncate(len);
     drop(acquire);
-    fill(&mut buf.bytes, f);
+    fill(&mut buf, f);
     Rc::new(buf)
 }
 
@@ -128,7 +115,7 @@ fn fill(bytes: &mut [u8], f: impl FnOnce(&mut [u8]) -> usize) {
 
 /// Returns a buffer to the free list if `rc` is the last handle and
 /// the list has room; otherwise the allocation is simply released.
-pub(crate) fn recycle(rc: Rc<FrameBuf>) {
+pub(crate) fn recycle(rc: Rc<Vec<u8>>) {
     // A count above one means another handle still owns the buffer,
     // and this drop is a no-op.
     if Rc::strong_count(&rc) != 1 {

@@ -29,74 +29,23 @@ impl SimRng {
     /// Returns the next 64 pseudo-random bits.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(self.state)
     }
 
     /// Returns the next 32 pseudo-random bits.
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
-
-    /// Returns a value uniformly distributed in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn gen_range(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "gen_range bound must be positive");
-        // Lemire-style rejection to avoid modulo bias.
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let r = self.next_u64();
-            let (hi, lo) = widening_mul(r, bound);
-            if lo >= threshold {
-                return hi;
-            }
-        }
-    }
-
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        (self.next_u64() as f64 / u64::MAX as f64) < p
-    }
-
-    /// Returns a float uniformly distributed in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Samples an exponential inter-arrival time with the given mean, in
-    /// nanoseconds — the workhorse of Poisson traffic generators.
-    pub fn gen_exp_nanos(&mut self, mean_nanos: u64) -> u64 {
-        let u = self.gen_f64().max(f64::MIN_POSITIVE);
-        let x = -(u.ln()) * mean_nanos as f64;
-        x.min(u64::MAX as f64 / 2.0) as u64
-    }
-
-    /// Derives an independent child generator, so subsystems can draw
-    /// randomness without perturbing each other's streams.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        SimRng::new(self.next_u64() ^ stream.wrapping_mul(0x2545_f491_4f6c_dd1d))
-    }
-
-    /// Returns a reference to a uniformly chosen element, or `None` for an
-    /// empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.gen_range(items.len() as u64) as usize])
-        }
-    }
 }
 
-fn widening_mul(a: u64, b: u64) -> (u64, u64) {
-    let wide = u128::from(a) * u128::from(b);
-    ((wide >> 64) as u64, wide as u64)
+/// The SplitMix64 finalizer: a bijective 64-bit mixer. [`SimRng`]
+/// applies it to its counter, and keyed draws (link impairment, the
+/// scale fabric's station phases) apply it to their keys, so equal keys
+/// always give equal outputs whatever else was drawn in between.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -110,6 +59,10 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+        // The published SplitMix64 sequence for seed 0.
+        let mut rng = SimRng::new(0);
+        let drawn = [rng.next_u64(), rng.next_u64(), rng.next_u64()];
+        assert_eq!(drawn, [0xe220_a839_7b1d_cdaf, 0x6e78_9e6a_a1b9_65f4, 0x06c4_5d18_8009_454f]);
     }
 
     #[test]
@@ -117,75 +70,5 @@ mod tests {
         let mut a = SimRng::new(1);
         let mut b = SimRng::new(2);
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn gen_range_respects_bound() {
-        let mut rng = SimRng::new(9);
-        for _ in 0..10_000 {
-            assert!(rng.gen_range(7) < 7);
-        }
-    }
-
-    #[test]
-    fn gen_range_covers_all_values() {
-        let mut rng = SimRng::new(5);
-        let mut seen = [false; 4];
-        for _ in 0..1000 {
-            seen[rng.gen_range(4) as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    #[should_panic(expected = "bound")]
-    fn gen_range_zero_panics() {
-        SimRng::new(1).gen_range(0);
-    }
-
-    #[test]
-    fn gen_bool_extremes() {
-        let mut rng = SimRng::new(11);
-        assert!(!(0..100).any(|_| rng.gen_bool(0.0)));
-        assert!((0..100).all(|_| rng.gen_bool(1.0)));
-    }
-
-    #[test]
-    fn gen_f64_in_unit_interval() {
-        let mut rng = SimRng::new(3);
-        for _ in 0..10_000 {
-            let x = rng.gen_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn exponential_mean_is_roughly_right() {
-        let mut rng = SimRng::new(17);
-        let mean = 1_000_000u64; // 1 ms
-        let n = 20_000;
-        let total: u128 = (0..n).map(|_| u128::from(rng.gen_exp_nanos(mean))).sum();
-        let observed = total / n as u128;
-        // Within 5% of the true mean with this many samples.
-        assert!((950_000..1_050_000).contains(&(observed as u64)), "observed {observed}");
-    }
-
-    #[test]
-    fn forked_streams_are_independent() {
-        let mut parent = SimRng::new(1);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        assert_ne!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn choose_handles_empty_and_picks_members() {
-        let mut rng = SimRng::new(4);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        let items = [10, 20, 30];
-        for _ in 0..50 {
-            assert!(items.contains(rng.choose(&items).unwrap()));
-        }
     }
 }

@@ -25,12 +25,6 @@ pub struct WireStats {
     pub dropped_no_link: u64,
     /// Timer events dispatched.
     pub timers: u64,
-    /// Frames dropped by impaired-link loss draws.
-    pub dropped_lost: u64,
-    /// Frames dropped because a flapping link was down.
-    pub dropped_link_down: u64,
-    /// Extra frame copies injected by duplication draws.
-    pub duplicated: u64,
 }
 
 /// Domain separation between the impairment hash and the event RNG, so
@@ -451,7 +445,7 @@ impl Simulator {
         callback: impl FnOnce(&mut dyn Device, &mut DeviceCtx<'_>),
     ) {
         let (now, tracer) = (self.now, &self.run_tracer);
-        let mut ctx = DeviceCtx::new(now, id, &mut self.scratch, &mut self.rng, incoming, tracer);
+        let mut ctx = DeviceCtx::new(now, &mut self.scratch, &mut self.rng, incoming, tracer);
         callback(self.devices[id.0].device.as_mut(), &mut ctx);
         // Most deliveries queue nothing (every station a flood reaches
         // but one); skip the hand-off for them.
@@ -571,10 +565,8 @@ impl Simulator {
         if fate.lost {
             let flap_down = profile.flap.map(|f| f.is_down(self.now)).unwrap_or(false);
             let (category, kind) = if flap_down {
-                self.stats.dropped_link_down += 1;
                 ("wire.drop.link_down", FrameKind::DroppedLinkDown)
             } else {
-                self.stats.dropped_lost += 1;
                 ("wire.drop.lost", FrameKind::DroppedLost)
             };
             self.run_tracer.count(category, 1);
@@ -603,7 +595,6 @@ impl Simulator {
         let dup = fate.duplicated.then(|| (at.saturating_add(latency), bytes.clone()));
         self.push_event(at, EventKind::Deliver { dst: peer, port: peer_port, bytes, dup: false });
         if let Some((dup_at, copy)) = dup {
-            self.stats.duplicated += 1;
             self.run_tracer.count("wire.duplicated", 1);
             self.push_event(
                 dup_at,
@@ -689,14 +680,15 @@ mod tests {
     use std::rc::Rc;
     use std::sync::Arc;
 
-    use arpshield_trace::{install, RecordedFrame, TraceCollector};
+    use arpshield_trace::{install, RunSection, TraceCollector};
 
     use super::*;
     use crate::impair::FlapSchedule;
 
     /// Runs `sim` for one simulated second under an armed flight
-    /// recorder; returns its wire stats and every captured frame.
-    fn captured(mut sim: Simulator) -> (WireStats, Vec<RecordedFrame>) {
+    /// recorder; returns its wire stats and the run's trace section:
+    /// its counters and every captured frame.
+    fn captured(mut sim: Simulator) -> (WireStats, RunSection) {
         let collector = Arc::new(TraceCollector::with_capture(4096));
         {
             let _guard = install(Arc::clone(&collector));
@@ -705,7 +697,12 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         let stats = sim.wire_stats();
         drop(sim); // the last tracer handle flushes the run
-        (stats, collector.manifest("sim").runs.remove(0).frames)
+        (stats, collector.manifest("sim").runs.remove(0))
+    }
+
+    /// The run's count of `name`; a counter never bumped reads 0.
+    fn counter(run: &RunSection, name: &str) -> u64 {
+        run.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Echoes every received frame back out the same port after 1 ms, up to
@@ -864,10 +861,11 @@ mod tests {
         });
         sim.connect_impaired(left, PortId(1), right, PortId(0), Duration::from_millis(1), profile)
             .unwrap();
-        let (stats, frames) = captured(sim);
+        let (stats, run) = captured(sim);
+        let frames = &run.frames;
 
         let mut seen = BTreeSet::new();
-        for frame in &frames {
+        for frame in frames {
             let ends = match frame.bytes[0] {
                 b'l' => ("left:1", "right:0"),
                 _ => ("right:0", "left:1"),
@@ -890,9 +888,9 @@ mod tests {
             count(FrameKind::Delivered) + count(FrameKind::DuplicateDelivered),
             stats.frames
         );
-        assert_eq!(count(FrameKind::DuplicateDelivered), stats.duplicated);
-        assert_eq!(count(FrameKind::DroppedLost), stats.dropped_lost);
-        assert_eq!(count(FrameKind::DroppedLinkDown), stats.dropped_link_down);
+        assert_eq!(count(FrameKind::DuplicateDelivered), counter(&run, "wire.duplicated"));
+        assert_eq!(count(FrameKind::DroppedLost), counter(&run, "wire.drop.lost"));
+        assert_eq!(count(FrameKind::DroppedLinkDown), counter(&run, "wire.drop.link_down"));
     }
 
     #[test]
@@ -916,13 +914,12 @@ mod tests {
             let k = sim.add_device(Box::new(Kickoff { budget: 200 }));
             let e = sim.add_device(Box::new(Echo::new()));
             sim.connect(k, PortId(0), e, PortId(0), Duration::from_millis(1)).unwrap();
-            sim.run_until(SimTime::from_secs(1));
-            sim.wire_stats()
+            captured(sim)
         };
-        let perfect = run(0.0);
-        assert_eq!(perfect.dropped_lost, 0);
-        let lossy = run(0.5);
-        assert!(lossy.dropped_lost >= 1, "a 50% link must lose something");
+        let (perfect, perfect_run) = run(0.0);
+        assert_eq!(counter(&perfect_run, "wire.drop.lost"), 0);
+        let (lossy, lossy_run) = run(0.5);
+        assert!(counter(&lossy_run, "wire.drop.lost") >= 1, "a 50% link must lose something");
         // Each bounce needs the previous delivery, so losses shorten the
         // chain: strictly fewer frames than the perfect wire.
         assert!(lossy.frames < perfect.frames);
@@ -935,9 +932,9 @@ mod tests {
         let k = sim.add_device(Box::new(Kickoff { budget: 0 }));
         let e = sim.add_device(Box::new(Echo::new()));
         sim.connect(k, PortId(0), e, PortId(0), Duration::from_millis(1)).unwrap();
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.wire_stats().duplicated, 1);
-        assert_eq!(sim.wire_stats().frames, 2, "one send, two deliveries");
+        let (stats, run) = captured(sim);
+        assert_eq!(counter(&run, "wire.duplicated"), 1);
+        assert_eq!(stats.frames, 2, "one send, two deliveries");
     }
 
     #[test]
@@ -951,10 +948,9 @@ mod tests {
         let k = sim.add_device(Box::new(Kickoff { budget: 200 }));
         let e = sim.add_device(Box::new(Echo::new()));
         sim.connect(k, PortId(0), e, PortId(0), Duration::from_millis(10)).unwrap();
-        sim.run_until(SimTime::from_secs(1));
         // The bounce chain dies at the first outage and nothing restarts it.
-        let stats = sim.wire_stats();
-        assert_eq!(stats.dropped_link_down, 1);
+        let (stats, run) = captured(sim);
+        assert_eq!(counter(&run, "wire.drop.link_down"), 1);
         assert!(stats.frames <= 6, "chain must stop at the 50 ms outage");
     }
 
@@ -965,10 +961,10 @@ mod tests {
         let k = sim.add_device(Box::new(Kickoff { budget: 20 }));
         let e = sim.add_device(Box::new(Echo::new()));
         sim.connect(k, PortId(0), e, PortId(0), Duration::from_millis(1)).unwrap();
-        sim.run_until(SimTime::from_secs(1));
         // All 21 frames still get through; they just take longer.
-        assert_eq!(sim.wire_stats().frames, 21);
-        assert_eq!(sim.wire_stats().dropped_lost, 0);
+        let (stats, run) = captured(sim);
+        assert_eq!(stats.frames, 21);
+        assert_eq!(counter(&run, "wire.drop.lost"), 0);
     }
 
     /// The crux of the determinism contract: a profile whose draws can
@@ -985,9 +981,9 @@ mod tests {
             let k = sim.add_device(Box::new(Kickoff { budget: 50 }));
             let e = sim.add_device(Box::new(Echo::new()));
             sim.connect(k, PortId(0), e, PortId(0), Duration::from_micros(137)).unwrap();
-            let (stats, frames) = captured(sim);
+            let (stats, run) = captured(sim);
             let schedule: Vec<(u64, FrameKind, String, Vec<u8>)> =
-                frames.into_iter().map(|f| (f.at_ns, f.kind, f.src, f.bytes)).collect();
+                run.frames.into_iter().map(|f| (f.at_ns, f.kind, f.src, f.bytes)).collect();
             (stats, schedule)
         };
         let inert = LinkProfile::PERFECT.with_flap(FlapSchedule {
@@ -1275,10 +1271,18 @@ mod tests {
             let echo = sim.add_device(Box::new(Echo::new()));
             let latency = Duration::from_micros(5);
             sim.connect_impaired(sender, PortId(0), echo, PortId(0), latency, profile).unwrap();
+            let collector = Arc::new(TraceCollector::new());
+            {
+                let _guard = install(Arc::clone(&collector));
+                sim.set_tracer(Tracer::for_current_run("sim"));
+            }
             sim.run_until(SimTime::MAX);
-            let stats = sim.wire_stats();
-            assert_eq!((stats.frames, stats.duplicated), (copies, copies - 1), "{profile:?}");
             assert_eq!(sim.now(), SimTime::MAX);
+            let frames = sim.wire_stats().frames;
+            drop(sim);
+            let run = collector.manifest("sim").runs.remove(0);
+            let duplicated = counter(&run, "wire.duplicated");
+            assert_eq!((frames, duplicated), (copies, copies - 1), "{profile:?}");
         }
     }
 }

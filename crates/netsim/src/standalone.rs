@@ -16,7 +16,7 @@
 
 use arpshield_trace::Tracer;
 
-use crate::device::{Action, Device, DeviceCtx, DeviceId, Outbox, PortId};
+use crate::device::{Action, Device, DeviceCtx, Outbox, PortId};
 use crate::frame::Frame;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -61,11 +61,6 @@ impl StandaloneDriver {
         self.now
     }
 
-    /// Number of timers scheduled but not yet fired.
-    pub fn pending_timers(&self) -> usize {
-        self.timers.len()
-    }
-
     /// Invokes [`Device::on_start`] at the current time.
     pub fn start(&mut self, device: &mut dyn Device) {
         device.on_start(&mut self.ctx());
@@ -102,7 +97,7 @@ impl StandaloneDriver {
     }
 
     fn ctx(&mut self) -> DeviceCtx<'_> {
-        DeviceCtx::new(self.now, DeviceId(0), &mut self.out, &mut self.rng, None, &self.tracer)
+        DeviceCtx::new(self.now, &mut self.out, &mut self.rng, None, &self.tracer)
     }
 
     fn apply_actions(&mut self) {
@@ -172,15 +167,16 @@ mod tests {
         let mut dev = Probe { events: Vec::new() };
         let mut driver = StandaloneDriver::new(7);
         driver.start(&mut dev);
-        assert_eq!(driver.pending_timers(), 3);
+        assert_eq!(driver.timers_fired, 0);
         driver.advance_to(&mut dev, SimTime::from_millis(20));
         assert_eq!(
             dev.events,
             vec!["start", "timer1@10000000", "timer2@10000000", "timer4@15000000"],
             "due order, sequence tie-break, and nested scheduling"
         );
-        assert_eq!(driver.pending_timers(), 1, "the 30 ms timer is still pending");
+        assert_eq!(driver.timers_fired, 3, "the 30 ms timer is still pending");
         driver.advance_to(&mut dev, SimTime::from_millis(40));
+        assert_eq!(dev.events.last().map(String::as_str), Some("timer3@30000000"));
         assert_eq!(driver.timers_fired, 4);
         assert_eq!(driver.now(), SimTime::from_millis(40));
     }

@@ -3,7 +3,6 @@
 //! inspector (the hook the DAI scheme uses).
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -292,7 +291,8 @@ pub enum ViolationAction {
 pub enum InspectVerdict {
     /// Forward normally.
     Permit,
-    /// Drop the frame; `reason` is recorded in switch stats.
+    /// Drop the frame; `reason` is recorded in the `switch.drop.inspector`
+    /// trace event.
     Deny {
         /// Human-readable drop reason, one of the inspector's fixed
         /// strings, so a denial allocates nothing.
@@ -331,22 +331,15 @@ pub struct SwitchStats {
     pub forwarded: u64,
     /// Frames flooded to all ports (broadcast/multicast/unknown dst).
     pub flooded: u64,
-    /// Frames dropped by the inspector, with reasons.
+    /// Frames dropped by the inspector.
     pub dropped_inspector: u64,
-    /// Frames that failed Ethernet parsing at ingress and were dropped.
-    pub dropped_unparseable: u64,
     /// Frames dropped by VLAN ingress rules (tagged arrival on an access
     /// port, untagged or non-member VID on a trunk).
     pub dropped_vlan: u64,
-    /// Most recent inspector drop reasons (bounded ring of 32; a deque so
-    /// eviction is O(1) on the per-frame ingress path).
-    pub inspector_reasons: VecDeque<&'static str>,
     /// Times a learn attempt found the table full.
     pub cam_full_events: u64,
     /// Ports currently err-disabled by port security.
     pub shutdown_ports: FastSet<PortId>,
-    /// Port-security violations observed.
-    pub security_violations: u64,
 }
 
 /// Shared inspection handle into a live switch.
@@ -641,7 +634,6 @@ impl Device for Switch {
         let Ok(eth) = EthernetView::parse_strict(frame) else {
             // Unparseable garbage is dropped — but never silently: the
             // drop is counted and attributable to its ingress port.
-            self.stats.borrow_mut().dropped_unparseable += 1;
             tracer.count("switch.drop.unparseable", 1);
             tracer.event(ctx.now().as_nanos(), "switch.drop.unparseable", || {
                 (self.name.clone(), format!("port={} len={}", port.0, frame.len()))
@@ -682,12 +674,7 @@ impl Device for Switch {
                         format!("port={} src={} reason={reason}", port.0, eth.src()),
                     )
                 });
-                let mut stats = self.stats.borrow_mut();
-                stats.dropped_inspector += 1;
-                if stats.inspector_reasons.len() >= 32 {
-                    stats.inspector_reasons.pop_front();
-                }
-                stats.inspector_reasons.push_back(reason);
+                self.stats.borrow_mut().dropped_inspector += 1;
                 return;
             }
         }
@@ -714,10 +701,8 @@ impl Device for Switch {
                                 )
                             },
                         );
-                        let mut stats = self.stats.borrow_mut();
-                        stats.security_violations += 1;
                         if matches!(ps.violation, ViolationAction::ShutdownPort) {
-                            stats.shutdown_ports.insert(port);
+                            self.stats.borrow_mut().shutdown_ports.insert(port);
                             self.flood_domains.clear();
                             self.flood_ports.clear();
                         }
@@ -810,10 +795,13 @@ impl Device for Switch {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::sim::Simulator;
     use crate::time::SimTime;
     use arpshield_packet::{EtherType, EthernetEmit, WireEmit};
+    use arpshield_trace::{install, RunSection, TraceCollector, Tracer};
 
     fn frame(src: MacAddr, dst: MacAddr) -> Vec<u8> {
         EthernetEmit::new(dst, src, EtherType::Other(0x1234), &[0u8; 46][..]).encode()
@@ -854,6 +842,19 @@ mod tests {
         fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, frame: &[u8]) {
             self.received.borrow_mut().push(frame.to_vec());
         }
+    }
+
+    /// Runs `sim` for one simulated second under a trace collector and
+    /// returns the run's trace section.
+    fn traced(mut sim: Simulator) -> RunSection {
+        let collector = Arc::new(TraceCollector::new());
+        {
+            let _guard = install(Arc::clone(&collector));
+            sim.set_tracer(Tracer::for_current_run("sw"));
+        }
+        sim.run_until(SimTime::from_secs(1));
+        drop(sim); // the last tracer handle flushes the run
+        collector.manifest("sw").runs.remove(0)
     }
 
     fn wire(
@@ -1013,7 +1014,7 @@ mod tests {
     #[test]
     fn unparseable_frames_are_counted_not_silent() {
         let mut sim = Simulator::new(1);
-        let (sw, handle) = Switch::new("sw", SwitchConfig { ports: 4, ..Default::default() });
+        let (sw, _) = Switch::new("sw", SwitchConfig { ports: 4, ..Default::default() });
         let sw = sim.add_device(Box::new(sw));
         // A runt frame (shorter than an Ethernet header) and one valid frame.
         let (a, _) = Station::new(vec![
@@ -1023,8 +1024,8 @@ mod tests {
         let (b, b_rx) = Station::new(vec![]);
         wire(&mut sim, a, sw, 0);
         wire(&mut sim, b, sw, 1);
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(handle.stats.borrow().dropped_unparseable, 1);
+        let run = traced(sim);
+        assert_eq!(run.counters.get("switch.drop.unparseable"), Some(&1));
         assert_eq!(b_rx.borrow().len(), 1, "only the valid frame got through");
     }
 
@@ -1062,9 +1063,9 @@ mod tests {
         let (b, b_rx) = Station::new(vec![]);
         wire(&mut sim, a, sw, 0);
         wire(&mut sim, b, sw, 1);
-        sim.run_until(SimTime::from_secs(1));
+        let run = traced(sim);
         assert_eq!(b_rx.borrow().len(), 2);
-        assert_eq!(handle.stats.borrow().security_violations, 1);
+        assert_eq!(run.counters.get("switch.drop.port_security"), Some(&1));
         assert!(handle.stats.borrow().shutdown_ports.is_empty());
     }
 
@@ -1146,20 +1147,23 @@ mod tests {
         assert_eq!(mon_rx.borrow().len(), 3);
     }
 
+    /// Denies every frame for the reason `test`.
+    struct DenyAll;
+
+    impl FrameInspector for DenyAll {
+        fn inspect(
+            &mut self,
+            _: SimTime,
+            _: PortId,
+            _: VlanId,
+            _: &EthernetView<'_>,
+        ) -> InspectVerdict {
+            InspectVerdict::Deny { reason: "test" }
+        }
+    }
+
     #[test]
     fn inspector_can_drop_frames() {
-        struct DenyAll;
-        impl FrameInspector for DenyAll {
-            fn inspect(
-                &mut self,
-                _: SimTime,
-                _: PortId,
-                _: VlanId,
-                _: &EthernetView<'_>,
-            ) -> InspectVerdict {
-                InspectVerdict::Deny { reason: "test" }
-            }
-        }
         let mut sim = Simulator::new(1);
         let (mut sw, handle) = Switch::new("sw", SwitchConfig { ports: 4, ..Default::default() });
         sw.set_inspector(Box::new(DenyAll));
@@ -1168,38 +1172,25 @@ mod tests {
         let (b, b_rx) = Station::new(vec![]);
         wire(&mut sim, a, sw, 0);
         wire(&mut sim, b, sw, 1);
-        sim.run_until(SimTime::from_secs(1));
+        let run = traced(sim);
         assert_eq!(b_rx.borrow().len(), 0);
         assert_eq!(handle.stats.borrow().dropped_inspector, 1);
-        assert_eq!(handle.stats.borrow().inspector_reasons, ["test"]);
+        let doc = arpshield_trace::json::parse(&run.body).expect("a run body is JSON");
+        let events = doc.get("events").and_then(|v| v.as_arr()).expect("an event list");
+        let details: Vec<_> = events
+            .iter()
+            .filter(|e| e.get("category").and_then(|v| v.as_str()) == Some("switch.drop.inspector"))
+            .filter_map(|e| e.get("detail").and_then(|v| v.as_str()))
+            .collect();
+        assert_eq!(details.len(), 1);
+        assert!(details[0].ends_with(" reason=test"), "{}", details[0]);
     }
 
     #[test]
-    fn inspector_reason_ring_keeps_newest_32() {
-        /// Reasons are `&'static str`, so the n-th denial names `r{n}`
-        /// from a fixed table.
-        const REASONS: [&str; 40] = [
-            "r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11", "r12", "r13",
-            "r14", "r15", "r16", "r17", "r18", "r19", "r20", "r21", "r22", "r23", "r24", "r25",
-            "r26", "r27", "r28", "r29", "r30", "r31", "r32", "r33", "r34", "r35", "r36", "r37",
-            "r38", "r39",
-        ];
-        struct DenySeq(usize);
-        impl FrameInspector for DenySeq {
-            fn inspect(
-                &mut self,
-                _: SimTime,
-                _: PortId,
-                _: VlanId,
-                _: &EthernetView<'_>,
-            ) -> InspectVerdict {
-                self.0 += 1;
-                InspectVerdict::Deny { reason: REASONS[self.0 - 1] }
-            }
-        }
+    fn inspector_counts_every_denial() {
         let mut sim = Simulator::new(1);
         let (mut sw, handle) = Switch::new("sw", SwitchConfig { ports: 4, ..Default::default() });
-        sw.set_inspector(Box::new(DenySeq(0)));
+        sw.set_inspector(Box::new(DenyAll));
         let sw = sim.add_device(Box::new(sw));
         let plan = (0..40u64)
             .map(|i| (i + 1, frame(MacAddr::from_index(1), MacAddr::BROADCAST)))
@@ -1207,11 +1198,7 @@ mod tests {
         let (a, _) = Station::new(plan);
         wire(&mut sim, a, sw, 0);
         sim.run_until(SimTime::from_secs(1));
-        let stats = handle.stats.borrow();
-        assert_eq!(stats.dropped_inspector, 40);
-        assert_eq!(stats.inspector_reasons.len(), 32, "ring stays bounded");
-        assert_eq!(stats.inspector_reasons.front(), Some(&"r8"));
-        assert_eq!(stats.inspector_reasons.back(), Some(&"r39"));
+        assert_eq!(handle.stats.borrow().dropped_inspector, 40);
     }
 
     fn access(pvid: VlanId) -> PortVlan {

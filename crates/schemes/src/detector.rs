@@ -34,7 +34,7 @@ use arpshield_trace::profile;
 use arpshield_trace::{FrameKind, Tracer};
 
 use crate::alert::{Alert, AlertLog};
-use crate::factory::{LanPlan, SchemeResources};
+use crate::factory::LanPlan;
 use crate::SchemeKind;
 
 /// Port the DAI inspector trusts (IPv4/DHCP snooping side).
@@ -114,8 +114,7 @@ impl Detector {
     pub fn with_tracer(kind: SchemeKind, tracer: Tracer) -> Result<Self, String> {
         let alerts = AlertLog::new();
         alerts.set_tracer(tracer.clone());
-        let mut resources = SchemeResources::new(Self::blank_plan(), alerts.clone());
-        let installation = kind.instantiate(&mut resources);
+        let installation = kind.instantiate(&Self::blank_plan(), &alerts);
         if installation.monitors.is_empty() && installation.inspector.is_none() {
             return Err(format!(
                 "scheme '{kind}' has no standalone inspection surface (its mechanism lives in \

@@ -68,7 +68,7 @@ const TICKET_LIFETIME: SimTime = SimTime::from_secs(86_400);
 /// The facts about a LAN a scheme needs in order to deploy onto it.
 ///
 /// Built once by the scenario builder and handed to
-/// [`SchemeKind::instantiate`] through [`SchemeResources`].
+/// [`SchemeKind::instantiate`].
 #[derive(Debug, Clone)]
 pub struct LanPlan {
     /// The gateway's binding.
@@ -91,33 +91,6 @@ impl LanPlan {
     /// deployment in this codebase uses).
     pub fn key_seed(ip: Ipv4Addr) -> u64 {
         u64::from(ip.to_u32())
-    }
-}
-
-/// Shared state threaded through a scheme instantiation.
-///
-/// Owns the [`LanPlan`] and the [`AlertLog`] every created mechanism
-/// reports into.
-#[derive(Debug)]
-pub struct SchemeResources {
-    plan: LanPlan,
-    alerts: AlertLog,
-}
-
-impl SchemeResources {
-    /// Wraps a plan and the alert log mechanisms will report into.
-    pub fn new(plan: LanPlan, alerts: AlertLog) -> Self {
-        SchemeResources { plan, alerts }
-    }
-
-    /// The plan this instantiation deploys onto.
-    pub fn plan(&self) -> &LanPlan {
-        &self.plan
-    }
-
-    /// The shared alert log.
-    pub fn alerts(&self) -> &AlertLog {
-        &self.alerts
     }
 }
 
@@ -182,11 +155,12 @@ impl std::fmt::Debug for SchemeInstallation {
 }
 
 impl SchemeKind {
-    /// Instantiates this scheme against the LAN described by
-    /// `resources`, returning the mechanisms to apply.
-    pub fn instantiate(self, resources: &mut SchemeResources) -> SchemeInstallation {
-        let alerts = resources.alerts().clone();
-        let plan = resources.plan();
+    /// Instantiates this scheme against the LAN described by `plan`,
+    /// returning the mechanisms to apply; every mechanism reports into
+    /// `alerts`.
+    pub fn instantiate(self, plan: &LanPlan, alerts: &AlertLog) -> SchemeInstallation {
+        // Host-agent factories outlive this call, so they own a handle.
+        let alerts = alerts.clone();
         let hardening = plan.hardening;
         let mut install = SchemeInstallation::default();
         match self {
@@ -329,8 +303,7 @@ mod tests {
     #[test]
     fn every_kind_instantiates() {
         for kind in SchemeKind::all() {
-            let mut res = SchemeResources::new(plan(), AlertLog::new());
-            let install = kind.instantiate(&mut res);
+            let install = kind.instantiate(&plan(), &AlertLog::new());
             // Every scheme must install *some* mechanism, except the
             // baseline.
             let has_any = install.policy_override.is_some()
@@ -347,8 +320,7 @@ mod tests {
     #[test]
     fn monitor_schemes_declare_monitors() {
         for kind in SchemeKind::all() {
-            let mut res = SchemeResources::new(plan(), AlertLog::new());
-            let n = kind.instantiate(&mut res).monitors.len();
+            let n = kind.instantiate(&plan(), &AlertLog::new()).monitors.len();
             let expected = match kind {
                 SchemeKind::Passive
                 | SchemeKind::Stateful
@@ -363,8 +335,7 @@ mod tests {
 
     #[test]
     fn static_arp_binds_gateway_and_hosts() {
-        let mut res = SchemeResources::new(plan(), AlertLog::new());
-        let install = SchemeKind::StaticArp.instantiate(&mut res);
+        let install = SchemeKind::StaticArp.instantiate(&plan(), &AlertLog::new());
         let bindings = install.static_bindings.unwrap();
         assert_eq!(bindings.len(), 5);
         assert_eq!(bindings[0], (Ipv4Addr::new(10, 0, 0, 1), MacAddr::from_index(100)));
@@ -373,8 +344,7 @@ mod tests {
 
     #[test]
     fn sarp_installs_aux_station_and_agents() {
-        let mut res = SchemeResources::new(plan(), AlertLog::new());
-        let install = SchemeKind::SArp.instantiate(&mut res);
+        let install = SchemeKind::SArp.instantiate(&plan(), &AlertLog::new());
         let aux = install.aux_station.unwrap();
         assert_eq!(aux.ip, Ipv4Addr::new(10, 0, 0, 250));
         assert_eq!(aux.hooks.len(), 1);
@@ -386,11 +356,11 @@ mod tests {
     fn hardening_flows_into_agents() {
         let mut hardened = plan();
         hardened.hardening = SchemeHardening::lossy();
-        let mut res = SchemeResources::new(hardened, AlertLog::new());
+        let alerts = AlertLog::new();
         // Smoke: instantiation with hardened knobs succeeds for the
         // schemes that consume them.
         for kind in [SchemeKind::ActiveProbe, SchemeKind::Antidote, SchemeKind::SArp] {
-            let _ = kind.instantiate(&mut res);
+            let _ = kind.instantiate(&hardened, &alerts);
         }
     }
 }

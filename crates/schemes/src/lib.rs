@@ -44,8 +44,7 @@ pub use dai::{DaiConfig, DaiInspector};
 pub use descriptor::{Activity, DeployCost, Mode, SchemeClass, SchemeDescriptor, SchemeKind};
 pub use detector::{Detector, IngestStats};
 pub use factory::{
-    AuxStation, HostAgentFn, LanPlan, SchemeHardening, SchemeInstallation, SchemeResources,
-    PORT_SECURITY,
+    AuxStation, HostAgentFn, LanPlan, SchemeHardening, SchemeInstallation, PORT_SECURITY,
 };
 pub use passive::{PassiveConfig, PassiveMonitor};
 pub use rate::{RateConfig, RateMonitor};

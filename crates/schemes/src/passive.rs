@@ -52,11 +52,6 @@ impl PassiveMonitor {
         PassiveMonitor { config, log, db: FastMap::default(), last_alert: FastMap::default() }
     }
 
-    /// Number of stations currently in the database.
-    pub fn db_len(&self) -> usize {
-        self.db.len()
-    }
-
     /// The database's current belief for `ip`.
     pub fn binding(&self, ip: Ipv4Addr) -> Option<MacAddr> {
         self.db.get(&ip).map(|b| b.mac)
@@ -203,7 +198,7 @@ mod tests {
     fn probes_are_ignored() {
         let (mut m, log) = monitor();
         m.observe(SimTime::from_secs(1), Ipv4Addr::UNSPECIFIED, MacAddr::from_index(5));
-        assert_eq!(m.db_len(), 0);
+        assert_eq!(m.binding(Ipv4Addr::UNSPECIFIED), None);
         assert!(log.is_empty());
     }
 

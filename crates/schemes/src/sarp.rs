@@ -150,7 +150,7 @@ impl SArpHook {
         }
         if let Some(akd) = &self.config.local_akd {
             api.add_work(work::KEY_LOOKUP);
-            if let Ok(key) = akd.borrow_mut().lookup(ip.to_u32()) {
+            if let Ok(key) = akd.borrow().lookup(ip.to_u32()) {
                 self.key_cache.insert(ip, key);
                 return Some(key);
             }
@@ -399,7 +399,7 @@ impl App for AkdApp {
         }
         self.log.add_work(SCHEME, work::KEY_LOOKUP);
         let ip = Ipv4Addr::new(payload[1], payload[2], payload[3], payload[4]);
-        let response = match self.akd.borrow_mut().lookup(ip.to_u32()) {
+        let response = match self.akd.borrow().lookup(ip.to_u32()) {
             Ok(key) => {
                 let mut msg = vec![MSG_KEY];
                 msg.extend_from_slice(&ip.octets());

@@ -304,15 +304,14 @@ fn write_wall(out: &mut String, wall: &ProfileReport) {
     out.push_str("    \"gauges\": [");
     for (i, (name, g)) in wall.data.gauges.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
-        let min = if g.samples == 0 { 0 } else { g.min };
         let _ = write!(
             out,
             "      {{\"name\": {}, \"samples\": {}, \"min\": {}, \"max\": {}, \"sum\": {}}}",
             quote(name),
-            g.samples,
-            min,
-            g.max,
-            g.sum,
+            g.count(),
+            g.min().unwrap_or(0),
+            g.max().unwrap_or(0),
+            g.sum(),
         );
     }
     out.push_str(if wall.data.gauges.is_empty() { "]\n  }" } else { "\n    ]\n  }" });
@@ -465,7 +464,7 @@ mod tests {
         }
         let mut data = ProfileData::default();
         data.spans.insert("job/step".into(), SpanStats { count: 2, total_ns: 700, child_ns: 200 });
-        data.gauges.entry("depth".into()).or_default().sample(5);
+        data.gauges.entry("depth".into()).or_default().record(5);
         let mut manifest = collector.manifest("t0");
         manifest.wall = Some(ProfileReport { wall_ns: 1_000, data });
         let doc = json::parse(&manifest.to_json()).expect("the manifest is JSON");

@@ -2,9 +2,8 @@
 //!
 //! Long runs — a 100k-host `t6s` sweep point, a multi-GB `ingest` —
 //! were previously silent (or used ad-hoc `eprintln!`s) until they
-//! finished. A [`Heartbeat`] emits one structured line every
-//! `ARPSHIELD_HEARTBEAT_SECS` wall-seconds (default 1), in a uniform
-//! format:
+//! finished. A [`Heartbeat`] emits one structured line at most once a
+//! wall-second, in a uniform format:
 //!
 //! ```text
 //! arpshield t6s hosts=100000: heartbeat wall_s=1.00 sim_ms=812/2000 frames=412993 ...
@@ -18,11 +17,10 @@
 
 use std::time::{Duration, Instant};
 
-use crate::env_knob::{self, EnvKnob};
+use crate::env_knob;
 
-/// Default seconds between heartbeat lines when
-/// `ARPSHIELD_HEARTBEAT_SECS` is unset.
-pub const DEFAULT_HEARTBEAT_SECS: f64 = 1.0;
+/// Wall time between heartbeat lines.
+const INTERVAL: Duration = Duration::from_secs(1);
 
 /// True when `ARPSHIELD_QUIET` is set truthy: all heartbeat output is
 /// suppressed. Garbage values warn (via [`env_knob::report`]) and
@@ -39,7 +37,6 @@ pub fn quiet() -> bool {
 #[derive(Debug)]
 pub struct Heartbeat {
     label: String,
-    every: Duration,
     quiet: bool,
     started: Instant,
     last_emit: Instant,
@@ -48,19 +45,10 @@ pub struct Heartbeat {
 
 impl Heartbeat {
     /// Creates a reporter labelled `label` (shown on every line), with
-    /// the interval and quiet flag read from the environment.
+    /// the quiet flag read from the environment.
     pub fn new(label: impl Into<String>) -> Self {
-        let (every, warning) = interval_from(&env_knob::knob("ARPSHIELD_HEARTBEAT_SECS"));
-        env_knob::report(warning);
         let now = Instant::now();
-        Heartbeat {
-            label: label.into(),
-            every,
-            quiet: quiet(),
-            started: now,
-            last_emit: now,
-            emitted: 0,
-        }
+        Heartbeat { label: label.into(), quiet: quiet(), started: now, last_emit: now, emitted: 0 }
     }
 
     /// Wall time since construction.
@@ -89,7 +77,7 @@ impl Heartbeat {
     /// loops should still decimate calls (e.g. every 4096 packets).
     /// Returns whether a line was emitted.
     pub fn tick(&mut self, detail: impl FnOnce(&Heartbeat) -> String) -> bool {
-        if self.quiet || self.last_emit.elapsed() < self.every {
+        if self.quiet || self.last_emit.elapsed() < INTERVAL {
             return false;
         }
         self.last_emit = Instant::now();
@@ -117,17 +105,6 @@ impl Heartbeat {
     }
 }
 
-/// Parses a heartbeat interval, falling back to the default with a
-/// warning for anything that is not a positive `Duration`.
-fn interval_from(knob: &EnvKnob) -> (Duration, Option<String>) {
-    let (secs, warning) = knob.parse_or(
-        DEFAULT_HEARTBEAT_SECS,
-        "a positive number of seconds up to ~1.8e19",
-        |v: &f64| *v > 0.0 && Duration::try_from_secs_f64(*v).is_ok(),
-    );
-    (Duration::from_secs_f64(secs), warning)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,41 +112,19 @@ mod tests {
     #[test]
     fn tick_respects_the_interval() {
         // Bypass env reading: construct by hand to avoid races with
-        // other tests over ARPSHIELD_HEARTBEAT_SECS / ARPSHIELD_QUIET.
+        // other tests over ARPSHIELD_QUIET.
         let now = Instant::now();
         let mut hb = Heartbeat {
             label: "test".into(),
-            every: Duration::from_secs(3600),
-            quiet: true, // suppress output; we only check gating logic
+            quiet: false,
             started: now,
             last_emit: now,
             emitted: 0,
         };
         assert!(!hb.tick(|_| unreachable!("interval has not elapsed")));
-        hb.quiet = false;
-        hb.every = Duration::ZERO;
+        hb.last_emit = now - INTERVAL;
         assert!(hb.tick(|hb| format!("n={}", hb.emitted())));
         assert_eq!(hb.emitted(), 1);
-    }
-
-    /// Values a `Duration` cannot hold (which used to panic in
-    /// `Duration::from_secs_f64`) warn and fall back to the default.
-    #[test]
-    fn interval_knob_rejects_what_a_duration_cannot_hold() {
-        const VAR: &str = "ARPSHIELD_TEST_HEARTBEAT_SECS";
-        let parse = |raw: &str| {
-            std::env::set_var(VAR, raw);
-            interval_from(&env_knob::knob(VAR))
-        };
-        assert_eq!(parse("0.25"), (Duration::from_millis(250), None));
-        assert_eq!(parse("1e9"), (Duration::from_secs(1_000_000_000), None));
-        let default = Duration::from_secs_f64(DEFAULT_HEARTBEAT_SECS);
-        for raw in ["1e308", "2e19", "inf", "NaN", "0", "-1", "soon"] {
-            let (every, warning) = parse(raw);
-            assert_eq!(every, default, "{raw}");
-            assert!(warning.is_some_and(|w| w.contains(raw)), "{raw}");
-        }
-        std::env::remove_var(VAR);
     }
 
     #[test]
@@ -177,10 +132,9 @@ mod tests {
         let now = Instant::now();
         let mut hb = Heartbeat {
             label: "test".into(),
-            every: Duration::ZERO,
             quiet: true,
             started: now,
-            last_emit: now,
+            last_emit: now - INTERVAL,
             emitted: 0,
         };
         assert!(!hb.tick(|_| unreachable!("quiet must short-circuit")));
@@ -192,7 +146,6 @@ mod tests {
     fn eta_extrapolates_from_progress() {
         let hb = Heartbeat {
             label: "test".into(),
-            every: Duration::from_secs(1),
             quiet: true,
             started: Instant::now() - Duration::from_secs(10),
             last_emit: Instant::now(),

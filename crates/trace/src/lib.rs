@@ -94,7 +94,7 @@ pub use collect::{current, install, InstallGuard, RunManifest, RunSection, Trace
 pub use csv::csv_escape;
 pub use heartbeat::Heartbeat;
 pub use hist::{bucket_of, bucket_range, Histogram, BUCKETS};
-pub use profile::{GaugeStats, ProfileCollector, ProfileData, ProfileReport, SpanStats};
+pub use profile::{ProfileCollector, ProfileData, ProfileReport, SpanStats};
 pub use record::{Event, RunRecorder, Tracer, MAX_EVENTS_PER_RUN};
 pub use recorder::{
     ring_capacity_from_env, FrameComment, FrameKind, FrameRecorder, RecordedFrame,

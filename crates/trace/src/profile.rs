@@ -30,8 +30,8 @@
 //! run's measured wall time.
 //!
 //! [`gauge`] records point-in-time samples (wheel occupancy, pool hit
-//! counts, CAM size, recorder ring fill) into order-free aggregates
-//! (count/min/max/sum), so merged gauges are independent of thread
+//! counts, CAM size, recorder ring fill) into [`Histogram`]s, whose
+//! merge is order-free, so merged gauges are independent of thread
 //! interleaving.
 //!
 //! ## Collection
@@ -61,6 +61,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::hist::Histogram;
+
 /// Count of live [`install`] guards across all threads. Zero means
 /// profiling is off everywhere and [`span`]/[`gauge`] cost one branch.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
@@ -78,7 +80,7 @@ struct ThreadProfile {
     nodes: Vec<Node>,
     /// Indices into `nodes`; the top is the innermost open span.
     stack: Vec<u32>,
-    gauges: BTreeMap<&'static str, GaugeStats>,
+    gauges: BTreeMap<&'static str, Histogram>,
 }
 
 struct Node {
@@ -163,7 +165,7 @@ impl ThreadProfile {
             entry.total_ns += node.total_ns;
             entry.child_ns += node.child_ns;
         }
-        data.gauges = self.gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+        data.gauges = self.gauges.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
         self.collector.absorb(data);
     }
 }
@@ -239,7 +241,7 @@ pub fn gauge(name: &'static str, value: u64) {
 fn gauge_impl(name: &'static str, value: u64) {
     THREAD.with(|t| {
         if let Some(profile) = t.borrow_mut().last_mut() {
-            profile.gauges.entry(name).or_default().sample(value);
+            profile.gauges.entry(name).or_default().record(value);
         }
     });
 }
@@ -295,56 +297,19 @@ impl SpanStats {
     }
 }
 
-/// Order-free aggregate of gauge samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeStats {
-    /// Number of samples recorded.
-    pub samples: u64,
-    /// Smallest sample.
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Sum of all samples (for mean = sum / samples).
-    pub sum: u128,
-}
-
-impl Default for GaugeStats {
-    fn default() -> Self {
-        GaugeStats { samples: 0, min: u64::MAX, max: 0, sum: 0 }
-    }
-}
-
-impl GaugeStats {
-    /// Folds one sample in.
-    pub fn sample(&mut self, value: u64) {
-        self.samples += 1;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.sum += u128::from(value);
-    }
-
-    /// Merges another aggregate in (associative, commutative).
-    pub fn merge(&mut self, other: &GaugeStats) {
-        self.samples += other.samples;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-    }
-}
-
 /// A merged profile: span stats keyed by slash-joined calling-context
-/// path, plus gauge aggregates keyed by gauge name.
+/// path, plus gauge samples keyed by gauge name.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ProfileData {
     /// Span statistics keyed by path (`"t6s.job/sim.run/sim.deliver"`).
     pub spans: BTreeMap<String, SpanStats>,
-    /// Gauge aggregates keyed by name.
-    pub gauges: BTreeMap<String, GaugeStats>,
+    /// Gauge samples keyed by name.
+    pub gauges: BTreeMap<String, Histogram>,
 }
 
 impl ProfileData {
-    /// Merges `other` in by per-key addition (and gauge min/max/sum
-    /// folding). Associative and commutative, so any flush order —
+    /// Merges `other` in by per-key addition (and per-bin gauge
+    /// histogram merges). Associative and commutative, so any flush order —
     /// i.e. any worker scheduling — produces the same merged data for
     /// the same set of per-thread trees.
     pub fn merge(&mut self, other: &ProfileData) {
@@ -491,7 +456,7 @@ mod tests {
                 );
             }
             for &(name, v) in gauges {
-                d.gauges.entry(name.to_string()).or_default().sample(v);
+                d.gauges.entry(name.to_string()).or_default().record(v);
             }
             d
         };
@@ -510,9 +475,9 @@ mod tests {
         assert_eq!(merge(&a, &b), merge(&b, &a), "commutative");
         assert_eq!(ab_c.spans["x"].count, 3);
         assert_eq!(ab_c.spans["x"].total_ns, 400);
-        assert_eq!(ab_c.gauges["g"].samples, 2);
-        assert_eq!(ab_c.gauges["g"].min, 3);
-        assert_eq!(ab_c.gauges["g"].max, 9);
+        assert_eq!(ab_c.gauges["g"].count(), 2);
+        assert_eq!(ab_c.gauges["g"].min(), Some(3));
+        assert_eq!(ab_c.gauges["g"].max(), Some(9));
     }
 
     #[test]

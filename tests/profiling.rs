@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use arpshield::analysis::experiment::{t2_susceptibility, t3_coverage};
 use arpshield::trace::profile;
-use arpshield::trace::{GaugeStats, ProfileCollector, ProfileData, SpanStats};
+use arpshield::trace::{ProfileCollector, ProfileData, SpanStats};
 use arpshield_testkit::prelude::*;
 
 /// A run under the profiler must render the same CSV as a bare run, and
@@ -81,14 +81,7 @@ fn profile_from(spans: &[[u32; 4]], gauges: &[[u32; 2]]) -> ProfileData {
         entry.child_ns += u64::from(child.min(total));
     }
     for &[name, value] in gauges {
-        data.gauges
-            .entry(format!("gauge.{}", name % 3))
-            .and_modify(|g| g.sample(u64::from(value)))
-            .or_insert_with(|| {
-                let mut g = GaugeStats::default();
-                g.sample(u64::from(value));
-                g
-            });
+        data.gauges.entry(format!("gauge.{}", name % 3)).or_default().record(u64::from(value));
     }
     data
 }
