@@ -68,7 +68,7 @@ fn gratuitous_reply_poisons_standard_policy_with_existing_entry() {
         HostConfig::static_ip("victim", mac(2), ip(2), cidr()).with_policy(ArpPolicy::Standard),
     );
     let (ping, _) = PingApp::new(ip(1), Duration::from_millis(200));
-    victim.add_app(Box::new(ping));
+    victim.add_agent(Box::new(ping));
     lan.attach(Box::new(victim));
 
     let truth = GroundTruth::new();
@@ -163,7 +163,7 @@ fn reply_race_defeats_no_unsolicited_policy() {
             .with_policy(ArpPolicy::NoUnsolicited),
     );
     let (ping, _) = PingApp::new(ip(1), Duration::from_millis(500));
-    victim.add_app(Box::new(ping));
+    victim.add_agent(Box::new(ping));
     lan.attach(Box::new(victim));
 
     lan.sim.run_until(SimTime::from_secs(3));
@@ -188,7 +188,7 @@ fn mitm_relay_intercepts_while_preserving_connectivity() {
         HostConfig::static_ip("victim", mac(2), ip(2), cidr()).with_policy(ArpPolicy::Promiscuous),
     );
     let (ping, ping_stats) = PingApp::new(ip(1), Duration::from_millis(100));
-    victim.add_app(Box::new(ping));
+    victim.add_agent(Box::new(ping));
     lan.attach(Box::new(victim));
 
     let truth = GroundTruth::new();
@@ -227,7 +227,7 @@ fn blackhole_dos_breaks_connectivity() {
         HostConfig::static_ip("victim", mac(2), ip(2), cidr()).with_policy(ArpPolicy::Promiscuous),
     );
     let (ping, ping_stats) = PingApp::new(ip(1), Duration::from_millis(100));
-    victim.add_app(Box::new(ping));
+    victim.add_agent(Box::new(ping));
     lan.attach(Box::new(victim));
     let truth = GroundTruth::new();
     let poisoner = ArpPoisoner::new(

@@ -16,8 +16,8 @@ use crate::scenario::{AttackScenario, ScenarioConfig};
 /// * `work-units` — abstract CPU charged by the scheme (1 ≈ one header
 ///   inspection; a signature verification is ~900, see
 ///   [`arpshield_schemes::work`]);
-/// * `host-work` — work charged inside host stacks (hooks, S-ARP
-///   signing);
+/// * `host-work` — work charged inside host stacks (scheme agents,
+///   S-ARP signing);
 /// * `wire-frames`/`wire-kB` — total frames/bytes the LAN carried, so
 ///   active schemes' probe and key traffic shows up as the delta over
 ///   the `none` row.

@@ -4,10 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use arpshield_attacks::{
-    ArpPoisoner, DhcpStarver, DhcpStarverConfig, MacFlooder, MacFlooderConfig, MitmRelay,
-    MitmRelayConfig, PoisonConfig, PoisonVariant,
-};
+use arpshield_attacks::{ArpPoisoner, MitmRelay, MitmRelayConfig, PoisonConfig, PoisonVariant};
 use arpshield_netsim::SimTime;
 
 use crate::metrics::{CacheSampler, SampleLog, Watch};
@@ -25,11 +22,6 @@ pub enum AttackSpec {
     Poison(PoisonVariant),
     /// Full-duplex MITM between the victim and the gateway.
     Mitm,
-    /// CAM flooding at `macof` rate.
-    Flood,
-    /// DHCP-pool starvation (requires a DHCP-serving gateway; used by
-    /// the F6 experiment which builds its own LAN).
-    Starve,
 }
 
 impl AttackSpec {
@@ -38,8 +30,6 @@ impl AttackSpec {
         match self {
             AttackSpec::Poison(v) => v.label().to_string(),
             AttackSpec::Mitm => "mitm-relay".to_string(),
-            AttackSpec::Flood => "mac-flood".to_string(),
-            AttackSpec::Starve => "dhcp-starve".to_string(),
         }
     }
 }
@@ -58,8 +48,6 @@ pub struct AttackScenario {
 pub struct CompletedRun {
     /// The LAN after the run (handles still live for inspection).
     pub lan: BuiltLan,
-    /// The attack that ran.
-    pub spec: AttackSpec,
     /// Ground-truth cache samples of the victim.
     pub samples: Rc<RefCell<SampleLog>>,
     /// When the attacker was scheduled to first act.
@@ -75,11 +63,6 @@ impl AttackScenario {
     /// A man-in-the-middle scenario.
     pub fn mitm(config: ScenarioConfig) -> Self {
         AttackScenario { config, spec: AttackSpec::Mitm }
-    }
-
-    /// A CAM-flooding scenario.
-    pub fn flood(config: ScenarioConfig) -> Self {
-        AttackScenario { config, spec: AttackSpec::Flood }
     }
 
     /// Builds the LAN, injects the attacker, runs to completion.
@@ -136,26 +119,11 @@ impl AttackScenario {
                     fast,
                 );
             }
-            AttackSpec::Flood => {
-                lan.attach(Box::new(MacFlooder::new(
-                    MacFlooderConfig {
-                        start_delay: ATTACK_START,
-                        ..MacFlooderConfig::macof_rate()
-                    },
-                    truth,
-                )));
-            }
-            AttackSpec::Starve => {
-                lan.attach(Box::new(DhcpStarver::new(
-                    DhcpStarverConfig { start_delay: ATTACK_START, rate_per_sec: 50, total: None },
-                    truth,
-                )));
-            }
         }
 
         let deadline = SimTime::ZERO + config.duration;
         lan.sim.run_until(deadline);
-        CompletedRun { lan, spec: self.spec, samples, attack_start: SimTime::ZERO + ATTACK_START }
+        CompletedRun { lan, samples, attack_start: SimTime::ZERO + ATTACK_START }
     }
 }
 

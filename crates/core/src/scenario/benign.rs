@@ -99,7 +99,7 @@ impl BenignScenario {
             // (churning) bindings circulate in ARP traffic.
             let (ping, _) =
                 arpshield_host::apps::PingApp::new(addr::GATEWAY_IP, Duration::from_millis(500));
-            roamer.add_app(Box::new(ping));
+            roamer.add_agent(Box::new(ping));
             lan.attach(Box::new(roamer));
             roamers.push(handle);
         }

@@ -312,16 +312,16 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
             .with_arp_timeout(config.arp_timeout)
             .with_resolver_retry(config.resolver_retry)
     };
-    let add_agent = |host: &mut Host, ip: Ipv4Addr, mac: MacAddr| {
+    let install_agent = |host: &mut Host, ip: Ipv4Addr, mac: MacAddr| {
         if let Some(agent) = &installation.host_agent {
-            host.add_hook(agent(ip, mac));
+            host.add_agent(agent(ip, mac));
         }
     };
 
     // --- Gateway (port 0) ---
     let (mut gateway, gateway_handle) =
         Host::new(host_config("gw".into(), addr::gateway_mac(), addr::GATEWAY_IP));
-    add_agent(&mut gateway, addr::GATEWAY_IP, addr::gateway_mac());
+    install_agent(&mut gateway, addr::GATEWAY_IP, addr::gateway_mac());
     let gw_id = sim.add_device(Box::new(gateway));
     sim.connect(gw_id, PortId(0), switch_id, PortId(0), Duration::from_micros(5)).unwrap();
 
@@ -331,9 +331,9 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
     for i in 0..config.n_hosts {
         let ip = addr::host_ip(i);
         let (mut host, handle) = Host::new(host_config(format!("h{i}"), addr::host_mac(i), ip));
-        add_agent(&mut host, ip, addr::host_mac(i));
+        install_agent(&mut host, ip, addr::host_mac(i));
         let (ping, ping_stats) = PingApp::new(addr::GATEWAY_IP, PING_INTERVAL);
-        host.add_app(Box::new(ping));
+        host.add_agent(Box::new(ping));
         let id = sim.add_device(Box::new(host));
         sim.connect(id, PortId(0), switch_id, PortId(1 + i as u16), Duration::from_micros(5))
             .unwrap();
@@ -350,11 +350,8 @@ pub fn build(config: ScenarioConfig) -> BuiltLan {
                 .with_arp_timeout(config.arp_timeout)
                 .with_resolver_retry(config.resolver_retry),
         );
-        for hook in aux.hooks {
-            aux_host.add_hook(hook);
-        }
-        for app in aux.apps {
-            aux_host.add_app(app);
+        for agent in aux.agents {
+            aux_host.add_agent(agent);
         }
         let id = sim.add_device(Box::new(aux_host));
         sim.connect(id, PortId(0), switch_id, PortId(next_free_port), Duration::from_micros(5))

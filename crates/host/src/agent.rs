@@ -1,5 +1,5 @@
-//! Hook points through which host-resident defence schemes participate in
-//! the stack, and the [`HostApi`] facade they (and applications) use.
+//! The one extension interface of a host: the [`HostAgent`] trait, and
+//! the [`HostApi`] facade every agent drives the host through.
 
 use std::time::Duration;
 
@@ -11,42 +11,43 @@ use arpshield_packet::{
 use crate::arp::EntryOrigin;
 use crate::stack::{tokens, HostCore};
 
-/// Hook decision about an incoming ARP packet.
+/// An agent's decision about an incoming ARP packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArpVerdict {
-    /// Let normal stack processing continue (other hooks, then policy).
+    /// Let processing continue (later agents, then the policy).
     Continue,
     /// Suppress the packet entirely: no cache write, no auto-reply.
     Drop,
 }
 
-/// Hook decision about an arbitrary incoming frame.
+/// An agent's decision about an arbitrary incoming frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameVerdict {
-    /// Let normal stack processing continue.
+    /// Let processing continue (later agents, then the stack).
     Continue,
-    /// The hook consumed the frame (e.g. an S-ARP signed reply).
+    /// The agent consumed the frame (e.g. an S-ARP signed reply).
     Consumed,
 }
 
-/// A host-resident agent: kernel ARP hardening, the S-ARP daemon, etc.
+/// Something a host runs beside its own protocols: a scheme agent
+/// (kernel ARP hardening, the S-ARP daemon), an application workload, or
+/// the built-in DHCP client and server.
 ///
-/// Hooks run *before* the host's own ARP processing, in installation
-/// order. A hook that returns [`ArpVerdict::Drop`] short-circuits the
-/// rest.
-pub trait HostHook {
-    /// Name for diagnostics.
-    fn name(&self) -> &str;
-
+/// Every callback defaults to a no-op. A host walks its agents in
+/// installation order, the DHCP client and server (when configured)
+/// first. Frame and ARP callbacks run *before* the host's own
+/// processing, and an agent that returns [`FrameVerdict::Consumed`] or
+/// [`ArpVerdict::Drop`] stops the walk and the stack.
+pub trait HostAgent {
     /// Called once at simulation start.
     fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
         let _ = api;
     }
 
-    /// Called for every received ARP packet before normal processing.
-    fn on_arp_rx(&mut self, api: &mut HostApi<'_, '_>, arp: &ArpPacket) -> ArpVerdict {
-        let _ = (api, arp);
-        ArpVerdict::Continue
+    /// Called when a timer this agent scheduled via
+    /// [`HostApi::schedule`] fires.
+    fn on_timer(&mut self, api: &mut HostApi<'_, '_>, payload: u32) {
+        let _ = (api, payload);
     }
 
     /// Called for every received frame of *any* ethertype (before ARP/IP
@@ -56,34 +57,49 @@ pub trait HostHook {
         FrameVerdict::Continue
     }
 
-    /// Called when a timer scheduled via [`HostApi::schedule`] fires.
-    fn on_timer(&mut self, api: &mut HostApi<'_, '_>, payload: u32) {
-        let _ = (api, payload);
+    /// Called for every received ARP packet before the policy sees it.
+    fn on_arp_rx(&mut self, api: &mut HostApi<'_, '_>, arp: &ArpPacket) -> ArpVerdict {
+        let _ = (api, arp);
+        ArpVerdict::Continue
+    }
+
+    /// Called for every UDP datagram delivered to this host (every agent
+    /// sees every datagram; filter on `dst_port`).
+    fn on_udp(
+        &mut self,
+        api: &mut HostApi<'_, '_>,
+        src: Ipv4Addr,
+        src_port: u16,
+        dst_port: u16,
+        payload: &[u8],
+    ) {
+        let _ = (api, src, src_port, dst_port, payload);
+    }
+
+    /// Called when an ICMP echo reply arrives.
+    fn on_icmp_reply(&mut self, api: &mut HostApi<'_, '_>, src: Ipv4Addr, sequence: u16) {
+        let _ = (api, src, sequence);
     }
 }
 
-/// Which subsystem a [`HostApi`] is currently serving; determines how its
-/// timers are routed back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TimerClass {
-    App(u16),
-    Hook(u16),
-    DhcpClient,
-    DhcpServer,
-}
-
-/// The facade through which hooks and applications drive the host.
+/// The facade through which an agent drives the host.
 ///
 /// It wraps the host core and the simulator context for the duration of
-/// one callback.
+/// one callback, and the serving agent's index, to which its timers are
+/// routed back.
 #[derive(Debug)]
 pub struct HostApi<'a, 'b> {
     pub(crate) core: &'a mut HostCore,
     pub(crate) ctx: &'a mut DeviceCtx<'b>,
-    pub(crate) class: TimerClass,
+    agent: u16,
 }
 
-impl HostApi<'_, '_> {
+impl<'a, 'b> HostApi<'a, 'b> {
+    /// The facade for the agent at `agent` in the host's list.
+    pub(crate) fn new(core: &'a mut HostCore, ctx: &'a mut DeviceCtx<'b>, agent: usize) -> Self {
+        HostApi { core, ctx, agent: agent as u16 }
+    }
+
     /// Current simulation time.
     pub fn now(&self) -> arpshield_netsim::SimTime {
         self.ctx.now()
@@ -143,16 +159,10 @@ impl HostApi<'_, '_> {
         self.core.send_ipv4(self.ctx, dst, arpshield_packet::IpProtocol::Udp, &dgram);
     }
 
-    /// Schedules a callback to this hook/app after `delay`, with an opaque
+    /// Schedules a callback to this agent after `delay`, with an opaque
     /// payload.
     pub fn schedule(&mut self, delay: Duration, payload: u32) {
-        let token = match self.class {
-            TimerClass::App(i) => tokens::app(i, payload),
-            TimerClass::Hook(i) => tokens::hook(i, payload),
-            TimerClass::DhcpClient => tokens::encode(tokens::CLASS_DHCP_CLIENT, 0, payload),
-            TimerClass::DhcpServer => tokens::encode(tokens::CLASS_DHCP_SERVER, 0, payload),
-        };
-        self.ctx.schedule_in(delay, token);
+        self.ctx.schedule_in(delay, tokens::encode(tokens::CLASS_AGENT, self.agent, payload));
     }
 
     /// Looks up a live cache binding.

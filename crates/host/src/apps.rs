@@ -1,5 +1,5 @@
 //! Application workloads that generate the traffic schemes must not
-//! misclassify.
+//! misclassify; each is a [`HostAgent`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -8,44 +8,7 @@ use std::time::Duration;
 use arpshield_netsim::SimTime;
 use arpshield_packet::Ipv4Addr;
 
-use crate::hooks::HostApi;
-
-/// An application running on a [`Host`](crate::Host).
-///
-/// Applications see UDP datagrams delivered to the host, ICMP echo
-/// replies, and their own timers; they transmit through the [`HostApi`].
-pub trait App {
-    /// Name for diagnostics.
-    fn name(&self) -> &str;
-
-    /// Called once at simulation start.
-    fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-        let _ = api;
-    }
-
-    /// Called when a timer scheduled via [`HostApi::schedule`] fires.
-    fn on_timer(&mut self, api: &mut HostApi<'_, '_>, payload: u32) {
-        let _ = (api, payload);
-    }
-
-    /// Called for every UDP datagram delivered to this host (all apps see
-    /// all datagrams; filter on `dst_port`).
-    fn on_udp(
-        &mut self,
-        api: &mut HostApi<'_, '_>,
-        src: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: &[u8],
-    ) {
-        let _ = (api, src, src_port, dst_port, payload);
-    }
-
-    /// Called when an ICMP echo reply arrives.
-    fn on_icmp_reply(&mut self, api: &mut HostApi<'_, '_>, src: Ipv4Addr, sequence: u16) {
-        let _ = (api, src, sequence);
-    }
-}
+use crate::agent::{HostAgent, HostApi};
 
 /// Observable results of a [`PingApp`].
 #[derive(Debug, Default, Clone)]
@@ -108,11 +71,7 @@ impl PingApp {
     }
 }
 
-impl App for PingApp {
-    fn name(&self) -> &str {
-        "ping"
-    }
-
+impl HostAgent for PingApp {
     fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
         // Stagger starts so a fleet of pingers does not synchronize.
         let jitter = Duration::from_micros(api.rand_u64() % 50_000);
@@ -157,11 +116,7 @@ impl UdpEchoServer {
     }
 }
 
-impl App for UdpEchoServer {
-    fn name(&self) -> &str {
-        "udp-echo"
-    }
-
+impl HostAgent for UdpEchoServer {
     fn on_udp(
         &mut self,
         api: &mut HostApi<'_, '_>,

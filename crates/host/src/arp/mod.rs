@@ -7,5 +7,5 @@ mod retry;
 
 pub use cache::{ArpCache, ArpEntry, EntryOrigin};
 pub use policy::{AdmitContext, ArpPolicy, CacheVerdict};
-pub(crate) use resolver::{PendingPacket, Resolver, RetryTick};
+pub(crate) use resolver::{Enqueued, PendingPacket, Resolver, RetryTick};
 pub use retry::RetryPolicy;

@@ -8,6 +8,9 @@ use arpshield_packet::{IpProtocol, Ipv4Addr};
 
 use crate::arp::RetryPolicy;
 
+/// Packets that may wait on one address; a send beyond them is dropped.
+const MAX_QUEUE_PER_IP: usize = 16;
+
 /// An L3 payload parked until its next hop resolves.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingPacket {
@@ -22,6 +25,18 @@ struct Pending {
     /// Retransmissions already sent for this resolution.
     attempts: u32,
     first_requested: SimTime,
+}
+
+/// Where [`Resolver::enqueue`] put a packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Enqueued {
+    /// Behind a new resolution: the caller transmits the first ARP
+    /// request and arms the retransmit timer.
+    Fresh,
+    /// Behind a resolution already outstanding.
+    Queued,
+    /// Nowhere: the address's queue was full, and the packet is dropped.
+    Overflow,
 }
 
 /// What to do when a resolution's retransmit timer fires.
@@ -39,12 +54,11 @@ pub(crate) enum RetryTick {
 pub(crate) struct Resolver {
     pending: FastMap<Ipv4Addr, Pending>,
     pub policy: RetryPolicy,
-    pub max_queue_per_ip: usize,
 }
 
 impl Resolver {
     pub fn new(policy: RetryPolicy) -> Self {
-        Resolver { pending: FastMap::default(), policy, max_queue_per_ip: 16 }
+        Resolver { pending: FastMap::default(), policy }
     }
 
     /// The delay before the first retransmission, armed alongside the
@@ -58,23 +72,21 @@ impl Resolver {
         self.pending.contains_key(&ip)
     }
 
-    /// Queues a packet behind the resolution of `next_hop`. Returns `true`
-    /// if this is a *new* resolution (caller must transmit the first ARP
-    /// request and arm the retransmit timer).
-    pub fn enqueue(&mut self, now: SimTime, next_hop: Ipv4Addr, packet: PendingPacket) -> bool {
+    /// Queues a packet behind the resolution of `next_hop`, at most
+    /// [`MAX_QUEUE_PER_IP`] to an address.
+    pub fn enqueue(&mut self, now: SimTime, next_hop: Ipv4Addr, packet: PendingPacket) -> Enqueued {
         match self.pending.get_mut(&next_hop) {
-            Some(p) => {
-                if p.packets.len() < self.max_queue_per_ip {
-                    p.packets.push(packet);
-                }
-                false
+            Some(p) if p.packets.len() < MAX_QUEUE_PER_IP => {
+                p.packets.push(packet);
+                Enqueued::Queued
             }
+            Some(_) => Enqueued::Overflow,
             None => {
                 self.pending.insert(
                     next_hop,
                     Pending { packets: vec![packet], attempts: 0, first_requested: now },
                 );
-                true
+                Enqueued::Fresh
             }
         }
     }
@@ -118,8 +130,8 @@ mod tests {
     #[test]
     fn first_enqueue_triggers_request() {
         let mut r = resolver();
-        assert!(r.enqueue(SimTime::ZERO, IP, pkt(1)));
-        assert!(!r.enqueue(SimTime::ZERO, IP, pkt(2)));
+        assert_eq!(r.enqueue(SimTime::ZERO, IP, pkt(1)), Enqueued::Fresh);
+        assert_eq!(r.enqueue(SimTime::ZERO, IP, pkt(2)), Enqueued::Queued);
         assert!(r.is_outstanding(IP));
         let (packets, first) = r.complete(IP).unwrap();
         assert_eq!(packets.len(), 2);
@@ -130,11 +142,11 @@ mod tests {
     #[test]
     fn queue_is_bounded() {
         let mut r = resolver();
-        for n in 0..40 {
-            r.enqueue(SimTime::ZERO, IP, pkt(n));
-        }
+        let overflowed =
+            (0..40).filter(|&n| r.enqueue(SimTime::ZERO, IP, pkt(n)) == Enqueued::Overflow).count();
+        assert_eq!(overflowed, 40 - MAX_QUEUE_PER_IP);
         let (packets, _) = r.complete(IP).unwrap();
-        assert_eq!(packets.len(), r.max_queue_per_ip);
+        assert_eq!(packets.len(), MAX_QUEUE_PER_IP);
     }
 
     #[test]

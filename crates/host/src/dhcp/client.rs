@@ -9,7 +9,7 @@ use arpshield_packet::{
     DhcpMessage, DhcpMessageType, Ipv4Addr, Ipv4Cidr, WireEmit, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
 };
 
-use crate::hooks::HostApi;
+use crate::agent::{HostAgent, HostApi};
 
 /// DHCP client behaviour knobs.
 #[derive(Debug, Clone, Copy)]
@@ -71,10 +71,6 @@ impl DhcpClient {
         (DhcpClient { config, state: State::Init, info: Rc::clone(&info) }, info)
     }
 
-    pub(crate) fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-        api.schedule(self.config.start_delay, TICK_START);
-    }
-
     fn send_discover(&mut self, api: &mut HostApi<'_, '_>) {
         let xid = api.rand_u64() as u32;
         self.state = State::Selecting { xid };
@@ -86,8 +82,14 @@ impl DhcpClient {
     fn broadcast(&self, api: &mut HostApi<'_, '_>, msg: &impl WireEmit) {
         api.core.send_udp_broadcast(api.ctx, DHCP_CLIENT_PORT, DHCP_SERVER_PORT, msg);
     }
+}
 
-    pub(crate) fn on_timer(&mut self, api: &mut HostApi<'_, '_>, payload: u32) {
+impl HostAgent for DhcpClient {
+    fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
+        api.schedule(self.config.start_delay, TICK_START);
+    }
+
+    fn on_timer(&mut self, api: &mut HostApi<'_, '_>, payload: u32) {
         match (payload, self.state) {
             (TICK_START, State::Init) | (TICK_RETRY, State::Selecting { .. }) => {
                 self.send_discover(api)
@@ -117,7 +119,14 @@ impl DhcpClient {
         }
     }
 
-    pub(crate) fn on_udp(&mut self, api: &mut HostApi<'_, '_>, dst_port: u16, payload: &[u8]) {
+    fn on_udp(
+        &mut self,
+        api: &mut HostApi<'_, '_>,
+        _src: Ipv4Addr,
+        _src_port: u16,
+        dst_port: u16,
+        payload: &[u8],
+    ) {
         if dst_port != DHCP_CLIENT_PORT {
             return;
         }

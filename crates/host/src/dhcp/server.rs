@@ -11,7 +11,7 @@ use arpshield_packet::{
     DhcpMessage, DhcpMessageType, Ipv4Addr, MacAddr, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
 };
 
-use crate::hooks::HostApi;
+use crate::agent::{HostAgent, HostApi};
 
 /// Server configuration.
 #[derive(Debug, Clone, Copy)]
@@ -96,29 +96,6 @@ impl DhcpServer {
         (DhcpServer { config, state: Rc::clone(&state) }, state)
     }
 
-    pub(crate) fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-        api.schedule(SWEEP_EVERY, TICK_SWEEP);
-    }
-
-    pub(crate) fn on_timer(&mut self, api: &mut HostApi<'_, '_>, payload: u32) {
-        if payload != TICK_SWEEP {
-            return;
-        }
-        let now = api.now();
-        {
-            let mut st = self.state.borrow_mut();
-            let expired: Vec<MacAddr> =
-                st.leases.iter().filter(|(_, l)| l.expires <= now).map(|(m, _)| *m).collect();
-            for mac in expired {
-                if let Some(lease) = st.leases.remove(&mac) {
-                    st.by_ip.remove(&lease.ip);
-                }
-            }
-            st.offers.retain(|_, o| o.expires > now);
-        }
-        api.schedule(SWEEP_EVERY, TICK_SWEEP);
-    }
-
     fn allocate(&self, now: SimTime, chaddr: MacAddr) -> Option<Ipv4Addr> {
         let st = self.state.borrow();
         // Sticky allocation: a client with a live lease or offer keeps it.
@@ -165,8 +142,40 @@ impl DhcpServer {
             &msg,
         );
     }
+}
 
-    pub(crate) fn on_udp(&mut self, api: &mut HostApi<'_, '_>, dst_port: u16, payload: &[u8]) {
+impl HostAgent for DhcpServer {
+    fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
+        api.schedule(SWEEP_EVERY, TICK_SWEEP);
+    }
+
+    fn on_timer(&mut self, api: &mut HostApi<'_, '_>, payload: u32) {
+        if payload != TICK_SWEEP {
+            return;
+        }
+        let now = api.now();
+        {
+            let mut st = self.state.borrow_mut();
+            let expired: Vec<MacAddr> =
+                st.leases.iter().filter(|(_, l)| l.expires <= now).map(|(m, _)| *m).collect();
+            for mac in expired {
+                if let Some(lease) = st.leases.remove(&mac) {
+                    st.by_ip.remove(&lease.ip);
+                }
+            }
+            st.offers.retain(|_, o| o.expires > now);
+        }
+        api.schedule(SWEEP_EVERY, TICK_SWEEP);
+    }
+
+    fn on_udp(
+        &mut self,
+        api: &mut HostApi<'_, '_>,
+        _src: Ipv4Addr,
+        _src_port: u16,
+        dst_port: u16,
+        payload: &[u8],
+    ) {
         if dst_port != DHCP_SERVER_PORT {
             return;
         }

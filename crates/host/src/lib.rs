@@ -3,10 +3,11 @@
 //! A [`Host`] is a single-NIC station attached to the simulated LAN. It
 //! owns an ARP cache with a pluggable acceptance [`ArpPolicy`] (the axis of
 //! the paper's attack-susceptibility matrix), an IPv4 send/receive path
-//! with a pending-resolution queue, a built-in ICMP echo responder, a DHCP
-//! client and server, application workloads ([`apps`]), and hook points
-//! ([`HostHook`]) through which host-resident defence schemes (kernel
-//! policies, S-ARP agents) intercept ARP processing.
+//! with a pending-resolution queue and a built-in ICMP echo responder.
+//! Everything else a host runs is a [`HostAgent`] in one list, walked in
+//! installation order: the DHCP client and server, host-resident defence
+//! schemes (kernel policies, S-ARP and TARP agents) that intercept ARP
+//! processing, and application workloads ([`apps`]).
 //!
 //! All mutable state that experiments need to observe afterwards — the ARP
 //! cache, counters — is shared through a [`HostHandle`], since the
@@ -32,16 +33,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod agent;
 pub mod apps;
 pub mod arp;
 pub mod dhcp;
-mod hooks;
 mod iface;
 mod stack;
 mod stats;
 
+pub use agent::{ArpVerdict, FrameVerdict, HostAgent, HostApi};
 pub use arp::{ArpCache, ArpEntry, ArpPolicy, CacheVerdict, EntryOrigin, RetryPolicy};
-pub use hooks::{ArpVerdict, FrameVerdict, HostApi, HostHook};
 pub use iface::Interface;
 pub use stack::{tokens, Host, HostConfig, HostCore, HostHandle};
 pub use stats::HostStats;

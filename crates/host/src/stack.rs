@@ -10,36 +10,29 @@ use arpshield_packet::{
     Ipv4Cidr, Ipv4Packet, MacAddr, UdpDatagram, WireEmit,
 };
 
-use crate::apps::App;
+use crate::agent::{ArpVerdict, FrameVerdict, HostAgent, HostApi};
 use crate::arp::{
-    AdmitContext, ArpCache, ArpPolicy, CacheVerdict, EntryOrigin, PendingPacket, Resolver,
-    RetryPolicy, RetryTick,
+    AdmitContext, ArpCache, ArpPolicy, CacheVerdict, Enqueued, EntryOrigin, PendingPacket,
+    Resolver, RetryPolicy, RetryTick,
 };
 use crate::dhcp::{
     DhcpClient, DhcpClientConfig, DhcpClientInfo, DhcpServer, DhcpServerConfig, DhcpServerState,
 };
-use crate::hooks::{ArpVerdict, FrameVerdict, HostApi, HostHook, TimerClass};
 use crate::iface::Interface;
 use crate::stats::HostStats;
 
 /// Timer-token encoding shared by all host subsystems.
 ///
 /// A token packs `class << 56 | index << 32 | payload`, letting one
-/// `on_timer` entry point demultiplex resolver retransmits, cache sweeps,
-/// DHCP ticks, and per-app/per-hook timers.
+/// `on_timer` entry point demultiplex resolver retransmits, cache sweeps
+/// and per-agent timers.
 pub mod tokens {
     /// Resolver retransmit; payload is the IPv4 address being resolved.
     pub const CLASS_RESOLVER: u8 = 1;
     /// Periodic ARP-cache sweep.
     pub const CLASS_CACHE_SWEEP: u8 = 2;
-    /// DHCP client tick.
-    pub const CLASS_DHCP_CLIENT: u8 = 3;
-    /// DHCP server tick.
-    pub const CLASS_DHCP_SERVER: u8 = 4;
-    /// Application timer; index selects the app.
-    pub const CLASS_APP: u8 = 5;
-    /// Hook timer; index selects the hook.
-    pub const CLASS_HOOK: u8 = 6;
+    /// Agent timer; index selects the agent.
+    pub const CLASS_AGENT: u8 = 3;
 
     /// Builds a token.
     pub fn encode(class: u8, index: u16, payload: u32) -> u64 {
@@ -51,26 +44,15 @@ pub mod tokens {
         ((token >> 56) as u8, (token >> 32) as u16, token as u32)
     }
 
-    /// Application timer token.
-    pub fn app(index: u16, payload: u32) -> u64 {
-        encode(CLASS_APP, index, payload)
-    }
-
-    /// Hook timer token.
-    pub fn hook(index: u16, payload: u32) -> u64 {
-        encode(CLASS_HOOK, index, payload)
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
 
         #[test]
         fn roundtrip() {
-            let t = encode(CLASS_APP, 7, 0xdead_beef);
-            assert_eq!(decode(t), (CLASS_APP, 7, 0xdead_beef));
-            assert_eq!(decode(app(3, 9)), (CLASS_APP, 3, 9));
-            assert_eq!(decode(hook(2, 1)), (CLASS_HOOK, 2, 1));
+            let t = encode(CLASS_AGENT, 7, 0xdead_beef);
+            assert_eq!(decode(t), (CLASS_AGENT, 7, 0xdead_beef));
+            assert_eq!(decode(encode(CLASS_RESOLVER, 0, 9)), (CLASS_RESOLVER, 0, 9));
         }
     }
 }
@@ -94,8 +76,6 @@ pub struct HostConfig {
     pub dhcp_client: Option<DhcpClientConfig>,
     /// DHCP server (typically on the gateway).
     pub dhcp_server: Option<DhcpServerConfig>,
-    /// Whether the host answers ICMP echo.
-    pub respond_to_ping: bool,
     /// Whether the host announces itself with gratuitous ARP on
     /// configuration (boot or DHCP bind) — benign traffic monitors must
     /// not misread.
@@ -121,7 +101,6 @@ impl HostConfig {
             arp_timeout: Duration::from_secs(60),
             dhcp_client: None,
             dhcp_server: None,
-            respond_to_ping: true,
             announce_gratuitous: false,
             resolver_retry: RetryPolicy::default(),
         }
@@ -138,7 +117,6 @@ impl HostConfig {
             arp_timeout: Duration::from_secs(60),
             dhcp_client: Some(client),
             dhcp_server: None,
-            respond_to_ping: true,
             announce_gratuitous: false,
             resolver_retry: RetryPolicy::default(),
         }
@@ -184,7 +162,6 @@ pub struct HostCore {
     pub(crate) cache: Rc<RefCell<ArpCache>>,
     pub(crate) resolver: Resolver,
     pub(crate) stats: Rc<RefCell<HostStats>>,
-    pub(crate) respond_to_ping: bool,
     pub(crate) announce_gratuitous: bool,
 }
 
@@ -255,17 +232,17 @@ impl HostCore {
         match cached {
             Some(mac) => self.transmit_ipv4(ctx, mac, dst, protocol, payload),
             None => {
-                let fresh = self.resolver.enqueue(
-                    ctx.now(),
-                    next_hop,
-                    PendingPacket { dst_ip: dst, protocol, payload: payload.encode() },
-                );
-                if fresh {
-                    self.send_arp_request(ctx, next_hop);
-                    ctx.schedule_in(
-                        self.resolver.first_delay(),
-                        tokens::encode(tokens::CLASS_RESOLVER, 0, next_hop.to_u32()),
-                    );
+                let packet = PendingPacket { dst_ip: dst, protocol, payload: payload.encode() };
+                match self.resolver.enqueue(ctx.now(), next_hop, packet) {
+                    Enqueued::Fresh => {
+                        self.send_arp_request(ctx, next_hop);
+                        ctx.schedule_in(
+                            self.resolver.first_delay(),
+                            tokens::encode(tokens::CLASS_RESOLVER, 0, next_hop.to_u32()),
+                        );
+                    }
+                    Enqueued::Queued => {}
+                    Enqueued::Overflow => self.stats.borrow_mut().ipv4_send_failures += 1,
                 }
             }
         }
@@ -357,18 +334,15 @@ impl HostHandle {
 /// A simulated end host.
 pub struct Host {
     core: HostCore,
-    hooks: Vec<Box<dyn HostHook>>,
-    apps: Vec<Box<dyn App>>,
-    dhcp_client: Option<DhcpClient>,
-    dhcp_server: Option<DhcpServer>,
+    /// Every agent the host runs, in installation order.
+    agents: Vec<Box<dyn HostAgent>>,
 }
 
 impl std::fmt::Debug for Host {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Host")
             .field("name", &self.core.name)
-            .field("hooks", &self.hooks.len())
-            .field("apps", &self.apps.len())
+            .field("agents", &self.agents.len())
             .finish()
     }
 }
@@ -384,20 +358,19 @@ impl Host {
         let iface = Rc::new(RefCell::new(iface));
         let cache = Rc::new(RefCell::new(ArpCache::new(config.arp_timeout)));
         let stats = Rc::new(RefCell::new(HostStats::default()));
-        let (dhcp_client, client_info) = match config.dhcp_client {
-            Some(cfg) => {
-                let (c, info) = DhcpClient::new(cfg);
-                (Some(c), Some(info))
-            }
-            None => (None, None),
-        };
-        let (dhcp_server, server_state) = match config.dhcp_server {
-            Some(cfg) => {
-                let (s, state) = DhcpServer::new(cfg);
-                (Some(s), Some(state))
-            }
-            None => (None, None),
-        };
+        // The DHCP client and server are the first agents, so UDP
+        // reaches them before any the caller installs.
+        let mut agents: Vec<Box<dyn HostAgent>> = Vec::new();
+        let client_info = config.dhcp_client.map(|cfg| {
+            let (client, info) = DhcpClient::new(cfg);
+            agents.push(Box::new(client));
+            info
+        });
+        let server_state = config.dhcp_server.map(|cfg| {
+            let (server, state) = DhcpServer::new(cfg);
+            agents.push(Box::new(server));
+            state
+        });
         let handle = HostHandle {
             name: config.name.clone(),
             cache: Rc::clone(&cache),
@@ -415,27 +388,19 @@ impl Host {
                     cache,
                     resolver: Resolver::new(config.resolver_retry),
                     stats,
-                    respond_to_ping: config.respond_to_ping,
                     announce_gratuitous: config.announce_gratuitous,
                 },
-                hooks: Vec::new(),
-                apps: Vec::new(),
-                dhcp_client,
-                dhcp_server,
+                agents,
             },
             handle,
         )
     }
 
-    /// Installs an application workload.
-    pub fn add_app(&mut self, app: Box<dyn App>) {
-        self.apps.push(app);
-    }
-
-    /// Installs a host hook (scheme agent). Hooks run in installation
-    /// order.
-    pub fn add_hook(&mut self, hook: Box<dyn HostHook>) {
-        self.hooks.push(hook);
+    /// Installs an agent: a scheme agent or an application workload.
+    /// Agents see every callback in installation order, after the DHCP
+    /// client and server.
+    pub fn add_agent(&mut self, agent: Box<dyn HostAgent>) {
+        self.agents.push(agent);
     }
 
     /// The host's ARP policy.
@@ -443,13 +408,7 @@ impl Host {
         self.core.policy
     }
 
-    fn handle_arp(
-        core: &mut HostCore,
-        apps: &mut [Box<dyn App>],
-        ctx: &mut DeviceCtx<'_>,
-        arp: &ArpPacket,
-    ) {
-        let _ = apps;
+    fn handle_arp(core: &mut HostCore, ctx: &mut DeviceCtx<'_>, arp: &ArpPacket) {
         let (my_mac, my_ip) = {
             let iface = core.iface.borrow();
             (iface.mac(), iface.ip())
@@ -538,9 +497,7 @@ impl Host {
 
     fn handle_ipv4(
         core: &mut HostCore,
-        apps: &mut [Box<dyn App>],
-        dhcp_client: &mut Option<DhcpClient>,
-        dhcp_server: &mut Option<DhcpServer>,
+        agents: &mut [Box<dyn HostAgent>],
         ctx: &mut DeviceCtx<'_>,
         eth: &EthernetView<'_>,
     ) {
@@ -563,7 +520,7 @@ impl Host {
                     return;
                 };
                 match icmp.icmp_type {
-                    IcmpType::EchoRequest if for_me && core.respond_to_ping => {
+                    IcmpType::EchoRequest if for_me => {
                         let reply = IcmpMessage::reply_to(&icmp);
                         // Reply along the reverse L2 path the request took.
                         let ip_reply =
@@ -575,9 +532,9 @@ impl Host {
                     }
                     IcmpType::EchoReply if for_me => {
                         core.stats.borrow_mut().icmp_replies_received += 1;
-                        for (i, app) in apps.iter_mut().enumerate() {
-                            let mut api = HostApi { core, ctx, class: TimerClass::App(i as u16) };
-                            app.on_icmp_reply(&mut api, pkt.src, icmp.sequence);
+                        for (i, agent) in agents.iter_mut().enumerate() {
+                            let mut api = HostApi::new(core, ctx, i);
+                            agent.on_icmp_reply(&mut api, pkt.src, icmp.sequence);
                         }
                     }
                     _ => {}
@@ -588,17 +545,9 @@ impl Host {
                     return;
                 };
                 core.stats.borrow_mut().udp_delivered += 1;
-                if let Some(client) = dhcp_client {
-                    let mut api = HostApi { core, ctx, class: TimerClass::DhcpClient };
-                    client.on_udp(&mut api, dgram.dst_port, dgram.payload);
-                }
-                if let Some(server) = dhcp_server {
-                    let mut api = HostApi { core, ctx, class: TimerClass::DhcpServer };
-                    server.on_udp(&mut api, dgram.dst_port, dgram.payload);
-                }
-                for (i, app) in apps.iter_mut().enumerate() {
-                    let mut api = HostApi { core, ctx, class: TimerClass::App(i as u16) };
-                    app.on_udp(&mut api, pkt.src, dgram.src_port, dgram.dst_port, dgram.payload);
+                for (i, agent) in agents.iter_mut().enumerate() {
+                    let mut api = HostApi::new(core, ctx, i);
+                    agent.on_udp(&mut api, pkt.src, dgram.src_port, dgram.dst_port, dgram.payload);
                 }
             }
             _ => {}
@@ -616,30 +565,17 @@ impl Device for Host {
     }
 
     fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        let Host { core, hooks, apps, dhcp_client, dhcp_server } = self;
+        let Host { core, agents } = self;
         let sweep = (core.cache.borrow().timeout() / 2).max(Duration::from_secs(1));
         ctx.schedule_in(sweep, tokens::encode(tokens::CLASS_CACHE_SWEEP, 0, 0));
         core.maybe_announce(ctx);
-        for (i, hook) in hooks.iter_mut().enumerate() {
-            let mut api = HostApi { core, ctx, class: TimerClass::Hook(i as u16) };
-            hook.on_start(&mut api);
-        }
-        for (i, app) in apps.iter_mut().enumerate() {
-            let mut api = HostApi { core, ctx, class: TimerClass::App(i as u16) };
-            app.on_start(&mut api);
-        }
-        if let Some(client) = dhcp_client {
-            let mut api = HostApi { core, ctx, class: TimerClass::DhcpClient };
-            client.on_start(&mut api);
-        }
-        if let Some(server) = dhcp_server {
-            let mut api = HostApi { core, ctx, class: TimerClass::DhcpServer };
-            server.on_start(&mut api);
+        for (i, agent) in agents.iter_mut().enumerate() {
+            agent.on_start(&mut HostApi::new(core, ctx, i));
         }
     }
 
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        let Host { core, hooks, apps, dhcp_client, dhcp_server } = self;
+        let Host { core, agents } = self;
         let (class, index, payload) = tokens::decode(token);
         match class {
             tokens::CLASS_RESOLVER => {
@@ -675,28 +611,10 @@ impl Device for Host {
                 let sweep = (core.cache.borrow().timeout() / 2).max(Duration::from_secs(1));
                 ctx.schedule_in(sweep, token);
             }
-            tokens::CLASS_DHCP_CLIENT => {
-                if let Some(client) = dhcp_client {
-                    let mut api = HostApi { core, ctx, class: TimerClass::DhcpClient };
-                    client.on_timer(&mut api, payload);
-                }
-            }
-            tokens::CLASS_DHCP_SERVER => {
-                if let Some(server) = dhcp_server {
-                    let mut api = HostApi { core, ctx, class: TimerClass::DhcpServer };
-                    server.on_timer(&mut api, payload);
-                }
-            }
-            tokens::CLASS_APP => {
-                if let Some(app) = apps.get_mut(usize::from(index)) {
-                    let mut api = HostApi { core, ctx, class: TimerClass::App(index) };
-                    app.on_timer(&mut api, payload);
-                }
-            }
-            tokens::CLASS_HOOK => {
-                if let Some(hook) = hooks.get_mut(usize::from(index)) {
-                    let mut api = HostApi { core, ctx, class: TimerClass::Hook(index) };
-                    hook.on_timer(&mut api, payload);
+            tokens::CLASS_AGENT => {
+                let index = usize::from(index);
+                if let Some(agent) = agents.get_mut(index) {
+                    agent.on_timer(&mut HostApi::new(core, ctx, index), payload);
                 }
             }
             _ => {}
@@ -704,7 +622,7 @@ impl Device for Host {
     }
 
     fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, _port: PortId, frame: &[u8]) {
-        let Host { core, hooks, apps, dhcp_client, dhcp_server } = self;
+        let Host { core, agents } = self;
         let Ok(eth) = EthernetView::parse_strict(frame) else {
             return;
         };
@@ -713,9 +631,8 @@ impl Device for Host {
         if dst != my_mac && !dst.is_broadcast() && !dst.is_multicast() {
             return; // NIC filter: not for us
         }
-        for (i, hook) in hooks.iter_mut().enumerate() {
-            let mut api = HostApi { core, ctx, class: TimerClass::Hook(i as u16) };
-            if hook.on_frame_rx(&mut api, &eth) == FrameVerdict::Consumed {
+        for (i, agent) in agents.iter_mut().enumerate() {
+            if agent.on_frame_rx(&mut HostApi::new(core, ctx, i), &eth) == FrameVerdict::Consumed {
                 return;
             }
         }
@@ -724,18 +641,15 @@ impl Device for Host {
                 let Ok(arp) = ArpPacket::parse(eth.payload()) else {
                     return;
                 };
-                for (i, hook) in hooks.iter_mut().enumerate() {
-                    let mut api = HostApi { core, ctx, class: TimerClass::Hook(i as u16) };
-                    if hook.on_arp_rx(&mut api, &arp) == ArpVerdict::Drop {
+                for (i, agent) in agents.iter_mut().enumerate() {
+                    if agent.on_arp_rx(&mut HostApi::new(core, ctx, i), &arp) == ArpVerdict::Drop {
                         core.stats.borrow_mut().hook_drops += 1;
                         return;
                     }
                 }
-                Host::handle_arp(core, apps, ctx, &arp);
+                Host::handle_arp(core, ctx, &arp);
             }
-            EtherType::Ipv4 => {
-                Host::handle_ipv4(core, apps, dhcp_client, dhcp_server, ctx, &eth);
-            }
+            EtherType::Ipv4 => Host::handle_ipv4(core, agents, ctx, &eth),
             _ => {}
         }
     }
@@ -819,7 +733,7 @@ mod tests {
         let (mut alice, alice_h) =
             Host::new(HostConfig::static_ip("alice", MacAddr::from_index(1), ip(1), cidr()));
         let (ping, ping_stats) = PingApp::new(ip(2), Duration::from_millis(100));
-        alice.add_app(Box::new(ping));
+        alice.add_agent(Box::new(ping));
         let (bob, bob_h) =
             Host::new(HostConfig::static_ip("bob", MacAddr::from_index(2), ip(2), cidr()));
         let a = sim.add_device(Box::new(alice));
@@ -851,7 +765,7 @@ mod tests {
         // Ping a dead address: requests retransmit, then the queue drops.
         let (mut sim, handles) = lan_with_hosts(1, |_, host| {
             let (ping, _) = PingApp::new(ip(99), Duration::from_millis(500));
-            host.add_app(Box::new(ping));
+            host.add_agent(Box::new(ping));
         });
         sim.run_until(SimTime::from_secs(10));
         let stats = handles[0].stats.borrow();
@@ -873,10 +787,7 @@ mod tests {
         // 7.6 s. Five requests on the wire, four of them retries, one
         // abandoned resolution.
         struct OneShot;
-        impl App for OneShot {
-            fn name(&self) -> &str {
-                "one-shot"
-            }
+        impl HostAgent for OneShot {
             fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
                 api.schedule(Duration::from_millis(100), 0);
             }
@@ -893,7 +804,7 @@ mod tests {
             HostConfig::static_ip("h", MacAddr::from_index(1), ip(1), cidr())
                 .with_resolver_retry(policy),
         );
-        host.add_app(Box::new(OneShot));
+        host.add_agent(Box::new(OneShot));
         let id = sim.add_device(Box::new(host));
         sim.connect(id, PortId(0), sw, PortId(0), Duration::from_micros(5)).unwrap();
 
@@ -927,17 +838,14 @@ mod tests {
     fn udp_echo_round_trip() {
         let (mut sim, handles) = lan_with_hosts(2, |i, host| {
             if i == 2 {
-                host.add_app(Box::new(UdpEchoServer::new(7000)));
+                host.add_agent(Box::new(UdpEchoServer::new(7000)));
             } else {
                 let (ping, _) = PingApp::new(ip(2), Duration::from_secs(10)); // keep cache warm
-                host.add_app(Box::new(ping));
+                host.add_agent(Box::new(ping));
                 struct Sender {
                     got: u64,
                 }
-                impl App for Sender {
-                    fn name(&self) -> &str {
-                        "sender"
-                    }
+                impl HostAgent for Sender {
                     fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
                         api.schedule(Duration::from_millis(50), 0);
                     }
@@ -957,7 +865,7 @@ mod tests {
                         }
                     }
                 }
-                host.add_app(Box::new(Sender { got: 0 }));
+                host.add_agent(Box::new(Sender { got: 0 }));
             }
         });
         sim.run_until(SimTime::from_secs(1));
@@ -976,7 +884,7 @@ mod tests {
         let (mut sim2, handles2) = lan_with_hosts(3, |i, host| {
             if i == 2 {
                 let (ping, _) = PingApp::new(ip(1), Duration::from_millis(200));
-                host.add_app(Box::new(ping));
+                host.add_agent(Box::new(ping));
             }
             let _ = i;
         });
@@ -993,7 +901,7 @@ mod tests {
         let (mut sim, handles) = lan_with_hosts(2, |i, host| {
             if i == 1 {
                 let (ping, _) = PingApp::new(ip(2), Duration::from_millis(100));
-                host.add_app(Box::new(ping));
+                host.add_agent(Box::new(ping));
             }
         });
         // Seed a static entry before the run.
@@ -1011,7 +919,7 @@ mod tests {
         let (mut sim, handles) = lan_with_hosts(2, |i, host| {
             if i == 2 {
                 let (ping, _) = PingApp::new(ip(1), Duration::from_millis(100));
-                host.add_app(Box::new(ping));
+                host.add_agent(Box::new(ping));
             }
         });
         sim.run_until(SimTime::from_secs(1));
@@ -1116,22 +1024,231 @@ mod tests {
     }
 
     #[test]
+    fn resolution_queue_overflow_counts_every_dropped_datagram() {
+        // Forty datagrams toward an address that never answers, sent at
+        // once: sixteen wait on the resolution and are dropped when it
+        // gives up, the other twenty-four find the queue full. Each is
+        // one send failure.
+        struct Burst;
+        impl HostAgent for Burst {
+            fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
+                api.schedule(Duration::from_millis(100), 0);
+            }
+            fn on_timer(&mut self, api: &mut HostApi<'_, '_>, _: u32) {
+                for _ in 0..40 {
+                    api.send_udp(ip(99), 5555, 7000, b"void");
+                }
+            }
+        }
+        let (mut sim, handles) = lan_with_hosts(1, |_, host| host.add_agent(Box::new(Burst)));
+        sim.run_until(SimTime::from_secs(10));
+        let stats = handles[0].stats.borrow();
+        assert_eq!(stats.resolutions_failed, 1);
+        assert_eq!(stats.ipv4_send_failures, 40);
+    }
+
+    /// Logs every callback it sees as `"<tag> <callback>"` and answers
+    /// frames and ARP packets with the verdicts it was built with.
+    struct Recorder {
+        tag: &'static str,
+        log: Rc<RefCell<Vec<String>>>,
+        frame: FrameVerdict,
+        arp: ArpVerdict,
+        /// What the log notes beside each UDP datagram.
+        udp_note: Box<dyn Fn(&HostApi<'_, '_>) -> String>,
+    }
+
+    impl Recorder {
+        fn new(tag: &'static str, log: &Rc<RefCell<Vec<String>>>) -> Self {
+            Recorder {
+                tag,
+                log: Rc::clone(log),
+                frame: FrameVerdict::Continue,
+                arp: ArpVerdict::Continue,
+                udp_note: Box::new(|_| String::new()),
+            }
+        }
+
+        fn record(&self, event: String) {
+            self.log.borrow_mut().push(format!("{} {event}", self.tag));
+        }
+    }
+
+    impl HostAgent for Recorder {
+        fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
+            self.record("start".into());
+            // Every recorder asks for the same payload at the same time.
+            api.schedule(Duration::from_millis(10), 7);
+        }
+        fn on_timer(&mut self, _api: &mut HostApi<'_, '_>, payload: u32) {
+            self.record(format!("timer {payload}"));
+        }
+        fn on_frame_rx(
+            &mut self,
+            _api: &mut HostApi<'_, '_>,
+            _eth: &EthernetView<'_>,
+        ) -> FrameVerdict {
+            self.record("frame".into());
+            self.frame
+        }
+        fn on_arp_rx(&mut self, _api: &mut HostApi<'_, '_>, _arp: &ArpPacket) -> ArpVerdict {
+            self.record("arp".into());
+            self.arp
+        }
+        fn on_udp(
+            &mut self,
+            api: &mut HostApi<'_, '_>,
+            _src: Ipv4Addr,
+            _src_port: u16,
+            dst_port: u16,
+            _payload: &[u8],
+        ) {
+            self.record(format!("udp {dst_port} {}", (self.udp_note)(api)));
+        }
+        fn on_icmp_reply(&mut self, _api: &mut HostApi<'_, '_>, _src: Ipv4Addr, _seq: u16) {
+            self.record("icmp-reply".into());
+        }
+    }
+
+    #[test]
+    fn agents_see_callbacks_in_installation_order_after_dhcp() {
+        let mut sim = Simulator::new(11);
+        let (sw, _) = Switch::new("sw", SwitchConfig { ports: 8, ..Default::default() });
+        let sw = sim.add_device(Box::new(sw));
+        let attach = |sim: &mut Simulator, host: Host, port: u16| {
+            let id = sim.add_device(Box::new(host));
+            sim.connect(id, PortId(0), sw, PortId(port), Duration::from_micros(5)).unwrap();
+        };
+        let log = || Rc::new(RefCell::new(Vec::<String>::new()));
+
+        // A DHCP server with two recorders that note, at each datagram,
+        // how many offers the server has made.
+        let (gw_log, laptop_log, dropper_log, eater_log) = (log(), log(), log(), log());
+        let (mut gw, gw_h) = Host::new(
+            HostConfig::static_ip("gw", MacAddr::from_index(100), ip(1), cidr())
+                .with_dhcp_server(DhcpServerConfig::home_router(ip(100), 4, ip(1))),
+        );
+        for tag in ["a", "b"] {
+            let state = Rc::clone(gw_h.dhcp_server.as_ref().unwrap());
+            let note = move |_: &HostApi<'_, '_>| format!("offers={}", state.borrow().offers_sent);
+            gw.add_agent(Box::new(Recorder {
+                udp_note: Box::new(note),
+                ..Recorder::new(tag, &gw_log)
+            }));
+        }
+        attach(&mut sim, gw, 0);
+
+        // A DHCP client with two recorders that note whether the host is
+        // bound yet.
+        let (mut laptop, laptop_h) = Host::new(HostConfig::dhcp(
+            "laptop",
+            MacAddr::from_index(1),
+            DhcpClientConfig::default(),
+        ));
+        for tag in ["c", "d"] {
+            let note = |api: &HostApi<'_, '_>| format!("bound={}", api.ip().is_some());
+            laptop.add_agent(Box::new(Recorder {
+                udp_note: Box::new(note),
+                ..Recorder::new(tag, &laptop_log)
+            }));
+        }
+        attach(&mut sim, laptop, 1);
+
+        // Two stations the pinger resolves: one whose first agent drops
+        // every ARP packet, one whose first agent consumes every frame.
+        let (mut dropper, dropper_h) =
+            Host::new(HostConfig::static_ip("dropper", MacAddr::from_index(2), ip(2), cidr()));
+        for tag in ["p", "q"] {
+            dropper.add_agent(Box::new(Recorder {
+                arp: ArpVerdict::Drop,
+                ..Recorder::new(tag, &dropper_log)
+            }));
+        }
+        attach(&mut sim, dropper, 2);
+        let (mut eater, eater_h) =
+            Host::new(HostConfig::static_ip("eater", MacAddr::from_index(3), ip(3), cidr()));
+        eater.add_agent(Box::new(Recorder {
+            frame: FrameVerdict::Consumed,
+            ..Recorder::new("e", &eater_log)
+        }));
+        eater.add_agent(Box::new(Recorder::new("f", &eater_log)));
+        attach(&mut sim, eater, 3);
+        let (mut pinger, _) =
+            Host::new(HostConfig::static_ip("pinger", MacAddr::from_index(4), ip(4), cidr()));
+        for target in [2, 3] {
+            pinger.add_agent(Box::new(PingApp::new(ip(target), Duration::from_millis(200)).0));
+        }
+        attach(&mut sim, pinger, 4);
+        sim.run_until(SimTime::from_secs(3));
+
+        let count = |log: &Rc<RefCell<Vec<String>>>, entry: &str| {
+            log.borrow().iter().filter(|e| *e == entry).count()
+        };
+        for (log, first, second) in
+            [(&gw_log, "a", "b"), (&laptop_log, "c", "d"), (&dropper_log, "p", "q")]
+        {
+            // Installation order within every callback: each entry of the
+            // first recorder is followed at once by the second's (ARP
+            // excepted on the dropper, whose first recorder stops it).
+            let entries = log.borrow();
+            assert_eq!(entries[..2], [format!("{first} start"), format!("{second} start")]);
+            for (i, entry) in entries.iter().enumerate() {
+                let Some(event) = entry.strip_prefix(first).map(str::trim_start) else {
+                    continue;
+                };
+                if event != "arp" {
+                    assert_eq!(entries[i + 1], format!("{second} {event}"), "{entries:?}");
+                }
+            }
+            drop(entries);
+            // Both asked for payload 7 at once: each got its own timer.
+            assert_eq!(count(log, &format!("{first} timer 7")), 1, "{first}");
+            assert_eq!(count(log, &format!("{second} timer 7")), 1, "{second}");
+        }
+
+        // The DHCP server answered each datagram before the recorders saw
+        // it, so none saw the DISCOVER before its offer; the client bound
+        // on the ACK before they saw it.
+        assert_eq!(gw_h.dhcp_server.as_ref().unwrap().borrow().offers_sent, 1);
+        assert!(count(&gw_log, "a udp 67 offers=1") >= 2, "{:?}", gw_log.borrow());
+        assert_eq!(count(&gw_log, "a udp 67 offers=0"), 0);
+        assert!(laptop_h.ip().is_some());
+        assert_eq!(count(&laptop_log, "c udp 68 bound=true"), 1, "{:?}", laptop_log.borrow());
+
+        // `ArpVerdict::Drop` from the first agent stops the second and
+        // the stack, and counts once per packet.
+        let drops = dropper_h.stats.borrow().hook_drops;
+        assert!(drops > 0);
+        assert_eq!(count(&dropper_log, "p arp") as u64, drops);
+        assert_eq!(count(&dropper_log, "q arp"), 0);
+        assert_eq!(dropper_h.stats.borrow().arp_replies_sent, 0);
+        assert!(dropper_h.cache.borrow().is_empty());
+
+        // `FrameVerdict::Consumed` from the first agent stops the second
+        // and the stack before ARP dispatch.
+        assert!(count(&eater_log, "e frame") > 0);
+        assert_eq!(count(&eater_log, "f frame"), 0);
+        assert_eq!(count(&eater_log, "e arp"), 0);
+        assert_eq!(count(&eater_log, "f timer 7"), 1);
+        let eater = eater_h.stats.borrow();
+        assert_eq!((eater.hook_drops, eater.arp_replies_sent), (0, 0));
+        assert!(eater_h.cache.borrow().is_empty());
+    }
+
+    #[test]
     fn hook_can_drop_arp() {
         struct DropAllArp;
-        impl HostHook for DropAllArp {
-            fn name(&self) -> &str {
-                "drop-all"
-            }
+        impl HostAgent for DropAllArp {
             fn on_arp_rx(&mut self, _api: &mut HostApi<'_, '_>, _arp: &ArpPacket) -> ArpVerdict {
                 ArpVerdict::Drop
             }
         }
         let (mut sim, handles) = lan_with_hosts(2, |i, host| {
             if i == 1 {
-                host.add_hook(Box::new(DropAllArp));
+                host.add_agent(Box::new(DropAllArp));
             } else {
                 let (ping, _) = PingApp::new(ip(1), Duration::from_millis(100));
-                host.add_app(Box::new(ping));
+                host.add_agent(Box::new(ping));
             }
         });
         sim.run_until(SimTime::from_secs(2));
@@ -1147,7 +1264,7 @@ mod tests {
         let (mut sim, handles) = lan_with_hosts(2, |i, host| {
             if i == 1 {
                 let (ping, _) = PingApp::new(ip(2), Duration::from_millis(250));
-                host.add_app(Box::new(ping));
+                host.add_agent(Box::new(ping));
             }
         });
         sim.run_until(SimTime::from_secs(2));

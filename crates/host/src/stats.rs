@@ -12,7 +12,7 @@ pub struct HostStats {
     pub arp_requests_sent: u64,
     /// ARP replies transmitted.
     pub arp_replies_sent: u64,
-    /// ARP packets dropped by a host hook (scheme agent).
+    /// ARP packets an agent dropped ([`ArpVerdict::Drop`](crate::ArpVerdict::Drop)).
     pub hook_drops: u64,
     /// Resolutions completed (reply matched an outstanding request).
     pub resolutions_completed: u64,
@@ -22,8 +22,8 @@ pub struct HostStats {
     pub resolutions_failed: u64,
     /// IPv4 packets sent (including queued-then-flushed).
     pub ipv4_sent: u64,
-    /// IPv4 packets that could not be sent (no next hop / resolution
-    /// failure).
+    /// IPv4 packets that could not be sent (no next hop, a full
+    /// resolution queue, or resolution failure).
     pub ipv4_send_failures: u64,
     /// UDP datagrams delivered to applications.
     pub udp_delivered: u64,

@@ -109,7 +109,7 @@ fn resolution_survives_cache_expiry_and_repeats() {
             .with_arp_timeout(Duration::from_secs(3)),
     );
     let (ping, stats) = PingApp::new(ip(1), Duration::from_millis(200));
-    h.add_app(Box::new(ping));
+    h.add_agent(Box::new(ping));
     net.add(h);
     net.sim.run_until(SimTime::from_secs(15));
     let s = handle.stats.borrow();
@@ -149,35 +149,11 @@ fn policies_differ_observably_at_the_stack_level() {
 }
 
 #[test]
-fn icmp_echo_ignored_when_disabled() {
-    let mut net = Net::new(5);
-    let mut cfg = HostConfig::static_ip("quiet", MacAddr::from_index(1), ip(1), cidr());
-    cfg.respond_to_ping = false;
-    let (quiet, quiet_h) = Host::new(cfg);
-    net.add(quiet);
-    let (mut pinger, _) =
-        Host::new(HostConfig::static_ip("pinger", MacAddr::from_index(2), ip(2), cidr()));
-    let (ping, stats) = PingApp::new(ip(1), Duration::from_millis(200));
-    pinger.add_app(Box::new(ping));
-    net.add(pinger);
-    net.sim.run_until(SimTime::from_secs(3));
-    let p = stats.borrow();
-    assert!(p.sent > 5);
-    assert_eq!(p.received, 0, "quiet host must not answer echo");
-    // But it still answers ARP (it is not firewalled at L2).
-    assert!(quiet_h.stats.borrow().arp_replies_sent >= 1);
-}
-
-#[test]
 fn broadcast_ipv4_reaches_every_station() {
-    use arpshield_host::apps::App;
-    use arpshield_host::HostApi;
+    use arpshield_host::{HostAgent, HostApi};
 
     struct Shouter;
-    impl App for Shouter {
-        fn name(&self) -> &str {
-            "shouter"
-        }
+    impl HostAgent for Shouter {
         fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
             api.schedule(Duration::from_millis(50), 0);
         }
@@ -188,7 +164,7 @@ fn broadcast_ipv4_reaches_every_station() {
     let mut net = Net::new(6);
     let (mut shouter, _) =
         Host::new(HostConfig::static_ip("s", MacAddr::from_index(1), ip(1), cidr()));
-    shouter.add_app(Box::new(Shouter));
+    shouter.add_agent(Box::new(Shouter));
     net.add(shouter);
     let mut handles = Vec::new();
     for i in 2..=4u32 {

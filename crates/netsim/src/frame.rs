@@ -16,7 +16,7 @@ use crate::pool;
 /// re-allocated and re-copied the same bytes; a `Frame` makes every
 /// copy a reference-count bump sharing one allocation. `Deref<Target = [u8]>` keeps all parsing code unchanged.
 ///
-/// Buffers come from the recycling pool in [`crate::pool`]: dropping
+/// Buffers come from a recycling pool ([`crate::pool_stats`]): dropping
 /// the last handle parks the allocation on a thread-local free list
 /// and the next construction reuses it, so steady-state traffic
 /// allocates nothing per frame. A frame stays on the thread that built

@@ -28,7 +28,7 @@ pub enum AlertKind {
     SignatureInvalid,
     /// An unsigned/legacy ARP reply was rejected on an S-ARP host.
     UnsignedReply,
-    /// A host-side policy hook rejected a binding change (Antidote).
+    /// A host-side policy agent rejected a binding change (Antidote).
     ReplaceRejected,
     /// The switch dropped an ARP packet failing DAI validation.
     DaiViolation,

@@ -1,8 +1,8 @@
-//! The kernel-hardening hooks: Anticap and Antidote.
+//! The kernel-hardening host agents: Anticap and Antidote.
 
 use std::time::Duration;
 
-use arpshield_host::{ArpVerdict, HostApi, HostHook};
+use arpshield_host::{ArpVerdict, HostAgent, HostApi};
 use arpshield_netsim::hash::FastMap;
 use arpshield_packet::{ArpOp, ArpPacket, Ipv4Addr, MacAddr};
 
@@ -25,17 +25,13 @@ pub struct AnticapHook {
 const SCHEME_ANTICAP: &str = "anticap";
 
 impl AnticapHook {
-    /// Creates the hook, reporting drops into `log`.
+    /// Creates the agent, reporting drops into `log`.
     pub fn new(log: AlertLog) -> Self {
         AnticapHook { log }
     }
 }
 
-impl HostHook for AnticapHook {
-    fn name(&self) -> &str {
-        SCHEME_ANTICAP
-    }
-
+impl HostAgent for AnticapHook {
     fn on_arp_rx(&mut self, api: &mut HostApi<'_, '_>, arp: &ArpPacket) -> ArpVerdict {
         api.add_work(work::INSPECT);
         if arp.op == ArpOp::Reply && !api.is_resolving(arp.sender_ip) {
@@ -85,7 +81,7 @@ pub struct AntidoteHook {
 }
 
 impl AntidoteHook {
-    /// Creates the hook, reporting rejections into `log`.
+    /// Creates the agent, reporting rejections into `log`.
     pub fn new(log: AlertLog) -> Self {
         AntidoteHook { log, pending: FastMap::default(), probe_retries: 0 }
     }
@@ -98,11 +94,7 @@ impl AntidoteHook {
     }
 }
 
-impl HostHook for AntidoteHook {
-    fn name(&self) -> &str {
-        SCHEME_ANTIDOTE
-    }
-
+impl HostAgent for AntidoteHook {
     fn on_arp_rx(&mut self, api: &mut HostApi<'_, '_>, arp: &ArpPacket) -> ArpVerdict {
         api.add_work(work::INSPECT);
         if arp.sender_ip.is_unspecified() {
@@ -164,7 +156,7 @@ impl HostHook for AntidoteHook {
 
 #[cfg(test)]
 mod tests {
-    // The hooks' interesting behaviour requires live hosts exchanging
+    // The agents' interesting behaviour requires live hosts exchanging
     // frames; covered in the crate integration tests (`tests/schemes.rs`)
     // and the coverage-matrix experiment.
 }

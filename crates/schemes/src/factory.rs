@@ -1,7 +1,7 @@
 //! The scheme factory: one uniform way to deploy any [`SchemeKind`].
 //!
 //! Scenario builders used to wire every scheme by hand — a `match` arm
-//! per kind deciding which hooks, monitors, inspectors, and auxiliary
+//! per kind deciding which host agents, monitors, inspectors, and auxiliary
 //! stations to create. That knowledge belongs to the schemes crate:
 //! [`SchemeKind::instantiate`] turns a kind plus a description of the
 //! LAN ([`LanPlan`]) into a [`SchemeInstallation`], a flat list of
@@ -17,8 +17,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use arpshield_crypto::{Akd, KeyPair};
-use arpshield_host::apps::App;
-use arpshield_host::{ArpPolicy, HostHook};
+use arpshield_host::{ArpPolicy, HostAgent};
 use arpshield_netsim::{
     Device, FrameInspector, PortId, PortSecurityConfig, SimTime, ViolationAction,
 };
@@ -103,10 +102,8 @@ pub struct AuxStation {
     pub ip: Ipv4Addr,
     /// Its MAC address.
     pub mac: MacAddr,
-    /// Scheme agents to install on it.
-    pub hooks: Vec<Box<dyn HostHook>>,
-    /// Applications to install on it.
-    pub apps: Vec<Box<dyn App>>,
+    /// Agents to install on it, in installation order.
+    pub agents: Vec<Box<dyn HostAgent>>,
 }
 
 impl std::fmt::Debug for AuxStation {
@@ -117,7 +114,7 @@ impl std::fmt::Debug for AuxStation {
 
 /// Factory for the per-host scheme agent, called once per protected
 /// station in attachment order.
-pub type HostAgentFn = Box<dyn Fn(Ipv4Addr, MacAddr) -> Box<dyn HostHook>>;
+pub type HostAgentFn = Box<dyn Fn(Ipv4Addr, MacAddr) -> Box<dyn HostAgent>>;
 
 /// Everything a scenario builder must apply to deploy one scheme.
 ///
@@ -128,7 +125,7 @@ pub struct SchemeInstallation {
     /// ARP acceptance policy forced on protected hosts (`None` keeps the
     /// scenario's configured policy).
     pub policy_override: Option<ArpPolicy>,
-    /// Per-host agent factory (kernel-patch hooks, protocol agents).
+    /// Per-host agent factory (kernel patches, protocol agents).
     pub host_agent: Option<HostAgentFn>,
     /// Mirror-port monitors, in attachment order.
     pub monitors: Vec<Box<dyn Device>>,
@@ -204,14 +201,14 @@ impl SchemeKind {
             }
             SchemeKind::Anticap => {
                 install.host_agent = Some(Box::new(move |_, _| {
-                    Box::new(AnticapHook::new(alerts.clone())) as Box<dyn HostHook>
+                    Box::new(AnticapHook::new(alerts.clone())) as Box<dyn HostAgent>
                 }));
             }
             SchemeKind::Antidote => {
                 let retries = hardening.probe_retries;
                 install.host_agent = Some(Box::new(move |_, _| {
                     Box::new(AntidoteHook::new(alerts.clone()).with_probe_retries(retries))
-                        as Box<dyn HostHook>
+                        as Box<dyn HostAgent>
                 }));
             }
             SchemeKind::PortSecurity => {
@@ -257,12 +254,14 @@ impl SchemeKind {
                     name: "akd",
                     ip: akd_ip,
                     mac: akd_mac,
-                    hooks: vec![Box::new(SArpHook::new(sarp_config(akd_ip, true), alerts.clone()))],
-                    apps: vec![Box::new(AkdApp::new(registry, akd_keypair, alerts.clone()))],
+                    agents: vec![
+                        Box::new(SArpHook::new(sarp_config(akd_ip, true), alerts.clone())),
+                        Box::new(AkdApp::new(registry, akd_keypair, alerts.clone())),
+                    ],
                 });
                 install.host_agent = Some(Box::new(move |ip, _| {
                     Box::new(SArpHook::new(sarp_config(ip, false), alerts.clone()))
-                        as Box<dyn HostHook>
+                        as Box<dyn HostAgent>
                 }));
             }
             SchemeKind::Tarp => {
@@ -275,7 +274,7 @@ impl SchemeKind {
                             lta_key: lta.public_key(),
                         },
                         alerts.clone(),
-                    )) as Box<dyn HostHook>
+                    )) as Box<dyn HostAgent>
                 }));
             }
         }
@@ -347,8 +346,7 @@ mod tests {
         let install = SchemeKind::SArp.instantiate(&plan(), &AlertLog::new());
         let aux = install.aux_station.unwrap();
         assert_eq!(aux.ip, Ipv4Addr::new(10, 0, 0, 250));
-        assert_eq!(aux.hooks.len(), 1);
-        assert_eq!(aux.apps.len(), 1);
+        assert_eq!(aux.agents.len(), 2);
         assert!(install.host_agent.is_some());
     }
 

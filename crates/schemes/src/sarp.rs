@@ -20,8 +20,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use arpshield_crypto::{Akd, KeyPair, PublicKey, Signature, SIGNATURE_LEN};
-use arpshield_host::apps::App;
-use arpshield_host::{ArpVerdict, FrameVerdict, HostApi, HostHook};
+use arpshield_host::{ArpVerdict, FrameVerdict, HostAgent, HostApi};
 use arpshield_netsim::hash::FastMap;
 use arpshield_netsim::{eth_frame, Frame};
 use arpshield_packet::{
@@ -265,11 +264,7 @@ impl SArpHook {
     }
 }
 
-impl HostHook for SArpHook {
-    fn name(&self) -> &str {
-        SCHEME.label()
-    }
-
+impl HostAgent for SArpHook {
     fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
         // The AKD binding is provisioned statically at enrolment.
         api.install_static_binding(self.config.akd_ip, self.config.akd_mac);
@@ -365,7 +360,7 @@ impl HostHook for SArpHook {
     }
 }
 
-/// The AKD service, run as an [`App`] on the key-distributor host.
+/// The AKD service, a [`HostAgent`] on the key-distributor host.
 #[derive(Debug)]
 pub struct AkdApp {
     akd: Rc<RefCell<Akd>>,
@@ -381,11 +376,7 @@ impl AkdApp {
     }
 }
 
-impl App for AkdApp {
-    fn name(&self) -> &str {
-        "akd"
-    }
-
+impl HostAgent for AkdApp {
     fn on_udp(
         &mut self,
         api: &mut HostApi<'_, '_>,

@@ -12,7 +12,7 @@
 //! ticket expires, which is why TARP and fast DHCP churn coexist poorly.
 
 use arpshield_crypto::{KeyPair, PublicKey, Signature, SIGNATURE_LEN};
-use arpshield_host::{ArpVerdict, FrameVerdict, HostApi, HostHook};
+use arpshield_host::{ArpVerdict, FrameVerdict, HostAgent, HostApi};
 use arpshield_netsim::{eth_frame, Frame, SimTime};
 use arpshield_packet::{
     ArpOp, ArpPacket, EtherType, EthernetView, Ipv4Addr, MacAddr, WireEmit, ARP_WIRE_LEN,
@@ -132,11 +132,7 @@ impl TarpHook {
     }
 }
 
-impl HostHook for TarpHook {
-    fn name(&self) -> &str {
-        SCHEME
-    }
-
+impl HostAgent for TarpHook {
     fn on_arp_rx(&mut self, api: &mut HostApi<'_, '_>, arp: &ArpPacket) -> ArpVerdict {
         api.add_work(work::INSPECT);
         match arp.op {

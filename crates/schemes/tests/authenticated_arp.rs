@@ -116,7 +116,7 @@ fn sarp_host(
     let (mut host, handle) = Host::new(
         HostConfig::static_ip(name, host_mac, host_ip, cidr()).with_policy(ArpPolicy::StaticOnly),
     );
-    host.add_hook(Box::new(SArpHook::new(
+    host.add_agent(Box::new(SArpHook::new(
         SArpConfig {
             keypair: KeyPair::from_seed(u64::from(host_ip.to_u32())),
             akd_ip: ip(9),
@@ -128,7 +128,7 @@ fn sarp_host(
         alerts.clone(),
     )));
     if local {
-        host.add_app(Box::new(arpshield_schemes::AkdApp::new(
+        host.add_agent(Box::new(arpshield_schemes::AkdApp::new(
             Rc::clone(registry),
             akd_keypair.clone(),
             alerts.clone(),
@@ -137,7 +137,7 @@ fn sarp_host(
     let is_ping_host = name == "victim";
     if is_ping_host {
         let (ping, _) = PingApp::new(ip(1), Duration::from_millis(300));
-        host.add_app(Box::new(ping));
+        host.add_agent(Box::new(ping));
     }
     net.attach(Box::new(host));
     (handle, is_ping_host)
@@ -195,7 +195,7 @@ fn tarp_stale_ticket_replays_successfully_until_expiry() {
         let (mut host, handle) = Host::new(
             HostConfig::static_ip(name, hmac, hip, cidr()).with_policy(ArpPolicy::StaticOnly),
         );
-        host.add_hook(Box::new(TarpHook::new(
+        host.add_agent(Box::new(TarpHook::new(
             TarpConfig {
                 ticket: Ticket::issue(&lta, hip, hmac, expires),
                 lta_key: lta.public_key(),
@@ -211,7 +211,7 @@ fn tarp_stale_ticket_replays_successfully_until_expiry() {
     // The victim pings the gateway.
     let (mut victim, victim_h) = make_tarp_host("victim", ip(2), mac(2), SimTime::from_secs(3600));
     let (ping, _) = PingApp::new(ip(1), Duration::from_millis(300));
-    victim.add_app(Box::new(ping));
+    victim.add_agent(Box::new(ping));
     net.attach(Box::new(victim));
 
     // The attacker previously leased 10.0.0.1 (say, before the router
@@ -272,25 +272,22 @@ fn tarp_stale_ticket_replays_successfully_until_expiry() {
 }
 
 /// A lost AKD datagram must not strand resolution forever: with
-/// key-fetch retries armed, the hook re-requests the key until the AKD
+/// key-fetch retries armed, the agent re-requests the key until the AKD
 /// link returns; without them, the parked claims wait for a signed
 /// reply that (with a single-shot resolver) never comes again.
 #[test]
 fn sarp_key_fetch_retries_recover_from_akd_outage() {
-    use arpshield_host::RetryPolicy;
+    use arpshield_host::{HostAgent, HostApi, RetryPolicy};
     use arpshield_netsim::{FlapSchedule, LinkProfile};
 
     /// Sends a single UDP datagram shortly after start — one resolution
     /// attempt, so recovery can only come from the scheme's own retries.
     struct OneShot;
-    impl arpshield_host::apps::App for OneShot {
-        fn name(&self) -> &str {
-            "oneshot"
-        }
-        fn on_start(&mut self, api: &mut arpshield_host::HostApi<'_, '_>) {
+    impl HostAgent for OneShot {
+        fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
             api.schedule(Duration::from_millis(100), 0);
         }
-        fn on_timer(&mut self, api: &mut arpshield_host::HostApi<'_, '_>, _payload: u32) {
+        fn on_timer(&mut self, api: &mut HostApi<'_, '_>, _payload: u32) {
             api.send_udp(ip(1), 4000, 4001, &[0xAB]);
         }
     }
@@ -320,8 +317,8 @@ fn sarp_key_fetch_retries_recover_from_akd_outage() {
             HostConfig::static_ip("akd", mac(109), ip(9), cidr())
                 .with_policy(ArpPolicy::StaticOnly),
         );
-        akd.add_hook(Box::new(SArpHook::new(sarp_config(ip(9), true), alerts.clone())));
-        akd.add_app(Box::new(arpshield_schemes::AkdApp::new(
+        akd.add_agent(Box::new(SArpHook::new(sarp_config(ip(9), true), alerts.clone())));
+        akd.add_agent(Box::new(arpshield_schemes::AkdApp::new(
             Rc::clone(&registry),
             akd_keypair.clone(),
             alerts.clone(),
@@ -347,7 +344,7 @@ fn sarp_key_fetch_retries_recover_from_akd_outage() {
         let (mut gw, _) = Host::new(
             HostConfig::static_ip("gw", mac(100), ip(1), cidr()).with_policy(ArpPolicy::StaticOnly),
         );
-        gw.add_hook(Box::new(SArpHook::new(sarp_config(ip(1), false), alerts.clone())));
+        gw.add_agent(Box::new(SArpHook::new(sarp_config(ip(1), false), alerts.clone())));
         net.attach(Box::new(gw));
 
         // Single-shot resolver: one ARP request, no retransmissions, so
@@ -358,8 +355,8 @@ fn sarp_key_fetch_retries_recover_from_akd_outage() {
                 .with_policy(ArpPolicy::StaticOnly)
                 .with_resolver_retry(RetryPolicy::fixed(Duration::from_secs(1), 0)),
         );
-        victim.add_hook(Box::new(SArpHook::new(sarp_config(ip(2), false), alerts.clone())));
-        victim.add_app(Box::new(OneShot));
+        victim.add_agent(Box::new(SArpHook::new(sarp_config(ip(2), false), alerts.clone())));
+        victim.add_agent(Box::new(OneShot));
         net.attach(Box::new(victim));
 
         net.sim.run_until(SimTime::from_secs(12));

@@ -99,7 +99,7 @@ fn standard_victim_and_gw(lan: &mut Lan) -> (HostHandle, HostHandle) {
         HostConfig::static_ip("victim", mac(2), ip(2), cidr()).with_policy(ArpPolicy::Promiscuous),
     );
     let (ping, _) = PingApp::new(ip(1), Duration::from_millis(250));
-    victim.add_app(Box::new(ping));
+    victim.add_agent(Box::new(ping));
     lan.attach(Box::new(victim));
     (gw, victim_h)
 }
@@ -205,9 +205,9 @@ fn anticap_blocks_unsolicited_but_not_race() {
     let (mut victim, victim_h) = Host::new(
         HostConfig::static_ip("victim", mac(2), ip(2), cidr()).with_policy(ArpPolicy::Promiscuous),
     );
-    victim.add_hook(Box::new(AnticapHook::new(log.clone())));
+    victim.add_agent(Box::new(AnticapHook::new(log.clone())));
     let (ping, _) = PingApp::new(ip(1), Duration::from_millis(250));
-    victim.add_app(Box::new(ping));
+    victim.add_agent(Box::new(ping));
     lan.attach(Box::new(victim));
     let truth = GroundTruth::new();
     lan.attach(Box::new(poisoner(PoisonVariant::UnicastReply, 3, &truth)));
@@ -247,9 +247,9 @@ fn anticap_blocks_unsolicited_but_not_race() {
         HostConfig::static_ip("victim", mac(2), ip(2), cidr())
             .with_policy(ArpPolicy::NoUnsolicited),
     );
-    victim.add_hook(Box::new(AnticapHook::new(log2.clone())));
+    victim.add_agent(Box::new(AnticapHook::new(log2.clone())));
     let (ping, _) = PingApp::new(ip(1), Duration::from_millis(500));
-    victim.add_app(Box::new(ping));
+    victim.add_agent(Box::new(ping));
     lan.attach(Box::new(victim));
     lan.sim.run_until(SimTime::from_secs(4));
     assert_eq!(
@@ -267,9 +267,9 @@ fn antidote_rejects_takeover_of_live_binding() {
     let (mut victim, victim_h) = Host::new(
         HostConfig::static_ip("victim", mac(2), ip(2), cidr()).with_policy(ArpPolicy::Promiscuous),
     );
-    victim.add_hook(Box::new(AntidoteHook::new(log.clone())));
+    victim.add_agent(Box::new(AntidoteHook::new(log.clone())));
     let (ping, ping_stats) = PingApp::new(ip(1), Duration::from_millis(250));
-    victim.add_app(Box::new(ping));
+    victim.add_agent(Box::new(ping));
     lan.attach(Box::new(victim));
     let truth = GroundTruth::new();
     lan.attach(Box::new(ArpPoisoner::new(
@@ -330,8 +330,8 @@ fn sarp_prevents_poisoning_and_resolves_signed() {
     let (mut akd_host, _akd_h) = Host::new(
         HostConfig::static_ip("akd", mac(109), ip(9), cidr()).with_policy(ArpPolicy::StaticOnly),
     );
-    akd_host.add_hook(Box::new(SArpHook::new(sarp_config(9, true), log.clone())));
-    akd_host.add_app(Box::new(AkdApp::new(
+    akd_host.add_agent(Box::new(SArpHook::new(sarp_config(9, true), log.clone())));
+    akd_host.add_agent(Box::new(AkdApp::new(
         Rc::clone(&akd_registry),
         akd_keypair.clone(),
         log.clone(),
@@ -342,16 +342,16 @@ fn sarp_prevents_poisoning_and_resolves_signed() {
     let (mut gw, gw_h) = Host::new(
         HostConfig::static_ip("gw", mac(100), ip(1), cidr()).with_policy(ArpPolicy::StaticOnly),
     );
-    gw.add_hook(Box::new(SArpHook::new(sarp_config(1, false), log.clone())));
+    gw.add_agent(Box::new(SArpHook::new(sarp_config(1, false), log.clone())));
     lan.attach(Box::new(gw));
 
     // Victim, pinging the gateway.
     let (mut victim, victim_h) = Host::new(
         HostConfig::static_ip("victim", mac(2), ip(2), cidr()).with_policy(ArpPolicy::StaticOnly),
     );
-    victim.add_hook(Box::new(SArpHook::new(sarp_config(2, false), log.clone())));
+    victim.add_agent(Box::new(SArpHook::new(sarp_config(2, false), log.clone())));
     let (ping, ping_stats) = PingApp::new(ip(1), Duration::from_millis(250));
-    victim.add_app(Box::new(ping));
+    victim.add_agent(Box::new(ping));
     lan.attach(Box::new(victim));
 
     // Attacker tries everything.
@@ -423,7 +423,7 @@ fn dai_blocks_forged_arp_and_snoops_leases() {
         HostConfig::static_ip("victim", mac(2), ip(2), cidr()).with_policy(ArpPolicy::Promiscuous),
     );
     let (ping, ping_stats) = PingApp::new(ip(1), Duration::from_millis(250));
-    victim.add_app(Box::new(ping));
+    victim.add_agent(Box::new(ping));
     lan.attach(Box::new(victim));
 
     // A DHCP client joins: its lease must be snooped into the table.
@@ -526,7 +526,7 @@ fn schemes_quiet_on_benign_traffic() {
         let (mut h, _) =
             Host::new(HostConfig::static_ip(format!("h{i}"), mac(u32::from(i)), ip(i), cidr()));
         let (ping, _) = PingApp::new(ip(1), Duration::from_millis(300));
-        h.add_app(Box::new(ping));
+        h.add_agent(Box::new(ping));
         lan.attach(Box::new(h));
     }
     let _laptop = lan.add_host(HostConfig::dhcp("laptop", mac(7), DhcpClientConfig::default()));

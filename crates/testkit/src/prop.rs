@@ -389,7 +389,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// The strategy behind [`vec`].
+    /// The strategy behind [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

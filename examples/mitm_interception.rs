@@ -40,7 +40,7 @@ fn main() {
             .with_policy(ArpPolicy::Promiscuous),
     );
     let (ping, ping_stats) = PingApp::new(gw_ip, Duration::from_millis(100));
-    victim.add_app(Box::new(ping));
+    victim.add_agent(Box::new(ping));
     let v = sim.add_device(Box::new(victim));
     sim.connect(v, PortId(0), switch, PortId(1), Duration::from_micros(5)).unwrap();
 

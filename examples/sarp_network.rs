@@ -50,7 +50,7 @@ fn main() {
         let (mut host, handle) = Host::new(
             HostConfig::static_ip(*name, *mac, *ip, subnet).with_policy(ArpPolicy::StaticOnly),
         );
-        host.add_hook(Box::new(SArpHook::new(
+        host.add_agent(Box::new(SArpHook::new(
             SArpConfig {
                 keypair: keypair.clone(),
                 akd_ip,
@@ -62,7 +62,7 @@ fn main() {
             alerts.clone(),
         )));
         if *name == "akd" {
-            host.add_app(Box::new(AkdApp::new(
+            host.add_agent(Box::new(AkdApp::new(
                 Rc::clone(&registry),
                 akd_keypair.clone(),
                 alerts.clone(),
@@ -71,7 +71,7 @@ fn main() {
         if *name == "alice" {
             let (ping, stats) =
                 PingApp::new(Ipv4Addr::new(10, 0, 0, 1), Duration::from_millis(200));
-            host.add_app(Box::new(ping));
+            host.add_agent(Box::new(ping));
             ping_stats = Some(stats);
         }
         let id = sim.add_device(Box::new(host));

@@ -6,10 +6,11 @@
 #
 # Steps: rustfmt check, release build, a check that the `reproduce`
 # crate links no test code, clippy over every target with lints denied,
-# full test suite (the allocation floors in tests/alloc_floors.rs
-# included), a build and self-test of perfbench (its own workspace,
-# built against the library crates by path, so removing API it uses
-# fails here), a 5 s perfbench run of every workload (its oracles must
+# rustdoc over the workspace with warnings denied (broken or ambiguous
+# intra-doc links), full test suite (the allocation floors in
+# tests/alloc_floors.rs included), a build and self-test of perfbench
+# (its own workspace, built against the library crates by path, so
+# removing API it uses fails here), a 5 s perfbench run of every workload (its oracles must
 # hold, its peak memory must stay within 5% of
 # results/perfbench-<workload>.json, and its frames_per_quiet_s may
 # fall no more than BENCHMARK.json's bound below it), a smoke run of the t5r
@@ -47,6 +48,9 @@ fi
 
 echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps --offline (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline

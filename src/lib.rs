@@ -19,7 +19,7 @@
 //! | [`packet`] | `arpshield-packet` | Ethernet/ARP/IPv4/UDP/ICMP/DHCP codecs |
 //! | [`netsim`] | `arpshield-netsim` | discrete-event LAN: switch (CAM, mirroring, port security), hub, links |
 //! | [`crypto`] | `arpshield-crypto` | SHA-256, HMAC, Schnorr signatures, the S-ARP key distributor |
-//! | [`host`] | `arpshield-host` | end-host stacks: ARP cache + policies, resolver, DHCP, apps, hooks |
+//! | [`host`] | `arpshield-host` | end-host stacks: ARP cache + policies, resolver, and one `HostAgent` list for DHCP, scheme agents and apps |
 //! | [`attacks`] | `arpshield-attacks` | poisoning variants, MITM relay, MAC flooding, DHCP starvation, rogue DHCP |
 //! | [`schemes`] | `arpshield-schemes` | static ARP, arpwatch-, XArp-, Snort-, Anticap/Antidote-, S-ARP-, port-security- and DAI-style defences |
 //! | [`trace`] | `arpshield-trace` | deterministic observability: sim-time events, counters/histograms, run manifests |
