@@ -72,19 +72,25 @@ impl Resolver {
         self.pending.contains_key(&ip)
     }
 
-    /// Queues a packet behind the resolution of `next_hop`, at most
-    /// [`MAX_QUEUE_PER_IP`] to an address.
-    pub fn enqueue(&mut self, now: SimTime, next_hop: Ipv4Addr, packet: PendingPacket) -> Enqueued {
+    /// Queues the packet `build` makes behind the resolution of
+    /// `next_hop`, at most [`MAX_QUEUE_PER_IP`] to an address. A packet
+    /// the queue has no room for is never built.
+    pub fn enqueue(
+        &mut self,
+        now: SimTime,
+        next_hop: Ipv4Addr,
+        build: impl FnOnce() -> PendingPacket,
+    ) -> Enqueued {
         match self.pending.get_mut(&next_hop) {
             Some(p) if p.packets.len() < MAX_QUEUE_PER_IP => {
-                p.packets.push(packet);
+                p.packets.push(build());
                 Enqueued::Queued
             }
             Some(_) => Enqueued::Overflow,
             None => {
                 self.pending.insert(
                     next_hop,
-                    Pending { packets: vec![packet], attempts: 0, first_requested: now },
+                    Pending { packets: vec![build()], attempts: 0, first_requested: now },
                 );
                 Enqueued::Fresh
             }
@@ -119,8 +125,8 @@ mod tests {
 
     const IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 7);
 
-    fn pkt(n: u8) -> PendingPacket {
-        PendingPacket { dst_ip: IP, protocol: IpProtocol::Udp, payload: vec![n] }
+    fn pkt(n: u8) -> impl FnOnce() -> PendingPacket {
+        move || PendingPacket { dst_ip: IP, protocol: IpProtocol::Udp, payload: vec![n] }
     }
 
     fn resolver() -> Resolver {
@@ -142,9 +148,18 @@ mod tests {
     #[test]
     fn queue_is_bounded() {
         let mut r = resolver();
-        let overflowed =
-            (0..40).filter(|&n| r.enqueue(SimTime::ZERO, IP, pkt(n)) == Enqueued::Overflow).count();
+        let mut built = 0;
+        let overflowed = (0..40)
+            .filter(|&n| {
+                let build = || {
+                    built += 1;
+                    pkt(n)()
+                };
+                r.enqueue(SimTime::ZERO, IP, build) == Enqueued::Overflow
+            })
+            .count();
         assert_eq!(overflowed, 40 - MAX_QUEUE_PER_IP);
+        assert_eq!(built, MAX_QUEUE_PER_IP, "an overflowing packet is never built");
         let (packets, _) = r.complete(IP).unwrap();
         assert_eq!(packets.len(), MAX_QUEUE_PER_IP);
     }

@@ -232,7 +232,7 @@ impl HostCore {
         match cached {
             Some(mac) => self.transmit_ipv4(ctx, mac, dst, protocol, payload),
             None => {
-                let packet = PendingPacket { dst_ip: dst, protocol, payload: payload.encode() };
+                let packet = || PendingPacket { dst_ip: dst, protocol, payload: payload.encode() };
                 match self.resolver.enqueue(ctx.now(), next_hop, packet) {
                     Enqueued::Fresh => {
                         self.send_arp_request(ctx, next_hop);
@@ -673,8 +673,13 @@ mod tests {
     }
 
     /// Builds a switched LAN with `n` static hosts 10.0.0.1..=n; returns
-    /// (sim, handles). Host i is on switch port i-1.
-    fn lan(n: u8, build: impl Fn(u8, HostConfig) -> HostConfig) -> (Simulator, Vec<HostHandle>) {
+    /// (sim, handles). Host i is on switch port i-1, configured by
+    /// `build(i, config)` and then changed by `mutate(i, host)`.
+    fn lan(
+        n: u8,
+        build: impl Fn(u8, HostConfig) -> HostConfig,
+        mut mutate: impl FnMut(u8, &mut Host),
+    ) -> (Simulator, Vec<HostHandle>) {
         let mut sim = Simulator::new(7);
         let (sw, _) =
             Switch::new("sw", SwitchConfig { ports: usize::from(n) + 2, ..Default::default() });
@@ -690,31 +695,6 @@ mod tests {
                     cidr(),
                 ),
             );
-            let (host, handle) = Host::new(config);
-            let id = sim.add_device(Box::new(host));
-            sim.connect(id, PortId(0), sw, PortId(u16::from(i) - 1), Duration::from_micros(5))
-                .unwrap();
-            handles.push(handle);
-        }
-        (sim, handles)
-    }
-
-    fn lan_with_hosts(
-        n: u8,
-        mut mutate: impl FnMut(u8, &mut Host),
-    ) -> (Simulator, Vec<HostHandle>) {
-        let mut sim = Simulator::new(7);
-        let (sw, _) =
-            Switch::new("sw", SwitchConfig { ports: usize::from(n) + 2, ..Default::default() });
-        let sw = sim.add_device(Box::new(sw));
-        let mut handles = Vec::new();
-        for i in 1..=n {
-            let config = HostConfig::static_ip(
-                format!("h{i}"),
-                MacAddr::from_index(u32::from(i)),
-                ip(i),
-                cidr(),
-            );
             let (mut host, handle) = Host::new(config);
             mutate(i, &mut host);
             let id = sim.add_device(Box::new(host));
@@ -723,6 +703,10 @@ mod tests {
             handles.push(handle);
         }
         (sim, handles)
+    }
+
+    fn lan_with_hosts(n: u8, mutate: impl FnMut(u8, &mut Host)) -> (Simulator, Vec<HostHandle>) {
+        lan(n, |_, config| config, mutate)
     }
 
     #[test]
@@ -876,24 +860,37 @@ mod tests {
 
     #[test]
     fn static_only_policy_never_learns() {
-        let (mut sim, handles) =
-            lan(3, |i, cfg| if i == 1 { cfg.with_policy(ArpPolicy::StaticOnly) } else { cfg });
-        // Host 2 pings host 1; host 1 (static-only) must not learn 2's
-        // binding even though the request is addressed to it.
-        drop(handles[1].cache.borrow_mut()); // sanity: handle works
-        let (mut sim2, handles2) = lan_with_hosts(3, |i, host| {
+        // Host 2 pings host 1. Static-only host 1 answers the request
+        // addressed to it and, to answer the echo, asks for host 2 in
+        // turn, yet learns neither host 2's request nor its reply.
+        let static_only = |i, config: HostConfig| {
+            if i == 1 {
+                config.with_policy(ArpPolicy::StaticOnly)
+            } else {
+                config
+            }
+        };
+        let (mut sim, handles) = lan(2, static_only, |i, host| {
             if i == 2 {
                 let (ping, _) = PingApp::new(ip(1), Duration::from_millis(200));
                 host.add_agent(Box::new(ping));
             }
-            let _ = i;
         });
-        // Apply static-only policy by rebuilding: simpler — host 1 policy
-        // default Standard here; use first lan() for the actual assertion.
-        sim2.run_until(SimTime::from_millis(1));
-        drop(handles2);
+        let collector = Arc::new(TraceCollector::new());
+        {
+            let _guard = install(Arc::clone(&collector));
+            sim.set_tracer(Tracer::for_current_run("static-only"));
+        }
         sim.run_until(SimTime::from_secs(1));
-        assert!(handles[0].cache.borrow().is_empty());
+        drop(sim); // the last tracer handle flushes the run
+        assert!(
+            handles[0].cache.borrow().iter().all(|(_, entry)| entry.is_static()),
+            "host 1 learned a dynamic entry"
+        );
+        assert!(handles[0].stats.borrow().arp_replies_sent > 0, "host 1 answered host 2");
+        let rejections =
+            collector.manifest("static-only").totals.get("host.policy.reject").copied();
+        assert!(rejections.is_some_and(|n| n > 0), "host.policy.reject read {rejections:?}");
     }
 
     #[test]

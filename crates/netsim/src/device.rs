@@ -1,12 +1,12 @@
 //! The device abstraction: anything attached to the simulated segment.
 
-use std::ops::Range;
 use std::time::Duration;
 
 use arpshield_trace::Tracer;
 
 use crate::frame::Frame;
 use crate::rng::SimRng;
+use crate::sim::{Scheduler, Slot};
 use crate::time::SimTime;
 
 /// Identifies a device within one [`Simulator`](crate::Simulator).
@@ -38,57 +38,42 @@ pub(crate) struct Egress {
     pub(crate) tagged: bool,
 }
 
-/// Deferred side effects a device requests during a callback. A flood
-/// sends one copy out of every port of `ports` (a range of
-/// [`Outbox::egress`]) but `skip`, in list order; an untagged port takes
-/// `forms[0]`, a tagged one `forms[1]`.
-#[derive(Debug, Clone)]
-pub(crate) enum Action {
-    Send { port: PortId, bytes: Frame },
-    Flood { ports: Range<u32>, skip: PortId, forms: [Frame; 2] },
-    Schedule { delay: Duration, token: u64 },
-}
-
-/// What a device queues during one callback, applied once it returns.
-#[derive(Debug, Default)]
-pub(crate) struct Outbox {
-    pub(crate) actions: Vec<Action>,
-    /// The egress lists of the callback's floods, back to back.
-    pub(crate) egress: Vec<Egress>,
-}
-
 /// Execution context handed to every [`Device`] callback.
 ///
-/// Devices never touch the simulator directly; they queue transmissions and
-/// timers through this context, which the simulator applies after the
-/// callback returns. That makes callbacks re-entrancy-free by construction.
+/// Devices never touch the simulator directly; they send frames and
+/// set timers through this context. A send or timer is scheduled the
+/// moment it is called, so what one callback schedules keeps the order
+/// of its calls; the device table stays out of reach, which makes
+/// callbacks re-entrancy-free by construction.
 #[derive(Debug)]
 pub struct DeviceCtx<'a> {
-    now: SimTime,
-    out: &'a mut Outbox,
-    rng: &'a mut SimRng,
+    sched: &'a mut Scheduler,
+    /// The device's link slots, port 0 first; a driven device has none.
+    links: &'a [Slot],
+    /// The device's id, which its timers return to.
+    id: u32,
     incoming: Option<&'a Frame>,
     tracer: &'a Tracer,
 }
 
 impl<'a> DeviceCtx<'a> {
     pub(crate) fn new(
-        now: SimTime,
-        out: &'a mut Outbox,
-        rng: &'a mut SimRng,
+        sched: &'a mut Scheduler,
+        links: &'a [Slot],
+        id: u32,
         incoming: Option<&'a Frame>,
         tracer: &'a Tracer,
     ) -> Self {
-        DeviceCtx { now, out, rng, incoming, tracer }
+        DeviceCtx { sched, links, id, incoming, tracer }
     }
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.sched.now
     }
 
-    /// Queues a frame for transmission out of `port`. If the port is not
-    /// connected the frame is silently dropped (and counted in
+    /// Sends a frame out of `port`. If the port is not connected the
+    /// frame is silently dropped (and counted in
     /// [`WireStats`](crate::WireStats)).
     ///
     /// Accepts anything convertible into a [`Frame`]: a freshly encoded
@@ -96,25 +81,20 @@ impl<'a> DeviceCtx<'a> {
     /// (fan-out devices forward [`incoming_frame`](Self::incoming_frame)
     /// copies without re-allocating).
     pub fn send(&mut self, port: PortId, bytes: impl Into<Frame>) {
-        self.out.actions.push(Action::Send { port, bytes: bytes.into() });
+        self.sched.send(self.links, port, bytes.into(), self.tracer);
     }
 
-    /// Queues one copy out of every port of `ports` except `skip`, in
+    /// Sends one copy out of every port of `ports` except `skip`, in
     /// list order, exactly as one [`send`](Self::send) per port would:
-    /// an untagged port gets `forms[0]`, a tagged one `forms[1]`. The
-    /// simulator queues each run of copies that arrive together as one
-    /// event.
+    /// an untagged port gets `forms[0]`, a tagged one `forms[1]`. Each
+    /// run of copies that arrive together is queued as one event.
     pub(crate) fn flood(
         &mut self,
         ports: impl IntoIterator<Item = Egress>,
         skip: PortId,
         forms: [Frame; 2],
     ) {
-        let egress = &mut self.out.egress;
-        let start = egress.len() as u32;
-        egress.extend(ports);
-        let ports = start..egress.len() as u32;
-        self.out.actions.push(Action::Flood { ports, skip, forms });
+        self.sched.flood(self.links, ports.into_iter(), skip, forms, self.tracer);
     }
 
     /// The shared buffer of the frame currently being delivered.
@@ -129,12 +109,12 @@ impl<'a> DeviceCtx<'a> {
 
     /// Schedules [`Device::on_timer`] with `token` after `delay`.
     pub fn schedule_in(&mut self, delay: Duration, token: u64) {
-        self.out.actions.push(Action::Schedule { delay, token });
+        self.sched.schedule(self.id, delay, token);
     }
 
     /// Deterministic randomness scoped to the whole simulation.
     pub fn rng(&mut self) -> &mut SimRng {
-        self.rng
+        self.sched.rng()
     }
 
     /// The run's tracer, shared by every device of the simulation
@@ -180,56 +160,76 @@ pub trait Device {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
+    use crate::StandaloneDriver;
+
+    /// Logs the tokens of the timers it gets.
+    struct Timers(Rc<RefCell<Vec<u64>>>);
+
+    impl Device for Timers {
+        fn name(&self) -> &str {
+            "timers"
+        }
+        fn port_count(&self) -> usize {
+            1
+        }
+        fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, _: &[u8]) {}
+        fn on_timer(&mut self, _: &mut DeviceCtx<'_>, token: u64) {
+            self.0.borrow_mut().push(token);
+        }
+    }
 
     #[test]
-    fn ctx_queues_actions() {
-        let (mut out, mut rng, tracer) = (Outbox::default(), SimRng::new(1), Tracer::disabled());
-        let mut ctx = DeviceCtx::new(SimTime::from_secs(5), &mut out, &mut rng, None, &tracer);
+    fn ctx_sends_and_schedules_through_its_driver() {
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let mut device = Timers(Rc::clone(&fired));
+        let mut driver = StandaloneDriver::new(1);
+        driver.advance_to(&mut device, SimTime::from_secs(5));
+        let mut ctx = driver.ctx(None);
         assert_eq!(ctx.now(), SimTime::from_secs(5));
         assert!(ctx.incoming_frame().is_none());
         ctx.send(PortId(0), vec![1, 2, 3]);
         ctx.schedule_in(Duration::from_millis(10), 42);
         let _ = ctx.rng().next_u64();
-        assert_eq!(out.actions.len(), 2);
-        assert!(
-            matches!(&out.actions[0], Action::Send { port: PortId(0), bytes } if bytes.as_slice() == [1, 2, 3])
-        );
-        assert!(matches!(&out.actions[1], Action::Schedule { token: 42, .. }));
+        let sends: Vec<_> = driver.drain_sends().map(|(p, f)| (p, f.to_vec())).collect();
+        assert_eq!(sends, [(PortId(0), vec![1, 2, 3])]);
+        driver.advance_to(&mut device, SimTime::from_millis(5_009));
+        assert!(fired.borrow().is_empty());
+        driver.advance_to(&mut device, SimTime::from_millis(5_010));
+        assert_eq!(*fired.borrow(), [42]);
     }
 
     #[test]
     fn incoming_frame_shares_the_delivered_buffer() {
-        let (mut out, mut rng, tracer) = (Outbox::default(), SimRng::new(1), Tracer::disabled());
+        let mut driver = StandaloneDriver::new(1);
         let delivered = Frame::from(vec![7u8; 64]);
-        let mut ctx = DeviceCtx::new(SimTime::ZERO, &mut out, &mut rng, Some(&delivered), &tracer);
+        let mut ctx = driver.ctx(Some(&delivered));
         let shared = ctx.incoming_frame().expect("incoming frame set");
         assert!(std::ptr::eq(shared.as_slice(), delivered.as_slice()));
         ctx.send(PortId(0), shared);
-        let Action::Send { bytes, .. } = &out.actions[0] else { panic!("a send") };
+        let sends: Vec<_> = driver.drain_sends().collect();
         assert!(
-            std::ptr::eq(bytes.as_slice(), delivered.as_slice()),
-            "send queues a shared handle, not a copy"
+            std::ptr::eq(sends[0].1.as_slice(), delivered.as_slice()),
+            "send passes on a shared handle, not a copy"
         );
     }
 
+    /// A flood sends one copy per listed port but `skip`, in list order
+    /// and in its port's form, between the sends around it.
     #[test]
-    fn a_flood_is_one_action_over_its_egress_list() {
-        let (mut out, mut rng, tracer) = (Outbox::default(), SimRng::new(1), Tracer::disabled());
-        let mut ctx = DeviceCtx::new(SimTime::ZERO, &mut out, &mut rng, None, &tracer);
-        let frame = Frame::from(vec![7u8; 64]);
+    fn a_flood_sends_its_egress_list_in_order_without_skip() {
+        let mut driver = StandaloneDriver::new(1);
+        let mut ctx = driver.ctx(None);
+        let forms = || [Frame::from(&[0u8][..]), Frame::from(&[1u8][..])];
         let egress = |p: u16| Egress { port: PortId(p), tagged: p == 2 };
-        ctx.flood((0..3).map(egress), PortId(1), [frame.clone(), frame.clone()]);
-        ctx.send(PortId(3), frame.clone());
-        ctx.flood((3..5).map(egress), PortId(4), [frame.clone(), frame]);
-        assert_eq!(out.egress, (0..3).chain(3..5).map(egress).collect::<Vec<_>>());
-        assert!(
-            matches!(&out.actions[0], Action::Flood { ports, skip: PortId(1), .. } if *ports == (0..3))
-        );
-        assert!(matches!(&out.actions[1], Action::Send { port: PortId(3), .. }));
-        assert!(
-            matches!(&out.actions[2], Action::Flood { ports, skip: PortId(4), .. } if *ports == (3..5))
-        );
+        ctx.flood((0..3).map(egress), PortId(1), forms());
+        ctx.send(PortId(3), vec![9]);
+        ctx.flood((3..5).map(egress), PortId(4), forms());
+        let sends: Vec<_> = driver.drain_sends().map(|(p, f)| (p.0, f[0])).collect();
+        assert_eq!(sends, [(0, 0), (2, 1), (3, 9), (3, 0)]);
     }
 
     #[test]

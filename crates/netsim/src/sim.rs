@@ -6,7 +6,7 @@ use std::time::Duration;
 use arpshield_trace::profile;
 use arpshield_trace::{FrameKind, Tracer};
 
-use crate::device::{Action, Device, DeviceCtx, DeviceId, Egress, Outbox, PortId};
+use crate::device::{Device, DeviceCtx, DeviceId, Egress, PortId};
 use crate::error::NetsimError;
 use crate::frame::Frame;
 use crate::impair::{self, LinkProfile};
@@ -38,10 +38,10 @@ const NO_PEER: u32 = u32::MAX;
 /// One direction of a link, holding only what is its own (12 bytes):
 /// what it shares with other directions lives in its class.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
+pub(crate) struct Slot {
     /// Receiving device, or [`NO_PEER`].
     peer: u32,
-    /// Index into `Simulator::classes`; never read while `peer` is
+    /// Index into `Scheduler::classes`; never read while `peer` is
     /// [`NO_PEER`].
     class: u32,
     peer_port: PortId,
@@ -49,6 +49,12 @@ struct Slot {
 
 impl Slot {
     const UNLINKED: Slot = Slot { peer: NO_PEER, class: 0, peer_port: PortId(0) };
+
+    /// The slot behind `port` among a device's `links`; a port past
+    /// them reads as unlinked.
+    fn of(links: &[Slot], port: PortId) -> Slot {
+        links.get(usize::from(port.0)).copied().unwrap_or(Slot::UNLINKED)
+    }
 }
 
 /// What a send reads after its slot. Perfect wires of equal latency
@@ -78,7 +84,7 @@ struct ImpairedDirection {
 /// A queued event. Device ids are `u32`, as in the link slots, and a
 /// fan-out's length fits 16 bits, so an event is 16 bytes.
 #[derive(Debug, Clone)]
-enum EventKind {
+pub(crate) enum EventKind {
     /// A frame arriving at `port` of device `dst`. The sender is the
     /// peer in that port's link slot, so the event does not carry it.
     Deliver {
@@ -195,6 +201,196 @@ impl DeviceEntry {
     }
 }
 
+/// A frame an impaired link lost during the running callback. Its
+/// capture record and `wire.drop.*` event name both ends of the link,
+/// and the device table that names them is out of reach while the
+/// callback runs, so they are written once it returns.
+#[derive(Debug)]
+struct LostFrame {
+    port: PortId,
+    peer: u32,
+    peer_port: PortId,
+    /// The frame's index among its direction's sends.
+    index: u64,
+    link_down: bool,
+    bytes: Frame,
+}
+
+/// What a device callback schedules through: the clock, the link
+/// classes, the event wheel, the RNG, the wire counters and the fan-out
+/// arena. [`Simulator`] lends it to each callback beside the device, so
+/// a send resolves its link and joins the wheel the moment it is made;
+/// a [`StandaloneDriver`](crate::StandaloneDriver) lends its own, with
+/// no links behind it.
+#[derive(Debug)]
+pub(crate) struct Scheduler {
+    pub(crate) now: SimTime,
+    /// The event core: a hierarchical timing wheel preserving the
+    /// `(timestamp, insertion)` dispatch order the heap gave.
+    pub(crate) queue: TimingWheel<EventKind>,
+    /// Link classes, indexed by `Slot::class`.
+    classes: Vec<LinkClass>,
+    rng: SimRng,
+    impair_seed: u64,
+    stats: WireStats,
+    /// Target lists of the queued fan-out events.
+    fanouts: FanoutArena,
+    /// The run of flood copies being gathered into one fan-out event.
+    flood_run: Vec<Target>,
+    /// The running callback's lost frames, in send order.
+    lost: Vec<LostFrame>,
+    /// Frames sent out of ports with no link: `None` counts and drops
+    /// them, as the simulator does; a standalone driver keeps them.
+    pub(crate) unlinked: Option<Vec<(PortId, Frame)>>,
+}
+
+impl Scheduler {
+    /// A scheduler at time zero whose RNG and impairment draws derive
+    /// from `seed`.
+    pub(crate) fn new(seed: u64) -> Self {
+        Scheduler {
+            now: SimTime::ZERO,
+            queue: TimingWheel::new(),
+            classes: Vec::new(),
+            rng: SimRng::new(seed),
+            impair_seed: seed ^ IMPAIR_SEED_SALT,
+            stats: WireStats::default(),
+            fanouts: FanoutArena::new(),
+            flood_run: Vec::new(),
+            lost: Vec::new(),
+            unlinked: None,
+        }
+    }
+
+    pub(crate) fn rng(&mut self) -> &mut SimRng {
+        &mut self.rng
+    }
+
+    /// Sends `bytes` out of `port`, whose slot `links` holds: a perfect
+    /// wire queues its delivery, an impaired one draws its fate.
+    pub(crate) fn send(&mut self, links: &[Slot], port: PortId, bytes: Frame, tracer: &Tracer) {
+        let link = Slot::of(links, port);
+        if link.peer == NO_PEER {
+            self.unlinked(port, bytes);
+        } else if let Some(at) = self.arrival(link) {
+            let (dst, port) = (link.peer, link.peer_port);
+            self.queue.push(at, EventKind::Deliver { dst, port, bytes, dup: false });
+        } else {
+            self.send_impaired(port, link, bytes, tracer);
+        }
+    }
+
+    /// Queues a flood's copies in the order one send per port would.
+    /// Each maximal run of perfect-wire copies with one arrival time and
+    /// one form becomes a single fan-out event. The copies of a run are
+    /// pushed back to back, holding consecutive sequence numbers, so
+    /// nothing can be ordered between them and the event dispatches
+    /// exactly as they would. Impaired links end the run and take the
+    /// per-frame path; unlinked ports queue nothing.
+    pub(crate) fn flood(
+        &mut self,
+        links: &[Slot],
+        ports: impl Iterator<Item = Egress>,
+        skip: PortId,
+        forms: [Frame; 2],
+        tracer: &Tracer,
+    ) {
+        let mut run = std::mem::take(&mut self.flood_run);
+        run.reserve(ports.size_hint().0);
+        let (mut run_at, mut run_form) = (SimTime::ZERO, 0);
+        for egress in ports.filter(|e| e.port != skip) {
+            let form = usize::from(egress.tagged);
+            let link = Slot::of(links, egress.port);
+            if link.peer == NO_PEER {
+                self.unlinked(egress.port, forms[form].clone());
+                continue;
+            }
+            let Some(at) = self.arrival(link) else {
+                self.queue_run(&mut run, run_at, &forms[run_form]);
+                self.send_impaired(egress.port, link, forms[form].clone(), tracer);
+                continue;
+            };
+            if (at, form) != (run_at, run_form) {
+                self.queue_run(&mut run, run_at, &forms[run_form]);
+                (run_at, run_form) = (at, form);
+            }
+            run.push(Target { dst: link.peer, port: link.peer_port });
+        }
+        self.queue_run(&mut run, run_at, &forms[run_form]);
+        self.flood_run = run;
+    }
+
+    /// Schedules device `id`'s timer `token` after `delay`.
+    pub(crate) fn schedule(&mut self, id: u32, delay: Duration, token: u64) {
+        let at = self.now.saturating_add(delay);
+        self.queue.push(at, EventKind::Timer { dst: id, token });
+    }
+
+    /// Drops `bytes`, sent out of a port with no link, or keeps it.
+    fn unlinked(&mut self, port: PortId, bytes: Frame) {
+        match &mut self.unlinked {
+            Some(sends) => sends.push((port, bytes)),
+            None => self.stats.dropped_no_link += 1,
+        }
+    }
+
+    /// When a frame sent now over `link` arrives if it is a perfect wire
+    /// (like a timer's due time, [`SimTime::MAX`] if the sum passes it),
+    /// or `None` if it is impaired and each frame draws its own fate.
+    fn arrival(&self, link: Slot) -> Option<SimTime> {
+        let class = &self.classes[link.class as usize];
+        let at = SimTime::from_nanos(self.now.as_nanos().saturating_add(class.latency_ns));
+        class.impairment.is_none().then_some(at)
+    }
+
+    /// Queues the copies of `run` arriving at `at` and empties it: one
+    /// plain delivery for a single copy, else one fan-out event per
+    /// [`MAX_FANOUT`] copies. The events hold consecutive sequence
+    /// numbers, so they dispatch exactly as one would.
+    fn queue_run(&mut self, run: &mut Vec<Target>, at: SimTime, bytes: &Frame) {
+        if let [one] = run[..] {
+            let (dst, port) = (one.dst, one.port);
+            self.queue.push(at, EventKind::Deliver { dst, port, bytes: bytes.clone(), dup: false });
+        } else {
+            for targets in run.chunks(MAX_FANOUT) {
+                let (slot, last) = (self.fanouts.store(targets), (targets.len() - 1) as u16);
+                self.queue.push(at, EventKind::Fanout { bytes: bytes.clone(), slot, last });
+            }
+        }
+        run.clear();
+    }
+
+    /// Sends `bytes` out of `port` over the impaired `link`: draws its
+    /// fate, then drops, delays or duplicates it. A dropped frame waits
+    /// in `lost` for the callback to return.
+    fn send_impaired(&mut self, port: PortId, link: Slot, bytes: Frame, tracer: &Tracer) {
+        let (peer, peer_port) = (link.peer, link.peer_port);
+        let class = &mut self.classes[link.class as usize];
+        let latency = Duration::from_nanos(class.latency_ns);
+        let direction = class.impairment.as_mut().expect("only impaired classes draw fates");
+        let (profile, key, index) = (direction.profile, direction.key, direction.sent);
+        direction.sent += 1;
+        let fate = impair::fate(&profile, self.impair_seed, key, index, self.now);
+        if fate.lost {
+            let link_down = profile.flap.is_some_and(|f| f.is_down(self.now));
+            self.lost.push(LostFrame { port, peer, peer_port, index, link_down, bytes });
+            return;
+        }
+        let at = self.now.saturating_add(latency).saturating_add(fate.extra_delay);
+        // The duplicate trails the original by one more propagation
+        // delay, sharing its buffer.
+        let dup = fate.duplicated.then(|| (at.saturating_add(latency), bytes.clone()));
+        self.queue.push(at, EventKind::Deliver { dst: peer, port: peer_port, bytes, dup: false });
+        if let Some((dup_at, copy)) = dup {
+            tracer.count("wire.duplicated", 1);
+            self.queue.push(
+                dup_at,
+                EventKind::Deliver { dst: peer, port: peer_port, bytes: copy, dup: true },
+            );
+        }
+    }
+}
+
 /// A deterministic single-segment network simulator.
 ///
 /// Add devices, connect their ports with latencied links, and run. Events
@@ -202,20 +398,15 @@ impl DeviceEntry {
 /// pure function of its seed and topology.
 #[derive(Debug)]
 pub struct Simulator {
-    now: SimTime,
     started: bool,
     devices: Vec<DeviceEntry>,
     /// Index-addressed link arena: each device's ports occupy the run of
     /// slots its entry names. The dispatch hot path resolves a send with
-    /// one add and one array index instead of a hash lookup per frame.
+    /// one array index instead of a hash lookup per frame.
     links: Vec<Slot>,
-    /// Link classes, indexed by `Slot::class`.
-    classes: Vec<LinkClass>,
-    /// The event core: a hierarchical timing wheel preserving the
-    /// `(timestamp, insertion)` dispatch order the heap gave.
-    queue: TimingWheel<EventKind>,
-    rng: SimRng,
-    impair_seed: u64,
+    /// Everything a callback schedules through, lent to it beside its
+    /// device.
+    sched: Scheduler,
     default_profile: LinkProfile,
     /// The last perfect-wire class handed out, with its latency:
     /// topologies are wired in runs of equal links, so most connects
@@ -223,19 +414,9 @@ pub struct Simulator {
     last_wire: Option<(u64, u32)>,
     /// Every perfect-wire class by latency, for the connects that do not.
     wires: BTreeMap<u64, u32>,
-    stats: WireStats,
-    /// Reusable outbox, drained after every dispatch. Devices cannot
-    /// re-enter the simulator, so one scratch outbox serves all
-    /// callbacks without per-event allocation.
-    scratch: Outbox,
-    /// Target lists of the queued fan-out events.
-    fanouts: FanoutArena,
-    /// The run of flood copies being gathered into one fan-out event.
-    flood_run: Vec<Target>,
     /// The run's one tracer: wire outcomes and the flight recorder go
     /// here, and every device reaches it through its `DeviceCtx`.
-    /// Disabled by default. Declared last so the hot dispatch fields
-    /// above keep their relative positions.
+    /// Disabled by default.
     run_tracer: Tracer,
 }
 
@@ -249,22 +430,14 @@ impl Simulator {
     /// Creates an empty simulation seeded with `seed`.
     pub fn new(seed: u64) -> Self {
         Simulator {
-            now: SimTime::ZERO,
             started: false,
             devices: Vec::new(),
             links: Vec::new(),
-            classes: Vec::new(),
-            queue: TimingWheel::new(),
-            rng: SimRng::new(seed),
-            impair_seed: seed ^ IMPAIR_SEED_SALT,
+            sched: Scheduler::new(seed),
             default_profile: LinkProfile::PERFECT,
             last_wire: None,
             wires: BTreeMap::new(),
             run_tracer: Tracer::disabled(),
-            stats: WireStats::default(),
-            scratch: Outbox::default(),
-            fanouts: FanoutArena::new(),
-            flood_run: Vec::new(),
         }
     }
 
@@ -363,8 +536,8 @@ impl Simulator {
                 // happen to be wired up.
                 let key = ((from.0 as u64) << 16) | u64::from(from_port.0);
                 let impairment = Some(ImpairedDirection { profile, key, sent: 0 });
-                self.classes.push(LinkClass { latency_ns, impairment });
-                (self.classes.len() - 1) as u32
+                self.sched.classes.push(LinkClass { latency_ns, impairment });
+                (self.sched.classes.len() - 1) as u32
             });
             let slot = self.devices[from.0].slot(from_port).expect("checked above");
             self.links[slot] = Slot { peer: to.0 as u32, class, peer_port: to_port };
@@ -379,10 +552,11 @@ impl Simulator {
         if let Some((_, class)) = self.last_wire.filter(|&(ns, _)| ns == latency_ns) {
             return class;
         }
-        let next = self.classes.len() as u32;
+        let classes = &mut self.sched.classes;
+        let next = classes.len() as u32;
         let class = *self.wires.entry(latency_ns).or_insert(next);
         if class == next {
-            self.classes.push(LinkClass { latency_ns, impairment: None });
+            classes.push(LinkClass { latency_ns, impairment: None });
         }
         self.last_wire = Some((latency_ns, class));
         class
@@ -403,19 +577,19 @@ impl Simulator {
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.sched.now
     }
 
     /// Aggregate wire statistics.
     pub fn wire_stats(&self) -> WireStats {
-        self.stats
+        self.sched.stats
     }
 
     /// Pending events across the timing wheel's slots and ready batch —
     /// the `wheel.occupancy` gauge source. A queued fan-out counts once,
     /// however many copies it will deliver.
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.sched.queue.len()
     }
 
     /// Immutable access to a device, for post-run inspection.
@@ -423,184 +597,67 @@ impl Simulator {
         self.devices.get(id.0).map(|d| d.device.as_ref())
     }
 
-    fn push_event(&mut self, at: SimTime, kind: EventKind) {
-        self.queue.push(at, kind);
-    }
-
     fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        for i in 0..self.devices.len() {
-            self.dispatch(DeviceId(i), None, |device, ctx| device.on_start(ctx));
+        for id in 0..self.devices.len() as u32 {
+            self.dispatch(id, None, |device, ctx| device.on_start(ctx));
         }
     }
 
-    /// Runs one callback of device `id`, then applies what it queued.
+    /// Runs one callback of device `id`, lending it the scheduler, then
+    /// writes what it lost.
     fn dispatch(
         &mut self,
-        id: DeviceId,
+        id: u32,
         incoming: Option<&Frame>,
         callback: impl FnOnce(&mut dyn Device, &mut DeviceCtx<'_>),
     ) {
-        let (now, tracer) = (self.now, &self.run_tracer);
-        let mut ctx = DeviceCtx::new(now, &mut self.scratch, &mut self.rng, incoming, tracer);
-        callback(self.devices[id.0].device.as_mut(), &mut ctx);
-        // Most deliveries queue nothing (every station a flood reaches
-        // but one); skip the hand-off for them.
-        if !self.scratch.actions.is_empty() {
-            let mut actions = std::mem::take(&mut self.scratch.actions);
-            self.apply_actions(id, &mut actions);
-            self.scratch.actions = actions;
+        let entry = &mut self.devices[id as usize];
+        let first = entry.first_link as usize;
+        let links = &self.links[first..first + entry.ports as usize];
+        let mut ctx = DeviceCtx::new(&mut self.sched, links, id, incoming, &self.run_tracer);
+        callback(entry.device.as_mut(), &mut ctx);
+        if !self.sched.lost.is_empty() {
+            self.write_lost(id);
         }
     }
 
-    /// Applies one callback's `actions`; their floods index the scratch egress list.
-    fn apply_actions(&mut self, from: DeviceId, actions: &mut Vec<Action>) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { port, bytes } => {
-                    let link = self.link(from, port);
-                    if link.peer == NO_PEER {
-                        self.stats.dropped_no_link += 1;
-                    } else if let Some(at) = self.arrival(link) {
-                        let (dst, port) = (link.peer, link.peer_port);
-                        self.push_event(at, EventKind::Deliver { dst, port, bytes, dup: false });
-                    } else {
-                        self.send_impaired(from, port, link, bytes);
-                    }
-                }
-                Action::Flood { ports, skip, forms } => {
-                    let egress = std::mem::take(&mut self.scratch.egress);
-                    let ports = &egress[ports.start as usize..ports.end as usize];
-                    self.flood(from, ports, skip, &forms);
-                    self.scratch.egress = egress;
-                }
-                Action::Schedule { delay, token } => {
-                    // `add_device` keeps every id below `NO_PEER`.
-                    let at = self.now.saturating_add(delay);
-                    self.push_event(at, EventKind::Timer { dst: from.0 as u32, token });
-                }
-            }
+    /// Records the frames the callback of device `from` lost, in send
+    /// order: each one's capture record and `wire.drop.*` event, which
+    /// cites the doomed octets and, when the send happened inside a
+    /// delivery, the frame that caused it.
+    fn write_lost(&mut self, from: u32) {
+        let (tracer, now) = (&self.run_tracer, self.sched.now.as_nanos());
+        let name = |id: u32| self.devices[id as usize].device.name();
+        for lost in self.sched.lost.drain(..) {
+            let (category, kind) = if lost.link_down {
+                ("wire.drop.link_down", FrameKind::DroppedLinkDown)
+            } else {
+                ("wire.drop.lost", FrameKind::DroppedLost)
+            };
+            tracer.count(category, 1);
+            let cause = tracer.current_frame();
+            let dropped = tracer.record_frame(now, kind, &lost.bytes, || {
+                let (port, peer_port) = (lost.port.0, lost.peer_port.0);
+                (format!("{}:{port}", name(from)), format!("{}:{peer_port}", name(lost.peer)))
+            });
+            tracer.event_frames(now, category, || {
+                (
+                    name(from).to_string(),
+                    format!("port={} frame_index={}", lost.port.0, lost.index),
+                    dropped.into_iter().chain(cause).collect(),
+                )
+            });
         }
-        self.scratch.egress.clear();
     }
 
     /// The link slot behind `port` of `from`; a port past the device's
     /// count reads as unlinked.
     fn link(&self, from: DeviceId, port: PortId) -> Slot {
         self.devices[from.0].slot(port).map_or(Slot::UNLINKED, |slot| self.links[slot])
-    }
-
-    /// When a frame sent now over `link` arrives if it is a perfect wire
-    /// (like a timer's due time, [`SimTime::MAX`] if the sum passes it),
-    /// or `None` if it is impaired and each frame draws its own fate.
-    fn arrival(&self, link: Slot) -> Option<SimTime> {
-        let class = &self.classes[link.class as usize];
-        let at = SimTime::from_nanos(self.now.as_nanos().saturating_add(class.latency_ns));
-        class.impairment.is_none().then_some(at)
-    }
-
-    /// Queues a flood's copies in the order one send per port would.
-    /// Each maximal run of perfect-wire copies with one arrival time and
-    /// one form becomes a single fan-out event. Sends queued in one
-    /// dispatch hold consecutive sequence numbers, so nothing can be
-    /// ordered between the copies of a run and the event dispatches
-    /// exactly as they would. Impaired links end the run and take the
-    /// per-frame path; unlinked ports queue nothing.
-    fn flood(&mut self, from: DeviceId, ports: &[Egress], skip: PortId, forms: &[Frame; 2]) {
-        let mut run = std::mem::take(&mut self.flood_run);
-        run.reserve(ports.len());
-        let (mut run_at, mut run_form) = (SimTime::ZERO, 0);
-        for egress in ports.iter().filter(|e| e.port != skip) {
-            let form = usize::from(egress.tagged);
-            let link = self.link(from, egress.port);
-            if link.peer == NO_PEER {
-                self.stats.dropped_no_link += 1;
-                continue;
-            }
-            let Some(at) = self.arrival(link) else {
-                self.queue_run(&mut run, run_at, &forms[run_form]);
-                self.send_impaired(from, egress.port, link, forms[form].clone());
-                continue;
-            };
-            if (at, form) != (run_at, run_form) {
-                self.queue_run(&mut run, run_at, &forms[run_form]);
-                (run_at, run_form) = (at, form);
-            }
-            run.push(Target { dst: link.peer, port: link.peer_port });
-        }
-        self.queue_run(&mut run, run_at, &forms[run_form]);
-        self.flood_run = run;
-    }
-
-    /// Queues the copies of `run` arriving at `at` and empties it: one
-    /// plain delivery for a single copy, else one fan-out event per
-    /// [`MAX_FANOUT`] copies. The events hold consecutive sequence
-    /// numbers, so they dispatch exactly as one would.
-    fn queue_run(&mut self, run: &mut Vec<Target>, at: SimTime, bytes: &Frame) {
-        if let [one] = run[..] {
-            let (dst, port) = (one.dst, one.port);
-            self.push_event(at, EventKind::Deliver { dst, port, bytes: bytes.clone(), dup: false });
-        } else {
-            for targets in run.chunks(MAX_FANOUT) {
-                let (slot, last) = (self.fanouts.store(targets), (targets.len() - 1) as u16);
-                self.push_event(at, EventKind::Fanout { bytes: bytes.clone(), slot, last });
-            }
-        }
-        run.clear();
-    }
-
-    /// Sends `bytes` out of `port` of `from` over the impaired `link`:
-    /// draws its fate, then drops, delays or duplicates it.
-    fn send_impaired(&mut self, from: DeviceId, port: PortId, link: Slot, bytes: Frame) {
-        let (peer, peer_port) = (link.peer, link.peer_port);
-        let class = &mut self.classes[link.class as usize];
-        let latency = Duration::from_nanos(class.latency_ns);
-        let direction = class.impairment.as_mut().expect("only impaired classes draw fates");
-        let (profile, key, index) = (direction.profile, direction.key, direction.sent);
-        direction.sent += 1;
-        let fate = impair::fate(&profile, self.impair_seed, key, index, self.now);
-        if fate.lost {
-            let flap_down = profile.flap.map(|f| f.is_down(self.now)).unwrap_or(false);
-            let (category, kind) = if flap_down {
-                ("wire.drop.link_down", FrameKind::DroppedLinkDown)
-            } else {
-                ("wire.drop.lost", FrameKind::DroppedLost)
-            };
-            self.run_tracer.count(category, 1);
-            // Capture the doomed octets, and cite both them and (when
-            // the send happened inside a delivery) the frame that caused
-            // the send.
-            let cause = self.run_tracer.current_frame();
-            let dropped = self.run_tracer.record_frame(self.now.as_nanos(), kind, &bytes, || {
-                (
-                    format!("{}:{}", self.devices[from.0].device.name(), port.0),
-                    format!("{}:{}", self.devices[peer as usize].device.name(), peer_port.0),
-                )
-            });
-            self.run_tracer.event_frames(self.now.as_nanos(), category, || {
-                (
-                    self.devices[from.0].device.name().to_string(),
-                    format!("port={} frame_index={index}", port.0),
-                    dropped.into_iter().chain(cause).collect(),
-                )
-            });
-            return;
-        }
-        let at = self.now.saturating_add(latency).saturating_add(fate.extra_delay);
-        // The duplicate trails the original by one more propagation
-        // delay, sharing its buffer.
-        let dup = fate.duplicated.then(|| (at.saturating_add(latency), bytes.clone()));
-        self.push_event(at, EventKind::Deliver { dst: peer, port: peer_port, bytes, dup: false });
-        if let Some((dup_at, copy)) = dup {
-            self.run_tracer.count("wire.duplicated", 1);
-            self.push_event(
-                dup_at,
-                EventKind::Deliver { dst: peer, port: peer_port, bytes: copy, dup: true },
-            );
-        }
     }
 
     /// Dispatches the next event, every copy of it for a fan-out.
@@ -612,46 +669,46 @@ impl Simulator {
 
     /// [`step`](Self::step) for an event due by `deadline`; `false` if none is.
     fn step_until(&mut self, deadline: SimTime) -> bool {
-        let Some((at, kind)) = self.queue.pop_until(deadline) else {
+        let Some((at, kind)) = self.sched.queue.pop_until(deadline) else {
             return false;
         };
-        debug_assert!(at >= self.now, "event queue went backwards");
-        self.now = at;
+        debug_assert!(at >= self.sched.now, "event queue went backwards");
+        self.sched.now = at;
         match kind {
             EventKind::Deliver { dst, port, bytes, dup } => {
                 let kind = if dup { FrameKind::DuplicateDelivered } else { FrameKind::Delivered };
-                self.deliver(DeviceId(dst as usize), port, &bytes, kind);
+                self.deliver(dst, port, &bytes, kind);
             }
             EventKind::Fanout { bytes, slot, last } => {
                 let len = u32::from(last) + 1;
                 for i in 0..len as usize {
-                    let Target { dst, port } = self.fanouts.target(slot, len, i);
-                    self.deliver(DeviceId(dst as usize), port, &bytes, FrameKind::Delivered);
+                    let Target { dst, port } = self.sched.fanouts.target(slot, len, i);
+                    self.deliver(dst, port, &bytes, FrameKind::Delivered);
                 }
-                self.fanouts.release(slot, len);
+                self.sched.fanouts.release(slot, len);
             }
             EventKind::Timer { dst, token } => {
                 let _s = profile::span("sim.timer");
-                self.stats.timers += 1;
-                let dst = DeviceId(dst as usize);
+                self.sched.stats.timers += 1;
                 self.dispatch(dst, None, |device, ctx| device.on_timer(ctx, token));
             }
         }
         true
     }
 
-    /// Hands one arriving copy of `bytes` to `port` of `dst`.
-    fn deliver(&mut self, dst: DeviceId, port: PortId, bytes: &Frame, kind: FrameKind) {
+    /// Hands one arriving copy of `bytes` to `port` of device `dst`.
+    fn deliver(&mut self, dst: u32, port: PortId, bytes: &Frame, kind: FrameKind) {
         let _s = profile::span("sim.deliver");
-        self.stats.frames += 1;
-        self.stats.bytes += bytes.len() as u64;
-        let frame_id = self.run_tracer.record_frame(self.now.as_nanos(), kind, bytes, || {
+        self.sched.stats.frames += 1;
+        self.sched.stats.bytes += bytes.len() as u64;
+        let now = self.sched.now.as_nanos();
+        let frame_id = self.run_tracer.record_frame(now, kind, bytes, || {
             // The receiving port's slot names the sender.
-            let from = self.link(dst, port);
+            let from = self.link(DeviceId(dst as usize), port);
             let sender = self.devices[from.peer as usize].device.name();
             (
                 format!("{sender}:{}", from.peer_port.0),
-                format!("{}:{}", self.devices[dst.0].device.name(), port.0),
+                format!("{}:{}", self.devices[dst as usize].device.name(), port.0),
             )
         });
         // While this frame is dispatched — including the sends it
@@ -667,8 +724,8 @@ impl Simulator {
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start();
         while self.step_until(deadline) {}
-        if self.now < deadline {
-            self.now = deadline;
+        if self.sched.now < deadline {
+            self.sched.now = deadline;
         }
     }
 }
@@ -1025,9 +1082,9 @@ mod tests {
         let f = sim.add_device(Box::new(Echo::new()));
         sim.connect(k, PortId(0), hub, PortId(0), Duration::from_micros(1)).unwrap();
         sim.connect(e, PortId(0), hub, PortId(1), Duration::from_micros(1)).unwrap();
-        assert_eq!(sim.classes.len(), 1, "the two 1 µs links share one class");
+        assert_eq!(sim.sched.classes.len(), 1, "the two 1 µs links share one class");
         sim.connect(f, PortId(0), hub, PortId(2), Duration::from_micros(3)).unwrap();
-        assert_eq!(sim.classes.len(), 2, "a 3 µs link gets a second class");
+        assert_eq!(sim.sched.classes.len(), 2, "a 3 µs link gets a second class");
         let class = |device, port| sim.link(device, PortId(port)).class;
         assert_eq!([class(k, 0), class(hub, 0), class(e, 0), class(hub, 1)], [0; 4]);
         assert_eq!([class(f, 0), class(hub, 2)], [1; 2]);
@@ -1205,6 +1262,154 @@ mod tests {
         assert_eq!(c, a, "a spent slot is reused before the slab grows");
         assert_eq!(arena.slabs[2].len(), 8);
         assert_eq!((0..4).map(|i| arena.target(c, 4, i).dst).collect::<Vec<_>>(), [0, 1, 2, 3]);
+    }
+
+    /// What the devices of the one-instant rig log: the time, the
+    /// logging device, and the two bytes that name a frame or timer.
+    type Log = Rc<RefCell<Vec<(u64, &'static str, u8, u8)>>>;
+
+    /// Logs every frame it receives.
+    struct Sink {
+        name: &'static str,
+        log: Log,
+    }
+
+    impl Device for Sink {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn port_count(&self) -> usize {
+            1
+        }
+        fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, _: PortId, frame: &[u8]) {
+            let entry = (ctx.now().as_nanos(), self.name, frame[0], frame[1]);
+            self.log.borrow_mut().push(entry);
+        }
+    }
+
+    /// On the frame it receives, does in one callback everything a
+    /// callback can: four sends over the lossy duplicating link behind
+    /// port 1, a trace event of its own, a send over the perfect link
+    /// behind port 2, a flood over all seven ports (two of them lossy,
+    /// port 3 tagged, port 6 unlinked) and a timer.
+    struct Mixer {
+        log: Log,
+    }
+
+    impl Device for Mixer {
+        fn name(&self) -> &str {
+            "mixer"
+        }
+        fn port_count(&self) -> usize {
+            7
+        }
+        fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, port: PortId, _: &[u8]) {
+            for i in 0..4 {
+                ctx.send(PortId(1), vec![b'a', i]);
+            }
+            let at = ctx.now().as_nanos();
+            ctx.tracer().event(at, "mixer.mark", || ("mixer".into(), "after the sends".into()));
+            ctx.send(PortId(2), vec![b'b', 0]);
+            let egress = (0..7).map(|p| Egress { port: PortId(p), tagged: p == 3 });
+            let forms = [Frame::from(&[b'f', 0][..]), Frame::from(&[b'f', 1][..])];
+            ctx.flood(egress, port, forms);
+            ctx.schedule_in(Duration::from_micros(1), 9);
+        }
+        fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
+            self.log.borrow_mut().push((ctx.now().as_nanos(), "mixer", b't', token as u8));
+        }
+    }
+
+    /// A callback that mixes lossy, perfect and unlinked egress at one
+    /// instant under an armed capture: the deliveries keep the order in
+    /// which the callback sent them, a lost frame's capture record and
+    /// `wire.drop.lost` event follow the device's own event, and every
+    /// frame id stays where it is.
+    #[test]
+    fn one_callback_mixing_links_keeps_its_send_order() {
+        let log = Log::default();
+        let mut sim = Simulator::new(7);
+        let kick = sim.add_device(Box::new(Kickoff { budget: 0 }));
+        let mixer = sim.add_device(Box::new(Mixer { log: Rc::clone(&log) }));
+        let lossy = LinkProfile::lossy(0.4).with_dup(0.5);
+        let us = Duration::from_micros;
+        sim.connect(kick, PortId(0), mixer, PortId(0), us(1)).unwrap();
+        for (port, name, latency, profile) in [
+            (1, "lossy", us(2), lossy),
+            (2, "plain", us(3), LinkProfile::PERFECT),
+            (3, "tagged", us(1), LinkProfile::PERFECT),
+            (4, "lossy2", us(1), lossy),
+            (5, "near", us(1), LinkProfile::PERFECT),
+        ] {
+            let sink = sim.add_device(Box::new(Sink { name, log: Rc::clone(&log) }));
+            sim.connect_impaired(mixer, PortId(port), sink, PortId(0), latency, profile).unwrap();
+        }
+        let (stats, run) = captured(sim);
+        let at = |us: u64| us * 1_000;
+        assert_eq!(
+            *log.borrow(),
+            [
+                (at(2), "tagged", b'f', 1),
+                (at(2), "near", b'f', 0),
+                (at(2), "mixer", b't', 9),
+                (at(3), "lossy", b'a', 1),
+                (at(3), "lossy", b'a', 2),
+                (at(3), "lossy", b'f', 0),
+                (at(4), "plain", b'b', 0),
+                (at(4), "plain", b'f', 0),
+                (at(5), "lossy", b'a', 2),
+            ]
+        );
+        assert_eq!((stats.frames, stats.dropped_no_link, stats.timers), (9, 1, 1));
+        assert_eq!([counter(&run, "wire.drop.lost"), counter(&run, "wire.duplicated")], [3, 1]);
+        let doc = arpshield_trace::json::parse(&run.body).expect("a run body is JSON");
+        let events: Vec<_> = doc
+            .get("events")
+            .and_then(|v| v.as_arr())
+            .expect("an event list")
+            .iter()
+            .map(|e| {
+                let text = |key| e.get(key).and_then(|v| v.as_str()).unwrap_or_default();
+                let cited = e.get("frames").and_then(|v| v.as_arr()).unwrap_or_default();
+                let cited: Vec<u64> =
+                    cited.iter().filter_map(|v| v.as_num()).map(|n| n as u64).collect();
+                (text("category").to_string(), text("detail").to_string(), cited)
+            })
+            .collect();
+        let event = |category: &str, detail: &str, cited: &[u64]| {
+            (category.to_string(), detail.to_string(), cited.to_vec())
+        };
+        assert_eq!(
+            events,
+            [
+                event("mixer.mark", "after the sends", &[1]),
+                event("wire.drop.lost", "port=1 frame_index=0", &[2, 1]),
+                event("wire.drop.lost", "port=1 frame_index=3", &[3, 1]),
+                event("wire.drop.lost", "port=4 frame_index=0", &[4, 1]),
+            ]
+        );
+        let frames: Vec<_> = run
+            .frames
+            .iter()
+            .map(|f| format!("{} {:?} {} {} {:?}", f.id, f.kind, f.src, f.dst, f.bytes))
+            .collect();
+        assert_eq!(
+            frames,
+            [
+                "1 Delivered kickoff:0 mixer:0 [0]",
+                "2 DroppedLost mixer:1 lossy:0 [97, 0]",
+                "3 DroppedLost mixer:1 lossy:0 [97, 3]",
+                "4 DroppedLost mixer:4 lossy2:0 [102, 0]",
+                "5 Delivered mixer:3 tagged:0 [102, 1]",
+                "6 Delivered mixer:5 near:0 [102, 0]",
+                "7 Delivered mixer:1 lossy:0 [97, 1]",
+                "8 Delivered mixer:1 lossy:0 [97, 2]",
+                "9 Delivered mixer:1 lossy:0 [102, 0]",
+                "10 Delivered mixer:2 plain:0 [98, 0]",
+                "11 Delivered mixer:2 plain:0 [102, 0]",
+                "12 DuplicateDelivered mixer:1 lossy:0 [97, 2]",
+            ]
+        );
     }
 
     #[test]

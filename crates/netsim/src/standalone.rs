@@ -1,39 +1,34 @@
 //! Driving a single [`Device`] without a simulation.
 //!
 //! The capture-ingest path feeds recorded frames straight into a scheme's
-//! monitors: there is no event queue, no wire, no topology — just "this
-//! frame arrived at this timestamp". [`StandaloneDriver`] supplies the
-//! small slice of simulator the [`Device`] contract needs for that:
-//! a [`DeviceCtx`] per callback, a timer queue with the simulator's
-//! deterministic ordering (due time, then scheduling sequence), and a
-//! buffer that collects whatever the device transmits.
+//! monitors: there is no wire, no topology — just "this frame arrived at
+//! this timestamp". [`StandaloneDriver`] supplies the small slice of
+//! simulator the [`Device`] contract needs for that: a [`DeviceCtx`] per
+//! callback over the simulator's own scheduler, with no links behind
+//! it. Its timers therefore keep the simulator's deterministic ordering
+//! (due time, then scheduling sequence), and whatever the device
+//! transmits, having no link to leave by, is collected for
+//! [`drain_sends`](StandaloneDriver::drain_sends).
 //!
-//! Steady state allocates nothing: the action scratch vector and the
-//! send buffer are reused across frames, and timers live in the same
-//! [`TimingWheel`] the simulator dispatches from, whose node arena and
-//! index-linked slot chains only grow to the high-water mark of
-//! concurrently pending timers.
+//! Steady state allocates nothing: the send buffer is reused across
+//! frames, and timers live in the same [`TimingWheel`](crate::TimingWheel)
+//! the simulator dispatches from, whose node arena and index-linked slot
+//! chains only grow to the high-water mark of concurrently pending
+//! timers.
 
 use arpshield_trace::Tracer;
 
-use crate::device::{Action, Device, DeviceCtx, Outbox, PortId};
+use crate::device::{Device, DeviceCtx, PortId};
 use crate::frame::Frame;
-use crate::rng::SimRng;
+use crate::sim::{EventKind, Scheduler};
 use crate::time::SimTime;
-use crate::wheel::TimingWheel;
 
 /// Drives one device's callbacks from an external frame source.
 #[derive(Debug)]
 pub struct StandaloneDriver {
-    now: SimTime,
-    rng: SimRng,
-    /// Pending timer tokens, `(due, scheduling sequence)` min-ordered —
-    /// the exact scheduler the simulator dispatches from, so the
-    /// tie-break (earlier scheduling wins at equal due times) is shared
-    /// rather than reimplemented.
-    timers: TimingWheel<u64>,
-    out: Outbox,
-    sends: Vec<(PortId, Frame)>,
+    /// The device's scheduler: its wheel holds the pending timers and
+    /// its unlinked-send list what the device transmitted.
+    sched: Scheduler,
     /// What [`DeviceCtx::tracer`] hands the device: always disabled,
     /// since a driven device's findings flow through its own channels
     /// (a scheme's alert log).
@@ -45,39 +40,34 @@ pub struct StandaloneDriver {
 impl StandaloneDriver {
     /// Creates a driver with deterministic randomness from `seed`.
     pub fn new(seed: u64) -> Self {
-        StandaloneDriver {
-            now: SimTime::ZERO,
-            rng: SimRng::new(seed),
-            timers: TimingWheel::new(),
-            out: Outbox::default(),
-            sends: Vec::new(),
-            tracer: Tracer::disabled(),
-            timers_fired: 0,
-        }
+        let mut sched = Scheduler::new(seed);
+        sched.unlinked = Some(Vec::new());
+        StandaloneDriver { sched, tracer: Tracer::disabled(), timers_fired: 0 }
     }
 
     /// The driver's current time: the latest timestamp seen.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.sched.now
     }
 
     /// Invokes [`Device::on_start`] at the current time.
     pub fn start(&mut self, device: &mut dyn Device) {
-        device.on_start(&mut self.ctx());
-        self.apply_actions();
+        device.on_start(&mut self.ctx(None));
     }
 
     /// Advances time to `to` (never backwards), firing every timer due on
     /// the way in (due, sequence) order — including timers those firings
     /// schedule, as long as they are due by `to`.
     pub fn advance_to(&mut self, device: &mut dyn Device, to: SimTime) {
-        while let Some((due, token)) = self.timers.pop_until(to) {
-            self.now = self.now.max(due);
-            self.timers_fired += 1;
-            device.on_timer(&mut self.ctx(), token);
-            self.apply_actions();
+        while let Some((due, event)) = self.sched.queue.pop_until(to) {
+            self.sched.now = self.sched.now.max(due);
+            // With no links, a driven device queues nothing but timers.
+            if let EventKind::Timer { token, .. } = event {
+                self.timers_fired += 1;
+                device.on_timer(&mut self.ctx(None), token);
+            }
         }
-        self.now = self.now.max(to);
+        self.sched.now = self.sched.now.max(to);
     }
 
     /// Delivers `bytes` to `port` at time `at`, firing due timers first.
@@ -85,38 +75,20 @@ impl StandaloneDriver {
     /// then happens at the driver's monotonic clock instead.
     pub fn deliver(&mut self, device: &mut dyn Device, at: SimTime, port: PortId, bytes: &[u8]) {
         self.advance_to(device, at);
-        device.on_frame(&mut self.ctx(), port, bytes);
-        self.apply_actions();
+        device.on_frame(&mut self.ctx(None), port, bytes);
     }
 
     /// Frames the device transmitted since the last call, oldest first.
     /// They went nowhere — the caller decides whether to count, inspect,
     /// or drop them.
     pub fn drain_sends(&mut self) -> std::vec::Drain<'_, (PortId, Frame)> {
-        self.sends.drain(..)
+        self.sched.unlinked.as_mut().expect("a driver keeps its device's sends").drain(..)
     }
 
-    fn ctx(&mut self) -> DeviceCtx<'_> {
-        DeviceCtx::new(self.now, &mut self.out, &mut self.rng, None, &self.tracer)
-    }
-
-    fn apply_actions(&mut self) {
-        let egress = &self.out.egress;
-        for action in self.out.actions.drain(..) {
-            match action {
-                Action::Send { port, bytes } => self.sends.push((port, bytes)),
-                Action::Flood { ports, skip, forms } => self.sends.extend(
-                    egress[ports.start as usize..ports.end as usize]
-                        .iter()
-                        .filter(|e| e.port != skip)
-                        .map(|e| (e.port, forms[usize::from(e.tagged)].clone())),
-                ),
-                Action::Schedule { delay, token } => {
-                    self.timers.push(self.now.saturating_add(delay), token);
-                }
-            }
-        }
-        self.out.egress.clear();
+    /// The context of one callback of the driven device, delivering
+    /// `incoming` if it is a frame's.
+    pub(crate) fn ctx<'a>(&'a mut self, incoming: Option<&'a Frame>) -> DeviceCtx<'a> {
+        DeviceCtx::new(&mut self.sched, &[], 0, incoming, &self.tracer)
     }
 }
 

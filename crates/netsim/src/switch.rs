@@ -573,7 +573,7 @@ impl Switch {
         domain
     }
 
-    /// Floods `shared` within `vid` as one action over the VLAN's flood
+    /// Floods `shared` within `vid` as one call over the VLAN's flood
     /// domain. The form the ingress encapsulation does not match is
     /// built once, and only when some port of the domain takes it.
     fn flood(

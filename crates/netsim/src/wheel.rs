@@ -144,6 +144,7 @@ impl<T> TimingWheel<T> {
 
     /// Schedules `item` at `at`. Entries pushed with equal timestamps
     /// pop in push order.
+    #[inline]
     pub fn push(&mut self, at: SimTime, item: T) {
         let at = at.as_nanos().max(self.now);
         let seq = self.seq;
@@ -184,6 +185,7 @@ impl<T> TimingWheel<T> {
     }
 
     /// Removes and returns the next entry if it is due by `deadline`, else `None`.
+    #[inline]
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
         let _s = profile::span("wheel.pop");
         if self.ready.is_empty() {

@@ -1,12 +1,15 @@
 //! What the hot paths cost the allocator, counted and bounded.
 //!
-//! One thread-local counting allocator serves three sets of floors:
+//! One thread-local counting allocator serves four sets of floors:
 //!
 //! * **Frame delivery.** A 16-port hub, the same hub in front of 15 full
 //!   host stacks, a 16-port switch, a VLAN-aware switch across access
 //!   and trunk ports, and a 1,025-port switch shaped like a T6S leaf
 //!   each flood 64 broadcasts. Only the last of four delivery runs is
 //!   counted, not the fabric's construction.
+//! * **A resolution queue's overflow.** A host sends 40 datagrams at
+//!   once toward an address nobody holds; only the 16 its queue takes
+//!   are encoded.
 //! * **Capture ingest.** pcapng blocks stream through the borrowed
 //!   Ethernet view into a standalone detector, the `reproduce ingest`
 //!   hot path. Only the second pass over each capture is counted, so
@@ -24,7 +27,7 @@ use std::cell::Cell;
 use std::time::Duration;
 
 use arpshield::analysis::scenario::scale::{self, ScaleConfig, LEAF_CAPACITY};
-use arpshield::host::{Host, HostConfig};
+use arpshield::host::{Host, HostAgent, HostApi, HostConfig};
 use arpshield::netsim::{
     eth_frame, Device, DeviceCtx, Hub, PortId, PortVlan, SimTime, Simulator, Switch, SwitchConfig,
     VlanSet,
@@ -201,22 +204,71 @@ fn delivery_allocations(workload: Workload, ports: usize) -> u64 {
 
 /// 64 broadcasts make 1,024 deliveries on the 16-port fabrics and
 /// 65,600 on the leaf, where each is one fan-out event of 1,024 copies
-/// through the simulator's reusable target arena. The hub's 6
-/// allocations are 0.006 a frame, well under the 0.02 a frame its
+/// through the simulator's reusable target arena. The hub's 4
+/// allocations are 0.004 a frame, well under the 0.02 a frame its
 /// zero-copy transmit path promises.
 #[test]
 fn frame_delivery_stays_within_its_allocation_floors() {
     let rows: [(&str, Workload, usize, u64); 5] = [
-        ("hub16/broadcast", || fabric(Box::new(Hub::new("hub", PORTS)), PORTS, false), PORTS, 6),
-        ("hub16/host_rx", || fabric(Box::new(Hub::new("hub", PORTS)), PORTS, true), PORTS, 11),
-        ("switch16/flood", || switch_flood(PORTS), PORTS, 7),
-        ("switch16/vlan_flood", switch_vlan_flood, PORTS, 9),
-        ("switch1025/flood", || switch_flood(LEAF_PORTS), LEAF_PORTS, 7),
+        ("hub16/broadcast", || fabric(Box::new(Hub::new("hub", PORTS)), PORTS, false), PORTS, 4),
+        ("hub16/host_rx", || fabric(Box::new(Hub::new("hub", PORTS)), PORTS, true), PORTS, 9),
+        ("switch16/flood", || switch_flood(PORTS), PORTS, 5),
+        ("switch16/vlan_flood", switch_vlan_flood, PORTS, 7),
+        ("switch1025/flood", || switch_flood(LEAF_PORTS), LEAF_PORTS, 5),
     ];
     for (id, workload, ports, floor) in rows {
         let made = delivery_allocations(workload, ports);
         assert!(made <= floor, "{id}: {made} allocations, at most {floor} allowed");
     }
+}
+
+/// Datagrams in one burst toward an address nobody holds.
+const BURST: u64 = 40;
+/// How many of them wait on its resolution; the rest find the queue
+/// full and are dropped.
+const QUEUED: u64 = 16;
+
+/// Sends `BURST` UDP datagrams at once to 10.0.0.99 at 100 ms, and
+/// again at 20 s, after the first burst's resolution has given up.
+struct Burst;
+
+impl HostAgent for Burst {
+    fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
+        api.schedule(Duration::from_millis(100), 0);
+        api.schedule(Duration::from_secs(20), 0);
+    }
+    fn on_timer(&mut self, api: &mut HostApi<'_, '_>, _: u32) {
+        for _ in 0..BURST {
+            api.send_udp(Ipv4Addr::new(10, 0, 0, 99), 5555, 7000, b"void");
+        }
+    }
+}
+
+/// The second of two bursts, once the first has warmed the frame pool,
+/// the wheel and the switch: each queued datagram is encoded into a
+/// buffer of its own (16 allocations) and the queue grows from one
+/// packet to sixteen (4 more), while a datagram the full queue drops is
+/// never encoded. Encoding before the queue check made it 44.
+#[test]
+fn a_resolution_queue_overflow_stays_within_its_allocation_floor() {
+    const FLOOR: u64 = 20;
+    let subnet = Ipv4Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 24);
+    let mut sim = Simulator::new(1);
+    let (sw, _) = Switch::new("sw", SwitchConfig { ports: 2, ..Default::default() });
+    let sw = sim.add_device(Box::new(sw));
+    let config =
+        HostConfig::static_ip("h1", MacAddr::from_index(1), Ipv4Addr::new(10, 0, 0, 1), subnet);
+    let (mut host, handle) = Host::new(config);
+    host.add_agent(Box::new(Burst));
+    let host = sim.add_device(Box::new(host));
+    sim.connect(host, PortId(0), sw, PortId(0), Duration::from_micros(1)).unwrap();
+    sim.run_until(SimTime::from_secs(19));
+    assert_eq!(handle.stats.borrow().ipv4_send_failures, BURST, "the first burst gave up");
+    let before = allocations();
+    sim.run_until(SimTime::from_secs(21));
+    let made = allocations() - before;
+    assert_eq!(handle.stats.borrow().ipv4_send_failures, 2 * BURST - QUEUED);
+    assert!(made <= FLOOR, "{made} allocations, at most {FLOOR} allowed");
 }
 
 const SYNTHETIC_FRAMES: u64 = 16_384;
@@ -392,9 +444,9 @@ fn cases() -> Vec<Case> {
     for (id, kind, floor) in [
         ("passive/mixed", SchemeKind::Passive, 26),
         ("stateful/mixed", SchemeKind::Stateful, 37),
-        ("active-probe/mixed", SchemeKind::ActiveProbe, 60),
+        ("active-probe/mixed", SchemeKind::ActiveProbe, 59),
         ("rate-monitor/mixed", SchemeKind::RateMonitor, 47),
-        ("hybrid/mixed", SchemeKind::Hybrid, 85),
+        ("hybrid/mixed", SchemeKind::Hybrid, 84),
         ("dai/mixed", SchemeKind::Dai, 26),
     ] {
         let frames = u64::from(MIXED_STATIONS + 2 * MIXED_PAIRS);
